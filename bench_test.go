@@ -728,8 +728,7 @@ func bigFixture(b *testing.B) *dbscan.Index {
 // interesting quantity is the parallel algorithm's overhead over Run.
 func BenchmarkRunParallel(b *testing.B) {
 	ix := bigFixture(b)
-	// ε=1 keeps the retained core neighborhoods (the disjoint-set
-	// formulation's memory cost) in the tens of megabytes at n=100k.
+	// ε=1 keeps a 100k-point op in the hundreds of milliseconds.
 	p := dbscan.Params{Eps: 1, MinPts: 4}
 	b.Run("sequential", func(b *testing.B) {
 		var m metrics.Counters
@@ -818,7 +817,7 @@ func BenchmarkIndexLayout(b *testing.B) {
 
 // BenchmarkTwoLevelSingleVariant is the |V| < T regime: one variant on an
 // 8-worker pool. The paper's one-variant-per-worker scheduler leaves 7
-// workers idle; donation routes them into the variant's parallel phases.
+// workers idle; donation routes them into the variant's parallel pass.
 func BenchmarkTwoLevelSingleVariant(b *testing.B) {
 	fixtures(b)
 	vs := variant.New([]dbscan.Params{tecParams})

@@ -7,7 +7,6 @@ import (
 
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/metrics"
-	"vdbscan/internal/obs"
 )
 
 // tileSweep is the tile-count axis: untiled, 2×2, 4×4, 8×8.
@@ -20,10 +19,8 @@ var tileSweep = []int{1, 4, 16, 64}
 //   - Speedup is against the untiled chunked runner (tiles=1) on the same
 //     index — both paths produce byte-identical labels, so this isolates
 //     the scheduling difference (whole-tile claims with halo-local
-//     searches vs fixed-size chunk claims over the full grid).
-//   - MergeFrac is the cross-tile seam merge's share of the run (the
-//     PhaseTileMerge span over the whole wall time, from the run's trace):
-//     the price of cutting the grid, paid once per run after the barrier.
+//     searches vs fixed-size chunk claims over the full grid). Both run
+//     the same one-pass body per point; there is no merge step to price.
 //   - Part/MaxTile report what the partitioner chose: regular k×k or kd
 //     cuts, and the largest tile's point count (the balance bound).
 //
@@ -32,7 +29,7 @@ var tileSweep = []int{1, 4, 16, 64}
 func (s *Suite) Tiles() error {
 	section(s.Out, "Tiles: ε-halo tile-level parallelism (WithTiles)")
 	fmt.Fprintln(s.Out, "-- 1 variant, no reuse, grid index, T =", s.Threads, "--")
-	t := newTable("Dataset", "Eps", "Tiles", "Part", "MaxTile", "RunTime", "Speedup", "MergeFrac", "Clusters")
+	t := newTable("Dataset", "Eps", "Tiles", "Part", "MaxTile", "RunTime", "Speedup", "Clusters")
 	// The Table II ε for each set, plus a dense-neighborhood row on the 1M
 	// set (ε=2): the tile win is a locality effect, so it scales with the
 	// candidate volume per search, not with |D| alone.
@@ -55,18 +52,13 @@ func (s *Suite) Tiles() error {
 		}
 		var untiled time.Duration
 		for _, tiles := range tileSweep {
-			tr := obs.NewTracer()
 			clusters := 0
 			wall, err := s.timeTrials(func() error {
 				var m metrics.Counters
-				tr.StartRun(time.Now(), "tiles", nil)
-				start := time.Now()
 				r, err := dbscan.RunParallelOpts(context.Background(), ix, p, dbscan.ParallelOptions{
 					Workers: s.Threads,
 					Tiles:   tiles,
-					Rec:     tr.Worker(0),
 				}, &m)
-				tr.EndRun(time.Since(start))
 				if r != nil {
 					clusters = r.NumClusters
 				}
@@ -80,43 +72,17 @@ func (s *Suite) Tiles() error {
 				partKind = fmt.Sprintf("%s/%d", part.Kind(), part.Len())
 				maxTile = fmt.Sprint(part.MaxTilePoints())
 			}
-			sp, mergeFrac := 1.0, "-"
+			sp := 1.0
 			if tiles == 1 {
 				untiled = wall
 			} else {
 				sp = speedup(untiled, wall)
-				mergeFrac = fmt.Sprintf("%.1f%%", 100*tileMergeFraction(tr.Events()))
 			}
-			t.add(spec.dataset, p.Eps, tiles, partKind, maxTile, seconds(wall), sp, mergeFrac, clusters)
+			t.add(spec.dataset, p.Eps, tiles, partKind, maxTile, seconds(wall), sp, clusters)
 		}
 	}
 	t.write(s.Out)
 	fmt.Fprintln(s.Out, "\nTiling pays when T workers can hold T tiles' halos in cache instead")
-	fmt.Fprintln(s.Out, "of striding chunk-interleaved over the whole grid; the seam merge is")
-	fmt.Fprintln(s.Out, "the overhead term and should stay a small fraction of the run.")
+	fmt.Fprintln(s.Out, "of striding chunk-interleaved over the whole grid.")
 	return nil
-}
-
-// tileMergeFraction reads the last traced run and returns the
-// PhaseTileMerge span as a fraction of the run's full makespan.
-func tileMergeFraction(evs []obs.Event) float64 {
-	var begin, end, total time.Duration
-	for _, e := range evs {
-		if e.At > total {
-			total = e.At
-		}
-		if obs.Phase(e.Arg) != obs.PhaseTileMerge {
-			continue
-		}
-		switch e.Kind {
-		case obs.KindPhaseBegin:
-			begin = e.At
-		case obs.KindPhaseEnd:
-			end = e.At
-		}
-	}
-	if total <= 0 || end <= begin {
-		return 0
-	}
-	return float64(end-begin) / float64(total)
 }

@@ -12,27 +12,39 @@ import (
 	"vdbscan/internal/unionfind"
 )
 
-// This file implements intra-variant parallel DBSCAN in the disjoint-set
-// style of Patwary et al. (SC 2012) and the theoretically-efficient
-// parallel DBSCAN of Wang, Gu & Shun (SIGMOD 2020): instead of the
-// inherently sequential breadth-first cluster expansion, the grid-sorted
-// point array is partitioned into contiguous chunks that workers claim
-// from an atomic cursor, each worker performs the ε-searches and core-point
-// marking for its chunks over the shared immutable T_low (safe without
-// locking — the trees are read-only by design), core→core edges are linked
-// through a lock-free unionfind.ConcurrentDSU, and border points attach to
-// the lowest-numbered adjacent cluster with a CAS min-reduction.
+// This file implements intra-variant parallel DBSCAN as ONE parallel pass
+// over the points: the disjoint-set formulation of Patwary et al. (SC 2012)
+// on the index-ordered lock-free union-find of Wang, Gu & Shun (SIGMOD
+// 2020), with the neighbourhood consumed during the traversal and never
+// stored (Prokopenko et al., "Fast tree-based algorithms for DBSCAN on
+// GPUs"). Workers claim contiguous chunks of the point array from an atomic
+// cursor, issue exactly one ε-search per point over the shared read-only
+// index, and act on the result on the spot (onePass.consume):
 //
-// The output is *identical* to sequential Run — not merely equivalent up to
-// renumbering — because both resolve every tie the same way:
+//   - A core point i publishes core[i] with a sequentially consistent
+//     store and only then scans its neighbours, unioning with every j whose
+//     flag it loads as set. Edge coverage: for a core–core ε-edge (i, j)
+//     each endpoint stores its own flag before loading the other's, so the
+//     two loads cannot both miss (Dekker's argument; Go's sync/atomic
+//     operations are sequentially consistent) — the endpoint that publishes
+//     later always sees the other and links the edge. No second traversal
+//     is needed, and an edge seen from both sides is a harmless duplicate.
+//   - Order independence: ConcurrentDSU roots are the minimum member index,
+//     so once the pass's barrier has published every union the components —
+//     and labelCores' numbering of them by ascending minimum core index,
+//     which is Run's formation order — do not depend on which worker linked
+//     which edge, when, or how often.
+//   - Border rule: a non-core point has fewer than MinPts neighbours by
+//     definition, so its whole neighbour list is appended to the worker's
+//     flat record arena (at most MinPts+1 words). After the barrier and
+//     labelCores, one sequential sweep over the arenas gives it the minimum
+//     label among its core neighbours, or Noise when it has none: Run
+//     assigns a border point to the first-formed (lowest-cid) cluster with a
+//     core point within ε of it, which is that minimum.
 //
-//   - Run numbers clusters in formation order, and a cluster forms when the
-//     outer loop reaches its minimum-index core point; linking through the
-//     index-ordered ConcurrentDSU and labeling core points in ascending
-//     index order reproduces exactly that numbering.
-//   - Run assigns a border point to the first-formed (lowest-cid) cluster
-//     that has a core point within ε of it; the CAS min-reduction computes
-//     the same cluster order-independently.
+// The output is therefore *identical* to sequential Run — not merely
+// equivalent up to renumbering — and every metrics counter equals Run's,
+// since both issue one ε-search per point over the same candidates.
 //
 // This is the single-variant complement to VariantDBSCAN's inter-variant
 // parallelism: it reduces one variant's response time when there are fewer
@@ -41,14 +53,14 @@ import (
 // internal/sched composes the two levels by donating idle pool workers to
 // running variants through the Helper interface.
 
-// Helper donates extra worker goroutines to the parallel phases of
+// Helper donates extra worker goroutines to the parallel pass of
 // RunParallelOpts. Offer publishes a help function that idle donor
-// goroutines may invoke concurrently; help returns when the phase's work is
+// goroutines may invoke concurrently; help returns when the pass's work is
 // exhausted. The returned stop retracts the offer and blocks until every
 // in-flight donated invocation has returned, so the caller may rely on
-// happens-before between donated writes and its next phase. variant is the
-// offering variant execution's ID (ParallelOptions.Variant), which lets the
-// helper attribute donated time in traces; helpers that don't trace may
+// happens-before between donated writes and its sequential tail. variant is
+// the offering variant execution's ID (ParallelOptions.Variant), which lets
+// the helper attribute donated time in traces; helpers that don't trace may
 // ignore it.
 type Helper interface {
 	Offer(variant int32, help func()) (stop func())
@@ -59,29 +71,29 @@ type ParallelOptions struct {
 	// Workers is the number of goroutines the run drives itself, including
 	// the calling one; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Helper, when non-nil, contributes donated goroutines to every
-	// parallel phase on top of Workers (two-level scheduling).
+	// Helper, when non-nil, contributes donated goroutines to the parallel
+	// pass on top of Workers (two-level scheduling).
 	Helper Helper
-	// Rec, when non-nil, records mark/link/label/border phase spans for
-	// variant Variant into the calling worker's trace ring. The nil
-	// default costs nothing: every Recorder method is a nil-receiver no-op
-	// and no per-point work is ever traced.
+	// Rec, when non-nil, records the run's phase spans — mark (tile-run on
+	// the tiled path), label, border — for variant Variant into the calling
+	// worker's trace ring. The nil default costs nothing: every Recorder
+	// method is a nil-receiver no-op and no per-point work is ever traced.
 	Rec *obs.Recorder
 	// Variant is the variant ID used in trace events and Helper offers.
 	Variant int32
 	// Tiles selects tile-level parallelism (variant → tile → chunk) on
 	// grid-kind indexes: the grid is cut into point-balanced tiles with
-	// ε-halos, tiles cluster concurrently, and boundary clusters merge
-	// across seams — byte-identical to the untiled run. 0 is automatic
-	// (tile when Workers and the point count justify it), 1 forces the
-	// untiled chunked path, >= 2 requests that many tiles. Ignored (falls
-	// back to untiled) when no grid serves the run: R-tree kind, or
-	// staged inserts not yet re-frozen.
+	// ε-halos and workers claim whole tiles instead of fixed-size chunks —
+	// byte-identical to the untiled run. 0 is automatic (tile when Workers
+	// and the point count justify it), 1 forces the untiled chunked path,
+	// >= 2 requests that many tiles. Ignored (falls back to untiled) when
+	// no grid serves the run: R-tree kind, or staged inserts not yet
+	// re-frozen.
 	Tiles int
 }
 
 // parallelChunk is the number of contiguous grid-sorted points a worker
-// claims per cursor increment. Chunks are large enough to amortize the
+// claims per cursor increment on the untiled path. Chunks are large enough to amortize the
 // cursor's atomic add and a metrics flush across many ε-searches, and small
 // enough to load-balance the skewed per-point search costs of clustered
 // data.
@@ -97,8 +109,8 @@ func RunParallel(ix *Index, p Params, workers int, m *metrics.Counters) (*cluste
 }
 
 // RunParallelOpts is RunParallel with cancellation and donated workers. ctx
-// is checked once per chunk; on cancellation the phases drain and the
-// context error is returned with no partial result.
+// is checked once per chunk (per tile on the tiled path); on cancellation
+// the pass drains and the context error is returned with no partial result.
 func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptions, m *metrics.Counters) (*cluster.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -107,213 +119,171 @@ func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptio
 		return nil, err
 	}
 	n := ix.Len()
-	res := cluster.NewResult(n)
 	if n == 0 {
-		return res, nil
+		return cluster.NewResult(0), nil
 	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if res, handled, err := runTiled(ctx, ix, p, opt, m, workers); handled {
-		return res, err
-	}
-	nChunks := (n + parallelChunk - 1) / parallelChunk
-	if workers > nChunks {
-		workers = nChunks
-	}
 
-	core := make([]bool, n)
-	neighborhoods := make([][]int32, n)
-
-	// Phase 1: ε-search every point, mark core points, and retain their
-	// neighborhoods for the union and border passes. Workers claim
-	// contiguous chunks from the cursor; each writes only its own chunk's
-	// entries of core/neighborhoods, so the phase needs no locks.
-	var cursor1 atomic.Int64
-	mark := func() {
-		scratch := make([]int32, 0, 256)
-		var arena []int32 // batches neighborhood copies, one alloc per ~16k entries
-		var local metrics.Local
-		for {
-			if ctx.Err() != nil {
-				break
-			}
-			lo := int(cursor1.Add(1)-1) * parallelChunk
-			if lo >= n {
-				break
-			}
-			hi := min(lo+parallelChunk, n)
-			for i := lo; i < hi; i++ {
-				scratch = ix.NeighborSearchLocal(ix.Pts[i], p.Eps, &local, scratch[:0])
-				if len(scratch) < p.MinPts {
-					continue
-				}
-				core[i] = true
-				if cap(arena)-len(arena) < len(scratch) {
-					// Fresh arena; retired arrays stay alive via the
-					// neighborhood subslices that point into them.
-					size := 16 * 1024
-					if size < len(scratch) {
-						size = len(scratch)
-					}
-					arena = make([]int32, 0, size)
-				}
-				start := len(arena)
-				arena = append(arena, scratch...)
-				neighborhoods[i] = arena[start:len(arena):len(arena)]
-			}
-			local.FlushTo(m)
-		}
-		local.FlushTo(m)
+	s := &onePass{
+		minPts: p.MinPts,
+		core:   make([]atomic.Bool, n),
+		dsu:    unionfind.NewConcurrent(n),
 	}
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseMark)
-	runPhase(workers, opt, mark)
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseMark)
+	phase := obs.PhaseTileRun
+	units, unit := s.tileUnits(ix, p.Eps, opt.Tiles, workers)
+	if unit == nil {
+		phase = obs.PhaseMark
+		units, unit = s.chunkUnits(ix, p.Eps)
+	}
+	opt.Rec.PhaseBegin(opt.Variant, phase)
+	runPhase(min(workers, units), opt, s.workerBody(ctx, m, units, unit))
+	opt.Rec.PhaseEnd(opt.Variant, phase)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Phase 2: link core→core ε-edges through the lock-free DSU. Each
-	// symmetric edge is linked once, from its higher-index endpoint.
-	dsu := unionfind.NewConcurrent(n)
-	var cursor2 atomic.Int64
-	link := func() {
-		for {
-			if ctx.Err() != nil {
-				break
-			}
-			lo := int(cursor2.Add(1)-1) * parallelChunk
-			if lo >= n {
-				break
-			}
-			hi := min(lo+parallelChunk, n)
-			for i := lo; i < hi; i++ {
-				if !core[i] {
-					continue
-				}
-				for _, j := range neighborhoods[i] {
-					if j < int32(i) && core[j] {
-						dsu.Union(int32(i), j)
-					}
-				}
-			}
-		}
-	}
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseLink)
-	runPhase(workers, opt, link)
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseLink)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Phase 3 (sequential, O(n) with near-flat finds): number the core
-	// sets by ascending minimum core index — precisely Run's formation
-	// order — and label core points.
+	// Sequential tail, O(n) with near-flat finds: number the core sets,
+	// then resolve the recorded non-core points against the core labels.
+	res := cluster.NewResult(n)
 	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseLabel)
-	cid := labelCores(res, core, dsu)
+	res.NumClusters = int(s.labelCores(res.Labels))
 	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseLabel)
 
-	// Phase 4: border attachment. A border point joins the lowest-cid
-	// cluster that has a core point within ε — Run's first-absorber — via
-	// an atomic min-reduction over the retained core neighborhoods.
-	attach := make([]atomic.Int32, n)
 	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseBorder)
-	runPhase(workers, opt, borderBody(ctx, core, neighborhoods, res.Labels, attach))
+	s.attachBorders(res.Labels)
 	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseBorder)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	finishBorders(res, core, attach)
-	res.NumClusters = int(cid)
 	return res, nil
 }
 
-// labelCores is the sequential labeling pass shared by the chunked and
-// tiled runners: number the core DSU components by ascending minimum
-// core index — precisely Run's formation order — write the core labels,
-// and return the cluster count. Because ConcurrentDSU roots are the
-// minimum member index, the first time a component is seen is at its
-// minimum core point, exactly when Run would have formed it.
-func labelCores(res *cluster.Result, core []bool, dsu *unionfind.ConcurrentDSU) int32 {
-	n := len(core)
-	rootID := make([]int32, n)
+// onePass is the state the workers of one run share: the published core
+// flags, the core-connectivity union-find, and the non-core records each
+// worker hands over when it finishes.
+type onePass struct {
+	minPts int
+	core   []atomic.Bool
+	dsu    *unionfind.ConcurrentDSU
+
+	mu      sync.Mutex
+	borders [][]int32 // per worker: [b, k, n1..nk] records back to back
+}
+
+// consume acts on point i's ε-neighbourhood while it is still in the
+// search buffer, and returns the worker's record arena. The store of
+// core[i] must precede the loads of core[j]: that order is what guarantees
+// every core–core edge is linked from at least one side (see the file
+// header). ri may go stale as concurrent unions re-root i's set, but sets
+// only grow, so Find(j) == ri still proves i and j are joined — a stale ri
+// costs a redundant Union at worst, never a missed one.
+func (s *onePass) consume(i int32, nbrs, arena []int32) []int32 {
+	if len(nbrs) < s.minPts {
+		arena = append(arena, i, int32(len(nbrs)))
+		return append(arena, nbrs...)
+	}
+	s.core[i].Store(true)
+	ri := s.dsu.Find(i)
+	for _, j := range nbrs {
+		if s.core[j].Load() && s.dsu.Find(j) != ri {
+			s.dsu.Union(i, j)
+			ri = s.dsu.Find(i)
+		}
+	}
+	return arena
+}
+
+// passWorker is one body invocation's private state: the ε-search buffer,
+// the non-core record arena, and the counter batch.
+type passWorker struct {
+	scratch, arena []int32
+	local          metrics.Local
+}
+
+// workerBody returns the body runPhase drives: claim the next of units work
+// units (chunks or tiles) from a shared cursor, let unit search and consume
+// its points, flush the counters. ctx is checked and counters are flushed
+// once per unit, so a canceled run has counted exactly the searches it
+// performed. A finished worker hands its arena to the sequential tail.
+func (s *onePass) workerBody(ctx context.Context, m *metrics.Counters, units int, unit func(u int, w *passWorker)) func() {
+	var cursor atomic.Int64
+	return func() {
+		w := passWorker{scratch: make([]int32, 0, 256)}
+		for ctx.Err() == nil {
+			u := int(cursor.Add(1) - 1)
+			if u >= units {
+				break
+			}
+			unit(u, &w)
+			w.local.FlushTo(m)
+		}
+		if len(w.arena) > 0 {
+			s.mu.Lock()
+			s.borders = append(s.borders, w.arena)
+			s.mu.Unlock()
+		}
+	}
+}
+
+// chunkUnits is the untiled work division: parallelChunk-sized ranges of
+// the point array, each point ε-searched through the index's own search
+// ladder.
+func (s *onePass) chunkUnits(ix *Index, eps float64) (int, func(u int, w *passWorker)) {
+	n := len(s.core)
+	return (n + parallelChunk - 1) / parallelChunk, func(u int, w *passWorker) {
+		lo := u * parallelChunk
+		hi := min(lo+parallelChunk, n)
+		for i := lo; i < hi; i++ {
+			w.scratch = ix.NeighborSearchLocal(ix.Pts[i], eps, &w.local, w.scratch[:0])
+			w.arena = s.consume(int32(i), w.scratch, w.arena)
+		}
+	}
+}
+
+// labelCores numbers the core DSU components by ascending minimum core
+// index — precisely Run's formation order — writes the core labels, and
+// returns the cluster count. Because ConcurrentDSU roots are the minimum
+// member index, the first time a component is seen is at its minimum core
+// point, exactly when Run would have formed it.
+func (s *onePass) labelCores(labels []int32) int32 {
+	rootID := make([]int32, len(labels))
 	var cid int32
-	for i := 0; i < n; i++ {
-		if !core[i] {
+	for i := range labels {
+		if !s.core[i].Load() {
 			continue
 		}
-		r := dsu.Find(int32(i))
+		r := s.dsu.Find(int32(i))
 		if rootID[r] == 0 {
 			cid++
 			rootID[r] = cid
 		}
-		res.Labels[i] = rootID[r]
+		labels[i] = rootID[r]
 	}
 	return cid
 }
 
-// borderBody returns the border-attachment worker body shared by the
-// chunked and tiled runners. Workers claim chunks of core points from a
-// cursor captured in the closure and CAS-min each non-core neighbor's
-// attachment to the lowest adjacent cluster id — Run's first absorber,
-// computed order-independently.
-func borderBody(ctx context.Context, core []bool, neighborhoods [][]int32, labels []int32, attach []atomic.Int32) func() {
-	n := len(core)
-	var cursor atomic.Int64
-	return func() {
-		for {
-			if ctx.Err() != nil {
-				break
-			}
-			lo := int(cursor.Add(1)-1) * parallelChunk
-			if lo >= n {
-				break
-			}
-			hi := min(lo+parallelChunk, n)
-			for i := lo; i < hi; i++ {
-				if !core[i] {
-					continue
-				}
-				label := labels[i]
-				for _, j := range neighborhoods[i] {
-					if core[j] {
-						continue
-					}
-					for {
-						cur := attach[j].Load()
-						if cur != 0 && cur <= label {
-							break
-						}
-						if attach[j].CompareAndSwap(cur, label) {
-							break
-						}
-					}
+// attachBorders resolves every non-core point from its recorded
+// neighbourhood: the lowest cluster id among its core neighbours — Run's
+// first absorber — or Noise when none of them is core.
+func (s *onePass) attachBorders(labels []int32) {
+	for _, arena := range s.borders {
+		for len(arena) > 0 {
+			b, k := arena[0], int(arena[1])
+			label := cluster.Noise
+			for _, j := range arena[2 : 2+k] {
+				if s.core[j].Load() && (label == cluster.Noise || labels[j] < label) {
+					label = labels[j]
 				}
 			}
-		}
-	}
-}
-
-// finishBorders resolves every non-core point: the attached cluster if
-// any core absorbed it, noise otherwise.
-func finishBorders(res *cluster.Result, core []bool, attach []atomic.Int32) {
-	for i := range core {
-		if core[i] {
-			continue
-		}
-		if a := attach[i].Load(); a != 0 {
-			res.Labels[i] = a
-		} else {
-			res.Labels[i] = cluster.Noise
+			labels[b] = label
+			arena = arena[2+k:]
 		}
 	}
 }
 
 // runPhase drives body on workers goroutines (the caller's included) plus
 // any donated helpers, returning once every invocation has finished. body
-// must be safe for concurrent invocation and return when the phase's work
+// must be safe for concurrent invocation and return when the pass's work
 // is exhausted.
 func runPhase(workers int, opt ParallelOptions, body func()) {
 	var stop func()

@@ -117,8 +117,8 @@ func TestRunParallelEmptyAndDegenerate(t *testing.T) {
 }
 
 func TestRunParallelSearchCountMatches(t *testing.T) {
-	// The chunked core-marking pass must still search each point exactly
-	// once, and the per-worker batched flushes must not lose counts.
+	// The chunked pass must search each point exactly once, and the
+	// per-worker batched flushes must not lose counts.
 	pts := blobs(3, 200, 100, 25, 0.6, 103)
 	ix := BuildIndex(pts, IndexOptions{R: 16})
 	var mSeq, mPar metrics.Counters
@@ -226,10 +226,10 @@ func (c *countdownCtx) Err() error {
 
 // TestRunParallelCancelFlushesLocalCounters is the regression test for the
 // batched-counter audit: when a run is canceled mid-way, every worker's
-// metrics.Local batch must still reach the shared Counters (the flush after
-// the chunk loop), so no performed ε-search goes uncounted.
+// metrics.Local batch must still reach the shared Counters (the flush that
+// ends every chunk), so no performed ε-search goes uncounted.
 //
-// With one worker and cancellation at the 3rd Err() call, the mark phase
+// With one worker and cancellation at the 3rd Err() call, the pass
 // deterministically completes exactly two 256-point chunks — each point
 // ε-searched once and flushed once per chunk — before observing the cancel,
 // so the shared counters must read exactly 512 searches.

@@ -1,211 +1,76 @@
 package dbscan
 
 import (
-	"context"
-	"sync/atomic"
-
-	"vdbscan/internal/cluster"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/gridindex"
-	"vdbscan/internal/metrics"
-	"vdbscan/internal/obs"
 	"vdbscan/internal/tiling"
-	"vdbscan/internal/unionfind"
 )
 
 // Tiled intra-variant DBSCAN — the third parallelism level, variant →
 // tile → chunk. The grid-sorted point array is cut into point-balanced
-// cell-rectangle tiles (internal/tiling); each tile runs the full mark +
-// intra-tile link sweep concurrently on a gridindex.TileView whose
-// ε-halo makes its searches exact for every owned query, and a seam
-// merge afterwards unions the core-core ε-edges that straddle tile
-// boundaries. The output is byte-identical to the untiled chunked runner
-// (and therefore to sequential Run):
+// cell-rectangle tiles (internal/tiling) and a worker claims a whole tile
+// at a time, searching it through a gridindex.TileView. Everything else is
+// the one-pass runner of parallel.go: the same onePass.consume per point,
+// the same barrier, the same sequential tail. The output is byte-identical
+// to the untiled chunked runner (and therefore to sequential Run):
 //
-//   - Every ε-search an owned point issues is clamped to the tile's
-//     halo, which always contains the search's cell block, so core flags
-//     and retained neighborhoods equal the untiled run's exactly —
-//     including the candidate/cell-visit metric counts.
-//   - The DSU edge set is the untiled run's edge set: same-tile edges
-//     link during the tile sweep (from the higher endpoint, whose owner
-//     computed both core flags), cross-tile edges link during the seam
-//     merge. A cross-tile ε-edge's higher endpoint always sits in a seam
-//     cell — the two cells are within reach = ⌈ε/side⌉ of each other and
-//     in different tiles, so the endpoint's cell is within reach of its
-//     tile's boundary — and gridindex.TileView.SeamRuns yields exactly
-//     those cells. Each edge is examined from its higher endpoint only,
-//     in exactly one of the two phases (the tile test is a partition of
-//     the neighborhood), so no edge is linked twice or missed.
-//   - Labeling and border attachment reuse the untiled runner's passes
-//     (labelCores, borderBody): index-ordered DSU roots reproduce Run's
-//     formation-order numbering, and the CAS min-reduction resolves
-//     every halo/border ownership tie deterministically, so a border
-//     point equidistant from cores in two tiles gets the same owner as
-//     the untiled run.
+//   - Every ε-search an owned point issues is clamped to the tile's halo,
+//     which always contains the search's cell block, so the neighbour list
+//     consume sees equals the untiled run's exactly — including the
+//     candidate/cell-visit metric counts — and tiles partition the points,
+//     so each point is still searched exactly once.
+//   - consume's edge-coverage argument never mentions who owns a point: the
+//     core flags and the union-find are shared by all tiles, so an ε-edge
+//     that straddles a tile boundary is linked by whichever endpoint
+//     publishes later, like any other edge. There is no seam merge.
+//   - A border point within ε of cores in two tiles records its own
+//     neighbour list and is resolved after the barrier by the minimum
+//     rule, which cannot depend on tile ownership either.
 //
-// The tile phases run through runPhase, so donated pool workers
-// (two-level scheduling) pick up tiles exactly as they pick up chunks.
+// The tile pass runs through runPhase, so donated pool workers (two-level
+// scheduling) pick up tiles exactly as they pick up chunks.
 
-// runTiled executes the tiled path when it applies. handled reports
-// whether it ran; when false the caller falls through to the untiled
-// chunked phases. It declines — with no observable difference, since the
-// tiled result is byte-identical anyway — when the index has no current
-// grid (R-tree kind, or staged inserts awaiting re-freeze), when the
-// resolved tile target is < 2, or when the grid is too small to cut.
-func runTiled(ctx context.Context, ix *Index, p Params, opt ParallelOptions, m *metrics.Counters, workers int) (*cluster.Result, bool, error) {
-	n := ix.Len()
-	target := opt.Tiles
+// tileUnits is the tiled work division: one unit per tile, its owned points
+// searched through the tile's ε-halo view. It returns a nil unit when
+// tiling does not apply and the caller should divide by chunks. It declines
+// — with no observable difference, since the tiled result is byte-identical
+// anyway — when the index has no current grid (R-tree kind, or staged
+// inserts awaiting re-freeze), when the resolved tile target is < 2, or
+// when the grid is too small to cut.
+func (s *onePass) tileUnits(ix *Index, eps float64, target, workers int) (int, func(u int, w *passWorker)) {
+	n := len(s.core)
 	if target == 0 {
 		target = tiling.Auto(n, workers)
 	}
 	if target < 2 {
-		return nil, false, nil
+		return 0, nil
 	}
 	g := ix.Grid()
 	if g == nil || g.Len() != n {
-		return nil, false, nil
+		return 0, nil
 	}
 	part := ix.TilePartition(target)
 	if part == nil || part.Len() < 2 {
-		return nil, false, nil
+		return 0, nil
 	}
 
-	nt := part.Len()
-	views := make([]gridindex.TileView, nt)
+	views := make([]gridindex.TileView, part.Len())
 	for t, rect := range part.Tiles() {
-		views[t] = g.Tile(rect, p.Eps)
+		views[t] = g.Tile(rect, eps)
 	}
-	tileOf := part.TileOf()
-
-	res := cluster.NewResult(n)
-	core := make([]bool, n)
-	neighborhoods := make([][]int32, n)
-	dsu := unionfind.NewConcurrent(n)
-
-	// Phase A: per-tile clustering. A worker claims a whole tile, marks
-	// its owned points (retaining core neighborhoods), then links the
-	// tile's internal core edges — both core flags were computed by this
-	// same claim, so no cross-worker visibility is needed yet.
-	var cursorA atomic.Int64
-	tileRun := func() {
-		scratch := make([]int32, 0, 256)
-		var arena []int32 // batches neighborhood copies, as in the chunked mark
-		var local metrics.Local
-		for {
-			if ctx.Err() != nil {
-				break
+	return len(views), func(u int, w *passWorker) {
+		v := &views[u]
+		v.OwnedRuns(func(start, end int32) {
+			for slot := start; slot < end; slot++ {
+				x, y := g.SlotCoords(slot)
+				var cand, nodes int
+				w.scratch, cand, nodes = v.EpsSearch(geom.Point{X: x, Y: y}, eps, w.scratch[:0])
+				w.local.NeighborSearches++
+				w.local.CandidatesExamined += int64(cand)
+				w.local.NodesVisited += int64(nodes)
+				w.local.NeighborsFound += int64(len(w.scratch))
+				w.arena = s.consume(g.SlotID(slot), w.scratch, w.arena)
 			}
-			t := int(cursorA.Add(1) - 1)
-			if t >= nt {
-				break
-			}
-			v := &views[t]
-			tt := int32(t)
-			v.OwnedRuns(func(start, end int32) {
-				for s := start; s < end; s++ {
-					x, y := g.SlotCoords(s)
-					var cand, nodes int
-					scratch, cand, nodes = v.EpsSearch(geom.Point{X: x, Y: y}, p.Eps, scratch[:0])
-					local.NeighborSearches++
-					local.CandidatesExamined += int64(cand)
-					local.NodesVisited += int64(nodes)
-					local.NeighborsFound += int64(len(scratch))
-					if len(scratch) < p.MinPts {
-						continue
-					}
-					i := g.SlotID(s)
-					core[i] = true
-					if cap(arena)-len(arena) < len(scratch) {
-						size := 16 * 1024
-						if size < len(scratch) {
-							size = len(scratch)
-						}
-						arena = make([]int32, 0, size)
-					}
-					st := len(arena)
-					arena = append(arena, scratch...)
-					neighborhoods[i] = arena[st:len(arena):len(arena)]
-				}
-			})
-			v.OwnedRuns(func(start, end int32) {
-				for s := start; s < end; s++ {
-					i := g.SlotID(s)
-					if !core[i] {
-						continue
-					}
-					for _, j := range neighborhoods[i] {
-						// Ownership test first: core[j] of a foreign tile may
-						// still be being written by its owner during this phase.
-						if j < i && tileOf[j] == tt && core[j] {
-							dsu.Union(i, j)
-						}
-					}
-				}
-			})
-			local.FlushTo(m)
-		}
-		local.FlushTo(m)
+		})
 	}
-	wA := min(workers, nt)
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseTileRun)
-	runPhase(wA, opt, tileRun)
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseTileRun)
-	if err := ctx.Err(); err != nil {
-		return nil, true, err
-	}
-
-	// Phase B: seam merge. Revisit only the seam cells and link the
-	// cross-tile core edges from their higher endpoints; the runPhase
-	// barrier has published every tile's core flags and neighborhoods.
-	var cursorB atomic.Int64
-	tileMerge := func() {
-		for {
-			if ctx.Err() != nil {
-				break
-			}
-			t := int(cursorB.Add(1) - 1)
-			if t >= nt {
-				break
-			}
-			v := &views[t]
-			tt := int32(t)
-			v.SeamRuns(func(start, end int32) {
-				for s := start; s < end; s++ {
-					i := g.SlotID(s)
-					if !core[i] {
-						continue
-					}
-					for _, j := range neighborhoods[i] {
-						if j < i && core[j] && tileOf[j] != tt {
-							dsu.Union(i, j)
-						}
-					}
-				}
-			})
-		}
-	}
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseTileMerge)
-	runPhase(wA, opt, tileMerge)
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseTileMerge)
-	if err := ctx.Err(); err != nil {
-		return nil, true, err
-	}
-
-	// Labeling and border attachment are tile-agnostic: identical passes
-	// to the untiled runner over the merged DSU.
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseLabel)
-	cid := labelCores(res, core, dsu)
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseLabel)
-
-	attach := make([]atomic.Int32, n)
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseBorder)
-	runPhase(workers, opt, borderBody(ctx, core, neighborhoods, res.Labels, attach))
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseBorder)
-	if err := ctx.Err(); err != nil {
-		return nil, true, err
-	}
-
-	finishBorders(res, core, attach)
-	res.NumClusters = int(cid)
-	return res, true, nil
 }

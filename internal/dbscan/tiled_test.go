@@ -51,7 +51,7 @@ func TestRunTiledMatchesUntiledExactly(t *testing.T) {
 	}
 }
 
-// TestRunTiledMetricsMatch: the tiled mark sweep issues exactly one
+// TestRunTiledMetricsMatch: the tiled pass issues exactly one
 // ε-search per point with halo-clamped blocks equal to the full-grid
 // blocks, so every work counter — searches, candidates, cells visited,
 // neighbors found — must equal the sequential grid run's.
@@ -163,10 +163,10 @@ func TestTilePartitionRebuiltOnReside(t *testing.T) {
 
 // TestTiledSeamBorderDeterminism is the satellite property test: border
 // points seam-adjacent and equidistant from core points in two different
-// tiles must get the same owner as the untiled run — the CAS
-// min-reduction resolves the tie by lowest cluster id regardless of
-// which tile's worker attaches first. The constructed case pins the
-// geometry; the seeded sweep covers organically arising ties.
+// tiles must get the same owner as the untiled run — the border sweep
+// takes the lowest cluster id among a point's own recorded neighbours,
+// which no tile cut can change. The constructed case pins the geometry;
+// the seeded sweep covers organically arising ties.
 func TestTiledSeamBorderDeterminism(t *testing.T) {
 	// Constructed: two dense cores far enough apart that they form two
 	// clusters, with one border point exactly equidistant from a core
@@ -237,7 +237,34 @@ func TestRunTiledCancellation(t *testing.T) {
 	}
 }
 
-// TestRunTiledWithHelperMatches: donated workers joining the tile phases
+// TestRunTiledCancelMidPass: a tiled run canceled between tiles returns
+// the context error and no result, having counted exactly the searches of
+// the tiles it finished. One worker and cancellation at the 3rd Err() call
+// make that the partition's first two tiles.
+func TestRunTiledCancelMidPass(t *testing.T) {
+	pts := blobs(4, 500, 200, 30, 0.7, 207)
+	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexGrid})
+	p := Params{Eps: 0.8, MinPts: 4}
+	if err := ix.EnsureGrid(p.Eps); err != nil {
+		t.Fatal(err)
+	}
+	part := ix.TilePartition(4)
+	if part == nil || part.Len() < 3 {
+		t.Fatalf("fixture did not cut into >= 3 tiles: %v", part)
+	}
+	var m metrics.Counters
+	ctx := &countdownCtx{Context: context.Background(), after: 3}
+	res, err := RunParallelOpts(ctx, ix, p, ParallelOptions{Workers: 1, Tiles: 4}, &m)
+	if err != context.Canceled || res != nil {
+		t.Fatalf("res=%v err=%v, want nil and context.Canceled", res, err)
+	}
+	want := int64(part.Counts()[0] + part.Counts()[1])
+	if got := m.Snapshot().NeighborSearches; got != want {
+		t.Fatalf("NeighborSearches = %d after canceling past two tiles, want %d", got, want)
+	}
+}
+
+// TestRunTiledWithHelperMatches: donated workers joining the tile pass
 // through the Helper interface must not perturb the result.
 func TestRunTiledWithHelperMatches(t *testing.T) {
 	pts := blobs(4, 700, 200, 30, 0.8, 206)

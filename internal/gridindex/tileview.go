@@ -84,7 +84,6 @@ type TileView struct {
 	f     *Flat
 	owned CellRect
 	halo  CellRect
-	reach int32
 }
 
 // Tile builds the view for an owned cell rectangle at search radius eps.
@@ -98,7 +97,7 @@ func (f *Flat) Tile(owned CellRect, eps float64) TileView {
 		C1: min(f.cols, owned.C1+reach),
 		R1: min(f.rows, owned.R1+reach),
 	}
-	return TileView{f: f, owned: owned, halo: halo, reach: reach}
+	return TileView{f: f, owned: owned, halo: halo}
 }
 
 // Owned returns the view's owned cell rectangle.
@@ -123,58 +122,6 @@ func (v *TileView) OwnedRuns(yield func(start, end int32)) {
 		s, e := v.f.CellRange(r, v.owned.C0, v.owned.C1)
 		if s < e {
 			yield(s, e)
-		}
-	}
-}
-
-// rowSeam reports whether every owned cell of row r is a seam cell: the
-// row sits within reach of the owned rectangle's top or bottom edge and
-// the grid continues past that edge.
-func (v *TileView) rowSeam(r int32) bool {
-	return (v.owned.R0 > 0 && r < v.owned.R0+v.reach) ||
-		(v.owned.R1 < v.f.rows && r >= v.owned.R1-v.reach)
-}
-
-// SeamRuns calls yield with the slot ranges of the tile's seam cells:
-// owned cells whose ε-search block extends past the owned rectangle
-// into the rest of the grid. Every owned point with a neighbor within
-// reach·side owned by another tile lies in a seam cell, so a cross-tile
-// merge only has to revisit these runs; cells flush against the global
-// grid edge are not seam on that side (there is nothing beyond them).
-// Runs are disjoint; each seam point appears exactly once.
-func (v *TileView) SeamRuns(yield func(start, end int32)) {
-	f := v.f
-	for r := v.owned.R0; r < v.owned.R1; r++ {
-		if v.rowSeam(r) {
-			if s, e := f.CellRange(r, v.owned.C0, v.owned.C1); s < e {
-				yield(s, e)
-			}
-			continue
-		}
-		// Interior row: only the left/right reach bands are seam.
-		lEnd, rStart := v.owned.C0, v.owned.C1
-		if v.owned.C0 > 0 {
-			lEnd = min(v.owned.C1, v.owned.C0+v.reach)
-		}
-		if v.owned.C1 < f.cols {
-			rStart = max(v.owned.C0, v.owned.C1-v.reach)
-		}
-		if lEnd >= rStart {
-			// The bands meet: the whole row is seam.
-			if s, e := f.CellRange(r, v.owned.C0, v.owned.C1); s < e {
-				yield(s, e)
-			}
-			continue
-		}
-		if v.owned.C0 < lEnd {
-			if s, e := f.CellRange(r, v.owned.C0, lEnd); s < e {
-				yield(s, e)
-			}
-		}
-		if rStart < v.owned.C1 {
-			if s, e := f.CellRange(r, rStart, v.owned.C1); s < e {
-				yield(s, e)
-			}
 		}
 	}
 }

@@ -132,72 +132,6 @@ func ownedBrute(f *gridindex.Flat, rect gridindex.CellRect) int {
 	return n
 }
 
-// TestSeamRunsContainCrossTileNeighbors: seam runs are a subset of the
-// owned runs with no duplicates, and every owned point that has any
-// neighbor (within eps) owned by a different tile lies in a seam run —
-// so a merge that only revisits seam points sees every cross-tile edge.
-func TestSeamRunsContainCrossTileNeighbors(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		pts := blobs(4, 150, 120, 40, 1.3, 100+seed)
-		eps := 1.0 + 0.4*float64(seed)
-		xs, ys := coords(pts)
-		f, err := gridindex.Freeze(xs, ys, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int32{2, 3, 4} {
-			rects := gridRects(f, k)
-			// slot -> owning tile
-			owner := make([]int, f.Len())
-			for ti, rect := range rects {
-				v := f.Tile(rect, eps)
-				v.OwnedRuns(func(start, end int32) {
-					for s := start; s < end; s++ {
-						owner[s] = ti
-					}
-				})
-			}
-			// caller id -> slot, to translate EpsSearch ids back
-			slotOf := make([]int32, f.Len())
-			for s := int32(0); s < int32(f.Len()); s++ {
-				slotOf[f.SlotID(s)] = s
-			}
-			for ti, rect := range rects {
-				v := f.Tile(rect, eps)
-				seam := make(map[int32]bool)
-				v.SeamRuns(func(start, end int32) {
-					for s := start; s < end; s++ {
-						if seam[s] {
-							t.Fatalf("seed=%d k=%d tile=%d: slot %d in two seam runs", seed, k, ti, s)
-						}
-						if owner[s] != ti {
-							t.Fatalf("seed=%d k=%d tile=%d: seam slot %d not owned", seed, k, ti, s)
-						}
-						seam[s] = true
-					}
-				})
-				v.OwnedRuns(func(start, end int32) {
-					for s := start; s < end; s++ {
-						x, y := f.SlotCoords(s)
-						nbrs, _, _ := f.EpsSearch(geom.Point{X: x, Y: y}, eps, nil)
-						cross := false
-						for _, id := range nbrs {
-							if owner[slotOf[id]] != ti {
-								cross = true
-								break
-							}
-						}
-						if cross && !seam[s] {
-							t.Fatalf("seed=%d k=%d tile=%d: slot %d has cross-tile neighbor but is not seam",
-								seed, k, ti, s)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestTileHaloClamped: halos never leave the grid, always contain the
 // owned rect, and extend exactly Reach cells where the grid allows.
 func TestTileHaloClamped(t *testing.T) {

@@ -99,9 +99,9 @@ type Phase uint8
 
 // Phases of a variant execution. Expand and Scratch are VariantDBSCAN's two
 // sequential phases (Algorithm 3: seed-cluster expansion, then the
-// from-scratch remainder); Mark/Link/Label/Border are the intra-variant
-// parallel DBSCAN phases of dbscan.RunParallelOpts; TileRun/TileMerge are
-// the tile-level phases of its ε-halo sharded path.
+// from-scratch remainder); Mark/Label/Border are the phases of
+// dbscan.RunParallelOpts' one-pass runner, with TileRun standing in for
+// Mark on its ε-halo tiled path.
 const (
 	// PhaseExpand is the seed-cluster reuse expansion (Alg. 3 lines 8–17:
 	// cluster copy, MBB sweep, edge search, EXPANDCLUSTER).
@@ -109,13 +109,13 @@ const (
 	// PhaseScratch is from-scratch DBSCAN: the Alg. 3 line-18 remainder
 	// pass, or the whole run when no source was reusable.
 	PhaseScratch
-	// PhaseMark is parallel core-point marking (the ε-search sweep).
+	// PhaseMark is the parallel pass: one ε-search per point, core
+	// marking, and core-edge disjoint-set linking on the spot.
 	PhaseMark
-	// PhaseLink is parallel core-edge disjoint-set linking.
-	PhaseLink
 	// PhaseLabel is the sequential cluster numbering pass.
 	PhaseLabel
-	// PhaseBorder is parallel border-point attachment.
+	// PhaseBorder is the sequential attachment of the recorded non-core
+	// points to their lowest-numbered adjacent cluster.
 	PhaseBorder
 	// PhaseRefreeze is one epoch of the incremental clusterer's
 	// generational index maintenance: from the moment a background
@@ -123,13 +123,9 @@ const (
 	// flat snapshot is installed and the covered overlay segment retired.
 	// Recorded with variant = -1 (it belongs to the index, not a variant).
 	PhaseRefreeze
-	// PhaseTileRun is the tiled parallel runner's per-tile clustering
-	// sweep: every tile's ε-searches, core marking, and intra-tile
-	// linking (dbscan tiled path, phases A of the tile schedule).
+	// PhaseTileRun is PhaseMark on the tiled path: workers claim whole
+	// tiles and search them through their ε-halo views.
 	PhaseTileRun
-	// PhaseTileMerge is the cross-tile seam merge: re-walking seam cells
-	// to union core-core ε-edges that straddle tile boundaries.
-	PhaseTileMerge
 )
 
 // String implements fmt.Stringer.
@@ -141,8 +137,6 @@ func (p Phase) String() string {
 		return "scratch"
 	case PhaseMark:
 		return "mark"
-	case PhaseLink:
-		return "link"
 	case PhaseLabel:
 		return "label"
 	case PhaseBorder:
@@ -151,8 +145,6 @@ func (p Phase) String() string {
 		return "refreeze"
 	case PhaseTileRun:
 		return "tile-run"
-	case PhaseTileMerge:
-		return "tile-merge"
 	default:
 		return fmt.Sprintf("Phase(%d)", uint8(p))
 	}

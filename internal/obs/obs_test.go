@@ -252,8 +252,8 @@ func TestWriteTimeline(t *testing.T) {
 // TestKindPhaseStrings pins the display names used in exports.
 func TestKindPhaseStrings(t *testing.T) {
 	if PhaseExpand.String() != "expand" || PhaseScratch.String() != "scratch" ||
-		PhaseMark.String() != "mark" || PhaseLink.String() != "link" ||
-		PhaseLabel.String() != "label" || PhaseBorder.String() != "border" {
+		PhaseMark.String() != "mark" || PhaseLabel.String() != "label" ||
+		PhaseBorder.String() != "border" || PhaseTileRun.String() != "tile-run" {
 		t.Fatal("phase names changed; exports and docs depend on them")
 	}
 	if KindDone.String() != "done" || KindSeedSelected.String() != "seed-selected" {

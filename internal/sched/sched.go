@@ -118,7 +118,7 @@ type Options struct {
 	// (paper-faithful) unless DonateIdle lends them more.
 	IntraWorkers int
 	// DonateIdle enables two-level scheduling: pool workers that find the
-	// variant queue empty donate themselves to the parallel phases of
+	// variant queue empty donate themselves to the parallel pass of
 	// still-running variants instead of parking. This removes the idle
 	// cores of the |V| < Threads and end-of-run-tail regimes without
 	// changing any clustering result (the parallel from-scratch path is

@@ -588,6 +588,14 @@ func TestSpansShareMonotonicBasis(t *testing.T) {
 // come back with a complete account (one started + one done per variant,
 // seed-selected events consistent with SourceID, per-variant work deltas
 // summing to the run totals).
+//
+// Byte-equality is asserted at Threads == 1 only. At Threads > 1 the
+// online scheduler reuses the closest *completed* variant, completion
+// order is timing, and two valid sources differ in cluster numbering and
+// border attachment — with or without a tracer. There the test asserts
+// what every valid source agrees on: the cluster count and the exact
+// noise set. ROADMAP item 1 (schedule-independent results) is the change
+// that restores byte-equality at every thread count.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.4, 0.8, 1.2}, []int{4, 8, 12, 16})
@@ -610,7 +618,11 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 				t.Fatalf("T=%d v%d: clusters %d vs %d", threads, id, b.NumClusters, a.NumClusters)
 			}
 			for i := range a.Labels {
-				if a.Labels[i] != b.Labels[i] {
+				same := a.Labels[i] == b.Labels[i]
+				if threads > 1 {
+					same = (a.Labels[i] == cluster.Noise) == (b.Labels[i] == cluster.Noise)
+				}
+				if !same {
 					t.Fatalf("T=%d v%d: label[%d] = %d with tracing, %d without",
 						threads, id, i, b.Labels[i], a.Labels[i])
 				}

@@ -233,7 +233,7 @@ func (s *Server) runBatch(b *batch) {
 		case obs.KindPhaseBegin, obs.KindPhaseEnd:
 			ph := phaseName(obs.Phase(e.Arg))
 			if ph == "" {
-				return // only tile phases stream; intra-variant phases stay in the trace
+				return // only the tile phase streams; the other phases stay in the trace
 			}
 			state := "begin"
 			if e.Kind == obs.KindPhaseEnd {

@@ -244,7 +244,7 @@ type phaseFrame struct {
 	Job     string  `json:"job"`
 	Batch   string  `json:"batch"`
 	Variant int     `json:"variant"`
-	Phase   string  `json:"phase"` // tile_run | tile_merge
+	Phase   string  `json:"phase"` // tile_run
 	State   string  `json:"state"` // begin | end
 	AtMS    float64 `json:"at_ms"` // offset from the run start
 }
@@ -257,14 +257,10 @@ type terminalFrame struct {
 }
 
 func phaseName(ph obs.Phase) string {
-	switch ph {
-	case obs.PhaseTileRun:
+	if ph == obs.PhaseTileRun {
 		return "tile_run"
-	case obs.PhaseTileMerge:
-		return "tile_merge"
-	default:
-		return ""
 	}
+	return ""
 }
 
 // ---- SSE handler ---------------------------------------------------------
@@ -274,11 +270,11 @@ func phaseName(ph obs.Phase) string {
 const sseHeartbeat = 15 * time.Second
 
 // handleJobEvents streams the job's lifecycle as Server-Sent Events:
-// queued -> batched -> running -> per-variant progress (and tile_run /
-// tile_merge phase frames on tiled runs) -> done|failed|canceled, then
-// EOF. A subscriber joining mid-job first receives a snapshot (current
-// state + latest progress); one joining after the job finished receives
-// that snapshot plus the terminal frame and an immediate end-of-stream.
+// queued -> batched -> running -> per-variant progress (and tile_run
+// phase frames on tiled runs) -> done|failed|canceled, then EOF. A
+// subscriber joining mid-job first receives a snapshot (current state +
+// latest progress); one joining after the job finished receives that
+// snapshot plus the terminal frame and an immediate end-of-stream.
 // Frames carry an id: with the per-job sequence number, so gaps reveal
 // drop-oldest backpressure.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {

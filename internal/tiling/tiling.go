@@ -2,8 +2,8 @@
 // set of rectangular tiles — the middle level of the variant → tile →
 // chunk parallelism hierarchy. A partition covers every grid cell
 // exactly once, so each point has exactly one owning tile; the tiled
-// DBSCAN runner clusters tiles concurrently and merges boundary
-// clusters across the ε-halo seams (see internal/dbscan).
+// DBSCAN runner's workers claim whole tiles and search them through
+// ε-halo views (see internal/dbscan).
 //
 // Two partitioners compete per build, and the better-balanced one wins:
 //
@@ -25,8 +25,8 @@ import (
 )
 
 // MinTilePoints is the auto-mode floor on the expected points per tile:
-// below it, per-tile fixed costs (view setup, seam bookkeeping) outweigh
-// the parallelism a tile buys.
+// below it, per-tile fixed costs (view setup) outweigh the parallelism a
+// tile buys.
 const MinTilePoints = 4096
 
 // Auto picks a tile-count target for n points on workers goroutines: one
@@ -51,9 +51,8 @@ func Auto(n, workers int) int {
 type Partition struct {
 	grid   *gridindex.Flat
 	tiles  []gridindex.CellRect
-	tileOf []int32 // caller index -> owning tile
-	counts []int   // per-tile owned point counts
-	kind   string  // winning partitioner: "regular" or "kd"
+	counts []int  // per-tile owned point counts
+	kind   string // winning partitioner: "regular" or "kd"
 }
 
 // Build partitions g's cell rectangle into (up to) target tiles. It
@@ -87,17 +86,8 @@ func Build(g *gridindex.Flat, target int) *Partition {
 
 	p := &Partition{grid: g, tiles: tiles, kind: kind}
 	p.counts = make([]int, len(tiles))
-	p.tileOf = make([]int32, g.Len())
 	for t, rect := range tiles {
-		n := 0
-		for r := rect.R0; r < rect.R1; r++ {
-			lo, hi := g.CellRange(r, rect.C0, rect.C1)
-			n += int(hi - lo)
-			for s := lo; s < hi; s++ {
-				p.tileOf[g.SlotID(s)] = int32(t)
-			}
-		}
-		p.counts[t] = n
+		p.counts[t] = int(s.sum(rect))
 	}
 	return p
 }
@@ -110,9 +100,6 @@ func (p *Partition) Len() int { return len(p.tiles) }
 
 // Tiles returns the owned cell rectangles. Read-only.
 func (p *Partition) Tiles() []gridindex.CellRect { return p.tiles }
-
-// TileOf returns the caller-index → owning-tile map. Read-only.
-func (p *Partition) TileOf() []int32 { return p.tileOf }
 
 // Counts returns the per-tile owned point counts. Read-only.
 func (p *Partition) Counts() []int { return p.counts }

@@ -32,7 +32,7 @@ func freeze(t *testing.T, n int, extent, side float64, seed int64, skew bool) *g
 
 // TestBuildCoversEveryCellOnce: the tile rectangles partition the grid —
 // every cell in exactly one tile, every point owned by exactly one tile,
-// and TileOf/Counts agreeing with the rectangles.
+// and Counts agreeing with the rectangles.
 func TestBuildCoversEveryCellOnce(t *testing.T) {
 	for _, skew := range []bool{false, true} {
 		g := freeze(t, 5000, 100, 1.5, 11, skew)
@@ -63,19 +63,18 @@ func TestBuildCoversEveryCellOnce(t *testing.T) {
 					t.Fatalf("skew=%v target=%d: cell %d uncovered", skew, target, i)
 				}
 			}
-			// TileOf and Counts agree with the rectangles.
-			tileOf := p.TileOf()
-			if len(tileOf) != g.Len() {
-				t.Fatalf("TileOf len %d want %d", len(tileOf), g.Len())
-			}
+			// Counts agree with the rectangles' CSR runs.
 			counts := make([]int, p.Len())
-			for _, ti := range tileOf {
-				counts[ti]++
+			for ti, rect := range p.Tiles() {
+				for r := rect.R0; r < rect.R1; r++ {
+					lo, hi := g.CellRange(r, rect.C0, rect.C1)
+					counts[ti] += int(hi - lo)
+				}
 			}
 			total := 0
 			for ti, want := range p.Counts() {
 				if counts[ti] != want {
-					t.Fatalf("skew=%v target=%d tile=%d: TileOf count %d, Counts %d",
+					t.Fatalf("skew=%v target=%d tile=%d: cell-run count %d, Counts %d",
 						skew, target, ti, counts[ti], want)
 				}
 				total += want

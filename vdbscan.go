@@ -314,10 +314,10 @@ func WithIntraThreads(n int) RunOption { return runOpt(func(c *config) { c.intra
 // WithTiles sets tile-level parallelism — the third level of the
 // variant → tile → chunk hierarchy. On grid indexes
 // (WithIndexKind(IndexGrid)), the grid-sorted point array is cut into
-// roughly n point-balanced tiles with ε-wide halos; tiles cluster
-// concurrently and boundary clusters are merged exactly across tile
-// seams, so labels are byte-identical to the untiled run at any tile
-// count. 0 (the default) is auto mode: tile when the effective worker
+// roughly n point-balanced tiles with ε-wide halos and workers claim
+// whole tiles; core flags and the union-find are shared by all tiles, so
+// clusters that cross tile boundaries are linked like any others and
+// labels are byte-identical to the untiled run at any tile count. 0 (the default) is auto mode: tile when the effective worker
 // width and the point count justify it. 1 disables tiling. The option is
 // silently a no-op where no grid serves the run — the R-tree index kind,
 // or streaming inserts staged since the last re-freeze — which keeps it
