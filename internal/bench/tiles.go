@@ -18,16 +18,16 @@ var tileSweep = []int{1, 4, 16, 64}
 //
 //   - Speedup is against the untiled chunked runner (tiles=1) on the same
 //     index — both paths produce byte-identical labels, so this isolates
-//     the scheduling difference (whole-tile claims with halo-local
-//     searches vs fixed-size chunk claims over the full grid). Both run
-//     the same one-pass body per point; there is no merge step to price.
+//     the scheduling difference (whole-tile claims vs fixed-size claims of
+//     consecutive cells). Both run the same two cell-major passes; there
+//     is no merge step to price.
 //   - Part/MaxTile report what the partitioner chose: regular k×k or kd
 //     cuts, and the largest tile's point count (the balance bound).
 //
 // The clusters column must be constant down each dataset's rows — the
 // exactness contract means tiling may only move time, never labels.
 func (s *Suite) Tiles() error {
-	section(s.Out, "Tiles: ε-halo tile-level parallelism (WithTiles)")
+	section(s.Out, "Tiles: tile-level parallelism (WithTiles)")
 	fmt.Fprintln(s.Out, "-- 1 variant, no reuse, grid index, T =", s.Threads, "--")
 	t := newTable("Dataset", "Eps", "Tiles", "Part", "MaxTile", "RunTime", "Speedup", "Clusters")
 	// The Table II ε for each set, plus a dense-neighborhood row on the 1M
@@ -82,7 +82,7 @@ func (s *Suite) Tiles() error {
 		}
 	}
 	t.write(s.Out)
-	fmt.Fprintln(s.Out, "\nTiling pays when T workers can hold T tiles' halos in cache instead")
-	fmt.Fprintln(s.Out, "of striding chunk-interleaved over the whole grid.")
+	fmt.Fprintln(s.Out, "\nTiling pays when T workers can hold T tiles in cache instead of")
+	fmt.Fprintln(s.Out, "striding chunk-interleaved over the whole grid.")
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -110,6 +111,14 @@ type Index struct {
 	// unsupported, so the prefix stays exact).
 	grid   atomic.Pointer[gridindex.Flat]
 	gridMu sync.Mutex // serializes EnsureGrid builds
+
+	// cells caches the ε/√2 cell decomposition the cell-major parallel
+	// runner walks, keyed by the side it was requested at and the point
+	// count it covers (points are append-only, so an equal count is the
+	// same point set). One entry: a sweep's from-scratch variants at other
+	// ε rebuild it, an O(n) counting sort each.
+	cells   atomic.Pointer[cellGrid]
+	cellsMu sync.Mutex // serializes cellDecomposition builds
 
 	// tiles caches the tile partition for the tiled parallel runner. It
 	// is keyed by (grid snapshot pointer, tile target), so an EnsureGrid
@@ -229,20 +238,74 @@ func (ix *Index) EnsureGrid(maxEps float64) error {
 	if g := ix.grid.Load(); g != nil && g.Side() >= maxEps && g.Len() == len(ix.Pts) {
 		return nil
 	}
-	x, y := ix.X, ix.Y
-	if x == nil || len(x) != len(ix.Pts) {
-		x = make([]float64, len(ix.Pts))
-		y = make([]float64, len(ix.Pts))
-		for i, p := range ix.Pts {
-			x[i], y[i] = p.X, p.Y
-		}
-	}
+	x, y := ix.coords()
 	g, err := gridindex.Freeze(x, y, maxEps)
 	if err != nil {
 		return err
 	}
 	ix.grid.Store(g)
 	return nil
+}
+
+// coords returns the points as parallel coordinate slices: the index's own
+// X/Y when they are current, a fresh copy otherwise.
+func (ix *Index) coords() (x, y []float64) {
+	if len(ix.X) == len(ix.Pts) && ix.X != nil {
+		return ix.X, ix.Y
+	}
+	x = make([]float64, len(ix.Pts))
+	y = make([]float64, len(ix.Pts))
+	for i, p := range ix.Pts {
+		x[i], y[i] = p.X, p.Y
+	}
+	return x, y
+}
+
+// cellGrid is one cached cell decomposition together with its key.
+type cellGrid struct {
+	side float64 // requested side, before any MaxCells coarsening
+	grid *gridindex.Flat
+}
+
+// cellMargin shrinks the requested cell side below ε/√2 so that float
+// rounding cannot put two points of one cell more than ε apart: a point's
+// cell is a rounded quotient, which lets a cell's points spread over
+// side·(1 + 2⁻³⁰) per axis at gridindex.MaxCells columns — under half the
+// margin.
+const cellMargin = 1 - 1e-9
+
+// cellDecomposition returns the grid the cell-major runner walks for eps:
+// every point bucketed into cells of side just under eps/√2, so that any
+// two points of one cell are within eps of each other. It returns nil when
+// only the per-point search path can serve the run: no cell grid covers
+// every point (R-tree kind, or staged inserts not yet re-frozen), or the
+// build had to coarsen the side to respect gridindex.MaxCells — a tiny eps
+// over a wide extent — and the cells are too large for that guarantee.
+func (ix *Index) cellDecomposition(eps float64) *gridindex.Flat {
+	if g := ix.grid.Load(); g == nil || g.Len() != len(ix.Pts) {
+		return nil
+	}
+	side := eps / math.Sqrt2 * cellMargin
+	c := ix.cells.Load()
+	if c == nil || c.side != side || c.grid.Len() != len(ix.Pts) {
+		ix.cellsMu.Lock()
+		c = ix.cells.Load()
+		if c == nil || c.side != side || c.grid.Len() != len(ix.Pts) {
+			x, y := ix.coords()
+			g, err := gridindex.Freeze(x, y, side)
+			if err != nil {
+				ix.cellsMu.Unlock()
+				return nil
+			}
+			c = &cellGrid{side: side, grid: g}
+			ix.cells.Store(c)
+		}
+		ix.cellsMu.Unlock()
+	}
+	if c.grid.Side()*math.Sqrt2 > eps {
+		return nil
+	}
+	return c.grid
 }
 
 // tilePart is one cached tile partition together with the key it was

@@ -24,11 +24,14 @@ var onePassModes = []struct {
 
 // TestOnePassContentionStress drives the flag/union protocol where it is
 // most contended: small dense blobs of 300 consecutive indices, so every
-// cluster straddles a parallelChunk boundary and nearly every core–core
-// edge has its endpoints claimed by different workers at the same time.
-// Labels must be byte-identical to Run at every width and seed. Run it
-// under -race: the detector sees the core flags and DSU parents shared
-// across workers.
+// cluster spans cells of both kinds — dense ones published by the mark
+// pass and linked by closest-pair tests, sparse ones whose core points
+// publish and link themselves while their neighbours do the same — and
+// nearly every core–core edge has its endpoints claimed by different
+// workers at the same time. Labels must be byte-identical to Run at every
+// width and seed, with and without donated Helper workers joining both
+// passes. Run it under -race: the detector sees the core flags and DSU
+// parents shared across workers.
 func TestOnePassContentionStress(t *testing.T) {
 	p := Params{Eps: 0.5, MinPts: 5}
 	for seed := int64(1); seed <= 50; seed++ {
@@ -38,11 +41,54 @@ func TestOnePassContentionStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireDenseAndSparseCores(t, ix, p)
 		for workers := 1; workers <= 8; workers++ {
 			mode := onePassModes[(int(seed)+workers)%2]
-			got := tiledRun(t, ix, p, mode.tiles, workers, nil)
-			requireIdentical(t, got, want, fmt.Sprintf("seed=%d workers=%d %s", seed, workers, mode.name))
+			opt := ParallelOptions{Workers: workers, Tiles: mode.tiles}
+			if (int(seed)+workers)%3 == 0 {
+				opt.Helper = &waitHelper{donors: 3}
+			}
+			got, err := RunParallelOpts(context.Background(), ix, p, opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, got, want, fmt.Sprintf("seed=%d workers=%d %s helper=%v", seed, workers, mode.name, opt.Helper != nil))
 		}
+	}
+}
+
+// requireDenseAndSparseCores fails the test unless the run's cell
+// decomposition has core points in dense cells and core points in sparse
+// ones: both halves of the cell-major protocol, and the sparse-to-dense
+// links between them, are then exercised.
+func requireDenseAndSparseCores(t *testing.T, ix *Index, p Params) {
+	t.Helper()
+	if err := ix.EnsureGrid(p.Eps); err != nil {
+		t.Fatal(err)
+	}
+	g := ix.cellDecomposition(p.Eps)
+	if g == nil {
+		t.Fatal("fixture has no cell decomposition")
+	}
+	core := CorePoints(ix, p, nil)
+	cols, rows := g.Shape()
+	var dense, sparseCore int
+	for r := int32(0); r < rows; r++ {
+		for c := int32(0); c < cols; c++ {
+			lo, hi := g.CellRange(r, c, c+1)
+			if int(hi-lo) >= p.MinPts {
+				dense += int(hi - lo)
+				continue
+			}
+			for s := lo; s < hi; s++ {
+				if core[g.SlotID(s)] {
+					sparseCore++
+				}
+			}
+		}
+	}
+	if dense == 0 || sparseCore == 0 {
+		t.Fatalf("degenerate fixture: %d points in dense cells, %d core points in sparse cells", dense, sparseCore)
 	}
 }
 
@@ -84,6 +130,10 @@ func TestOnePassEdgeParams(t *testing.T) {
 	}
 	left, right, border := at(tie[0]), at(tie[1]), at(mid)
 
+	lattice := make([]geom.Point, 750)
+	for i := range lattice {
+		lattice[i] = geom.Point{X: float64(i % 30), Y: float64(i / 30)}
+	}
 	blobIx := func(seed int64) *Index {
 		return BuildIndex(blobs(3, 200, 150, 30, 0.8, seed), IndexOptions{R: 16, Kind: IndexGrid})
 	}
@@ -104,9 +154,10 @@ func TestOnePassEdgeParams(t *testing.T) {
 			},
 		},
 		{
-			// ε below every pairwise distance: no core, every point is a
-			// recorded non-core with itself as its only neighbour.
-			name: "all-noise", ix: blobIx(32), p: Params{Eps: 1e-9, MinPts: 2},
+			// ε below every pairwise distance of a unit lattice: no core,
+			// every point is a recorded non-core with itself as its only
+			// neighbour.
+			name: "all-noise", ix: BuildIndex(lattice, IndexOptions{R: 16, Kind: IndexGrid}), p: Params{Eps: 0.5, MinPts: 2},
 			check: func(t *testing.T, res *cluster.Result) {
 				if res.NumClusters != 0 || res.NumNoise() != res.Len() {
 					t.Fatalf("clusters %d, noise %d of %d", res.NumClusters, res.NumNoise(), res.Len())
@@ -143,7 +194,7 @@ func TestOnePassEdgeParams(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.check(t, want) // the expectation holds for the oracle first
-		if c.ix.TilePartition(4) == nil {
+		if c.ix.cellDecomposition(c.p.Eps) == nil || c.ix.TilePartition(4) == nil {
 			t.Fatalf("%s: fixture too small to tile, the tiled mode would test nothing", c.name)
 		}
 		for _, mode := range onePassModes {

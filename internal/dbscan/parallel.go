@@ -12,14 +12,17 @@ import (
 	"vdbscan/internal/unionfind"
 )
 
-// This file implements intra-variant parallel DBSCAN as ONE parallel pass
-// over the points: the disjoint-set formulation of Patwary et al. (SC 2012)
-// on the index-ordered lock-free union-find of Wang, Gu & Shun (SIGMOD
-// 2020), with the neighbourhood consumed during the traversal and never
-// stored (Prokopenko et al., "Fast tree-based algorithms for DBSCAN on
-// GPUs"). Workers claim contiguous chunks of the point array from an atomic
-// cursor, issue exactly one ε-search per point over the shared read-only
-// index, and act on the result on the spot (onePass.consume):
+// This file implements intra-variant parallel DBSCAN: the disjoint-set
+// formulation of Patwary et al. (SC 2012) on the index-ordered lock-free
+// union-find of Wang, Gu & Shun (SIGMOD 2020), with the neighbourhood
+// consumed during the traversal and never stored (Prokopenko et al., "Fast
+// tree-based algorithms for DBSCAN on GPUs"). Where a cell grid covers every
+// point the traversal is cell-major (cellmajor.go): points in cells dense
+// enough to be core by counting are never searched at all. Everywhere else —
+// the R-tree kind, a grid with staged inserts, the sparse cells of the
+// cell-major pass — workers issue exactly one ε-search per point over the
+// shared read-only index and act on the result on the spot
+// (onePass.consume):
 //
 //   - A core point i publishes core[i] with a sequentially consistent
 //     store and only then scans its neighbours, unioning with every j whose
@@ -30,7 +33,7 @@ import (
 //     later always sees the other and links the edge. No second traversal
 //     is needed, and an edge seen from both sides is a harmless duplicate.
 //   - Order independence: ConcurrentDSU roots are the minimum member index,
-//     so once the pass's barrier has published every union the components —
+//     so once the last barrier has published every union the components —
 //     and labelCores' numbering of them by ascending minimum core index,
 //     which is Run's formation order — do not depend on which worker linked
 //     which edge, when, or how often.
@@ -43,8 +46,10 @@ import (
 //     core point within ε of it, which is that minimum.
 //
 // The output is therefore *identical* to sequential Run — not merely
-// equivalent up to renumbering — and every metrics counter equals Run's,
-// since both issue one ε-search per point over the same candidates.
+// equivalent up to renumbering. The work counters equal Run's only on the
+// point-major pass, which searches every point over Run's candidates; the
+// cell-major pass counts the far smaller work it does (see cellmajor.go),
+// the same at every worker count and under every division of the work.
 //
 // This is the single-variant complement to VariantDBSCAN's inter-variant
 // parallelism: it reduces one variant's response time when there are fewer
@@ -53,15 +58,15 @@ import (
 // internal/sched composes the two levels by donating idle pool workers to
 // running variants through the Helper interface.
 
-// Helper donates extra worker goroutines to the parallel pass of
-// RunParallelOpts. Offer publishes a help function that idle donor
-// goroutines may invoke concurrently; help returns when the pass's work is
-// exhausted. The returned stop retracts the offer and blocks until every
-// in-flight donated invocation has returned, so the caller may rely on
-// happens-before between donated writes and its sequential tail. variant is
-// the offering variant execution's ID (ParallelOptions.Variant), which lets
-// the helper attribute donated time in traces; helpers that don't trace may
-// ignore it.
+// Helper donates extra worker goroutines to a parallel pass of
+// RunParallelOpts (the cell-major runner offers twice, once per pass). Offer
+// publishes a help function that idle donor goroutines may invoke
+// concurrently; help returns when the pass's work is exhausted. The
+// returned stop retracts the offer and blocks until every in-flight donated
+// invocation has returned, so the caller may rely on happens-before between
+// donated writes and what it does next. variant is the offering variant
+// execution's ID (ParallelOptions.Variant), which lets the helper attribute
+// donated time in traces; helpers that don't trace may ignore it.
 type Helper interface {
 	Offer(variant int32, help func()) (stop func())
 }
@@ -72,45 +77,48 @@ type ParallelOptions struct {
 	// the calling one; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Helper, when non-nil, contributes donated goroutines to the parallel
-	// pass on top of Workers (two-level scheduling).
+	// passes on top of Workers (two-level scheduling).
 	Helper Helper
 	// Rec, when non-nil, records the run's phase spans — mark (tile-run on
-	// the tiled path), label, border — for variant Variant into the calling
-	// worker's trace ring. The nil default costs nothing: every Recorder
-	// method is a nil-receiver no-op and no per-point work is ever traced.
+	// the tiled path) around the parallel passes, then label and border —
+	// for variant Variant into the calling worker's trace ring. The nil
+	// default costs nothing: every Recorder method is a nil-receiver no-op
+	// and no per-point work is ever traced.
 	Rec *obs.Recorder
 	// Variant is the variant ID used in trace events and Helper offers.
 	Variant int32
 	// Tiles selects tile-level parallelism (variant → tile → chunk) on
-	// grid-kind indexes: the grid is cut into point-balanced tiles with
-	// ε-halos and workers claim whole tiles instead of fixed-size chunks —
-	// byte-identical to the untiled run. 0 is automatic (tile when Workers
-	// and the point count justify it), 1 forces the untiled chunked path,
-	// >= 2 requests that many tiles. Ignored (falls back to untiled) when
-	// no grid serves the run: R-tree kind, or staged inserts not yet
-	// re-frozen.
+	// grid-kind indexes: the grid is cut into point-balanced tiles and
+	// workers claim the cells of a whole tile instead of fixed-size chunks
+	// of cells — same labels, same work counters. 0 is
+	// automatic (tile when Workers and the point count justify it), 1
+	// forces the untiled chunked division, >= 2 requests that many tiles.
+	// Ignored when the run has no cell decomposition: R-tree kind, staged
+	// inserts not yet re-frozen, or an ε too small for the cell budget.
 	Tiles int
 }
 
-// parallelChunk is the number of contiguous grid-sorted points a worker
-// claims per cursor increment on the untiled path. Chunks are large enough to amortize the
-// cursor's atomic add and a metrics flush across many ε-searches, and small
-// enough to load-balance the skewed per-point search costs of clustered
-// data.
+// parallelChunk is the number of contiguous grid-sorted points — or, on the
+// cell-major pass, the average number of points in the run of cells — a
+// worker claims per cursor increment when the run is untiled. Chunks are
+// large enough to amortize the cursor's atomic add and a metrics flush
+// across many ε-searches, and small enough to load-balance the skewed
+// per-point search costs of clustered data.
 const parallelChunk = 256
 
 // RunParallel executes DBSCAN with intra-variant parallelism and returns a
 // result identical to sequential Run (same labels, same cluster numbering,
 // same noise set). workers <= 0 selects GOMAXPROCS. m may be nil; counters
-// are accumulated per worker and flushed once per chunk, so the totals
-// match Run's exactly without per-search atomic contention.
+// are accumulated per worker and flushed once per work unit, so the totals
+// are exact without per-search atomic contention.
 func RunParallel(ix *Index, p Params, workers int, m *metrics.Counters) (*cluster.Result, error) {
 	return RunParallelOpts(context.Background(), ix, p, ParallelOptions{Workers: workers}, m)
 }
 
 // RunParallelOpts is RunParallel with cancellation and donated workers. ctx
-// is checked once per chunk (per tile on the tiled path); on cancellation
-// the pass drains and the context error is returned with no partial result.
+// is checked once per chunk (per tile on the tiled path) and at the barrier
+// between passes; on cancellation the pass drains and the context error is
+// returned with no partial result.
 func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptions, m *metrics.Counters) (*cluster.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -132,14 +140,26 @@ func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptio
 		core:   make([]atomic.Bool, n),
 		dsu:    unionfind.NewConcurrent(n),
 	}
-	phase := obs.PhaseTileRun
-	units, unit := s.tileUnits(ix, p.Eps, opt.Tiles, workers)
-	if unit == nil {
-		phase = obs.PhaseMark
-		units, unit = s.chunkUnits(ix, p.Eps)
+	phase := obs.PhaseMark
+	var passes []pass
+	if g := ix.cellDecomposition(p.Eps); g != nil {
+		units, spans := tileSpans(ix, g, opt.Tiles, workers)
+		if spans == nil {
+			units, spans = chunkSpans(g)
+		} else {
+			phase = obs.PhaseTileRun
+		}
+		passes = s.cellPasses(ix, g, p.Eps, units, spans)
+	} else {
+		passes = []pass{s.chunkUnits(ix, p.Eps)}
 	}
 	opt.Rec.PhaseBegin(opt.Variant, phase)
-	runPhase(min(workers, units), opt, s.workerBody(ctx, m, units, unit))
+	for i, ps := range passes {
+		if i > 0 && ctx.Err() != nil {
+			break // canceled before the barrier
+		}
+		runPhase(min(workers, ps.units), opt, s.workerBody(ctx, m, ps))
+	}
 	opt.Rec.PhaseEnd(opt.Variant, phase)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -200,21 +220,28 @@ type passWorker struct {
 	local          metrics.Local
 }
 
-// workerBody returns the body runPhase drives: claim the next of units work
-// units (chunks or tiles) from a shared cursor, let unit search and consume
-// its points, flush the counters. ctx is checked and counters are flushed
-// once per unit, so a canceled run has counted exactly the searches it
-// performed. A finished worker hands its arena to the sequential tail.
-func (s *onePass) workerBody(ctx context.Context, m *metrics.Counters, units int, unit func(u int, w *passWorker)) func() {
+// pass is one barrier-delimited parallel pass: units work units (point
+// chunks, cell chunks or tiles), each handled whole by one worker.
+type pass struct {
+	units int
+	unit  func(u int, w *passWorker)
+}
+
+// workerBody returns the body runPhase drives: claim the pass's next work
+// unit from a shared cursor, let unit handle it, flush the counters. ctx is
+// checked and counters are flushed once per unit, so a canceled run has
+// counted exactly the work it performed. A finished worker hands its arena
+// to the sequential tail.
+func (s *onePass) workerBody(ctx context.Context, m *metrics.Counters, ps pass) func() {
 	var cursor atomic.Int64
 	return func() {
 		w := passWorker{scratch: make([]int32, 0, 256)}
 		for ctx.Err() == nil {
 			u := int(cursor.Add(1) - 1)
-			if u >= units {
+			if u >= ps.units {
 				break
 			}
-			unit(u, &w)
+			ps.unit(u, &w)
 			w.local.FlushTo(m)
 		}
 		if len(w.arena) > 0 {
@@ -225,19 +252,19 @@ func (s *onePass) workerBody(ctx context.Context, m *metrics.Counters, units int
 	}
 }
 
-// chunkUnits is the untiled work division: parallelChunk-sized ranges of
-// the point array, each point ε-searched through the index's own search
-// ladder.
-func (s *onePass) chunkUnits(ix *Index, eps float64) (int, func(u int, w *passWorker)) {
+// chunkUnits is the point-major pass, the only one that can serve an index
+// without a cell decomposition: parallelChunk-sized ranges of the point
+// array, each point ε-searched through the index's own search ladder.
+func (s *onePass) chunkUnits(ix *Index, eps float64) pass {
 	n := len(s.core)
-	return (n + parallelChunk - 1) / parallelChunk, func(u int, w *passWorker) {
+	return pass{(n + parallelChunk - 1) / parallelChunk, func(u int, w *passWorker) {
 		lo := u * parallelChunk
 		hi := min(lo+parallelChunk, n)
 		for i := lo; i < hi; i++ {
 			w.scratch = ix.NeighborSearchLocal(ix.Pts[i], eps, &w.local, w.scratch[:0])
 			w.arena = s.consume(int32(i), w.scratch, w.arena)
 		}
-	}
+	}}
 }
 
 // labelCores numbers the core DSU components by ascending minimum core

@@ -117,23 +117,41 @@ func TestRunParallelEmptyAndDegenerate(t *testing.T) {
 }
 
 func TestRunParallelSearchCountMatches(t *testing.T) {
-	// The chunked pass must search each point exactly once, and the
-	// per-worker batched flushes must not lose counts.
+	// Where no cell is dense the pass searches each point exactly once, over
+	// the candidates Run examines, and the per-worker batched flushes lose
+	// no counts: every work counter equals Run's. That holds on the R-tree
+	// kind, which has no cells at all, and on a grid with MinPts above any
+	// cell's population — so the cell-major pass costs at worst what
+	// per-point searching costs, plus one scan of the cell counts.
 	pts := blobs(3, 200, 100, 25, 0.6, 103)
-	ix := BuildIndex(pts, IndexOptions{R: 16})
-	var mSeq, mPar metrics.Counters
-	if _, err := Run(ix, Params{Eps: 0.7, MinPts: 4}, &mSeq); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunParallel(ix, Params{Eps: 0.7, MinPts: 4}, 4, &mPar); err != nil {
-		t.Fatal(err)
-	}
-	if got := mPar.Snapshot().NeighborSearches; got != int64(len(pts)) {
-		t.Errorf("searches = %d, want %d", got, len(pts))
-	}
-	if mPar.Snapshot() != mSeq.Snapshot() {
-		t.Errorf("work counters diverge: parallel %v vs sequential %v",
-			mPar.Snapshot(), mSeq.Snapshot())
+	for name, c := range map[string]struct {
+		kind IndexKind
+		p    Params
+	}{
+		"rtree":               {IndexRTree, Params{Eps: 0.7, MinPts: 4}},
+		"grid, no dense cell": {IndexGrid, Params{Eps: 0.7, MinPts: 60}},
+	} {
+		ix := BuildIndex(pts, IndexOptions{R: 16, Kind: c.kind})
+		var mSeq, mPar metrics.Counters
+		want, err := Run(ix, c.p, &mSeq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunParallel(ix, c.p, 4, &mPar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, got, want, name)
+		if want.NumClusters == 0 {
+			t.Fatalf("%s: degenerate fixture, no cluster", name)
+		}
+		if got := mPar.Snapshot().NeighborSearches; got != int64(len(pts)) {
+			t.Errorf("%s: searches = %d, want %d", name, got, len(pts))
+		}
+		if mPar.Snapshot() != mSeq.Snapshot() {
+			t.Errorf("%s: work counters diverge: parallel %v vs sequential %v",
+				name, mPar.Snapshot(), mSeq.Snapshot())
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"vdbscan/internal/cluster"
 	"vdbscan/internal/geom"
+	"vdbscan/internal/gridindex"
 	"vdbscan/internal/metrics"
 )
 
@@ -51,10 +52,25 @@ func TestRunTiledMatchesUntiledExactly(t *testing.T) {
 	}
 }
 
-// TestRunTiledMetricsMatch: the tiled pass issues exactly one
-// ε-search per point with halo-clamped blocks equal to the full-grid
-// blocks, so every work counter — searches, candidates, cells visited,
-// neighbors found — must equal the sequential grid run's.
+// sparsePoints counts the points of g's cells inside rect that lie in
+// cells holding fewer than minPts points — the ones the cell-major runner
+// has to ε-search.
+func sparsePoints(g *gridindex.Flat, rect gridindex.CellRect, minPts int) (n int64) {
+	for r := rect.R0; r < rect.R1; r++ {
+		for c := rect.C0; c < rect.C1; c++ {
+			if k := g.CellCount(r, c); int(k) < minPts {
+				n += int64(k)
+			}
+		}
+	}
+	return n
+}
+
+// TestRunTiledMetricsMatch: the work counters are a function of the input
+// alone — the same metrics.Snapshot at every worker count, under every
+// division of the cells, on every repeat — because the tenant ledger bills
+// them and the benchmark declares work_units exact. They count one search
+// per sparse-cell point, and searches plus candidates stay under Run's.
 func TestRunTiledMetricsMatch(t *testing.T) {
 	pts := blobs(4, 800, 200, 30, 0.7, 201)
 	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexGrid})
@@ -63,13 +79,34 @@ func TestRunTiledMetricsMatch(t *testing.T) {
 	if _, err := Run(ix, p, &mSeq); err != nil {
 		t.Fatal(err)
 	}
-	for _, tiles := range []int{4, 9} {
-		var mTile metrics.Counters
-		tiledRun(t, ix, p, tiles, 4, &mTile)
-		if mTile.Snapshot() != mSeq.Snapshot() {
-			t.Errorf("tiles=%d: work counters diverge: tiled %v vs sequential %v",
-				tiles, mTile.Snapshot(), mSeq.Snapshot())
+	var want metrics.Snapshot
+	for rep := 0; rep < 20; rep++ {
+		for _, tiles := range []int{1, 4, 9} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				var m metrics.Counters
+				tiledRun(t, ix, p, tiles, workers, &m)
+				if want == (metrics.Snapshot{}) {
+					want = m.Snapshot()
+				}
+				if got := m.Snapshot(); got != want {
+					t.Fatalf("rep=%d tiles=%d workers=%d: work counters %v, first run counted %v",
+						rep, tiles, workers, got, want)
+				}
+			}
 		}
+	}
+	g := ix.cellDecomposition(p.Eps)
+	cols, rows := g.Shape()
+	sparse := sparsePoints(g, gridindex.CellRect{C1: cols, R1: rows}, p.MinPts)
+	if sparse == 0 || sparse == int64(len(pts)) {
+		t.Fatalf("degenerate fixture: %d of %d points in sparse cells", sparse, len(pts))
+	}
+	if want.NeighborSearches != sparse {
+		t.Errorf("NeighborSearches = %d, want one per sparse-cell point = %d", want.NeighborSearches, sparse)
+	}
+	seq := mSeq.Snapshot()
+	if got, limit := want.NeighborSearches+want.CandidatesExamined, seq.NeighborSearches+seq.CandidatesExamined; got > limit {
+		t.Errorf("searches + candidates = %d, above sequential Run's %d", got, limit)
 	}
 }
 
@@ -83,11 +120,11 @@ func TestRunTiledUsesTiledPath(t *testing.T) {
 	p := Params{Eps: 0.9, MinPts: 5}
 
 	tiledRun(t, ix, p, 4, 2, nil)
-	part := ix.TilePartition(4)
-	if part == nil || part.Len() < 2 {
-		t.Fatalf("explicit tiles=4 did not build a partition: %v", part)
+	tp := ix.tiles.Load()
+	if tp == nil || tp.part == nil || tp.part.Len() < 2 {
+		t.Fatalf("explicit tiles=4 did not build a partition: %+v", tp)
 	}
-	if part.Grid() != ix.Grid() {
+	if tp.part.Grid() != ix.Grid() {
 		t.Fatal("partition not keyed to the installed grid")
 	}
 
@@ -103,8 +140,8 @@ func TestRunTiledUsesTiledPath(t *testing.T) {
 }
 
 // TestRunTiledRTreeFallsBack: on an R-tree index there is no grid, so an
-// explicit tile request must quietly take the untiled path and still be
-// exact.
+// explicit tile request must quietly take the point-major path and still
+// be exact.
 func TestRunTiledRTreeFallsBack(t *testing.T) {
 	pts := blobs(3, 300, 100, 25, 0.6, 203)
 	ix := BuildIndex(pts, IndexOptions{R: 16})
@@ -122,19 +159,19 @@ func TestRunTiledRTreeFallsBack(t *testing.T) {
 
 // TestTilePartitionRebuiltOnReside is the re-side regression test: a
 // params sweep whose later variant has a larger ε forces EnsureGrid to
-// re-side the grid (side >= maxEps is violated), and the tile partition
-// must be recut for the new grid — stale tile boundaries from the
-// small-ε grid would shear the label space.
+// re-side the grid (side >= maxEps is violated) and needs a coarser cell
+// decomposition, and the tile partition must be recut for the new grid —
+// stale tile boundaries from the small-ε grid would shear the label space.
 func TestTilePartitionRebuiltOnReside(t *testing.T) {
 	pts := blobs(5, 600, 150, 40, 0.9, 204)
 	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexGrid})
 
 	small := Params{Eps: 0.4, MinPts: 4}
 	tiledRun(t, ix, small, 9, 4, nil)
-	gridBefore := ix.Grid()
+	gridBefore, cellsBefore := ix.Grid(), ix.cellDecomposition(small.Eps)
 	partBefore := ix.TilePartition(9)
-	if gridBefore == nil || partBefore == nil {
-		t.Fatal("small-ε tiled run built no grid/partition")
+	if gridBefore == nil || cellsBefore == nil || partBefore == nil {
+		t.Fatal("small-ε tiled run built no grid/decomposition/partition")
 	}
 
 	// 10× the ε: the cached grid's side is too small, EnsureGrid re-sides.
@@ -149,6 +186,9 @@ func TestTilePartitionRebuiltOnReside(t *testing.T) {
 	if ix.Grid() == gridBefore {
 		t.Fatal("grid was not re-sided for the larger ε")
 	}
+	if cellsAfter := ix.cellDecomposition(big.Eps); cellsAfter == nil || cellsAfter == cellsBefore {
+		t.Fatal("cell decomposition was not rebuilt for the larger ε")
+	}
 	partAfter := ix.TilePartition(9)
 	if partAfter == nil {
 		t.Fatal("no partition after re-side")
@@ -158,6 +198,44 @@ func TestTilePartitionRebuiltOnReside(t *testing.T) {
 	}
 	if partAfter.Grid() != ix.Grid() {
 		t.Fatal("rebuilt partition not keyed to the re-sided grid")
+	}
+}
+
+// TestTileRectsCoverCellsOnce: carried over from the search grid to the
+// cell decomposition — whatever the ratio of the two sides, a sweep's
+// maximum ε or the run's own — the tiles still own every cell exactly once.
+func TestTileRectsCoverCellsOnce(t *testing.T) {
+	pts := blobs(5, 600, 400, 40, 0.9, 208)
+	const eps = 0.5
+	for _, gridEps := range []float64{eps, 1.3 * eps, 4 * eps} {
+		ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexGrid})
+		if err := ix.EnsureGrid(gridEps); err != nil {
+			t.Fatal(err)
+		}
+		g := ix.cellDecomposition(eps)
+		cols, rows := g.Shape()
+		for _, target := range []int{2, 4, 7, 9, 16} {
+			part := ix.TilePartition(target)
+			if part == nil {
+				t.Fatalf("grid eps %g target %d: no partition", gridEps, target)
+			}
+			owners := make([]int, int(cols)*int(rows))
+			for _, rect := range tileRects(part, g) {
+				if rect.C0 < 0 || rect.R0 < 0 || rect.C1 > cols || rect.R1 > rows {
+					t.Fatalf("grid eps %g target %d: tile %+v leaves the %dx%d cells", gridEps, target, rect, cols, rows)
+				}
+				for r := rect.R0; r < rect.R1; r++ {
+					for c := rect.C0; c < rect.C1; c++ {
+						owners[int(r)*int(cols)+int(c)]++
+					}
+				}
+			}
+			for i, n := range owners {
+				if n != 1 {
+					t.Fatalf("grid eps %g target %d: cell %d owned by %d tiles", gridEps, target, i, n)
+				}
+			}
+		}
 	}
 }
 
@@ -238,9 +316,11 @@ func TestRunTiledCancellation(t *testing.T) {
 }
 
 // TestRunTiledCancelMidPass: a tiled run canceled between tiles returns
-// the context error and no result, having counted exactly the searches of
-// the tiles it finished. One worker and cancellation at the 3rd Err() call
-// make that the partition's first two tiles.
+// the context error and no result, having counted exactly the work of the
+// tiles it finished. With one worker the mark pass asks ctx once per tile
+// and once to stop, the runner once at the barrier, and the link pass once
+// per tile: cancellation at the call after that lands past the link pass's
+// first two tiles, whose sparse-cell points are the searches counted.
 func TestRunTiledCancelMidPass(t *testing.T) {
 	pts := blobs(4, 500, 200, 30, 0.7, 207)
 	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexGrid})
@@ -248,19 +328,34 @@ func TestRunTiledCancelMidPass(t *testing.T) {
 	if err := ix.EnsureGrid(p.Eps); err != nil {
 		t.Fatal(err)
 	}
-	part := ix.TilePartition(4)
+	g, part := ix.cellDecomposition(p.Eps), ix.TilePartition(4)
 	if part == nil || part.Len() < 3 {
 		t.Fatalf("fixture did not cut into >= 3 tiles: %v", part)
 	}
+	tiles := tileRects(part, g)
+	want := sparsePoints(g, tiles[0], p.MinPts) + sparsePoints(g, tiles[1], p.MinPts)
+	if want == 0 {
+		t.Fatal("degenerate fixture: the first two tiles hold no sparse-cell point")
+	}
 	var m metrics.Counters
-	ctx := &countdownCtx{Context: context.Background(), after: 3}
+	ctx := &countdownCtx{Context: context.Background(), after: int64(part.Len()+1) + 1 + 3}
 	res, err := RunParallelOpts(ctx, ix, p, ParallelOptions{Workers: 1, Tiles: 4}, &m)
 	if err != context.Canceled || res != nil {
 		t.Fatalf("res=%v err=%v, want nil and context.Canceled", res, err)
 	}
-	want := int64(part.Counts()[0] + part.Counts()[1])
 	if got := m.Snapshot().NeighborSearches; got != want {
 		t.Fatalf("NeighborSearches = %d after canceling past two tiles, want %d", got, want)
+	}
+
+	// Canceled inside the mark pass: the link pass never starts.
+	var m2 metrics.Counters
+	ctx = &countdownCtx{Context: context.Background(), after: 2}
+	res, err = RunParallelOpts(ctx, ix, p, ParallelOptions{Workers: 1, Tiles: 4}, &m2)
+	if err != context.Canceled || res != nil {
+		t.Fatalf("mark-pass cancel: res=%v err=%v, want nil and context.Canceled", res, err)
+	}
+	if got := m2.Snapshot(); got != (metrics.Snapshot{}) {
+		t.Fatalf("mark-pass cancel counted work: %v", got)
 	}
 }
 

@@ -25,9 +25,18 @@
 //     cell row of the 3×3 block) and hands each to the shared block
 //     kernel. Steady-state searches allocate nothing.
 //
+// A Flat is also read as a cell decomposition (cells.go): frozen at a side
+// just under ε/√2 every two points of a cell are within ε, so cell-major
+// DBSCAN (internal/dbscan) calls a cell holding MinPts points all-core from
+// its CSR count alone and connects two such cells with one early-exit
+// closest-pair test, PairWithin.
+//
 // Both builds cap the total cell count (MaxCells): a tiny ε over a wide
-// extent coarsens the side instead of allocating cols·rows without bound —
-// coarser is always correct because searches only require eps ≤ side.
+// extent coarsens the side instead of allocating cols·rows without bound.
+// For searching, coarser is always correct (the scanned block adapts to
+// eps/side). For the decomposition it is not — a coarsened cell no longer
+// bounds its points' distances — so a caller relying on the side must check
+// the one Freeze returned (Side) against the one it asked for.
 package gridindex
 
 import (
@@ -396,6 +405,13 @@ func (f *Flat) Stats() Stats {
 		}
 	}
 	return s
+}
+
+// BlockSide returns the side length of the square cell block EpsSearch
+// scans for eps: 2·⌈eps/Side⌉+1 cells. Of two grids over one point set the
+// one with the smaller block examines fewer candidates per search.
+func (f *Flat) BlockSide(eps float64) float64 {
+	return (2*math.Ceil(eps/f.side) + 1) * f.side
 }
 
 // clampSpan clamps the float cell range [lo, hi] to [0, n); ok is false

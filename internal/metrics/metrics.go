@@ -30,11 +30,19 @@ import (
 // atomic read-modify-write on a cache line contended by every worker,
 // which is measurably slower than batched flushes (see
 // BenchmarkCountersContention in this package).
+//
+// The cell-major parallel runner (internal/dbscan) decides most points by
+// counting a cell, with no search, and links dense cells pairwise. Its
+// closest-pair work is booked under the same names so a run's cost stays one
+// comparable number: every point-to-rectangle and point-to-point test of a
+// cell-pair scan is a candidate examined, every cell pair tested is a node
+// visited; searches and neighbors count the sparse-cell points' ε-searches
+// only.
 type Counters struct {
 	neighborSearches   atomic.Int64 // ε-neighborhood searches performed (Algorithm 2 calls)
-	candidatesExamined atomic.Int64 // points distance-filtered after index lookup
-	neighborsFound     atomic.Int64 // points that passed the ε filter
-	nodesVisited       atomic.Int64 // R-tree nodes touched (memory-access proxy)
+	candidatesExamined atomic.Int64 // points distance-filtered after index lookup, plus closest-pair tests
+	neighborsFound     atomic.Int64 // points that passed the ε filter of a search
+	nodesVisited       atomic.Int64 // R-tree nodes or grid cells touched, plus cell pairs tested (memory-access proxy)
 	pointsReused       atomic.Int64 // points copied from a completed variant's clusters
 	clustersReused     atomic.Int64 // seed clusters successfully expanded
 	clustersDestroyed  atomic.Int64 // seed clusters invalidated during reuse

@@ -100,8 +100,8 @@ type Phase uint8
 // Phases of a variant execution. Expand and Scratch are VariantDBSCAN's two
 // sequential phases (Algorithm 3: seed-cluster expansion, then the
 // from-scratch remainder); Mark/Label/Border are the phases of
-// dbscan.RunParallelOpts' one-pass runner, with TileRun standing in for
-// Mark on its ε-halo tiled path.
+// dbscan.RunParallelOpts, with TileRun standing in for Mark on its tiled
+// path.
 const (
 	// PhaseExpand is the seed-cluster reuse expansion (Alg. 3 lines 8–17:
 	// cluster copy, MBB sweep, edge search, EXPANDCLUSTER).
@@ -109,8 +109,10 @@ const (
 	// PhaseScratch is from-scratch DBSCAN: the Alg. 3 line-18 remainder
 	// pass, or the whole run when no source was reusable.
 	PhaseScratch
-	// PhaseMark is the parallel pass: one ε-search per point, core
-	// marking, and core-edge disjoint-set linking on the spot.
+	// PhaseMark is the parallel part of the run: core marking and
+	// core-edge disjoint-set linking — by cell counts and cell-pair tests
+	// where a cell decomposition serves the run, by one ε-search per point
+	// consumed on the spot everywhere else.
 	PhaseMark
 	// PhaseLabel is the sequential cluster numbering pass.
 	PhaseLabel
@@ -124,7 +126,7 @@ const (
 	// Recorded with variant = -1 (it belongs to the index, not a variant).
 	PhaseRefreeze
 	// PhaseTileRun is PhaseMark on the tiled path: workers claim whole
-	// tiles and search them through their ε-halo views.
+	// tiles of cells instead of fixed-size runs of them.
 	PhaseTileRun
 )
 

@@ -2,8 +2,7 @@
 // set of rectangular tiles — the middle level of the variant → tile →
 // chunk parallelism hierarchy. A partition covers every grid cell
 // exactly once, so each point has exactly one owning tile; the tiled
-// DBSCAN runner's workers claim whole tiles and search them through
-// ε-halo views (see internal/dbscan).
+// DBSCAN runner's workers claim whole tiles (see internal/dbscan).
 //
 // Two partitioners compete per build, and the better-balanced one wins:
 //

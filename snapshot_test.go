@@ -13,6 +13,15 @@ import (
 // labels to the index it was saved from, across every execution shape —
 // both index kinds, untiled and tiled, sequential and parallel, with and
 // without cluster reuse.
+//
+// Byte-equality is asserted at one worker and wherever reuse is off. A
+// multi-worker reuse sweep takes each variant's source from whichever
+// variant completed first, completion order is timing, and two valid
+// sources differ in cluster numbering and border attachment — on one index
+// run twice just as across a reload. There the test asserts what every
+// valid source agrees on: the cluster count and the exact noise set.
+// ROADMAP item 1 (schedule-independent results) is the change that restores
+// byte-equality there too.
 func TestSnapshotLabelIdentity(t *testing.T) {
 	pts := testPoints(t, 6000)
 	params := []Params{
@@ -23,7 +32,7 @@ func TestSnapshotLabelIdentity(t *testing.T) {
 	for _, kind := range []IndexKind{IndexRTree, IndexGrid} {
 		fresh := NewIndex(pts, WithIndexKind(kind))
 		// Cluster once first so the grid kind builds its cell grid and the
-		// snapshot carries it — the loaded index then serves tiled runs
+		// snapshot carries it — the loaded index then serves ε-searches
 		// straight from the mapping.
 		if _, err := fresh.ClusterVariants(params); err != nil {
 			t.Fatalf("kind=%v: warmup: %v", kind, err)
@@ -71,7 +80,11 @@ func TestSnapshotLabelIdentity(t *testing.T) {
 							t.Fatalf("%s: variant %d: %d vs %d clusters", name, v, w.NumClusters, g.NumClusters)
 						}
 						for i := range w.Labels {
-							if w.Labels[i] != g.Labels[i] {
+							same := w.Labels[i] == g.Labels[i]
+							if workers > 1 && !noReuse {
+								same = (w.Labels[i] == Noise) == (g.Labels[i] == Noise)
+							}
+							if !same {
 								t.Fatalf("%s: variant %d: label %d: %d vs %d", name, v, i, w.Labels[i], g.Labels[i])
 							}
 						}

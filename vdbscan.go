@@ -313,15 +313,16 @@ func WithIntraThreads(n int) RunOption { return runOpt(func(c *config) { c.intra
 
 // WithTiles sets tile-level parallelism — the third level of the
 // variant → tile → chunk hierarchy. On grid indexes
-// (WithIndexKind(IndexGrid)), the grid-sorted point array is cut into
-// roughly n point-balanced tiles with ε-wide halos and workers claim
-// whole tiles; core flags and the union-find are shared by all tiles, so
-// clusters that cross tile boundaries are linked like any others and
-// labels are byte-identical to the untiled run at any tile count. 0 (the default) is auto mode: tile when the effective worker
-// width and the point count justify it. 1 disables tiling. The option is
-// silently a no-op where no grid serves the run — the R-tree index kind,
-// or streaming inserts staged since the last re-freeze — which keeps it
-// safe to set unconditionally.
+// (WithIndexKind(IndexGrid)), the cell grid is cut into roughly n
+// point-balanced rectangular tiles and workers claim whole tiles; core
+// flags and the union-find are shared by all tiles, so clusters that
+// cross tile boundaries are linked like any others and labels are
+// byte-identical to the untiled run at any tile count. 0 (the default) is
+// auto mode: tile when the effective worker width and the point count
+// justify it. 1 disables tiling. The option is silently a no-op where no
+// grid serves the run — the R-tree index kind, or streaming inserts
+// staged since the last re-freeze — which keeps it safe to set
+// unconditionally.
 func WithTiles(n int) RunOption { return runOpt(func(c *config) { c.tiles = n }) }
 
 // WithReuseScheme selects the cluster-reuse prioritization
@@ -428,9 +429,12 @@ func (x *Index) Cluster(p Params, opts ...RunOption) (*Clustering, error) {
 	c.tracer.StartRun(start, "single-variant", []string{p.String()})
 	rec := c.tracer.Worker(0)
 	rec.Event(obs.KindStarted, 0, 0, 0)
-	if width > 1 || c.tiles > 1 {
+	// A grid-kind index takes the parallel runner at every width, one
+	// thread included: its cell-major pass does a fraction of RunCtx's
+	// work, and the work counters then read the same at any -threads.
+	if width > 1 || c.tiles > 1 || x.ix.Kind == dbscan.IndexGrid {
 		res, err = dbscan.RunParallelOpts(c.ctx, x.ix, p,
-			dbscan.ParallelOptions{Workers: width, Rec: rec, Tiles: c.tiles}, &m)
+			dbscan.ParallelOptions{Workers: max(width, 1), Rec: rec, Tiles: c.tiles}, &m)
 	} else {
 		rec.PhaseBegin(0, obs.PhaseScratch)
 		res, err = dbscan.RunCtx(c.ctx, x.ix, p, &m)
