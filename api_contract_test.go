@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"vdbscan/internal/dbscan"
+	"vdbscan/internal/persist"
 	"vdbscan/internal/rtree"
 )
 
@@ -18,7 +18,6 @@ import (
 var (
 	_ IndexOption = WithR(70)
 	_ IndexOption = WithBinWidth(1)
-	_ IndexOption = WithFlatIndex(true)
 	_ IndexOption = WithIndexKind(IndexGrid)
 	_ IndexOption = WithRefreezeThreshold(64)
 
@@ -90,14 +89,11 @@ func TestSentinelReexports(t *testing.T) {
 	if !errors.Is(ErrFlatTooLarge, rtree.ErrFlatTooLarge) {
 		t.Error("ErrFlatTooLarge does not match rtree sentinel")
 	}
-	if !errors.Is(ErrDeleteUnsupported, dbscan.ErrDeleteUnsupported) {
-		t.Error("ErrDeleteUnsupported does not match dbscan sentinel")
+	if !errors.Is(ErrSnapshotCorrupt, persist.ErrSnapshotCorrupt) {
+		t.Error("ErrSnapshotCorrupt does not match persist sentinel")
 	}
-	// The internal Delete path must surface through errors.Is against the
-	// re-exported sentinel.
-	ix := dbscan.BuildIndex([]Point{{X: 0, Y: 0}}, dbscan.IndexOptions{})
-	if err := ix.Delete(0); !errors.Is(err, ErrDeleteUnsupported) {
-		t.Errorf("Delete error %v does not match ErrDeleteUnsupported", err)
+	if !errors.Is(ErrSnapshotVersion, persist.ErrSnapshotVersion) {
+		t.Error("ErrSnapshotVersion does not match persist sentinel")
 	}
 }
 

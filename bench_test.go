@@ -17,7 +17,6 @@ import (
 	"vdbscan/internal/approx"
 	"vdbscan/internal/data"
 	"vdbscan/internal/dbscan"
-	"vdbscan/internal/gridindex"
 	"vdbscan/internal/incremental"
 	"vdbscan/internal/kdist"
 	"vdbscan/internal/metrics"
@@ -27,7 +26,6 @@ import (
 	"vdbscan/internal/sched"
 	"vdbscan/internal/stdbscan"
 	"vdbscan/internal/tec"
-	"vdbscan/internal/tidbscan"
 	"vdbscan/internal/track"
 	"vdbscan/internal/variant"
 )
@@ -327,8 +325,8 @@ func BenchmarkAblationSingleTree(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
 	single := &dbscan.Index{
-		Pts: fixTECIx.Pts, Fwd: fixTECIx.Fwd,
-		TLow: fixTECIx.TLow, THigh: fixTECIx.TLow,
+		Pts: fixTECIx.Pts, X: fixTECIx.X, Y: fixTECIx.Y, Fwd: fixTECIx.Fwd,
+		FlatLow: fixTECIx.FlatLow, FlatHigh: fixTECIx.FlatLow,
 	}
 	b.Run("two-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -399,8 +397,9 @@ func BenchmarkAblationOPTICSvsVariants(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationUnionFind compares the disjoint-set DBSCAN baseline
-// (Patwary et al.) with the expansion-based implementation.
+// BenchmarkAblationUnionFind compares the disjoint-set formulation
+// (Patwary et al.; RunParallel at one worker) with the expansion-based
+// implementation.
 func BenchmarkAblationUnionFind(b *testing.B) {
 	fixtures(b)
 	b.Run("expansion", func(b *testing.B) {
@@ -412,7 +411,7 @@ func BenchmarkAblationUnionFind(b *testing.B) {
 	})
 	b.Run("unionfind", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dbscan.RunDisjointSet(fixTECIx, tecParams, nil); err != nil {
+			if _, err := dbscan.RunParallel(fixTECIx, tecParams, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -577,62 +576,10 @@ func BenchmarkTracking(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGridVsRTree contrasts the ε-specific uniform grid with
-// the variant-agnostic packed R-tree: one DBSCAN run each (the grid is at
-// its best — cell side exactly ε), then a 3-ε sweep where the grid must
-// either rebuild per ε or run with oversized cells.
-func BenchmarkAblationGridVsRTree(b *testing.B) {
-	fixtures(b)
-	pts := fixTEC.Points
-	b.Run("single-eps/grid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gix, err := gridindex.Build(pts, tecParams.Eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := gridindex.Run(gix, tecParams.Eps, tecParams.MinPts, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("single-eps/rtree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, SkipHigh: true})
-			if _, err := dbscan.Run(ix, tecParams, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	sweep := []float64{1, 1.5, 2, 2.5}
-	b.Run("eps-sweep/grid-rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, e := range sweep {
-				gix, err := gridindex.Build(pts, e)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := gridindex.Run(gix, e, 4, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("eps-sweep/rtree-shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, SkipHigh: true})
-			for _, e := range sweep {
-				if _, err := dbscan.Run(ix, dbscan.Params{Eps: e, MinPts: 4}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkIndexShootout runs one DBSCAN variant over every neighbor-search
-// substrate in the repository: brute force, TI-DBSCAN (triangle-inequality
-// window), uniform grid, and the paper's packed R-tree (build + run,
-// since the structures have very different construction costs).
+// substrate in the repository: brute force, the uniform cell grid, and the
+// paper's packed R-tree (build + run, since the structures have very
+// different construction costs).
 func BenchmarkIndexShootout(b *testing.B) {
 	fixtures(b)
 	pts := fixTEC.Points[:10000]
@@ -644,21 +591,10 @@ func BenchmarkIndexShootout(b *testing.B) {
 			}
 		}
 	})
-	b.Run("tidbscan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix := tidbscan.Build(pts)
-			if _, err := tidbscan.Run(ix, p, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gix, err := gridindex.Build(pts, p.Eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := gridindex.Run(gix, p.Eps, p.MinPts, nil); err != nil {
+			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, SkipHigh: true, Kind: dbscan.IndexGrid})
+			if _, err := dbscan.Run(ix, p, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -702,9 +638,8 @@ func BenchmarkAblationApproxDBSCAN(b *testing.B) {
 // The big fixture exists so BenchmarkRunParallel has enough work per phase
 // for the chunk cursor and per-worker metric batching to matter.
 var (
-	fixBigOnce  sync.Once
-	fixBigIx    *dbscan.Index
-	fixBigPtrIx *dbscan.Index // same fixture, pointer-tree searches (NoFlat)
+	fixBigOnce sync.Once
+	fixBigIx   *dbscan.Index
 )
 
 func bigFixture(b *testing.B) *dbscan.Index {
@@ -717,7 +652,6 @@ func bigFixture(b *testing.B) *dbscan.Index {
 			panic(err)
 		}
 		fixBigIx = dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: 70})
-		fixBigPtrIx = dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: 70, NoFlat: true})
 	})
 	return fixBigIx
 }
@@ -780,36 +714,6 @@ func BenchmarkRunTiled(b *testing.B) {
 					}
 				}
 				reportWork(b, m.Snapshot(), b.N)
-			})
-		}
-	}
-}
-
-// BenchmarkIndexLayout compares the flat (frozen SoA) and pointer index
-// layouts on the 100k BenchmarkRunParallel fixture — the index-layout
-// tentpole's headline measurement. Both produce byte-identical labels;
-// only memory behavior of the ε-search differs.
-func BenchmarkIndexLayout(b *testing.B) {
-	bigFixture(b)
-	p := dbscan.Params{Eps: 1, MinPts: 4}
-	for _, cfg := range []struct {
-		name string
-		ix   *dbscan.Index
-	}{{"flat", fixBigIx}, {"pointer", fixBigPtrIx}} {
-		b.Run(cfg.name+"/sequential", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dbscan.Run(cfg.ix, p, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for _, w := range []int{4, 8} {
-			b.Run(fmt.Sprintf("%s/workers%d", cfg.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := dbscan.RunParallel(cfg.ix, p, w, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
 			})
 		}
 	}

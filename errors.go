@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vdbscan/internal/dbscan"
 	"vdbscan/internal/persist"
 	"vdbscan/internal/rtree"
 )
@@ -20,16 +19,11 @@ import (
 
 // ErrFlatTooLarge reports that a point database exceeds the flat R-tree
 // layout's int32 offset space (more than ~2.1 billion entries or points).
-// It surfaces — wrapped with size detail — from index construction and from
-// streaming re-freezes; match it with errors.Is. Indexes too large for the
-// flat layout can still be built with WithFlatIndex(false).
+// Index construction and streaming re-freezes panic with it, wrapped with
+// size detail, rather than build an index whose offsets have wrapped; match
+// a recovered value with errors.Is. No smaller layout exists to fall back
+// to: every neighbour list this package returns is int32-indexed.
 var ErrFlatTooLarge = rtree.ErrFlatTooLarge
-
-// ErrDeleteUnsupported reports a point deletion attempted on the immutable
-// batch Index, whose construction-time layout cannot shrink. Match it with
-// errors.Is. Deletion is supported by the streaming path: use
-// NewIncremental and Incremental.Delete.
-var ErrDeleteUnsupported = dbscan.ErrDeleteUnsupported
 
 // ErrSnapshotCorrupt reports a snapshot or WAL file that failed integrity
 // or structural validation on load: truncation, a checksum mismatch, bad

@@ -28,7 +28,7 @@ type Incremental struct {
 type RefreezeStats = incremental.RefreezeStats
 
 // NewIncremental returns an empty incremental clusterer for the given
-// parameters. Applicable options: WithWork, WithFlatIndex,
+// parameters. Applicable options: WithWork,
 // WithRefreezeThreshold, WithTracer (a streaming clusterer is an index and
 // a run in one, so it accepts the full Option set).
 func NewIncremental(p Params, opts ...Option) (*Incremental, error) {
@@ -39,7 +39,6 @@ func NewIncremental(p Params, opts ...Option) (*Incremental, error) {
 	}
 	c, err := incremental.NewWithOptions(p, m, incremental.Options{
 		RefreezeThreshold: cfg.refreezeN,
-		DisableFlat:       cfg.noFlat,
 		Rec:               cfg.tracer.Worker(0),
 	})
 	if err != nil {

@@ -29,7 +29,6 @@ func (s *Suite) Ablations() error {
 	ix := s.index(ds, s.R)
 	single := &dbscan.Index{
 		Pts: ix.Pts, X: ix.X, Y: ix.Y, Fwd: ix.Fwd,
-		TLow: ix.TLow, THigh: ix.TLow,
 		FlatLow: ix.FlatLow, FlatHigh: ix.FlatLow,
 	}
 	for _, cfg := range []struct {
@@ -42,21 +41,6 @@ func (s *Suite) Ablations() error {
 		}
 		t.add("tree-design", cfg.name, seconds(time.Since(start)),
 			"T_high sweeps vs low-res sweeps")
-	}
-
-	// 1b. Index layout: frozen flat arrays vs pointer-chasing tree. Same
-	// trees, same output; only the traversal memory behavior differs.
-	pointerIx := dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: s.R, NoFlat: true})
-	for _, cfg := range []struct {
-		name string
-		ix   *dbscan.Index
-	}{{"flat", ix}, {"pointer", pointerIx}} {
-		start := time.Now()
-		if _, err := sched.Execute(cfg.ix, vs, sched.Options{Threads: 1, Scheme: reuse.ClusDensity}); err != nil {
-			return err
-		}
-		t.add("index-layout", cfg.name, seconds(time.Since(start)),
-			"SoA node arrays + iterative search vs heap nodes")
 	}
 
 	// 2. Bulk load vs dynamic insertion.
@@ -108,7 +92,8 @@ func (s *Suite) Ablations() error {
 	t.add("eps-sweep", "variantdbscan", seconds(time.Since(start)),
 		"also supports varying minpts (OPTICS cannot)")
 
-	// 5. Expansion vs union-find single-variant DBSCAN.
+	// 5. Expansion vs union-find single-variant DBSCAN (the one-pass
+	// disjoint-set runner at one worker).
 	p := dbscan.Params{Eps: s.scaleEps(0.4), MinPts: 4}
 	start = time.Now()
 	if _, err := dbscan.Run(ix, p, nil); err != nil {
@@ -116,7 +101,7 @@ func (s *Suite) Ablations() error {
 	}
 	t.add("dbscan-core", "expansion", seconds(time.Since(start)), p.String())
 	start = time.Now()
-	if _, err := dbscan.RunDisjointSet(ix, p, nil); err != nil {
+	if _, err := dbscan.RunParallel(ix, p, 1, nil); err != nil {
 		return err
 	}
 	t.add("dbscan-core", "unionfind", seconds(time.Since(start)), "disjoint-set formulation")

@@ -83,7 +83,7 @@ func RunOpts(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, opt Option
 	if err := p.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	if ix.THigh == nil && ix.FlatHigh == nil {
+	if ix.FlatHigh == nil {
 		panic("core: index built with SkipHigh cannot run VariantDBSCAN")
 	}
 

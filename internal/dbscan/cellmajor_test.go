@@ -106,8 +106,7 @@ func TestCellDecompositionGuarantee(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := ix.cellDecomposition(eps)
-			x, y := ix.coords()
-			raw, err := gridindex.Freeze(x, y, eps/math.Sqrt2*cellMargin)
+			raw, err := gridindex.Freeze(ix.X, ix.Y, eps/math.Sqrt2*cellMargin)
 			if err != nil {
 				t.Fatal(err)
 			}

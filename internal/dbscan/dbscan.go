@@ -3,20 +3,20 @@
 // variant-based parallelism possible.
 //
 // The central object is Index: one spatially sorted copy of the point
-// database plus two read-only R-trees,
+// database plus two frozen R-trees,
 //
 //	T_low  — r points per leaf MBB (r ≈ 70–110), used for ε-searches;
 //	T_high — one point per leaf MBB, used for exact cluster-MBB sweeps
 //	         in VariantDBSCAN (internal/core).
 //
-// Because the trees are immutable after construction, any number of variant
-// executions may search them concurrently without locking — the property the
-// paper's throughput optimization rests on.
+// An Index is built once and only read afterwards, so any number of variant
+// executions may search it concurrently without locking — the property the
+// paper's throughput optimization rests on. A grown point set gets a new
+// Index; streaming insertion and deletion are internal/incremental's job.
 package dbscan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -26,7 +26,6 @@ import (
 	"vdbscan/internal/geom"
 	"vdbscan/internal/grid"
 	"vdbscan/internal/gridindex"
-	"vdbscan/internal/kernel"
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/rtree"
 	"vdbscan/internal/tiling"
@@ -42,8 +41,8 @@ const (
 	// IndexGrid routes ε-searches through a flat uniform cell grid
 	// (gridindex.Flat) sized for the variant set's largest ε. The R-trees
 	// are still built — T_high keeps serving the cluster-MBB sweeps that
-	// reuse depends on, and T_low remains the fallback until the grid is
-	// built (EnsureGrid) — but every steady-state ε-search becomes three
+	// reuse depends on, and T_low answers until the grid is built
+	// (EnsureGrid) — but every steady-state ε-search becomes three
 	// contiguous block-kernel scans.
 	IndexGrid
 )
@@ -73,65 +72,44 @@ type Index struct {
 	// index space.
 	Pts []geom.Point
 	// X and Y are struct-of-arrays copies of Pts, shared by the flat
-	// trees so the ε distance filter scans contiguous float64 slices.
-	// Nil when the flat representation is disabled.
+	// trees and the cell grids so the ε distance filter scans contiguous
+	// float64 slices.
 	X, Y []float64
 	// Fwd maps sorted index -> original index (Fwd[sorted] = original).
 	Fwd []int
-	// TLow is the low-resolution ε-search tree (r points per MBB).
-	TLow *rtree.Tree
-	// THigh is the high-resolution tree (one point per MBB).
-	THigh *rtree.Tree
-	// FlatLow and FlatHigh are the frozen array-backed views of TLow and
-	// THigh (rtree.Flat). When non-nil — the default — every search goes
-	// through them; the pointer trees remain the build/mutate path and
-	// the fallback when flat indexing is disabled.
-	//
-	// The flat views are generational snapshots: each records the source
-	// tree's generation at freeze time, and searches only trust a view
-	// whose generation gap is fully accounted for by the staged overlay
-	// (see Insert). A view that has fallen behind in any other way — a
-	// caller mutating TLow/THigh directly — is never consulted; searches
-	// silently fall back to the pointer trees, which are always current.
+	// FlatLow is T_low (r points per leaf MBB) and FlatHigh is T_high (one
+	// point per leaf MBB; nil on a SkipHigh build), both as frozen
+	// array-backed rtree.Flat trees over Pts.
 	FlatLow  *rtree.Flat
 	FlatHigh *rtree.Flat
 
 	// Kind selects the ε-search substrate. IndexGrid routes searches
 	// through the cell grid below once EnsureGrid has built it; until
-	// then (and whenever the grid cannot serve a query) searches fall
-	// back to the R-tree path, which is always correct.
+	// then searches go through FlatLow, which returns the same bytes.
 	Kind IndexKind
 
 	// grid is the frozen cell grid serving ε-searches when Kind is
 	// IndexGrid. It is built lazily by EnsureGrid — the variant set's max
 	// ε is not known at BuildIndex time — and installed atomically so
-	// concurrent searches either see a complete grid or fall back.
-	// Points inserted after the grid build are covered by an append-only
-	// tail scan (grid.Len() marks the covered prefix of Pts; Delete is
-	// unsupported, so the prefix stays exact).
+	// concurrent searches either see a complete grid or use FlatLow. A
+	// grid always covers every point of the index.
 	grid   atomic.Pointer[gridindex.Flat]
 	gridMu sync.Mutex // serializes EnsureGrid builds
 
 	// cells caches the ε/√2 cell decomposition the cell-major parallel
-	// runner walks, keyed by the side it was requested at and the point
-	// count it covers (points are append-only, so an equal count is the
-	// same point set). One entry: a sweep's from-scratch variants at other
-	// ε rebuild it, an O(n) counting sort each.
+	// runner walks, keyed by the side it was requested at. One entry: a
+	// sweep's from-scratch variants at other ε rebuild it, an O(n)
+	// counting sort each.
 	cells   atomic.Pointer[cellGrid]
 	cellsMu sync.Mutex // serializes cellDecomposition builds
 
 	// tiles caches the tile partition for the tiled parallel runner. It
 	// is keyed by (grid snapshot pointer, tile target), so an EnsureGrid
-	// re-side or re-freeze — which installs a fresh *gridindex.Flat —
-	// invalidates it automatically: stale tile boundaries can never
-	// outlive the grid they were cut from.
+	// re-side — which installs a fresh *gridindex.Flat — invalidates it
+	// automatically: stale tile boundaries can never outlive the grid
+	// they were cut from.
 	tiles   atomic.Pointer[tilePart]
 	tilesMu sync.Mutex // serializes TilePartition builds
-
-	// ov stages post-Freeze insertions so the frozen views stay usable:
-	// searches merge the flat results with this delta instead of
-	// abandoning the fast path. Re-freezing folds it into fresh views.
-	ov rtree.Overlay
 }
 
 // IndexOptions configures BuildIndex.
@@ -145,10 +123,6 @@ type IndexOptions struct {
 	// SkipHigh omits T_high construction for callers that only run plain
 	// DBSCAN (saves |D| leaf MBBs of memory).
 	SkipHigh bool
-	// NoFlat skips the Compact freeze step and leaves searches on the
-	// pointer-based trees (the pre-flat layout, kept for ablations and
-	// as the vdbscan.WithFlatIndex(false) escape hatch).
-	NoFlat bool
 	// Kind selects the ε-search substrate (IndexRTree when zero).
 	Kind IndexKind
 }
@@ -163,54 +137,30 @@ func (o IndexOptions) withDefaults() IndexOptions {
 	return o
 }
 
-// BuildIndex grid-sorts pts and builds the shared trees. The input slice is
+// BuildIndex grid-sorts pts and builds the shared trees: each is bulk-loaded
+// as a pointer tree, compacted into its flat form over one shared pair of
+// SoA coordinate slices, and the pointer tree dropped. The input slice is
 // not modified; the index keeps its own sorted copy.
 func BuildIndex(pts []geom.Point, opt IndexOptions) *Index {
 	opt = opt.withDefaults()
 	sorted, fwd := grid.Sort(pts, opt.BinWidth)
+	x := make([]float64, len(sorted))
+	y := make([]float64, len(sorted))
+	for i, p := range sorted {
+		x[i], y[i] = p.X, p.Y
+	}
 	ix := &Index{
-		Pts:  sorted,
-		Fwd:  fwd,
-		Kind: opt.Kind,
-		TLow: rtree.BulkLoad(sorted, rtree.Options{R: opt.R, Fanout: opt.Fanout}),
+		Pts:     sorted,
+		X:       x,
+		Y:       y,
+		Fwd:     fwd,
+		Kind:    opt.Kind,
+		FlatLow: rtree.BulkLoad(sorted, rtree.Options{R: opt.R, Fanout: opt.Fanout}).CompactWithCoords(x, y),
 	}
 	if !opt.SkipHigh {
-		ix.THigh = rtree.BulkLoad(sorted, rtree.Options{R: 1, Fanout: opt.Fanout})
-	}
-	if !opt.NoFlat {
-		ix.Freeze()
+		ix.FlatHigh = rtree.BulkLoad(sorted, rtree.Options{R: 1, Fanout: opt.Fanout}).CompactWithCoords(x, y)
 	}
 	return ix
-}
-
-// Freeze builds the flat array-backed views of the trees (one shared
-// pair of SoA coordinate slices, then a Compact per tree). BuildIndex
-// calls it unless IndexOptions.NoFlat; callers that assemble an Index by
-// hand (ablations, incremental re-indexing) may call it themselves.
-// Re-freezing after Insert folds the staged overlay into the fresh views
-// and resets it.
-func (ix *Index) Freeze() {
-	ix.materialize() // mapped indexes have no pointer trees until needed
-	if ix.X == nil || len(ix.X) < len(ix.Pts) {
-		ix.X = make([]float64, len(ix.Pts))
-		ix.Y = make([]float64, len(ix.Pts))
-		for i, p := range ix.Pts {
-			ix.X[i], ix.Y[i] = p.X, p.Y
-		}
-	}
-	ix.FlatLow = ix.TLow.CompactWithCoords(ix.X, ix.Y)
-	if ix.THigh != nil {
-		ix.FlatHigh = ix.THigh.CompactWithCoords(ix.X, ix.Y)
-	}
-	// Fold staged insertions into the cell grid too, keeping its side:
-	// the tail scan stays correct without this, but re-freezing is the
-	// point where the holder pays O(n) to restore the pure fast path.
-	if g := ix.grid.Load(); g != nil && g.Len() != len(ix.Pts) {
-		if ng, err := gridindex.Freeze(ix.X, ix.Y, g.Side()); err == nil {
-			ix.grid.Store(ng)
-		}
-	}
-	ix.ov.Reset()
 }
 
 // Grid exposes the installed cell grid (nil until EnsureGrid has run on
@@ -223,42 +173,27 @@ func (ix *Index) Grid() *gridindex.Flat { return ix.grid.Load() }
 // build serves every variant: the grid's cell side is at least maxEps,
 // and smaller-ε searches just filter more candidates per cell. Larger-ε
 // searches also stay exact (the scanned block widens), so an existing
-// grid is only rebuilt when its side is smaller than maxEps or when
-// points were inserted since it was built. Safe for concurrent callers;
-// searches racing a rebuild use whichever complete grid they observe.
+// grid is only rebuilt when its side is smaller than maxEps. Safe for
+// concurrent callers; searches racing a rebuild use whichever complete
+// grid they observe.
 func (ix *Index) EnsureGrid(maxEps float64) error {
 	if ix.Kind != IndexGrid || !(maxEps > 0) {
 		return nil
 	}
-	if g := ix.grid.Load(); g != nil && g.Side() >= maxEps && g.Len() == len(ix.Pts) {
+	if g := ix.grid.Load(); g != nil && g.Side() >= maxEps {
 		return nil
 	}
 	ix.gridMu.Lock()
 	defer ix.gridMu.Unlock()
-	if g := ix.grid.Load(); g != nil && g.Side() >= maxEps && g.Len() == len(ix.Pts) {
+	if g := ix.grid.Load(); g != nil && g.Side() >= maxEps {
 		return nil
 	}
-	x, y := ix.coords()
-	g, err := gridindex.Freeze(x, y, maxEps)
+	g, err := gridindex.Freeze(ix.X, ix.Y, maxEps)
 	if err != nil {
 		return err
 	}
 	ix.grid.Store(g)
 	return nil
-}
-
-// coords returns the points as parallel coordinate slices: the index's own
-// X/Y when they are current, a fresh copy otherwise.
-func (ix *Index) coords() (x, y []float64) {
-	if len(ix.X) == len(ix.Pts) && ix.X != nil {
-		return ix.X, ix.Y
-	}
-	x = make([]float64, len(ix.Pts))
-	y = make([]float64, len(ix.Pts))
-	for i, p := range ix.Pts {
-		x[i], y[i] = p.X, p.Y
-	}
-	return x, y
 }
 
 // cellGrid is one cached cell decomposition together with its key.
@@ -277,22 +212,21 @@ const cellMargin = 1 - 1e-9
 // cellDecomposition returns the grid the cell-major runner walks for eps:
 // every point bucketed into cells of side just under eps/√2, so that any
 // two points of one cell are within eps of each other. It returns nil when
-// only the per-point search path can serve the run: no cell grid covers
-// every point (R-tree kind, or staged inserts not yet re-frozen), or the
-// build had to coarsen the side to respect gridindex.MaxCells — a tiny eps
-// over a wide extent — and the cells are too large for that guarantee.
+// only the per-point search path can serve the run: the index has no cell
+// grid (R-tree kind), or the build had to coarsen the side to respect
+// gridindex.MaxCells — a tiny eps over a wide extent — and the cells are
+// too large for that guarantee.
 func (ix *Index) cellDecomposition(eps float64) *gridindex.Flat {
-	if g := ix.grid.Load(); g == nil || g.Len() != len(ix.Pts) {
+	if ix.grid.Load() == nil {
 		return nil
 	}
 	side := eps / math.Sqrt2 * cellMargin
 	c := ix.cells.Load()
-	if c == nil || c.side != side || c.grid.Len() != len(ix.Pts) {
+	if c == nil || c.side != side {
 		ix.cellsMu.Lock()
 		c = ix.cells.Load()
-		if c == nil || c.side != side || c.grid.Len() != len(ix.Pts) {
-			x, y := ix.coords()
-			g, err := gridindex.Freeze(x, y, side)
+		if c == nil || c.side != side {
+			g, err := gridindex.Freeze(ix.X, ix.Y, side)
 			if err != nil {
 				ix.cellsMu.Unlock()
 				return nil
@@ -318,11 +252,10 @@ type tilePart struct {
 
 // TilePartition returns the tile partition of the current grid snapshot
 // for the given tile-count target, building and caching it on first use.
-// The cache is keyed by the snapshot pointer, so any grid rebuild (an
-// EnsureGrid re-side for a larger ε, or a re-freeze after streaming
-// inserts) makes the next call cut fresh tiles. Returns nil when there
-// is no grid or the grid/target cannot yield at least two tiles; safe
-// for concurrent callers.
+// The cache is keyed by the snapshot pointer, so a grid rebuild (an
+// EnsureGrid re-side for a larger ε) makes the next call cut fresh tiles.
+// Returns nil when there is no grid or the grid/target cannot yield at
+// least two tiles; safe for concurrent callers.
 func (ix *Index) TilePartition(target int) *tiling.Partition {
 	g := ix.grid.Load()
 	if g == nil {
@@ -341,100 +274,11 @@ func (ix *Index) TilePartition(target int) *tiling.Partition {
 	return p
 }
 
-// ErrDeleteUnsupported is returned by Index.Delete: every execution path
-// (Run, RunParallel, VariantDBSCAN) scans the full point array, so a
-// removed point would need tombstone handling through all of them.
-// Streaming deletions are the job of internal/incremental's Clusterer,
-// which owns a dynamic tree plus the same generational overlay machinery.
-var ErrDeleteUnsupported = errors.New(
-	"dbscan: Index does not support deletion; use the incremental clusterer for delete-capable streaming")
-
-// Insert appends p to the index in sorted index space and returns its
-// index; its caller-order (Fwd) position is appended equal to it, so
-// Remap keeps working with post-build insertions ordered after the
-// original points. This is the post-Freeze mutation API: the pointer
-// trees are updated in place and the insertion is staged in the overlay,
-// so frozen flat views keep serving searches (merged with the overlay
-// delta) instead of being invalidated wholesale. The generation
-// accounting guarantees a mutated index can never serve results from a
-// stale snapshot alone: if the overlay ever fails to cover the trees'
-// generation gap, searches abandon the flat views entirely.
-//
-// Call Freeze after a batch of insertions to fold the overlay into fresh
-// flat views and restore the zero-merge-cost fast path. Note inserted
-// points are not grid-sorted, so heavy insertion without re-freezing
-// degrades search locality (never correctness).
-func (ix *Index) Insert(p geom.Point) int {
-	ix.materialize() // mapped indexes grow pointer trees on first mutation
-	idx := len(ix.Pts)
-	ix.Pts = append(ix.Pts, p)
-	ix.Fwd = append(ix.Fwd, idx)
-	if ix.X != nil {
-		ix.X = append(ix.X, p.X)
-		ix.Y = append(ix.Y, p.Y)
-	}
-	ix.TLow.InsertIndexed(ix.Pts, int32(idx))
-	if ix.THigh != nil {
-		ix.THigh.InsertIndexed(ix.Pts, int32(idx))
-	}
-	if ix.FlatLow != nil {
-		ix.ov.RecordInsert(int32(idx))
-	}
-	return idx
-}
-
-// Delete always returns ErrDeleteUnsupported (see the error's doc).
-func (ix *Index) Delete(int) error { return ErrDeleteUnsupported }
-
-// Overlay exposes the staged post-Freeze insertion delta (read-only).
-func (ix *Index) Overlay() *rtree.Overlay { return &ix.ov }
-
-// flatLowCurrent reports how to search T_low: the flat view alone
-// (fresh), the flat view merged with the overlay (every tree mutation
-// staged), or neither (stale — pointer fallback).
-func (ix *Index) flatLowCurrent() (fresh, overlaid bool) {
-	f := ix.FlatLow
-	if f == nil {
-		return false, false
-	}
-	if ix.TLow == nil {
-		// Mapped mode (IndexFromFrozen): there is no pointer tree to drift
-		// from — the flat view is the authoritative index.
-		return true, false
-	}
-	gap := ix.TLow.Generation() - f.Generation()
-	if gap == 0 {
-		return true, false
-	}
-	return false, ix.ov.Muts() == gap
-}
-
-// flatHighCurrent is flatLowCurrent for T_high.
-func (ix *Index) flatHighCurrent() (fresh, overlaid bool) {
-	f := ix.FlatHigh
-	if f == nil {
-		return false, false
-	}
-	if ix.THigh == nil {
-		return true, false // mapped mode, as in flatLowCurrent
-	}
-	gap := ix.THigh.Generation() - f.Generation()
-	if gap == 0 {
-		return true, false
-	}
-	return false, ix.ov.Muts() == gap
-}
-
 // Len returns the number of indexed points.
 func (ix *Index) Len() int { return len(ix.Pts) }
 
 // R returns the leaf occupancy of T_low.
-func (ix *Index) R() int {
-	if ix.TLow == nil {
-		return ix.FlatLow.R()
-	}
-	return ix.TLow.R()
-}
+func (ix *Index) R() int { return ix.FlatLow.R() }
 
 // NeighborSearch is Algorithm 2: it builds the ε-augmented query MBB around
 // p, collects candidate points from T_low's overlapping leaf MBBs, and
@@ -466,77 +310,26 @@ func (ix *Index) NeighborSearchLocal(p geom.Point, eps float64, l *metrics.Local
 }
 
 // neighborSearch is the uninstrumented Algorithm 2 body shared by the two
-// counter flavors. The flat path is allocation-free in steady state (the
-// traversal stack is a fixed local array inside rtree.Flat, dst amortizes
-// across calls); the pointer path remains as the NoFlat fallback and
-// produces byte-identical output.
+// counter flavors: the cell grid when a grid-kind index has built one,
+// T_low otherwise. Both return the same neighbours in the same order and
+// are allocation-free in steady state (the R-tree traversal stack is a
+// fixed local array inside rtree.Flat, dst amortizes across calls).
 func (ix *Index) neighborSearch(p geom.Point, eps float64, dst []int32) (out []int32, candidates, nodes int64) {
-	if ix.Kind == IndexGrid {
-		if g := ix.grid.Load(); g != nil {
-			out, c, n := g.EpsSearch(p, eps, dst)
-			candidates, nodes = int64(c), int64(n)
-			// Append-only tail merge: points inserted after the grid
-			// build live at indices ≥ g.Len() (Delete is unsupported, so
-			// the covered prefix is exact). The tail is tiny between
-			// re-freezes; the block kernel scans it when the SoA slices
-			// cover it, the per-point loop otherwise.
-			if n0 := g.Len(); n0 < len(ix.Pts) {
-				candidates += int64(len(ix.Pts) - n0)
-				epsSq := eps * eps
-				if len(ix.X) == len(ix.Pts) {
-					out = kernel.FilterEps(out, ix.X[n0:], ix.Y[n0:], int32(n0), p.X, p.Y, epsSq)
-				} else {
-					for i := n0; i < len(ix.Pts); i++ {
-						if p.DistSq(ix.Pts[i]) <= epsSq {
-							out = append(out, int32(i))
-						}
-					}
-				}
-			}
-			return out, candidates, nodes
-		}
-		// No grid yet (EnsureGrid not called, or its build failed): the
-		// R-tree path below is always current and byte-identical.
+	var c, n int
+	if g := ix.grid.Load(); g != nil {
+		out, c, n = g.EpsSearch(p, eps, dst)
+	} else {
+		out, c, n = ix.FlatLow.EpsSearch(p, eps, dst)
 	}
-	if fresh, overlaid := ix.flatLowCurrent(); fresh {
-		out, c, n := ix.FlatLow.EpsSearch(p, eps, dst)
-		return out, int64(c), int64(n)
-	} else if overlaid {
-		out, c, n := rtree.EpsSearchOverlay(ix.FlatLow, ix.Pts, p, eps, dst, &ix.ov)
-		return out, int64(c), int64(n)
-	}
-	q := geom.QueryMBB(p, eps)
-	epsSq := eps * eps
-	n := ix.TLow.Search(q, func(lr rtree.LeafRange) {
-		end := lr.Start + lr.Count
-		for i := lr.Start; i < end; i++ {
-			candidates++
-			if p.DistSq(ix.Pts[i]) <= epsSq {
-				dst = append(dst, int32(i))
-			}
-		}
-	})
-	return dst, candidates, int64(n)
+	return out, int64(c), int64(n)
 }
 
 // HighCandidates appends to dst the indices of all points in T_high leaf
 // entries overlapping q and returns dst plus the nodes touched — the
-// cluster-MBB sweep of VariantDBSCAN (Algorithm 3, line 11). It routes
-// through the flat tree when available.
+// cluster-MBB sweep of VariantDBSCAN (Algorithm 3, line 11).
 func (ix *Index) HighCandidates(q geom.MBB, dst []int32) (out []int32, nodes int64) {
-	if fresh, overlaid := ix.flatHighCurrent(); fresh {
-		out, n := ix.FlatHigh.SearchCandidates(q, dst)
-		return out, int64(n)
-	} else if overlaid {
-		out, n := rtree.SearchCandidatesOverlay(ix.FlatHigh, ix.Pts, q, dst, &ix.ov)
-		return out, int64(n)
-	}
-	n := ix.THigh.Search(q, func(lr rtree.LeafRange) {
-		for k := 0; k < lr.Count; k++ {
-			dst = append(dst, int32(lr.Start+k))
-		}
-	})
-	return dst, int64(n)
+	out, n := ix.FlatHigh.SearchCandidates(q, dst)
+	return out, int64(n)
 }
 
 // Params are the two DBSCAN inputs that define a variant.
@@ -713,7 +506,7 @@ func RunBruteForce(pts []geom.Point, p Params, m *metrics.Counters) (*cluster.Re
 // CorePoints returns, in sorted index space, whether each point is a core
 // point under p. Exposed for tests and the OPTICS cross-checks.
 func CorePoints(ix *Index, p Params, m *metrics.Counters) []bool {
-	_ = ix.EnsureGrid(p.Eps) // a failed build just leaves the R-tree path
+	_ = ix.EnsureGrid(p.Eps) // a failed build just leaves the search on T_low
 	n := ix.Len()
 	core := make([]bool, n)
 	scratch := make([]int32, 0, 256)

@@ -26,25 +26,17 @@ type FrozenParts struct {
 	Grid *gridindex.FlatParts
 }
 
-// FrozenParts exports the index's frozen state for serialization. It
-// requires the frozen views to be current: an index built with NoFlat, or
-// one carrying staged post-Freeze insertions, returns an error (call
-// Freeze first — the snapshot format has no overlay section on purpose;
-// staged points are the WAL's job).
+// FrozenParts exports the index's frozen state for serialization. Only an
+// Index assembled by hand without T_low (never one from BuildIndex or
+// IndexFromFrozen) returns an error.
 func (ix *Index) FrozenParts() (FrozenParts, error) {
-	if ix.FlatLow == nil {
-		return FrozenParts{}, fmt.Errorf("dbscan: index has no frozen views (built with NoFlat?)")
-	}
-	if fresh, _ := ix.flatLowCurrent(); !fresh {
-		return FrozenParts{}, fmt.Errorf("dbscan: frozen views are stale (staged insertions? call Freeze first)")
-	}
-	if ix.X == nil || len(ix.X) < len(ix.Pts) {
-		return FrozenParts{}, fmt.Errorf("dbscan: index has no SoA coordinate slices")
+	if ix.FlatLow == nil || len(ix.X) != len(ix.Pts) || len(ix.Y) != len(ix.Pts) {
+		return FrozenParts{}, fmt.Errorf("dbscan: index has no T_low or no SoA coordinate slices")
 	}
 	p := FrozenParts{
 		Pts:  ix.Pts,
-		X:    ix.X[:len(ix.Pts)],
-		Y:    ix.Y[:len(ix.Pts)],
+		X:    ix.X,
+		Y:    ix.Y,
 		Fwd:  ix.Fwd,
 		R:    ix.R(),
 		Kind: ix.Kind,
@@ -66,16 +58,13 @@ func (ix *Index) FrozenParts() (FrozenParts, error) {
 // so a reconstructed index answers ε-searches straight out of file-backed
 // memory with zero deserialization.
 //
-// The index comes back in mapped mode: flat views only, no pointer trees.
-// Searches (NeighborSearch, HighCandidates, the grid path) work
-// immediately; the build/mutate pointer trees are materialized lazily on
-// the first Insert or Freeze. Because the parts may come from an untrusted
-// file, everything is validated before use — array length agreement, the
-// Fwd permutation, SoA/AoS coordinate consistency, and (via the parts
-// constructors) full structural validation of each view. Mutating the
-// aliased arrays through Insert is safe even when they are mapped
-// read-only: every slice arrives at full capacity, so appends reallocate
-// to the heap.
+// Because the parts may come from an untrusted file, everything is
+// validated before use — array length agreement, the Fwd permutation,
+// SoA/AoS coordinate consistency, a grid only on a grid-kind index and
+// covering exactly its points (searches trust the grid alone once it is
+// installed), and (via the parts constructors) full structural validation
+// of each view. Nothing writes to an Index after construction, so the
+// aliased arrays may be mapped read-only.
 func IndexFromFrozen(p FrozenParts) (*Index, error) {
 	bad := func(format string, args ...any) (*Index, error) {
 		return nil, fmt.Errorf("dbscan: invalid frozen parts: "+format, args...)
@@ -120,7 +109,10 @@ func IndexFromFrozen(p FrozenParts) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		if g.Len() > n {
+		if p.Kind != IndexGrid {
+			return bad("grid section on a %v-kind index", p.Kind)
+		}
+		if g.Len() != n {
 			return bad("grid covers %d points, index has %d", g.Len(), n)
 		}
 		ix.grid.Store(g)
@@ -131,21 +123,3 @@ func IndexFromFrozen(p FrozenParts) (*Index, error) {
 // sameFloat is bitwise-tolerant float equality: equal values, or both NaN.
 // Plain == would reject NaN coordinates that round-trip perfectly.
 func sameFloat(a, b float64) bool { return a == b || (a != a && b != b) }
-
-// materialize builds the pointer build/mutate trees for a mapped index
-// (IndexFromFrozen), which starts with flat views only. BulkLoad is
-// deterministic and leaves the tree generation at 0 — the same value the
-// frozen views carry — so after materialization the views still read as
-// fresh and keep serving searches; the new trees exist purely to absorb
-// subsequent Inserts through the usual overlay accounting.
-func (ix *Index) materialize() {
-	if ix.TLow != nil {
-		return
-	}
-	st := ix.FlatLow.Stats()
-	ix.TLow = rtree.BulkLoad(ix.Pts, rtree.Options{R: st.R, Fanout: st.Fanout})
-	if ix.FlatHigh != nil && ix.THigh == nil {
-		hst := ix.FlatHigh.Stats()
-		ix.THigh = rtree.BulkLoad(ix.Pts, rtree.Options{R: 1, Fanout: hst.Fanout})
-	}
-}

@@ -6,6 +6,7 @@ import (
 
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
+	"vdbscan/internal/gridindex"
 	"vdbscan/internal/metrics"
 )
 
@@ -48,9 +49,6 @@ func TestIndexFrozenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kind=%v: IndexFromFrozen: %v", kind, err)
 		}
-		if loaded.TLow != nil || loaded.THigh != nil {
-			t.Fatalf("mapped index should have no pointer trees before mutation")
-		}
 		got, err := dbscan.Run(loaded, params, &metrics.Counters{})
 		if err != nil {
 			t.Fatalf("kind=%v: mapped run: %v", kind, err)
@@ -63,76 +61,6 @@ func TestIndexFrozenRoundTrip(t *testing.T) {
 				t.Fatalf("kind=%v: label %d: %d vs %d", kind, i, want.Labels[i], got.Labels[i])
 			}
 		}
-	}
-}
-
-// TestMappedIndexInsert mutates a mapped index: Insert must lazily
-// materialize the pointer trees, stage through the overlay, and keep
-// search results identical to a from-scratch index over the same points.
-func TestMappedIndexInsert(t *testing.T) {
-	pts := frozenPoints(1500, 23)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{})
-	parts, err := ix.FrozenParts()
-	if err != nil {
-		t.Fatalf("FrozenParts: %v", err)
-	}
-	loaded, err := dbscan.IndexFromFrozen(parts)
-	if err != nil {
-		t.Fatalf("IndexFromFrozen: %v", err)
-	}
-
-	extra := frozenPoints(200, 29)
-	for _, p := range extra {
-		loaded.Insert(p)
-	}
-	if loaded.TLow == nil {
-		t.Fatalf("Insert did not materialize the pointer trees")
-	}
-
-	// Reference: the original index with the same insertions.
-	for _, p := range extra {
-		ix.Insert(p)
-	}
-	params := dbscan.Params{Eps: 1.5, MinPts: 4}
-	want, err := dbscan.Run(ix, params, &metrics.Counters{})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	got, err := dbscan.Run(loaded, params, &metrics.Counters{})
-	if err != nil {
-		t.Fatalf("mapped run: %v", err)
-	}
-	for i := range want.Labels {
-		if want.Labels[i] != got.Labels[i] {
-			t.Fatalf("label %d: %d vs %d", i, want.Labels[i], got.Labels[i])
-		}
-	}
-
-	// Freeze folds the staged overlay on both sides; results must hold.
-	loaded.Freeze()
-	ix.Freeze()
-	got2, err := dbscan.Run(loaded, params, &metrics.Counters{})
-	if err != nil {
-		t.Fatalf("post-freeze run: %v", err)
-	}
-	for i := range want.Labels {
-		if want.Labels[i] != got2.Labels[i] {
-			t.Fatalf("post-freeze label %d: %d vs %d", i, want.Labels[i], got2.Labels[i])
-		}
-	}
-}
-
-// TestFrozenPartsRefusesStaged pins the contract that staged insertions
-// never silently vanish into a snapshot.
-func TestFrozenPartsRefusesStaged(t *testing.T) {
-	ix := dbscan.BuildIndex(frozenPoints(500, 31), dbscan.IndexOptions{})
-	ix.Insert(geom.Point{X: 1, Y: 1})
-	if _, err := ix.FrozenParts(); err == nil {
-		t.Fatalf("FrozenParts accepted staged insertions")
-	}
-	ix.Freeze()
-	if _, err := ix.FrozenParts(); err != nil {
-		t.Fatalf("FrozenParts after Freeze: %v", err)
 	}
 }
 
@@ -163,5 +91,35 @@ func TestIndexFromFrozenRejects(t *testing.T) {
 	badLen.Fwd = good.Fwd[:len(good.Fwd)-1]
 	if _, err := dbscan.IndexFromFrozen(badLen); err == nil {
 		t.Fatalf("length mismatch accepted")
+	}
+
+	// A grid is searched alone once installed, so one that covers fewer
+	// points than the index — or rides on an R-tree-kind index, which never
+	// builds one — must not load.
+	gix := dbscan.BuildIndex(frozenPoints(300, 37), dbscan.IndexOptions{Kind: dbscan.IndexGrid})
+	if err := gix.EnsureGrid(1.5); err != nil {
+		t.Fatalf("EnsureGrid: %v", err)
+	}
+	gridParts, err := gix.FrozenParts()
+	if err != nil {
+		t.Fatalf("FrozenParts: %v", err)
+	}
+	if _, err := dbscan.IndexFromFrozen(gridParts); err != nil {
+		t.Fatalf("valid grid parts rejected: %v", err)
+	}
+	prefix, err := gridindex.Freeze(gridParts.X[:299], gridParts.Y[:299], 1.5)
+	if err != nil {
+		t.Fatalf("Freeze: %v", err)
+	}
+	prefixParts := prefix.Parts()
+	badGrid := gridParts
+	badGrid.Grid = &prefixParts
+	if _, err := dbscan.IndexFromFrozen(badGrid); err == nil {
+		t.Fatalf("grid covering 299 of 300 points accepted")
+	}
+	wrongKind := gridParts
+	wrongKind.Kind = dbscan.IndexRTree
+	if _, err := dbscan.IndexFromFrozen(wrongKind); err == nil {
+		t.Fatalf("grid section on an R-tree-kind index accepted")
 	}
 }

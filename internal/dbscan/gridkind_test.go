@@ -54,55 +54,6 @@ func TestGridKindMatchesRTreeExactly(t *testing.T) {
 	}
 }
 
-// TestGridKindStreamingInserts exercises the append-only tail merge: the
-// grid covers the frozen prefix, inserted points are brute-checked, and a
-// re-freeze folds them in — labels must match the R-tree path at every
-// stage.
-func TestGridKindStreamingInserts(t *testing.T) {
-	ds, err := data.Generate(data.SynthConfig{Class: data.ClassCF, N: 4000, NoiseFrac: 0.2, Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := ds.Points
-	params := Params{Eps: 2, MinPts: 4}
-
-	gix := BuildIndex(pts[:3000], IndexOptions{Kind: IndexGrid})
-	rix := BuildIndex(pts[:3000], IndexOptions{})
-	if _, err := Run(gix, params, nil); err != nil { // installs the grid
-		t.Fatal(err)
-	}
-	n0 := gix.Grid().Len()
-	for _, p := range pts[3000:] {
-		gix.Insert(p)
-		rix.Insert(p)
-	}
-	if gix.Grid().Len() != n0 {
-		t.Fatal("insert should not rebuild the grid")
-	}
-	got, err := Run(gix, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(rix, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The two indexes sorted their base points identically (same input,
-	// same bin width) and appended the tail in the same order, so label
-	// slices are comparable without remapping.
-	requireIdentical(t, got, want, "tail-merge")
-
-	gix.Freeze()
-	if gix.Grid().Len() != gix.Len() {
-		t.Fatalf("freeze left grid at %d of %d points", gix.Grid().Len(), gix.Len())
-	}
-	got, err = Run(gix, params, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, got, want, "post-refreeze")
-}
-
 // TestGridKindParamsSweep runs several ε values over one grid-kind index
 // against fresh R-tree runs: ε below the side reuses the build untouched,
 // ε above it triggers the one-time re-side (EnsureGrid), and direct

@@ -16,10 +16,10 @@ import (
 // formulation of Patwary et al. (SC 2012) on the index-ordered lock-free
 // union-find of Wang, Gu & Shun (SIGMOD 2020), with the neighbourhood
 // consumed during the traversal and never stored (Prokopenko et al., "Fast
-// tree-based algorithms for DBSCAN on GPUs"). Where a cell grid covers every
-// point the traversal is cell-major (cellmajor.go): points in cells dense
-// enough to be core by counting are never searched at all. Everywhere else —
-// the R-tree kind, a grid with staged inserts, the sparse cells of the
+// tree-based algorithms for DBSCAN on GPUs"). On a grid-kind index the
+// traversal is cell-major (cellmajor.go): points in cells dense enough to
+// be core by counting are never searched at all. Everywhere else — the
+// R-tree kind, an ε too small for the cell budget, the sparse cells of the
 // cell-major pass — workers issue exactly one ε-search per point over the
 // shared read-only index and act on the result on the spot
 // (onePass.consume):
@@ -93,8 +93,8 @@ type ParallelOptions struct {
 	// of cells — same labels, same work counters. 0 is
 	// automatic (tile when Workers and the point count justify it), 1
 	// forces the untiled chunked division, >= 2 requests that many tiles.
-	// Ignored when the run has no cell decomposition: R-tree kind, staged
-	// inserts not yet re-frozen, or an ε too small for the cell budget.
+	// Ignored when the run has no cell decomposition: R-tree kind, or an
+	// ε too small for the cell budget.
 	Tiles int
 }
 

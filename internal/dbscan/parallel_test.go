@@ -315,3 +315,27 @@ func TestNeighborSearchZeroAlloc(t *testing.T) {
 		t.Fatalf("NeighborSearch allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestNeighborSearchLocalZeroAlloc asserts the paper-critical hot path —
+// NeighborSearchLocal over the flat index with a warmed destination buffer
+// and a per-worker metrics.Local — runs without heap allocation.
+func TestNeighborSearchLocalZeroAlloc(t *testing.T) {
+	ds, err := data.Generate(data.SynthConfig{Class: data.ClassCF, N: 20_000, NoiseFrac: 0.15, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := BuildIndex(ds.Points, IndexOptions{R: 70})
+	var local metrics.Local
+	dst := make([]int32, 0, 4096)
+	for i := 0; i < len(ix.Pts); i += 37 { // warm dst to its high-water mark
+		dst = ix.NeighborSearchLocal(ix.Pts[i], 2, &local, dst[:0])
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		dst = ix.NeighborSearchLocal(ix.Pts[i%len(ix.Pts)], 2, &local, dst[:0])
+		i += 41
+	})
+	if allocs != 0 {
+		t.Fatalf("NeighborSearchLocal allocated %.1f times per run, want 0", allocs)
+	}
+}

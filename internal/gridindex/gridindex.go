@@ -14,16 +14,11 @@
 //   - for point sets without extreme density skew the grid's O(1) cell
 //     addressing and purely sequential candidate runs are hard to beat.
 //
-// Two implementations live here:
-//
-//   - Index: the original pointer-chasing ([][]int32 buckets) build. It
-//     stays as the readable reference and as an independent oracle for
-//     the production layouts' search results.
-//   - Flat: the production layout, mirroring rtree.Flat's freeze design.
-//     Coordinates are grid-sorted into struct-of-arrays slices with a CSR
-//     cellStart array, so a search touches three contiguous runs (one per
-//     cell row of the 3×3 block) and hands each to the shared block
-//     kernel. Steady-state searches allocate nothing.
+// Flat is the one layout, mirroring rtree.Flat's freeze design: coordinates
+// are grid-sorted into struct-of-arrays slices with a CSR cellStart array,
+// so a search touches three contiguous runs (one per cell row of the 3×3
+// block) and hands each to the shared block kernel. Steady-state searches
+// allocate nothing.
 //
 // A Flat is also read as a cell decomposition (cells.go): frozen at a side
 // just under ε/√2 every two points of a cell are within ε, so cell-major
@@ -31,7 +26,7 @@
 // its CSR count alone and connects two such cells with one early-exit
 // closest-pair test, PairWithin.
 //
-// Both builds cap the total cell count (MaxCells): a tiny ε over a wide
+// Freeze caps the total cell count (MaxCells): a tiny ε over a wide
 // extent coarsens the side instead of allocating cols·rows without bound.
 // For searching, coarser is always correct (the scanned block adapts to
 // eps/side). For the decomposition it is not — a coarsened cell no longer
@@ -44,10 +39,8 @@ import (
 	"fmt"
 	"math"
 
-	"vdbscan/internal/cluster"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/kernel"
-	"vdbscan/internal/metrics"
 )
 
 // MaxCells caps cols·rows for any grid build. 2²¹ cells keep the CSR
@@ -104,197 +97,12 @@ func gridShape(b geom.MBB, side float64) (cols, rows int, outSide float64, err e
 	return int(fcols), int(frows), side, nil
 }
 
-// Index is a uniform grid over a point set, cell side ≥ the requested ε
-// (coarsened when the extent would exceed MaxCells).
-type Index struct {
-	pts     []geom.Point
-	eps     float64 // requested build ε
-	side    float64 // actual cell side (≥ eps)
-	originX float64
-	originY float64
-	cols    int
-	rows    int
-	cellOf  []int32   // point -> cell
-	cellPts [][]int32 // cell -> points
-}
-
-// Build buckets pts into cells of side eps (coarsened to respect
-// MaxCells). eps must be positive and finite.
-func Build(pts []geom.Point, eps float64) (*Index, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("gridindex: eps must be > 0, got %g", eps)
-	}
-	if int64(len(pts)) > math.MaxInt32 {
-		return nil, ErrGridTooLarge
-	}
-	ix := &Index{pts: pts, eps: eps, side: eps}
-	if len(pts) == 0 {
-		return ix, nil
-	}
-	b := geom.MBBOfPoints(pts)
-	var err error
-	ix.cols, ix.rows, ix.side, err = gridShape(b, eps)
-	if err != nil {
-		return nil, err
-	}
-	ix.originX, ix.originY = b.MinX, b.MinY
-	ix.cellPts = make([][]int32, ix.cols*ix.rows)
-	ix.cellOf = make([]int32, len(pts))
-	for i, p := range pts {
-		c := ix.cell(p)
-		ix.cellOf[i] = c
-		ix.cellPts[c] = append(ix.cellPts[c], int32(i))
-	}
-	return ix, nil
-}
-
-// cell maps a point to its cell id; points are inside the bounding box by
-// construction.
-func (ix *Index) cell(p geom.Point) int32 {
-	col := int((p.X - ix.originX) / ix.side)
-	row := int((p.Y - ix.originY) / ix.side)
-	if col >= ix.cols {
-		col = ix.cols - 1
-	}
-	if row >= ix.rows {
-		row = ix.rows - 1
-	}
-	return int32(row*ix.cols + col)
-}
-
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return len(ix.pts) }
-
-// Eps returns the ε the grid was built for.
-func (ix *Index) Eps() float64 { return ix.eps }
-
-// Side returns the actual cell side (≥ Eps when the build coarsened).
-func (ix *Index) Side() float64 { return ix.side }
-
-// NeighborSearch appends the indices of points within eps of q to dst.
-// eps must not exceed the cell side (the 3×3 block would miss neighbors);
-// smaller eps is allowed but filters more candidates per cell.
-func (ix *Index) NeighborSearch(q geom.Point, eps float64, m *metrics.Counters, dst []int32) ([]int32, error) {
-	if eps > ix.side {
-		return dst, fmt.Errorf("gridindex: search eps %g exceeds cell side %g", eps, ix.side)
-	}
-	if len(ix.pts) == 0 {
-		m.AddNeighborSearches(1)
-		return dst, nil
-	}
-	epsSq := eps * eps
-	col := int((q.X - ix.originX) / ix.side)
-	row := int((q.Y - ix.originY) / ix.side)
-	candidates := int64(0)
-	found := 0
-	for dr := -1; dr <= 1; dr++ {
-		r := row + dr
-		if r < 0 || r >= ix.rows {
-			continue
-		}
-		for dc := -1; dc <= 1; dc++ {
-			c := col + dc
-			if c < 0 || c >= ix.cols {
-				continue
-			}
-			for _, i := range ix.cellPts[r*ix.cols+c] {
-				candidates++
-				if q.DistSq(ix.pts[i]) <= epsSq {
-					dst = append(dst, i)
-					found++
-				}
-			}
-		}
-	}
-	m.AddNeighborSearches(1)
-	m.AddCandidatesExamined(candidates)
-	m.AddNeighborsFound(int64(found))
-	return dst, nil
-}
-
-// Run executes DBSCAN over the grid index (labels in the input point
-// order; there is no pre-sort). m may be nil. eps must not exceed the
-// cell side; minPts must be ≥ 1.
-func Run(ix *Index, eps float64, minPts int, m *metrics.Counters) (*cluster.Result, error) {
-	if eps <= 0 {
-		return nil, fmt.Errorf("gridindex: eps must be > 0, got %g", eps)
-	}
-	if minPts < 1 {
-		return nil, fmt.Errorf("gridindex: minpts must be >= 1, got %d", minPts)
-	}
-	if eps > ix.side {
-		return nil, fmt.Errorf("gridindex: run eps %g exceeds cell side %g", eps, ix.side)
-	}
-	n := ix.Len()
-	res := cluster.NewResult(n)
-	visited := make([]bool, n)
-	var cid int32
-	queue := make([]int32, 0, 1024)
-	var scratch []int32
-	absorb := func(neighbors []int32, cid int32) {
-		for _, k := range neighbors {
-			if !visited[k] {
-				visited[k] = true
-				queue = append(queue, k)
-			}
-			if res.Labels[k] <= 0 {
-				res.Labels[k] = cid
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if visited[i] {
-			continue
-		}
-		visited[i] = true
-		var err error
-		scratch, err = ix.NeighborSearch(ix.pts[i], eps, m, scratch[:0])
-		if err != nil {
-			return nil, err
-		}
-		if len(scratch) < minPts {
-			res.Labels[i] = cluster.Noise
-			continue
-		}
-		cid++
-		res.Labels[i] = cid
-		queue = queue[:0]
-		absorb(scratch, cid)
-		for qi := 0; qi < len(queue); qi++ {
-			j := queue[qi]
-			scratch, err = ix.NeighborSearch(ix.pts[j], eps, m, scratch[:0])
-			if err != nil {
-				return nil, err
-			}
-			if len(scratch) >= minPts {
-				absorb(scratch, cid)
-			}
-		}
-	}
-	res.NumClusters = int(cid)
-	return res, nil
-}
-
 // Stats describes the grid shape.
 type Stats struct {
 	Cols, Rows int
 	Cells      int
 	NonEmpty   int
 	MaxPerCell int
-}
-
-// Stats reports grid occupancy.
-func (ix *Index) Stats() Stats {
-	s := Stats{Cols: ix.cols, Rows: ix.rows, Cells: len(ix.cellPts)}
-	for _, ps := range ix.cellPts {
-		if len(ps) > 0 {
-			s.NonEmpty++
-		}
-		if len(ps) > s.MaxPerCell {
-			s.MaxPerCell = len(ps)
-		}
-	}
-	return s
 }
 
 // Flat is the frozen, production grid layout, the cell-grid analogue of
@@ -392,7 +200,7 @@ func (f *Flat) Len() int { return len(f.ids) }
 // block, larger eps widens the block accordingly.
 func (f *Flat) Side() float64 { return f.side }
 
-// Stats reports grid occupancy (shape shared with Index.Stats).
+// Stats reports grid occupancy.
 func (f *Flat) Stats() Stats {
 	s := Stats{Cols: int(f.cols), Rows: int(f.rows), Cells: int(f.cols) * int(f.rows)}
 	for c := 0; c < s.Cells; c++ {

@@ -5,11 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"vdbscan/internal/cluster"
-	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/gridindex"
-	"vdbscan/internal/metrics"
 )
 
 func blobs(k, m, noise int, extent, sigma float64, seed int64) []geom.Point {
@@ -38,179 +35,6 @@ func coords(pts []geom.Point) (xs, ys []float64) {
 	}
 	return xs, ys
 }
-
-func TestBuildValidation(t *testing.T) {
-	if _, err := gridindex.Build(nil, 0); err == nil {
-		t.Error("eps=0 accepted")
-	}
-	ix, err := gridindex.Build(nil, 1)
-	if err != nil || ix.Len() != 0 {
-		t.Fatalf("empty build: %v %v", ix, err)
-	}
-	got, err := ix.NeighborSearch(geom.Point{X: 0, Y: 0}, 1, nil, nil)
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty search: %v %v", got, err)
-	}
-}
-
-func TestBuildCapsCellCount(t *testing.T) {
-	// Tiny ε over a wide extent: the uncapped build would want ~10¹⁸
-	// cells. The capped build must coarsen the side instead and still
-	// answer searches exactly.
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0.25}, {X: 1e6, Y: 1e6}, {X: 1e6 + 0.3, Y: 1e6}}
-	const eps = 1e-3
-	ix, err := gridindex.Build(pts, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := ix.Stats(); s.Cells > gridindex.MaxCells {
-		t.Fatalf("cells = %d exceeds cap %d", s.Cells, gridindex.MaxCells)
-	}
-	if ix.Side() < eps {
-		t.Fatalf("side %g shrank below requested eps %g", ix.Side(), eps)
-	}
-	got, err := ix.NeighborSearch(geom.Point{X: 0, Y: 0}, eps, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("capped-grid search = %v, want [0]", got)
-	}
-}
-
-func TestBuildRejectsNonFinite(t *testing.T) {
-	for _, bad := range [][]geom.Point{
-		{{X: math.NaN(), Y: 0}, {X: 1, Y: 1}},
-		{{X: math.Inf(1), Y: 0}, {X: -1e308, Y: 1}},
-	} {
-		if _, err := gridindex.Build(bad, 1); err == nil {
-			t.Errorf("non-finite points accepted: %v", bad)
-		}
-	}
-}
-
-func TestNeighborSearchMatchesLinear(t *testing.T) {
-	pts := blobs(3, 300, 100, 30, 0.8, 1)
-	const eps = 1.2
-	ix, err := gridindex.Build(pts, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 60; trial++ {
-		q := geom.Point{X: rnd.Float64() * 30, Y: rnd.Float64() * 30}
-		searchEps := eps
-		if trial%2 == 0 {
-			searchEps = eps * rnd.Float64() // smaller eps is allowed
-		}
-		if searchEps == 0 {
-			continue
-		}
-		got, err := ix.NeighborSearch(q, searchEps, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for _, p := range pts {
-			if q.DistSq(p) <= searchEps*searchEps {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("search(%v, %g) = %d, want %d", q, searchEps, len(got), want)
-		}
-	}
-}
-
-func TestNeighborSearchRejectsLargerEps(t *testing.T) {
-	ix, _ := gridindex.Build([]geom.Point{{X: 0, Y: 0}}, 1)
-	if _, err := ix.NeighborSearch(geom.Point{X: 0, Y: 0}, 2, nil, nil); err == nil {
-		t.Error("eps > cell side accepted")
-	}
-}
-
-func TestRunMatchesRTreeDBSCAN(t *testing.T) {
-	pts := blobs(4, 200, 150, 30, 0.7, 3)
-	p := dbscan.Params{Eps: 0.9, MinPts: 4}
-	gix, err := gridindex.Build(pts, p.Eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := gridindex.Run(gix, p.Eps, p.MinPts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
-	wantSorted, err := dbscan.Run(rix, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantSorted.Remap(rix.Fwd)
-	if got.NumClusters != want.NumClusters {
-		t.Fatalf("clusters: grid %d vs rtree %d", got.NumClusters, want.NumClusters)
-	}
-	if got.NumNoise() != want.NumNoise() {
-		t.Fatalf("noise: grid %d vs rtree %d", got.NumNoise(), want.NumNoise())
-	}
-	if d := cluster.DisagreementCount(got, want); d > len(pts)/200 {
-		t.Fatalf("disagreements = %d", d)
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	ix, _ := gridindex.Build(blobs(1, 50, 0, 10, 0.5, 4), 1)
-	if _, err := gridindex.Run(ix, 0, 3, nil); err == nil {
-		t.Error("eps=0 accepted")
-	}
-	if _, err := gridindex.Run(ix, 1, 0, nil); err == nil {
-		t.Error("minpts=0 accepted")
-	}
-	if _, err := gridindex.Run(ix, 2, 3, nil); err == nil {
-		t.Error("eps > cell side accepted")
-	}
-}
-
-func TestMetricsAndStats(t *testing.T) {
-	pts := blobs(2, 200, 50, 20, 0.5, 5)
-	ix, _ := gridindex.Build(pts, 1)
-	var m metrics.Counters
-	if _, err := gridindex.Run(ix, 1, 4, &m); err != nil {
-		t.Fatal(err)
-	}
-	s := m.Snapshot()
-	if s.NeighborSearches != int64(len(pts)) {
-		t.Errorf("searches = %d, want %d", s.NeighborSearches, len(pts))
-	}
-	if s.CandidatesExamined < s.NeighborsFound {
-		t.Error("candidates < found")
-	}
-	gs := ix.Stats()
-	if gs.Cells <= 0 || gs.NonEmpty <= 0 || gs.MaxPerCell <= 0 {
-		t.Errorf("stats = %+v", gs)
-	}
-	if gs.Cols*gs.Rows != gs.Cells {
-		t.Errorf("cell count mismatch: %+v", gs)
-	}
-}
-
-func TestSinglePointAndDuplicates(t *testing.T) {
-	ix, _ := gridindex.Build([]geom.Point{{X: 5, Y: 5}}, 1)
-	res, err := gridindex.Run(ix, 1, 1, nil)
-	if err != nil || res.NumClusters != 1 {
-		t.Fatalf("single: %v %v", res, err)
-	}
-	dup := make([]geom.Point, 30)
-	for i := range dup {
-		dup[i] = geom.Point{X: 2, Y: 2}
-	}
-	ix, _ = gridindex.Build(dup, 0.5)
-	res, _ = gridindex.Run(ix, 0.5, 4, nil)
-	if res.NumClusters != 1 || res.NumClustered() != 30 {
-		t.Fatalf("duplicates: %v", res)
-	}
-}
-
-// --- Flat (production CSR layout) ---
 
 func TestFreezeValidation(t *testing.T) {
 	if _, err := gridindex.Freeze([]float64{1}, nil, 1); err == nil {
@@ -278,29 +102,48 @@ func TestFlatEpsSearchMatchesLinear(t *testing.T) {
 	}
 }
 
-func TestFlatMatchesPointerGrid(t *testing.T) {
-	pts := blobs(2, 500, 100, 25, 0.6, 21)
+// TestMetricsAndStats pins the two accounts a Flat gives of itself: the
+// candidate count of a search bounds its hits and is what the cells of the
+// scanned block hold, and Stats describes the CSR arrays.
+func TestMetricsAndStats(t *testing.T) {
+	pts := blobs(2, 200, 50, 20, 0.5, 5)
 	xs, ys := coords(pts)
-	const eps = 1.1
-	f, err := gridindex.Freeze(xs, ys, eps)
+	f, err := gridindex.Freeze(xs, ys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := gridindex.Build(pts, eps)
+	for _, q := range pts {
+		out, candidates, nodes := f.EpsSearch(q, 1, nil)
+		if len(out) < 1 || candidates < len(out) || nodes < 1 || nodes > 9 {
+			t.Fatalf("search(%v): %d hits, %d candidates, %d cells", q, len(out), candidates, nodes)
+		}
+	}
+	gs := f.Stats()
+	if gs.Cells <= 0 || gs.NonEmpty <= 0 || gs.MaxPerCell <= 0 {
+		t.Errorf("stats = %+v", gs)
+	}
+	if gs.Cols*gs.Rows != gs.Cells {
+		t.Errorf("cell count mismatch: %+v", gs)
+	}
+}
+
+func TestSinglePointAndDuplicates(t *testing.T) {
+	f, err := gridindex.Freeze([]float64{5}, []float64{5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fDst, pDst []int32
-	for i, q := range pts {
-		fDst, _, _ = f.EpsSearch(q, eps, fDst[:0])
-		var perr error
-		pDst, perr = ix.NeighborSearch(q, eps, nil, pDst[:0])
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		if len(fDst) != len(pDst) {
-			t.Fatalf("query %d: flat %d hits vs pointer %d", i, len(fDst), len(pDst))
-		}
+	if out, _, _ := f.EpsSearch(geom.Point{X: 5, Y: 5}, 1, nil); len(out) != 1 || out[0] != 0 {
+		t.Fatalf("single: %v", out)
+	}
+	dup := make([]float64, 30)
+	for i := range dup {
+		dup[i] = 2
+	}
+	if f, err = gridindex.Freeze(dup, dup, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if out, _, _ := f.EpsSearch(geom.Point{X: 2, Y: 2}, 0.5, nil); len(out) != 30 {
+		t.Fatalf("duplicates: %d of 30 found", len(out))
 	}
 }
 
@@ -342,8 +185,7 @@ func TestFlatEpsSearchZeroAlloc(t *testing.T) {
 }
 
 // FuzzGridSearch mirrors rtree's FuzzSearch: random point sets and
-// queries, grid Flat checked against the linear oracle and the pointer
-// grid against both.
+// queries, grid Flat checked against the linear oracle.
 func FuzzGridSearch(f *testing.F) {
 	f.Add(int64(1), uint8(50), 1.0, 0.5, 0.5)
 	f.Add(int64(7), uint8(200), 0.3, 10.0, -3.0)
@@ -387,8 +229,8 @@ func FuzzGridSearch(f *testing.F) {
 	})
 }
 
-// BenchmarkGridEpsSearch measures the CSR grid search against the
-// pointer-chasing bucket grid on a TEC-like clustered workload.
+// BenchmarkGridEpsSearch measures the CSR grid search on a TEC-like
+// clustered workload.
 func BenchmarkGridEpsSearch(b *testing.B) {
 	pts := blobs(20, 5000, 10000, 300, 2.0, 99)
 	xs, ys := coords(pts)
@@ -397,25 +239,11 @@ func BenchmarkGridEpsSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := gridindex.Build(pts, eps)
-	if err != nil {
-		b.Fatal(err)
-	}
 	queries := pts[:1024]
-	b.Run("flat", func(b *testing.B) {
-		dst := make([]int32, 0, len(pts))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			dst, _, _ = f.EpsSearch(q, eps, dst[:0])
-		}
-	})
-	b.Run("pointer", func(b *testing.B) {
-		dst := make([]int32, 0, len(pts))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			dst, _ = ix.NeighborSearch(q, eps, nil, dst[:0])
-		}
-	})
+	dst := make([]int32, 0, len(pts))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		dst, _, _ = f.EpsSearch(q, eps, dst[:0])
+	}
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"vdbscan/internal/dbscan"
+	"vdbscan/internal/rtree"
 )
 
 // DefaultMinPts is the paper-endorsed minpts for 2-D data.
@@ -24,6 +25,8 @@ const DefaultMinPts = 4
 // Curve computes the descending sorted k-dist graph over the index: one
 // entry per point holding the distance to its k-th nearest neighbor
 // (excluding the point itself). k must be ≥ 1 and the index non-trivial.
+// Nearest-neighbour queries need a pointer tree, which an Index does not
+// keep, so Curve bulk-loads its own one-point-per-leaf tree over ix.Pts.
 func Curve(ix *dbscan.Index, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kdist: k must be >= 1, got %d", k)
@@ -32,10 +35,11 @@ func Curve(ix *dbscan.Index, k int) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
+	tree := rtree.BulkLoad(ix.Pts, rtree.Options{R: 1})
 	dists := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		// k+1 nearest including self (distance 0 at rank 0).
-		nn := ix.THigh.NearestK(ix.Pts[i], k+1)
+		nn := tree.NearestK(ix.Pts[i], k+1)
 		if len(nn) < k+1 {
 			// Fewer than k other points exist: use the farthest available.
 			dists = append(dists, math.Sqrt(nn[len(nn)-1].DistSq))

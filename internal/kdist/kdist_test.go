@@ -115,6 +115,36 @@ func TestSuggestEpsSeparatesClustersFromNoise(t *testing.T) {
 	}
 }
 
+// TestSuggestEpsOnReloadedIndex runs the heuristic on the two kinds of
+// index that never had a T_high to borrow — a SkipHigh build and one that
+// went through FrozenParts / IndexFromFrozen, as every snapshot load does —
+// and requires the suggestion of a plain build.
+func TestSuggestEpsOnReloadedIndex(t *testing.T) {
+	pts := blobsAndNoise(3)
+	want, err := SuggestEps(dbscan.BuildIndex(pts, dbscan.IndexOptions{}), DefaultMinPts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := dbscan.BuildIndex(pts, dbscan.IndexOptions{SkipHigh: true})
+	parts, err := skip.FrozenParts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := dbscan.IndexFromFrozen(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*dbscan.Index{"skip-high": skip, "reloaded": reloaded} {
+		got, err := SuggestEps(ix, DefaultMinPts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("%s: suggestion %+v, want %+v", name, got, want)
+		}
+	}
+}
+
 func TestSuggestEpsValidation(t *testing.T) {
 	ix := dbscan.BuildIndex(blobsAndNoise(4)[:20], dbscan.IndexOptions{})
 	if _, err := SuggestEps(ix, 1); err == nil {

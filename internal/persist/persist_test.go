@@ -14,6 +14,7 @@ import (
 	"vdbscan/internal/dataio"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
+	"vdbscan/internal/gridindex"
 	"vdbscan/internal/metrics"
 )
 
@@ -231,6 +232,53 @@ func TestFwdSectionPlacement(t *testing.T) {
 	h, _ := layout(parts, 0)
 	if h.secs[secFwd].off != PageSize*4 {
 		t.Fatalf("secFwd moved to %d; update TestLoadCorruption", h.secs[secFwd].off)
+	}
+}
+
+// TestLoadRejectsMismatchedGrid doctors a valid grid-kind image the two
+// ways a grid section can disagree with its index. An installed grid is
+// the only thing an ε-search consults, so a grid over fewer points than the
+// index would drop neighbours silently, and one on an R-tree-kind header
+// would be searched by an index that never builds one. Both images are
+// well-formed section by section and carry a correct checksum: only
+// IndexFromFrozen stands between them and wrong answers.
+func TestLoadRejectsMismatchedGrid(t *testing.T) {
+	_, parts := buildFrozen(t, testPoints(2000, 13), dbscan.IndexGrid, 1.5)
+	n := len(parts.Pts)
+
+	prefix, err := gridindex.Freeze(parts.X[:n-1], parts.Y[:n-1], 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixParts := prefix.Parts()
+	short := parts
+	short.Grid = &prefixParts
+	shortPath := filepath.Join(t.TempDir(), "short")
+	if err := Save(shortPath, short, 1); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if _, _, err := Load(shortPath); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("grid over %d of %d points: err=%v, want ErrSnapshotCorrupt", n-1, n, err)
+	}
+
+	kindPath := filepath.Join(t.TempDir(), "kind")
+	if err := Save(kindPath, parts, 1); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if _, _, err := Load(kindPath); err != nil {
+		t.Fatalf("undoctored image: %v", err)
+	}
+	img, err := os.ReadFile(kindPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.NativeEndian.PutUint32(img[offKind:], uint32(dbscan.IndexRTree))
+	if err := os.WriteFile(kindPath, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stamp(t, kindPath)
+	if _, _, err := Load(kindPath); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("grid section on an R-tree header: err=%v, want ErrSnapshotCorrupt", err)
 	}
 }
 

@@ -95,23 +95,13 @@ func (o *Overlay) IsDeleted(idx int32) bool {
 func (o *Overlay) NumAdded() int   { return len(o.added) }
 func (o *Overlay) NumDeleted() int { return o.numDeleted }
 
-// Muts returns the number of mutation events recorded since the last
-// Reset — the quantity that must equal the tree-generation gap for the
-// overlay to be a complete delta.
+// Muts returns the number of mutation events recorded — the quantity
+// that must equal the tree-generation gap for the overlay to be a
+// complete delta.
 func (o *Overlay) Muts() uint64 { return o.muts }
 
 // Size returns the merge cost proxy: staged insertions plus deletions.
 func (o *Overlay) Size() int { return len(o.added) + o.numDeleted }
-
-// Reset empties the overlay (after its delta was folded into a fresh
-// snapshot).
-func (o *Overlay) Reset() {
-	o.added = o.added[:0]
-	o.addedPos = nil
-	o.deletedBits = nil
-	o.numDeleted = 0
-	o.muts = 0
-}
 
 // String implements fmt.Stringer.
 func (o *Overlay) String() string {
@@ -158,27 +148,6 @@ func EpsSearchOverlay(f *Flat, pts []geom.Point, p geom.Point, eps float64, dst 
 		}
 	}
 	return dst, candidates, nodesVisited
-}
-
-// SearchCandidatesOverlay is Flat.SearchCandidates merged with staged
-// overlay deltas: deleted indices are filtered from the snapshot's
-// candidates, and added points inside q are appended (each added point
-// acts as its own degenerate leaf entry).
-func SearchCandidatesOverlay(f *Flat, pts []geom.Point, q geom.MBB, dst []int32, ovs ...*Overlay) (out []int32, nodesVisited int) {
-	base := len(dst)
-	dst, nodesVisited = f.SearchCandidates(q, dst)
-	dst = filterDeleted(dst, base, ovs)
-	for _, ov := range ovs {
-		for _, idx := range ov.added {
-			if overlaysDelete(ovs, idx) {
-				continue
-			}
-			if q.ContainsPoint(pts[idx]) {
-				dst = append(dst, idx)
-			}
-		}
-	}
-	return dst, nodesVisited
 }
 
 // filterDeleted compacts dst[base:] in place, dropping indices deleted by

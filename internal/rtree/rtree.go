@@ -183,7 +183,7 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) R() int { return t.r }
 
 // Generation returns the tree's mutation counter: 0 after construction,
-// incremented by every Insert, InsertIndexed, Delete, and DeleteIndex.
+// incremented by every Insert, Delete, and DeleteIndex.
 // Compare against Flat.Generation to detect a stale frozen snapshot.
 func (t *Tree) Generation() uint64 { return t.gen }
 
@@ -193,22 +193,9 @@ func (t *Tree) Generation() uint64 { return t.gen }
 func (t *Tree) Insert(p geom.Point) {
 	idx := int32(len(t.pts))
 	t.pts = append(t.pts, p)
-	t.InsertIndexed(t.pts, idx)
-}
-
-// InsertIndexed adds a leaf entry for pts[idx], where pts is a
-// caller-owned backing array already extended to hold the point; the tree
-// adopts pts as its view. This is the insert path for callers (such as
-// dbscan.Index) that share one point array across several trees and must
-// not let each tree append its own copy of the point.
-func (t *Tree) InsertIndexed(pts []geom.Point, idx int32) {
-	if int(idx) >= len(pts) {
-		panic(fmt.Sprintf("rtree: InsertIndexed index %d out of range [0,%d)", idx, len(pts)))
-	}
-	t.pts = pts
 	t.size++
 	t.gen++
-	e := entry{mbb: geom.MBBOf(pts[idx]), start: idx, count: 1}
+	e := entry{mbb: geom.MBBOf(p), start: idx, count: 1}
 	split := t.insert(t.root, e)
 	if split != nil {
 		// Root was split: grow the tree upward.

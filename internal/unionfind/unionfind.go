@@ -3,8 +3,7 @@
 // reference [14] — and a lock-free ConcurrentDSU for parallel cluster
 // merging. The package is deliberately dependency-free so both the
 // clustering hot paths (internal/dbscan) and the incremental maintenance
-// layer (internal/incremental) can build on it; the disjoint-set DBSCAN
-// baseline itself lives in internal/dbscan as RunDisjointSet.
+// layer (internal/incremental) can build on it.
 package unionfind
 
 // DSU is a disjoint-set union structure with union by rank and path

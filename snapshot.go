@@ -29,10 +29,8 @@ type SnapshotInfo struct {
 // an opaque caller tag — a version counter, typically — echoed back by
 // LoadSnapshot.
 //
-// The index must be frozen: a flat-layout index built by NewIndex
-// qualifies immediately, as does a loaded snapshot. An index with staged
-// streaming insertions, or one built with WithFlatIndex(false), returns an
-// error rather than silently dropping data.
+// Every Index qualifies, whether built by NewIndex or loaded from a
+// snapshot: the image is the index, there is no staged state to lose.
 func (x *Index) SaveSnapshot(path string, seq uint64) error {
 	parts, err := x.ix.FrozenParts()
 	if err != nil {

@@ -95,16 +95,9 @@ func TestSnapshotLabelIdentity(t *testing.T) {
 	}
 }
 
-// TestSaveSnapshotRefusals pins the two refusal modes: an index without
-// the flat layout has nothing to snapshot, and a file that is not a
-// snapshot must fail typed.
+// TestSaveSnapshotRefusals pins the load-side refusals: a file that is not
+// a snapshot must fail typed, a missing one must fail.
 func TestSaveSnapshotRefusals(t *testing.T) {
-	pts := testPoints(t, 1000)
-	noFlat := NewIndex(pts, WithFlatIndex(false))
-	if err := noFlat.SaveSnapshot(filepath.Join(t.TempDir(), "s"), 1); err == nil {
-		t.Fatalf("SaveSnapshot accepted a pointer-tree index")
-	}
-
 	bogus := filepath.Join(t.TempDir(), "bogus")
 	if err := os.WriteFile(bogus, []byte("definitely not a snapshot, but long enough to decode"), 0o644); err != nil {
 		t.Fatal(err)
@@ -117,9 +110,9 @@ func TestSaveSnapshotRefusals(t *testing.T) {
 	}
 }
 
-// TestLoadedSnapshotAcceptsInserts verifies a loaded index is not a dead
-// end: Insert works (materializing mutable trees lazily) and a re-frozen
-// loaded index can be snapshotted again.
+// TestLoadedSnapshotRoundTripsTwice verifies a loaded index is not a dead
+// end: it can be snapshotted again and the second generation still
+// clusters identically.
 func TestLoadedSnapshotRoundTripsTwice(t *testing.T) {
 	pts := testPoints(t, 2000)
 	fresh := NewIndex(pts)

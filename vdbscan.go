@@ -8,7 +8,8 @@
 //
 //   - sharing one immutable pair of R-tree indexes across all variants
 //     (a low-resolution tree with r points per leaf MBB for ε-searches and
-//     a high-resolution tree for cluster sweeps);
+//     a high-resolution tree for cluster sweeps), built once and only read
+//     afterwards — a changed point set gets a new Index;
 //   - reusing the cluster results of completed variants whose parameters
 //     satisfy the inclusion criteria ε_i ≥ ε_j, minpts_i ≤ minpts_j; and
 //   - scheduling variant executions across a goroutine pool so that useful
@@ -30,7 +31,7 @@
 // # Options
 //
 // Configuration is split in two tiers. IndexOption values (WithR,
-// WithBinWidth, WithFlatIndex, WithRefreezeThreshold) fix the physical
+// WithBinWidth, WithIndexKind, WithRefreezeThreshold) fix the physical
 // index layout and are accepted by NewIndex and NewIncremental. RunOption
 // values (WithThreads, WithIntraThreads, WithReuseScheme, WithStrategy,
 // WithMinSeedSize, WithoutReuse, WithContext, WithProgress) shape one
@@ -45,7 +46,7 @@
 //
 // Every error returned across this package's boundary is prefixed
 // "vdbscan: " and supports errors.Is / errors.As against the cause chain:
-// sentinel values (ErrFlatTooLarge, ErrDeleteUnsupported) and context
+// sentinel values (ErrFlatTooLarge, ErrSnapshotCorrupt) and context
 // errors (context.Canceled, context.DeadlineExceeded from a WithContext
 // cancellation) are matchable through any wrapping this package adds.
 package vdbscan
@@ -221,7 +222,6 @@ type config struct {
 	strategy     SchedStrategy
 	minSeedSize  int
 	disableReuse bool
-	noFlat       bool
 	kind         IndexKind
 	refreezeN    int
 	work         *Work
@@ -254,15 +254,6 @@ func WithR(r int) IndexOption { return indexOpt(func(c *config) { c.r = r }) }
 // indexing (default 1, the paper's unit-width bins).
 func WithBinWidth(w float64) IndexOption { return indexOpt(func(c *config) { c.binWidth = w }) }
 
-// WithFlatIndex toggles the flat array-backed R-tree representation
-// (default on). After bulk loading, both trees are frozen into contiguous
-// struct-of-arrays node layouts traversed iteratively, which removes
-// pointer chasing and per-search allocations from the ε-search hot path;
-// clustering output is byte-identical either way. Pass false to search
-// the pointer-based trees directly (the pre-freeze layout, mainly useful
-// for layout ablations).
-func WithFlatIndex(on bool) IndexOption { return indexOpt(func(c *config) { c.noFlat = !on }) }
-
 // IndexKind selects the ε-search substrate; see WithIndexKind.
 type IndexKind = dbscan.IndexKind
 
@@ -280,8 +271,8 @@ const (
 	// R-tree — one build serves every variant; it wins when the data has
 	// bounded density skew (uniform-ish cell occupancy) and loses ground
 	// to the R-tree under heavy skew or very wide ε spreads. Cluster-MBB
-	// sweeps and streaming-insert fallbacks still use the R-trees, so
-	// reuse, intra-variant parallelism, and appends work unchanged.
+	// sweeps still use the high-resolution R-tree, so reuse and
+	// intra-variant parallelism work unchanged.
 	IndexGrid = dbscan.IndexGrid
 )
 
@@ -349,9 +340,8 @@ func WithoutReuse() RunOption { return runOpt(func(c *config) { c.disableReuse =
 // (n live points also trigger the first freeze). Smaller values keep
 // ε-searches closer to the pure flat-scan cost at the price of more
 // frequent compactions; 0 (the default) selects
-// incremental.DefaultRefreezeThreshold. Ignored by batch clustering,
-// where the index freezes exactly once. WithFlatIndex(false) disables
-// the snapshot machinery entirely.
+// incremental.DefaultRefreezeThreshold. Ignored by NewIndex and batch
+// clustering: an Index is frozen once, at construction, and never again.
 func WithRefreezeThreshold(n int) IndexOption { return indexOpt(func(c *config) { c.refreezeN = n }) }
 
 // WithWork records the run's accumulated work counters into w.
@@ -389,14 +379,14 @@ type Index struct {
 	pts []Point
 }
 
-// NewIndex grid-sorts points and builds the shared R-trees (WithR,
-// WithBinWidth, WithFlatIndex select the layout). The input slice is not
-// retained or modified.
+// NewIndex grid-sorts points and builds the shared R-trees in their frozen
+// array-backed layout (WithR, WithBinWidth, WithIndexKind select it). The
+// input slice is not retained or modified.
 func NewIndex(points []Point, opts ...IndexOption) *Index {
 	c := buildConfig(opts)
 	cp := append([]Point(nil), points...)
 	return &Index{
-		ix:  dbscan.BuildIndex(cp, dbscan.IndexOptions{R: c.r, BinWidth: c.binWidth, NoFlat: c.noFlat, Kind: c.kind}),
+		ix:  dbscan.BuildIndex(cp, dbscan.IndexOptions{R: c.r, BinWidth: c.binWidth, Kind: c.kind}),
 		pts: cp,
 	}
 }

@@ -541,8 +541,8 @@ func TestWithTracerChromeTrace(t *testing.T) {
 }
 
 // TestTracedVariantsByteIdentical is the acceptance criterion that tracing
-// changes nothing: pointer-tree and flat-tree runs with a tracer attached
-// must match an untraced flat run label for label.
+// changes nothing: runs with a tracer attached, or a nil one, must match
+// an untraced run label for label.
 func TestTracedVariantsByteIdentical(t *testing.T) {
 	pts := testPoints(t, 4000)
 	params := CartesianVariants([]float64{2, 3.5}, []int{4, 8, 12})
@@ -551,9 +551,8 @@ func TestTracedVariantsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opts := range map[string][]Option{
-		"flat+tracer":    {WithThreads(2), WithTracer(NewTracer())},
-		"pointer+tracer": {WithThreads(2), WithTracer(NewTracer()), WithFlatIndex(false)},
-		"nil-tracer":     {WithThreads(2), WithTracer(nil)},
+		"tracer":     {WithThreads(2), WithTracer(NewTracer())},
+		"nil-tracer": {WithThreads(2), WithTracer(nil)},
 	} {
 		run, err := ClusterVariants(pts, params, opts...)
 		if err != nil {
