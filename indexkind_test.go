@@ -2,6 +2,7 @@ package vdbscan
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -37,19 +38,28 @@ func samePartition(t *testing.T, got, want *Clustering, tag string) {
 	}
 }
 
-// TestIndexKindLabelEquivalence is the end-to-end cross-kind property:
-// ClusterVariants on an IndexGrid index must agree exactly with the
-// IndexRTree index under the same settings, for every variant, at every
-// worker width, with reuse on and off. Both substrates answer every
-// ε-search exactly, so the clusterings must be the same partition; at
-// threads=1 the schedule is deterministic too, so the raw label slices
-// must be byte-identical.
+// TestIndexKindLabelEquivalence is the end-to-end cross-kind property. A
+// grid-kind sweep runs ε-chains, every link of which emits the canonical
+// form (clusters numbered by ascending minimum core point, a border on the
+// lowest-numbered cluster with a core point within ε of it), so each
+// variant's bytes must equal Index.Cluster's for its parameters at every
+// worker width, with reuse on and off. The R-tree kind's reuse path
+// (Alg. 3/4) legitimately numbers clusters and attaches borders by its
+// schedule, so against it the sweep must be the same partition with the
+// exact same noise set.
 func TestIndexKindLabelEquivalence(t *testing.T) {
 	pts := testPoints(t, 8000)
-	params := CartesianVariants([]float64{1.5, 2, 3}, []int{4, 8})
+	params := CartesianVariants([]float64{1.5, 2, 3}, []int{4, 8, 16})
 
 	rtreeIdx := NewIndex(pts, WithIndexKind(IndexRTree))
 	gridIdx := NewIndex(pts, WithIndexKind(IndexGrid))
+	single := make([]*Clustering, len(params))
+	for vi, p := range params {
+		var err error
+		if single[vi], err = gridIdx.Cluster(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, threads := range []int{1, 2, 4, 8} {
 		for _, reuse := range []bool{true, false} {
@@ -68,15 +78,13 @@ func TestIndexKindLabelEquivalence(t *testing.T) {
 				}
 				for vi := range params {
 					tag := params[vi].String()
-					g, w := got.Results[vi].Clustering, want.Results[vi].Clustering
-					samePartition(t, g, w, tag)
-					if threads == 1 {
-						for i := range w.Labels {
-							if g.Labels[i] != w.Labels[i] {
-								t.Fatalf("%s: label[%d] = %d, want %d (byte-identity at threads=1)",
-									tag, i, g.Labels[i], w.Labels[i])
-							}
-						}
+					g := got.Results[vi].Clustering
+					samePartition(t, g, want.Results[vi].Clustering, tag)
+					if g.NumClusters != single[vi].NumClusters || !slices.Equal(g.Labels, single[vi].Labels) {
+						t.Fatalf("%s: sweep bytes differ from Index.Cluster's", tag)
+					}
+					if inherited := reuse && params[vi].MinPts < 16; got.Results[vi].FromScratch == inherited {
+						t.Fatalf("%s: FromScratch = %v, want %v", tag, inherited, !inherited)
 					}
 				}
 			})

@@ -97,7 +97,7 @@ func (s *Suite) IndexKinds() error {
 	}
 	t2.write(s.Out)
 	fmt.Fprintln(s.Out, "\nThe grid wins when cell occupancy is even (uniform-ish data, one")
-	fmt.Fprintln(s.Out, "dominant eps); the R-tree holds up under density skew and keeps the")
-	fmt.Fprintln(s.Out, "cluster-MBB sweep (T_high) that reuse requires on either kind.")
+	fmt.Fprintln(s.Out, "dominant eps); the R-tree holds up under density skew. The R-tree kind")
+	fmt.Fprintln(s.Out, "reuses clusters through T_high (Alg. 3/4); the grid kind runs eps-chains.")
 	return nil
 }

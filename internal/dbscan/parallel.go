@@ -57,6 +57,10 @@ import (
 // while the paper's scheduler maximizes throughput over many variants.
 // internal/sched composes the two levels by donating idle pool workers to
 // running variants through the Helper interface.
+//
+// A run is also one link of an ε-chain (RunLink): what the pass leaves
+// behind — flags, union-find, records — is exactly what a variant with the
+// same ε and a smaller MinPts needs in place of the index.
 
 // Helper donates extra worker goroutines to a parallel pass of
 // RunParallelOpts (the cell-major runner offers twice, once per pass). Offer
@@ -118,40 +122,82 @@ func RunParallel(ix *Index, p Params, workers int, m *metrics.Counters) (*cluste
 // RunParallelOpts is RunParallel with cancellation and donated workers. ctx
 // is checked once per chunk (per tile on the tiled path) and at the barrier
 // between passes; on cancellation the pass drains and the context error is
-// returned with no partial result.
+// returned with no partial result. It is the one-link case of RunLink: the
+// run's state is dropped with the return, nothing is cloned or kept.
 func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptions, m *metrics.Counters) (*cluster.Result, error) {
+	res, _, err := RunLink(ctx, ix, p, nil, opt, m)
+	return res, err
+}
+
+// Link is what a finished run leaves for the next variant of its ε-chain —
+// the same ε, a MinPts no larger: the core flags, the core-connectivity
+// union-find and the non-core records. "p has at least MinPts neighbours
+// within ε" is monotone in MinPts (the paper's inclusion criterion, read per
+// point), so the successor needs no ε-search: a core point stays core, every
+// core–core edge is already in the union-find, and a point that was not core
+// has its whole neighbourhood in its record, because it holds fewer than the
+// predecessor's MinPts entries. A Link is immutable — a successor works on a
+// clone — so any number of runs may start from one.
+type Link struct {
+	p Params
+	s *onePass
+}
+
+// Serves reports whether a run of p on l's index can replay l instead of
+// searching. A nil Link serves nothing.
+func (l *Link) Serves(p Params) bool {
+	return l != nil && l.p.Eps == p.Eps && l.p.MinPts >= p.MinPts
+}
+
+// RunLink is RunParallelOpts for one variant of an ε-chain. When prev, a
+// Link of an earlier RunLink on the same ix, serves p, the parallel pass
+// replays prev's records through consume under the new threshold instead of
+// searching the index — a record long enough is now core and unions with its
+// core neighbours, the rest are recorded again — at zero ε-searches, every
+// replayed neighbour entry counted as a candidate. Otherwise the run is from
+// scratch. Either way labelCores and attachBorders then produce Run's bytes,
+// and the returned Link (nil for an empty index) carries the run's state to
+// the next variant.
+func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelOptions, m *metrics.Counters) (*cluster.Result, *Link, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := ix.EnsureGrid(p.Eps); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := ix.Len()
 	if n == 0 {
-		return cluster.NewResult(0), nil
+		return cluster.NewResult(0), nil, nil
 	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	s := &onePass{
-		minPts: p.MinPts,
-		core:   make([]atomic.Bool, n),
-		dsu:    unionfind.NewConcurrent(n),
-	}
+	s := &onePass{minPts: p.MinPts}
 	phase := obs.PhaseMark
 	var passes []pass
-	if g := ix.cellDecomposition(p.Eps); g != nil {
-		units, spans := tileSpans(ix, g, opt.Tiles, workers)
-		if spans == nil {
-			units, spans = chunkSpans(g)
-		} else {
-			phase = obs.PhaseTileRun
+	if prev.Serves(p) {
+		// Element-wise: atomics, and another successor may be reading prev.
+		s.core = make([]atomic.Bool, n)
+		for i := range s.core {
+			s.core[i].Store(prev.s.core[i].Load())
 		}
-		passes = s.cellPasses(ix, g, p.Eps, units, spans)
+		s.dsu = prev.s.dsu.Clone()
+		passes = []pass{s.replay(prev.s.borders)}
 	} else {
-		passes = []pass{s.chunkUnits(ix, p.Eps)}
+		s.core, s.dsu = make([]atomic.Bool, n), unionfind.NewConcurrent(n)
+		if g := ix.cellDecomposition(p.Eps); g != nil {
+			units, spans := tileSpans(ix, g, opt.Tiles, workers)
+			if spans == nil {
+				units, spans = chunkSpans(g)
+			} else {
+				phase = obs.PhaseTileRun
+			}
+			passes = s.cellPasses(ix, g, p.Eps, units, spans)
+		} else {
+			passes = []pass{s.chunkUnits(ix, p.Eps)}
+		}
 	}
 	opt.Rec.PhaseBegin(opt.Variant, phase)
 	for i, ps := range passes {
@@ -162,7 +208,7 @@ func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptio
 	}
 	opt.Rec.PhaseEnd(opt.Variant, phase)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Sequential tail, O(n) with near-flat finds: number the core sets,
@@ -175,7 +221,7 @@ func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptio
 	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseBorder)
 	s.attachBorders(res.Labels)
 	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseBorder)
-	return res, nil
+	return res, &Link{p, s}, nil
 }
 
 // onePass is the state the workers of one run share: the published core
@@ -263,6 +309,21 @@ func (s *onePass) chunkUnits(ix *Index, eps float64) pass {
 		for i := lo; i < hi; i++ {
 			w.scratch = ix.NeighborSearchLocal(ix.Pts[i], eps, &w.local, w.scratch[:0])
 			w.arena = s.consume(int32(i), w.scratch, w.arena)
+		}
+	}}
+}
+
+// replay is the one pass of a chain link after the first: each unit is one
+// arena of the predecessor's records, fed back through consume. The arenas'
+// number and sizes follow the predecessor's schedule; their union, and so
+// everything this pass computes and counts, does not.
+func (s *onePass) replay(arenas [][]int32) pass {
+	return pass{len(arenas), func(u int, w *passWorker) {
+		for arena := arenas[u]; len(arena) > 0; {
+			b, k := arena[0], int(arena[1])
+			w.local.CandidatesExamined += int64(k)
+			w.arena = s.consume(b, arena[2:2+k], w.arena)
+			arena = arena[2+k:]
 		}
 	}}
 }

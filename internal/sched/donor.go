@@ -63,8 +63,9 @@ func (p *donorPool) Offer(variant int32, help func()) (stop func()) {
 	}
 }
 
-// variantStarted and variantFinished bracket each variant execution so
-// donate knows when parking is final.
+// variantStarted and variantFinished bracket each queue unit — a variant
+// execution, or a whole ε-chain of them, whose later links will still make
+// offers — so donate knows when parking is final.
 func (p *donorPool) variantStarted() {
 	p.mu.Lock()
 	p.active++

@@ -24,6 +24,14 @@
 // cores — donate themselves to the running variants' worker pools. Results
 // are unchanged: the parallel from-scratch path is label-identical to
 // sequential DBSCAN.
+//
+// All of the above is the R-tree index kind. On a grid-kind index the pool
+// runs ε-chains instead (dbscan.RunLink): the variants of one ε, minpts
+// descending, are one queue unit; the first runs from scratch and every
+// later one replays the non-core records its predecessor wrote, at zero
+// ε-searches. Every variant then has dbscan.Run's bytes and the same work
+// counters at every pool width; Strategy, Scheme and MinSeedSize do not
+// apply, and DisableReuse makes every variant its own chain.
 package sched
 
 import (
@@ -31,6 +39,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vdbscan/internal/cluster"
@@ -155,8 +164,9 @@ type VariantResult struct {
 	Result *cluster.Result
 	// Stats reports the reuse achieved.
 	Stats core.Stats
-	// SourceID is the original ID of the reused variant, or -1 for a
-	// from-scratch execution.
+	// SourceID is the original ID of the reused variant — on the grid kind
+	// the chain predecessor whose searches the variant inherited, with
+	// Stats.FractionReused 1 — or -1 for a from-scratch execution.
 	SourceID int
 	// Worker is the pool worker (0..T-1) that ran the variant.
 	Worker int
@@ -285,6 +295,22 @@ func (g *registry) choose(p dbscan.Params, norm variant.Normalizer) (*completedE
 	return &e, norm.Dist(p, e.params)
 }
 
+// units cuts an execution order into queue units: one variant each, or —
+// chain set, on the canonical order (ε ascending, minpts descending) — the
+// ε-chains of a grid-kind index: the run of variants sharing one ε, each
+// after the first served by its predecessor's dbscan.Link.
+func units(ordered []variant.Variant, chain bool) [][]variant.Variant {
+	var out [][]variant.Variant
+	for _, v := range ordered {
+		if last := len(out) - 1; chain && last >= 0 && out[last][0].Params.Eps == v.Params.Eps {
+			out[last] = append(out[last], v)
+		} else {
+			out = append(out, []variant.Variant{v})
+		}
+	}
+	return out
+}
+
 // order builds the execution queue for the chosen strategy over a canonical
 // sort of vs. It returns the variants in assignment order.
 func order(vs []variant.Variant, strategy Strategy) []variant.Variant {
@@ -336,16 +362,17 @@ func Execute(ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, e
 }
 
 // ExecuteContext is Execute with cancellation: when ctx is canceled, no new
-// variant executions start and the context error is returned once in-flight
-// variants finish. A single variant execution is not interruptible (its
-// work is bounded by one from-scratch DBSCAN run).
+// variant executions start — not the next link of a running chain either —
+// and the context error is returned once in-flight variants finish. A
+// sequential variant execution is not interruptible (its work is bounded by
+// one from-scratch DBSCAN run); a parallel one stops at its next chunk.
 func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, error) {
 	if err := variant.Validate(vs); err != nil {
 		return nil, err
 	}
 	// Grid-kind indexes get one cell-grid build sized for the whole
-	// variant set's max ε, so every variant (and every reuse expansion)
-	// shares it — the grid analogue of the shared R-tree pair.
+	// variant set's max ε, so every chain's sparse-cell searches share it —
+	// the grid analogue of the shared R-tree pair.
 	maxEps := 0.0
 	for _, v := range vs {
 		if v.Params.Eps > maxEps {
@@ -359,7 +386,15 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	if threads <= 0 {
 		threads = 1
 	}
-	queue := order(vs, opt.Strategy)
+	// The queue's unit: a variant on the R-tree kind, an ε-chain on the grid.
+	gridKind := ix.Kind == dbscan.IndexGrid
+	var queue [][]variant.Variant
+	strategy := "EPSCHAIN"
+	if gridKind {
+		queue = units(variant.Sorted(vs), !opt.DisableReuse)
+	} else {
+		queue, strategy = units(order(vs, opt.Strategy), false), opt.Strategy.String()
+	}
 	norm := variant.NewNormalizer(vs)
 	reg := &registry{}
 
@@ -382,8 +417,8 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	scratchOnly := map[int]bool{}
 	if opt.Strategy == SchedMinPts {
 		seen := map[float64]bool{}
-		for _, v := range queue {
-			if !seen[v.Params.Eps] {
+		for _, u := range queue {
+			if v := u[0]; !seen[v.Params.Eps] {
 				seen[v.Params.Eps] = true
 				scratchOnly[v.ID] = true
 			} else {
@@ -393,26 +428,29 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	}
 
 	var pool *donorPool
+	var helper dbscan.Helper // nil, not a nil *donorPool, when nothing donates
 	if opt.DonateIdle {
 		pool = newDonorPool()
+		helper = pool
 	}
 
 	results := make([]VariantResult, len(vs))
 	var next int
 	var nextMu sync.Mutex
-	take := func() (variant.Variant, bool) {
+	take := func() ([]variant.Variant, bool) {
 		if ctx.Err() != nil {
-			return variant.Variant{}, false
+			return nil, false
 		}
 		nextMu.Lock()
 		defer nextMu.Unlock()
 		if next >= len(queue) {
-			return variant.Variant{}, false
+			return nil, false
 		}
-		v := queue[next]
+		u := queue[next]
 		next++
-		return v, true
+		return u, true
 	}
+	var started atomic.Int64 // variants begun, for the cancellation error
 
 	// start is the run's single monotonic basis: every VariantResult offset
 	// and every trace event measures time.Since(start), so spans from
@@ -424,10 +462,14 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 		for _, v := range vs {
 			names[v.ID] = v.Params.String()
 		}
-		tr.StartRun(start, opt.Strategy.String(), names)
+		tr.StartRun(start, strategy, names)
 		runRec := tr.Worker(-1)
-		for pos, v := range queue {
-			runRec.Event(obs.KindQueued, int32(v.ID), int64(pos), 0)
+		pos := int64(0)
+		for _, u := range queue {
+			for _, v := range u {
+				runRec.Event(obs.KindQueued, int32(v.ID), pos, 0)
+				pos++
+			}
 		}
 	}
 
@@ -459,6 +501,107 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			Elapsed:            vr.End,
 		})
 	}
+
+	// runUnit executes one queue unit on a pool worker. ctx is checked
+	// between the links of a chain; a canceled unit returns nil and the
+	// post-wait ctx check reports it.
+	runUnit := func(worker int, rec *obs.Recorder, unit []variant.Variant) error {
+		if pool != nil {
+			pool.variantStarted()
+			defer pool.variantFinished()
+		}
+		var link *dbscan.Link // the chain's previous link
+		for i, v := range unit {
+			if i > 0 && ctx.Err() != nil {
+				return nil
+			}
+			started.Add(1)
+			vr := VariantResult{Variant: v, Worker: worker, SourceID: -1}
+			vr.Start = time.Since(start)
+			rec.Event(obs.KindStarted, int32(v.ID), 0, 0)
+
+			var prev *cluster.Result
+			if !gridKind && !opt.DisableReuse && !scratchOnly[v.ID] {
+				var e *completedEntry
+				var dist float64
+				if opt.Strategy == SchedTree {
+					if pid, ok := treeParent[v.ID]; ok && pid >= 0 {
+						if e = reg.byID(pid); e != nil {
+							dist = norm.Dist(v.Params, e.params)
+						}
+					}
+				}
+				if e == nil {
+					e, dist = reg.choose(v.Params, norm)
+				}
+				if e != nil {
+					prev = e.result
+					vr.SourceID = e.id
+					rec.Event(obs.KindSeedSelected, int32(v.ID), int64(e.id), dist)
+				}
+			}
+			// With tracing on, the variant runs against its own counter
+			// set so its work delta is exact even while other variants
+			// accumulate concurrently; the delta is folded into the
+			// run-wide totals afterwards, leaving them unchanged.
+			vmet := opt.Metrics
+			var own *metrics.Counters
+			if tr != nil {
+				own = new(metrics.Counters)
+				vmet = own
+			}
+			popt := dbscan.ParallelOptions{Workers: max(opt.IntraWorkers, 1), Helper: helper,
+				Rec: rec, Variant: int32(v.ID), Tiles: opt.Tiles}
+			var res *cluster.Result
+			var stats core.Stats
+			var err error
+			switch {
+			case gridKind:
+				// A link its predecessor serves inherits every point's
+				// ε-search; a chain's first link runs from scratch.
+				stats = core.Stats{FromScratch: true}
+				if link.Serves(v.Params) {
+					src := unit[i-1]
+					vr.SourceID = src.ID
+					stats = core.Stats{PointsReused: ix.Len(), FractionReused: 1}
+					rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
+				}
+				res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
+			case opt.intraEnabled() && (prev == nil || prev.NumClusters == 0):
+				// From-scratch execution on the intra-variant parallel
+				// path: label-identical to dbscan.Run, but chunked over
+				// IntraWorkers goroutines plus any donated idle workers.
+				res, err = dbscan.RunParallelOpts(ctx, ix, v.Params, popt, vmet)
+				stats = core.Stats{FromScratch: true}
+			default:
+				res, stats, err = core.RunOpts(ix, v.Params, prev,
+					core.Options{Scheme: opt.Scheme, MinSeedSize: opt.MinSeedSize,
+						Rec: rec, Variant: int32(v.ID)}, vmet)
+			}
+			if own != nil {
+				opt.Metrics.AddSnapshot(own.Snapshot())
+			}
+			if err != nil {
+				if ctx.Err() != nil {
+					return nil // canceled mid-variant (interruptible parallel path)
+				}
+				return fmt.Errorf("variant %v: %w", v, err)
+			}
+			if stats.FromScratch {
+				vr.SourceID = -1
+			}
+			vr.Result, vr.Stats = res, stats
+			vr.End = time.Since(start)
+			if !gridKind {
+				reg.publish(completedEntry{params: v.Params, id: v.ID, result: res})
+			}
+			results[v.ID] = vr
+			rec.Done(int32(v.ID), int64(vr.SourceID), stats.FractionReused, own.Snapshot())
+			reportProgress(&vr)
+		}
+		return nil
+	}
+
 	var wg sync.WaitGroup
 	errs := make([]error, threads)
 	for w := 0; w < threads; w++ {
@@ -466,10 +609,10 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 		go func(worker int) {
 			defer wg.Done()
 			rec := tr.Worker(worker) // nil recorder when tracing is off
-			for {
-				v, ok := take()
+			for errs[worker] == nil {
+				unit, ok := take()
 				if !ok {
-					// No variant will ever be taken again (queue drained or
+					// No unit will ever be taken again (queue drained or
 					// ctx canceled): donate this worker to the running
 					// variants' intra-variant pools instead of parking.
 					if pool != nil {
@@ -477,95 +620,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 					}
 					return
 				}
-				vr := VariantResult{Variant: v, Worker: worker, SourceID: -1}
-				vr.Start = time.Since(start)
-				rec.Event(obs.KindStarted, int32(v.ID), 0, 0)
-
-				var prev *cluster.Result
-				if !opt.DisableReuse && !scratchOnly[v.ID] {
-					var e *completedEntry
-					var dist float64
-					if opt.Strategy == SchedTree {
-						if pid, ok := treeParent[v.ID]; ok && pid >= 0 {
-							if e = reg.byID(pid); e != nil {
-								dist = norm.Dist(v.Params, e.params)
-							}
-						}
-					}
-					if e == nil {
-						e, dist = reg.choose(v.Params, norm)
-					}
-					if e != nil {
-						prev = e.result
-						vr.SourceID = e.id
-						rec.Event(obs.KindSeedSelected, int32(v.ID), int64(e.id), dist)
-					}
-				}
-				// With tracing on, the variant runs against its own counter
-				// set so its work delta is exact even while other variants
-				// accumulate concurrently; the delta is folded into the
-				// run-wide totals afterwards, leaving them unchanged.
-				vmet := opt.Metrics
-				var own *metrics.Counters
-				if tr != nil {
-					own = new(metrics.Counters)
-					vmet = own
-				}
-				var res *cluster.Result
-				var stats core.Stats
-				var err error
-				if opt.intraEnabled() && (prev == nil || prev.NumClusters == 0) {
-					// From-scratch execution on the intra-variant parallel
-					// path: label-identical to dbscan.Run, but chunked over
-					// IntraWorkers goroutines plus any donated idle workers.
-					if pool != nil {
-						pool.variantStarted()
-					}
-					w := opt.IntraWorkers
-					if w < 1 {
-						w = 1
-					}
-					popt := dbscan.ParallelOptions{Workers: w, Rec: rec, Variant: int32(v.ID), Tiles: opt.Tiles}
-					if pool != nil {
-						popt.Helper = pool
-					}
-					res, err = dbscan.RunParallelOpts(ctx, ix, v.Params, popt, vmet)
-					stats = core.Stats{FromScratch: true}
-					if pool != nil {
-						pool.variantFinished()
-					}
-				} else {
-					if pool != nil {
-						pool.variantStarted()
-					}
-					res, stats, err = core.RunOpts(ix, v.Params, prev,
-						core.Options{Scheme: opt.Scheme, MinSeedSize: opt.MinSeedSize,
-							Rec: rec, Variant: int32(v.ID)}, vmet)
-					if pool != nil {
-						pool.variantFinished()
-					}
-				}
-				if own != nil {
-					opt.Metrics.AddSnapshot(own.Snapshot())
-				}
-				if err != nil {
-					if ctx.Err() != nil {
-						// Canceled mid-variant (interruptible parallel
-						// path); the post-wait ctx check reports it.
-						return
-					}
-					errs[worker] = fmt.Errorf("variant %v: %w", v, err)
-					return
-				}
-				if stats.FromScratch {
-					vr.SourceID = -1
-				}
-				vr.Result, vr.Stats = res, stats
-				vr.End = time.Since(start)
-				reg.publish(completedEntry{params: v.Params, id: v.ID, result: res})
-				results[v.ID] = vr
-				rec.Done(int32(v.ID), int64(vr.SourceID), stats.FractionReused, own.Snapshot())
-				reportProgress(&vr)
+				errs[worker] = runUnit(worker, rec, unit)
 			}
 		}(w)
 	}
@@ -576,7 +631,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sched: canceled after %d of %d variants: %w", next, len(vs), err)
+		return nil, fmt.Errorf("sched: canceled after %d of %d variants: %w", started.Load(), len(vs), err)
 	}
 
 	rr := &RunResult{Results: results, Threads: threads, Makespan: time.Since(start)}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -416,6 +417,15 @@ func TestExecuteContextCancellation(t *testing.T) {
 	if _, err := ExecuteContext(context.Background(), ix, vs, Options{Threads: 2}); err != nil {
 		t.Fatal(err)
 	}
+	// Canceled inside a chain: ctx is checked between links, and the error
+	// counts variants, not the chains the queue hands out.
+	grid := dbscan.BuildIndex(ix.Pts, dbscan.IndexOptions{Kind: dbscan.IndexGrid})
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	_, err = ExecuteContext(ctx, grid, vs, Options{Threads: 1, Progress: func(obs.ProgressEvent) { cancel() }})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "after 1 of 9 variants") {
+		t.Errorf("err = %v, want canceled after 1 of 9 variants", err)
+	}
 }
 
 // --- Two-level scheduling (intra-variant donation) ---
@@ -589,15 +599,23 @@ func TestSpansShareMonotonicBasis(t *testing.T) {
 // seed-selected events consistent with SourceID, per-variant work deltas
 // summing to the run totals).
 //
-// Byte-equality is asserted at Threads == 1 only. At Threads > 1 the
-// online scheduler reuses the closest *completed* variant, completion
-// order is timing, and two valid sources differ in cluster numbering and
-// border attachment — with or without a tracer. There the test asserts
-// what every valid source agrees on: the cluster count and the exact
-// noise set. ROADMAP item 1 (schedule-independent results) is the change
-// that restores byte-equality at every thread count.
+// On the grid kind byte-equality holds at every thread count: its sweeps run
+// ε-chains, whose bytes do not depend on the schedule, and a link after a
+// chain's first must report no ε-search in its work delta. On the R-tree
+// kind it is asserted at Threads == 1 only. At Threads > 1 the online
+// scheduler reuses the closest *completed* variant, completion order is
+// timing, and two valid sources differ in cluster numbering and border
+// attachment — with or without a tracer. There the test asserts what every
+// valid source agrees on: the cluster count and the exact noise set; ROADMAP
+// item 1 (schedule-independent results) stays open for that kind.
 func TestTracedRunMatchesUntraced(t *testing.T) {
-	ix := testIndex(t)
+	for _, kind := range []dbscan.IndexKind{dbscan.IndexRTree, dbscan.IndexGrid} {
+		ix := dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1), dbscan.IndexOptions{R: 16, Kind: kind})
+		tracedRunMatchesUntraced(t, ix)
+	}
+}
+
+func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 	vs := variant.Product([]float64{0.4, 0.8, 1.2}, []int{4, 8, 12, 16})
 	for _, threads := range []int{1, 3} {
 		plain, err := Execute(ix, vs, Options{Threads: threads, Scheme: reuse.ClusDensity})
@@ -615,16 +633,16 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		for id := range plain.Results {
 			a, b := plain.Results[id].Result, traced.Results[id].Result
 			if a.NumClusters != b.NumClusters {
-				t.Fatalf("T=%d v%d: clusters %d vs %d", threads, id, b.NumClusters, a.NumClusters)
+				t.Fatalf("%v T=%d v%d: clusters %d vs %d", ix.Kind, threads, id, b.NumClusters, a.NumClusters)
 			}
 			for i := range a.Labels {
 				same := a.Labels[i] == b.Labels[i]
-				if threads > 1 {
+				if ix.Kind == dbscan.IndexRTree && threads > 1 {
 					same = (a.Labels[i] == cluster.Noise) == (b.Labels[i] == cluster.Noise)
 				}
 				if !same {
-					t.Fatalf("T=%d v%d: label[%d] = %d with tracing, %d without",
-						threads, id, i, b.Labels[i], a.Labels[i])
+					t.Fatalf("%v T=%d v%d: label[%d] = %d with tracing, %d without",
+						ix.Kind, threads, id, i, b.Labels[i], a.Labels[i])
 				}
 			}
 		}
@@ -646,12 +664,19 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 					t.Fatalf("T=%d v%d: done frac %v, stats %v",
 						threads, e.Variant, e.F, traced.Results[e.Variant].Stats.FractionReused)
 				}
+				if ix.Kind == dbscan.IndexGrid && e.Arg >= 0 && e.Work.NeighborSearches != 0 {
+					t.Fatalf("T=%d v%d: inherited link ran %d ε-searches", threads, e.Variant, e.Work.NeighborSearches)
+				}
 			}
 		}
 		for _, v := range vs {
 			id := int32(v.ID)
 			if started[id] != 1 || done[id] != 1 {
 				t.Fatalf("T=%d v%d: started %d done %d, want 1/1", threads, id, started[id], done[id])
+			}
+			// A chain's first link has the largest minpts of its ε.
+			if inherited := v.Params.MinPts < 16; ix.Kind == dbscan.IndexGrid && (traced.Results[id].SourceID >= 0) != inherited {
+				t.Fatalf("T=%d %v: SourceID %d, inherited should be %v", threads, v.Params, traced.Results[id].SourceID, inherited)
 			}
 		}
 		// Per-variant deltas must partition the run totals exactly.

@@ -132,8 +132,9 @@ func (g *registry) rotateWAL(d *dataset) (folded int) {
 	return folded
 }
 
-// persistInstall makes an installed re-freeze durable: snapshot the new
-// index under the folded sequence, then retire every segment it covers.
+// persistInstall makes a re-freeze durable before refreeze installs it:
+// snapshot the new index under the folded sequence, then retire every
+// segment it covers.
 // Runs off d.mu (snapshotting is the expensive part); the per-refreeze
 // serialization of the caller is its mutual exclusion.
 func (g *registry) persistInstall(d *dataset, idx *vdbscan.Index, folded int) {

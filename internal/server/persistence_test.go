@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -228,5 +229,71 @@ func TestDeleteRemovesDatasetDir(t *testing.T) {
 	defer drainAndStop(t, s2, ts2)
 	if got := s2.registry.len(); got != 0 {
 		t.Fatalf("deleted dataset resurrected (%d live)", got)
+	}
+}
+
+// TestRefreezeDurableBeforeVisible pins the order of a re-freeze's last two
+// steps: the fold's snapshot is on disk before any observer can see the
+// fold. The test parks the re-freeze right after its snapshot write — the
+// persistence hook fires between the two steps — and requires the dataset
+// document to still show the previous generation mid-refreeze, while a
+// server started on a copy of the data dir taken at that instant (a kill,
+// as far as the disk can tell) already serves the folded one.
+func TestRefreezeDurableBeforeVisible(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Threads: 1, DataDir: dir, RefreezePoints: 4})
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	observe := s.registry.onPersist
+	s.registry.onPersist = func(d *dataset, op string, dur time.Duration) {
+		observe(d, op, dur)
+		if op == persistOpWrite && armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	c := &testClient{t: t, base: ts.URL}
+	defer drainAndStop(t, s, ts)
+
+	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 100)), http.StatusCreated)
+	armed.Store(true)
+	c.doJSON("POST", "/v1/datasets/d1/points", []byte("9,9\n9.1,9\n9,9.1\n9.1,9.1\n"), http.StatusAccepted)
+	<-entered
+	doc := c.doJSON("GET", "/v1/datasets/d1", nil, http.StatusOK)
+	crash := t.TempDir()
+	copyFiles(t, filepath.Join(dir, "d1"), filepath.Join(crash, "d1"))
+	close(release)
+	if doc["refreezing"] != true || doc["points"] != float64(100) {
+		t.Fatalf("the fold was visible before its snapshot write returned: %v", doc)
+	}
+
+	s2, ts2, c2 := startGeneration(t, Config{Threads: 1, DataDir: crash})
+	defer drainAndStop(t, s2, ts2)
+	doc = c2.doJSON("GET", "/v1/datasets/d1", nil, http.StatusOK)
+	if doc["points"] != float64(104) || doc["staged"] != float64(0) {
+		t.Fatalf("a kill after the snapshot write restarted on the previous generation: %v", doc)
+	}
+}
+
+// copyFiles copies the regular files of directory from into a new
+// directory to.
+func copyFiles(t *testing.T, from, to string) {
+	t.Helper()
+	if err := os.Mkdir(to, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(from, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, ent.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

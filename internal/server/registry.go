@@ -250,6 +250,10 @@ func (g *registry) refreeze(d *dataset, ctrs *counters) {
 	}
 	idx := vdbscan.NewIndex(combined, opts...) // the expensive part, off-lock
 
+	// Durable before visible: once an observer can read the new generation
+	// (or refreezing == false), a kill must restart on it, not on the
+	// previous snapshot with the fold back in the WAL as staged points.
+	g.persistInstall(d, idx, folded)
 	d.mu.Lock()
 	d.points = combined
 	d.index = idx
@@ -259,7 +263,6 @@ func (g *registry) refreeze(d *dataset, ctrs *counters) {
 	ch := d.flushCh
 	d.flushCh = nil
 	d.mu.Unlock()
-	g.persistInstall(d, idx, folded)
 	if ctrs != nil {
 		ctrs.refreezes.Add(1)
 	}

@@ -31,6 +31,18 @@ func NewConcurrent(n int) *ConcurrentDSU {
 	return d
 }
 
+// Clone returns an independent copy of d's current partition. The caller
+// must ensure no Union is in flight; concurrent Find calls are fine (path
+// halving never changes a set), which is why the parents are copied
+// element-wise through Load and Store rather than with copy().
+func (d *ConcurrentDSU) Clone() *ConcurrentDSU {
+	c := &ConcurrentDSU{parent: make([]atomic.Int32, len(d.parent))}
+	for i := range d.parent {
+		c.parent[i].Store(d.parent[i].Load())
+	}
+	return c
+}
+
 // Len returns the number of elements.
 func (d *ConcurrentDSU) Len() int { return len(d.parent) }
 

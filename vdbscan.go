@@ -270,15 +270,29 @@ const (
 	// sized for the variant set's largest ε on first use, so — like the
 	// R-tree — one build serves every variant; it wins when the data has
 	// bounded density skew (uniform-ish cell occupancy) and loses ground
-	// to the R-tree under heavy skew or very wide ε spreads. Cluster-MBB
-	// sweeps still use the high-resolution R-tree, so reuse and
-	// intra-variant parallelism work unchanged.
+	// to the R-tree under heavy skew or very wide ε spreads.
+	//
+	// ClusterVariants on this kind does not reuse finished clusters
+	// (Alg. 3/4 stay the R-tree kind's). It runs ε-chains: the variants
+	// sharing one ε, largest minpts first, execute in order on one pool
+	// worker; the first runs the cell-major pass from scratch and keeps
+	// its core flags, core-connectivity union-find and the neighbour
+	// lists of its non-core points, and every later one replays those
+	// lists under its smaller minpts — no ε-search, exact by the
+	// monotonicity the paper's inclusion criterion rests on. Every
+	// variant's labels and work counters are then those of Index.Cluster
+	// for its parameters, at every WithThreads width and with reuse on or
+	// off (WithoutReuse: every variant from scratch). WithReuseScheme,
+	// WithStrategy and WithMinSeedSize are no-ops on this kind.
 	IndexGrid = dbscan.IndexGrid
 )
 
 // WithIndexKind selects the ε-search index structure (default
-// IndexRTree). Clustering output is byte-identical across kinds — only
-// the search substrate, and therefore the performance envelope, changes.
+// IndexRTree). Cluster's output is byte-identical across kinds — only the
+// search substrate, and therefore the performance envelope, changes.
+// ClusterVariants with reuse gives the same partition and noise set on
+// both; the R-tree kind's cluster numbering and border attachment follow
+// its reuse schedule, the grid kind's are always Cluster's.
 func WithIndexKind(k IndexKind) IndexOption { return indexOpt(func(c *config) { c.kind = k }) }
 
 // WithThreads sets the number of worker goroutines T executing variants
@@ -456,10 +470,12 @@ type VariantResult struct {
 	// variant and ran plain DBSCAN.
 	FromScratch bool
 	// FractionReused is the fraction of points copied from a completed
-	// variant without an ε-neighborhood search.
+	// variant without an ε-neighborhood search; 1 for a grid-kind variant
+	// that inherited every search from its ε-chain predecessor.
 	FractionReused float64
 	// SourceIndex is the position (in the input params slice) of the
-	// variant whose result was reused, or -1.
+	// variant whose result was reused — the chain predecessor on the grid
+	// kind — or -1.
 	SourceIndex int
 	// Worker identifies the pool worker that ran the variant.
 	Worker int
@@ -502,7 +518,8 @@ func (r *VariantRun) MeanFractionReused() float64 {
 
 // ClusterVariants executes every parameter variant with VariantDBSCAN:
 // variants run concurrently on WithThreads workers, reusing completed
-// variants' clusters whenever the inclusion criteria allow.
+// variants' clusters whenever the inclusion criteria allow — or, on an
+// IndexGrid index, as ε-chains (see IndexGrid).
 func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("vdbscan: no variants given")
