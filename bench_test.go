@@ -157,7 +157,7 @@ func BenchmarkFig5ReuseSchemes(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sched.Execute(fixTECIx, vs, sched.Options{
-					Threads: 1, Scheme: scheme, Metrics: &m,
+					Threads: 1, Strategy: sched.SchedGreedy, Scheme: scheme, Metrics: &m,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -174,7 +174,7 @@ func BenchmarkFig6ResponseVsReuse(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
 	for i := 0; i < b.N; i++ {
-		rr, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Scheme: reuse.ClusDensity})
+		rr, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkFig7aSpeedup(b *testing.B) {
 	b.Run("variantdbscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sched.Execute(fixIdx[70], vs, sched.Options{
-				Threads: 1, Scheme: reuse.ClusDensity,
+				Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func BenchmarkFig7bReuseFraction(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
 	for i := 0; i < b.N; i++ {
-		rr, err := sched.Execute(fixIdx[70], vs, sched.Options{Threads: 1, Scheme: reuse.ClusDensity})
+		rr, err := sched.Execute(fixIdx[70], vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkFig7cQuality(b *testing.B) {
 	}
 	rr, err := sched.Execute(fixTECIx, variant.New([]dbscan.Params{
 		{Eps: tecParams.Eps * 0.8, MinPts: 8}, tecParams,
-	}), sched.Options{Threads: 1, Scheme: reuse.ClusDensity})
+	}), sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,14 +330,14 @@ func BenchmarkAblationSingleTree(b *testing.B) {
 	}
 	b.Run("two-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Scheme: reuse.ClusDensity}); err != nil {
+			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("single-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(single, vs, sched.Options{Threads: 1, Scheme: reuse.ClusDensity}); err != nil {
+			if _, err := sched.Execute(single, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -390,7 +390,7 @@ func BenchmarkAblationOPTICSvsVariants(b *testing.B) {
 		}
 		vs := variant.New(ps)
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Scheme: reuse.ClusDensity}); err != nil {
+			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -445,7 +445,7 @@ func BenchmarkAblationSeedFilter(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sched.Execute(fixTECIx, vs, sched.Options{
-					Threads: 1, Scheme: reuse.ClusDensity, MinSeedSize: minSize, Metrics: &m,
+					Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity, MinSeedSize: minSize, Metrics: &m,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -478,7 +478,7 @@ func BenchmarkAblationIntraVsVariantParallel(b *testing.B) {
 		vs := variant.New(ps)
 		for i := 0; i < b.N; i++ {
 			if _, err := sched.Execute(fixTECIx, vs, sched.Options{
-				Threads: 8, Scheme: reuse.ClusDensity,
+				Threads: 8, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity,
 			}); err != nil {
 				b.Fatal(err)
 			}

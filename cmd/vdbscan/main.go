@@ -7,7 +7,8 @@
 //	vdbscan -in data.csv -eps 0.5 -minpts 4 -labels out.csv     # save labels
 //
 // With -A/-B the full variant set is executed with VariantDBSCAN (shared
-// index, cluster reuse, scheduling) and a per-variant summary is printed;
+// index, ε-chains by default or a paper heuristic's cluster reuse with
+// -sched greedy|minpts|tree, scheduling) and a per-variant summary is printed;
 // -labels then writes one file per variant (out.v0.csv, out.v1.csv, ...)
 // in CartesianVariants order.
 package main
@@ -35,8 +36,8 @@ func main() {
 	threads := flag.Int("threads", 1, "worker goroutines")
 	r := flag.Int("r", 70, "points per leaf MBB in the eps-search tree")
 	indexKind := flag.String("index", "rtree", "eps-search index structure: rtree or grid")
-	scheme := flag.String("reuse", "density", "cluster reuse scheme: default, density, ptssquared")
-	strategy := flag.String("sched", "greedy", "scheduling heuristic: greedy, minpts, tree")
+	scheme := flag.String("reuse", "density", "cluster reuse scheme of a paper heuristic: default, density, ptssquared")
+	strategy := flag.String("sched", "chain", "variant schedule: chain (ε-chains), or a paper heuristic running Alg. 3/4: greedy, minpts, tree")
 	labelsOut := flag.String("labels", "", "write per-point labels CSV here (variant runs write one .vN file per variant)")
 	top := flag.Int("top", 5, "show the k largest clusters")
 	render := flag.Bool("render", false, "draw an ASCII map of the clustering (single run only)")

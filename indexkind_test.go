@@ -39,14 +39,14 @@ func samePartition(t *testing.T, got, want *Clustering, tag string) {
 }
 
 // TestIndexKindLabelEquivalence is the end-to-end cross-kind property. A
-// grid-kind sweep runs ε-chains, every link of which emits the canonical
-// form (clusters numbered by ascending minimum core point, a border on the
-// lowest-numbered cluster with a core point within ε of it), so each
-// variant's bytes must equal Index.Cluster's for its parameters at every
-// worker width, with reuse on and off. The R-tree kind's reuse path
-// (Alg. 3/4) legitimately numbers clusters and attaches borders by its
-// schedule, so against it the sweep must be the same partition with the
-// exact same noise set.
+// default-strategy sweep runs ε-chains on either kind, every link of which
+// emits the canonical form (clusters numbered by ascending minimum core
+// point, a border on the lowest-numbered cluster with a core point within ε
+// of it), so each variant's bytes must equal Index.Cluster's for its
+// parameters on both kinds at every worker width, with reuse on and off.
+// The paper's reuse path (Alg. 3/4, SchedGreedy) legitimately numbers
+// clusters and attaches borders by its schedule, so against it the sweep
+// must be the same partition with the exact same noise set.
 func TestIndexKindLabelEquivalence(t *testing.T) {
 	pts := testPoints(t, 8000)
 	params := CartesianVariants([]float64{1.5, 2, 3}, []int{4, 8, 16})
@@ -68,23 +68,25 @@ func TestIndexKindLabelEquivalence(t *testing.T) {
 				opts = append(opts, WithoutReuse())
 			}
 			t.Run(fmt.Sprintf("threads=%d/reuse=%v", threads, reuse), func(t *testing.T) {
-				want, err := rtreeIdx.ClusterVariants(params, opts...)
+				paper, err := rtreeIdx.ClusterVariants(params, append(opts, WithStrategy(SchedGreedy))...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := gridIdx.ClusterVariants(params, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for vi := range params {
-					tag := params[vi].String()
-					g := got.Results[vi].Clustering
-					samePartition(t, g, want.Results[vi].Clustering, tag)
-					if g.NumClusters != single[vi].NumClusters || !slices.Equal(g.Labels, single[vi].Labels) {
-						t.Fatalf("%s: sweep bytes differ from Index.Cluster's", tag)
+				for kind, ix := range map[IndexKind]*Index{IndexRTree: rtreeIdx, IndexGrid: gridIdx} {
+					got, err := ix.ClusterVariants(params, opts...)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if inherited := reuse && params[vi].MinPts < 16; got.Results[vi].FromScratch == inherited {
-						t.Fatalf("%s: FromScratch = %v, want %v", tag, inherited, !inherited)
+					for vi := range params {
+						tag := fmt.Sprintf("%v/%v", kind, params[vi])
+						g := got.Results[vi].Clustering
+						samePartition(t, g, paper.Results[vi].Clustering, tag)
+						if g.NumClusters != single[vi].NumClusters || !slices.Equal(g.Labels, single[vi].Labels) {
+							t.Fatalf("%s: sweep bytes differ from Index.Cluster's", tag)
+						}
+						if inherited := reuse && params[vi].MinPts < 16; got.Results[vi].FromScratch == inherited {
+							t.Fatalf("%s: FromScratch = %v, want %v", tag, inherited, !inherited)
+						}
 					}
 				}
 			})

@@ -36,7 +36,7 @@ func (s *Suite) Ablations() error {
 		ix   *dbscan.Index
 	}{{"two-tree", ix}, {"single-tree", single}} {
 		start := time.Now()
-		if _, err := sched.Execute(cfg.ix, vs, sched.Options{Threads: 1, Scheme: reuse.ClusDensity}); err != nil {
+		if _, err := sched.Execute(cfg.ix, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
 			return err
 		}
 		t.add("tree-design", cfg.name, seconds(time.Since(start)),
@@ -58,7 +58,7 @@ func (s *Suite) Ablations() error {
 	for _, minSize := range []int{0, 64} {
 		start = time.Now()
 		rr, err := sched.Execute(ix, vs, sched.Options{
-			Threads: 1, Scheme: reuse.ClusDensity, MinSeedSize: minSize,
+			Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity, MinSeedSize: minSize,
 		})
 		if err != nil {
 			return err
@@ -86,7 +86,7 @@ func (s *Suite) Ablations() error {
 		ps = append(ps, dbscan.Params{Eps: e, MinPts: 4})
 	}
 	start = time.Now()
-	if _, err := sched.Execute(ix, variant.New(ps), sched.Options{Threads: 1, Scheme: reuse.ClusDensity}); err != nil {
+	if _, err := sched.Execute(ix, variant.New(ps), sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
 		return err
 	}
 	t.add("eps-sweep", "variantdbscan", seconds(time.Since(start)),
@@ -116,7 +116,7 @@ func (s *Suite) Ablations() error {
 	t.add("parallel-grain", "intra-variant", seconds(time.Since(start)),
 		"master/worker range queries (§III)")
 	start = time.Now()
-	if _, err := sched.Execute(ix, variant.New(ps), sched.Options{Threads: s.Threads, Scheme: reuse.ClusDensity}); err != nil {
+	if _, err := sched.Execute(ix, variant.New(ps), sched.Options{Threads: s.Threads, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
 		return err
 	}
 	t.add("parallel-grain", "variant-level", seconds(time.Since(start)),

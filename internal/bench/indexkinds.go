@@ -97,7 +97,8 @@ func (s *Suite) IndexKinds() error {
 	}
 	t2.write(s.Out)
 	fmt.Fprintln(s.Out, "\nThe grid wins when cell occupancy is even (uniform-ish data, one")
-	fmt.Fprintln(s.Out, "dominant eps); the R-tree holds up under density skew. The R-tree kind")
-	fmt.Fprintln(s.Out, "reuses clusters through T_high (Alg. 3/4); the grid kind runs eps-chains.")
+	fmt.Fprintln(s.Out, "dominant eps); the R-tree holds up under density skew. Both kinds reuse")
+	fmt.Fprintln(s.Out, "clusters through Alg. 3/4 here (SCHEDGREEDY); the default sweep runs")
+	fmt.Fprintln(s.Out, "eps-chains on either kind.")
 	return nil
 }

@@ -106,8 +106,9 @@ const (
 	// PhaseExpand is the seed-cluster reuse expansion (Alg. 3 lines 8–17:
 	// cluster copy, MBB sweep, edge search, EXPANDCLUSTER).
 	PhaseExpand Phase = iota + 1
-	// PhaseScratch is from-scratch DBSCAN: the Alg. 3 line-18 remainder
-	// pass, or the whole run when no source was reusable.
+	// PhaseScratch is sequential from-scratch DBSCAN: the Alg. 3 line-18
+	// remainder pass, or the whole run when no source was reusable — an
+	// ε-chain's first link on one goroutine included.
 	PhaseScratch
 	// PhaseMark is the parallel part of the run: core marking and
 	// core-edge disjoint-set linking — by cell counts and cell-pair tests

@@ -1,6 +1,16 @@
 // Package sched executes a set of DBSCAN variants on a pool of worker
-// goroutines, implementing the paper's two online scheduling heuristics
-// (§IV-D):
+// goroutines. By default (SchedEpsChain) the queue unit is an ε-chain
+// (dbscan.RunLink): the variants of one ε, minpts descending; the first
+// runs from scratch and every later one replays the non-core records its
+// predecessor wrote, at zero ε-searches. Every variant then has
+// dbscan.Run's bytes and the same work counters at every pool width, on
+// either index kind; DisableReuse makes every variant its own chain. With
+// neither a cell grid nor intra-variant workers a chain's first link is
+// sequential DBSCAN (dbscan.RunSeqLink, or dbscan.RunCtx when nothing
+// follows it), traced as a scratch phase like every other sequential run.
+//
+// An explicit paper strategy runs Alg. 3/4 cluster reuse (core.RunOpts) on
+// either kind, under one of the paper's online heuristics (§IV-D):
 //
 //	SCHEDGREEDY — workers take variants in canonical order (ε ascending,
 //	  minpts descending) and reuse the *completed* variant with the smallest
@@ -24,14 +34,6 @@
 // cores — donate themselves to the running variants' worker pools. Results
 // are unchanged: the parallel from-scratch path is label-identical to
 // sequential DBSCAN.
-//
-// All of the above is the R-tree index kind. On a grid-kind index the pool
-// runs ε-chains instead (dbscan.RunLink): the variants of one ε, minpts
-// descending, are one queue unit; the first runs from scratch and every
-// later one replays the non-core records its predecessor wrote, at zero
-// ε-searches. Every variant then has dbscan.Run's bytes and the same work
-// counters at every pool width; Strategy, Scheme and MinSeedSize do not
-// apply, and DisableReuse makes every variant its own chain.
 package sched
 
 import (
@@ -55,9 +57,12 @@ import (
 type Strategy int
 
 const (
+	// SchedEpsChain, the default, runs each ε's variants as a chain of
+	// dbscan.RunLink links; every variant gets dbscan.Run's bytes.
+	SchedEpsChain Strategy = iota
 	// SchedGreedy assigns variants in canonical order, reusing the closest
 	// completed variant.
-	SchedGreedy Strategy = iota
+	SchedGreedy
 	// SchedMinPts first clusters, from scratch, the max-minpts variant of
 	// each unique ε, then proceeds greedily.
 	SchedMinPts
@@ -69,15 +74,17 @@ const (
 	SchedTree
 )
 
-// Strategies lists both heuristics for sweeps.
+// Strategies lists the paper's two heuristics for sweeps.
 var Strategies = []Strategy{SchedGreedy, SchedMinPts}
 
-// AllStrategies includes the SchedTree extension.
+// AllStrategies adds the SchedTree extension to the paper's heuristics.
 var AllStrategies = []Strategy{SchedGreedy, SchedMinPts, SchedTree}
 
 // String implements fmt.Stringer with the paper's names.
 func (s Strategy) String() string {
 	switch s {
+	case SchedEpsChain:
+		return "EPSCHAIN"
 	case SchedGreedy:
 		return "SCHEDGREEDY"
 	case SchedMinPts:
@@ -89,10 +96,12 @@ func (s Strategy) String() string {
 	}
 }
 
-// Parse converts a strategy name ("SCHEDGREEDY"/"greedy",
-// "SCHEDMINPTS"/"minpts").
+// Parse converts a strategy name ("EPSCHAIN"/"chain",
+// "SCHEDGREEDY"/"greedy", "SCHEDMINPTS"/"minpts", "SCHEDTREE"/"tree").
 func Parse(name string) (Strategy, error) {
 	switch name {
+	case "EPSCHAIN", "chain":
+		return SchedEpsChain, nil
 	case "SCHEDGREEDY", "greedy":
 		return SchedGreedy, nil
 	case "SCHEDMINPTS", "minpts":
@@ -107,13 +116,13 @@ func Parse(name string) (Strategy, error) {
 type Options struct {
 	// Threads is the worker pool size T; 1 when zero or negative.
 	Threads int
-	// Strategy is the scheduling heuristic; SchedGreedy by default.
+	// Strategy is the scheduling heuristic; SchedEpsChain by default.
 	Strategy Strategy
-	// Scheme is the cluster-reuse prioritization; reuse.ClusDensity is the
-	// paper's recommended default and ours.
+	// Scheme is the cluster-reuse prioritization under a paper strategy;
+	// reuse.ClusDensity is the paper's recommended default and ours.
 	Scheme reuse.Scheme
-	// MinSeedSize excludes clusters below this size from reuse
-	// (core.Options.MinSeedSize); 0 reuses all.
+	// MinSeedSize excludes clusters below this size from reuse under a
+	// paper strategy (core.Options.MinSeedSize); 0 reuses all.
 	MinSeedSize int
 	// DisableReuse forces every variant to cluster from scratch (the
 	// multithreaded no-reuse baseline of scenario S1).
@@ -122,9 +131,9 @@ type Options struct {
 	// executions: when set above 1 (or when DonateIdle is on), every
 	// from-scratch DBSCAN uses dbscan.RunParallelOpts instead of the
 	// sequential expansion, so a single variant can use several cores.
-	// Reuse-based executions (EXPANDCLUSTER) are inherently ordered and
-	// remain sequential. 0 or 1 keeps from-scratch runs on one worker
-	// (paper-faithful) unless DonateIdle lends them more.
+	// Under a paper strategy, reuse-based executions (EXPANDCLUSTER) are
+	// inherently ordered and remain sequential. 0 or 1 keeps from-scratch
+	// runs on one worker (paper-faithful) unless DonateIdle lends them more.
 	IntraWorkers int
 	// DonateIdle enables two-level scheduling: pool workers that find the
 	// variant queue empty donate themselves to the parallel pass of
@@ -164,9 +173,9 @@ type VariantResult struct {
 	Result *cluster.Result
 	// Stats reports the reuse achieved.
 	Stats core.Stats
-	// SourceID is the original ID of the reused variant — on the grid kind
-	// the chain predecessor whose searches the variant inherited, with
-	// Stats.FractionReused 1 — or -1 for a from-scratch execution.
+	// SourceID is the original ID of the reused variant — an ε-chain's
+	// predecessor, whose searches it inherited (Stats.FractionReused 1) —
+	// or -1 for a from-scratch execution.
 	SourceID int
 	// Worker is the pool worker (0..T-1) that ran the variant.
 	Worker int
@@ -297,8 +306,8 @@ func (g *registry) choose(p dbscan.Params, norm variant.Normalizer) (*completedE
 
 // units cuts an execution order into queue units: one variant each, or —
 // chain set, on the canonical order (ε ascending, minpts descending) — the
-// ε-chains of a grid-kind index: the run of variants sharing one ε, each
-// after the first served by its predecessor's dbscan.Link.
+// ε-chains: the run of variants sharing one ε, each after the first served
+// by its predecessor's dbscan.Link.
 func units(ordered []variant.Variant, chain bool) [][]variant.Variant {
 	var out [][]variant.Variant
 	for _, v := range ordered {
@@ -370,9 +379,9 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	if err := variant.Validate(vs); err != nil {
 		return nil, err
 	}
-	// Grid-kind indexes get one cell-grid build sized for the whole
-	// variant set's max ε, so every chain's sparse-cell searches share it —
-	// the grid analogue of the shared R-tree pair.
+	// One build sized for the variant set's max ε serves every variant:
+	// the grid kind's cell grid, shared by every chain's searches (a no-op
+	// for the R-tree pair, which needs no ε).
 	maxEps := 0.0
 	for _, v := range vs {
 		if v.Params.Eps > maxEps {
@@ -386,14 +395,13 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	if threads <= 0 {
 		threads = 1
 	}
-	// The queue's unit: a variant on the R-tree kind, an ε-chain on the grid.
-	gridKind := ix.Kind == dbscan.IndexGrid
+	// The queue's unit: an ε-chain by default, a variant under a paper strategy.
+	chain := opt.Strategy == SchedEpsChain
 	var queue [][]variant.Variant
-	strategy := "EPSCHAIN"
-	if gridKind {
+	if chain {
 		queue = units(variant.Sorted(vs), !opt.DisableReuse)
 	} else {
-		queue, strategy = units(order(vs, opt.Strategy), false), opt.Strategy.String()
+		queue = units(order(vs, opt.Strategy), false)
 	}
 	norm := variant.NewNormalizer(vs)
 	reg := &registry{}
@@ -462,7 +470,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 		for _, v := range vs {
 			names[v.ID] = v.Params.String()
 		}
-		tr.StartRun(start, strategy, names)
+		tr.StartRun(start, opt.Strategy.String(), names)
 		runRec := tr.Worker(-1)
 		pos := int64(0)
 		for _, u := range queue {
@@ -511,6 +519,11 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			defer pool.variantFinished()
 		}
 		var link *dbscan.Link // the chain's previous link
+		// With neither a cell grid nor intra-variant workers, a chain's
+		// first link is sequential DBSCAN — Run's expansion, traced as
+		// scratch like every sequential run — and records the Link only
+		// when a later link will replay it.
+		seq := ix.Kind != dbscan.IndexGrid && !opt.intraEnabled()
 		for i, v := range unit {
 			if i > 0 && ctx.Err() != nil {
 				return nil
@@ -521,7 +534,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			rec.Event(obs.KindStarted, int32(v.ID), 0, 0)
 
 			var prev *cluster.Result
-			if !gridKind && !opt.DisableReuse && !scratchOnly[v.ID] {
+			if !chain && !opt.DisableReuse && !scratchOnly[v.ID] {
 				var e *completedEntry
 				var dist float64
 				if opt.Strategy == SchedTree {
@@ -556,17 +569,26 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			var stats core.Stats
 			var err error
 			switch {
-			case gridKind:
+			case chain && link.Serves(v.Params):
 				// A link its predecessor serves inherits every point's
-				// ε-search; a chain's first link runs from scratch.
-				stats = core.Stats{FromScratch: true}
-				if link.Serves(v.Params) {
-					src := unit[i-1]
-					vr.SourceID = src.ID
-					stats = core.Stats{PointsReused: ix.Len(), FractionReused: 1}
-					rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
-				}
+				// ε-search.
+				src := unit[i-1]
+				vr.SourceID = src.ID
+				stats = core.Stats{PointsReused: ix.Len(), FractionReused: 1}
+				rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
 				res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
+			case chain && seq:
+				stats = core.Stats{FromScratch: true}
+				rec.PhaseBegin(int32(v.ID), obs.PhaseScratch)
+				if i+1 < len(unit) {
+					res, link, err = dbscan.RunSeqLink(ctx, ix, v.Params, vmet)
+				} else {
+					res, err = dbscan.RunCtx(ctx, ix, v.Params, vmet)
+				}
+				rec.PhaseEnd(int32(v.ID), obs.PhaseScratch)
+			case chain:
+				stats = core.Stats{FromScratch: true}
+				res, link, err = dbscan.RunLink(ctx, ix, v.Params, nil, popt, vmet)
 			case opt.intraEnabled() && (prev == nil || prev.NumClusters == 0):
 				// From-scratch execution on the intra-variant parallel
 				// path: label-identical to dbscan.Run, but chunked over
@@ -592,7 +614,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			}
 			vr.Result, vr.Stats = res, stats
 			vr.End = time.Since(start)
-			if !gridKind {
+			if !chain {
 				reg.publish(completedEntry{params: v.Params, id: v.ID, result: res})
 			}
 			results[v.ID] = vr

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func testIndex(t *testing.T) *dbscan.Index {
 }
 
 func TestStrategyStrings(t *testing.T) {
-	if SchedGreedy.String() != "SCHEDGREEDY" || SchedMinPts.String() != "SCHEDMINPTS" {
+	if SchedEpsChain.String() != "EPSCHAIN" || SchedGreedy.String() != "SCHEDGREEDY" || SchedMinPts.String() != "SCHEDMINPTS" {
 		t.Error("strategy names wrong")
 	}
 	if Strategy(9).String() == "" {
@@ -51,7 +52,7 @@ func TestStrategyStrings(t *testing.T) {
 	for _, c := range []struct {
 		in   string
 		want Strategy
-	}{{"SCHEDGREEDY", SchedGreedy}, {"greedy", SchedGreedy}, {"SCHEDMINPTS", SchedMinPts}, {"minpts", SchedMinPts}} {
+	}{{"EPSCHAIN", SchedEpsChain}, {"chain", SchedEpsChain}, {"SCHEDGREEDY", SchedGreedy}, {"greedy", SchedGreedy}, {"SCHEDMINPTS", SchedMinPts}, {"minpts", SchedMinPts}} {
 		got, err := Parse(c.in)
 		if err != nil || got != c.want {
 			t.Errorf("Parse(%q) = %v, %v", c.in, got, err)
@@ -168,7 +169,7 @@ func TestExecuteResultsIndexedByOriginalID(t *testing.T) {
 func TestExecuteReuseHappens(t *testing.T) {
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.4, 0.6, 0.8}, []int{4, 8, 16})
-	rr, err := Execute(ix, vs, Options{Threads: 1, Scheme: reuse.ClusDensity})
+	rr, err := Execute(ix, vs, Options{Threads: 1, Strategy: SchedGreedy, Scheme: reuse.ClusDensity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestExecuteMetricsAccumulate(t *testing.T) {
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.4, 0.6}, []int{4, 8})
 	var m metrics.Counters
-	if _, err := Execute(ix, vs, Options{Threads: 2, Metrics: &m}); err != nil {
+	if _, err := Execute(ix, vs, Options{Threads: 2, Strategy: SchedGreedy, Metrics: &m}); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
@@ -309,6 +310,89 @@ func TestExecuteMetricsAccumulate(t *testing.T) {
 	}
 	if s.PointsReused == 0 {
 		t.Error("metrics saw no reuse")
+	}
+}
+
+// TestDefaultRunsEpsChainsOnRTree pins the default strategy on the R-tree
+// kind: the variants of one ε form a chain whose links after the first run
+// no ε-search, and every variant's labels are dbscan.Run's bytes at every
+// pool width, with reuse on or off.
+func TestDefaultRunsEpsChainsOnRTree(t *testing.T) {
+	ix := testIndex(t)
+	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
+	for _, disableReuse := range []bool{false, true} {
+		for _, threads := range []int{1, 2, 4, 8} {
+			tr := obs.NewTracer()
+			rr, err := Execute(ix, vs, Options{Threads: threads, DisableReuse: disableReuse, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rr.Results {
+				want, _ := dbscan.Run(ix, r.Variant.Params, nil)
+				if r.Result.NumClusters != want.NumClusters || !slices.Equal(r.Result.Labels, want.Labels) {
+					t.Fatalf("noreuse=%v T=%d %v: labels differ from dbscan.Run", disableReuse, threads, r.Variant.Params)
+				}
+				if inherited := !disableReuse && r.Variant.Params.MinPts < 16; (r.SourceID >= 0) != inherited {
+					t.Fatalf("noreuse=%v T=%d %v: SourceID %d, inherited should be %v",
+						disableReuse, threads, r.Variant.Params, r.SourceID, inherited)
+				}
+			}
+			for _, e := range tr.Events() {
+				if e.Kind == obs.KindDone && e.Arg >= 0 && e.Work.NeighborSearches != 0 {
+					t.Fatalf("noreuse=%v T=%d v%d: inherited link ran %d ε-searches",
+						disableReuse, threads, e.Variant, e.Work.NeighborSearches)
+				}
+			}
+		}
+	}
+}
+
+// TestSequentialChainHeads pins the one-goroutine path on the R-tree kind:
+// at T=1 without intra-variant workers, every chain's first link — a lone
+// variant's included — is sequential DBSCAN, traced as one scratch phase
+// with dbscan.Run's counters, and the links after it replay (mark, label,
+// border) at no ε-search.
+func TestSequentialChainHeads(t *testing.T) {
+	ix := testIndex(t)
+	ps := []dbscan.Params{{Eps: 0.5, MinPts: 8}, {Eps: 0.5, MinPts: 4}, {Eps: 0.3, MinPts: 4}}
+	tr := obs.NewTracer()
+	rr, err := Execute(ix, variant.New(ps), Options{Threads: 1, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := map[int32][]obs.Phase{}
+	work := map[int32]metrics.Snapshot{}
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case obs.KindPhaseBegin:
+			phases[e.Variant] = append(phases[e.Variant], obs.Phase(e.Arg))
+		case obs.KindDone:
+			work[e.Variant] = e.Work
+		}
+	}
+	replay := []obs.Phase{obs.PhaseMark, obs.PhaseLabel, obs.PhaseBorder}
+	for id, p := range ps {
+		want, err := dbscan.Run(ix, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rr.Results[id].Result; !slices.Equal(got.Labels, want.Labels) {
+			t.Fatalf("%v: labels differ from dbscan.Run", p)
+		}
+		v := int32(id)
+		if id == 1 {
+			if !slices.Equal(phases[v], replay) || work[v].NeighborSearches != 0 {
+				t.Errorf("%v: phases %v, %d searches; want %v at none", p, phases[v], work[v].NeighborSearches, replay)
+			}
+			continue
+		}
+		var m metrics.Counters
+		if _, err := dbscan.Run(ix, p, &m); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(phases[v], []obs.Phase{obs.PhaseScratch}) || work[v] != m.Snapshot() {
+			t.Errorf("%v: phases %v, work %+v; want [scratch] and dbscan.Run's %+v", p, phases[v], work[v], m.Snapshot())
+		}
 	}
 }
 
@@ -599,33 +683,36 @@ func TestSpansShareMonotonicBasis(t *testing.T) {
 // seed-selected events consistent with SourceID, per-variant work deltas
 // summing to the run totals).
 //
-// On the grid kind byte-equality holds at every thread count: its sweeps run
-// ε-chains, whose bytes do not depend on the schedule, and a link after a
-// chain's first must report no ε-search in its work delta. On the R-tree
-// kind it is asserted at Threads == 1 only. At Threads > 1 the online
-// scheduler reuses the closest *completed* variant, completion order is
-// timing, and two valid sources differ in cluster numbering and border
-// attachment — with or without a tracer. There the test asserts what every
-// valid source agrees on: the cluster count and the exact noise set; ROADMAP
-// item 1 (schedule-independent results) stays open for that kind.
+// Under the default SchedEpsChain byte-equality holds on both kinds at every
+// thread count: the sweep runs ε-chains, whose bytes do not depend on the
+// schedule, and a link after a chain's first must report no ε-search in its
+// work delta. Under an explicit paper strategy (SchedGreedy here) it is
+// asserted at Threads == 1 only. At Threads > 1 the online scheduler reuses
+// the closest *completed* variant, completion order is timing, and two
+// valid sources differ in cluster numbering and border attachment — with or
+// without a tracer. There the test asserts what every valid source agrees
+// on: the cluster count and the exact noise set.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, kind := range []dbscan.IndexKind{dbscan.IndexRTree, dbscan.IndexGrid} {
 		ix := dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1), dbscan.IndexOptions{R: 16, Kind: kind})
-		tracedRunMatchesUntraced(t, ix)
+		for _, strategy := range []Strategy{SchedEpsChain, SchedGreedy} {
+			tracedRunMatchesUntraced(t, ix, strategy)
+		}
 	}
 }
 
-func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
+func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index, strategy Strategy) {
 	vs := variant.Product([]float64{0.4, 0.8, 1.2}, []int{4, 8, 12, 16})
+	chain := strategy == SchedEpsChain
 	for _, threads := range []int{1, 3} {
-		plain, err := Execute(ix, vs, Options{Threads: threads, Scheme: reuse.ClusDensity})
+		plain, err := Execute(ix, vs, Options{Threads: threads, Strategy: strategy, Scheme: reuse.ClusDensity})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer()
 		var m metrics.Counters
 		traced, err := Execute(ix, vs, Options{
-			Threads: threads, Scheme: reuse.ClusDensity, Tracer: tr, Metrics: &m,
+			Threads: threads, Strategy: strategy, Scheme: reuse.ClusDensity, Tracer: tr, Metrics: &m,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -633,16 +720,16 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 		for id := range plain.Results {
 			a, b := plain.Results[id].Result, traced.Results[id].Result
 			if a.NumClusters != b.NumClusters {
-				t.Fatalf("%v T=%d v%d: clusters %d vs %d", ix.Kind, threads, id, b.NumClusters, a.NumClusters)
+				t.Fatalf("%v %v T=%d v%d: clusters %d vs %d", ix.Kind, strategy, threads, id, b.NumClusters, a.NumClusters)
 			}
 			for i := range a.Labels {
 				same := a.Labels[i] == b.Labels[i]
-				if ix.Kind == dbscan.IndexRTree && threads > 1 {
+				if !chain && threads > 1 {
 					same = (a.Labels[i] == cluster.Noise) == (b.Labels[i] == cluster.Noise)
 				}
 				if !same {
-					t.Fatalf("%v T=%d v%d: label[%d] = %d with tracing, %d without",
-						ix.Kind, threads, id, i, b.Labels[i], a.Labels[i])
+					t.Fatalf("%v %v T=%d v%d: label[%d] = %d with tracing, %d without",
+						ix.Kind, strategy, threads, id, i, b.Labels[i], a.Labels[i])
 				}
 			}
 		}
@@ -664,7 +751,7 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 					t.Fatalf("T=%d v%d: done frac %v, stats %v",
 						threads, e.Variant, e.F, traced.Results[e.Variant].Stats.FractionReused)
 				}
-				if ix.Kind == dbscan.IndexGrid && e.Arg >= 0 && e.Work.NeighborSearches != 0 {
+				if chain && e.Arg >= 0 && e.Work.NeighborSearches != 0 {
 					t.Fatalf("T=%d v%d: inherited link ran %d ε-searches", threads, e.Variant, e.Work.NeighborSearches)
 				}
 			}
@@ -675,7 +762,7 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 				t.Fatalf("T=%d v%d: started %d done %d, want 1/1", threads, id, started[id], done[id])
 			}
 			// A chain's first link has the largest minpts of its ε.
-			if inherited := v.Params.MinPts < 16; ix.Kind == dbscan.IndexGrid && (traced.Results[id].SourceID >= 0) != inherited {
+			if inherited := v.Params.MinPts < 16; chain && (traced.Results[id].SourceID >= 0) != inherited {
 				t.Fatalf("T=%d %v: SourceID %d, inherited should be %v", threads, v.Params, traced.Results[id].SourceID, inherited)
 			}
 		}
@@ -774,10 +861,9 @@ func TestProgressCallback(t *testing.T) {
 // tiled-exactness matrix: a variant schedule run with tile-level
 // parallelism must produce byte-identical per-variant labels to the
 // untiled schedule, whether executions cluster from scratch (reuse
-// disabled — every run takes the tiled parallel path) or reuse seed
-// clusters (reuse on — only the from-scratch head of the schedule
-// tiles). Threads=1 keeps seed selection deterministic so the
-// comparison can be exact.
+// disabled — every run takes the tiled parallel path) or run as ε-chains
+// (reuse on — each chain's first link tiles, the rest replay it). Both
+// are schedule-independent, so the comparison is exact at every width.
 func TestExecuteTiledMatchesUntiled(t *testing.T) {
 	ix := dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1),
 		dbscan.IndexOptions{R: 16, Kind: dbscan.IndexGrid})
@@ -795,9 +881,6 @@ func TestExecuteTiledMatchesUntiled(t *testing.T) {
 				opt := Options{
 					Threads: threads, Scheme: reuse.ClusDensity,
 					DisableReuse: disableReuse, IntraWorkers: 2, Tiles: tiles,
-				}
-				if !disableReuse && threads > 1 {
-					continue // nondeterministic seed selection; covered at threads=1
 				}
 				rr, err := Execute(ix, vs, opt)
 				if err != nil {

@@ -310,9 +310,7 @@ func (s *Server) runBatch(b *batch) {
 			jw = jw.Add(slotWork[slot])
 		}
 		j.setOutcomeMeta("", jw)
-		if j.finish(stateDone, "", outcomes) {
-			s.ctrs.jobsCompleted.Add(1)
-			s.chargeJob(j, jw.NeighborSearches, jw.CandidatesExamined)
+		if s.finishJob(j, stateDone, "", outcomes, jw) {
 			b.leave(j)
 		}
 	}
@@ -322,8 +320,7 @@ func (s *Server) runBatch(b *batch) {
 // terminal concurrently (e.g. the cancel that aborted the run) are skipped.
 func (s *Server) failBatch(live []*job, msg string) {
 	for _, j := range live {
-		if j.finish(stateFailed, msg, nil) {
-			s.ctrs.jobsFailed.Add(1)
+		if s.finishJob(j, stateFailed, msg, nil, vdbscan.Work{}) {
 			j.batch.leave(j)
 		}
 	}

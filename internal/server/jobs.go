@@ -90,13 +90,22 @@ func (j *job) setRunning() bool {
 }
 
 // finish moves the job to a terminal state exactly once. It returns false
-// if the job was already terminal. The caller handles batch membership and
-// queue accounting.
-func (j *job) finish(state, errMsg string, results []variantOutcome) bool {
+// if the job was already terminal. The winning call runs settle — the
+// transition's counters and ledger charge — and releases the tenant's live
+// slot inside the transition, before the job turns visible as terminal
+// (the job document, Wait, long-polls, the terminal SSE frame), so a client
+// that sees the job finished also sees it accounted. settle runs under
+// j.mu, so it must neither take it nor block on I/O. The caller handles
+// batch membership and queue accounting.
+func (j *job) finish(state, errMsg string, results []variantOutcome, settle func()) bool {
 	j.mu.Lock()
 	if j.terminalLocked() {
 		j.mu.Unlock()
 		return false
+	}
+	settle()
+	if j.tenant != nil {
+		j.tenant.jobsLive.Add(-1)
 	}
 	j.state = state
 	j.err = errMsg
@@ -108,9 +117,6 @@ func (j *job) finish(state, errMsg string, results []variantOutcome) bool {
 	}
 	lifetime := j.finished.Sub(j.created)
 	j.mu.Unlock()
-	if j.tenant != nil {
-		j.tenant.jobsLive.Add(-1)
-	}
 	close(j.done)
 	// The terminal SSE frame closes the job's event stream; finish is the
 	// single choke point every terminal transition (done, failed, canceled,
@@ -218,22 +224,41 @@ func (st *jobStore) list() []*job {
 	return out
 }
 
+// finishJob moves j to a terminal state through j.finish and settles it
+// there: the state's counter and, for a done job, the tenant charge for
+// its work w. The charge's log line is written after j.mu is released.
+func (s *Server) finishJob(j *job, state, errMsg string, results []variantOutcome, w vdbscan.Work) bool {
+	var logCharge func()
+	won := j.finish(state, errMsg, results, func() {
+		switch state {
+		case stateDone:
+			s.ctrs.jobsCompleted.Add(1)
+			logCharge = s.chargeJob(j, w.NeighborSearches, w.CandidatesExamined)
+		case stateCanceled:
+			s.ctrs.jobsCanceled.Add(1)
+		case stateFailed:
+			s.ctrs.jobsFailed.Add(1)
+		}
+	})
+	if logCharge != nil {
+		logCharge()
+	}
+	return won
+}
+
 // abandon finishes a job early (cancel or deadline) and detaches it from
 // its batch: the admission slot is released if the job was still queued,
 // and the batch run is canceled once no live jobs remain. Reports whether
 // the job was still live.
 func (s *Server) abandon(j *job, state, errMsg string) bool {
-	if !j.finish(state, errMsg, nil) {
-		return false
-	}
-	switch state {
-	case stateCanceled:
-		s.ctrs.jobsCanceled.Add(1)
-	case stateFailed:
-		s.ctrs.jobsFailed.Add(1)
-	}
+	// The slot goes before the job turns terminal, so a client that sees it
+	// failed or canceled also sees the queue without it. A job whose batch
+	// started, or that another abandon finished, has released it already.
 	if j.leftQueue.CompareAndSwap(false, true) {
 		s.jobLeftQueue(1)
+	}
+	if !s.finishJob(j, state, errMsg, nil, vdbscan.Work{}) {
+		return false
 	}
 	j.batch.leave(j)
 	s.log.Info("job abandoned",

@@ -152,9 +152,7 @@ func (s *Server) runApproxBatch(b *batch) {
 			jw = jw.Add(slotWork[slot])
 		}
 		j.setOutcomeMeta(qualityApprox, jw)
-		if j.finish(stateDone, "", outcomes) {
-			s.ctrs.jobsCompleted.Add(1)
-			s.chargeJob(j, jw.NeighborSearches, jw.CandidatesExamined)
+		if s.finishJob(j, stateDone, "", outcomes, jw) {
 			b.leave(j)
 		}
 	}

@@ -297,9 +297,10 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 func workCharge(searches, candidates int64) int64 { return searches + candidates }
 
 // chargeJob settles a finished job against its tenant's ledger and the
-// tenant-labeled counters. Called once per job, from the runner that
-// finished it.
-func (s *Server) chargeJob(j *job, searches, candidates int64) {
+// tenant-labeled counters, and returns the "job charged" log line for the
+// caller to write once it holds no lock. Called once per job, from the
+// runner that finished it.
+func (s *Server) chargeJob(j *job, searches, candidates int64) (logLine func()) {
 	tn := j.tenant
 	if tn == nil {
 		tn = s.tenants.anon
@@ -307,15 +308,17 @@ func (s *Server) chargeJob(j *job, searches, candidates int64) {
 	charge := workCharge(searches, candidates)
 	tn.searches.Add(searches)
 	tn.candidates.Add(candidates)
-	tn.charged.Add(charge)
+	ledger := tn.charged.Add(charge)
 	tn.jobsRun.Add(1)
 	id := tn.id()
 	s.mx.tenantWork.With(id).Add(float64(charge))
 	s.mx.tenantSearches.With(id).Add(float64(searches))
 	s.mx.tenantJobs.With(id).Inc()
-	s.log.Info("job charged",
-		"job", j.id, "tenant", id, "searches", searches,
-		"candidates", candidates, "charge", charge, "ledger", tn.charged.Load())
+	return func() {
+		s.log.Info("job charged",
+			"job", j.id, "tenant", id, "searches", searches,
+			"candidates", candidates, "charge", charge, "ledger", ledger)
+	}
 }
 
 // ---- /v2/tenants/self ----------------------------------------------------

@@ -240,6 +240,44 @@ func TestQuotaChargesMatchWork(t *testing.T) {
 	}
 }
 
+// TestChargedBeforeVisible pins the terminal transition's ordering: the
+// winning finish settles the job's counters and ledger charge before any
+// reader — the job document, Wait and long-polls on done — can see it
+// terminal, so a client that reads the ledger right after seeing "done"
+// always finds the job's work in it. settle blocks here while a reader
+// tries to look at the job.
+func TestChargedBeforeVisible(t *testing.T) {
+	j := newJobStore().new(nil, "d1", nil, time.Minute)
+	seen := make(chan string, 1)
+	settled := false
+	won := j.finish(stateDone, "", nil, func() {
+		go func() {
+			state, _, _, _, _ := j.view()
+			seen <- state
+		}()
+		select {
+		case state := <-seen:
+			t.Errorf("job document reads %q while the job is being settled", state)
+		case <-time.After(50 * time.Millisecond):
+		}
+		select {
+		case <-j.done:
+			t.Error("done closed while the job is being settled")
+		default:
+		}
+		settled = true
+	})
+	if !won || !settled {
+		t.Fatalf("finish = %v, settled = %v", won, settled)
+	}
+	if state := <-seen; state != stateDone {
+		t.Errorf("job document reads %q after finish, want %q", state, stateDone)
+	}
+	if j.finish(stateFailed, "late", nil, func() { t.Error("a losing finish settled") }) {
+		t.Error("second finish won")
+	}
+}
+
 // TestTenantIsolationConcurrent submits jobs as two tenants against the
 // same dataset, 8 ways concurrently, and checks neither can see the
 // other's jobs and every charge lands on the right ledger.

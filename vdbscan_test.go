@@ -190,7 +190,7 @@ func TestWithWorkAccumulates(t *testing.T) {
 		t.Errorf("searches = %d, want %d", w.NeighborSearches, len(pts))
 	}
 	var w2 Work
-	if _, err := ClusterVariants(pts, CartesianVariants([]float64{2, 3}, []int{4}), WithWork(&w2)); err != nil {
+	if _, err := ClusterVariants(pts, CartesianVariants([]float64{2, 3}, []int{4}), WithStrategy(SchedGreedy), WithWork(&w2)); err != nil {
 		t.Fatal(err)
 	}
 	if w2.NeighborSearches == 0 || w2.PointsReused == 0 {
