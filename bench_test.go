@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"vdbscan/internal/approx"
+	"vdbscan/internal/bench"
 	"vdbscan/internal/data"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/incremental"
@@ -55,9 +56,9 @@ func fixtures(b *testing.B) {
 		}
 		fixIdx = map[int]*dbscan.Index{}
 		for _, r := range []int{1, 16, 70, 100, 256} {
-			fixIdx[r] = dbscan.BuildIndex(fixSynth.Points, dbscan.IndexOptions{R: r})
+			fixIdx[r] = dbscan.BuildIndex(fixSynth.Points, dbscan.IndexOptions{R: r, Kind: dbscan.IndexRTree})
 		}
-		fixTECIx = dbscan.BuildIndex(fixTEC.Points, dbscan.IndexOptions{R: 70})
+		fixTECIx = dbscan.BuildIndex(fixTEC.Points, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
 	})
 }
 
@@ -324,9 +325,9 @@ func BenchmarkFig9Makespan(b *testing.B) {
 func BenchmarkAblationSingleTree(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
-	single := &dbscan.Index{
-		Pts: fixTECIx.Pts, X: fixTECIx.X, Y: fixTECIx.Y, Fwd: fixTECIx.Fwd,
-		FlatLow: fixTECIx.FlatLow, FlatHigh: fixTECIx.FlatLow,
+	single, err := bench.SingleTree(fixTECIx)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.Run("two-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -351,7 +352,7 @@ func BenchmarkAblationBulkVsInsert(b *testing.B) {
 	pts := fixSynth.Points[:10_000]
 	b.Run("bulkload", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, SkipHigh: true})
+			dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
 		}
 	})
 	b.Run("insert", func(b *testing.B) {
@@ -511,7 +512,7 @@ func BenchmarkAblationIncrementalVsBatch(b *testing.B) {
 	b.Run("recluster", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for off := batch; off <= len(stream); off += batch {
-				ix := dbscan.BuildIndex(stream[:off], dbscan.IndexOptions{R: 70, SkipHigh: true})
+				ix := dbscan.BuildIndex(stream[:off], dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
 				if _, err := dbscan.Run(ix, p, nil); err != nil {
 					b.Fatal(err)
 				}
@@ -523,7 +524,7 @@ func BenchmarkAblationIncrementalVsBatch(b *testing.B) {
 // BenchmarkKDistSuggest measures the sorted 4-dist heuristic (ε selection).
 func BenchmarkKDistSuggest(b *testing.B) {
 	fixtures(b)
-	small := dbscan.BuildIndex(fixSynth.Points[:5000], dbscan.IndexOptions{R: 70})
+	small := dbscan.BuildIndex(fixSynth.Points[:5000], dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := kdist.SuggestEps(small, kdist.DefaultMinPts); err != nil {
@@ -593,7 +594,7 @@ func BenchmarkIndexShootout(b *testing.B) {
 	})
 	b.Run("grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, SkipHigh: true, Kind: dbscan.IndexGrid})
+			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexGrid})
 			if _, err := dbscan.Run(ix, p, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -601,7 +602,7 @@ func BenchmarkIndexShootout(b *testing.B) {
 	})
 	b.Run("rtree-r70", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, SkipHigh: true})
+			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
 			if _, err := dbscan.Run(ix, p, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -616,7 +617,7 @@ func BenchmarkAblationApproxDBSCAN(b *testing.B) {
 	pts := fixTEC.Points[:10000]
 	b.Run("exact-rtree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, SkipHigh: true})
+			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
 			if _, err := dbscan.Run(ix, dbscan.Params{Eps: 2, MinPts: 4}, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -651,7 +652,7 @@ func bigFixture(b *testing.B) *dbscan.Index {
 		if err != nil {
 			panic(err)
 		}
-		fixBigIx = dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: 70})
+		fixBigIx = dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
 	})
 	return fixBigIx
 }

@@ -35,7 +35,7 @@ func main() {
 	bList := flag.String("B", "", "minpts values: comma list (4,8,16) or range lo:hi:step (10:100:5)")
 	threads := flag.Int("threads", 1, "worker goroutines")
 	r := flag.Int("r", 70, "points per leaf MBB in the eps-search tree")
-	indexKind := flag.String("index", "rtree", "eps-search index structure: rtree or grid")
+	indexKind := flag.String("index", "grid", "eps-search index structure: grid or rtree")
 	scheme := flag.String("reuse", "density", "cluster reuse scheme of a paper heuristic: default, density, ptssquared")
 	strategy := flag.String("sched", "chain", "variant schedule: chain (ε-chains), or a paper heuristic running Alg. 3/4: greedy, minpts, tree")
 	labelsOut := flag.String("labels", "", "write per-point labels CSV here (variant runs write one .vN file per variant)")

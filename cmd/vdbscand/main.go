@@ -131,7 +131,7 @@ func loadEnv() (envDefaults, error) {
 	if d.r, err = cliutil.EnvIntOr("VDBSCAND_R", 0); err != nil {
 		return d, err
 	}
-	d.index = cliutil.EnvOr("VDBSCAND_INDEX", "rtree")
+	d.index = cliutil.EnvOr("VDBSCAND_INDEX", "grid")
 	d.dataDir = cliutil.EnvOr("VDBSCAND_DATA_DIR", "")
 	d.keysFile = cliutil.EnvOr("VDBSCAND_KEYS_FILE", "")
 	d.keysInline = cliutil.EnvOr("VDBSCAND_KEYS", "")
@@ -199,7 +199,7 @@ func run() error {
 	tiles := flag.Int("tiles", env.tiles,
 		"tile-level parallelism per run on grid indexes (0 = auto, 1 = untiled; per-job tiles overrides)")
 	leafR := flag.Int("r", env.r, "eps-search tree leaf occupancy for uploads (0 = library default)")
-	indexKind := flag.String("index", env.index, "eps-search index structure for uploads: rtree or grid")
+	indexKind := flag.String("index", env.index, "eps-search index structure for uploads: grid or rtree")
 	dataDir := flag.String("data-dir", env.dataDir,
 		"directory for durable dataset snapshots and WALs; restored on startup (empty = memory-only)")
 	keysFile := flag.String("keys-file", env.keysFile,

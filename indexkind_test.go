@@ -2,6 +2,7 @@ package vdbscan
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -42,22 +43,30 @@ func samePartition(t *testing.T, got, want *Clustering, tag string) {
 // default-strategy sweep runs ε-chains on either kind, every link of which
 // emits the canonical form (clusters numbered by ascending minimum core
 // point, a border on the lowest-numbered cluster with a core point within ε
-// of it), so each variant's bytes must equal Index.Cluster's for its
-// parameters on both kinds at every worker width, with reuse on and off.
-// The paper's reuse path (Alg. 3/4, SchedGreedy) legitimately numbers
-// clusters and attaches borders by its schedule, so against it the sweep
-// must be the same partition with the exact same noise set.
+// of it), so each variant's bytes — and the default index's Cluster bytes —
+// must equal an explicit R-tree index's Index.Cluster for its parameters on
+// both kinds at every worker width, with reuse on and off, NaN and ±Inf
+// points included (noise on either kind). The paper's reuse path (Alg.
+// 3/4, SchedGreedy) legitimately numbers clusters and attaches borders by
+// its schedule, so against it the sweep must be the same partition with
+// the exact same noise set.
 func TestIndexKindLabelEquivalence(t *testing.T) {
-	pts := testPoints(t, 8000)
+	inf := math.Inf(1)
+	pts := append(testPoints(t, 8000), Point{X: math.NaN(), Y: 5}, Point{X: inf, Y: 5}, Point{X: 5, Y: -inf})
 	params := CartesianVariants([]float64{1.5, 2, 3}, []int{4, 8, 16})
 
 	rtreeIdx := NewIndex(pts, WithIndexKind(IndexRTree))
-	gridIdx := NewIndex(pts, WithIndexKind(IndexGrid))
+	gridIdx := NewIndex(pts) // the default kind
 	single := make([]*Clustering, len(params))
 	for vi, p := range params {
 		var err error
-		if single[vi], err = gridIdx.Cluster(p); err != nil {
+		if single[vi], err = rtreeIdx.Cluster(p); err != nil {
 			t.Fatal(err)
+		}
+		for _, i := range []int{8000, 8001, 8002} {
+			if single[vi].Labels[i] != Noise {
+				t.Fatalf("%v: non-finite point %d labelled %d", p, i, single[vi].Labels[i])
+			}
 		}
 	}
 
@@ -68,6 +77,15 @@ func TestIndexKindLabelEquivalence(t *testing.T) {
 				opts = append(opts, WithoutReuse())
 			}
 			t.Run(fmt.Sprintf("threads=%d/reuse=%v", threads, reuse), func(t *testing.T) {
+				for vi, p := range params {
+					got, err := gridIdx.Cluster(p, WithThreads(threads))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.NumClusters != single[vi].NumClusters || !slices.Equal(got.Labels, single[vi].Labels) {
+						t.Fatalf("default kind %v: Cluster bytes differ from the R-tree's", p)
+					}
+				}
 				paper, err := rtreeIdx.ClusterVariants(params, append(opts, WithStrategy(SchedGreedy))...)
 				if err != nil {
 					t.Fatal(err)
@@ -100,7 +118,7 @@ func TestIndexKindLabelEquivalence(t *testing.T) {
 func TestIndexKindSingleCluster(t *testing.T) {
 	pts := testPoints(t, 6000)
 	p := Params{Eps: 2.5, MinPts: 5}
-	want, err := NewIndex(pts).Cluster(p)
+	want, err := NewIndex(pts, WithIndexKind(IndexRTree)).Cluster(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,17 @@ import (
 	"vdbscan/internal/variant"
 )
 
+// SingleTree returns the R-tree-kind index ix with T_low standing in for
+// T_high, so cluster-MBB sweeps run on the low-resolution tree.
+func SingleTree(ix *dbscan.Index) (*dbscan.Index, error) {
+	parts, err := ix.FrozenParts()
+	if err != nil {
+		return nil, err
+	}
+	parts.High = parts.Low
+	return dbscan.IndexFromFrozen(parts)
+}
+
 // Ablations regenerates the design-choice studies of DESIGN.md §5 on SW1:
 // two-tree vs single-tree, bulk load vs dynamic insertion, seed-size
 // filtering, OPTICS vs VariantDBSCAN for ε-sweeps, union-find vs expansion
@@ -25,16 +36,17 @@ func (s *Suite) Ablations() error {
 	vs := s.s2Variants()
 	t := newTable("Ablation", "Config", "Time", "Notes")
 
-	// 1. Two-tree vs single-tree cluster sweeps.
+	// 1. Two-tree vs single-tree cluster sweeps, on the paper's R-trees.
 	ix := s.index(ds, s.R)
-	single := &dbscan.Index{
-		Pts: ix.Pts, X: ix.X, Y: ix.Y, Fwd: ix.Fwd,
-		FlatLow: ix.FlatLow, FlatHigh: ix.FlatLow,
+	rt := s.indexKind(ds, s.R, dbscan.IndexRTree)
+	single, err := SingleTree(rt)
+	if err != nil {
+		return err
 	}
 	for _, cfg := range []struct {
 		name string
 		ix   *dbscan.Index
-	}{{"two-tree", ix}, {"single-tree", single}} {
+	}{{"two-tree", rt}, {"single-tree", single}} {
 		start := time.Now()
 		if _, err := sched.Execute(cfg.ix, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
 			return err
@@ -45,7 +57,7 @@ func (s *Suite) Ablations() error {
 
 	// 2. Bulk load vs dynamic insertion.
 	start := time.Now()
-	dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: s.R, SkipHigh: true})
+	dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: s.R, Kind: dbscan.IndexRTree})
 	t.add("index-build", "bulkload", seconds(time.Since(start)), fmt.Sprintf("%d points", ds.Len()))
 	start = time.Now()
 	dyn := rtree.New(rtree.Options{})

@@ -38,9 +38,9 @@ type Suite struct {
 	// TracePath, when non-empty, is where Trace writes its Chrome
 	// trace-event JSON (the plain-text timeline always goes to Out).
 	TracePath string
-	// IndexKind selects the ε-search substrate every scenario runs on
-	// (IndexRTree when zero). The "indexkinds" experiment ignores it and
-	// runs both kinds head-to-head.
+	// IndexKind selects the ε-search substrate every scenario runs on;
+	// NewSuite sets the paper's IndexRTree. The "indexkinds" experiment
+	// ignores it and runs both kinds head-to-head.
 	IndexKind dbscan.IndexKind
 
 	datasets map[string]*data.Dataset
@@ -50,14 +50,15 @@ type Suite struct {
 // NewSuite returns a Suite with the paper's defaults at the given scale.
 func NewSuite(scale float64, out io.Writer) *Suite {
 	return &Suite{
-		Scale:    scale,
-		Threads:  16,
-		Trials:   1,
-		Seed:     0xDB5CA7,
-		R:        dbscan.DefaultR,
-		Out:      out,
-		datasets: map[string]*data.Dataset{},
-		indexes:  map[string]*dbscan.Index{},
+		Scale:     scale,
+		Threads:   16,
+		Trials:    1,
+		Seed:      0xDB5CA7,
+		R:         dbscan.DefaultR,
+		IndexKind: dbscan.IndexRTree,
+		Out:       out,
+		datasets:  map[string]*data.Dataset{},
+		indexes:   map[string]*dbscan.Index{},
 	}
 }
 

@@ -142,14 +142,14 @@ func ParseRange(s string) ([]int, error) {
 	return out, nil
 }
 
-// ParseIndexKind maps CLI spellings ("rtree", "grid"; empty = rtree) to
-// index kinds.
+// ParseIndexKind maps CLI spellings ("grid", "rtree"; empty = grid, the
+// library default) to index kinds.
 func ParseIndexKind(name string) (dbscan.IndexKind, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "rtree":
-		return dbscan.IndexRTree, nil
-	case "grid":
+	case "", "grid":
 		return dbscan.IndexGrid, nil
+	case "rtree":
+		return dbscan.IndexRTree, nil
 	default:
 		return 0, fmt.Errorf("cliutil: unknown index kind %q (want rtree or grid)", name)
 	}

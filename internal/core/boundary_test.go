@@ -105,7 +105,7 @@ func TestReuseEqualParamsMatchesPlainDBSCAN(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			pts := blobs(3, 90, 40, 18, 0.5, seed)
-			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8})
+			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 			p := dbscan.Params{Eps: 0.55, MinPts: 4}
 			prev, err := dbscan.Run(ix, p, nil)
 			if err != nil {
@@ -143,7 +143,7 @@ func TestReuseEqualParamsMatchesPlainDBSCAN(t *testing.T) {
 // clustering variant i from scratch.
 func TestReuseSingleCoordinateBoundary(t *testing.T) {
 	pts := blobs(3, 80, 40, 16, 0.5, 7)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 	donor := dbscan.Params{Eps: 0.5, MinPts: 5}
 	prev, err := dbscan.Run(ix, donor, nil)
 	if err != nil {

@@ -83,9 +83,6 @@ func RunOpts(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, opt Option
 	if err := p.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	if ix.FlatHigh == nil {
-		panic("core: index built with SkipHigh cannot run VariantDBSCAN")
-	}
 
 	n := ix.Len()
 	res := cluster.NewResult(n)

@@ -31,7 +31,7 @@ func blobs(k, m, noise int, extent, sigma float64, seed int64) []geom.Point {
 }
 
 func TestRunFromScratchWhenNoPrev(t *testing.T) {
-	ix := dbscan.BuildIndex(blobs(2, 100, 20, 20, 0.5, 1), dbscan.IndexOptions{R: 8})
+	ix := dbscan.BuildIndex(blobs(2, 100, 20, 20, 0.5, 1), dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 	res, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, nil, reuse.ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestRunFromScratchWhenNoPrev(t *testing.T) {
 
 func TestRunFromScratchWhenPrevHasNoClusters(t *testing.T) {
 	pts := blobs(2, 100, 20, 20, 0.5, 2)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 	// A prev result that found only noise.
 	prev := cluster.NewResult(ix.Len())
 	for i := range prev.Labels {
@@ -65,7 +65,7 @@ func TestRunFromScratchWhenPrevHasNoClusters(t *testing.T) {
 }
 
 func TestRunRejectsBadParams(t *testing.T) {
-	ix := dbscan.BuildIndex(blobs(1, 50, 0, 10, 0.5, 3), dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(blobs(1, 50, 0, 10, 0.5, 3), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, nil)
 	if _, _, err := Run(ix, dbscan.Params{Eps: -1, MinPts: 4}, prev, reuse.ClusDefault, nil); err == nil {
 		t.Error("bad params accepted")
@@ -76,7 +76,7 @@ func TestRunRejectsBadParams(t *testing.T) {
 // and returns (reused result, scratch result for target, stats).
 func runPair(t *testing.T, pts []geom.Point, prevParams, target dbscan.Params, scheme reuse.Scheme) (*cluster.Result, *cluster.Result, Stats) {
 	t.Helper()
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, err := dbscan.Run(ix, prevParams, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestReusedClustersOnlyGrow(t *testing.T) {
 	// Inclusion criteria guarantee: every point of a reused (non-destroyed)
 	// cluster stays clustered in the new result.
 	pts := blobs(3, 200, 100, 25, 0.6, 20)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 12}, nil)
 	got, _, err := Run(ix, dbscan.Params{Eps: 0.6, MinPts: 4}, prev, reuse.ClusDensity, nil)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestClusterMergeDestroysSeeds(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pts = append(pts, geom.Point{X: 3 + rnd.NormFloat64()*0.3, Y: rnd.NormFloat64() * 0.3})
 	}
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, nil)
 	if prev.NumClusters != 2 {
 		t.Fatalf("setup: prev clusters = %d, want 2", prev.NumClusters)
@@ -185,7 +185,7 @@ func TestReuseSkipsSearchesOnCopiedPoints(t *testing.T) {
 	// The reuse win: ε-searches with reuse must be well below |D| when
 	// identical parameters are reused (only edge verification remains).
 	pts := blobs(3, 300, 50, 25, 0.5, 40)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	p := dbscan.Params{Eps: 0.5, MinPts: 4}
 
 	var mScratch metrics.Counters
@@ -208,7 +208,7 @@ func TestReuseSkipsSearchesOnCopiedPoints(t *testing.T) {
 
 func TestFractionReusedBounds(t *testing.T) {
 	pts := blobs(2, 200, 200, 20, 0.5, 50)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 8}, nil)
 	_, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, prev, reuse.ClusDensity, nil)
 	if err != nil {
@@ -226,7 +226,7 @@ func TestReuseAcrossChainOfVariants(t *testing.T) {
 	// Chain reuse: v1 scratch -> v2 reuses v1 -> v3 reuses v2; the final
 	// result must still match scratch DBSCAN.
 	pts := blobs(3, 250, 100, 25, 0.6, 60)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	p1 := dbscan.Params{Eps: 0.3, MinPts: 16}
 	p2 := dbscan.Params{Eps: 0.5, MinPts: 8}
 	p3 := dbscan.Params{Eps: 0.8, MinPts: 4}
@@ -247,7 +247,7 @@ func TestReuseAcrossChainOfVariants(t *testing.T) {
 }
 
 func TestRunEmptyDataset(t *testing.T) {
-	ix := dbscan.BuildIndex(nil, dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(nil, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	res, stats, err := Run(ix, dbscan.Params{Eps: 1, MinPts: 4}, nil, reuse.ClusDefault, nil)
 	if err != nil || res.Len() != 0 {
 		t.Fatalf("empty: %v %v", res, err)
@@ -282,7 +282,7 @@ func TestChooseSource(t *testing.T) {
 
 func TestSchemesAllProduceValidResults(t *testing.T) {
 	pts := blobs(5, 150, 100, 40, 0.8, 70)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.5, MinPts: 12}, nil)
 	want, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.7, MinPts: 4}, nil)
 	for _, scheme := range reuse.Schemes {
@@ -303,7 +303,7 @@ func TestSchemesAllProduceValidResults(t *testing.T) {
 func TestAllLabelsAssignedAfterReuse(t *testing.T) {
 	// Every point must end Noise or in a cluster — never Unclassified.
 	pts := blobs(3, 200, 150, 25, 0.6, 80)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 10}, nil)
 	got, _, err := Run(ix, dbscan.Params{Eps: 0.6, MinPts: 4}, prev, reuse.ClusDensity, nil)
 	if err != nil {
@@ -321,7 +321,7 @@ func TestAllLabelsAssignedAfterReuse(t *testing.T) {
 
 func TestRunOptsMinSeedSize(t *testing.T) {
 	pts := blobs(4, 150, 100, 30, 0.6, 90)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.5, MinPts: 8}, nil)
 	target := dbscan.Params{Eps: 0.7, MinPts: 4}
 

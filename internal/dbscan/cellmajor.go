@@ -59,7 +59,16 @@ func chunkSpans(g *gridindex.Flat) (int, spans) {
 }
 
 // cellPasses returns the mark and link passes over a division of g's cells.
+// A point with no cell (a non-finite coordinate) has no neighbour; it is
+// recorded as such up front, and attachBorders makes it Noise.
 func (s *onePass) cellPasses(ix *Index, g *gridindex.Flat, eps float64, units int, sp spans) []pass {
+	if out := g.Unplaced(); len(out) > 0 {
+		arena := make([]int32, 0, 2*len(out))
+		for _, id := range out {
+			arena = append(arena, id, 0)
+		}
+		s.borders = append(s.borders, arena)
+	}
 	search := g // the grid the sparse cells' points are ε-searched in
 	if sg := ix.Grid(); sg.BlockSide(eps) < g.BlockSide(eps) {
 		search = sg

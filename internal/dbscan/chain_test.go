@@ -21,7 +21,7 @@ import (
 // again. Run it under -race: links share flags and union-finds by cloning.
 func TestChainEveryLinkMatchesRun(t *testing.T) {
 	pts := blobs(5, 300, 200, 25, 0.6, 211)
-	oracle := BuildIndex(pts, IndexOptions{R: 16})
+	oracle := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 	chain := []int{32, 16, 16, 9, 8, 4, 1}
 	ctx := context.Background()
 	for _, kind := range []IndexKind{IndexRTree, IndexGrid} {
@@ -116,57 +116,6 @@ func TestChainUnservedLinkRunsFromScratch(t *testing.T) {
 			requireIdentical(t, got, want, fmt.Sprintf("%v after %v", kind, pp))
 			if m.Snapshot() != scratch.Snapshot() {
 				t.Fatalf("%v after %v: work %+v, from scratch %+v", kind, pp, m.Snapshot(), scratch.Snapshot())
-			}
-		}
-	}
-}
-
-// TestSeqLinkHeadsTheChain pins RunSeqLink against the parallel head it
-// stands in for: Run's bytes and work counters, and a Link that every later
-// link replays to the same bytes and counters as the links after a
-// RunLink head — on both kinds, so the records cannot depend on the search
-// structure either.
-func TestSeqLinkHeadsTheChain(t *testing.T) {
-	pts := blobs(5, 300, 200, 25, 0.6, 307)
-	chain := []int{32, 16, 9, 4, 1}
-	ctx := context.Background()
-	for _, kind := range []IndexKind{IndexRTree, IndexGrid} {
-		ix := BuildIndex(pts, IndexOptions{R: 16, Kind: kind})
-		for _, eps := range []float64{0.25, 0.8, 2.5} {
-			head := Params{Eps: eps, MinPts: chain[0]}
-			var want, got metrics.Counters
-			ref, _ := Run(ix, head, &want)
-			res, seq, err := RunSeqLink(ctx, ix, head, &got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tag := fmt.Sprintf("%v eps=%g", kind, eps)
-			requireIdentical(t, res, ref, tag+" head")
-			if got.Snapshot() != want.Snapshot() {
-				t.Fatalf("%s head: work %+v, Run %+v", tag, got.Snapshot(), want.Snapshot())
-			}
-			_, par, err := RunLink(ctx, ix, head, nil, ParallelOptions{Workers: 3}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mp := range chain[1:] {
-				p := Params{Eps: eps, MinPts: mp}
-				ref, _ := Run(ix, p, nil)
-				var ms, mp2 metrics.Counters
-				a, next, err := RunLink(ctx, ix, p, seq, ParallelOptions{Workers: 1}, &ms)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, nextPar, err := RunLink(ctx, ix, p, par, ParallelOptions{Workers: 1}, &mp2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, a, ref, fmt.Sprintf("%s minpts=%d", tag, mp))
-				requireIdentical(t, b, ref, fmt.Sprintf("%s minpts=%d (parallel head)", tag, mp))
-				if ms.Snapshot() != mp2.Snapshot() || ms.Snapshot().NeighborSearches != 0 {
-					t.Fatalf("%s minpts=%d: replay work %+v, after the parallel head %+v", tag, mp, ms.Snapshot(), mp2.Snapshot())
-				}
-				seq, par = next, nextPar
 			}
 		}
 	}

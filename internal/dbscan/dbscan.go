@@ -1,18 +1,26 @@
 // Package dbscan implements DBSCAN (Ester et al., KDD 1996) — Algorithms 1
-// and 2 of the paper — over the shared R-tree indexes that make
-// variant-based parallelism possible.
+// and 2 of the paper — over one shared, immutable index, the property
+// variant-based parallelism rests on.
 //
 // The central object is Index: one spatially sorted copy of the point
-// database plus two frozen R-trees,
+// database in struct-of-arrays form, plus the search structures its kind
+// calls for. A grid-kind index (the default) searches a flat uniform cell
+// grid, built by EnsureGrid for the variant set's largest ε, and its
+// from-scratch runs go cell-major (cellmajor.go). An R-tree-kind index is
+// the paper's: two frozen packed R-trees,
 //
 //	T_low  — r points per leaf MBB (r ≈ 70–110), used for ε-searches;
 //	T_high — one point per leaf MBB, used for exact cluster-MBB sweeps
 //	         in VariantDBSCAN (internal/core).
 //
-// An Index is built once and only read afterwards, so any number of variant
-// executions may search it concurrently without locking — the property the
-// paper's throughput optimization rests on. A grown point set gets a new
-// Index; streaming insertion and deletion are internal/incremental's job.
+// T_low is built with an R-tree-kind index; a grid-kind index builds it
+// only if something searches before EnsureGrid. T_high is built on the
+// first cluster-MBB sweep on either kind. Each is built once, race-free.
+//
+// An Index is only read after construction, so any number of variant
+// executions may search it concurrently without locking. A grown point set
+// gets a new Index; streaming insertion and deletion are
+// internal/incremental's job.
 package dbscan
 
 import (
@@ -35,25 +43,25 @@ import (
 type IndexKind int
 
 const (
-	// IndexRTree is the paper's packed R-tree pair (the default): T_low
-	// serves ε-searches, T_high serves cluster-MBB sweeps.
-	IndexRTree IndexKind = iota
-	// IndexGrid routes ε-searches through a flat uniform cell grid
-	// (gridindex.Flat) sized for the variant set's largest ε. The R-trees
-	// are still built — T_high keeps serving the cluster-MBB sweeps that
-	// reuse depends on, and T_low answers until the grid is built
-	// (EnsureGrid) — but every steady-state ε-search becomes three
-	// contiguous block-kernel scans.
-	IndexGrid
+	// IndexGrid (the default) routes ε-searches through a flat uniform
+	// cell grid (gridindex.Flat) sized for the variant set's largest ε:
+	// every ε-search is three contiguous block-kernel scans, and a
+	// from-scratch run is cell-major. No R-tree is built unless something
+	// asks for one: T_low for a search before EnsureGrid, T_high for a
+	// paper strategy's cluster-MBB sweep.
+	IndexGrid IndexKind = iota
+	// IndexRTree is the paper's packed R-tree pair: T_low, built with the
+	// index, serves ε-searches; T_high serves cluster-MBB sweeps.
+	IndexRTree
 )
 
-// String implements fmt.Stringer ("rtree" / "grid").
+// String implements fmt.Stringer ("grid" / "rtree").
 func (k IndexKind) String() string {
 	switch k {
-	case IndexGrid:
-		return "grid"
-	default:
+	case IndexRTree:
 		return "rtree"
+	default:
+		return "grid"
 	}
 }
 
@@ -77,21 +85,23 @@ type Index struct {
 	X, Y []float64
 	// Fwd maps sorted index -> original index (Fwd[sorted] = original).
 	Fwd []int
-	// FlatLow is T_low (r points per leaf MBB) and FlatHigh is T_high (one
-	// point per leaf MBB; nil on a SkipHigh build), both as frozen
-	// array-backed rtree.Flat trees over Pts.
-	FlatLow  *rtree.Flat
-	FlatHigh *rtree.Flat
 
 	// Kind selects the ε-search substrate. IndexGrid routes searches
 	// through the cell grid below once EnsureGrid has built it; until
-	// then searches go through FlatLow, which returns the same bytes.
+	// then searches go through T_low, which returns the same bytes.
 	Kind IndexKind
+
+	// r and fanout shape the R-trees: T_low's leaf occupancy, and the
+	// node fanout of both (rtree.DefaultFanout when zero).
+	r, fanout int
+	// low is T_low and high is T_high, frozen array-backed rtree.Flat
+	// trees over Pts sharing X and Y, each built on first use (Low, High).
+	low, high lazyTree
 
 	// grid is the frozen cell grid serving ε-searches when Kind is
 	// IndexGrid. It is built lazily by EnsureGrid — the variant set's max
 	// ε is not known at BuildIndex time — and installed atomically so
-	// concurrent searches either see a complete grid or use FlatLow. A
+	// concurrent searches either see a complete grid or use T_low. A
 	// grid always covers every point of the index.
 	grid   atomic.Pointer[gridindex.Flat]
 	gridMu sync.Mutex // serializes EnsureGrid builds
@@ -120,10 +130,7 @@ type IndexOptions struct {
 	BinWidth float64
 	// Fanout overrides the R-tree node fanout; rtree.DefaultFanout when zero.
 	Fanout int
-	// SkipHigh omits T_high construction for callers that only run plain
-	// DBSCAN (saves |D| leaf MBBs of memory).
-	SkipHigh bool
-	// Kind selects the ε-search substrate (IndexRTree when zero).
+	// Kind selects the ε-search substrate (IndexGrid when zero).
 	Kind IndexKind
 }
 
@@ -137,10 +144,10 @@ func (o IndexOptions) withDefaults() IndexOptions {
 	return o
 }
 
-// BuildIndex grid-sorts pts and builds the shared trees: each is bulk-loaded
-// as a pointer tree, compacted into its flat form over one shared pair of
-// SoA coordinate slices, and the pointer tree dropped. The input slice is
-// not modified; the index keeps its own sorted copy.
+// BuildIndex grid-sorts pts into the index's own copy and its SoA
+// coordinate slices. An R-tree-kind index also builds T_low; a grid-kind
+// one builds nothing more until EnsureGrid. The input slice is not
+// modified.
 func BuildIndex(pts []geom.Point, opt IndexOptions) *Index {
 	opt = opt.withDefaults()
 	sorted, fwd := grid.Sort(pts, opt.BinWidth)
@@ -149,18 +156,39 @@ func BuildIndex(pts []geom.Point, opt IndexOptions) *Index {
 	for i, p := range sorted {
 		x[i], y[i] = p.X, p.Y
 	}
-	ix := &Index{
-		Pts:     sorted,
-		X:       x,
-		Y:       y,
-		Fwd:     fwd,
-		Kind:    opt.Kind,
-		FlatLow: rtree.BulkLoad(sorted, rtree.Options{R: opt.R, Fanout: opt.Fanout}).CompactWithCoords(x, y),
-	}
-	if !opt.SkipHigh {
-		ix.FlatHigh = rtree.BulkLoad(sorted, rtree.Options{R: 1, Fanout: opt.Fanout}).CompactWithCoords(x, y)
+	ix := &Index{Pts: sorted, X: x, Y: y, Fwd: fwd, Kind: opt.Kind, r: opt.R, fanout: opt.Fanout}
+	if ix.Kind == IndexRTree {
+		ix.Low()
 	}
 	return ix
+}
+
+// lazyTree is a frozen R-tree built on first use, once, however many
+// goroutines ask for it at the same time.
+type lazyTree struct {
+	once sync.Once
+	t    *rtree.Flat
+}
+
+func (l *lazyTree) get(build func() *rtree.Flat) *rtree.Flat {
+	l.once.Do(func() { l.t = build() })
+	return l.t
+}
+
+// Low returns T_low, r points per leaf MBB, building it on first use.
+func (ix *Index) Low() *rtree.Flat {
+	return ix.low.get(func() *rtree.Flat { return ix.buildTree(ix.r) })
+}
+
+// High returns T_high, one point per leaf MBB, building it on first use.
+func (ix *Index) High() *rtree.Flat {
+	return ix.high.get(func() *rtree.Flat { return ix.buildTree(1) })
+}
+
+// buildTree bulk-loads a pointer tree over Pts, compacts it into its flat
+// form over the shared X and Y, and drops the pointer tree.
+func (ix *Index) buildTree(r int) *rtree.Flat {
+	return rtree.BulkLoad(ix.Pts, rtree.Options{R: r, Fanout: ix.fanout}).CompactWithCoords(ix.X, ix.Y)
 }
 
 // Grid exposes the installed cell grid (nil until EnsureGrid has run on
@@ -277,11 +305,12 @@ func (ix *Index) TilePartition(target int) *tiling.Partition {
 // Len returns the number of indexed points.
 func (ix *Index) Len() int { return len(ix.Pts) }
 
-// R returns the leaf occupancy of T_low.
-func (ix *Index) R() int { return ix.FlatLow.R() }
+// R returns the leaf occupancy T_low has, or would have once built.
+func (ix *Index) R() int { return ix.r }
 
 // NeighborSearch is Algorithm 2: it builds the ε-augmented query MBB around
-// p, collects candidate points from T_low's overlapping leaf MBBs, and
+// p, collects candidate points from T_low's overlapping leaf MBBs — or the
+// cell grid's block around p, once a grid-kind index has built one — and
 // distance-filters them. Results are appended to dst (which may be nil) as
 // sorted-space point indices, including the query point itself when it is in
 // the database. m may be nil.
@@ -319,16 +348,17 @@ func (ix *Index) neighborSearch(p geom.Point, eps float64, dst []int32) (out []i
 	if g := ix.grid.Load(); g != nil {
 		out, c, n = g.EpsSearch(p, eps, dst)
 	} else {
-		out, c, n = ix.FlatLow.EpsSearch(p, eps, dst)
+		out, c, n = ix.Low().EpsSearch(p, eps, dst)
 	}
 	return out, int64(c), int64(n)
 }
 
 // HighCandidates appends to dst the indices of all points in T_high leaf
 // entries overlapping q and returns dst plus the nodes touched — the
-// cluster-MBB sweep of VariantDBSCAN (Algorithm 3, line 11).
+// cluster-MBB sweep of VariantDBSCAN (Algorithm 3, line 11). The first call
+// builds T_high.
 func (ix *Index) HighCandidates(q geom.MBB, dst []int32) (out []int32, nodes int64) {
-	out, n := ix.FlatHigh.SearchCandidates(q, dst)
+	out, n := ix.High().SearchCandidates(q, dst)
 	return out, int64(n)
 }
 

@@ -10,41 +10,37 @@ import (
 
 // FrozenParts is the complete frozen state of an Index, decomposed into
 // the arrays and scalars the persistence layer serializes: the sorted
-// point storage, the sorted→original permutation, and the flat parts of
-// every frozen view. High and Grid are optional (SkipHigh builds, and
-// grid-kind indexes whose grid was never built). All slices alias the
-// index (or, on the way back in, the caller's file-backed memory) — the
-// decomposition copies nothing.
+// point storage, the sorted→original permutation, T_low's leaf occupancy,
+// and the flat parts of the views the index's kind keeps: an R-tree-kind
+// index's T_low, a grid-kind index's cell grid. Each view is nil when
+// absent; High only ever comes back in, from a file that carries T_high.
+// All slices alias the index (or, on the way back in, the caller's
+// file-backed memory) — the decomposition copies nothing.
 type FrozenParts struct {
 	Pts  []geom.Point
 	X, Y []float64
 	Fwd  []int
 	R    int
 	Kind IndexKind
-	Low  rtree.FlatParts
+	Low  *rtree.FlatParts
 	High *rtree.FlatParts
 	Grid *gridindex.FlatParts
 }
 
-// FrozenParts exports the index's frozen state for serialization. Only an
-// Index assembled by hand without T_low (never one from BuildIndex or
-// IndexFromFrozen) returns an error.
+// FrozenParts exports the index's frozen state for serialization: the
+// point arrays, plus an R-tree-kind index's T_low or the cell grid a
+// grid-kind index has built. No index exports T_high, which only a paper
+// strategy's sweep reads and builds again, nor a grid-kind index a tree it
+// built lazily: the grid serves every search it runs. Only an Index
+// assembled by hand without SoA coordinates returns an error.
 func (ix *Index) FrozenParts() (FrozenParts, error) {
-	if ix.FlatLow == nil || len(ix.X) != len(ix.Pts) || len(ix.Y) != len(ix.Pts) {
-		return FrozenParts{}, fmt.Errorf("dbscan: index has no T_low or no SoA coordinate slices")
+	if len(ix.X) != len(ix.Pts) || len(ix.Y) != len(ix.Pts) {
+		return FrozenParts{}, fmt.Errorf("dbscan: index has no SoA coordinate slices")
 	}
-	p := FrozenParts{
-		Pts:  ix.Pts,
-		X:    ix.X,
-		Y:    ix.Y,
-		Fwd:  ix.Fwd,
-		R:    ix.R(),
-		Kind: ix.Kind,
-		Low:  ix.FlatLow.Parts(),
-	}
-	if ix.FlatHigh != nil {
-		hp := ix.FlatHigh.Parts()
-		p.High = &hp
+	p := FrozenParts{Pts: ix.Pts, X: ix.X, Y: ix.Y, Fwd: ix.Fwd, R: ix.r, Kind: ix.Kind}
+	if ix.Kind == IndexRTree {
+		lp := ix.Low().Parts()
+		p.Low = &lp
 	}
 	if g := ix.grid.Load(); g != nil {
 		gp := g.Parts()
@@ -60,11 +56,13 @@ func (ix *Index) FrozenParts() (FrozenParts, error) {
 //
 // Because the parts may come from an untrusted file, everything is
 // validated before use — array length agreement, the Fwd permutation,
-// SoA/AoS coordinate consistency, a grid only on a grid-kind index and
-// covering exactly its points (searches trust the grid alone once it is
-// installed), and (via the parts constructors) full structural validation
-// of each view. Nothing writes to an Index after construction, so the
-// aliased arrays may be mapped read-only.
+// SoA/AoS coordinate consistency, a leaf occupancy a lazy T_low can be
+// built with, a grid only on a grid-kind index and covering exactly its
+// points (searches trust the grid alone once it is installed), and (via the
+// parts constructors) full structural validation of each view. A tree the
+// parts lack is built on first use, as on an index from BuildIndex.
+// Nothing writes to an Index after construction, so the aliased arrays may
+// be mapped read-only.
 func IndexFromFrozen(p FrozenParts) (*Index, error) {
 	bad := func(format string, args ...any) (*Index, error) {
 		return nil, fmt.Errorf("dbscan: invalid frozen parts: "+format, args...)
@@ -85,24 +83,22 @@ func IndexFromFrozen(p FrozenParts) (*Index, error) {
 			return bad("SoA coords disagree with points at %d", i)
 		}
 	}
-	low, err := rtree.FlatFromParts(p.Low, p.X, p.Y, p.Pts)
-	if err != nil {
-		return nil, err
+	if p.R < 1 {
+		return bad("leaf occupancy %d", p.R)
 	}
-	ix := &Index{
-		Pts:     p.Pts,
-		X:       p.X,
-		Y:       p.Y,
-		Fwd:     p.Fwd,
-		Kind:    p.Kind,
-		FlatLow: low,
-	}
-	if p.High != nil {
-		high, err := rtree.FlatFromParts(*p.High, p.X, p.Y, p.Pts)
+	ix := &Index{Pts: p.Pts, X: p.X, Y: p.Y, Fwd: p.Fwd, Kind: p.Kind, r: p.R}
+	for _, t := range []struct {
+		parts *rtree.FlatParts
+		dst   *lazyTree
+	}{{p.Low, &ix.low}, {p.High, &ix.high}} {
+		if t.parts == nil {
+			continue
+		}
+		tree, err := rtree.FlatFromParts(*t.parts, p.X, p.Y, p.Pts)
 		if err != nil {
 			return nil, err
 		}
-		ix.FlatHigh = high
+		t.dst.get(func() *rtree.Flat { return tree })
 	}
 	if p.Grid != nil {
 		g, err := gridindex.FlatFromParts(*p.Grid)

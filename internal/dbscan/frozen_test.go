@@ -67,7 +67,7 @@ func TestIndexFrozenRoundTrip(t *testing.T) {
 // TestIndexFromFrozenRejects feeds inconsistent frozen parts and requires
 // typed rejection.
 func TestIndexFromFrozenRejects(t *testing.T) {
-	ix := dbscan.BuildIndex(frozenPoints(300, 37), dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(frozenPoints(300, 37), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	good, err := ix.FrozenParts()
 	if err != nil {
 		t.Fatalf("FrozenParts: %v", err)

@@ -2,8 +2,11 @@ package dbscan
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
+	"vdbscan/internal/cluster"
 	"vdbscan/internal/data"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/metrics"
@@ -19,7 +22,7 @@ import (
 func TestGridKindMatchesRTreeExactly(t *testing.T) {
 	params := Params{Eps: 2, MinPts: 4}
 	for name, pts := range synthetic(t) {
-		rix := BuildIndex(pts, IndexOptions{R: 70})
+		rix := BuildIndex(pts, IndexOptions{R: 70, Kind: IndexRTree})
 		gix := BuildIndex(pts, IndexOptions{R: 70, Kind: IndexGrid})
 
 		var rm, gm metrics.Counters
@@ -54,6 +57,54 @@ func TestGridKindMatchesRTreeExactly(t *testing.T) {
 	}
 }
 
+// TestGridNonFiniteCoordinates mixes NaN, +Inf and −Inf points into blobs.
+// The grid gives them no cell and the R-tree no MBB bound, so neither finds
+// them and a search from one finds nothing: they are noise at any MinPts,
+// and the grid kind's bytes are the R-tree kind's — through RunCtx, through
+// the cell-major runner at one and three workers, and through a chain
+// replay of the cell-major run's records.
+func TestGridNonFiniteCoordinates(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	pts := append(blobs(3, 200, 60, 20, 0.6, 41),
+		geom.Point{X: nan, Y: 1}, geom.Point{X: inf, Y: 2}, geom.Point{X: 3, Y: -inf},
+		geom.Point{X: -inf, Y: nan}, geom.Point{X: inf, Y: inf})
+	rt := BuildIndex(pts, IndexOptions{Kind: IndexRTree})
+	gr := BuildIndex(pts, IndexOptions{Kind: IndexGrid})
+	ctx := context.Background()
+	want := map[int]*cluster.Result{}
+	for _, mp := range []int{3, 1} {
+		p := Params{Eps: 0.8, MinPts: mp}
+		want[mp], _ = Run(rt, p, nil)
+		for i, q := range rt.Pts {
+			finite := !math.IsNaN(q.X) && !math.IsInf(q.X, 0) && !math.IsNaN(q.Y) && !math.IsInf(q.Y, 0)
+			if !finite && want[mp].Labels[i] != cluster.Noise {
+				t.Fatalf("minpts=%d: R-tree labels non-finite %v %d", mp, q, want[mp].Labels[i])
+			}
+		}
+		seq, err := RunCtx(ctx, gr, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, seq, want[mp], fmt.Sprintf("RunCtx minpts=%d", mp))
+		for _, workers := range []int{1, 3} {
+			par, err := RunParallel(gr, p, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, par, want[mp], fmt.Sprintf("cell-major minpts=%d workers=%d", mp, workers))
+		}
+	}
+	_, head, err := RunLink(ctx, gr, Params{Eps: 0.8, MinPts: 3}, nil, ParallelOptions{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, _, err := RunLink(ctx, gr, Params{Eps: 0.8, MinPts: 1}, head, ParallelOptions{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, replay, want[1], "replay minpts=1")
+}
+
 // TestGridKindParamsSweep runs several ε values over one grid-kind index
 // against fresh R-tree runs: ε below the side reuses the build untouched,
 // ε above it triggers the one-time re-side (EnsureGrid), and direct
@@ -64,7 +115,7 @@ func TestGridKindParamsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	gix := BuildIndex(ds.Points, IndexOptions{Kind: IndexGrid})
-	rix := BuildIndex(ds.Points, IndexOptions{})
+	rix := BuildIndex(ds.Points, IndexOptions{Kind: IndexRTree})
 	if err := gix.EnsureGrid(2.5); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +182,7 @@ func TestNeighborSearchGridZeroAlloc(t *testing.T) {
 // TestEnsureGridNoOpOnRTreeKind pins the contract that EnsureGrid does
 // nothing (and costs nothing) on the default kind.
 func TestEnsureGridNoOpOnRTreeKind(t *testing.T) {
-	ix := BuildIndex([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}, IndexOptions{})
+	ix := BuildIndex([]geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}, IndexOptions{Kind: IndexRTree})
 	if err := ix.EnsureGrid(5); err != nil {
 		t.Fatal(err)
 	}

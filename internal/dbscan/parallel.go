@@ -224,88 +224,6 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 	return res, &Link{p, s}, nil
 }
 
-// RunSeqLink is a chain's first link on one goroutine, for an index without
-// a cell decomposition: RunCtx's expansion, which searches every point once
-// as the point-major pass does but needs no label or border tail, recording
-// the Link on the way. Labels and work counters are Run's; the Link serves
-// RunLink exactly as a from-scratch RunLink's would. The loop is a copy of
-// RunCtx's rather than shared with it: the recording hooks cost plain Run
-// about 10 %.
-func RunSeqLink(ctx context.Context, ix *Index, p Params, m *metrics.Counters) (*cluster.Result, *Link, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := ix.EnsureGrid(p.Eps); err != nil {
-		return nil, nil, err
-	}
-	n := ix.Len()
-	res := cluster.NewResult(n)
-	if n == 0 {
-		return res, nil, nil
-	}
-	s := &onePass{minPts: p.MinPts, core: make([]atomic.Bool, n), dsu: unionfind.NewConcurrent(n)}
-	visited := make([]bool, n)
-	queue := make([]int32, 0, 1024)
-	scratch := make([]int32, 0, 256)
-	var arena []int32
-	var cid int32
-
-	// search ε-searches q and keeps what the next link replays: a core q
-	// joins seed — its cluster's first core point, so the component's
-	// minimum core index — and a non-core q keeps its whole neighbourhood.
-	search := func(q, seed int32) (core bool) {
-		scratch = ix.NeighborSearch(ix.Pts[q], p.Eps, m, scratch[:0])
-		if len(scratch) < p.MinPts {
-			arena = append(arena, q, int32(len(scratch)))
-			arena = append(arena, scratch...)
-			return false
-		}
-		s.core[q].Store(true)
-		s.dsu.Union(q, seed)
-		return true
-	}
-	absorb := func(cid int32) {
-		for _, k := range scratch {
-			if !visited[k] {
-				visited[k] = true
-				queue = append(queue, k)
-			}
-			if res.Labels[k] <= 0 {
-				res.Labels[k] = cid
-			}
-		}
-	}
-	for i := int32(0); i < int32(n); i++ {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		if visited[i] {
-			continue
-		}
-		visited[i] = true
-		if !search(i, i) {
-			res.Labels[i] = cluster.Noise
-			continue
-		}
-		cid++
-		res.Labels[i] = cid
-		queue = queue[:0]
-		absorb(cid)
-		for qi := 0; qi < len(queue); qi++ {
-			if search(queue[qi], i) {
-				absorb(cid)
-			}
-		}
-	}
-	res.NumClusters = int(cid)
-	if len(arena) > 0 {
-		s.borders = [][]int32{arena}
-	}
-	return res, &Link{p, s}, nil
-}
-
 // onePass is the state the workers of one run share: the published core
 // flags, the core-connectivity union-find, and the non-core records each
 // worker hands over when it finishes.

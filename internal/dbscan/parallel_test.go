@@ -13,7 +13,7 @@ import (
 )
 
 func TestRunParallelValidation(t *testing.T) {
-	ix := BuildIndex([]geom.Point{{X: 0, Y: 0}}, IndexOptions{})
+	ix := BuildIndex([]geom.Point{{X: 0, Y: 0}}, IndexOptions{Kind: IndexRTree})
 	if _, err := RunParallel(ix, Params{Eps: 0, MinPts: 4}, 2, nil); err == nil {
 		t.Error("bad params accepted")
 	}
@@ -74,7 +74,7 @@ func TestRunParallelMatchesSequentialExactly(t *testing.T) {
 		{Eps: 8, MinPts: 700}, // MinPts > |all-dup| exercises the all-noise path
 	}
 	for name, pts := range synthetic(t) {
-		ix := BuildIndex(pts, IndexOptions{R: 16})
+		ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 		for _, p := range params {
 			want, err := Run(ix, p, nil)
 			if err != nil {
@@ -93,7 +93,7 @@ func TestRunParallelMatchesSequentialExactly(t *testing.T) {
 
 func TestRunParallelDefaultWorkers(t *testing.T) {
 	pts := blobs(3, 200, 100, 25, 0.6, 100)
-	ix := BuildIndex(pts, IndexOptions{R: 16})
+	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 	p := Params{Eps: 0.8, MinPts: 4}
 	want, _ := Run(ix, p, nil)
 	got, err := RunParallel(ix, p, 0, nil) // 0 → GOMAXPROCS
@@ -104,12 +104,12 @@ func TestRunParallelDefaultWorkers(t *testing.T) {
 }
 
 func TestRunParallelEmptyAndDegenerate(t *testing.T) {
-	ix := BuildIndex(nil, IndexOptions{})
+	ix := BuildIndex(nil, IndexOptions{Kind: IndexRTree})
 	res, err := RunParallel(ix, Params{Eps: 1, MinPts: 4}, 4, nil)
 	if err != nil || res.Len() != 0 {
 		t.Fatalf("empty: %v %v", res, err)
 	}
-	ix = BuildIndex([]geom.Point{{X: 1, Y: 1}}, IndexOptions{})
+	ix = BuildIndex([]geom.Point{{X: 1, Y: 1}}, IndexOptions{Kind: IndexRTree})
 	res, _ = RunParallel(ix, Params{Eps: 1, MinPts: 2}, 4, nil)
 	if res.NumNoise() != 1 {
 		t.Error("single point should be noise")
@@ -157,7 +157,7 @@ func TestRunParallelSearchCountMatches(t *testing.T) {
 
 func TestRunParallelAllLabeled(t *testing.T) {
 	pts := blobs(3, 150, 150, 25, 0.6, 104)
-	ix := BuildIndex(pts, IndexOptions{R: 16})
+	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 	res, err := RunParallel(ix, Params{Eps: 0.7, MinPts: 4}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestRunParallelAllLabeled(t *testing.T) {
 
 func TestRunParallelCancellation(t *testing.T) {
 	pts := blobs(4, 500, 200, 30, 0.7, 105)
-	ix := BuildIndex(pts, IndexOptions{R: 16})
+	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunParallelOpts(ctx, ix, Params{Eps: 1, MinPts: 4},
@@ -182,7 +182,7 @@ func TestRunParallelCancellation(t *testing.T) {
 
 func TestRunCtxCancellation(t *testing.T) {
 	pts := blobs(4, 500, 200, 30, 0.7, 106)
-	ix := BuildIndex(pts, IndexOptions{R: 16})
+	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunCtx(ctx, ix, Params{Eps: 1, MinPts: 4}, nil); err != context.Canceled {
@@ -212,7 +212,7 @@ func (h *waitHelper) Offer(_ int32, help func()) (stop func()) {
 
 func TestRunParallelWithHelperMatches(t *testing.T) {
 	pts := blobs(4, 300, 150, 25, 0.6, 107)
-	ix := BuildIndex(pts, IndexOptions{R: 16})
+	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 	p := Params{Eps: 0.8, MinPts: 4}
 	want, _ := Run(ix, p, nil)
 	for _, donors := range []int{1, 3, 7} {
@@ -256,7 +256,7 @@ func TestRunParallelCancelFlushesLocalCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildIndex(ds.Points, IndexOptions{R: 16})
+	ix := BuildIndex(ds.Points, IndexOptions{R: 16, Kind: IndexRTree})
 	var m metrics.Counters
 	ctx := &countdownCtx{Context: context.Background(), after: 3}
 	res, err := RunParallelOpts(ctx, ix, Params{Eps: 1, MinPts: 4},
@@ -300,7 +300,7 @@ func TestNeighborSearchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildIndex(ds.Points, IndexOptions{R: 70})
+	ix := BuildIndex(ds.Points, IndexOptions{R: 70, Kind: IndexRTree})
 	var m metrics.Counters
 	dst := make([]int32, 0, 4096)
 	for i := 0; i < len(ix.Pts); i += 37 { // warm dst to its high-water mark
@@ -324,7 +324,7 @@ func TestNeighborSearchLocalZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildIndex(ds.Points, IndexOptions{R: 70})
+	ix := BuildIndex(ds.Points, IndexOptions{R: 70, Kind: IndexRTree})
 	var local metrics.Local
 	dst := make([]int32, 0, 4096)
 	for i := 0; i < len(ix.Pts); i += 37 { // warm dst to its high-water mark

@@ -144,7 +144,7 @@ func TestRunTiledUsesTiledPath(t *testing.T) {
 // be exact.
 func TestRunTiledRTreeFallsBack(t *testing.T) {
 	pts := blobs(3, 300, 100, 25, 0.6, 203)
-	ix := BuildIndex(pts, IndexOptions{R: 16})
+	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
 	p := Params{Eps: 0.8, MinPts: 4}
 	want, err := Run(ix, p, nil)
 	if err != nil {

@@ -97,8 +97,13 @@ func (b MBB) Expand(d float64) MBB {
 	return MBB{MinX: b.MinX - d, MinY: b.MinY - d, MaxX: b.MaxX + d, MaxY: b.MaxY + d}
 }
 
-// ExtendPoint returns the smallest box containing b and p.
+// ExtendPoint returns the smallest box containing b and p. A point with a
+// NaN coordinate, within ε of nothing, leaves b unchanged: a NaN bound
+// would fail every later overlap test against b.
 func (b MBB) ExtendPoint(p Point) MBB {
+	if math.IsNaN(p.X) || math.IsNaN(p.Y) {
+		return b
+	}
 	if b.IsEmpty() {
 		return MBBOf(p)
 	}

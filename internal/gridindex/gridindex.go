@@ -49,8 +49,8 @@ import (
 const MaxCells = 1 << 21
 
 // ErrGridTooLarge mirrors rtree.ErrFlatTooLarge: the point set exceeds
-// int32 addressing, or its bounding box is non-finite (NaN/±Inf
-// coordinates), so no grid geometry can cover it.
+// int32 addressing, or the span of its finite points overflows, so no grid
+// geometry can cover it.
 var ErrGridTooLarge = errors.New("gridindex: point set too large or bounds non-finite for grid layout")
 
 // gridShape picks the cell geometry for a bounding box: the number of
@@ -126,8 +126,10 @@ type Flat struct {
 
 // Freeze builds the flat grid over parallel coordinate slices with cells
 // of the given side (coarsened to respect MaxCells). The slices are
-// copied — the Flat does not alias caller memory. Non-finite coordinates
-// or > MaxInt32 points return ErrGridTooLarge.
+// copied — the Flat does not alias caller memory. A point with a NaN or
+// infinite coordinate gets no cell: the bounds cover the finite points
+// only, and the others sit past every cell's slots (Unplaced), where no
+// search reaches them. More than MaxInt32 points return ErrGridTooLarge.
 func Freeze(x, y []float64, side float64) (*Flat, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("gridindex: coordinate slices differ in length: %d vs %d", len(x), len(y))
@@ -139,40 +141,35 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 		return nil, fmt.Errorf("gridindex: cell side must be positive and finite, got %g", side)
 	}
 	n := len(x)
-	if n == 0 {
-		return &Flat{side: side, cols: 0, rows: 0, cellStart: []int32{0}}, nil
+	b := geom.EmptyMBB()
+	for i := 0; i < n; i++ {
+		if finite(x[i], y[i]) {
+			b = b.ExtendPoint(geom.Point{X: x[i], Y: y[i]})
+		}
 	}
-	b := geom.MBB{MinX: x[0], MinY: y[0], MaxX: x[0], MaxY: y[0]}
-	for i := 1; i < n; i++ {
-		b = b.ExtendPoint(geom.Point{X: x[i], Y: y[i]})
+	f := &Flat{side: side}
+	if !b.IsEmpty() {
+		cols, rows, side, err := gridShape(b, side)
+		if err != nil {
+			return nil, err
+		}
+		f.side, f.originX, f.originY = side, b.MinX, b.MinY
+		f.cols, f.rows = int32(cols), int32(rows)
 	}
-	cols, rows, side, err := gridShape(b, side)
-	if err != nil {
-		return nil, err
-	}
-	f := &Flat{
-		side:    side,
-		originX: b.MinX,
-		originY: b.MinY,
-		cols:    int32(cols),
-		rows:    int32(rows),
-	}
-	cells := cols * rows
-	// Counting sort into CSR: count per cell, prefix-sum, scatter.
+	cells := int(f.cols) * int(f.rows)
+	// Counting sort into CSR: count per cell, prefix-sum, scatter. The
+	// unplaced points count as one extra cell after the last.
 	cellOf := make([]int32, n)
 	f.cellStart = make([]int32, cells+1)
 	for i := 0; i < n; i++ {
-		col := int((x[i] - f.originX) / side)
-		row := int((y[i] - f.originY) / side)
-		if col >= cols {
-			col = cols - 1
+		c := int32(cells)
+		if finite(x[i], y[i]) {
+			col := min(int((x[i]-f.originX)/f.side), int(f.cols)-1)
+			row := min(int((y[i]-f.originY)/f.side), int(f.rows)-1)
+			c = int32(row*int(f.cols) + col)
+			f.cellStart[c+1]++
 		}
-		if row >= rows {
-			row = rows - 1
-		}
-		c := int32(row*cols + col)
 		cellOf[i] = c
-		f.cellStart[c+1]++
 	}
 	for c := 0; c < cells; c++ {
 		f.cellStart[c+1] += f.cellStart[c]
@@ -180,8 +177,7 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 	f.xs = make([]float64, n)
 	f.ys = make([]float64, n)
 	f.ids = make([]int32, n)
-	next := make([]int32, cells)
-	copy(next, f.cellStart[:cells])
+	next := append([]int32(nil), f.cellStart...)
 	for i := 0; i < n; i++ {
 		c := cellOf[i]
 		s := next[c]
@@ -193,7 +189,16 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 	return f, nil
 }
 
-// Len returns the number of indexed points.
+// finite reports whether both coordinates are finite numbers.
+func finite(x, y float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
+}
+
+// Unplaced returns the ids of the points that have no cell — those with a
+// NaN or infinite coordinate. No search returns them. Read-only.
+func (f *Flat) Unplaced() []int32 { return f.ids[f.cellStart[len(f.cellStart)-1]:] }
+
+// Len returns the number of indexed points, Unplaced ones included.
 func (f *Flat) Len() int { return len(f.ids) }
 
 // Side returns the cell side; searches with eps ≤ Side scan the 3×3
@@ -245,7 +250,7 @@ func clampSpan(lo, hi float64, n int32) (int32, int32, bool) {
 // answered exactly. Allocation-free once dst has warmed to its
 // high-water capacity.
 func (f *Flat) EpsSearch(p geom.Point, eps float64, dst []int32) (out []int32, candidates, nodesVisited int) {
-	if len(f.ids) == 0 || !(eps >= 0) {
+	if f.cols == 0 || !(eps >= 0) {
 		return dst, 0, 0
 	}
 	reach := math.Ceil(eps / f.side)

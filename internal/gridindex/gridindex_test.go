@@ -43,8 +43,27 @@ func TestFreezeValidation(t *testing.T) {
 	if _, err := gridindex.Freeze(nil, nil, 0); err == nil {
 		t.Error("side=0 accepted")
 	}
-	if _, err := gridindex.Freeze([]float64{math.NaN()}, []float64{0}, 1); err == nil {
-		t.Error("NaN coordinate accepted")
+	nf, err := gridindex.Freeze([]float64{math.NaN(), 0, math.Inf(1)}, []float64{0, 0, math.Inf(-1)}, 1)
+	if err != nil {
+		t.Fatalf("non-finite coordinates: %v", err)
+	}
+	if un := nf.Unplaced(); nf.Len() != 3 || len(un) != 2 || un[0] != 0 || un[1] != 2 {
+		t.Errorf("non-finite points: len %d, unplaced %v; want 3 and [0 2]", nf.Len(), un)
+	}
+	if out, _, _ := nf.EpsSearch(geom.Point{X: 0, Y: 0}, 1, nil); len(out) != 1 || out[0] != 1 {
+		t.Errorf("search from the finite point found %v, want [1]", out)
+	}
+	for _, q := range []geom.Point{{X: math.NaN(), Y: 0}, {X: math.Inf(1), Y: math.Inf(-1)}} {
+		if out, _, _ := nf.EpsSearch(q, 1, nil); len(out) != 0 {
+			t.Errorf("search from %v found %v", q, out)
+		}
+	}
+	allNaN, err := gridindex.Freeze([]float64{math.NaN()}, []float64{0}, 1)
+	if err != nil || len(allNaN.Unplaced()) != 1 {
+		t.Fatalf("all-NaN freeze: %v %v", allNaN, err)
+	}
+	if out, _, _ := allNaN.EpsSearch(geom.Point{X: 0, Y: 0}, 1, nil); len(out) != 0 {
+		t.Errorf("all-NaN grid answered %v", out)
 	}
 	f, err := gridindex.Freeze(nil, nil, 1)
 	if err != nil || f.Len() != 0 {

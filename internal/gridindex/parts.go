@@ -31,9 +31,10 @@ func (f *Flat) Parts() FlatParts {
 // FlatFromParts reconstructs a servable Flat from previously exported
 // parts, aliasing the input arrays. The parts may come from an untrusted
 // file, so the CSR structure is fully validated first: the offsets must be
-// a monotone partition of the point arrays, every id must land inside the
-// caller's index space, and the geometry scalars must describe a real grid.
-// Invalid parts return an error; FlatFromParts never panics.
+// a monotone partition of a prefix of the point arrays, the slots past it
+// must hold only non-finite (unplaced) points, every id must land inside
+// the caller's index space, and the geometry scalars must describe a real
+// grid. Invalid parts return an error; FlatFromParts never panics.
 func FlatFromParts(parts FlatParts) (*Flat, error) {
 	bad := func(format string, args ...any) (*Flat, error) {
 		return nil, fmt.Errorf("gridindex: invalid flat parts: "+format, args...)
@@ -52,12 +53,18 @@ func FlatFromParts(parts FlatParts) (*Flat, error) {
 	if int64(len(parts.CellStart)) != cells+1 {
 		return bad("cellStart has %d offsets for %d cells", len(parts.CellStart), cells)
 	}
-	if parts.CellStart[0] != 0 || int(parts.CellStart[cells]) != n {
-		return bad("cellStart does not span the %d points", n)
+	placed := int(parts.CellStart[cells])
+	if parts.CellStart[0] != 0 || placed < 0 || placed > n {
+		return bad("cellStart does not partition a prefix of the %d points", n)
 	}
 	for c := int64(0); c < cells; c++ {
 		if parts.CellStart[c] > parts.CellStart[c+1] {
 			return bad("cellStart not monotone at cell %d", c)
+		}
+	}
+	for s := placed; s < n; s++ {
+		if finite(parts.Xs[s], parts.Ys[s]) {
+			return bad("unplaced slot %d holds a finite point", s)
 		}
 	}
 	for i, id := range parts.IDs {
@@ -65,10 +72,7 @@ func FlatFromParts(parts FlatParts) (*Flat, error) {
 			return bad("slot %d id %d outside [0, %d)", i, id, n)
 		}
 	}
-	if n > 0 {
-		if cells == 0 {
-			return bad("%d points with no cells", n)
-		}
+	if cells > 0 {
 		if !(parts.Side > 0) || math.IsInf(parts.Side, 0) {
 			return bad("cell side %g not positive and finite", parts.Side)
 		}

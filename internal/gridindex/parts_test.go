@@ -63,7 +63,15 @@ func TestGridFlatFromPartsRejects(t *testing.T) {
 		{"length mismatch", func(p *gridindex.FlatParts) { p.IDs = p.IDs[:len(p.IDs)-1] }, "length"},
 		{"negative shape", func(p *gridindex.FlatParts) { p.Cols = -1 }, "shape"},
 		{"cellStart truncated", func(p *gridindex.FlatParts) { p.CellStart = p.CellStart[:len(p.CellStart)-1] }, "cellStart"},
-		{"cellStart not spanning", func(p *gridindex.FlatParts) { p.CellStart[len(p.CellStart)-1]-- }, "span"},
+		{"cellStart not spanning", func(p *gridindex.FlatParts) { p.CellStart[len(p.CellStart)-1]++ }, "prefix"},
+		{"finite point unplaced", func(p *gridindex.FlatParts) {
+			n := int32(len(p.IDs))
+			for c := 1; c < len(p.CellStart); c++ {
+				if p.CellStart[c] == n {
+					p.CellStart[c]--
+				}
+			}
+		}, "finite"},
 		{"cellStart non-monotone", func(p *gridindex.FlatParts) {
 			p.CellStart[1] = p.CellStart[len(p.CellStart)-1] + 1
 		}, ""},

@@ -255,7 +255,7 @@ func TestChurnMatchesParallelFlat(t *testing.T) {
 	crossCheck := func(tag string) {
 		t.Helper()
 		got, live := liveView(c, pts, dead)
-		ix := dbscan.BuildIndex(append([]geom.Point(nil), live...), dbscan.IndexOptions{})
+		ix := dbscan.BuildIndex(append([]geom.Point(nil), live...), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 		for workers := 1; workers <= 8; workers++ {
 			want, err := dbscan.RunParallel(ix, p, workers, nil)
 			if err != nil {

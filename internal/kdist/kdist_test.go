@@ -27,7 +27,7 @@ func blobsAndNoise(seed int64) []geom.Point {
 }
 
 func TestCurveProperties(t *testing.T) {
-	ix := dbscan.BuildIndex(blobsAndNoise(1), dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(blobsAndNoise(1), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	curve, err := Curve(ix, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +48,11 @@ func TestCurveProperties(t *testing.T) {
 }
 
 func TestCurveValidation(t *testing.T) {
-	ix := dbscan.BuildIndex(blobsAndNoise(2)[:10], dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(blobsAndNoise(2)[:10], dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	if _, err := Curve(ix, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	empty := dbscan.BuildIndex(nil, dbscan.IndexOptions{})
+	empty := dbscan.BuildIndex(nil, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	curve, err := Curve(empty, 3)
 	if err != nil || curve != nil {
 		t.Errorf("empty index: %v %v", curve, err)
@@ -61,7 +61,7 @@ func TestCurveValidation(t *testing.T) {
 
 func TestCurveTinyDataset(t *testing.T) {
 	// Two points, k=5: falls back to the farthest available neighbor.
-	ix := dbscan.BuildIndex([]geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex([]geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	curve, err := Curve(ix, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestElbow(t *testing.T) {
 
 func TestSuggestEpsSeparatesClustersFromNoise(t *testing.T) {
 	pts := blobsAndNoise(3)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	sug, err := SuggestEps(ix, DefaultMinPts)
 	if err != nil {
 		t.Fatal(err)
@@ -116,17 +116,17 @@ func TestSuggestEpsSeparatesClustersFromNoise(t *testing.T) {
 }
 
 // TestSuggestEpsOnReloadedIndex runs the heuristic on the two kinds of
-// index that never had a T_high to borrow — a SkipHigh build and one that
-// went through FrozenParts / IndexFromFrozen, as every snapshot load does —
-// and requires the suggestion of a plain build.
+// index that have no T_high to borrow — a grid-kind build, which builds no
+// tree, and one that went through FrozenParts / IndexFromFrozen, as every
+// snapshot load does — and requires the suggestion of an R-tree build.
 func TestSuggestEpsOnReloadedIndex(t *testing.T) {
 	pts := blobsAndNoise(3)
-	want, err := SuggestEps(dbscan.BuildIndex(pts, dbscan.IndexOptions{}), DefaultMinPts)
+	want, err := SuggestEps(dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: dbscan.IndexRTree}), DefaultMinPts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip := dbscan.BuildIndex(pts, dbscan.IndexOptions{SkipHigh: true})
-	parts, err := skip.FrozenParts()
+	grid := dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: dbscan.IndexGrid})
+	parts, err := grid.FrozenParts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSuggestEpsOnReloadedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, ix := range map[string]*dbscan.Index{"skip-high": skip, "reloaded": reloaded} {
+	for name, ix := range map[string]*dbscan.Index{"grid": grid, "reloaded": reloaded} {
 		got, err := SuggestEps(ix, DefaultMinPts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -146,11 +146,11 @@ func TestSuggestEpsOnReloadedIndex(t *testing.T) {
 }
 
 func TestSuggestEpsValidation(t *testing.T) {
-	ix := dbscan.BuildIndex(blobsAndNoise(4)[:20], dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(blobsAndNoise(4)[:20], dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	if _, err := SuggestEps(ix, 1); err == nil {
 		t.Error("minpts=1 accepted")
 	}
-	empty := dbscan.BuildIndex(nil, dbscan.IndexOptions{})
+	empty := dbscan.BuildIndex(nil, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	if _, err := SuggestEps(empty, 4); err == nil {
 		t.Error("empty index accepted")
 	}
@@ -161,7 +161,7 @@ func TestSuggestEpsAllDuplicates(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: 1, Y: 1}
 	}
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	sug, err := SuggestEps(ix, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestSuggestEpsAllDuplicates(t *testing.T) {
 }
 
 func TestSuggestVariants(t *testing.T) {
-	ix := dbscan.BuildIndex(blobsAndNoise(5), dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(blobsAndNoise(5), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	vs, err := SuggestVariants(ix, []int{4, 8, 16}, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func blobs(k, m, noise int, extent, sigma float64, seed int64) []geom.Point {
 }
 
 func TestRunValidation(t *testing.T) {
-	ix := dbscan.BuildIndex(blobs(1, 20, 0, 10, 0.5, 1), dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(blobs(1, 20, 0, 10, 0.5, 1), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	if _, err := Run(ix, 0, 4, nil); err == nil {
 		t.Error("delta=0 accepted")
 	}
@@ -41,7 +41,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestOrderingCoversAllPointsOnce(t *testing.T) {
 	pts := blobs(3, 100, 50, 20, 0.5, 2)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 	ord, err := Run(ix, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestOrderingCoversAllPointsOnce(t *testing.T) {
 
 func TestCoreDistProperties(t *testing.T) {
 	pts := blobs(2, 150, 30, 15, 0.4, 3)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 	ord, _ := Run(ix, 1.5, 4, nil)
 	for _, e := range ord.Entries {
 		if e.CoreDist != Undefined && e.CoreDist > 1.5 {
@@ -74,7 +74,7 @@ func TestCoreDistProperties(t *testing.T) {
 }
 
 func TestExtractRejectsLargeEps(t *testing.T) {
-	ix := dbscan.BuildIndex(blobs(1, 50, 0, 10, 0.5, 4), dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(blobs(1, 50, 0, 10, 0.5, 4), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	ord, _ := Run(ix, 1, 4, nil)
 	if _, err := ord.ExtractDBSCAN(2); err == nil {
 		t.Error("eps > delta accepted")
@@ -85,7 +85,7 @@ func TestExtractMatchesDBSCANAcrossEps(t *testing.T) {
 	// The core promise: one OPTICS run at delta reproduces DBSCAN for every
 	// eps <= delta (up to border-point ties).
 	pts := blobs(4, 150, 100, 25, 0.5, 5)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	const minPts = 4
 	ord, err := Run(ix, 2.0, minPts, nil)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestAllNoise(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: float64(i) * 100, Y: 0}
 	}
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	ord, _ := Run(ix, 1, 3, nil)
 	res, _ := ord.ExtractDBSCAN(1)
 	if res.NumClusters != 0 || res.NumNoise() != 10 {
@@ -124,7 +124,7 @@ func TestAllNoise(t *testing.T) {
 }
 
 func TestEmptyIndex(t *testing.T) {
-	ix := dbscan.BuildIndex(nil, dbscan.IndexOptions{})
+	ix := dbscan.BuildIndex(nil, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	ord, err := Run(ix, 1, 4, nil)
 	if err != nil || len(ord.Entries) != 0 {
 		t.Fatalf("empty: %v %v", ord, err)
@@ -137,7 +137,7 @@ func TestEmptyIndex(t *testing.T) {
 
 func TestMetricsCounted(t *testing.T) {
 	pts := blobs(2, 100, 20, 15, 0.5, 6)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
 	var m metrics.Counters
 	if _, err := Run(ix, 1.5, 4, &m); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,9 @@
 // atomically and loaded back via mmap with zero deserialization, plus a
 // small append-only WAL for the points staged between snapshots.
 //
-// The format leans on the fact that both frozen index layouts
+// A grid-kind snapshot holds the point arrays and, once built, the cell
+// grid; an R-tree-kind one holds the point arrays and the trees. The
+// format leans on the fact that both frozen index layouts
 // (rtree.Flat and gridindex.Flat) are already offset-based
 // struct-of-arrays — the same property that makes them cache-friendly in
 // memory makes them directly servable from a file mapping, the
@@ -27,9 +29,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 	"unsafe"
 
+	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
 )
 
@@ -122,11 +126,31 @@ const (
 	headerUsed  = offSections + numSections*16
 )
 
-// Header flag bits.
+// Header flag bits. flagNoLow is negative so that files written before
+// T_low became optional, which always carry it, read back unchanged.
 const (
 	flagHasHigh = 1 << iota
 	flagHasGrid
+	flagNoLow
 )
+
+// kindCodes are the on-disk codes of the index kinds, fixed whatever order
+// the dbscan.IndexKind constants have in Go: 0 = R-tree, 1 = grid.
+var kindCodes = [...]dbscan.IndexKind{dbscan.IndexRTree, dbscan.IndexGrid}
+
+// KindCode is the on-disk code of an index kind. Anything that stores a
+// kind outside a snapshot (a manifest) stores this code too.
+func KindCode(k dbscan.IndexKind) uint32 {
+	return uint32(slices.Index(kindCodes[:], k))
+}
+
+// KindFromCode is KindCode's inverse; ok is false for an unknown code.
+func KindFromCode(c uint32) (k dbscan.IndexKind, ok bool) {
+	if c >= uint32(len(kindCodes)) {
+		return 0, false
+	}
+	return kindCodes[c], true
+}
 
 type treeMeta struct{ height, r, fanout, firstLeaf int32 }
 

@@ -115,16 +115,20 @@ func layout(parts dbscan.FrozenParts, seq uint64) (header, [numSections][]byte) 
 		sections[base+5] = i32Bytes(p.EntCnt)
 		sections[base+6] = i32Bytes(p.NodeEnt)
 	}
-	fillTree(secLowMinX, parts.Low)
-
 	h := header{
-		kind:     uint32(parts.Kind),
+		kind:     KindCode(parts.Kind),
 		nPoints:  int64(len(parts.Pts)),
 		sequence: seq,
-		low: treeMeta{
+		low:      treeMeta{r: int32(parts.R)},
+	}
+	if parts.Low != nil {
+		fillTree(secLowMinX, *parts.Low)
+		h.low = treeMeta{
 			height: int32(parts.Low.Height), r: int32(parts.Low.R),
 			fanout: int32(parts.Low.Fanout), firstLeaf: parts.Low.FirstLeaf,
-		},
+		}
+	} else {
+		h.flags |= flagNoLow
 	}
 	if parts.High != nil {
 		h.flags |= flagHasHigh
@@ -235,7 +239,8 @@ func decode(b []byte) (*dbscan.Index, Info, error) {
 	if n < 0 || n > math.MaxInt32 {
 		return corrupt("point count %d out of range", n)
 	}
-	if h.kind != uint32(dbscan.IndexRTree) && h.kind != uint32(dbscan.IndexGrid) {
+	kind, ok := KindFromCode(h.kind)
+	if !ok {
 		return corrupt("unknown index kind %d", h.kind)
 	}
 
@@ -267,7 +272,7 @@ func decode(b []byte) (*dbscan.Index, Info, error) {
 	}
 
 	var parts dbscan.FrozenParts
-	parts.Kind = dbscan.IndexKind(h.kind)
+	parts.Kind = kind
 	var secErr error
 	get := func(i int, elem, want int64) []byte {
 		if secErr != nil {
@@ -300,7 +305,10 @@ func decode(b []byte) (*dbscan.Index, Info, error) {
 		p.Size = int(n)
 		return p
 	}
-	parts.Low = readTree(secLowMinX, h.low)
+	if h.flags&flagNoLow == 0 {
+		lp := readTree(secLowMinX, h.low)
+		parts.Low = &lp
+	}
 	if h.flags&flagHasHigh != 0 {
 		hp := readTree(secHighMinX, h.high)
 		parts.High = &hp

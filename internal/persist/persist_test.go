@@ -66,6 +66,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if info.Bytes != st.Size() || info.Bytes%PageSize != 0 {
 				t.Fatalf("kind=%v n=%d: Bytes=%d file=%d", kind, n, info.Bytes, st.Size())
 			}
+			// A grid-kind snapshot carries no R-tree section, yet keeps r.
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := decodeHeader(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noTrees := h.flags&flagNoLow != 0 && h.flags&flagHasHigh == 0 && h.secs[secLowRef].n == 0
+			if noTrees != (kind == dbscan.IndexGrid) || info.R != dbscan.DefaultR {
+				t.Fatalf("kind=%v n=%d: flags %b, low refs %d bytes, r=%d", kind, n, h.flags, h.secs[secLowRef].n, info.R)
+			}
 			if n == 0 {
 				continue
 			}
@@ -272,7 +285,7 @@ func TestLoadRejectsMismatchedGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.NativeEndian.PutUint32(img[offKind:], uint32(dbscan.IndexRTree))
+	binary.NativeEndian.PutUint32(img[offKind:], KindCode(dbscan.IndexRTree))
 	if err := os.WriteFile(kindPath, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +477,7 @@ var benchSizes = []int{100_000, 1_000_000}
 func BenchmarkSave(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ix := dbscan.BuildIndex(testPoints(n, 21), dbscan.IndexOptions{})
+			ix := dbscan.BuildIndex(testPoints(n, 21), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 			parts, err := ix.FrozenParts()
 			if err != nil {
 				b.Fatal(err)
@@ -483,7 +496,7 @@ func BenchmarkSave(b *testing.B) {
 func BenchmarkLoad(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ix := dbscan.BuildIndex(testPoints(n, 21), dbscan.IndexOptions{})
+			ix := dbscan.BuildIndex(testPoints(n, 21), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 			parts, err := ix.FrozenParts()
 			if err != nil {
 				b.Fatal(err)
@@ -521,7 +534,7 @@ func BenchmarkColdStart(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ix := dbscan.BuildIndex(parsed.Points, dbscan.IndexOptions{})
+				ix := dbscan.BuildIndex(parsed.Points, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 				if _, err := dbscan.Run(ix, params, &metrics.Counters{}); err != nil {
 					b.Fatal(err)
 				}
@@ -537,7 +550,7 @@ func BenchmarkWarmStart(b *testing.B) {
 	params := dbscan.Params{Eps: 0.4, MinPts: 4}
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ix := dbscan.BuildIndex(testPoints(n, 21), dbscan.IndexOptions{})
+			ix := dbscan.BuildIndex(testPoints(n, 21), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 			parts, err := ix.FrozenParts()
 			if err != nil {
 				b.Fatal(err)

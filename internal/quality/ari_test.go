@@ -96,7 +96,7 @@ func TestARIAgreesWithJaccardOnRealRuns(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pts = append(pts, geom.Point{X: rnd.Float64() * 40, Y: rnd.Float64() * 40})
 	}
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	base, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.6, MinPts: 4}, nil)
 	near, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.65, MinPts: 4}, nil)
 	far, _ := dbscan.Run(ix, dbscan.Params{Eps: 40, MinPts: 4}, nil)

@@ -160,7 +160,7 @@ func TestVariantDBSCANQualityHigh(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pts = append(pts, geom.Point{X: rnd.Float64() * 30, Y: rnd.Float64() * 30})
 	}
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16})
+	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 12}, nil)
 	target := dbscan.Params{Eps: 0.6, MinPts: 4}
 	got, _, err := vcore.Run(ix, target, prev, reuse.ClusDensity, nil)

@@ -4,10 +4,11 @@
 // runs from scratch and every later one replays the non-core records its
 // predecessor wrote, at zero ε-searches. Every variant then has
 // dbscan.Run's bytes and the same work counters at every pool width, on
-// either index kind; DisableReuse makes every variant its own chain. With
-// neither a cell grid nor intra-variant workers a chain's first link is
-// sequential DBSCAN (dbscan.RunSeqLink, or dbscan.RunCtx when nothing
-// follows it), traced as a scratch phase like every other sequential run.
+// either index kind; DisableReuse makes every variant its own chain.
+// Without intra-variant workers a chain's first link runs on one goroutine
+// and is traced as one scratch phase, like every other sequential run: the
+// cell-major dbscan.RunLink on the grid kind, and on the R-tree kind
+// dbscan.RunLink at one worker, or dbscan.RunCtx when nothing follows it.
 //
 // An explicit paper strategy runs Alg. 3/4 cluster reuse (core.RunOpts) on
 // either kind, under one of the paper's online heuristics (§IV-D):
@@ -519,11 +520,9 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			defer pool.variantFinished()
 		}
 		var link *dbscan.Link // the chain's previous link
-		// With neither a cell grid nor intra-variant workers, a chain's
-		// first link is sequential DBSCAN — Run's expansion, traced as
-		// scratch like every sequential run — and records the Link only
-		// when a later link will replay it.
-		seq := ix.Kind != dbscan.IndexGrid && !opt.intraEnabled()
+		// Without intra-variant workers a chain's first link runs on this
+		// goroutine alone, traced as scratch like every sequential run.
+		seq := !opt.intraEnabled()
 		for i, v := range unit {
 			if i > 0 && ctx.Err() != nil {
 				return nil
@@ -578,12 +577,16 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 				rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
 				res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
 			case chain && seq:
+				// A lone R-tree variant keeps Run's expansion, which needs
+				// no label or border tail; every other head records its
+				// Link, cell-major on the grid kind.
 				stats = core.Stats{FromScratch: true}
 				rec.PhaseBegin(int32(v.ID), obs.PhaseScratch)
-				if i+1 < len(unit) {
-					res, link, err = dbscan.RunSeqLink(ctx, ix, v.Params, vmet)
-				} else {
+				if ix.Kind == dbscan.IndexRTree && i+1 == len(unit) {
 					res, err = dbscan.RunCtx(ctx, ix, v.Params, vmet)
+				} else {
+					popt.Rec = nil
+					res, link, err = dbscan.RunLink(ctx, ix, v.Params, nil, popt, vmet)
 				}
 				rec.PhaseEnd(int32(v.ID), obs.PhaseScratch)
 			case chain:

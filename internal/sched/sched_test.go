@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -39,6 +40,11 @@ func blobs(k, m, noise int, extent, sigma float64, seed int64) []geom.Point {
 
 func testIndex(t *testing.T) *dbscan.Index {
 	t.Helper()
+	return dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1), dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
+}
+
+// testGridIndex is testIndex's point set on the default grid kind.
+func testGridIndex() *dbscan.Index {
 	return dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1), dbscan.IndexOptions{R: 16})
 }
 
@@ -166,27 +172,30 @@ func TestExecuteResultsIndexedByOriginalID(t *testing.T) {
 	}
 }
 
+// TestExecuteReuseHappens runs the paper's reuse on both kinds; a grid
+// index builds the T_high its cluster-MBB sweeps need on the first one.
 func TestExecuteReuseHappens(t *testing.T) {
-	ix := testIndex(t)
-	vs := variant.Product([]float64{0.4, 0.6, 0.8}, []int{4, 8, 16})
-	rr, err := Execute(ix, vs, Options{Threads: 1, Strategy: SchedGreedy, Scheme: reuse.ClusDensity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With T=1 only the first variant must be from scratch; the canonical
-	// first is (0.4,16), which produces clusters on this dataset, and every
-	// later variant can reuse a completed one.
-	scratch := 0
-	for _, r := range rr.Results {
-		if r.Stats.FromScratch {
-			scratch++
+	for _, ix := range []*dbscan.Index{testIndex(t), testGridIndex()} {
+		vs := variant.Product([]float64{0.4, 0.6, 0.8}, []int{4, 8, 16})
+		rr, err := Execute(ix, vs, Options{Threads: 1, Strategy: SchedGreedy, Scheme: reuse.ClusDensity})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if scratch != 1 {
-		t.Errorf("from-scratch count = %d, want 1 (T=1, chainable set)", scratch)
-	}
-	if rr.MeanFractionReused() <= 0 {
-		t.Error("mean fraction reused should be positive")
+		// With T=1 only the first variant must be from scratch; the
+		// canonical first is (0.4,16), which produces clusters on this
+		// dataset, and every later variant can reuse a completed one.
+		scratch := 0
+		for _, r := range rr.Results {
+			if r.Stats.FromScratch {
+				scratch++
+			}
+		}
+		if scratch != 1 {
+			t.Errorf("%v: from-scratch count = %d, want 1 (T=1, chainable set)", ix.Kind, scratch)
+		}
+		if rr.MeanFractionReused() <= 0 {
+			t.Errorf("%v: mean fraction reused should be positive", ix.Kind)
+		}
 	}
 }
 
@@ -347,51 +356,54 @@ func TestDefaultRunsEpsChainsOnRTree(t *testing.T) {
 	}
 }
 
-// TestSequentialChainHeads pins the one-goroutine path on the R-tree kind:
-// at T=1 without intra-variant workers, every chain's first link — a lone
-// variant's included — is sequential DBSCAN, traced as one scratch phase
-// with dbscan.Run's counters, and the links after it replay (mark, label,
-// border) at no ε-search.
+// TestSequentialChainHeads pins the one-goroutine path on both kinds: at
+// T=1 without intra-variant workers, every chain's first link — a lone
+// variant's included — is traced as one scratch phase with the counters of
+// a one-worker dbscan.RunParallel (cell-major on the grid, dbscan.Run's on
+// the R-tree), and the links after it replay (mark, label, border) at no
+// ε-search. Every variant has dbscan.Run's bytes.
 func TestSequentialChainHeads(t *testing.T) {
-	ix := testIndex(t)
 	ps := []dbscan.Params{{Eps: 0.5, MinPts: 8}, {Eps: 0.5, MinPts: 4}, {Eps: 0.3, MinPts: 4}}
-	tr := obs.NewTracer()
-	rr, err := Execute(ix, variant.New(ps), Options{Threads: 1, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	phases := map[int32][]obs.Phase{}
-	work := map[int32]metrics.Snapshot{}
-	for _, e := range tr.Events() {
-		switch e.Kind {
-		case obs.KindPhaseBegin:
-			phases[e.Variant] = append(phases[e.Variant], obs.Phase(e.Arg))
-		case obs.KindDone:
-			work[e.Variant] = e.Work
-		}
-	}
-	replay := []obs.Phase{obs.PhaseMark, obs.PhaseLabel, obs.PhaseBorder}
-	for id, p := range ps {
-		want, err := dbscan.Run(ix, p, nil)
+	for _, ix := range []*dbscan.Index{testIndex(t), testGridIndex()} {
+		tr := obs.NewTracer()
+		rr, err := Execute(ix, variant.New(ps), Options{Threads: 1, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rr.Results[id].Result; !slices.Equal(got.Labels, want.Labels) {
-			t.Fatalf("%v: labels differ from dbscan.Run", p)
-		}
-		v := int32(id)
-		if id == 1 {
-			if !slices.Equal(phases[v], replay) || work[v].NeighborSearches != 0 {
-				t.Errorf("%v: phases %v, %d searches; want %v at none", p, phases[v], work[v].NeighborSearches, replay)
+		phases := map[int32][]obs.Phase{}
+		work := map[int32]metrics.Snapshot{}
+		for _, e := range tr.Events() {
+			switch e.Kind {
+			case obs.KindPhaseBegin:
+				phases[e.Variant] = append(phases[e.Variant], obs.Phase(e.Arg))
+			case obs.KindDone:
+				work[e.Variant] = e.Work
 			}
-			continue
 		}
-		var m metrics.Counters
-		if _, err := dbscan.Run(ix, p, &m); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(phases[v], []obs.Phase{obs.PhaseScratch}) || work[v] != m.Snapshot() {
-			t.Errorf("%v: phases %v, work %+v; want [scratch] and dbscan.Run's %+v", p, phases[v], work[v], m.Snapshot())
+		replay := []obs.Phase{obs.PhaseMark, obs.PhaseLabel, obs.PhaseBorder}
+		for id, p := range ps {
+			tag := fmt.Sprintf("%v %v", ix.Kind, p)
+			want, err := dbscan.Run(ix, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rr.Results[id].Result; !slices.Equal(got.Labels, want.Labels) {
+				t.Fatalf("%s: labels differ from dbscan.Run", tag)
+			}
+			v := int32(id)
+			if id == 1 {
+				if !slices.Equal(phases[v], replay) || work[v].NeighborSearches != 0 {
+					t.Errorf("%s: phases %v, %d searches; want %v at none", tag, phases[v], work[v].NeighborSearches, replay)
+				}
+				continue
+			}
+			var m metrics.Counters
+			if _, err := dbscan.RunParallel(ix, p, 1, &m); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(phases[v], []obs.Phase{obs.PhaseScratch}) || work[v] != m.Snapshot() {
+				t.Errorf("%s: phases %v, work %+v; want [scratch] and one worker's %+v", tag, phases[v], work[v], m.Snapshot())
+			}
 		}
 	}
 }

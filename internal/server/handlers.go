@@ -396,7 +396,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	j.tiles = req.Tiles
 	j.approx = s.shouldShed(tn, req.AllowApprox)
 	j.events.mx = s.mx // safe: no frame published before admit
-	if err := s.admit(j); err != nil {
+	accepted, err := s.admit(j, isV2(r))
+	if err != nil {
 		switch err {
 		case errQueueFull:
 			s.log.Warn("job rejected: queue full",
@@ -427,7 +428,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		prefix = "/v2"
 	}
 	w.Header().Set("Location", prefix+"/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, s.jobDoc(j, isV2(r)))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

@@ -41,13 +41,14 @@ const (
 
 // manifest is the identity block of one persisted dataset. The index
 // geometry (r, kind) rides along so a re-freeze after restart rebuilds
-// with the same layout the uploader chose.
+// with the same layout the uploader chose. Kind is the snapshot's on-disk
+// code (persist.KindCode: 0 = R-tree, 1 = grid).
 type manifest struct {
 	ID      string    `json:"id"`
 	Name    string    `json:"name"`
 	Created time.Time `json:"created"`
 	R       int       `json:"r"`
-	Kind    int       `json:"kind"`
+	Kind    uint32    `json:"kind"`
 }
 
 func (g *registry) datasetDir(id string) string {
@@ -68,7 +69,7 @@ func (g *registry) persistCreate(d *dataset) {
 		return
 	}
 	mf, err := json.Marshal(manifest{
-		ID: d.id, Name: d.name, Created: d.created, R: d.r, Kind: int(d.kind),
+		ID: d.id, Name: d.name, Created: d.created, R: d.r, Kind: persist.KindCode(d.kind),
 	})
 	if err == nil {
 		err = os.WriteFile(filepath.Join(dir, "manifest.json"), mf, 0o644)
@@ -239,6 +240,10 @@ func (g *registry) loadDataset(dir string) (*dataset, error) {
 	if man.ID == "" || man.ID != filepath.Base(dir) {
 		return nil, fmt.Errorf("manifest id %q does not match directory", man.ID)
 	}
+	kind, ok := persist.KindFromCode(man.Kind)
+	if !ok {
+		return nil, fmt.Errorf("manifest kind %d unknown", man.Kind)
+	}
 
 	began := time.Now()
 	idx, info, err := vdbscan.LoadSnapshot(filepath.Join(dir, "snapshot"))
@@ -250,7 +255,7 @@ func (g *registry) loadDataset(dir string) (*dataset, error) {
 		name:    man.Name,
 		created: man.Created,
 		r:       man.R,
-		kind:    vdbscan.IndexKind(man.Kind),
+		kind:    kind,
 		points:  idx.Points(),
 		index:   idx,
 		version: 1,

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vdbscan/internal/dbscan"
+	"vdbscan/internal/persist"
 )
 
 // drainAndStop gracefully shuts one generation of the server down.
@@ -294,6 +298,64 @@ func copyFiles(t *testing.T, from, to string) {
 		}
 		if err := os.WriteFile(filepath.Join(to, ent.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestorePreChangeKindCodes restores a data dir laid out as builds
+// from before the grid became the default index wrote it: manifest kind 0
+// for the R-tree and 1 for the grid, and snapshots carrying both R-trees
+// whatever the kind, the grid one its cell grid too. Each dataset must come
+// back as the kind it was written as and serve a fresh upload's labels.
+func TestRestorePreChangeKindCodes(t *testing.T) {
+	dir := t.TempDir()
+	pts := testPoints(t, 1500)
+	kinds := map[string]dbscan.IndexKind{"d1": dbscan.IndexRTree, "d2": dbscan.IndexGrid}
+	for id, kind := range kinds {
+		ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: kind})
+		if err := ix.EnsureGrid(3); err != nil {
+			t.Fatal(err)
+		}
+		parts, err := ix.FrozenParts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
+		low, high := rt.Low().Parts(), rt.High().Parts()
+		parts.Low, parts.High = &low, &high
+		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := persist.Save(filepath.Join(dir, id, "snapshot"), parts, 1); err != nil {
+			t.Fatal(err)
+		}
+		code := map[dbscan.IndexKind]int{dbscan.IndexRTree: 0, dbscan.IndexGrid: 1}[kind]
+		mf := fmt.Sprintf(`{"id":%q,"name":%q,"created":"2026-01-02T03:04:05Z","r":0,"kind":%d}`, id, id, code)
+		if err := os.WriteFile(filepath.Join(dir, id, "manifest.json"), []byte(mf), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, ts, c := startGeneration(t, Config{Threads: 1, DataDir: dir})
+	defer drainAndStop(t, s, ts)
+	fresh := c.doJSON("POST", "/v1/datasets?name=fresh", pointsCSV(t, pts), http.StatusCreated)
+	labels := func(ds string) []byte {
+		sub := c.submitJob(ds, `{"variants":[{"eps":3,"minpts":4}]}`, http.StatusAccepted)
+		c.waitDone(sub["id"].(string))
+		code, _, out := c.do("GET", "/v1/jobs/"+sub["id"].(string)+"/labels?variant=0", nil)
+		if code != http.StatusOK {
+			t.Fatalf("labels of %s = %d", ds, code)
+		}
+		return out
+	}
+	want := labels(fresh["id"].(string))
+	for id, kind := range kinds {
+		doc := c.doJSON("GET", "/v1/datasets/"+id, nil, http.StatusOK)
+		if doc["index"] != kind.String() {
+			t.Errorf("%s restored as %v, written as %v", id, doc["index"], kind)
+		}
+		if !bytes.Equal(labels(id), want) {
+			t.Errorf("%s (%v) serves labels unlike a fresh upload's", id, kind)
 		}
 	}
 }

@@ -96,9 +96,8 @@ func newRegistry(cfg Config) *registry {
 }
 
 // create indexes points and registers the dataset. r == 0 falls back to
-// Config.IndexR, then to the library default; kind follows the same
-// per-upload-over-Config precedence (the zero kind is the R-tree, which is
-// also the library default, so Config.IndexKind alone decides).
+// Config.IndexR, then to the library default; kind is the upload's,
+// resolved against Config.IndexKind by the handler.
 func (g *registry) create(name string, points []vdbscan.Point, r int, kind vdbscan.IndexKind) (*dataset, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("dataset has no points")
@@ -110,9 +109,7 @@ func (g *registry) create(name string, points []vdbscan.Point, r int, kind vdbsc
 	if r > 0 {
 		opts = append(opts, vdbscan.WithR(r))
 	}
-	if kind != vdbscan.IndexRTree {
-		opts = append(opts, vdbscan.WithIndexKind(kind))
-	}
+	opts = append(opts, vdbscan.WithIndexKind(kind))
 	d := &dataset{
 		id:      fmt.Sprintf("d%d", g.seq.Add(1)),
 		name:    name,
@@ -245,9 +242,7 @@ func (g *registry) refreeze(d *dataset, ctrs *counters) {
 	if d.r > 0 {
 		opts = append(opts, vdbscan.WithR(d.r))
 	}
-	if d.kind != vdbscan.IndexRTree {
-		opts = append(opts, vdbscan.WithIndexKind(d.kind))
-	}
+	opts = append(opts, vdbscan.WithIndexKind(d.kind))
 	idx := vdbscan.NewIndex(combined, opts...) // the expensive part, off-lock
 
 	// Durable before visible: once an observer can read the new generation

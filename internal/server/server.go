@@ -100,8 +100,8 @@ type Config struct {
 	// parameter overrides both).
 	IndexR int
 	// IndexKind selects the ε-search substrate for uploaded datasets
-	// (zero = the packed R-tree pair; a per-upload ?index= query
-	// parameter overrides it).
+	// (zero = the cell grid, the library default; a per-upload ?index=
+	// query parameter overrides it).
 	IndexKind vdbscan.IndexKind
 	// Tiles is the default tile-level parallelism for batch runs
 	// (vdbscan.WithTiles): 0 auto, 1 untiled, >= 2 an explicit tile
@@ -296,16 +296,18 @@ func (s *Server) runner() {
 }
 
 // admit performs bounded-queue admission control and batch assignment for
-// one submitted job. It returns the job's batch, or an admissionError.
-func (s *Server) admit(j *job) error {
+// one submitted job. It returns the job's acceptance document, rendered
+// before its batch can reach a runner, so the document always shows the job
+// queued with the batch it joined; or an admissionError.
+func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 	if s.draining.Load() {
-		return errDraining
+		return jobDoc{}, errDraining
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.queued >= s.cfg.QueueDepth {
 		s.ctrs.jobsRejected.Add(1)
-		return errQueueFull
+		return jobDoc{}, errQueueFull
 	}
 	s.queued++
 	s.ctrs.jobsAccepted.Add(1)
@@ -346,12 +348,13 @@ func (s *Server) admit(j *job) error {
 	j.events.publish(evBatched, batchedFrame{
 		Job: j.id, Batch: b.id, BatchJobs: n, BatchVariants: union,
 	}, true, false)
+	doc := s.jobDoc(j, v2)
 	if j.approx || s.cfg.BatchWindow <= 0 {
 		// Coalescing disabled (or a shed job): the batch seals with its
 		// single job.
 		s.sealLocked(b)
 	}
-	return nil
+	return doc, nil
 }
 
 // seal closes a batch to new jobs and hands it to the runners.

@@ -284,11 +284,13 @@ func TestDatasetValidation(t *testing.T) {
 	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":4}]}`, http.StatusNotFound)
 }
 
-// TestUploadIndexKind covers the ?index= upload parameter: the dataset doc
-// reports its substrate, bad values 400, and the same job produces the same
-// clustering (labels byte-for-byte) on either kind.
+// TestUploadIndexKind covers the ?index= upload parameter: the default is
+// the grid, ?index=rtree builds an R-tree index (its snapshot says so), the
+// dataset doc reports its substrate, bad values 400, and the same job
+// produces the same clustering (labels byte-for-byte) on either kind.
 func TestUploadIndexKind(t *testing.T) {
-	_, c := newTestServer(t, Config{Threads: 1})
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{Threads: 1, DataDir: dir})
 	csv := pointsCSV(t, testPoints(t, 1500))
 
 	code, _, body := c.do("POST", "/v1/datasets?index=kdtree", csv)
@@ -296,10 +298,19 @@ func TestUploadIndexKind(t *testing.T) {
 		t.Fatalf("bad index kind = %d: %s", code, body)
 	}
 
-	rt := c.doJSON("POST", "/v1/datasets?name=rt", csv, http.StatusCreated)
-	gr := c.doJSON("POST", "/v1/datasets?name=gr&index=grid", csv, http.StatusCreated)
+	rt := c.doJSON("POST", "/v1/datasets?name=rt&index=rtree", csv, http.StatusCreated)
+	gr := c.doJSON("POST", "/v1/datasets?name=gr", csv, http.StatusCreated)
 	if rt["index"] != "rtree" || gr["index"] != "grid" {
 		t.Fatalf("dataset docs report index %v / %v, want rtree / grid", rt["index"], gr["index"])
+	}
+	for _, d := range []map[string]any{rt, gr} {
+		_, info, err := vdbscan.LoadSnapshot(filepath.Join(dir, d["id"].(string), "snapshot"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Kind.String() != d["index"] {
+			t.Errorf("dataset %v: doc says %v, snapshot holds a %v index", d["id"], d["index"], info.Kind)
+		}
 	}
 
 	const job = `{"variants":[{"eps":2,"minpts":8},{"eps":3,"minpts":4}]}`

@@ -74,7 +74,7 @@ func BuildIndex(pts []Point, r int) *Index {
 	for i, p := range pts {
 		xy[i] = geom.Point{X: p.X, Y: p.Y}
 	}
-	spatial := dbscan.BuildIndex(xy, dbscan.IndexOptions{R: r, SkipHigh: true})
+	spatial := dbscan.BuildIndex(xy, dbscan.IndexOptions{R: r, Kind: dbscan.IndexRTree})
 	times := make([]float64, len(pts))
 	for sortedIdx, origIdx := range spatial.Fwd {
 		times[sortedIdx] = pts[origIdx].T

@@ -105,7 +105,7 @@ func TestSimulatedTECClustersWell(t *testing.T) {
 	// meaningful DBSCAN clustering (many clusters, partial noise) like the
 	// paper's SW data (Table II: SW1 at (0.5, 4) -> 2333 clusters).
 	ds, _ := Simulate(Config{N: 20000, Seed: 6})
-	ix := dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: 32})
+	ix := dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: 32, Kind: dbscan.IndexRTree})
 	res, err := dbscan.Run(ix, dbscan.Params{Eps: 2.0, MinPts: 4}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -6,10 +6,12 @@
 // The library clusters a 2-D point database with many DBSCAN parameter
 // variants (ε, minpts) at once, maximizing throughput by
 //
-//   - sharing one immutable pair of R-tree indexes across all variants
-//     (a low-resolution tree with r points per leaf MBB for ε-searches and
-//     a high-resolution tree for cluster sweeps), built once and only read
-//     afterwards — a changed point set gets a new Index;
+//   - sharing one immutable spatial index across all variants, built once
+//     and only read afterwards — a changed point set gets a new Index. By
+//     default it is a flat uniform cell grid sized for the variant set's
+//     largest ε; WithIndexKind(IndexRTree) selects the paper's pair of
+//     packed R-trees (a low-resolution tree with r points per leaf MBB for
+//     ε-searches and a high-resolution tree for cluster sweeps);
 //   - reusing the work of completed variants whose parameters satisfy
 //     the inclusion criteria ε_i ≥ ε_j, minpts_i ≤ minpts_j — by default
 //     each point's ε-search along a chain of one ε (SchedEpsChain), or
@@ -86,7 +88,7 @@ const Noise = cluster.Noise
 
 // Work is a snapshot of the work counters accumulated during a run:
 // ε-neighborhood searches, candidate points filtered, points reused from
-// completed variants, and R-tree nodes visited.
+// completed variants, and index nodes (tree nodes or grid cells) visited.
 type Work = metrics.Snapshot
 
 // ReuseScheme selects the seed-cluster prioritization used when a variant
@@ -152,8 +154,8 @@ type ProgressEvent = obs.ProgressEvent
 
 // IndexOption configures index construction: NewIndex, NewIncremental, and
 // the one-shot conveniences accept it. Index options select the physical
-// layout of the shared R-trees (leaf occupancy, bin width, flat freezing,
-// streaming re-freeze cadence) and are fixed for the life of the Index.
+// layout of the shared index (kind, leaf occupancy, bin width, streaming
+// re-freeze cadence) and are fixed for the life of the Index.
 type IndexOption interface {
 	Option
 	indexOption()
@@ -258,10 +260,11 @@ func buildConfig[O Option](opts []O) config {
 	return c
 }
 
-// WithR sets the leaf occupancy r of the ε-search R-tree: the number of
-// points indexed per minimum bounding box. Larger r trades extra candidate
-// filtering for fewer memory accesses; the paper finds 70–110 good in
-// degree-scaled TEC data (default 70).
+// WithR sets the leaf occupancy r of the ε-search R-tree (IndexRTree): the
+// number of points indexed per minimum bounding box. Larger r trades extra
+// candidate filtering for fewer memory accesses; the paper finds 70–110
+// good in degree-scaled TEC data (default 70). A grid index builds no tree
+// for its searches and only records r.
 func WithR(r int) IndexOption { return indexOpt(func(c *config) { c.r = r }) }
 
 // WithBinWidth sets the width of the spatial sorting bins applied before
@@ -273,24 +276,26 @@ type IndexKind = dbscan.IndexKind
 
 // Index kinds accepted by WithIndexKind.
 const (
-	// IndexRTree is the paper's packed R-tree pair (the default): one
-	// shared tree serves every variant's ε-searches, a second serves the
-	// cluster-MBB sweeps that reuse depends on.
-	IndexRTree = dbscan.IndexRTree
-	// IndexGrid serves ε-searches from a flat uniform cell grid instead:
-	// coordinates are grid-sorted into contiguous runs with one CSR
+	// IndexGrid, the default, serves ε-searches from a flat uniform cell
+	// grid: coordinates are grid-sorted into contiguous runs with one CSR
 	// offset per cell, and a search scans the 3×3 cell block around the
 	// query through the block distance kernel. The grid's cell side is
-	// sized for the variant set's largest ε on first use, so — like the
-	// R-tree — one build serves every variant; it wins when the data has
-	// bounded density skew (uniform-ish cell occupancy) and loses ground
-	// to the R-tree under heavy skew or very wide ε spreads. The first
-	// link of an ε-chain (SchedEpsChain) runs the cell-major pass here.
+	// sized for the variant set's largest ε on first use, so one build
+	// serves every variant. A from-scratch run — Cluster, and the first
+	// link of every ε-chain (SchedEpsChain) — is cell-major: a cell dense
+	// enough to be all-core is never searched (Wang, Gu & Shun; de Berg et
+	// al.). No R-tree is built unless a paper strategy's cluster sweep
+	// asks for one.
 	IndexGrid = dbscan.IndexGrid
+	// IndexRTree is the paper's packed R-tree pair: one shared tree serves
+	// every variant's ε-searches, a second serves the cluster-MBB sweeps
+	// that the paper's reuse depends on. It holds its ground under heavy
+	// density skew or very wide ε spreads.
+	IndexRTree = dbscan.IndexRTree
 )
 
 // WithIndexKind selects the ε-search index structure (default
-// IndexRTree). Cluster's output, and ClusterVariants' under the default
+// IndexGrid). Cluster's output, and ClusterVariants' under the default
 // SchedEpsChain, is byte-identical across kinds — only the search
 // substrate, and therefore the performance envelope, changes.
 func WithIndexKind(k IndexKind) IndexOption { return indexOpt(func(c *config) { c.kind = k }) }
@@ -318,8 +323,8 @@ func WithThreads(t int) RunOption { return runOpt(func(c *config) { c.threads = 
 func WithIntraThreads(n int) RunOption { return runOpt(func(c *config) { c.intraThreads = n }) }
 
 // WithTiles sets tile-level parallelism — the third level of the
-// variant → tile → chunk hierarchy. On grid indexes
-// (WithIndexKind(IndexGrid)), the cell grid is cut into roughly n
+// variant → tile → chunk hierarchy. On grid indexes (the default
+// IndexGrid), the cell grid is cut into roughly n
 // point-balanced rectangular tiles and workers claim whole tiles; core
 // flags and the union-find are shared by all tiles, so clusters that
 // cross tile boundaries are linked like any others and labels are
@@ -395,9 +400,11 @@ type Index struct {
 	pts []Point
 }
 
-// NewIndex grid-sorts points and builds the shared R-trees in their frozen
-// array-backed layout (WithR, WithBinWidth, WithIndexKind select it). The
-// input slice is not retained or modified.
+// NewIndex grid-sorts a copy of points into the shared index's
+// struct-of-arrays layout (WithIndexKind, WithR and WithBinWidth select
+// it). An IndexRTree index also builds its ε-search R-tree; the default
+// IndexGrid one builds its cell grid on first use, sized for that run's
+// largest ε. The input slice is not retained or modified.
 func NewIndex(points []Point, opts ...IndexOption) *Index {
 	c := buildConfig(opts)
 	cp := append([]Point(nil), points...)
@@ -410,7 +417,8 @@ func NewIndex(points []Point, opts ...IndexOption) *Index {
 // Len returns the number of indexed points.
 func (x *Index) Len() int { return x.ix.Len() }
 
-// R returns the ε-search tree's leaf occupancy.
+// R returns the ε-search R-tree's leaf occupancy (WithR), whether or not
+// the index's kind builds that tree.
 func (x *Index) R() int { return x.ix.R() }
 
 // Points returns the indexed points in the caller's original order.

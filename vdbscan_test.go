@@ -183,11 +183,20 @@ func TestWithoutReuse(t *testing.T) {
 func TestWithWorkAccumulates(t *testing.T) {
 	pts := testPoints(t, 3000)
 	var w Work
-	if _, err := Cluster(pts, Params{Eps: 3, MinPts: 4}, WithWork(&w)); err != nil {
+	if _, err := Cluster(pts, Params{Eps: 3, MinPts: 4}, WithIndexKind(IndexRTree), WithWork(&w)); err != nil {
 		t.Fatal(err)
 	}
 	if w.NeighborSearches != int64(len(pts)) {
-		t.Errorf("searches = %d, want %d", w.NeighborSearches, len(pts))
+		t.Errorf("R-tree searches = %d, want %d", w.NeighborSearches, len(pts))
+	}
+	// The default grid's cell-major pass searches only the points of cells
+	// too sparse to be all-core.
+	var wg Work
+	if _, err := Cluster(pts, Params{Eps: 3, MinPts: 4}, WithWork(&wg)); err != nil {
+		t.Fatal(err)
+	}
+	if wg.NeighborSearches <= 0 || wg.NeighborSearches >= int64(len(pts)) {
+		t.Errorf("grid searches = %d, want some of %d", wg.NeighborSearches, len(pts))
 	}
 	var w2 Work
 	if _, err := ClusterVariants(pts, CartesianVariants([]float64{2, 3}, []int{4}), WithStrategy(SchedGreedy), WithWork(&w2)); err != nil {
