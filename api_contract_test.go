@@ -23,9 +23,7 @@ var (
 
 	_ RunOption = WithThreads(2)
 	_ RunOption = WithIntraThreads(2)
-	_ RunOption = WithReuseScheme(ClusDensity)
-	_ RunOption = WithStrategy(SchedGreedy)
-	_ RunOption = WithMinSeedSize(8)
+	_ RunOption = WithTiles(4)
 	_ RunOption = WithoutReuse()
 	_ RunOption = WithContext(context.Background())
 	_ RunOption = WithProgress(nil)
@@ -53,8 +51,8 @@ func TestOptionTierMisuseRejected(t *testing.T) {
 	if _, ok := any(WithThreads(8)).(IndexOption); ok {
 		t.Error("WithThreads satisfies IndexOption")
 	}
-	if _, ok := any(WithStrategy(SchedMinPts)).(IndexOption); ok {
-		t.Error("WithStrategy satisfies IndexOption")
+	if _, ok := any(WithoutReuse()).(IndexOption); ok {
+		t.Error("WithoutReuse satisfies IndexOption")
 	}
 }
 

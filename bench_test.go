@@ -15,14 +15,12 @@ import (
 	"testing"
 
 	"vdbscan/internal/approx"
-	"vdbscan/internal/bench"
 	"vdbscan/internal/data"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/incremental"
 	"vdbscan/internal/kdist"
 	"vdbscan/internal/metrics"
-	"vdbscan/internal/optics"
-	"vdbscan/internal/reuse"
+	"vdbscan/internal/paper"
 	"vdbscan/internal/rtree"
 	"vdbscan/internal/sched"
 	"vdbscan/internal/stdbscan"
@@ -123,7 +121,7 @@ func BenchmarkFig4Indexing(b *testing.B) {
 			var m metrics.Counters
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := sched.Execute(fixIdx[cfg.r], vs, sched.Options{
+				_, err := paper.Execute(fixIdx[cfg.r], vs, paper.Options{
 					Threads: cfg.threads, DisableReuse: true, Metrics: &m,
 				})
 				if err != nil {
@@ -147,18 +145,18 @@ func BenchmarkFig5ReuseSchemes(b *testing.B) {
 	vs := s2BenchVariants()
 	b.Run("baseline_noreuse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, DisableReuse: true}); err != nil {
+			if _, err := paper.Execute(fixTECIx, vs, paper.Options{Threads: 1, DisableReuse: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	for _, scheme := range reuse.Schemes {
+	for _, scheme := range paper.Schemes {
 		b.Run(scheme.String(), func(b *testing.B) {
 			var m metrics.Counters
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.Execute(fixTECIx, vs, sched.Options{
-					Threads: 1, Strategy: sched.SchedGreedy, Scheme: scheme, Metrics: &m,
+				if _, err := paper.Execute(fixTECIx, vs, paper.Options{
+					Threads: 1, Strategy: paper.SchedGreedy, Scheme: scheme, Metrics: &m,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -175,7 +173,7 @@ func BenchmarkFig6ResponseVsReuse(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
 	for i := 0; i < b.N; i++ {
-		rr, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity})
+		rr, err := paper.Execute(fixTECIx, vs, paper.Options{Threads: 1, Strategy: paper.SchedGreedy, Scheme: paper.ClusDensity})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,8 +202,8 @@ func BenchmarkFig7aSpeedup(b *testing.B) {
 	})
 	b.Run("variantdbscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(fixIdx[70], vs, sched.Options{
-				Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity,
+			if _, err := paper.Execute(fixIdx[70], vs, paper.Options{
+				Threads: 1, Strategy: paper.SchedGreedy, Scheme: paper.ClusDensity,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -219,7 +217,7 @@ func BenchmarkFig7bReuseFraction(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
 	for i := 0; i < b.N; i++ {
-		rr, err := sched.Execute(fixIdx[70], vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity})
+		rr, err := paper.Execute(fixIdx[70], vs, paper.Options{Threads: 1, Strategy: paper.SchedGreedy, Scheme: paper.ClusDensity})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,9 +235,9 @@ func BenchmarkFig7cQuality(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rr, err := sched.Execute(fixTECIx, variant.New([]dbscan.Params{
+	rr, err := paper.Execute(fixTECIx, variant.New([]dbscan.Params{
 		{Eps: tecParams.Eps * 0.8, MinPts: 8}, tecParams,
-	}), sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity})
+	}), paper.Options{Threads: 1, Strategy: paper.SchedGreedy, Scheme: paper.ClusDensity})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -271,19 +269,19 @@ func BenchmarkFig8Combined(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
 	for _, combo := range []struct {
-		scheme   reuse.Scheme
-		strategy sched.Strategy
+		scheme   paper.Scheme
+		strategy paper.Strategy
 	}{
-		{reuse.ClusDensity, sched.SchedGreedy},
-		{reuse.ClusDensity, sched.SchedMinPts},
-		{reuse.ClusPtsSquared, sched.SchedGreedy},
-		{reuse.ClusPtsSquared, sched.SchedMinPts},
+		{paper.ClusDensity, paper.SchedGreedy},
+		{paper.ClusDensity, paper.SchedMinPts},
+		{paper.ClusPtsSquared, paper.SchedGreedy},
+		{paper.ClusPtsSquared, paper.SchedMinPts},
 	} {
 		b.Run(combo.scheme.String()+"_"+combo.strategy.String(), func(b *testing.B) {
 			var m metrics.Counters
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sched.Execute(fixTECIx, vs, sched.Options{
+				if _, err := paper.Execute(fixTECIx, vs, paper.Options{
 					Threads: 8, Scheme: combo.scheme, Strategy: combo.strategy, Metrics: &m,
 				}); err != nil {
 					b.Fatal(err)
@@ -300,12 +298,12 @@ func BenchmarkFig8Combined(b *testing.B) {
 func BenchmarkFig9Makespan(b *testing.B) {
 	fixtures(b)
 	vs := s2BenchVariants()
-	for _, strategy := range sched.Strategies {
+	for _, strategy := range paper.Strategies {
 		b.Run(strategy.String(), func(b *testing.B) {
 			var slow float64
 			for i := 0; i < b.N; i++ {
-				rr, err := sched.Execute(fixTECIx, vs, sched.Options{
-					Threads: 8, Scheme: reuse.ClusDensity, Strategy: strategy,
+				rr, err := paper.Execute(fixTECIx, vs, paper.Options{
+					Threads: 8, Scheme: paper.ClusDensity, Strategy: strategy,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -318,32 +316,6 @@ func BenchmarkFig9Makespan(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationSingleTree removes the two-tree design: the cluster-MBB
-// sweep runs on the low-resolution tree instead of T_high, inflating the
-// candidate filtering cost of every reuse pass.
-func BenchmarkAblationSingleTree(b *testing.B) {
-	fixtures(b)
-	vs := s2BenchVariants()
-	single, err := bench.SingleTree(fixTECIx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("two-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("single-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(single, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkAblationBulkVsInsert compares the grid-sorted bulk loader
 // against one-at-a-time insertion with quadratic splits.
@@ -360,39 +332,6 @@ func BenchmarkAblationBulkVsInsert(b *testing.B) {
 			tr := rtree.New(rtree.Options{})
 			for _, p := range pts {
 				tr.Insert(p)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationOPTICSvsVariants compares OPTICS (one run, extract per
-// ε) against VariantDBSCAN for an ε-sweep at fixed minpts — the related
-// work trade-off discussed in §III.
-func BenchmarkAblationOPTICSvsVariants(b *testing.B) {
-	fixtures(b)
-	epsSweep := []float64{1, 1.5, 2, 2.5}
-	b.Run("optics", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ord, err := optics.Run(fixTECIx, 2.5, 4, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, eps := range epsSweep {
-				if _, err := ord.ExtractDBSCAN(eps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("variantdbscan", func(b *testing.B) {
-		var ps []dbscan.Params
-		for _, eps := range epsSweep {
-			ps = append(ps, dbscan.Params{Eps: eps, MinPts: 4})
-		}
-		vs := variant.New(ps)
-		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity}); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})
@@ -434,32 +373,10 @@ func BenchmarkNeighborSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSeedFilter measures the getSeedList selection criterion:
-// excluding tiny clusters from reuse (their sweep can cost more than it
-// saves) versus reusing every cluster.
-func BenchmarkAblationSeedFilter(b *testing.B) {
-	fixtures(b)
-	vs := s2BenchVariants()
-	for _, minSize := range []int{0, 16, 64, 256} {
-		b.Run(map[int]string{0: "all", 16: "min16", 64: "min64", 256: "min256"}[minSize], func(b *testing.B) {
-			var m metrics.Counters
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.Execute(fixTECIx, vs, sched.Options{
-					Threads: 1, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity, MinSeedSize: minSize, Metrics: &m,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportWork(b, m.Snapshot(), b.N)
-		})
-	}
-}
-
 // BenchmarkAblationIntraVsVariantParallel contrasts the two parallelism
 // granularities (§III vs §IV): parallelizing the range queries inside one
 // DBSCAN run (master/worker, Arlia & Coppola) versus running whole variants
-// concurrently with reuse (VariantDBSCAN). The workload is the same
+// concurrently (VariantDBSCAN's pool of ε-chains). The workload is the same
 // 4-variant eps sweep either way.
 func BenchmarkAblationIntraVsVariantParallel(b *testing.B) {
 	fixtures(b)
@@ -478,9 +395,7 @@ func BenchmarkAblationIntraVsVariantParallel(b *testing.B) {
 	b.Run("variant-level", func(b *testing.B) {
 		vs := variant.New(ps)
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.Execute(fixTECIx, vs, sched.Options{
-				Threads: 8, Strategy: sched.SchedGreedy, Scheme: reuse.ClusDensity,
-			}); err != nil {
+			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 8}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-exp all|table1|table2|table3|table4|fig4|fig5|fig6|fig7|fig8|fig9|indexkinds]
+//	experiments [-exp all|fig1|table1|table2|table3|table4|fig4|fig5|fig6|fig7|fig8|fig9|trace]
 //	            [-scale 0.01] [-threads 16] [-r 70] [-index rtree|grid] [-seed N]
 //	            [-trace out.json] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
@@ -10,10 +10,14 @@
 // default 0.01 keeps a laptop run in minutes). ε values are automatically
 // multiplied by 1/√scale to compensate for the density drop.
 //
-// -trace runs the traced demonstration workload (6 variants on SW1 with an
-// execution tracer attached) after the selected experiments, printing a
-// plain-text timeline and writing Chrome trace-event JSON to the given file
-// — open it in chrome://tracing or https://ui.perfetto.dev. The same run is
+// Figs. 4–9 run the paper's own executor (internal/paper): Alg. 3/4 cluster
+// reuse under SCHEDGREEDY / SCHEDMINPTS on a pool of -threads goroutines.
+//
+// -trace runs the traced demonstration workload (6 variants on SW1 as
+// ε-chains, the library's executor, with an execution tracer attached)
+// after the selected experiments, printing a plain-text timeline and
+// writing Chrome trace-event JSON to the given file — open it in
+// chrome://tracing or https://ui.perfetto.dev. The same run is
 // also available as `-exp trace` (timeline only unless -trace is set).
 //
 // -cpuprofile and -memprofile write pprof profiles covering the selected

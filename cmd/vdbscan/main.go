@@ -7,10 +7,11 @@
 //	vdbscan -in data.csv -eps 0.5 -minpts 4 -labels out.csv     # save labels
 //
 // With -A/-B the full variant set is executed with VariantDBSCAN (shared
-// index, ε-chains by default or a paper heuristic's cluster reuse with
-// -sched greedy|minpts|tree, scheduling) and a per-variant summary is printed;
-// -labels then writes one file per variant (out.v0.csv, out.v1.csv, ...)
-// in CartesianVariants order.
+// index, one ε-chain per ε, chains scheduled over -threads workers) and a
+// per-variant summary is printed; every variant's labels are those of a
+// single -eps/-minpts run. -labels then writes one file per variant
+// (out.v0.csv, out.v1.csv, ...) in CartesianVariants order. The paper's
+// cluster-reuse heuristics are reproduced by cmd/experiments.
 package main
 
 import (
@@ -36,8 +37,6 @@ func main() {
 	threads := flag.Int("threads", 1, "worker goroutines")
 	r := flag.Int("r", 70, "points per leaf MBB in the eps-search tree")
 	indexKind := flag.String("index", "grid", "eps-search index structure: grid or rtree")
-	scheme := flag.String("reuse", "density", "cluster reuse scheme of a paper heuristic: default, density, ptssquared")
-	strategy := flag.String("sched", "chain", "variant schedule: chain (ε-chains), or a paper heuristic running Alg. 3/4: greedy, minpts, tree")
 	labelsOut := flag.String("labels", "", "write per-point labels CSV here (variant runs write one .vN file per variant)")
 	top := flag.Int("top", 5, "show the k largest clusters")
 	render := flag.Bool("render", false, "draw an ASCII map of the clustering (single run only)")
@@ -53,14 +52,6 @@ func main() {
 	}
 	fmt.Printf("loaded %s: %d points\n", ds.Name, ds.Len())
 
-	schemeVal, err := cliutil.ParseScheme(*scheme)
-	if err != nil {
-		fail(err)
-	}
-	strategyVal, err := cliutil.ParseStrategy(*strategy)
-	if err != nil {
-		fail(err)
-	}
 	kindVal, err := cliutil.ParseIndexKind(*indexKind)
 	if err != nil {
 		fail(err)
@@ -81,8 +72,6 @@ func main() {
 		var work vdbscan.Work
 		run, err := idx.ClusterVariants(params,
 			vdbscan.WithThreads(*threads),
-			vdbscan.WithReuseScheme(schemeVal),
-			vdbscan.WithStrategy(strategyVal),
 			vdbscan.WithWork(&work))
 		if err != nil {
 			fail(err)

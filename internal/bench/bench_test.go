@@ -268,20 +268,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestAblations(t *testing.T) {
-	s, buf := tinySuite()
-	if err := s.Ablations(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"tree-design", "index-build", "seed-filter",
-		"eps-sweep", "dbscan-core", "parallel-grain", "SCHEDTREE"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("ablations output missing %q", want)
-		}
-	}
-}
-
 func TestTrialsAveraging(t *testing.T) {
 	s, buf := tinySuite()
 	s.Trials = 3

@@ -5,10 +5,9 @@ import (
 	"sort"
 
 	"vdbscan/internal/dbscan"
+	"vdbscan/internal/paper"
 	"vdbscan/internal/quality"
 	"vdbscan/internal/render"
-	"vdbscan/internal/reuse"
-	"vdbscan/internal/sched"
 )
 
 // fig4RValues is the leaf-occupancy sweep for the indexing figure: r=1 is
@@ -37,12 +36,11 @@ func (s *Suite) Fig4() error {
 			return err
 		}
 		for _, r := range fig4RValues {
-			rr, wall, work, err := s.vdbRun(ds, vs, s.Threads, reuse.ClusDensity,
-				sched.SchedGreedy, true /* no reuse: isolate indexing */, r)
+			_, wall, work, err := s.vdbRun(ds, vs, s.Threads, paper.ClusDensity,
+				paper.SchedGreedy, true /* no reuse: isolate indexing */, r)
 			if err != nil {
 				return err
 			}
-			_ = rr
 			t.add(spec.dataset, r, seconds(refTime), seconds(wall),
 				speedup(refTime, wall), work.NodesVisited,
 				work.CandidatesExamined, work.NeighborSearches)
@@ -64,9 +62,9 @@ func (s *Suite) Fig5() error {
 		return err
 	}
 	vs := s.s2Variants()
-	for _, scheme := range reuse.Schemes {
+	for _, scheme := range paper.Schemes {
 		fmt.Fprintf(s.Out, "-- %v --\n", scheme)
-		rr, _, _, err := s.vdbRun(ds, vs, 1, scheme, sched.SchedGreedy, false, s.R)
+		rr, _, _, err := s.vdbRun(ds, vs, 1, scheme, paper.SchedGreedy, false, s.R)
 		if err != nil {
 			return err
 		}
@@ -93,8 +91,8 @@ func (s *Suite) Fig6() error {
 	}
 	vs := s.s2Variants()
 	t := newTable("Scheme", "eps", "MeanFracReused", "MeanTime")
-	for _, scheme := range reuse.Schemes {
-		rr, _, _, err := s.vdbRun(ds, vs, 1, scheme, sched.SchedGreedy, false, s.R)
+	for _, scheme := range paper.Schemes {
+		rr, _, _, err := s.vdbRun(ds, vs, 1, scheme, paper.SchedGreedy, false, s.R)
 		if err != nil {
 			return err
 		}
@@ -150,8 +148,8 @@ func (s *Suite) Fig7() error {
 		}
 		// Quality reference: plain DBSCAN per variant on the tuned index.
 		ix := s.index(ds, s.R)
-		for _, scheme := range reuse.Schemes {
-			rr, wall, _, err := s.vdbRun(ds, vs, 1, scheme, sched.SchedGreedy, false, s.R)
+		for _, scheme := range paper.Schemes {
+			rr, wall, _, err := s.vdbRun(ds, vs, 1, scheme, paper.SchedGreedy, false, s.R)
 			if err != nil {
 				return err
 			}
@@ -179,13 +177,13 @@ func (s *Suite) Fig7() error {
 
 // fig8Combos are the four scheduling/reuse combinations of Figure 8.
 var fig8Combos = []struct {
-	scheme   reuse.Scheme
-	strategy sched.Strategy
+	scheme   paper.Scheme
+	strategy paper.Strategy
 }{
-	{reuse.ClusDensity, sched.SchedGreedy},
-	{reuse.ClusDensity, sched.SchedMinPts},
-	{reuse.ClusPtsSquared, sched.SchedGreedy},
-	{reuse.ClusPtsSquared, sched.SchedMinPts},
+	{paper.ClusDensity, paper.SchedGreedy},
+	{paper.ClusDensity, paper.SchedMinPts},
+	{paper.ClusPtsSquared, paper.SchedGreedy},
+	{paper.ClusPtsSquared, paper.SchedMinPts},
 }
 
 // Fig8 regenerates Figure 8 (scenario S3): relative speedup of the full
@@ -234,8 +232,8 @@ func (s *Suite) Fig9() error {
 		return err
 	}
 	vs := s.s3Variants("V3")
-	for _, strategy := range sched.Strategies {
-		rr, _, _, err := s.vdbRun(ds, vs, s.Threads, reuse.ClusDensity, strategy, false, s.R)
+	for _, strategy := range paper.Strategies {
+		rr, _, _, err := s.vdbRun(ds, vs, s.Threads, paper.ClusDensity, strategy, false, s.R)
 		if err != nil {
 			return err
 		}
@@ -315,12 +313,6 @@ func (s *Suite) Run(id string) error {
 		return s.Fig8()
 	case "fig9":
 		return s.Fig9()
-	case "indexkinds":
-		return s.IndexKinds()
-	case "tiles":
-		return s.Tiles()
-	case "ablations":
-		return s.Ablations()
 	case "trace":
 		return s.Trace()
 	case "all":
@@ -332,7 +324,7 @@ func (s *Suite) Run(id string) error {
 // Experiments lists the valid experiment IDs in paper order.
 var Experiments = []string{
 	"fig1", "table1", "table2", "fig4", "table3", "fig5", "fig6", "fig7",
-	"table4", "fig8", "fig9", "indexkinds", "tiles", "ablations", "trace",
+	"table4", "fig8", "fig9", "trace",
 }
 
 // Fig1 regenerates Figure 1's content as text: the thresholded TEC map of

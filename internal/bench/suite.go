@@ -9,8 +9,7 @@ import (
 	"vdbscan/internal/data"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/metrics"
-	"vdbscan/internal/reuse"
-	"vdbscan/internal/sched"
+	"vdbscan/internal/paper"
 	"vdbscan/internal/stats"
 	"vdbscan/internal/tec"
 	"vdbscan/internal/variant"
@@ -39,12 +38,11 @@ type Suite struct {
 	// trace-event JSON (the plain-text timeline always goes to Out).
 	TracePath string
 	// IndexKind selects the ε-search substrate every scenario runs on;
-	// NewSuite sets the paper's IndexRTree. The "indexkinds" experiment
-	// ignores it and runs both kinds head-to-head.
+	// NewSuite sets the paper's IndexRTree.
 	IndexKind dbscan.IndexKind
 
 	datasets map[string]*data.Dataset
-	indexes  map[string]*dbscan.Index // keyed by name/r
+	indexes  map[string]*dbscan.Index // keyed by name/r/kind
 }
 
 // NewSuite returns a Suite with the paper's defaults at the given scale.
@@ -176,17 +174,11 @@ func parseSynthName(name string) (data.SynthClass, int, float64, error) {
 // index returns a cached shared index for a dataset at leaf occupancy r,
 // built with the suite's configured index kind.
 func (s *Suite) index(ds *data.Dataset, r int) *dbscan.Index {
-	return s.indexKind(ds, r, s.IndexKind)
-}
-
-// indexKind is index with an explicit substrate (used by the head-to-head
-// experiment, which needs both kinds over one dataset).
-func (s *Suite) indexKind(ds *data.Dataset, r int, kind dbscan.IndexKind) *dbscan.Index {
-	key := fmt.Sprintf("%s/%d/%s", ds.Name, r, kind)
+	key := fmt.Sprintf("%s/%d/%s", ds.Name, r, s.IndexKind)
 	if ix, ok := s.indexes[key]; ok {
 		return ix
 	}
-	ix := dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: r, Kind: kind})
+	ix := dbscan.BuildIndex(ds.Points, dbscan.IndexOptions{R: r, Kind: s.IndexKind})
 	s.indexes[key] = ix
 	return ix
 }
@@ -236,22 +228,15 @@ func (s *Suite) refRun(ds *data.Dataset, vs []variant.Variant) (time.Duration, m
 // vdbRun executes VariantDBSCAN over vs with the given configuration and
 // returns the run, the wall time, and the accumulated work.
 func (s *Suite) vdbRun(ds *data.Dataset, vs []variant.Variant, threads int,
-	scheme reuse.Scheme, strategy sched.Strategy, disableReuse bool, r int,
-) (*sched.RunResult, time.Duration, metrics.Snapshot, error) {
-	return s.vdbRunIx(s.index(ds, r), vs, threads, scheme, strategy, disableReuse)
-}
-
-// vdbRunIx is vdbRun over an explicitly built index (the head-to-head
-// experiment times the same variant set on different substrates).
-func (s *Suite) vdbRunIx(ix *dbscan.Index, vs []variant.Variant, threads int,
-	scheme reuse.Scheme, strategy sched.Strategy, disableReuse bool,
-) (*sched.RunResult, time.Duration, metrics.Snapshot, error) {
+	scheme paper.Scheme, strategy paper.Strategy, disableReuse bool, r int,
+) (*paper.RunResult, time.Duration, metrics.Snapshot, error) {
+	ix := s.index(ds, r)
 	var m metrics.Counters
-	var rr *sched.RunResult
+	var rr *paper.RunResult
 	mean, err := s.timeTrials(func() error {
 		m.Reset()
 		var err error
-		rr, err = sched.Execute(ix, vs, sched.Options{
+		rr, err = paper.Execute(ix, vs, paper.Options{
 			Threads:      threads,
 			Strategy:     strategy,
 			Scheme:       scheme,

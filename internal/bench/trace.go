@@ -5,44 +5,39 @@ import (
 	"os"
 
 	"vdbscan/internal/obs"
-	"vdbscan/internal/reuse"
 	"vdbscan/internal/sched"
 	"vdbscan/internal/variant"
 )
 
 // traceVariants is the compact workload traced by Trace: a 6-variant subset
 // of the S2 grid (A × {8, 16}) — small enough that the exported timeline
-// stays readable, varied enough to exercise reuse, from-scratch execution,
-// and seed selection (ε scaled per suite).
+// stays readable, varied enough to show three ε-chains, each a head run
+// from scratch and a replay of it (ε scaled per suite).
 func (s *Suite) traceVariants() []variant.Variant {
 	return variant.Product(s.scaleEpsAll([]float64{0.2, 0.4, 0.6}), []int{8, 16})
 }
 
 // Trace executes the traced demonstration run: the 6-variant workload on
-// SW1 with SCHEDGREEDY + CLUSDENSITY and two-level scheduling across
-// s.Threads workers, with an execution tracer attached. The plain-text
+// SW1 as ε-chains (the product's executor, internal/sched) with two-level
+// scheduling across s.Threads workers, with an execution tracer attached. The plain-text
 // timeline is printed to s.Out; when s.TracePath is non-empty the Chrome
 // trace-event JSON (loadable in chrome://tracing or ui.perfetto.dev) is
 // written there.
 func (s *Suite) Trace() error {
 	path := s.TracePath
-	section(s.Out, "Execution trace: SW1, |V|=6, SCHEDGREEDY + CLUSDENSITY")
+	section(s.Out, "Execution trace: SW1, |V|=6, eps-chains")
 	ds, err := s.Dataset("SW1")
 	if err != nil {
 		return err
 	}
 	tr := obs.NewTracer()
-	rr, err := sched.Execute(s.index(ds, s.R), s.traceVariants(), sched.Options{
+	if _, err := sched.Execute(s.index(ds, s.R), s.traceVariants(), sched.Options{
 		Threads:    s.Threads,
-		Strategy:   sched.SchedGreedy,
-		Scheme:     reuse.ClusDensity,
 		DonateIdle: s.Threads > 1,
 		Tracer:     tr,
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	_ = rr
 	if err := tr.WriteTimeline(s.Out); err != nil {
 		return err
 	}

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"vdbscan/internal/dbscan"
-	"vdbscan/internal/reuse"
-	"vdbscan/internal/sched"
 )
 
 // EnvOr returns the environment variable's value, or def when unset or
@@ -153,14 +151,4 @@ func ParseIndexKind(name string) (dbscan.IndexKind, error) {
 	default:
 		return 0, fmt.Errorf("cliutil: unknown index kind %q (want rtree or grid)", name)
 	}
-}
-
-// ParseScheme maps CLI spellings to reuse schemes.
-func ParseScheme(name string) (reuse.Scheme, error) {
-	return reuse.Parse(name)
-}
-
-// ParseStrategy maps CLI spellings to scheduling strategies.
-func ParseStrategy(name string) (sched.Strategy, error) {
-	return sched.Parse(name)
 }

@@ -3,9 +3,6 @@ package cliutil
 import (
 	"testing"
 	"time"
-
-	"vdbscan/internal/reuse"
-	"vdbscan/internal/sched"
 )
 
 func TestParseFloats(t *testing.T) {
@@ -59,21 +56,6 @@ func TestParseRange(t *testing.T) {
 	got, _ = ParseRange("7:7:1")
 	if len(got) != 1 || got[0] != 7 {
 		t.Errorf("degenerate range: %v", got)
-	}
-}
-
-func TestParseSchemeAndStrategy(t *testing.T) {
-	if got, err := ParseScheme("density"); err != nil || got != reuse.ClusDensity {
-		t.Errorf("scheme: %v, %v", got, err)
-	}
-	if _, err := ParseScheme("bogus"); err == nil {
-		t.Error("bad scheme accepted")
-	}
-	if got, err := ParseStrategy("tree"); err != nil || got != sched.SchedTree {
-		t.Errorf("strategy: %v, %v", got, err)
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("bad strategy accepted")
 	}
 }
 

@@ -11,7 +11,7 @@
 //
 //	T_low  — r points per leaf MBB (r ≈ 70–110), used for ε-searches;
 //	T_high — one point per leaf MBB, used for exact cluster-MBB sweeps
-//	         in VariantDBSCAN (internal/core).
+//	         in VariantDBSCAN (internal/paper).
 //
 // T_low is built with an R-tree-kind index; a grid-kind index builds it
 // only if something searches before EnsureGrid. T_high is built on the
@@ -48,7 +48,7 @@ const (
 	// every ε-search is three contiguous block-kernel scans, and a
 	// from-scratch run is cell-major. No R-tree is built unless something
 	// asks for one: T_low for a search before EnsureGrid, T_high for a
-	// paper strategy's cluster-MBB sweep.
+	// cluster-MBB sweep of the paper reproduction (internal/paper).
 	IndexGrid IndexKind = iota
 	// IndexRTree is the paper's packed R-tree pair: T_low, built with the
 	// index, serves ε-searches; T_high serves cluster-MBB sweeps.

@@ -14,7 +14,7 @@ import (
 //     and https://ui.perfetto.dev load directly): pid 1 carries one track
 //     per pool worker showing what each core executed when (variant spans,
 //     donated phases), pid 2 carries one track per variant showing its
-//     lifecycle with nested expand/scratch/mark/label/border phase spans,
+//     lifecycle with nested scratch/mark/label/border phase spans,
 //     seed-selection instants, and per-variant work-counter args.
 //   - A plain-text timeline summary for terminals and logs.
 //

@@ -1,7 +1,6 @@
 // Package obs is the execution-tracing and runtime-introspection layer of
 // the variant scheduler. It records structured span events — variant
-// lifecycle (queued → started → seed-selected → expand/scratch phases →
-// done), scheduler decisions (strategy pick, worker assignment, donor
+// lifecycle (queued → started → seed-selected → phases → done), scheduler decisions (strategy pick, worker assignment, donor
 // join/leave), and per-variant metrics.Snapshot deltas — into lock-light
 // per-worker ring buffers, then exports them as a Chrome trace-event /
 // Perfetto JSON file or a plain-text timeline.
@@ -9,9 +8,8 @@
 // The paper's claims are about *when* each variant ran, *which* completed
 // variant it seeded from, and *how much* ε-search work reuse skipped;
 // aggregate counters and wall-clock totals cannot answer those questions.
-// Tracing makes the SCHEDGREEDY/SCHEDMINPTS schedules, the donor-pool
-// behavior of two-level scheduling, and the per-phase work attribution
-// directly inspectable (the per-phase methodology of Wang, Gu & Shun,
+// Tracing makes the ε-chain schedule, the donor-pool behavior of two-level
+// scheduling, and the per-phase work attribution directly inspectable (the per-phase methodology of Wang, Gu & Shun,
 // arXiv:1912.06255).
 //
 // # Cost model
@@ -97,19 +95,13 @@ func (k Kind) String() string {
 // Phase identifies one execution phase inside a variant run.
 type Phase uint8
 
-// Phases of a variant execution. Expand and Scratch are VariantDBSCAN's two
-// sequential phases (Algorithm 3: seed-cluster expansion, then the
-// from-scratch remainder); Mark/Label/Border are the phases of
-// dbscan.RunParallelOpts, with TileRun standing in for Mark on its tiled
-// path.
+// Phases of a variant execution. Scratch is a sequential from-scratch run;
+// Mark/Label/Border are the phases of dbscan.RunParallelOpts and of an
+// ε-chain replay, with TileRun standing in for Mark on its tiled path.
 const (
-	// PhaseExpand is the seed-cluster reuse expansion (Alg. 3 lines 8–17:
-	// cluster copy, MBB sweep, edge search, EXPANDCLUSTER).
-	PhaseExpand Phase = iota + 1
-	// PhaseScratch is sequential from-scratch DBSCAN: the Alg. 3 line-18
-	// remainder pass, or the whole run when no source was reusable — an
-	// ε-chain's first link on one goroutine included.
-	PhaseScratch
+	// PhaseScratch is sequential from-scratch DBSCAN on one goroutine: a
+	// single variant's run, or an ε-chain's first link.
+	PhaseScratch Phase = iota + 1
 	// PhaseMark is the parallel part of the run: core marking and
 	// core-edge disjoint-set linking — by cell counts and cell-pair tests
 	// where a cell decomposition serves the run, by one ε-search per point
@@ -134,8 +126,6 @@ const (
 // String implements fmt.Stringer.
 func (p Phase) String() string {
 	switch p {
-	case PhaseExpand:
-		return "expand"
 	case PhaseScratch:
 		return "scratch"
 	case PhaseMark:

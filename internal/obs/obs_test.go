@@ -29,8 +29,8 @@ func TestNilTracerNoOps(t *testing.T) {
 	}
 	rec.Event(KindStarted, 0, 0, 0)
 	rec.Done(0, -1, 0.5, metrics.Snapshot{})
-	rec.PhaseBegin(0, PhaseExpand)
-	rec.PhaseEnd(0, PhaseExpand)
+	rec.PhaseBegin(0, PhaseScratch)
+	rec.PhaseEnd(0, PhaseScratch)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -154,10 +154,10 @@ func buildRun(t *testing.T) *Tracer {
 	r0.Done(0, -1, 0, metrics.Snapshot{NeighborSearches: 90})
 	r0.Event(KindStarted, 2, 0, 0)
 	r0.Event(KindSeedSelected, 2, 0, 0.125)
-	r0.PhaseBegin(2, PhaseExpand)
-	r0.PhaseEnd(2, PhaseExpand)
-	r0.PhaseBegin(2, PhaseScratch)
-	r0.PhaseEnd(2, PhaseScratch)
+	r0.PhaseBegin(2, PhaseMark)
+	r0.PhaseEnd(2, PhaseMark)
+	r0.PhaseBegin(2, PhaseLabel)
+	r0.PhaseEnd(2, PhaseLabel)
 	r0.Done(2, 0, 0.9, metrics.Snapshot{NeighborSearches: 10, PointsReused: 900})
 	tr.EndRun(time.Since(time.Now().Add(-time.Millisecond)))
 	return tr
@@ -198,7 +198,7 @@ func TestWriteChromeTrace(t *testing.T) {
 			switch {
 			case e.Args["fraction_reused"] != nil:
 				variantSpans[e.Tid] = e.Args
-			case e.Name == "scratch" || e.Name == "expand":
+			case e.Name == "scratch" || e.Name == "mark" || e.Name == "label":
 				phases++
 			}
 		}
@@ -251,7 +251,7 @@ func TestWriteTimeline(t *testing.T) {
 
 // TestKindPhaseStrings pins the display names used in exports.
 func TestKindPhaseStrings(t *testing.T) {
-	if PhaseExpand.String() != "expand" || PhaseScratch.String() != "scratch" ||
+	if PhaseScratch.String() != "scratch" ||
 		PhaseMark.String() != "mark" || PhaseLabel.String() != "label" ||
 		PhaseBorder.String() != "border" || PhaseTileRun.String() != "tile-run" {
 		t.Fatal("phase names changed; exports and docs depend on them")

@@ -1,9 +1,10 @@
-// Package core implements VARIANTDBSCAN (paper Algorithm 3) and
-// EXPANDCLUSTER (Algorithm 4): clustering one DBSCAN variant by reusing the
-// completed clustering of another variant that satisfies the inclusion
-// criteria ε_i ≥ ε_j, minpts_i ≤ minpts_j.
+package paper
+
+// This file is VARIANTDBSCAN (Algorithm 3) and EXPANDCLUSTER (Algorithm 4):
+// clustering one variant by reusing the completed clustering of another
+// that satisfies the inclusion criteria ε_i ≥ ε_j, minpts_i ≤ minpts_j.
 //
-// For each seed cluster selected by the reuse heuristic (internal/reuse):
+// For each seed cluster, in the order the reuse scheme (reuse.go) gives:
 //
 //  1. copy the old cluster's points into a new cluster and mark them
 //     visited, skipping their ε-searches entirely (the reuse win);
@@ -17,14 +18,11 @@
 // Points not covered by any reused cluster are clustered from scratch
 // afterwards. The output is equivalent to plain DBSCAN up to the usual
 // border-point order ambiguity (paper §V-D reports quality ≥ 0.998).
-package core
 
 import (
 	"vdbscan/internal/cluster"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/metrics"
-	"vdbscan/internal/obs"
-	"vdbscan/internal/reuse"
 	"vdbscan/internal/variant"
 )
 
@@ -45,39 +43,13 @@ type Stats struct {
 	ClustersDestroyed int
 }
 
-// Options tunes the reuse pass beyond the scheme choice.
-type Options struct {
-	// Scheme is the seed-cluster prioritization (paper §IV-C).
-	Scheme reuse.Scheme
-	// MinSeedSize excludes clusters below this size from reuse (they are
-	// clustered from scratch in the remainder pass); 0 or 1 reuses all.
-	// This implements the selection criterion the paper's getSeedList
-	// description leaves open.
-	MinSeedSize int
-	// Rec, when non-nil, records the expand/scratch phase boundaries of
-	// variant Variant into the calling worker's trace ring. Phase events
-	// are emitted once per phase — never per point or per ε-search — and
-	// the nil default is a free no-op, so the hot paths are untouched
-	// either way.
-	Rec *obs.Recorder
-	// Variant is the variant ID used in trace events.
-	Variant int32
-}
-
 // Run clusters variant p over the shared index. prev is the completed
 // clustering of a variant vj with variant.CanReuse(p, vj.Params); pass nil
 // to cluster from scratch (plain DBSCAN). prev must be in the index's
 // sorted point space. m may be nil.
-func Run(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, scheme reuse.Scheme, m *metrics.Counters) (*cluster.Result, Stats, error) {
-	return RunOpts(ix, p, prev, Options{Scheme: scheme}, m)
-}
-
-// RunOpts is Run with full reuse options.
-func RunOpts(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, opt Options, m *metrics.Counters) (*cluster.Result, Stats, error) {
+func Run(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, scheme Scheme, m *metrics.Counters) (*cluster.Result, Stats, error) {
 	if prev == nil || prev.NumClusters == 0 {
-		opt.Rec.PhaseBegin(opt.Variant, obs.PhaseScratch)
 		res, err := dbscan.Run(ix, p, m)
-		opt.Rec.PhaseEnd(opt.Variant, obs.PhaseScratch)
 		return res, Stats{FromScratch: true}, err
 	}
 	if err := p.Validate(); err != nil {
@@ -89,7 +61,7 @@ func RunOpts(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, opt Option
 	visited := make([]bool, n)
 	destroyed := make([]bool, prev.NumClusters+1)
 	infos := prev.Infos(ix.Pts)
-	seeds := reuse.SeedListFiltered(infos, opt.Scheme, opt.MinSeedSize)
+	seeds := SeedList(infos, scheme)
 
 	var stats Stats
 	var cid int32
@@ -100,7 +72,6 @@ func RunOpts(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, opt Option
 	var epoch int32
 	var frontier, nbuf, cbuf []int32
 
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseExpand)
 	for _, sid := range seeds {
 		if destroyed[sid] {
 			continue
@@ -150,8 +121,6 @@ func RunOpts(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, opt Option
 		// instead of re-grown from the stale frontier capacity each time.
 		frontier, nbuf = expandCluster(ix, p, res, visited, destroyed, prev, cid, sid, frontier, nbuf, m, &stats)
 	}
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseExpand)
-	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseScratch)
 
 	// Line 18: cluster the remainder with DBSCAN over unvisited points.
 	// Points enter the queue at most once (marked visited at discovery).
@@ -191,7 +160,6 @@ func RunOpts(ix *dbscan.Index, p dbscan.Params, prev *cluster.Result, opt Option
 		}
 	}
 	res.NumClusters = int(cid)
-	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseScratch)
 	if n > 0 {
 		stats.FractionReused = float64(stats.PointsReused) / float64(n)
 	}

@@ -1,4 +1,4 @@
-package core
+package paper
 
 import (
 	"math/rand"
@@ -8,7 +8,6 @@ import (
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/metrics"
-	"vdbscan/internal/reuse"
 	"vdbscan/internal/variant"
 )
 
@@ -32,7 +31,7 @@ func blobs(k, m, noise int, extent, sigma float64, seed int64) []geom.Point {
 
 func TestRunFromScratchWhenNoPrev(t *testing.T) {
 	ix := dbscan.BuildIndex(blobs(2, 100, 20, 20, 0.5, 1), dbscan.IndexOptions{R: 8, Kind: dbscan.IndexRTree})
-	res, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, nil, reuse.ClusDensity, nil)
+	res, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, nil, ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestRunFromScratchWhenPrevHasNoClusters(t *testing.T) {
 	for i := range prev.Labels {
 		prev.Labels[i] = cluster.Noise
 	}
-	_, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, prev, reuse.ClusDensity, nil)
+	_, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, prev, ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +66,14 @@ func TestRunFromScratchWhenPrevHasNoClusters(t *testing.T) {
 func TestRunRejectsBadParams(t *testing.T) {
 	ix := dbscan.BuildIndex(blobs(1, 50, 0, 10, 0.5, 3), dbscan.IndexOptions{Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, nil)
-	if _, _, err := Run(ix, dbscan.Params{Eps: -1, MinPts: 4}, prev, reuse.ClusDefault, nil); err == nil {
+	if _, _, err := Run(ix, dbscan.Params{Eps: -1, MinPts: 4}, prev, ClusDefault, nil); err == nil {
 		t.Error("bad params accepted")
 	}
 }
 
 // runPair clusters with prevParams from scratch, then target with reuse,
 // and returns (reused result, scratch result for target, stats).
-func runPair(t *testing.T, pts []geom.Point, prevParams, target dbscan.Params, scheme reuse.Scheme) (*cluster.Result, *cluster.Result, Stats) {
+func runPair(t *testing.T, pts []geom.Point, prevParams, target dbscan.Params, scheme Scheme) (*cluster.Result, *cluster.Result, Stats) {
 	t.Helper()
 	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, err := dbscan.Run(ix, prevParams, nil)
@@ -104,7 +103,7 @@ func TestReuseMatchesScratchDBSCAN(t *testing.T) {
 		{"identical", dbscan.Params{Eps: 0.5, MinPts: 8}, dbscan.Params{Eps: 0.5, MinPts: 8}},
 	}
 	for _, c := range cases {
-		for _, scheme := range reuse.Schemes {
+		for _, scheme := range Schemes {
 			t.Run(c.name+"/"+scheme.String(), func(t *testing.T) {
 				got, want, stats := runPair(t, pts, c.prev, c.target, scheme)
 				if stats.PointsReused == 0 {
@@ -133,7 +132,7 @@ func TestReusedClustersOnlyGrow(t *testing.T) {
 	pts := blobs(3, 200, 100, 25, 0.6, 20)
 	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 12}, nil)
-	got, _, err := Run(ix, dbscan.Params{Eps: 0.6, MinPts: 4}, prev, reuse.ClusDensity, nil)
+	got, _, err := Run(ix, dbscan.Params{Eps: 0.6, MinPts: 4}, prev, ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestClusterMergeDestroysSeeds(t *testing.T) {
 		t.Fatalf("setup: prev clusters = %d, want 2", prev.NumClusters)
 	}
 	var m metrics.Counters
-	got, stats, err := Run(ix, dbscan.Params{Eps: 4, MinPts: 4}, prev, reuse.ClusDefault, &m)
+	got, stats, err := Run(ix, dbscan.Params{Eps: 4, MinPts: 4}, prev, ClusDefault, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestReuseSkipsSearchesOnCopiedPoints(t *testing.T) {
 	scratchSearches := mScratch.Snapshot().NeighborSearches
 
 	var mReuse metrics.Counters
-	_, stats, err := Run(ix, p, prev, reuse.ClusDensity, &mReuse)
+	_, stats, err := Run(ix, p, prev, ClusDensity, &mReuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestFractionReusedBounds(t *testing.T) {
 	pts := blobs(2, 200, 200, 20, 0.5, 50)
 	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 8}, nil)
-	_, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, prev, reuse.ClusDensity, nil)
+	_, stats, err := Run(ix, dbscan.Params{Eps: 0.5, MinPts: 4}, prev, ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +231,11 @@ func TestReuseAcrossChainOfVariants(t *testing.T) {
 	p3 := dbscan.Params{Eps: 0.8, MinPts: 4}
 
 	r1, _ := dbscan.Run(ix, p1, nil)
-	r2, _, err := Run(ix, p2, r1, reuse.ClusDensity, nil)
+	r2, _, err := Run(ix, p2, r1, ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, _, err := Run(ix, p3, r2, reuse.ClusDensity, nil)
+	r3, _, err := Run(ix, p3, r2, ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +247,7 @@ func TestReuseAcrossChainOfVariants(t *testing.T) {
 
 func TestRunEmptyDataset(t *testing.T) {
 	ix := dbscan.BuildIndex(nil, dbscan.IndexOptions{Kind: dbscan.IndexRTree})
-	res, stats, err := Run(ix, dbscan.Params{Eps: 1, MinPts: 4}, nil, reuse.ClusDefault, nil)
+	res, stats, err := Run(ix, dbscan.Params{Eps: 1, MinPts: 4}, nil, ClusDefault, nil)
 	if err != nil || res.Len() != 0 {
 		t.Fatalf("empty: %v %v", res, err)
 	}
@@ -285,7 +284,7 @@ func TestSchemesAllProduceValidResults(t *testing.T) {
 	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.5, MinPts: 12}, nil)
 	want, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.7, MinPts: 4}, nil)
-	for _, scheme := range reuse.Schemes {
+	for _, scheme := range Schemes {
 		got, stats, err := Run(ix, dbscan.Params{Eps: 0.7, MinPts: 4}, prev, scheme, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +304,7 @@ func TestAllLabelsAssignedAfterReuse(t *testing.T) {
 	pts := blobs(3, 200, 150, 25, 0.6, 80)
 	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
 	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 10}, nil)
-	got, _, err := Run(ix, dbscan.Params{Eps: 0.6, MinPts: 4}, prev, reuse.ClusDensity, nil)
+	got, _, err := Run(ix, dbscan.Params{Eps: 0.6, MinPts: 4}, prev, ClusDensity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,45 +315,5 @@ func TestAllLabelsAssignedAfterReuse(t *testing.T) {
 		if l > int32(got.NumClusters) {
 			t.Fatalf("point %d has label %d > NumClusters %d", i, l, got.NumClusters)
 		}
-	}
-}
-
-func TestRunOptsMinSeedSize(t *testing.T) {
-	pts := blobs(4, 150, 100, 30, 0.6, 90)
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
-	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.5, MinPts: 8}, nil)
-	target := dbscan.Params{Eps: 0.7, MinPts: 4}
-
-	all, sAll, err := RunOpts(ix, target, prev, Options{Scheme: reuse.ClusDensity}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, sFil, err := RunOpts(ix, target, prev,
-		Options{Scheme: reuse.ClusDensity, MinSeedSize: 100}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Filtering can only reduce (or match) the seeds expanded.
-	if sFil.ClustersReused > sAll.ClustersReused {
-		t.Errorf("filtered reused %d > unfiltered %d", sFil.ClustersReused, sAll.ClustersReused)
-	}
-	// Correctness is unaffected: both match scratch DBSCAN.
-	want, _ := dbscan.Run(ix, target, nil)
-	for name, got := range map[string]*cluster.Result{"all": all, "filtered": filtered} {
-		if d := cluster.DisagreementCount(got, want); d > len(pts)/200 {
-			t.Errorf("%s: disagreements = %d", name, d)
-		}
-	}
-	// Filtering everything degenerates to a from-scratch-equivalent pass.
-	none, sNone, err := RunOpts(ix, target, prev,
-		Options{Scheme: reuse.ClusDensity, MinSeedSize: 1 << 30}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sNone.PointsReused != 0 {
-		t.Errorf("fully filtered still reused %d points", sNone.PointsReused)
-	}
-	if d := cluster.DisagreementCount(none, want); d > len(pts)/200 {
-		t.Errorf("fully filtered: disagreements = %d", d)
 	}
 }

@@ -1,5 +1,7 @@
-// Package reuse implements the cluster-reuse prioritization techniques of
-// paper §IV-C. When VariantDBSCAN reuses a completed variant, expanding one
+package paper
+
+// This file holds the cluster-reuse prioritization techniques of paper
+// §IV-C. When VariantDBSCAN reuses a completed variant, expanding one
 // seed cluster can absorb points of other old clusters, destroying them as
 // reuse candidates — so the order in which seed clusters are expanded
 // determines how much reuse is achieved. Three schemes are proposed:
@@ -11,7 +13,6 @@
 //
 // The paper finds CLUSDENSITY the strongest (565% faster than the reference
 // on SW1) and CLUSPTSSQUARED can even lose to clustering from scratch.
-package reuse
 
 import (
 	"fmt"
@@ -47,40 +48,6 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
-}
-
-// Parse converts a scheme name (case-sensitive paper spelling or the
-// lowercase CLI spellings "default", "density", "ptssquared").
-func Parse(name string) (Scheme, error) {
-	switch name {
-	case "CLUSDEFAULT", "default":
-		return ClusDefault, nil
-	case "CLUSDENSITY", "density":
-		return ClusDensity, nil
-	case "CLUSPTSSQUARED", "ptssquared":
-		return ClusPtsSquared, nil
-	}
-	return 0, fmt.Errorf("reuse: unknown scheme %q", name)
-}
-
-// SeedListFiltered is SeedList with the selection criteria the paper's
-// getSeedList description allows for ("filters the list of total
-// clusters"): clusters smaller than minSize are excluded from reuse (their
-// points cluster from scratch in the remainder pass), since sweeping and
-// edge-expanding a tiny cluster can cost more ε-searches than it saves.
-// minSize <= 1 keeps every cluster.
-func SeedListFiltered(infos []cluster.Info, s Scheme, minSize int) []int32 {
-	ids := SeedList(infos, s)
-	if minSize <= 1 {
-		return ids
-	}
-	kept := ids[:0]
-	for _, id := range ids {
-		if infos[id-1].Size >= minSize {
-			kept = append(kept, id)
-		}
-	}
-	return kept
 }
 
 // SeedList is getSeedList (Algorithm 3, line 6): it orders the completed

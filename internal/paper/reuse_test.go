@@ -1,4 +1,4 @@
-package reuse
+package paper
 
 import (
 	"testing"
@@ -25,28 +25,6 @@ func TestSchemeStrings(t *testing.T) {
 	}
 	if Scheme(99).String() == "" {
 		t.Error("unknown scheme should still stringify")
-	}
-}
-
-func TestParse(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Scheme
-	}{
-		{"CLUSDEFAULT", ClusDefault},
-		{"default", ClusDefault},
-		{"CLUSDENSITY", ClusDensity},
-		{"density", ClusDensity},
-		{"CLUSPTSSQUARED", ClusPtsSquared},
-		{"ptssquared", ClusPtsSquared},
-	} {
-		got, err := Parse(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("Parse(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Error("Parse should reject unknown names")
 	}
 }
 
@@ -149,30 +127,5 @@ func TestSeedListFromRealResult(t *testing.T) {
 	}
 	if got := SeedList(infos, ClusDefault); got[0] != 1 {
 		t.Errorf("default should pick cluster 1, got %v", got)
-	}
-}
-
-func TestSeedListFiltered(t *testing.T) {
-	infos := []cluster.Info{info(1, 100, 10), info(2, 3, 0.1), info(3, 50, 5)}
-	// minSize <= 1 keeps everything.
-	if got := SeedListFiltered(infos, ClusDefault, 0); len(got) != 3 {
-		t.Errorf("unfiltered = %v", got)
-	}
-	if got := SeedListFiltered(infos, ClusDefault, 1); len(got) != 3 {
-		t.Errorf("minSize=1 = %v", got)
-	}
-	// minSize 10 drops the 3-point cluster but keeps priority order.
-	got := SeedListFiltered(infos, ClusDensity, 10)
-	if len(got) != 2 {
-		t.Fatalf("filtered = %v", got)
-	}
-	// Density order: cluster 1 (10/unit) then 3 (10/unit)... equal density;
-	// stable order keeps ID order 1, 3.
-	if got[0] != 1 || got[1] != 3 {
-		t.Errorf("filtered order = %v", got)
-	}
-	// Filtering everything leaves an empty seed list.
-	if got := SeedListFiltered(infos, ClusDefault, 1000); len(got) != 0 {
-		t.Errorf("over-filtered = %v", got)
 	}
 }

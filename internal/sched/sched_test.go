@@ -11,12 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"vdbscan/internal/cluster"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/obs"
-	"vdbscan/internal/reuse"
 	"vdbscan/internal/variant"
 )
 
@@ -48,64 +46,6 @@ func testGridIndex() *dbscan.Index {
 	return dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1), dbscan.IndexOptions{R: 16})
 }
 
-func TestStrategyStrings(t *testing.T) {
-	if SchedEpsChain.String() != "EPSCHAIN" || SchedGreedy.String() != "SCHEDGREEDY" || SchedMinPts.String() != "SCHEDMINPTS" {
-		t.Error("strategy names wrong")
-	}
-	if Strategy(9).String() == "" {
-		t.Error("unknown strategy should stringify")
-	}
-	for _, c := range []struct {
-		in   string
-		want Strategy
-	}{{"EPSCHAIN", SchedEpsChain}, {"chain", SchedEpsChain}, {"SCHEDGREEDY", SchedGreedy}, {"greedy", SchedGreedy}, {"SCHEDMINPTS", SchedMinPts}, {"minpts", SchedMinPts}} {
-		got, err := Parse(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("Parse(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if _, err := Parse("nope"); err == nil {
-		t.Error("Parse should reject unknown")
-	}
-}
-
-func TestOrderGreedyIsCanonical(t *testing.T) {
-	vs := variant.Product([]float64{0.4, 0.2}, []int{4, 8})
-	q := order(vs, SchedGreedy)
-	want := []dbscan.Params{{Eps: 0.2, MinPts: 8}, {Eps: 0.2, MinPts: 4}, {Eps: 0.4, MinPts: 8}, {Eps: 0.4, MinPts: 4}}
-	for i := range want {
-		if q[i].Params != want[i] {
-			t.Fatalf("greedy order[%d] = %v, want %v", i, q[i].Params, want[i])
-		}
-	}
-}
-
-func TestOrderMinPtsPrioritizesMaxMinptsPerEps(t *testing.T) {
-	// Paper Figure 3c: (0.2,32),(0.4,32),(0.6,32) first.
-	vs := variant.Product([]float64{0.2, 0.4, 0.6}, []int{32, 28, 24, 20})
-	q := order(vs, SchedMinPts)
-	wantHead := []dbscan.Params{{Eps: 0.2, MinPts: 32}, {Eps: 0.4, MinPts: 32}, {Eps: 0.6, MinPts: 32}}
-	for i := range wantHead {
-		if q[i].Params != wantHead[i] {
-			t.Fatalf("minpts head[%d] = %v, want %v", i, q[i].Params, wantHead[i])
-		}
-	}
-	if len(q) != len(vs) {
-		t.Fatalf("order dropped variants: %d of %d", len(q), len(vs))
-	}
-	// Figure 3c's full schedule: after the head, remaining canonical order.
-	wantRest := []dbscan.Params{
-		{Eps: 0.2, MinPts: 28}, {Eps: 0.2, MinPts: 24}, {Eps: 0.2, MinPts: 20},
-		{Eps: 0.4, MinPts: 28}, {Eps: 0.4, MinPts: 24}, {Eps: 0.4, MinPts: 20},
-		{Eps: 0.6, MinPts: 28}, {Eps: 0.6, MinPts: 24}, {Eps: 0.6, MinPts: 20},
-	}
-	for i := range wantRest {
-		if q[3+i].Params != wantRest[i] {
-			t.Fatalf("minpts rest[%d] = %v, want %v", i, q[3+i].Params, wantRest[i])
-		}
-	}
-}
-
 func TestExecuteValidates(t *testing.T) {
 	ix := testIndex(t)
 	if _, err := Execute(ix, nil, Options{}); err == nil {
@@ -127,7 +67,7 @@ func TestExecuteSingleVariant(t *testing.T) {
 	if len(rr.Results) != 1 {
 		t.Fatalf("results = %d", len(rr.Results))
 	}
-	if !rr.Results[0].Stats.FromScratch {
+	if !rr.Results[0].FromScratch {
 		t.Error("single variant must be from scratch")
 	}
 	if rr.Results[0].SourceID != -1 {
@@ -136,19 +76,17 @@ func TestExecuteSingleVariant(t *testing.T) {
 }
 
 func TestExecuteMatchesScratchPerVariant(t *testing.T) {
-	ix := testIndex(t)
 	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
-	for _, strategy := range AllStrategies {
+	for _, ix := range []*dbscan.Index{testIndex(t), testGridIndex()} {
 		for _, threads := range []int{1, 4} {
-			rr, err := Execute(ix, vs, Options{Threads: threads, Strategy: strategy, Scheme: reuse.ClusDensity})
+			rr, err := Execute(ix, vs, Options{Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range rr.Results {
 				want, _ := dbscan.Run(ix, r.Variant.Params, nil)
-				if d := cluster.DisagreementCount(r.Result, want); d > ix.Len()/200 {
-					t.Errorf("%v T=%d variant %v: disagreements = %d",
-						strategy, threads, r.Variant, d)
+				if !slices.Equal(r.Result.Labels, want.Labels) {
+					t.Errorf("%v T=%d variant %v: labels differ from dbscan.Run", ix.Kind, threads, r.Variant)
 				}
 			}
 		}
@@ -172,54 +110,6 @@ func TestExecuteResultsIndexedByOriginalID(t *testing.T) {
 	}
 }
 
-// TestExecuteReuseHappens runs the paper's reuse on both kinds; a grid
-// index builds the T_high its cluster-MBB sweeps need on the first one.
-func TestExecuteReuseHappens(t *testing.T) {
-	for _, ix := range []*dbscan.Index{testIndex(t), testGridIndex()} {
-		vs := variant.Product([]float64{0.4, 0.6, 0.8}, []int{4, 8, 16})
-		rr, err := Execute(ix, vs, Options{Threads: 1, Strategy: SchedGreedy, Scheme: reuse.ClusDensity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// With T=1 only the first variant must be from scratch; the
-		// canonical first is (0.4,16), which produces clusters on this
-		// dataset, and every later variant can reuse a completed one.
-		scratch := 0
-		for _, r := range rr.Results {
-			if r.Stats.FromScratch {
-				scratch++
-			}
-		}
-		if scratch != 1 {
-			t.Errorf("%v: from-scratch count = %d, want 1 (T=1, chainable set)", ix.Kind, scratch)
-		}
-		if rr.MeanFractionReused() <= 0 {
-			t.Errorf("%v: mean fraction reused should be positive", ix.Kind)
-		}
-	}
-}
-
-func TestExecuteSourceSatisfiesInclusionCriteria(t *testing.T) {
-	ix := testIndex(t)
-	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
-	for _, strategy := range AllStrategies {
-		rr, err := Execute(ix, vs, Options{Threads: 3, Strategy: strategy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rr.Results {
-			if r.SourceID < 0 {
-				continue
-			}
-			src := vs[r.SourceID].Params
-			if !variant.CanReuse(r.Variant.Params, src) {
-				t.Errorf("%v: variant %v reused %v violating inclusion criteria",
-					strategy, r.Variant.Params, src)
-			}
-		}
-	}
-}
-
 func TestExecuteDisableReuse(t *testing.T) {
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.3, 0.5}, []int{4, 8})
@@ -227,8 +117,10 @@ func TestExecuteDisableReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rr.FractionFromScratch(); got != 1 {
-		t.Errorf("DisableReuse fraction from scratch = %g, want 1", got)
+	for _, r := range rr.Results {
+		if !r.FromScratch || r.SourceID != -1 {
+			t.Errorf("DisableReuse: variant %v reused %d", r.Variant, r.SourceID)
+		}
 	}
 }
 
@@ -256,73 +148,19 @@ func TestExecuteIdenticalVariants(t *testing.T) {
 	for i := range params {
 		params[i] = dbscan.Params{Eps: 0.5, MinPts: 4}
 	}
-	rr, err := Execute(ix, variant.New(params), Options{Threads: 4, Scheme: reuse.ClusDensity})
+	rr, err := Execute(ix, variant.New(params), Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := dbscan.Run(ix, params[0], nil)
 	for _, r := range rr.Results {
-		if d := cluster.DisagreementCount(r.Result, want); d > ix.Len()/200 {
-			t.Errorf("identical variant %d: disagreements = %d", r.Variant.ID, d)
+		if !slices.Equal(r.Result.Labels, want.Labels) {
+			t.Errorf("identical variant %d: labels differ from dbscan.Run", r.Variant.ID)
 		}
 	}
 }
 
-func TestTimelinesAndMakespan(t *testing.T) {
-	ix := testIndex(t)
-	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
-	rr, err := Execute(ix, vs, Options{Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Makespan <= 0 {
-		t.Error("makespan should be positive")
-	}
-	if rr.TotalWork <= 0 {
-		t.Error("total work should be positive")
-	}
-	if rr.LowerBound() > rr.Makespan {
-		t.Errorf("lower bound %v exceeds makespan %v", rr.LowerBound(), rr.Makespan)
-	}
-	if rr.SlowdownOverLowerBound() < 0 {
-		t.Errorf("slowdown = %g < 0", rr.SlowdownOverLowerBound())
-	}
-	lines := rr.WorkerTimelines()
-	if len(lines) != 3 {
-		t.Fatalf("timelines = %d", len(lines))
-	}
-	total := 0
-	for _, line := range lines {
-		total += len(line)
-		// Within one worker, executions must not overlap.
-		for i := 1; i < len(line); i++ {
-			if line[i].Start < line[i-1].End {
-				t.Errorf("worker timeline overlaps: %v then %v", line[i-1], line[i])
-			}
-		}
-	}
-	if total != len(vs) {
-		t.Errorf("timelines cover %d of %d variants", total, len(vs))
-	}
-}
-
-func TestExecuteMetricsAccumulate(t *testing.T) {
-	ix := testIndex(t)
-	vs := variant.Product([]float64{0.4, 0.6}, []int{4, 8})
-	var m metrics.Counters
-	if _, err := Execute(ix, vs, Options{Threads: 2, Strategy: SchedGreedy, Metrics: &m}); err != nil {
-		t.Fatal(err)
-	}
-	s := m.Snapshot()
-	if s.NeighborSearches == 0 {
-		t.Error("metrics saw no searches")
-	}
-	if s.PointsReused == 0 {
-		t.Error("metrics saw no reuse")
-	}
-}
-
-// TestDefaultRunsEpsChainsOnRTree pins the default strategy on the R-tree
+// TestDefaultRunsEpsChainsOnRTree pins the ε-chain executor on the R-tree
 // kind: the variants of one ε form a chain whose links after the first run
 // no ε-search, and every variant's labels are dbscan.Run's bytes at every
 // pool width, with reuse on or off.
@@ -405,94 +243,6 @@ func TestSequentialChainHeads(t *testing.T) {
 				t.Errorf("%s: phases %v, work %+v; want [scratch] and one worker's %+v", tag, phases[v], work[v], m.Snapshot())
 			}
 		}
-	}
-}
-
-func TestMinPtsHeadClusteredFromScratch(t *testing.T) {
-	ix := testIndex(t)
-	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
-	rr, err := Execute(ix, vs, Options{Threads: 1, Strategy: SchedMinPts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The head variants (max minpts per eps) must be from scratch.
-	for _, r := range rr.Results {
-		if r.Variant.Params.MinPts == 16 && !r.Stats.FromScratch {
-			t.Errorf("head variant %v was not clustered from scratch", r.Variant.Params)
-		}
-	}
-	// With T=1, everything after the 3 head variants can reuse.
-	if got := rr.FractionFromScratch(); got != 3.0/9.0 {
-		t.Errorf("fraction from scratch = %g, want 1/3", got)
-	}
-}
-
-func TestFractionFromScratchLowerBoundFormula(t *testing.T) {
-	// Paper §IV-D: at least (1-f) = T/|V| of variants are from scratch...
-	// with T=1 and a fully chainable set exactly 1/|V|.
-	ix := testIndex(t)
-	vs := variant.Product([]float64{0.3, 0.5}, []int{4, 8, 16})
-	rr, err := Execute(ix, vs, Options{Threads: 1, Strategy: SchedGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := float64(len(vs)-1) / float64(len(vs))
-	if got := 1 - rr.FractionFromScratch(); got > f {
-		t.Errorf("reused fraction %g exceeds max %g", got, f)
-	}
-}
-
-func TestSchedTreeOrderAndSources(t *testing.T) {
-	ix := testIndex(t)
-	vs := variant.Product([]float64{0.4, 0.6, 0.8}, []int{4, 8, 16})
-	rr, err := Execute(ix, vs, Options{Threads: 1, Strategy: SchedTree, Scheme: reuse.ClusDensity})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := variant.BuildDepTree(vs)
-	parentOf := map[int]int{}
-	for i, p := range tree.Parent {
-		if p < 0 {
-			parentOf[tree.Variants[i].ID] = -1
-		} else {
-			parentOf[tree.Variants[i].ID] = tree.Variants[p].ID
-		}
-	}
-	// With T=1 and DFS order, every variant with a tree parent reuses
-	// exactly that parent (the parent completed earlier by construction)
-	// unless the parent produced no clusters.
-	for _, r := range rr.Results {
-		want := parentOf[r.Variant.ID]
-		if want == -1 {
-			continue
-		}
-		src := rr.Results[want]
-		if src.Result.NumClusters == 0 {
-			continue // from-scratch fallback is correct here
-		}
-		if r.SourceID != want {
-			t.Errorf("variant %v reused %d, tree parent is %d", r.Variant, r.SourceID, want)
-		}
-	}
-	// Correctness unchanged.
-	for _, r := range rr.Results {
-		wantRes, _ := dbscan.Run(ix, r.Variant.Params, nil)
-		if d := cluster.DisagreementCount(r.Result, wantRes); d > ix.Len()/200 {
-			t.Errorf("SCHEDTREE variant %v: disagreements = %d", r.Variant, d)
-		}
-	}
-}
-
-func TestSchedTreeParseAndString(t *testing.T) {
-	if SchedTree.String() != "SCHEDTREE" {
-		t.Error("SchedTree name")
-	}
-	got, err := Parse("tree")
-	if err != nil || got != SchedTree {
-		t.Errorf("Parse(tree) = %v, %v", got, err)
-	}
-	if len(AllStrategies) != 3 {
-		t.Errorf("AllStrategies = %v", AllStrategies)
 	}
 }
 
@@ -581,34 +331,31 @@ func TestExecuteTwoLevelTailSkew(t *testing.T) {
 				t.Fatalf("variant %d: label[%d] = %d vs %d", vi, i, b.Labels[i], a.Labels[i])
 			}
 		}
-		if !donated.Results[vi].Stats.FromScratch {
+		if !donated.Results[vi].FromScratch {
 			t.Errorf("variant %d: expected from-scratch", vi)
 		}
 	}
 }
 
 func TestExecuteTwoLevelWithReuse(t *testing.T) {
-	// Reuse-based executions stay on the sequential EXPANDCLUSTER path;
-	// only from-scratch ones go parallel. Per-variant quality against the
-	// non-donated run must be unchanged.
+	// Chain heads go parallel and take donors, their replays follow on the
+	// same path: every variant's bytes match the one-worker run.
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.5, 0.7, 0.9}, []int{4, 8})
-	base, err := Execute(ix, vs, Options{Threads: 2, Scheme: reuse.ClusDensity})
+	base, err := Execute(ix, vs, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	two, err := Execute(ix, vs, Options{
-		Threads: 2, Scheme: reuse.ClusDensity, DonateIdle: true, IntraWorkers: 2,
+		Threads: 2, DonateIdle: true, IntraWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for vi := range vs {
 		a, b := base.Results[vi].Result, two.Results[vi].Result
-		// Reuse order can differ between runs (online schedule), so compare
-		// cluster structure, not exact labels.
-		if a.NumClusters != b.NumClusters {
-			t.Errorf("variant %d: clusters %d vs %d", vi, a.NumClusters, b.NumClusters)
+		if a.NumClusters != b.NumClusters || !slices.Equal(a.Labels, b.Labels) {
+			t.Errorf("variant %d: labels differ with donation", vi)
 		}
 	}
 }
@@ -669,7 +416,7 @@ func TestSpansShareMonotonicBasis(t *testing.T) {
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.4, 0.8, 1.2}, []int{4, 8, 12, 16})
 	for _, threads := range []int{1, 4, 8} {
-		rr, err := Execute(ix, vs, Options{Threads: threads, Scheme: reuse.ClusDensity})
+		rr, err := Execute(ix, vs, Options{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -693,56 +440,36 @@ func TestSpansShareMonotonicBasis(t *testing.T) {
 // attaching a tracer must not change a single label — and the tracer must
 // come back with a complete account (one started + one done per variant,
 // seed-selected events consistent with SourceID, per-variant work deltas
-// summing to the run totals).
-//
-// Under the default SchedEpsChain byte-equality holds on both kinds at every
-// thread count: the sweep runs ε-chains, whose bytes do not depend on the
-// schedule, and a link after a chain's first must report no ε-search in its
-// work delta. Under an explicit paper strategy (SchedGreedy here) it is
-// asserted at Threads == 1 only. At Threads > 1 the online scheduler reuses
-// the closest *completed* variant, completion order is timing, and two
-// valid sources differ in cluster numbering and border attachment — with or
-// without a tracer. There the test asserts what every valid source agrees
-// on: the cluster count and the exact noise set.
+// summing to the run totals). The sweep runs ε-chains, whose bytes do not
+// depend on the schedule, so byte-equality holds on both kinds at every
+// thread count, and a link after a chain's first must report no ε-search
+// in its work delta.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, kind := range []dbscan.IndexKind{dbscan.IndexRTree, dbscan.IndexGrid} {
 		ix := dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1), dbscan.IndexOptions{R: 16, Kind: kind})
-		for _, strategy := range []Strategy{SchedEpsChain, SchedGreedy} {
-			tracedRunMatchesUntraced(t, ix, strategy)
-		}
+		tracedRunMatchesUntraced(t, ix)
 	}
 }
 
-func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index, strategy Strategy) {
+func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 	vs := variant.Product([]float64{0.4, 0.8, 1.2}, []int{4, 8, 12, 16})
-	chain := strategy == SchedEpsChain
 	for _, threads := range []int{1, 3} {
-		plain, err := Execute(ix, vs, Options{Threads: threads, Strategy: strategy, Scheme: reuse.ClusDensity})
+		plain, err := Execute(ix, vs, Options{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := obs.NewTracer()
 		var m metrics.Counters
 		traced, err := Execute(ix, vs, Options{
-			Threads: threads, Strategy: strategy, Scheme: reuse.ClusDensity, Tracer: tr, Metrics: &m,
+			Threads: threads, Tracer: tr, Metrics: &m,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for id := range plain.Results {
 			a, b := plain.Results[id].Result, traced.Results[id].Result
-			if a.NumClusters != b.NumClusters {
-				t.Fatalf("%v %v T=%d v%d: clusters %d vs %d", ix.Kind, strategy, threads, id, b.NumClusters, a.NumClusters)
-			}
-			for i := range a.Labels {
-				same := a.Labels[i] == b.Labels[i]
-				if !chain && threads > 1 {
-					same = (a.Labels[i] == cluster.Noise) == (b.Labels[i] == cluster.Noise)
-				}
-				if !same {
-					t.Fatalf("%v %v T=%d v%d: label[%d] = %d with tracing, %d without",
-						ix.Kind, strategy, threads, id, i, b.Labels[i], a.Labels[i])
-				}
+			if a.NumClusters != b.NumClusters || !slices.Equal(a.Labels, b.Labels) {
+				t.Fatalf("%v T=%d v%d: labels differ with tracing", ix.Kind, threads, id)
 			}
 		}
 
@@ -759,11 +486,11 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index, strategy Strategy)
 				if want := int64(traced.Results[e.Variant].SourceID); e.Arg != want {
 					t.Fatalf("T=%d v%d: done source %d, result SourceID %d", threads, e.Variant, e.Arg, want)
 				}
-				if e.F != traced.Results[e.Variant].Stats.FractionReused {
+				if e.F != traced.Results[e.Variant].FractionReused {
 					t.Fatalf("T=%d v%d: done frac %v, stats %v",
-						threads, e.Variant, e.F, traced.Results[e.Variant].Stats.FractionReused)
+						threads, e.Variant, e.F, traced.Results[e.Variant].FractionReused)
 				}
-				if chain && e.Arg >= 0 && e.Work.NeighborSearches != 0 {
+				if e.Arg >= 0 && e.Work.NeighborSearches != 0 {
 					t.Fatalf("T=%d v%d: inherited link ran %d ε-searches", threads, e.Variant, e.Work.NeighborSearches)
 				}
 			}
@@ -774,7 +501,7 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index, strategy Strategy)
 				t.Fatalf("T=%d v%d: started %d done %d, want 1/1", threads, id, started[id], done[id])
 			}
 			// A chain's first link has the largest minpts of its ε.
-			if inherited := v.Params.MinPts < 16; chain && (traced.Results[id].SourceID >= 0) != inherited {
+			if inherited := v.Params.MinPts < 16; (traced.Results[id].SourceID >= 0) != inherited {
 				t.Fatalf("T=%d %v: SourceID %d, inherited should be %v", threads, v.Params, traced.Results[id].SourceID, inherited)
 			}
 		}
@@ -796,7 +523,7 @@ func TestTracedEventsNestWithinRun(t *testing.T) {
 	vs := variant.Product([]float64{0.4, 0.9}, []int{4, 10, 16})
 	tr := obs.NewTracer()
 	rr, err := Execute(ix, vs, Options{
-		Threads: 4, Scheme: reuse.ClusDensity, Tracer: tr,
+		Threads: 4, Tracer: tr,
 		DonateIdle: true, // exercise donor join/leave events too
 	})
 	if err != nil {
@@ -838,7 +565,7 @@ func TestProgressCallback(t *testing.T) {
 	vs := variant.Product([]float64{0.4, 0.8}, []int{4, 8, 12})
 	var events []obs.ProgressEvent
 	rr, err := Execute(ix, vs, Options{
-		Threads: 3, Scheme: reuse.ClusDensity,
+		Threads:  3,
 		Progress: func(e obs.ProgressEvent) { events = append(events, e) },
 	})
 	if err != nil {
@@ -863,8 +590,12 @@ func TestProgressCallback(t *testing.T) {
 			t.Fatalf("v%d: progress source %d, result %d", e.Variant, e.Source, rr.Results[e.Variant].SourceID)
 		}
 	}
+	var mean float64
+	for _, r := range rr.Results {
+		mean += r.FractionReused / float64(len(rr.Results))
+	}
 	last := events[len(events)-1]
-	if got, want := last.MeanFractionReused, rr.MeanFractionReused(); math.Abs(got-want) > 1e-12 {
+	if got, want := last.MeanFractionReused, mean; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("final running mean %v, run mean %v", got, want)
 	}
 }
@@ -882,7 +613,7 @@ func TestExecuteTiledMatchesUntiled(t *testing.T) {
 	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
 	for _, disableReuse := range []bool{true, false} {
 		base, err := Execute(ix, vs, Options{
-			Threads: 1, Scheme: reuse.ClusDensity,
+			Threads:      1,
 			DisableReuse: disableReuse, IntraWorkers: 2, Tiles: 1,
 		})
 		if err != nil {
@@ -891,7 +622,7 @@ func TestExecuteTiledMatchesUntiled(t *testing.T) {
 		for _, tiles := range []int{4, 9, 16} {
 			for _, threads := range []int{1, 4} {
 				opt := Options{
-					Threads: threads, Scheme: reuse.ClusDensity,
+					Threads:      threads,
 					DisableReuse: disableReuse, IntraWorkers: 2, Tiles: tiles,
 				}
 				rr, err := Execute(ix, vs, opt)

@@ -7,9 +7,8 @@
 //     grow;
 //   - the canonical order (§IV-D): non-decreasing ε, then non-increasing
 //     minpts;
-//   - the dependency tree (Figure 3a): each variant's preferred reuse source
-//     is the reusable variant with the minimal component-wise parameter
-//     difference.
+//   - the normalized parameter distance the paper's SCHEDGREEDY minimizes
+//     when it picks a reuse source.
 package variant
 
 import (
@@ -154,81 +153,4 @@ func (n Normalizer) Dist(a, b dbscan.Params) float64 {
 		dm = -dm
 	}
 	return de/n.epsRange + dm/n.minptsRange
-}
-
-// DepTree is the Figure 3a dependency tree over a canonically sorted variant
-// list: Parent[i] is the index (in the same sorted list) of the variant that
-// i would ideally reuse — the reusable variant with minimal normalized
-// parameter distance — or -1 when no earlier variant satisfies the inclusion
-// criteria (i must be clustered from scratch under sequential execution).
-type DepTree struct {
-	Variants []Variant // canonically sorted
-	Parent   []int
-}
-
-// BuildDepTree sorts vs canonically and links each variant to its minimal-
-// difference reusable predecessor. With global knowledge and disregarding
-// execution order, variant i could reuse ANY j with CanReuse(i, j); the tree
-// records the preferred choice (the paper's example: (0.6,20) should prefer
-// (0.6,24) over (0.2,32)).
-func BuildDepTree(vs []Variant) DepTree {
-	sorted := Sorted(vs)
-	norm := NewNormalizer(sorted)
-	parent := make([]int, len(sorted))
-	for i := range sorted {
-		parent[i] = -1
-		best := -1
-		bestDist := 0.0
-		for j := range sorted {
-			if j == i || !CanReuse(sorted[i].Params, sorted[j].Params) {
-				continue
-			}
-			// Identical parameters are allowed by the criteria; prefer the
-			// earlier variant to keep the graph acyclic.
-			if sorted[i].Params == sorted[j].Params && j > i {
-				continue
-			}
-			d := norm.Dist(sorted[i].Params, sorted[j].Params)
-			if best == -1 || d < bestDist {
-				best, bestDist = j, d
-			}
-		}
-		parent[i] = best
-	}
-	return DepTree{Variants: sorted, Parent: parent}
-}
-
-// Roots returns the indices of variants with no reuse source (the ones that
-// must be clustered from scratch in a sequential schedule).
-func (t DepTree) Roots() []int {
-	var roots []int
-	for i, p := range t.Parent {
-		if p == -1 {
-			roots = append(roots, i)
-		}
-	}
-	return roots
-}
-
-// DepthFirstOrder returns a schedule visiting each tree root and then its
-// subtree depth-first (the paper's Figure 3b example schedule).
-func (t DepTree) DepthFirstOrder() []int {
-	children := make([][]int, len(t.Parent))
-	for i, p := range t.Parent {
-		if p >= 0 {
-			children[p] = append(children[p], i)
-		}
-	}
-	order := make([]int, 0, len(t.Parent))
-	var visit func(int)
-	visit = func(i int) {
-		order = append(order, i)
-		for _, c := range children[i] {
-			visit(c)
-		}
-	}
-	for _, r := range t.Roots() {
-		visit(r)
-	}
-	return order
 }

@@ -154,104 +154,6 @@ func TestNormalizerDegenerateRanges(t *testing.T) {
 	_ = NewNormalizer(nil)
 }
 
-// The paper's Figure 3 variant set.
-func fig3Variants() []Variant {
-	return Product([]float64{0.2, 0.4, 0.6}, []int{32, 28, 24, 20})
-}
-
-func TestDepTreePaperExample(t *testing.T) {
-	tree := BuildDepTree(fig3Variants())
-	byParams := func(pr dbscan.Params) int {
-		for i, v := range tree.Variants {
-			if v.Params == pr {
-				return i
-			}
-		}
-		t.Fatalf("variant %v not found", pr)
-		return -1
-	}
-	// (0.2,32) is the single root.
-	roots := tree.Roots()
-	if len(roots) != 1 || tree.Variants[roots[0]].Params != p(0.2, 32) {
-		t.Fatalf("roots = %v", roots)
-	}
-	// The paper's key example: (0.6,20) prefers (0.6,24), not (0.2,32).
-	i := byParams(p(0.6, 20))
-	if got := tree.Variants[tree.Parent[i]].Params; got != p(0.6, 24) {
-		t.Errorf("(0.6,20) parent = %v, want (0.6,24)", got)
-	}
-	// Every non-root parent satisfies the inclusion criteria.
-	for i, pi := range tree.Parent {
-		if pi == -1 {
-			continue
-		}
-		if !CanReuse(tree.Variants[i].Params, tree.Variants[pi].Params) {
-			t.Errorf("parent of %v violates inclusion criteria: %v",
-				tree.Variants[i], tree.Variants[pi])
-		}
-	}
-}
-
-func TestDepTreeAcyclic(t *testing.T) {
-	tree := BuildDepTree(fig3Variants())
-	for i := range tree.Parent {
-		seen := map[int]bool{}
-		for j := i; j != -1; j = tree.Parent[j] {
-			if seen[j] {
-				t.Fatalf("cycle through variant %d", j)
-			}
-			seen[j] = true
-		}
-	}
-}
-
-func TestDepthFirstOrderCoversAll(t *testing.T) {
-	tree := BuildDepTree(fig3Variants())
-	order := tree.DepthFirstOrder()
-	if len(order) != len(tree.Variants) {
-		t.Fatalf("order covers %d of %d", len(order), len(tree.Variants))
-	}
-	seen := map[int]bool{}
-	pos := make(map[int]int)
-	for idx, i := range order {
-		if seen[i] {
-			t.Fatalf("variant %d visited twice", i)
-		}
-		seen[i] = true
-		pos[i] = idx
-	}
-	// Parents always precede children.
-	for i, pi := range tree.Parent {
-		if pi >= 0 && pos[pi] > pos[i] {
-			t.Errorf("child %d scheduled before parent %d", i, pi)
-		}
-	}
-	// Root first: (0.2,32).
-	if tree.Variants[order[0]].Params != p(0.2, 32) {
-		t.Errorf("first scheduled = %v, want (0.2,32)", tree.Variants[order[0]])
-	}
-}
-
-func TestDepTreeAllIdenticalParams(t *testing.T) {
-	vs := New([]dbscan.Params{p(0.5, 4), p(0.5, 4), p(0.5, 4)})
-	tree := BuildDepTree(vs)
-	if len(tree.Roots()) != 1 {
-		t.Errorf("identical variants should chain to one root, roots = %v", tree.Roots())
-	}
-	if got := len(tree.DepthFirstOrder()); got != 3 {
-		t.Errorf("order len = %d", got)
-	}
-}
-
-func TestDepTreeNoReusePossible(t *testing.T) {
-	// eps increasing while minpts increases: nothing is reusable.
-	vs := New([]dbscan.Params{p(0.1, 4), p(0.2, 8), p(0.3, 16)})
-	tree := BuildDepTree(vs)
-	if got := len(tree.Roots()); got != 3 {
-		t.Errorf("roots = %d, want 3 (no reuse possible)", got)
-	}
-}
-
 func TestVariantString(t *testing.T) {
 	v := Variant{ID: 3, Params: p(0.2, 32)}
 	if v.String() != "v3(0.2, 32)" {

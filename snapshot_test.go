@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -12,17 +13,8 @@ import (
 // store: an index loaded back from a snapshot must produce byte-identical
 // labels to the index it was saved from, across every execution shape —
 // both index kinds, untiled and tiled, sequential and parallel, with and
-// without reuse, under the default strategy and a paper strategy.
-//
-// Byte-equality is asserted everywhere under the default SchedEpsChain — its
-// sweeps run ε-chains, whose bytes are a function of (points, ε, minpts)
-// alone — and under an explicit paper strategy (SchedGreedy) at one worker
-// and wherever reuse is off. A multi-worker paper-strategy reuse sweep takes
-// each variant's source from whichever variant completed first, completion
-// order is timing, and two valid sources differ in cluster numbering and
-// border attachment — on one index run twice just as across a reload. There
-// the test asserts what every valid source agrees on: the cluster count and
-// the exact noise set.
+// without reuse. Sweeps run ε-chains, whose bytes are a function of
+// (points, ε, minpts) alone, so the schedule cannot move a label.
 func TestSnapshotLabelIdentity(t *testing.T) {
 	pts := testPoints(t, 6000)
 	params := []Params{
@@ -62,34 +54,23 @@ func TestSnapshotLabelIdentity(t *testing.T) {
 		for _, tiles := range []int{1, 4, 9} {
 			for _, workers := range []int{1, 8} {
 				for _, noReuse := range []bool{false, true} {
-					for _, strategy := range []SchedStrategy{SchedEpsChain, SchedGreedy} {
-						opts := []RunOption{WithTiles(tiles), WithThreads(workers), WithStrategy(strategy)}
-						if noReuse {
-							opts = append(opts, WithoutReuse())
-						}
-						name := fmt.Sprintf("kind=%v/tiles=%d/workers=%d/noreuse=%v/%v", kind, tiles, workers, noReuse, strategy)
-						want, err := fresh.ClusterVariants(params, opts...)
-						if err != nil {
-							t.Fatalf("%s: fresh: %v", name, err)
-						}
-						got, err := loaded.ClusterVariants(params, opts...)
-						if err != nil {
-							t.Fatalf("%s: loaded: %v", name, err)
-						}
-						for v := range params {
-							w, g := want.Results[v].Clustering, got.Results[v].Clustering
-							if w.NumClusters != g.NumClusters {
-								t.Fatalf("%s: variant %d: %d vs %d clusters", name, v, w.NumClusters, g.NumClusters)
-							}
-							for i := range w.Labels {
-								same := w.Labels[i] == g.Labels[i]
-								if strategy != SchedEpsChain && workers > 1 && !noReuse {
-									same = (w.Labels[i] == Noise) == (g.Labels[i] == Noise)
-								}
-								if !same {
-									t.Fatalf("%s: variant %d: label %d: %d vs %d", name, v, i, w.Labels[i], g.Labels[i])
-								}
-							}
+					opts := []RunOption{WithTiles(tiles), WithThreads(workers)}
+					if noReuse {
+						opts = append(opts, WithoutReuse())
+					}
+					name := fmt.Sprintf("kind=%v/tiles=%d/workers=%d/noreuse=%v", kind, tiles, workers, noReuse)
+					want, err := fresh.ClusterVariants(params, opts...)
+					if err != nil {
+						t.Fatalf("%s: fresh: %v", name, err)
+					}
+					got, err := loaded.ClusterVariants(params, opts...)
+					if err != nil {
+						t.Fatalf("%s: loaded: %v", name, err)
+					}
+					for v := range params {
+						w, g := want.Results[v].Clustering, got.Results[v].Clustering
+						if w.NumClusters != g.NumClusters || !slices.Equal(w.Labels, g.Labels) {
+							t.Fatalf("%s: variant %d: labels differ after reload", name, v)
 						}
 					}
 				}

@@ -9,15 +9,18 @@
 //   - sharing one immutable spatial index across all variants, built once
 //     and only read afterwards — a changed point set gets a new Index. By
 //     default it is a flat uniform cell grid sized for the variant set's
-//     largest ε; WithIndexKind(IndexRTree) selects the paper's pair of
-//     packed R-trees (a low-resolution tree with r points per leaf MBB for
-//     ε-searches and a high-resolution tree for cluster sweeps);
+//     largest ε; WithIndexKind(IndexRTree) selects the paper's packed
+//     R-tree with r points per leaf MBB for ε-searches;
 //   - reusing the work of completed variants whose parameters satisfy
-//     the inclusion criteria ε_i ≥ ε_j, minpts_i ≤ minpts_j — by default
-//     each point's ε-search along a chain of one ε (SchedEpsChain), or
-//     the paper's cluster reuse under an explicit strategy; and
-//   - scheduling variant executions across a goroutine pool so that useful
-//     reuse sources complete early.
+//     the inclusion criteria ε_i ≥ ε_j, minpts_i ≤ minpts_j: the variants
+//     sharing one ε run as a chain, largest minpts first, and each later
+//     one replays the ε-searches of the one before it, so every variant's
+//     labels are exactly DBSCAN's; and
+//   - scheduling those ε-chains across a goroutine pool, lending idle
+//     workers to the chains still running.
+//
+// The paper's own cluster reuse (Alg. 3/4) and its scheduling heuristics
+// are reproduced by cmd/experiments, not by this package.
 //
 // # Quick start
 //
@@ -37,9 +40,8 @@
 // Configuration is split in two tiers. IndexOption values (WithR,
 // WithBinWidth, WithIndexKind, WithRefreezeThreshold) fix the physical
 // index layout and are accepted by NewIndex and NewIncremental. RunOption
-// values (WithThreads, WithIntraThreads, WithReuseScheme, WithStrategy,
-// WithMinSeedSize, WithoutReuse, WithContext, WithProgress) shape one
-// clustering run and are accepted by Index.Cluster and
+// values (WithThreads, WithIntraThreads, WithTiles, WithoutReuse,
+// WithContext, WithProgress) shape one clustering run and are accepted by Index.Cluster and
 // Index.ClusterVariants. Observability attachments (WithWork, WithTracer)
 // implement both. Passing an option at the wrong tier — say,
 // WithRefreezeThreshold on ClusterVariants — is a compile-time error. The
@@ -66,7 +68,6 @@ import (
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/obs"
 	"vdbscan/internal/quality"
-	"vdbscan/internal/reuse"
 	"vdbscan/internal/sched"
 	"vdbscan/internal/variant"
 )
@@ -91,52 +92,8 @@ const Noise = cluster.Noise
 // completed variants, and index nodes (tree nodes or grid cells) visited.
 type Work = metrics.Snapshot
 
-// ReuseScheme selects the seed-cluster prioritization used when a variant
-// reuses a completed variant's clusters (paper §IV-C).
-type ReuseScheme = reuse.Scheme
-
-// Reuse schemes, in the paper's naming.
-const (
-	// ClusDefault expands seed clusters in generation order.
-	ClusDefault = reuse.ClusDefault
-	// ClusDensity expands the densest clusters (|C|/area) first — the
-	// paper's recommended scheme and this package's default.
-	ClusDensity = reuse.ClusDensity
-	// ClusPtsSquared expands clusters by |C|²/area, favoring point count.
-	ClusPtsSquared = reuse.ClusPtsSquared
-)
-
-// SchedStrategy selects how ClusterVariants schedules and reuses variants.
-type SchedStrategy = sched.Strategy
-
-// Scheduling strategies: the default ε-chains, then the paper's heuristics
-// (§IV-D) in its naming.
-const (
-	// SchedEpsChain, the default, runs the variants sharing one ε, largest
-	// minpts first, in order on one pool worker: the first runs from
-	// scratch and keeps its core flags, core-connectivity union-find and
-	// the neighbour lists of its non-core points, and every later one
-	// replays those lists under its smaller minpts — no ε-search, exact by
-	// the monotonicity the paper's inclusion criterion rests on. Every
-	// variant's labels are then those of Index.Cluster for its parameters,
-	// on either index kind, at every WithThreads width and with reuse on or
-	// off (WithoutReuse: every variant from scratch), and the sweep's work
-	// counters read the same at every width.
-	SchedEpsChain = sched.SchedEpsChain
-	// SchedGreedy reuses the completed variant with the smallest parameter
-	// difference — the paper's more robust heuristic.
-	SchedGreedy = sched.SchedGreedy
-	// SchedMinPts first clusters, from scratch, the max-minpts variant of
-	// each unique ε to diversify reuse sources.
-	SchedMinPts = sched.SchedMinPts
-	// SchedTree executes the dependency tree of minimal parameter
-	// differences depth-first, pinning each variant's reuse source to its
-	// tree parent (an extension beyond the paper's two heuristics).
-	SchedTree = sched.SchedTree
-)
-
 // Tracer records a clustering run's execution timeline: variant lifecycle
-// spans (queued → started → seed-selected → expand/scratch phases → done),
+// spans (queued → started → seed-selected → phases → done),
 // scheduler decisions, donor activity, and per-variant work deltas. Create
 // one with NewTracer, attach it with WithTracer, then export with
 // WriteChromeTrace (Chrome trace-event JSON, loadable in chrome://tracing
@@ -234,9 +191,6 @@ type config struct {
 	threads      int
 	intraThreads int
 	tiles        int
-	scheme       ReuseScheme
-	strategy     SchedStrategy
-	minSeedSize  int
 	disableReuse bool
 	kind         IndexKind
 	refreezeN    int
@@ -251,8 +205,6 @@ func buildConfig[O Option](opts []O) config {
 		r:        dbscan.DefaultR,
 		binWidth: dbscan.DefaultBinWidth,
 		threads:  1,
-		scheme:   ClusDensity,
-		strategy: SchedEpsChain,
 	}
 	for _, o := range opts {
 		o.apply(&c)
@@ -282,22 +234,20 @@ const (
 	// query through the block distance kernel. The grid's cell side is
 	// sized for the variant set's largest ε on first use, so one build
 	// serves every variant. A from-scratch run — Cluster, and the first
-	// link of every ε-chain (SchedEpsChain) — is cell-major: a cell dense
+	// link of every ε-chain (ClusterVariants) — is cell-major: a cell dense
 	// enough to be all-core is never searched (Wang, Gu & Shun; de Berg et
-	// al.). No R-tree is built unless a paper strategy's cluster sweep
-	// asks for one.
+	// al.). No R-tree is built.
 	IndexGrid = dbscan.IndexGrid
-	// IndexRTree is the paper's packed R-tree pair: one shared tree serves
-	// every variant's ε-searches, a second serves the cluster-MBB sweeps
-	// that the paper's reuse depends on. It holds its ground under heavy
-	// density skew or very wide ε spreads.
+	// IndexRTree is the paper's packed R-tree: one shared tree with r
+	// points per leaf serves every variant's ε-searches. It holds its
+	// ground under heavy density skew or very wide ε spreads.
 	IndexRTree = dbscan.IndexRTree
 )
 
 // WithIndexKind selects the ε-search index structure (default
-// IndexGrid). Cluster's output, and ClusterVariants' under the default
-// SchedEpsChain, is byte-identical across kinds — only the search
-// substrate, and therefore the performance envelope, changes.
+// IndexGrid). The output of Cluster and ClusterVariants is byte-identical
+// across kinds — only the search substrate, and therefore the performance
+// envelope, changes.
 func WithIndexKind(k IndexKind) IndexOption { return indexOpt(func(c *config) { c.kind = k }) }
 
 // WithThreads sets the number of worker goroutines T executing variants
@@ -311,13 +261,12 @@ func WithThreads(t int) RunOption { return runOpt(func(c *config) { c.threads = 
 // WithIntraThreads sets the number of goroutines working *inside* one
 // DBSCAN execution (intra-variant parallelism: chunked core-point marking
 // plus disjoint-set cluster merging, label-identical to the sequential
-// algorithm). It applies to Cluster and to ClusterVariants' from-scratch
-// executions and ε-chain links; under a paper strategy, reuse-based
-// executions are inherently ordered and stay sequential. 0 (the default)
-// selects auto mode: Cluster falls back to WithThreads' value,
-// ClusterVariants gives each from-scratch execution one worker plus
-// whatever idle pool workers are donated. Set 1 to force the
-// paper-faithful sequential execution everywhere. Note that
+// algorithm). It applies to Cluster and to ClusterVariants' ε-chain
+// links. 0 (the default) selects auto mode: Cluster falls back to
+// WithThreads' value, ClusterVariants gives each chain one worker plus
+// whatever idle pool workers are donated. Set 1 to give every execution
+// a single worker of its own (donated idle workers may still join a
+// ClusterVariants chain). Note that
 // WithThreads(T) × WithIntraThreads(n) can oversubscribe T·n goroutines;
 // that is the caller's trade to make.
 func WithIntraThreads(n int) RunOption { return runOpt(func(c *config) { c.intraThreads = n }) }
@@ -335,21 +284,6 @@ func WithIntraThreads(n int) RunOption { return runOpt(func(c *config) { c.intra
 // staged since the last re-freeze — which keeps it safe to set
 // unconditionally.
 func WithTiles(n int) RunOption { return runOpt(func(c *config) { c.tiles = n }) }
-
-// WithReuseScheme selects the cluster-reuse prioritization of a paper
-// strategy (default ClusDensity).
-func WithReuseScheme(s ReuseScheme) RunOption { return runOpt(func(c *config) { c.scheme = s }) }
-
-// WithStrategy selects the variant scheduling heuristic (default
-// SchedEpsChain; the paper's heuristics are opt-in and run Alg. 3/4 on
-// either kind).
-func WithStrategy(s SchedStrategy) RunOption { return runOpt(func(c *config) { c.strategy = s }) }
-
-// WithMinSeedSize excludes completed clusters smaller than n points from
-// a paper strategy's reuse; their points are clustered from scratch
-// instead. Sweeping a tiny cluster's MBB can cost more ε-searches than copying it saves (default 0:
-// reuse every cluster).
-func WithMinSeedSize(n int) RunOption { return runOpt(func(c *config) { c.minSeedSize = n }) }
 
 // WithoutReuse forces every variant to cluster from scratch, keeping only
 // the shared-index parallelism (the paper's scenario-S1 baseline).
@@ -476,16 +410,15 @@ type VariantResult struct {
 	Params Params
 	// Clustering holds labels in the caller's point order.
 	Clustering *Clustering
-	// FromScratch is true when the variant could not reuse any completed
-	// variant and ran plain DBSCAN.
+	// FromScratch is true when the variant ran plain DBSCAN: the first
+	// link of its ε-chain, or every variant under WithoutReuse.
 	FromScratch bool
 	// FractionReused is the fraction of points copied from a completed
 	// variant without an ε-neighborhood search; 1 for a variant that
 	// inherited every search from its ε-chain predecessor.
 	FractionReused float64
 	// SourceIndex is the position (in the input params slice) of the
-	// variant whose result was reused — the ε-chain predecessor under
-	// SchedEpsChain — or -1.
+	// ε-chain predecessor whose searches were reused, or -1.
 	SourceIndex int
 	// Worker identifies the pool worker that ran the variant.
 	Worker int
@@ -526,10 +459,17 @@ func (r *VariantRun) MeanFractionReused() float64 {
 	return sum / float64(len(r.Results))
 }
 
-// ClusterVariants executes every parameter variant with VariantDBSCAN:
-// variants run concurrently on WithThreads workers as ε-chains (see
-// SchedEpsChain) or, under a paper strategy, reusing completed variants'
-// clusters whenever the inclusion criteria allow.
+// ClusterVariants executes every parameter variant with VariantDBSCAN on
+// WithThreads workers. The variants sharing one ε run as a chain, largest
+// minpts first, in order on one pool worker: the first runs from scratch
+// and keeps its core flags, core-connectivity union-find and the neighbour
+// lists of its non-core points, and every later one replays those lists
+// under its smaller minpts — no ε-search, exact by the monotonicity the
+// paper's inclusion criterion rests on. Every variant's labels are then
+// those of Index.Cluster for its parameters, on either index kind, at
+// every WithThreads width and with reuse on or off (WithoutReuse: every
+// variant from scratch), and the sweep's work counters read the same at
+// every width.
 func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("vdbscan: no variants given")
@@ -538,9 +478,6 @@ func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun
 	var m metrics.Counters
 	rr, err := sched.ExecuteContext(c.ctx, x.ix, variant.New(params), sched.Options{
 		Threads:      c.threads,
-		Strategy:     c.strategy,
-		Scheme:       c.scheme,
-		MinSeedSize:  c.minSeedSize,
 		DisableReuse: c.disableReuse,
 		IntraWorkers: c.intraThreads,
 		Tiles:        c.tiles,
@@ -565,8 +502,8 @@ func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun
 		out.Results[i] = VariantResult{
 			Params:         r.Variant.Params,
 			Clustering:     r.Result.Remap(x.ix.Fwd),
-			FromScratch:    r.Stats.FromScratch,
-			FractionReused: r.Stats.FractionReused,
+			FromScratch:    r.FromScratch,
+			FractionReused: r.FractionReused,
 			SourceIndex:    r.SourceID,
 			Worker:         r.Worker,
 			Start:          r.Start,

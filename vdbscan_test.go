@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -198,12 +199,17 @@ func TestWithWorkAccumulates(t *testing.T) {
 	if wg.NeighborSearches <= 0 || wg.NeighborSearches >= int64(len(pts)) {
 		t.Errorf("grid searches = %d, want some of %d", wg.NeighborSearches, len(pts))
 	}
-	var w2 Work
-	if _, err := ClusterVariants(pts, CartesianVariants([]float64{2, 3}, []int{4}), WithStrategy(SchedGreedy), WithWork(&w2)); err != nil {
+	// A sweep's searches are its ε-chain heads': the smaller-minpts links
+	// replay them and add none.
+	var w2, heads Work
+	if _, err := ClusterVariants(pts, CartesianVariants([]float64{2, 3}, []int{4, 8}), WithWork(&w2)); err != nil {
 		t.Fatal(err)
 	}
-	if w2.NeighborSearches == 0 || w2.PointsReused == 0 {
-		t.Errorf("variant work = %+v", w2)
+	if _, err := ClusterVariants(pts, CartesianVariants([]float64{2, 3}, []int{8}), WithWork(&heads)); err != nil {
+		t.Fatal(err)
+	}
+	if w2.NeighborSearches == 0 || w2.NeighborSearches != heads.NeighborSearches {
+		t.Errorf("variant work = %+v, chain heads alone %+v", w2, heads)
 	}
 }
 
@@ -271,14 +277,13 @@ func TestOptionCoverage(t *testing.T) {
 	if q < 0.999 {
 		t.Errorf("bin width changed clustering: quality %g", q)
 	}
-	// WithReuseScheme / WithStrategy / WithMinSeedSize select behaviors
-	// validated in depth by the internal packages; the API must accept
-	// them and produce equivalent results.
+	// The run options move work between goroutines, never a label: every
+	// variant's bytes are Cluster's.
 	params := CartesianVariants([]float64{2.5, 3.5}, []int{4, 8})
-	for _, opts := range [][]Option{
-		{WithReuseScheme(ClusDefault)},
-		{WithReuseScheme(ClusPtsSquared), WithStrategy(SchedMinPts)},
-		{WithStrategy(SchedTree), WithMinSeedSize(16)},
+	for oi, opts := range [][]Option{
+		{WithThreads(3)},
+		{WithoutReuse(), WithIntraThreads(2)},
+		{WithThreads(2), WithTiles(4)},
 	} {
 		run, err := ClusterVariants(pts, params, opts...)
 		if err != nil {
@@ -286,9 +291,8 @@ func TestOptionCoverage(t *testing.T) {
 		}
 		for i, vr := range run.Results {
 			ref, _ := Cluster(pts, params[i])
-			q, _ := Quality(ref, vr.Clustering)
-			if q < 0.99 {
-				t.Errorf("opts %d variant %v: quality %g", i, vr.Params, q)
+			if !slices.Equal(ref.Labels, vr.Clustering.Labels) {
+				t.Errorf("opts %d variant %v: labels differ from Cluster", oi, vr.Params)
 			}
 		}
 	}
