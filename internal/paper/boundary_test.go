@@ -2,12 +2,10 @@ package paper
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"vdbscan/internal/cluster"
 	"vdbscan/internal/dbscan"
-	"vdbscan/internal/geom"
 	"vdbscan/internal/quality"
 	"vdbscan/internal/variant"
 )
@@ -171,33 +169,5 @@ func TestReuseSingleCoordinateBoundary(t *testing.T) {
 			}
 			equivalentToScratch(t, c.name, ix, c.p, got)
 		})
-	}
-}
-
-// End-to-end: VariantDBSCAN vs DBSCAN quality matches the paper's ≥0.998
-// regime on blob data.
-func TestVariantDBSCANQualityHigh(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	pts := make([]geom.Point, 0, 900)
-	for c := 0; c < 4; c++ {
-		cx, cy := rnd.Float64()*30, rnd.Float64()*30
-		for i := 0; i < 200; i++ {
-			pts = append(pts, geom.Point{X: cx + rnd.NormFloat64()*0.5, Y: cy + rnd.NormFloat64()*0.5})
-		}
-	}
-	for i := 0; i < 100; i++ {
-		pts = append(pts, geom.Point{X: rnd.Float64() * 30, Y: rnd.Float64() * 30})
-	}
-	ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
-	prev, _ := dbscan.Run(ix, dbscan.Params{Eps: 0.4, MinPts: 12}, nil)
-	target := dbscan.Params{Eps: 0.6, MinPts: 4}
-	got, _, err := Run(ix, target, prev, ClusDensity, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := dbscan.Run(ix, target, nil)
-	score := quality.MustScore(want, got)
-	if score < 0.99 {
-		t.Errorf("quality = %g, want >= 0.99 (paper reports >= 0.998)", score)
 	}
 }

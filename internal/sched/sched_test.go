@@ -246,6 +246,147 @@ func TestSequentialChainHeads(t *testing.T) {
 	}
 }
 
+// TestOrderGreedyIsCanonical pins the queue order: the chains follow the
+// canonical order (ε ascending, minpts descending) that the paper's
+// SCHEDGREEDY also walks, one chain per ε.
+func TestOrderGreedyIsCanonical(t *testing.T) {
+	vs := variant.Product([]float64{0.4, 0.2}, []int{4, 8})
+	q := units(variant.Sorted(vs), true)
+	want := [][]dbscan.Params{{{Eps: 0.2, MinPts: 8}, {Eps: 0.2, MinPts: 4}}, {{Eps: 0.4, MinPts: 8}, {Eps: 0.4, MinPts: 4}}}
+	if len(q) != len(want) {
+		t.Fatalf("%d chains, want %d", len(q), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if len(q[i]) != len(want[i]) || q[i][j].Params != want[i][j] {
+				t.Fatalf("chain %d = %v, want %v", i, q[i], want[i])
+			}
+		}
+	}
+}
+
+// TestExecuteReuseHappens: only a chain's first link clusters from
+// scratch, so a 3×3 product at one worker has 3 from-scratch variants and
+// the other 6 inherit every search.
+func TestExecuteReuseHappens(t *testing.T) {
+	for _, ix := range []*dbscan.Index{testIndex(t), testGridIndex()} {
+		vs := variant.Product([]float64{0.4, 0.6, 0.8}, []int{4, 8, 16})
+		rr, err := Execute(ix, vs, Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, reused := 0, 0.0
+		for _, r := range rr.Results {
+			if r.FromScratch {
+				scratch++
+			}
+			reused += r.FractionReused
+		}
+		if scratch != 3 {
+			t.Errorf("%v: from-scratch count = %d, want 3 (one per ε)", ix.Kind, scratch)
+		}
+		if reused != 6 {
+			t.Errorf("%v: summed fraction reused = %g, want 6", ix.Kind, reused)
+		}
+	}
+}
+
+// TestExecuteSourceSatisfiesInclusionCriteria: every inherited variant's
+// source satisfies the reuse inclusion criteria (§IV-B) at every width.
+func TestExecuteSourceSatisfiesInclusionCriteria(t *testing.T) {
+	ix := testIndex(t)
+	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
+	for _, threads := range []int{1, 3} {
+		rr, err := Execute(ix, vs, Options{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rr.Results {
+			if r.SourceID < 0 {
+				continue
+			}
+			src := vs[r.SourceID].Params
+			if !variant.CanReuse(r.Variant.Params, src) {
+				t.Errorf("T=%d: variant %v reused %v violating inclusion criteria", threads, r.Variant.Params, src)
+			}
+		}
+	}
+}
+
+// TestTimelinesAndMakespan: the per-worker spans do not overlap, cover
+// every variant once, and TotalWork/T is a lower bound on the makespan.
+func TestTimelinesAndMakespan(t *testing.T) {
+	ix := testIndex(t)
+	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
+	rr, err := Execute(ix, vs, Options{Threads: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Makespan <= 0 || rr.TotalWork <= 0 {
+		t.Fatalf("makespan %v, total work %v; want both positive", rr.Makespan, rr.TotalWork)
+	}
+	if lb := rr.TotalWork / time.Duration(rr.Threads); lb > rr.Makespan {
+		t.Errorf("lower bound %v exceeds makespan %v", lb, rr.Makespan)
+	}
+	lines := make([][]VariantResult, rr.Threads)
+	for _, r := range rr.Results {
+		lines[r.Worker] = append(lines[r.Worker], r)
+	}
+	total := 0
+	for _, line := range lines {
+		total += len(line)
+		slices.SortFunc(line, func(a, b VariantResult) int { return int(a.Start - b.Start) })
+		for i := 1; i < len(line); i++ {
+			if line[i].Start < line[i-1].End {
+				t.Errorf("worker timeline overlaps: %v then %v", line[i-1].Variant, line[i].Variant)
+			}
+		}
+	}
+	if total != len(vs) {
+		t.Errorf("timelines cover %d of %d variants", total, len(vs))
+	}
+}
+
+// TestExecuteMetricsAccumulate: Options.Metrics sums every variant's
+// counters, and the links after a chain's first add no ε-search, so the
+// run's searches are its chain heads' alone.
+func TestExecuteMetricsAccumulate(t *testing.T) {
+	ix := testIndex(t)
+	vs := variant.Product([]float64{0.4, 0.6}, []int{4, 8})
+	var m metrics.Counters
+	if _, err := Execute(ix, vs, Options{Threads: 2, Metrics: &m}); err != nil {
+		t.Fatal(err)
+	}
+	var heads int64
+	for _, eps := range []float64{0.4, 0.6} {
+		var hm metrics.Counters
+		if _, err := dbscan.RunParallel(ix, dbscan.Params{Eps: eps, MinPts: 8}, 1, &hm); err != nil {
+			t.Fatal(err)
+		}
+		heads += hm.Snapshot().NeighborSearches
+	}
+	if got := m.Snapshot().NeighborSearches; got == 0 || got != heads {
+		t.Errorf("metrics saw %d searches, want the chain heads' %d", got, heads)
+	}
+}
+
+// TestMinPtsHeadClusteredFromScratch: each ε-chain starts at the ε's
+// largest minpts, the SCHEDMINPTS head, and only that head runs from
+// scratch.
+func TestMinPtsHeadClusteredFromScratch(t *testing.T) {
+	ix := testIndex(t)
+	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
+	rr, err := Execute(ix, vs, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rr.Results {
+		if head := r.Variant.Params.MinPts == 16; r.FromScratch != head {
+			t.Errorf("variant %v: from scratch %v, want %v", r.Variant.Params, r.FromScratch, head)
+		}
+	}
+}
+
 func TestExecuteContextCancellation(t *testing.T) {
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
