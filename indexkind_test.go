@@ -102,3 +102,32 @@ func TestIndexKindSingleCluster(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFinitePointsKeepFiniteLabels: appending points with a NaN or
+// infinite coordinate leaves every finite point's label byte-identical on
+// both kinds. The bin sort takes its origin from the finite points only,
+// so one x = -Inf point cannot move every other point's bin.
+func TestNonFinitePointsKeepFiniteLabels(t *testing.T) {
+	inf := math.Inf(1)
+	pts := testPoints(t, 6000)
+	odd := append(slices.Clip(pts), Point{X: -inf, Y: 3}, Point{X: 10, Y: math.NaN()}, Point{X: inf, Y: -inf}, Point{X: 4, Y: inf})
+	p := Params{Eps: 2.5, MinPts: 5}
+	for _, kind := range []IndexKind{IndexGrid, IndexRTree} {
+		want, err := Cluster(pts, p, WithIndexKind(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Cluster(odd, p, WithIndexKind(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumClusters != want.NumClusters || !slices.Equal(got.Labels[:len(pts)], want.Labels) {
+			t.Fatalf("%v: finite labels changed when non-finite points were appended", kind)
+		}
+		for i := len(pts); i < len(odd); i++ {
+			if got.Labels[i] != Noise {
+				t.Fatalf("%v: non-finite point %d labelled %d", kind, i, got.Labels[i])
+			}
+		}
+	}
+}

@@ -20,6 +20,12 @@ type Point struct {
 	X, Y float64
 }
 
+// Finite reports whether both coordinates are finite numbers. A point
+// with a NaN or infinite coordinate gets no grid bin or cell.
+func Finite(x, y float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
+}
+
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	dx := p.X - q.X

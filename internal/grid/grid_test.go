@@ -9,30 +9,30 @@ import (
 
 func TestKeyer(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 3.5, Y: 2.2}, {X: 0.99, Y: 0.99}}
-	k := NewKeyer(pts, 1)
-	if got := k.Key(geom.Point{X: 0, Y: 0}); got != (BinKey{0, 0}) {
+	k := newKeyer(pts, 1)
+	if got := k.key(geom.Point{X: 0, Y: 0}); got != (binKey{0, 0}) {
 		t.Errorf("Key(0,0) = %v", got)
 	}
-	if got := k.Key(geom.Point{X: 0.99, Y: 0.99}); got != (BinKey{0, 0}) {
+	if got := k.key(geom.Point{X: 0.99, Y: 0.99}); got != (binKey{0, 0}) {
 		t.Errorf("Key(0.99,0.99) = %v, want {0 0}", got)
 	}
-	if got := k.Key(geom.Point{X: 3.5, Y: 2.2}); got != (BinKey{3, 2}) {
+	if got := k.key(geom.Point{X: 3.5, Y: 2.2}); got != (binKey{3, 2}) {
 		t.Errorf("Key(3.5,2.2) = %v, want {3 2}", got)
 	}
 	// Points below the origin of the box never occur for in-dataset points,
 	// but the keyer must still be total.
-	if got := k.Key(geom.Point{X: -0.5, Y: -0.5}); got != (BinKey{-1, -1}) {
+	if got := k.key(geom.Point{X: -0.5, Y: -0.5}); got != (binKey{-1, -1}) {
 		t.Errorf("Key(-0.5,-0.5) = %v, want {-1 -1}", got)
 	}
 }
 
 func TestKeyerBinWidth(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 10}}
-	k := NewKeyer(pts, 5)
-	if got := k.Key(geom.Point{X: 4.9, Y: 4.9}); got != (BinKey{0, 0}) {
+	k := newKeyer(pts, 5)
+	if got := k.key(geom.Point{X: 4.9, Y: 4.9}); got != (binKey{0, 0}) {
 		t.Errorf("width-5 Key(4.9,4.9) = %v", got)
 	}
-	if got := k.Key(geom.Point{X: 5, Y: 9.9}); got != (BinKey{1, 1}) {
+	if got := k.key(geom.Point{X: 5, Y: 9.9}); got != (binKey{1, 1}) {
 		t.Errorf("width-5 Key(5,9.9) = %v", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestKeyerPanicsOnBadWidth(t *testing.T) {
 			t.Fatal("expected panic for binWidth <= 0")
 		}
 	}()
-	NewKeyer(nil, 0)
+	newKeyer(nil, 0)
 }
 
 func TestSortOrderIsPermutation(t *testing.T) {
@@ -52,7 +52,7 @@ func TestSortOrderIsPermutation(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: rnd.Float64() * 50, Y: rnd.Float64() * 50}
 	}
-	order := SortOrder(pts, 1)
+	_, order := Sort(pts, 1)
 	seen := make([]bool, len(pts))
 	for _, idx := range order {
 		if idx < 0 || idx >= len(pts) || seen[idx] {
@@ -69,7 +69,7 @@ func TestSortOrderRowMajor(t *testing.T) {
 		{X: 5.5, Y: 0.5}, // bin (5,0)
 		{X: 0.5, Y: 5.5}, // bin (0,5)
 	}
-	order := SortOrder(pts, 1)
+	_, order := Sort(pts, 1)
 	want := []int{1, 2, 3, 0} // rows ascend, then cols
 	for i := range want {
 		if order[i] != want[i] {

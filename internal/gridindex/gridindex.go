@@ -143,7 +143,7 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 	n := len(x)
 	b := geom.EmptyMBB()
 	for i := 0; i < n; i++ {
-		if finite(x[i], y[i]) {
+		if geom.Finite(x[i], y[i]) {
 			b = b.ExtendPoint(geom.Point{X: x[i], Y: y[i]})
 		}
 	}
@@ -163,7 +163,7 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 	f.cellStart = make([]int32, cells+1)
 	for i := 0; i < n; i++ {
 		c := int32(cells)
-		if finite(x[i], y[i]) {
+		if geom.Finite(x[i], y[i]) {
 			col := min(int((x[i]-f.originX)/f.side), int(f.cols)-1)
 			row := min(int((y[i]-f.originY)/f.side), int(f.rows)-1)
 			c = int32(row*int(f.cols) + col)
@@ -187,11 +187,6 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 		f.ids[s] = int32(i)
 	}
 	return f, nil
-}
-
-// finite reports whether both coordinates are finite numbers.
-func finite(x, y float64) bool {
-	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
 }
 
 // Unplaced returns the ids of the points that have no cell — those with a

@@ -3,6 +3,8 @@ package gridindex
 import (
 	"fmt"
 	"math"
+
+	"vdbscan/internal/geom"
 )
 
 // FlatParts is the exported skeleton of a flat grid: the CSR cell offsets,
@@ -63,7 +65,7 @@ func FlatFromParts(parts FlatParts) (*Flat, error) {
 		}
 	}
 	for s := placed; s < n; s++ {
-		if finite(parts.Xs[s], parts.Ys[s]) {
+		if geom.Finite(parts.Xs[s], parts.Ys[s]) {
 			return bad("unplaced slot %d holds a finite point", s)
 		}
 	}
