@@ -19,7 +19,6 @@ var (
 	_ IndexOption = WithR(70)
 	_ IndexOption = WithBinWidth(1)
 	_ IndexOption = WithIndexKind(IndexGrid)
-	_ IndexOption = WithRefreezeThreshold(64)
 
 	_ RunOption = WithThreads(2)
 	_ RunOption = WithIntraThreads(2)
@@ -33,7 +32,7 @@ var (
 
 	_ []Option = []Option{
 		WithR(70), WithThreads(2), WithWork(nil), WithTracer(nil),
-		WithRefreezeThreshold(64), WithProgress(nil),
+		WithIndexKind(IndexRTree), WithProgress(nil),
 	}
 )
 
@@ -42,9 +41,6 @@ var (
 // option must not satisfy IndexOption. (A constructor changing tier flips
 // one of these type assertions.)
 func TestOptionTierMisuseRejected(t *testing.T) {
-	if _, ok := any(WithRefreezeThreshold(64)).(RunOption); ok {
-		t.Error("WithRefreezeThreshold satisfies RunOption; refreeze on a one-shot run must stay a compile-time error")
-	}
 	if _, ok := any(WithR(70)).(RunOption); ok {
 		t.Error("WithR satisfies RunOption")
 	}

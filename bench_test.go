@@ -21,7 +21,6 @@ import (
 	"vdbscan/internal/kdist"
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/paper"
-	"vdbscan/internal/rtree"
 	"vdbscan/internal/sched"
 	"vdbscan/internal/stdbscan"
 	"vdbscan/internal/tec"
@@ -316,26 +315,6 @@ func BenchmarkFig9Makespan(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationBulkVsInsert compares the grid-sorted bulk loader
-// against one-at-a-time insertion with quadratic splits.
-func BenchmarkAblationBulkVsInsert(b *testing.B) {
-	fixtures(b)
-	pts := fixSynth.Points[:10_000]
-	b.Run("bulkload", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
-		}
-	})
-	b.Run("insert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr := rtree.New(rtree.Options{})
-			for _, p := range pts {
-				tr.Insert(p)
-			}
-		}
-	})
-}
 
 // BenchmarkAblationUnionFind compares the disjoint-set formulation
 // (Patwary et al.; RunParallel at one worker) with the expansion-based

@@ -7,13 +7,10 @@
 // and periodically audits the incremental state against a batch run over
 // the same live window.
 //
-// The clusterer keeps its ε-searches on the frozen flat index across the
-// stream: mutations stage in a delta overlay, and once the overlay
-// crosses WithRefreezeThreshold the index re-freezes in the background
-// (epoch-based maintenance). The per-batch "rfz" column and the final
-// stats line surface that machinery; "stale" must stay 0 — a nonzero
-// count means a search found the snapshot unaccounted for and had to
-// fall back to the slow pointer tree.
+// The audit's noise set must equal the batch run's exactly: a point is
+// noise when no core lies within ε of it, whatever order the points
+// arrived in, so unlike cluster membership of border points it has no
+// legal ambiguity. The program exits non-zero when it differs.
 package main
 
 import (
@@ -34,15 +31,15 @@ const (
 
 func main() {
 	params := vdbscan.Params{Eps: 2.5, MinPts: 8}
-	inc, err := vdbscan.NewIncremental(params, vdbscan.WithRefreezeThreshold(256))
+	inc, err := vdbscan.NewIncremental(params)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("sliding-window monitor: %d batches x %d obs, window %d, params %v\n\n",
 		batches, perBatch, windowSize, params)
-	fmt.Printf("%6s %7s %9s %8s %10s %9s %5s %7s  %s\n",
-		"batch", "live", "clusters", "noise", "latency", "dominant", "rfz", "overlay", "audit")
+	fmt.Printf("%6s %7s %9s %8s %10s %9s  %s\n",
+		"batch", "live", "clusters", "noise", "latency", "dominant", "audit")
 
 	var history []vdbscan.Point // every inserted point, in insertion order
 	oldest := 0                 // next insertion index to expire
@@ -92,19 +89,19 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			audit = fmt.Sprintf("quality=%.4f", q)
+			for i, l := range incLive.Labels {
+				if (l == vdbscan.Noise) != (batchRes.Labels[i] == vdbscan.Noise) {
+					log.Fatalf("batch %d: live point %d is noise=%v incrementally, noise=%v in the batch run",
+						batch, i, l == vdbscan.Noise, batchRes.Labels[i] == vdbscan.Noise)
+				}
+			}
+			audit = fmt.Sprintf("quality=%.4f noise-set=exact", q)
 		}
-		st := inc.RefreezeStats()
-		fmt.Printf("%6d %7d %9d %8d %10s %9d %5d %7d  %s\n",
+		fmt.Printf("%6d %7d %9d %8d %10s %9d  %s\n",
 			batch, inc.LiveLen(), res.NumClusters, liveNoise,
-			latency.Round(time.Millisecond), dominant,
-			st.Refreezes, st.OverlayAdded+st.OverlayDeleted, audit)
+			latency.Round(time.Millisecond), dominant, audit)
 	}
-	inc.FlushRefreeze()
-	st := inc.RefreezeStats()
-	fmt.Printf("\nrefreeze stats: refreezes=%d frozen=%d overlay=+%d/-%d stale=%d gen=%d\n",
-		st.Refreezes, st.FrozenPoints, st.OverlayAdded, st.OverlayDeleted,
-		st.StaleFallbacks, st.Generation)
 	fmt.Println("\nthe audit compares the incremental state against a fresh batch run")
-	fmt.Println("over the same live window (1.0 = identical partitions).")
+	fmt.Println("over the same live window (quality 1.0 = identical partitions; the")
+	fmt.Println("noise sets must match exactly).")
 }

@@ -18,29 +18,16 @@ type Incremental struct {
 	m *metrics.Counters
 }
 
-// RefreezeStats reports the state of the incremental clusterer's
-// epoch-based index maintenance: how many flat snapshots have been
-// installed, how many points the current snapshot covers, the staged
-// overlay deltas not yet folded in, and whether a background re-freeze
-// is in flight. StaleFallbacks stays 0 in correct operation — a nonzero
-// value means an ε-search found the snapshot's generation unaccounted
-// for and fell back to the (slower, always-correct) pointer tree.
-type RefreezeStats = incremental.RefreezeStats
-
 // NewIncremental returns an empty incremental clusterer for the given
-// parameters. Applicable options: WithWork,
-// WithRefreezeThreshold, WithTracer (a streaming clusterer is an index and
-// a run in one, so it accepts the full Option set).
+// parameters. A streaming clusterer is an index and a run in one, so it
+// accepts the full Option set; only WithWork applies.
 func NewIncremental(p Params, opts ...Option) (*Incremental, error) {
 	cfg := buildConfig(opts)
 	var m *metrics.Counters
 	if cfg.work != nil {
 		m = &metrics.Counters{}
 	}
-	c, err := incremental.NewWithOptions(p, m, incremental.Options{
-		RefreezeThreshold: cfg.refreezeN,
-		Rec:               cfg.tracer.Worker(0),
-	})
+	c, err := incremental.New(p, m)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -88,12 +75,3 @@ func (x *Incremental) LiveLen() int { return x.c.LiveLen() }
 
 // Labels materializes the current clustering in insertion order.
 func (x *Incremental) Labels() *Clustering { return x.c.Labels() }
-
-// RefreezeStats snapshots the epoch-maintenance counters of the
-// streaming flat index.
-func (x *Incremental) RefreezeStats() RefreezeStats { return x.c.RefreezeStats() }
-
-// FlushRefreeze blocks until any in-flight background re-freeze has been
-// installed. Benchmarks use it to pin the epoch state before measuring;
-// normal callers never need it.
-func (x *Incremental) FlushRefreeze() { x.c.FlushRefreeze() }

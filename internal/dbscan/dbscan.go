@@ -185,10 +185,9 @@ func (ix *Index) High() *rtree.Flat {
 	return ix.high.get(func() *rtree.Flat { return ix.buildTree(1) })
 }
 
-// buildTree bulk-loads a pointer tree over Pts, compacts it into its flat
-// form over the shared X and Y, and drops the pointer tree.
+// buildTree bulk-loads an R-tree over Pts and the shared X and Y.
 func (ix *Index) buildTree(r int) *rtree.Flat {
-	return rtree.BulkLoad(ix.Pts, rtree.Options{R: r, Fanout: ix.fanout}).CompactWithCoords(ix.X, ix.Y)
+	return rtree.BulkLoad(ix.Pts, ix.X, ix.Y, rtree.Options{R: r, Fanout: ix.fanout})
 }
 
 // Grid exposes the installed cell grid (nil until EnsureGrid has run on

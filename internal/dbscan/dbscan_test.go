@@ -517,15 +517,15 @@ func TestBruteForceNaNSafety(t *testing.T) {
 }
 
 // TestCompactOversizeGuard documents that the int32 guard is wired into
-// the compaction path the Index uses (the unit bounds check lives in
-// rtree; here we just pin that Compact still works at realistic sizes
-// and the guard constant is the documented one).
+// the build path the Index uses (the unit bounds check lives in rtree;
+// here we just pin that BulkLoad still works at realistic sizes and the
+// guard constant is the documented one).
 func TestCompactOversizeGuard(t *testing.T) {
-	tr := rtree.New(rtree.Options{R: 4})
-	for i := 0; i < 100; i++ {
-		tr.Insert(geom.Point{X: float64(i), Y: 0})
+	pts := make([]geom.Point, 100)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(i), Y: 0}
 	}
-	f := tr.Compact()
+	f := rtree.BulkLoad(pts, nil, nil, rtree.Options{R: 4})
 	if f.Len() != 100 {
 		t.Fatalf("compact len = %d", f.Len())
 	}

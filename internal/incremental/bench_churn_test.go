@@ -13,12 +13,6 @@ import (
 // batches of 1500 observations through the clusterer, expiring the
 // oldest insertions to hold a 6000-point live window, so batches 4+ are
 // the delete-heavy steady state.
-//
-// Pointer is the pre-epoch configuration (every ε-search on the dynamic
-// pointer tree); Epoch is the overlay+refreeze path. On a single CPU the
-// background compactions compete with the mutator, so Epoch ≈ Pointer
-// there; with a spare core the compactions are free and the flat scans
-// win outright.
 
 func windowBatch(b *testing.B, batch int) []geom.Point {
 	b.Helper()
@@ -31,7 +25,7 @@ func windowBatch(b *testing.B, batch int) []geom.Point {
 	return ds.Points
 }
 
-func benchWindow(b *testing.B, o Options) {
+func BenchmarkWindow(b *testing.B) {
 	params := dbscan.Params{Eps: 2.5, MinPts: 8}
 	batches := make([][]geom.Point, 8)
 	for i := range batches {
@@ -39,7 +33,7 @@ func benchWindow(b *testing.B, o Options) {
 	}
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		c, err := NewWithOptions(params, nil, o)
+		c, err := New(params, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,11 +47,5 @@ func benchWindow(b *testing.B, o Options) {
 				oldest++
 			}
 		}
-		if st := c.RefreezeStats(); !o.DisableFlat && st.StaleFallbacks != 0 {
-			b.Fatalf("stale fallbacks during benchmark churn: %+v", st)
-		}
 	}
 }
-
-func BenchmarkWindowPointer(b *testing.B) { benchWindow(b, Options{DisableFlat: true}) }
-func BenchmarkWindowEpoch(b *testing.B)   { benchWindow(b, Options{RefreezeThreshold: 256}) }

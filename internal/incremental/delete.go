@@ -12,7 +12,7 @@ import (
 // points, and *split* a cluster into disconnected parts. The repair
 // strategy is local re-clustering:
 //
-//  1. remove the point from the tree and decrement its neighbors' counts,
+//  1. remove the point from its cell and decrement its neighbors' counts,
 //     demoting cores that fall under minpts;
 //  2. collect the affected clusters — those owning the deleted point, any
 //     demoted core, or any point in a demoted core's neighborhood;
@@ -26,30 +26,17 @@ import (
 //
 // Labels() keeps one entry per insertion; deleted points report Noise.
 func (c *Clusterer) Delete(i int) error {
-	err := c.delete(i)
-	c.maybeRefreeze()
-	return err
-}
-
-func (c *Clusterer) delete(i int) error {
 	if i < 0 || i >= c.Len() {
 		return fmt.Errorf("incremental: index %d out of range [0,%d)", i, c.Len())
 	}
 	if c.deleted(i) {
 		return fmt.Errorf("incremental: point %d already deleted", i)
 	}
-	p := c.tree.Points()[i]
+	p := c.pts[i]
 	// Delete by index, not value: with duplicate coordinates a value
 	// delete could remove a live twin's entry and desynchronize the
 	// per-index count/core bookkeeping.
-	found, err := c.tree.DeleteIndex(p, int32(i))
-	if err != nil {
-		return fmt.Errorf("incremental: %w", err)
-	}
-	if !found {
-		return fmt.Errorf("incremental: point %d not in tree", i)
-	}
-	c.recordDelete(int32(i))
+	c.removeFromCell(int32(i))
 	c.markDeleted(i)
 
 	// Neighbor counts drop; collect demotions.
@@ -95,7 +82,7 @@ func (c *Clusterer) delete(i int) error {
 		if l := c.resolve(c.rawLabels[d]); l > 0 {
 			addAffected(l)
 		}
-		scratch = c.neighbors(c.tree.Points()[d], scratch[:0])
+		scratch = c.neighbors(c.pts[d], scratch[:0])
 		for _, k := range scratch {
 			if l := c.resolve(c.rawLabels[k]); l > 0 {
 				addAffected(l)
@@ -151,7 +138,7 @@ func (c *Clusterer) delete(i int) error {
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			c.rawLabels[u] = id
-			scratch = c.neighbors(c.tree.Points()[u], scratch[:0])
+			scratch = c.neighbors(c.pts[u], scratch[:0])
 			for _, k := range scratch {
 				if c.markIn[k] != gen {
 					continue // other clusters are unaffected by deletions
@@ -172,7 +159,7 @@ func (c *Clusterer) delete(i int) error {
 			continue
 		}
 		label := cluster.Noise
-		scratch = c.neighbors(c.tree.Points()[j], scratch[:0])
+		scratch = c.neighbors(c.pts[j], scratch[:0])
 		for _, k := range scratch {
 			if k != j && c.core[k] && c.rawLabels[k] > 0 {
 				label = c.resolve(c.rawLabels[k])

@@ -10,8 +10,8 @@
 //
 // Mechanics per insertion of p:
 //
-//  1. p's ε-neighborhood N is fetched from a dynamic R-tree; every q ∈ N
-//     gains one neighbor, which can promote q to a core point.
+//  1. p's ε-neighborhood N is fetched from the cell store (cells.go);
+//     every q ∈ N gains one neighbor, which can promote q to a core point.
 //  2. The *seed set* is p (if core) plus the just-promoted cores. Cluster
 //     labels of points density-reachable from the seed set are updated by a
 //     local expansion:
@@ -34,25 +34,18 @@ import (
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/metrics"
-	"vdbscan/internal/rtree"
 	"vdbscan/internal/unionfind"
 )
 
 // Clusterer maintains a DBSCAN clustering under insertions.
 type Clusterer struct {
 	params dbscan.Params
-	tree   *rtree.Tree
 	m      *metrics.Counters
-	opts   Options
 
-	// snap is the generational flat snapshot + overlay pair every
-	// ε-search routes through once the first freeze lands (snapshot.go);
-	// the pointer tree remains the mutation path and the stale fallback.
-	snap       epochState
-	refreezing bool
-	refreezeCh chan *rtree.Flat
-	refreezes  int
-	staleFalls int64
+	// pts holds every inserted point, deleted ones included, by insertion
+	// index; cells indexes the live finite ones by ε-cell (cells.go).
+	pts   []geom.Point
+	cells map[cellKey][]int32
 
 	// counts[i] = |N_ε(i)| including i itself.
 	counts []int32
@@ -76,25 +69,17 @@ type Clusterer struct {
 	markGen int32
 }
 
-// New returns an empty incremental clusterer with default Options.
-// m may be nil.
+// New returns an empty incremental clusterer. m may be nil.
 func New(p dbscan.Params, m *metrics.Counters) (*Clusterer, error) {
-	return NewWithOptions(p, m, Options{})
-}
-
-// NewWithOptions is New with epoch-maintenance options.
-func NewWithOptions(p dbscan.Params, m *metrics.Counters, o Options) (*Clusterer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return &Clusterer{
-		params:     p,
-		tree:       rtree.New(rtree.Options{}),
-		m:          m,
-		opts:       o.withDefaults(),
-		refreezeCh: make(chan *rtree.Flat, 1),
-		dsu:        unionfind.NewDSU(64),
-		dsuCap:     64,
+		params: p,
+		m:      m,
+		cells:  map[cellKey][]int32{},
+		dsu:    unionfind.NewDSU(64),
+		dsuCap: 64,
 	}, nil
 }
 
@@ -106,45 +91,6 @@ func (c *Clusterer) LiveLen() int { return c.liveCount }
 
 // Params echoes the clusterer's parameters.
 func (c *Clusterer) Params() dbscan.Params { return c.params }
-
-// neighbors returns indices of points within ε of q (including q when
-// indexed). The fast path merges the frozen flat snapshot with the
-// staged overlay deltas; the dynamic pointer tree serves before the
-// first freeze, when flat indexing is disabled, and as the fallback
-// whenever the snapshot's generation is not fully accounted for by the
-// overlays (a stale snapshot must never answer alone).
-func (c *Clusterer) neighbors(q geom.Point, dst []int32) []int32 {
-	c.pollRefreeze(false)
-	if f := c.snap.flat; f != nil {
-		if f.Generation()+c.snap.pending.Muts()+c.snap.ov.Muts() == c.tree.Generation() {
-			out, cand, nodes := rtree.EpsSearchOverlay(
-				f, c.tree.Points(), q, c.params.Eps, dst,
-				&c.snap.pending, &c.snap.ov)
-			c.m.AddNeighborSearches(1)
-			c.m.AddCandidatesExamined(int64(cand))
-			c.m.AddNodesVisited(int64(nodes))
-			return out
-		}
-		c.staleFalls++
-	}
-	epsSq := c.params.Eps * c.params.Eps
-	box := geom.QueryMBB(q, c.params.Eps)
-	pts := c.tree.Points()
-	candidates := int64(0)
-	nodes := c.tree.Search(box, func(lr rtree.LeafRange) {
-		end := lr.Start + lr.Count
-		for i := lr.Start; i < end; i++ {
-			candidates++
-			if q.DistSq(pts[i]) <= epsSq {
-				dst = append(dst, int32(i))
-			}
-		}
-	})
-	c.m.AddNeighborSearches(1)
-	c.m.AddCandidatesExamined(candidates)
-	c.m.AddNodesVisited(int64(nodes))
-	return dst
-}
 
 // newCluster allocates a cluster id.
 func (c *Clusterer) newCluster() int32 {
@@ -173,16 +119,9 @@ func (c *Clusterer) resolve(raw int32) int32 {
 
 // Insert adds point p and updates the clustering.
 func (c *Clusterer) Insert(p geom.Point) {
-	c.insert(p)
-	// Trigger the epoch check after the clustering update so a re-freeze
-	// clone never captures a half-applied insertion.
-	c.maybeRefreeze()
-}
-
-func (c *Clusterer) insert(p geom.Point) {
 	idx := int32(c.Len())
-	c.tree.Insert(p)
-	c.recordInsert(idx)
+	c.pts = append(c.pts, p)
+	c.addToCell(idx)
 	c.counts = append(c.counts, 0)
 	c.core = append(c.core, false)
 	c.rawLabels = append(c.rawLabels, cluster.Unclassified)
@@ -240,7 +179,7 @@ func (c *Clusterer) insert(p geom.Point) {
 	}
 	neighborhoods := make([][]int32, len(seeds))
 	for i, s := range seeds {
-		neighborhoods[i] = c.neighbors(c.tree.Points()[s], nil)
+		neighborhoods[i] = c.neighbors(c.pts[s], nil)
 	}
 	groups := unionfind.NewDSU(len(seeds))
 	for i, nb := range neighborhoods {

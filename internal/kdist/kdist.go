@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"vdbscan/internal/dbscan"
+	"vdbscan/internal/geom"
 	"vdbscan/internal/rtree"
 )
 
@@ -24,9 +25,11 @@ const DefaultMinPts = 4
 
 // Curve computes the descending sorted k-dist graph over the index: one
 // entry per point holding the distance to its k-th nearest neighbor
-// (excluding the point itself). k must be ≥ 1 and the index non-trivial.
-// Nearest-neighbour queries need a pointer tree, which an Index does not
-// keep, so Curve bulk-loads its own one-point-per-leaf tree over ix.Pts.
+// (excluding the point itself). k must be ≥ 1. Points with a non-finite
+// coordinate, and points whose k-distance is not finite (a squared
+// distance past the float64 range), have no place on the curve and are
+// skipped. Curve bulk-loads its own one-point-per-leaf R-tree over ix.Pts
+// for the nearest-neighbour queries.
 func Curve(ix *dbscan.Index, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kdist: k must be >= 1, got %d", k)
@@ -35,17 +38,18 @@ func Curve(ix *dbscan.Index, k int) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	tree := rtree.BulkLoad(ix.Pts, rtree.Options{R: 1})
+	tree := rtree.BulkLoad(ix.Pts, ix.X, ix.Y, rtree.Options{R: 1})
 	dists := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		// k+1 nearest including self (distance 0 at rank 0).
-		nn := tree.NearestK(ix.Pts[i], k+1)
-		if len(nn) < k+1 {
-			// Fewer than k other points exist: use the farthest available.
-			dists = append(dists, math.Sqrt(nn[len(nn)-1].DistSq))
+	for _, p := range ix.Pts {
+		if !geom.Finite(p.X, p.Y) {
 			continue
 		}
-		dists = append(dists, math.Sqrt(nn[k].DistSq))
+		// k+1 nearest including self (distance 0 at rank 0); with fewer
+		// than k other points, the farthest available.
+		nn := tree.NearestK(p, k+1)
+		if d := math.Sqrt(nn[len(nn)-1].DistSq); !math.IsInf(d, 1) {
+			dists = append(dists, d)
+		}
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(dists)))
 	return dists, nil
@@ -99,7 +103,10 @@ func SuggestEps(ix *dbscan.Index, minPts int) (Suggestion, error) {
 		return Suggestion{}, err
 	}
 	if len(curve) == 0 {
-		return Suggestion{}, fmt.Errorf("kdist: empty index")
+		if ix.Len() == 0 {
+			return Suggestion{}, fmt.Errorf("kdist: empty index")
+		}
+		return Suggestion{}, fmt.Errorf("kdist: no point has a finite %d-distance", minPts-1)
 	}
 	e := Elbow(curve)
 	eps := curve[e]

@@ -1,6 +1,7 @@
 package kdist
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -190,5 +191,57 @@ func TestSuggestVariants(t *testing.T) {
 	}
 	if _, err := SuggestVariants(ix, []int{4}, nil); err == nil {
 		t.Error("empty factors accepted")
+	}
+}
+
+// TestNonFiniteOutliers appends one point with a non-finite coordinate,
+// or one so far out that its squared distances overflow, to clustered
+// data: the curve drops it, nothing panics, and SuggestEps returns the
+// clean data's finite suggestion.
+func TestNonFiniteOutliers(t *testing.T) {
+	clean := blobsAndNoise(5)
+	want, err := SuggestEps(dbscan.BuildIndex(clean, dbscan.IndexOptions{}), DefaultMinPts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    geom.Point
+	}{
+		{"NaN", geom.Point{X: math.NaN(), Y: 0}},
+		{"+Inf", geom.Point{X: math.Inf(1), Y: 0}},
+		{"-Inf", geom.Point{X: 0, Y: math.Inf(-1)}},
+		{"1e300", geom.Point{X: 1e300, Y: 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, kind := range []dbscan.IndexKind{dbscan.IndexGrid, dbscan.IndexRTree} {
+				pts := append(append([]geom.Point(nil), clean...), tc.p)
+				ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{Kind: kind})
+				curve, err := Curve(ix, DefaultMinPts-1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(curve) != len(clean) {
+					t.Fatalf("kind %v: curve has %d points, want the %d finite ones", kind, len(curve), len(clean))
+				}
+				got, err := SuggestEps(ix, DefaultMinPts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("kind %v: suggestion %+v, want the clean data's %+v", kind, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSuggestEpsNothingFinite requires an error, not a non-finite ε, when
+// no point has a finite k-distance.
+func TestSuggestEpsNothingFinite(t *testing.T) {
+	pts := []geom.Point{{X: math.NaN(), Y: 0}, {X: math.Inf(1), Y: 1}, {X: 1e300, Y: 2}, {X: -1e300, Y: 3}}
+	s, err := SuggestEps(dbscan.BuildIndex(pts, dbscan.IndexOptions{}), DefaultMinPts)
+	if err == nil {
+		t.Fatalf("got suggestion %+v, want an error", s)
 	}
 }

@@ -1,7 +1,6 @@
 // Package kernel hosts the block ε-filter kernels shared by every
-// ε-search hot path: the flat R-tree leaf scan (internal/rtree), the
-// overlay-merged streaming search, and the cell-grid index
-// (internal/gridindex).
+// ε-search hot path: the flat R-tree leaf scan (internal/rtree) and the
+// cell-grid index (internal/gridindex).
 //
 // The paper's §IV argument treats ε-search as memory-bound and tunes the
 // leaf occupancy r to trade distance computations for memory traffic. On
@@ -29,8 +28,6 @@
 // when it must grow, so warmed-up searches stay off the heap entirely
 // (asserted by AllocsPerRun tests here and in every caller).
 package kernel
-
-import "vdbscan/internal/geom"
 
 // Block is the nominal batch width callers may size buffers around. The
 // amd64 kernel consumes candidates two at a time (SSE2 lanes); Block
@@ -86,30 +83,5 @@ func FilterEpsIDs(dst []int32, xs, ys []float64, ids []int32, px, py, epsSq floa
 	dst = ensure(dst, n)
 	buf := dst[:cap(dst)]
 	w := filterEpsIDs(buf, len(dst), xs, ys, ids, px, py, epsSq)
-	return dst[:w]
-}
-
-// FilterEpsPoints appends idx[i] to dst for every listed index whose
-// point pts[idx[i]] lies within ε of (px, py). The gather variant serves
-// scattered candidate lists over the live array-of-structs point array —
-// the overlay's staged-insert buffer — which SSE2 cannot load as a unit;
-// the guarded-increment compaction still keeps it branch-free.
-func FilterEpsPoints(dst []int32, pts []geom.Point, idx []int32, px, py, epsSq float64) []int32 {
-	n := len(idx)
-	if n == 0 {
-		return dst
-	}
-	dst = ensure(dst, n)
-	buf := dst[:cap(dst)]
-	w := len(dst)
-	for i := 0; i < n; i++ {
-		q := pts[idx[i]]
-		dx := px - q.X
-		dy := py - q.Y
-		buf[w] = idx[i]
-		if dx*dx+dy*dy <= epsSq {
-			w++
-		}
-	}
 	return dst[:w]
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"vdbscan/internal/geom"
 )
 
 // oracle is the straightforward scalar filter every kernel must match
@@ -99,37 +97,6 @@ func TestFilterEpsIDsMatchesOracle(t *testing.T) {
 			}
 		}
 		got := FilterEpsIDs(nil, xs, ys, ids, px, py, epsSq)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: %d hits, want %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: hit[%d]=%d, want %d", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestFilterEpsPointsMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xA05))
-	pts := make([]geom.Point, 500)
-	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-	}
-	for _, n := range []int{0, 1, 7, 8, 9, 31, 200} {
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32(rng.Intn(len(pts)))
-		}
-		px, py, epsSq := rng.Float64()*10, rng.Float64()*10, 3.0
-		want := []int32{}
-		for _, k := range idx {
-			dx, dy := px-pts[k].X, py-pts[k].Y
-			if dx*dx+dy*dy <= epsSq {
-				want = append(want, k)
-			}
-		}
-		got := FilterEpsPoints(nil, pts, idx, px, py, epsSq)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d hits, want %d", n, len(got), len(want))
 		}

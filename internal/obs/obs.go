@@ -112,12 +112,6 @@ const (
 	// PhaseBorder is the sequential attachment of the recorded non-core
 	// points to their lowest-numbered adjacent cluster.
 	PhaseBorder
-	// PhaseRefreeze is one epoch of the incremental clusterer's
-	// generational index maintenance: from the moment a background
-	// re-freeze (tree snapshot + Compact) is kicked off until the fresh
-	// flat snapshot is installed and the covered overlay segment retired.
-	// Recorded with variant = -1 (it belongs to the index, not a variant).
-	PhaseRefreeze
 	// PhaseTileRun is PhaseMark on the tiled path: workers claim whole
 	// tiles of cells instead of fixed-size runs of them.
 	PhaseTileRun
@@ -134,8 +128,6 @@ func (p Phase) String() string {
 		return "label"
 	case PhaseBorder:
 		return "border"
-	case PhaseRefreeze:
-		return "refreeze"
 	case PhaseTileRun:
 		return "tile-run"
 	default:

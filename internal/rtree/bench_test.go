@@ -9,11 +9,6 @@ import (
 	"vdbscan/internal/grid"
 )
 
-// The pointer-vs-flat benchmark pairs quantify the index-layout trade the
-// paper's §IV memory-access argument describes: identical query results,
-// different traversal cost. Run with -benchmem to see the closure/stack
-// allocation difference on the ε-search path.
-
 func benchPoints(n int) []geom.Point {
 	rng := rand.New(rand.NewSource(0xF1A7))
 	pts := make([]geom.Point, n)
@@ -24,7 +19,7 @@ func benchPoints(n int) []geom.Point {
 	return sorted
 }
 
-func benchQueries(n int) []geom.Point {
+func benchQueries() []geom.Point {
 	rng := rand.New(rand.NewSource(0x9E75))
 	qs := make([]geom.Point, 1024)
 	for i := range qs {
@@ -33,42 +28,18 @@ func benchQueries(n int) []geom.Point {
 	return qs
 }
 
-// BenchmarkEpsSearch compares the full ε-neighborhood search (traverse +
-// distance filter) on the pointer tree versus the flat tree, across the
-// paper's leaf-occupancy range and two dataset sizes.
+// BenchmarkEpsSearch measures the full ε-neighborhood search (traverse +
+// distance filter) across the paper's leaf-occupancy range and two
+// dataset sizes.
 func BenchmarkEpsSearch(b *testing.B) {
 	const eps = 1.5
+	queries := benchQueries()
 	for _, n := range []int{10_000, 100_000} {
 		sorted := benchPoints(n)
-		queries := benchQueries(n)
 		for _, r := range []int{1, 70, 110} {
-			tr := BulkLoad(sorted, Options{R: r})
-			fl := tr.Compact()
-			epsSq := eps * eps
-
-			b.Run(fmt.Sprintf("pointer/n=%d/r=%d", n, r), func(b *testing.B) {
-				// Faithful Algorithm 2 body: candidate counting included,
-				// as dbscan.NeighborSearch performs it on this path.
+			fl := BulkLoad(sorted, nil, nil, Options{R: r})
+			b.Run(fmt.Sprintf("n=%d/r=%d", n, r), func(b *testing.B) {
 				dst := make([]int32, 0, 1024)
-				var candidates int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p := queries[i%len(queries)]
-					dst = dst[:0]
-					tr.Search(geom.QueryMBB(p, eps), func(lr LeafRange) {
-						end := lr.Start + lr.Count
-						for j := lr.Start; j < end; j++ {
-							candidates++
-							if p.DistSq(sorted[j]) <= epsSq {
-								dst = append(dst, int32(j))
-							}
-						}
-					})
-				}
-			})
-			b.Run(fmt.Sprintf("flat/n=%d/r=%d", n, r), func(b *testing.B) {
-				dst := make([]int32, 0, 1024)
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					dst, _, _ = fl.EpsSearch(queries[i%len(queries)], eps, dst[:0])
 				}
@@ -77,25 +48,15 @@ func BenchmarkEpsSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchCandidates compares the raw candidate sweep (no distance
+// BenchmarkSearchCandidates measures the raw candidate sweep (no distance
 // filter) — the T_high cluster-MBB sweep workload of Algorithm 3.
 func BenchmarkSearchCandidates(b *testing.B) {
 	sorted := benchPoints(100_000)
-	queries := benchQueries(100_000)
+	queries := benchQueries()
 	for _, r := range []int{1, 70} {
-		tr := BulkLoad(sorted, Options{R: r})
-		fl := tr.Compact()
-		b.Run(fmt.Sprintf("pointer/r=%d", r), func(b *testing.B) {
+		fl := BulkLoad(sorted, nil, nil, Options{R: r})
+		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			dst := make([]int32, 0, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := geom.QueryMBB(queries[i%len(queries)], 4)
-				dst = tr.SearchCandidates(q, dst[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("flat/r=%d", r), func(b *testing.B) {
-			dst := make([]int32, 0, 4096)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := geom.QueryMBB(queries[i%len(queries)], 4)
 				dst, _ = fl.SearchCandidates(q, dst[:0])
@@ -104,17 +65,16 @@ func BenchmarkSearchCandidates(b *testing.B) {
 	}
 }
 
-// BenchmarkCompact measures the freeze step itself, so its (one-time) cost
-// can be weighed against the per-query savings.
-func BenchmarkCompact(b *testing.B) {
+// BenchmarkBulkLoad measures the build itself, so its one-time cost can be
+// weighed against the per-query savings.
+func BenchmarkBulkLoad(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		sorted := benchPoints(n)
 		for _, r := range []int{1, 70} {
-			tr := BulkLoad(sorted, Options{R: r})
 			b.Run(fmt.Sprintf("n=%d/r=%d", n, r), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if tr.Compact().Len() != n {
-						b.Fatal("bad compact")
+					if BulkLoad(sorted, nil, nil, Options{R: r}).Len() != n {
+						b.Fatal("bad build")
 					}
 				}
 			})
@@ -125,9 +85,8 @@ func BenchmarkCompact(b *testing.B) {
 // TestEpsSearchZeroAlloc asserts the flat ε-search's steady state stays
 // off the heap entirely once the destination buffer has warmed up.
 func TestEpsSearchZeroAlloc(t *testing.T) {
-	sorted := benchPoints(20_000)
-	fl := BulkLoad(sorted, Options{R: 70}).Compact()
-	queries := benchQueries(20_000)
+	fl := BulkLoad(benchPoints(20_000), nil, nil, Options{R: 70})
+	queries := benchQueries()
 	dst := make([]int32, 0, 4096)
 	for _, p := range queries { // warm dst to its high-water mark
 		dst, _, _ = fl.EpsSearch(p, 2, dst[:0])

@@ -17,18 +17,11 @@ import (
 // small because Go zero-initializes it on every call — at 128·4 B the
 // memclr is noise, while a generous stack would tax every ε-search.
 // Deeper/wider configurations fall back to a pooled heap stack sized
-// exactly at freeze time.
+// exactly at build time.
 const flatLocalStack = 128
 
-// Flat is the frozen, cache-friendly representation of a Tree, produced
-// by Compact.
-//
-// The pointer tree (rtree.go) is the build/mutate path: Guttman inserts,
-// deletes, and bulk loading all operate on heap-allocated nodes. Every
-// traversal of that structure chases node pointers and runs a visit
-// closure per query — costs that the paper's memory-bound ε-search
-// argument (§IV) says dominate 2-D DBSCAN. Compact linearizes the tree
-// once into contiguous arrays so that steady-state searches
+// Flat is the R-tree, built once by BulkLoad in a cache-friendly layout
+// that lets steady-state searches
 //
 //   - touch only a handful of flat slices (struct-of-arrays MBBs,
 //     int32 child/leaf offsets) laid out in BFS order, parent levels
@@ -42,16 +35,14 @@ const flatLocalStack = 128
 // This mirrors the linearized layouts of Wang/Gu/Shun (SIGMOD 2020) and
 // Prokopenko et al. (ArborX) that make tree-based ε-search fast in
 // practice. A Flat is immutable and safe for unlimited concurrent
-// searches; incremental callers keep mutating the pointer tree and
-// re-Compact when they need a fresh frozen view. All slices are
-// struct-of-arrays: entry i's MBB is
+// searches. All slices are struct-of-arrays: entry i's MBB is
 // (entMinX[i], entMinY[i])–(entMaxX[i], entMaxY[i]).
 type Flat struct {
 	pts []geom.Point
 	// ptX/ptY are SoA copies of the point coordinates, so the ε distance
 	// filter scans two contiguous float64 slices instead of striding
 	// through []geom.Point. They may be shared across trees built over
-	// the same point array (CompactWithCoords).
+	// the same point array (BulkLoad's x, y).
 	ptX, ptY []float64
 
 	// Entry arrays, indexed by a global entry id. A node owns the
@@ -73,10 +64,6 @@ type Flat struct {
 
 	height, r, fanout, size int
 
-	// gen is the source tree's generation at freeze time; a holder of the
-	// source tree compares it against Tree.Generation to detect staleness.
-	gen uint64
-
 	// maxStack is the exact worst-case traversal stack size for this
 	// tree; stackPool is only initialized when it exceeds flatLocalStack.
 	maxStack  int
@@ -84,15 +71,15 @@ type Flat struct {
 }
 
 // ErrFlatTooLarge is the panic value (wrapped with size detail) raised by
-// Compact/CompactWithCoords when the tree exceeds the flat layout's int32
-// offset space. All entry, child, and point offsets in a Flat are int32 —
+// BulkLoad when the tree exceeds the flat layout's int32 offset space.
+// All entry, child, and point offsets in a Flat are int32 —
 // the cap is math.MaxInt32 (≈2.1e9) leaf entries and points; beyond that
 // the unchecked casts would silently wrap and corrupt the index.
 var ErrFlatTooLarge = errors.New("rtree: tree exceeds flat layout int32 offset space")
 
 // checkCompactBounds validates that entries and points fit the int32
-// offsets of the flat layout. Factored out of CompactWithCoords so the
-// guard is unit-testable without allocating a multi-gigabyte tree.
+// offsets of the flat layout. Factored out of BulkLoad so the guard is
+// unit-testable without allocating a multi-gigabyte tree.
 func checkCompactBounds(entries, points int) error {
 	if entries > math.MaxInt32 {
 		return fmt.Errorf("%w: %d entries > %d", ErrFlatTooLarge, entries, math.MaxInt32)
@@ -103,128 +90,9 @@ func checkCompactBounds(entries, points int) error {
 	return nil
 }
 
-// Compact freezes the tree into a Flat. The Flat shares the tree's point
-// array but copies all structure; the tree may keep mutating afterwards
-// (call Compact again for a fresh frozen view). The frozen snapshot
-// records the tree's generation at freeze time (Flat.Generation).
-//
-// The flat layout addresses entries, children, and points with int32
-// offsets; Compact panics with an error wrapping ErrFlatTooLarge when the
-// tree exceeds math.MaxInt32 leaf entries or points.
-func (t *Tree) Compact() *Flat {
-	return t.CompactWithCoords(nil, nil)
-}
-
-// CompactWithCoords is Compact with caller-provided SoA coordinate
-// slices, so several trees over the same point array (T_low and T_high)
-// share one pair instead of duplicating them. x and y must satisfy
-// x[i] == Points()[i].X and y[i] == Points()[i].Y; pass nil, nil to have
-// the Flat build its own. It shares Compact's int32 size cap and panics
-// with an error wrapping ErrFlatTooLarge beyond it.
-func (t *Tree) CompactWithCoords(x, y []float64) *Flat {
-	f := &Flat{
-		pts:    t.pts,
-		height: t.height,
-		r:      t.r,
-		fanout: t.fanout,
-		size:   t.size,
-		gen:    t.gen,
-	}
-	if x == nil || y == nil {
-		x = make([]float64, len(t.pts))
-		y = make([]float64, len(t.pts))
-		for i, p := range t.pts {
-			x[i], y[i] = p.X, p.Y
-		}
-	} else if len(x) < len(t.pts) || len(y) < len(t.pts) {
-		panic(fmt.Sprintf("rtree: CompactWithCoords got %d/%d coords for %d points",
-			len(x), len(y), len(t.pts)))
-	}
-	f.ptX, f.ptY = x, y
-
-	root := t.root
-	if root == nil {
-		root = &node{leaf: true}
-	}
-
-	// BFS numbering: parents before children, each level contiguous, so
-	// with uniform leaf depth all leaves end up in one trailing block.
-	order := []*node{root}
-	for i := 0; i < len(order); i++ {
-		n := order[i]
-		if n.leaf {
-			continue
-		}
-		for _, e := range n.entries {
-			order = append(order, e.child)
-		}
-	}
-
-	numNodes := len(order)
-	f.firstLeaf = int32(numNodes) // until the first leaf is seen
-	f.nodeEnt = make([]int32, numNodes+1)
-	totalEntries := 0
-	maxEntries := 1
-	for i, n := range order {
-		f.nodeEnt[i] = int32(totalEntries)
-		totalEntries += len(n.entries)
-		if len(n.entries) > maxEntries {
-			maxEntries = len(n.entries)
-		}
-		if n.leaf {
-			if int32(i) < f.firstLeaf {
-				f.firstLeaf = int32(i)
-			}
-		} else if int32(i) > f.firstLeaf {
-			// BFS puts all leaves in one trailing block only when every
-			// leaf sits at the same depth — the invariant both build
-			// paths maintain (CheckInvariants enforces it).
-			panic("rtree: Compact requires uniform leaf depth")
-		}
-	}
-	if err := checkCompactBounds(totalEntries, len(t.pts)); err != nil {
-		panic(err)
-	}
-	f.nodeEnt[numNodes] = int32(totalEntries)
-
-	f.entMinX = make([]float64, totalEntries)
-	f.entMinY = make([]float64, totalEntries)
-	f.entMaxX = make([]float64, totalEntries)
-	f.entMaxY = make([]float64, totalEntries)
-	f.entRef = make([]int32, totalEntries)
-	f.entCnt = make([]int32, totalEntries)
-
-	// Children were appended to order in per-node entry order, so a
-	// node's k-th child has id (id of previous children)+1; recover it
-	// with a running child cursor per BFS scan.
-	childID := int32(1)
-	ei := 0
-	for _, n := range order {
-		for _, e := range n.entries {
-			f.entMinX[ei] = e.mbb.MinX
-			f.entMinY[ei] = e.mbb.MinY
-			f.entMaxX[ei] = e.mbb.MaxX
-			f.entMaxY[ei] = e.mbb.MaxY
-			if n.leaf {
-				f.entRef[ei] = e.start
-				f.entCnt[ei] = e.count
-			} else {
-				f.entRef[ei] = childID
-				childID++
-			}
-			ei++
-		}
-	}
-
-	f.maxStack = t.height*(maxEntries-1) + 1
-	if f.maxStack > flatLocalStack {
-		need := f.maxStack
-		f.stackPool = &sync.Pool{New: func() any {
-			s := make([]int32, 0, need)
-			return &s
-		}}
-	}
-	return f
+// entMBB is entry e's bounding box.
+func (f *Flat) entMBB(e int32) geom.MBB {
+	return geom.MBB{MinX: f.entMinX[e], MinY: f.entMinY[e], MaxX: f.entMaxX[e], MaxY: f.entMaxY[e]}
 }
 
 // Points returns the backing point array; leaf ranges index into it.
@@ -236,20 +104,21 @@ func (f *Flat) Coords() (x, y []float64) { return f.ptX, f.ptY }
 // Len returns the number of indexed points.
 func (f *Flat) Len() int { return f.size }
 
-// Height returns the number of tree levels.
-func (f *Flat) Height() int { return f.height }
-
-// R returns the leaf occupancy the source tree was built with.
+// R returns the leaf occupancy the tree was built with.
 func (f *Flat) R() int { return f.r }
 
-// Generation returns the source tree's mutation counter at freeze time.
-// When it differs from the live tree's Generation, this snapshot no
-// longer reflects the tree and must not serve searches on its own —
-// either merge the missing mutations from an Overlay or fall back to the
-// pointer tree.
-func (f *Flat) Generation() uint64 { return f.gen }
+// Stats summarizes tree shape for diagnostics and the indexing ablation.
+type Stats struct {
+	Height      int
+	Nodes       int
+	LeafNodes   int
+	LeafEntries int
+	Points      int
+	R           int
+	Fanout      int
+}
 
-// Stats reports the frozen tree's shape (same fields as Tree.Stats).
+// Stats reports the tree's shape.
 func (f *Flat) Stats() Stats {
 	numNodes := len(f.nodeEnt) - 1
 	return Stats{
@@ -270,61 +139,11 @@ func (f *Flat) String() string {
 		s.Points, s.R, s.Fanout, s.Height, s.Nodes, s.LeafEntries)
 }
 
-// Search visits every leaf entry whose MBB intersects q, in the same
-// order as Tree.Search on the source tree, and returns the number of
-// nodes touched. Prefer SearchCandidates or EpsSearch on hot paths —
-// they avoid the per-range callback.
-func (f *Flat) Search(q geom.MBB, visit func(LeafRange)) (nodesVisited int) {
-	if f.maxStack <= flatLocalStack {
-		var buf [flatLocalStack]int32
-		return f.searchVisit(buf[:0], q, visit)
-	}
-	sp := f.stackPool.Get().(*[]int32)
-	n := f.searchVisit((*sp)[:0], q, visit)
-	f.stackPool.Put(sp)
-	return n
-}
-
-func (f *Flat) searchVisit(stack []int32, q geom.MBB, visit func(LeafRange)) int {
-	nodes := 0
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nodes++
-		lo, hi := f.nodeEnt[ni], f.nodeEnt[ni+1]
-		if ni >= f.firstLeaf {
-			for e := lo; e < hi; e++ {
-				if f.entMinX[e] <= q.MaxX && q.MinX <= f.entMaxX[e] &&
-					f.entMinY[e] <= q.MaxY && q.MinY <= f.entMaxY[e] {
-					visit(LeafRange{
-						MBB: geom.MBB{
-							MinX: f.entMinX[e], MinY: f.entMinY[e],
-							MaxX: f.entMaxX[e], MaxY: f.entMaxY[e],
-						},
-						Start: int(f.entRef[e]),
-						Count: int(f.entCnt[e]),
-					})
-				}
-			}
-			continue
-		}
-		// Push intersecting children in reverse so they pop in entry
-		// order — the exact visit order of the recursive pointer search.
-		for e := hi - 1; e >= lo; e-- {
-			if f.entMinX[e] <= q.MaxX && q.MinX <= f.entMaxX[e] &&
-				f.entMinY[e] <= q.MaxY && q.MinY <= f.entMaxY[e] {
-				stack = append(stack, f.entRef[e])
-			}
-		}
-	}
-	return nodes
-}
-
 // SearchCandidates appends to dst the indices of all points in leaf
 // entries overlapping q (candidates only — the caller distance-filters)
-// and returns dst plus the number of nodes touched. The output matches
-// Tree.SearchCandidates on the source tree element-for-element.
+// and returns dst plus the number of nodes touched. Leaf entries are
+// visited in entry order, so the candidates come out in ascending index
+// order.
 func (f *Flat) SearchCandidates(q geom.MBB, dst []int32) (out []int32, nodesVisited int) {
 	if f.maxStack <= flatLocalStack {
 		var buf [flatLocalStack]int32
@@ -376,8 +195,7 @@ func (f *Flat) searchCandidates(stack []int32, q geom.MBB, dst []int32) ([]int32
 // box around p and distance-filters their point runs against the SoA
 // coordinate slices, appending passing indices to dst. It returns dst,
 // the number of candidate points examined, and the number of nodes
-// touched — the same triple NeighborSearch derives from Tree.Search, in
-// the same order, with zero heap allocations once dst has warmed up.
+// touched, with zero heap allocations once dst has warmed up.
 func (f *Flat) EpsSearch(p geom.Point, eps float64, dst []int32) (out []int32, candidates, nodesVisited int) {
 	if f.maxStack <= flatLocalStack {
 		var buf [flatLocalStack]int32

@@ -18,45 +18,66 @@ func randPts(rng *rand.Rand, n int) []geom.Point {
 	return pts
 }
 
-// collectRanges gathers a search's leaf ranges in visit order.
-func collectRanges(search func(func(LeafRange)) int) ([]LeafRange, int) {
-	var out []LeafRange
-	n := search(func(lr LeafRange) { out = append(out, lr) })
-	return out, n
+// runCandidates is the linear-scan oracle of SearchCandidates: every
+// index of every run of r consecutive points whose bounding box meets q,
+// in run order. A bulk-loaded tree's leaf entries are exactly those runs,
+// and an interior box covers its children's, so the tree must reproduce
+// this stream element for element.
+func runCandidates(pts []geom.Point, r int, q geom.MBB) []int32 {
+	var out []int32
+	for start := 0; start < len(pts); start += r {
+		end := min(start+r, len(pts))
+		if geom.MBBOfPoints(pts[start:end]).Intersects(q) {
+			for i := start; i < end; i++ {
+				out = append(out, int32(i))
+			}
+		}
+	}
+	return out
 }
 
-// TestFlatMatchesTreeSearch checks that a compacted tree reproduces the
-// pointer tree's Search exactly: same leaf ranges, same visit order, same
-// node count — for bulk-loaded trees at several r and fanout values.
+func equalIDs(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFlatMatchesTreeSearch checks a bulk-loaded tree's shape and its
+// candidate stream against a linear scan over the leaf runs — same
+// candidates, same order — at several sizes, r and fanout values.
 func TestFlatMatchesTreeSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{0, 1, 5, 100, 3000} {
 		for _, r := range []int{1, 7, 70} {
 			for _, fanout := range []int{2, 4, 16} {
 				sorted, _ := grid.Sort(randPts(rng, n), 1)
-				tr := BulkLoad(sorted, Options{R: r, Fanout: fanout})
-				fl := tr.Compact()
-				if fl.Len() != tr.Len() || fl.Height() != tr.Height() || fl.R() != tr.R() {
-					t.Fatalf("n=%d r=%d fanout=%d: shape mismatch %v vs %v", n, r, fanout, fl, tr)
+				fl := BulkLoad(sorted, nil, nil, Options{R: r, Fanout: fanout})
+				if err := checkFlat(fl); err != nil {
+					t.Fatalf("n=%d r=%d fanout=%d: %v", n, r, fanout, err)
 				}
-				if fs, ts := fl.Stats(), tr.Stats(); fs != ts {
-					t.Fatalf("n=%d r=%d fanout=%d: stats %+v vs %+v", n, r, fanout, fs, ts)
+				leaves, height := (n+r-1)/r, 1
+				for nodes := (leaves + fanout - 1) / fanout; nodes > 1; nodes = (nodes + fanout - 1) / fanout {
+					height++
+				}
+				if s := fl.Stats(); s.LeafEntries != leaves || s.Height != height || s.Points != n || s.R != r {
+					t.Fatalf("n=%d r=%d fanout=%d: stats %+v, want %d leaf entries, height %d",
+						n, r, fanout, s, leaves, height)
 				}
 				for trial := 0; trial < 30; trial++ {
 					q := geom.QueryMBB(geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
 						rng.Float64()*10)
-					want, wantNodes := collectRanges(func(v func(LeafRange)) int { return tr.Search(q, v) })
-					got, gotNodes := collectRanges(func(v func(LeafRange)) int { return fl.Search(q, v) })
-					if gotNodes != wantNodes {
-						t.Fatalf("n=%d r=%d fanout=%d: nodes %d vs %d", n, r, fanout, gotNodes, wantNodes)
+					got, nodes := fl.SearchCandidates(q, nil)
+					if want := runCandidates(sorted, r, q); !equalIDs(got, want) {
+						t.Fatalf("n=%d r=%d fanout=%d: candidates %v, want %v", n, r, fanout, got, want)
 					}
-					if len(got) != len(want) {
-						t.Fatalf("n=%d r=%d fanout=%d: %d ranges vs %d", n, r, fanout, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("range %d: %+v vs %+v", i, got[i], want[i])
-						}
+					if nodes < 1 || nodes > fl.Stats().Nodes {
+						t.Fatalf("n=%d r=%d fanout=%d: %d nodes visited of %d", n, r, fanout, nodes, fl.Stats().Nodes)
 					}
 				}
 			}
@@ -65,26 +86,19 @@ func TestFlatMatchesTreeSearch(t *testing.T) {
 }
 
 // TestFlatSearchCandidatesIdentical checks element-for-element equality of
-// the candidate streams, including order — the property the byte-identical
-// clustering guarantee rests on.
+// the candidate stream with the leaf-run oracle, including order — the
+// property the byte-identical clustering guarantee rests on.
 func TestFlatSearchCandidatesIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sorted, _ := grid.Sort(randPts(rng, 5000), 1)
 	for _, r := range []int{1, 70, 110} {
-		tr := BulkLoad(sorted, Options{R: r})
-		fl := tr.Compact()
+		fl := BulkLoad(sorted, nil, nil, Options{R: r})
 		for trial := 0; trial < 50; trial++ {
 			q := geom.QueryMBB(geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100},
 				rng.Float64()*8)
-			want := tr.SearchCandidates(q, nil)
 			got, _ := fl.SearchCandidates(q, nil)
-			if len(got) != len(want) {
-				t.Fatalf("r=%d: %d candidates vs %d", r, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("r=%d candidate %d: %d vs %d", r, i, got[i], want[i])
-				}
+			if want := runCandidates(sorted, r, q); !equalIDs(got, want) {
+				t.Fatalf("r=%d: %d candidates, want %d (or order differs)", r, len(got), len(want))
 			}
 		}
 	}
@@ -92,83 +106,39 @@ func TestFlatSearchCandidatesIdentical(t *testing.T) {
 
 // TestFlatEpsSearchOracle checks EpsSearch against a linear-scan oracle:
 // the fused search must return exactly the points within eps, in ascending
-// leaf-run order, and candidate counts must match the pointer-tree search.
+// leaf-run order, and examine exactly the leaf-run candidates.
 func TestFlatEpsSearchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sorted, _ := grid.Sort(randPts(rng, 4000), 1)
 	for _, r := range []int{1, 35, 70} {
-		tr := BulkLoad(sorted, Options{R: r})
-		fl := tr.Compact()
+		fl := BulkLoad(sorted, nil, nil, Options{R: r})
 		var dst []int32
 		for trial := 0; trial < 50; trial++ {
 			p := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 			eps := rng.Float64()*5 + 0.01
-			dst, _, _ = fl.EpsSearch(p, eps, dst[:0])
+			var cand int
+			dst, cand, _ = fl.EpsSearch(p, eps, dst[:0])
 
-			// Oracle: distance filter over the pointer tree's candidates
-			// (identical traversal), cross-checked against a full scan.
 			epsSq := eps * eps
+			runs := runCandidates(sorted, r, geom.QueryMBB(p, eps))
+			if cand != len(runs) {
+				t.Fatalf("r=%d: examined %d candidates, leaf runs hold %d", r, cand, len(runs))
+			}
 			var want []int32
-			for _, ci := range tr.SearchCandidates(geom.QueryMBB(p, eps), nil) {
-				if p.DistSq(sorted[ci]) <= epsSq {
-					want = append(want, ci)
-				}
-			}
-			if len(dst) != len(want) {
-				t.Fatalf("r=%d: %d neighbors vs %d", r, len(dst), len(want))
-			}
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("r=%d neighbor %d: %d vs %d", r, i, dst[i], want[i])
-				}
-			}
-			inEps := 0
-			for _, q := range sorted {
+			for i, q := range sorted {
 				if p.DistSq(q) <= epsSq {
-					inEps++
+					want = append(want, int32(i))
 				}
 			}
-			if len(dst) != inEps {
-				t.Fatalf("r=%d: EpsSearch found %d, full scan %d", r, len(dst), inEps)
+			if !equalIDs(dst, want) {
+				t.Fatalf("r=%d: EpsSearch %v, full scan %v", r, dst, want)
 			}
 		}
 	}
 }
 
-// TestFlatDynamicRecompact exercises the mutate-then-freeze cycle: grow a
-// dynamic tree, Compact, verify, insert more, Compact again.
-func TestFlatDynamicRecompact(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr := New(Options{Fanout: 8})
-	check := func() {
-		t.Helper()
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		fl := tr.Compact()
-		huge := geom.MBB{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}
-		want := tr.SearchCandidates(huge, nil)
-		got, _ := fl.SearchCandidates(huge, nil)
-		if len(got) != len(want) {
-			t.Fatalf("after %d inserts: %d candidates vs %d", tr.Len(), len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("candidate %d: %d vs %d", i, got[i], want[i])
-			}
-		}
-	}
-	check() // empty tree
-	for _, batch := range []int{1, 10, 200, 1000} {
-		for i := 0; i < batch; i++ {
-			tr.Insert(geom.Point{X: rng.Float64() * 50, Y: rng.Float64() * 50})
-		}
-		check()
-	}
-}
-
-// TestFlatSharedCoords checks that CompactWithCoords shares the caller's
-// SoA slices rather than copying.
+// TestFlatSharedCoords checks that BulkLoad shares the caller's SoA
+// slices rather than copying.
 func TestFlatSharedCoords(t *testing.T) {
 	sorted, _ := grid.Sort(randPts(rand.New(rand.NewSource(1)), 100), 1)
 	x := make([]float64, len(sorted))
@@ -176,17 +146,38 @@ func TestFlatSharedCoords(t *testing.T) {
 	for i, p := range sorted {
 		x[i], y[i] = p.X, p.Y
 	}
-	low := BulkLoad(sorted, Options{R: 10}).CompactWithCoords(x, y)
-	high := BulkLoad(sorted, Options{R: 1}).CompactWithCoords(x, y)
+	low := BulkLoad(sorted, x, y, Options{R: 10})
+	high := BulkLoad(sorted, x, y, Options{R: 1})
 	lx, _ := low.Coords()
 	hx, _ := high.Coords()
 	if &lx[0] != &x[0] || &hx[0] != &x[0] {
-		t.Fatal("CompactWithCoords did not share the provided coordinate slices")
+		t.Fatal("BulkLoad did not share the provided coordinate slices")
 	}
 }
 
-// Property: flat and pointer candidate streams agree for arbitrary
-// quick-generated point sets, r, and query boxes.
+// TestCheckCompactBounds pins the int32 guard BulkLoad applies before
+// packing: sizes up to math.MaxInt32 pass, one past it fails.
+func TestCheckCompactBounds(t *testing.T) {
+	if err := checkCompactBounds(100, 100); err != nil {
+		t.Fatalf("small tree rejected: %v", err)
+	}
+	if err := checkCompactBounds(math.MaxInt32, math.MaxInt32); err != nil {
+		t.Fatalf("exactly MaxInt32 rejected: %v", err)
+	}
+	big := int(math.MaxInt32) + 1
+	if big < 0 {
+		t.Skip("32-bit int platform cannot represent the overflowing count")
+	}
+	if err := checkCompactBounds(big, 100); err == nil {
+		t.Fatal("entry count past MaxInt32 accepted")
+	}
+	if err := checkCompactBounds(100, big); err == nil {
+		t.Fatal("point count past MaxInt32 accepted")
+	}
+}
+
+// Property: the candidate stream equals the leaf-run oracle for arbitrary
+// quick-generated point sets, r, fanout, and query boxes.
 func TestQuickFlatEquivalence(t *testing.T) {
 	f := func(raw []float64, qx, qy, qr float64, rSel, fanoutSel uint8) bool {
 		pts := normPts(raw)
@@ -194,21 +185,12 @@ func TestQuickFlatEquivalence(t *testing.T) {
 			return true
 		}
 		sorted, _ := grid.Sort(pts, 1)
-		tr := BulkLoad(sorted, Options{R: int(rSel)%120 + 1, Fanout: int(fanoutSel)%14 + 2})
-		fl := tr.Compact()
+		r := int(rSel)%120 + 1
+		fl := BulkLoad(sorted, nil, nil, Options{R: r, Fanout: int(fanoutSel)%14 + 2})
 		q := geom.QueryMBB(geom.Point{X: math.Mod(math.Abs(qx), 100), Y: math.Mod(math.Abs(qy), 100)},
 			math.Mod(math.Abs(qr), 20))
-		want := tr.SearchCandidates(q, nil)
 		got, _ := fl.SearchCandidates(q, nil)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return equalIDs(got, runCandidates(sorted, r, q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

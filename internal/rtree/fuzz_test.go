@@ -9,11 +9,11 @@ import (
 	"vdbscan/internal/grid"
 )
 
-// FuzzSearch drives the pointer tree and its compacted flat view with
-// fuzzer-chosen point sets, leaf occupancies, and query boxes, checking
-// both against each other and against a linear-scan oracle:
+// FuzzSearch drives bulk-loaded trees with fuzzer-chosen point sets, leaf
+// occupancies, fanouts and query boxes, checking them against linear-scan
+// oracles:
 //
-//   - flat and pointer SearchCandidates return identical streams;
+//   - SearchCandidates returns the leaf-run oracle's stream exactly;
 //   - every point inside the query box appears among the candidates
 //     (the superset property the distance filter relies on);
 //   - EpsSearch returns exactly the linear-scan ε-neighborhood.
@@ -41,26 +41,22 @@ func FuzzSearch(f *testing.F) {
 		r := int(rSel)%128 + 1
 		fanout := int(fanoutSel)%30 + 2
 		sorted, _ := grid.Sort(pts, 1)
-		tr := BulkLoad(sorted, Options{R: r, Fanout: fanout})
-		if err := tr.CheckInvariants(); err != nil {
+		fl := BulkLoad(sorted, nil, nil, Options{R: r, Fanout: fanout})
+		if err := checkFlat(fl); err != nil {
 			t.Fatal(err)
 		}
-		fl := tr.Compact()
 
 		q := geom.QueryMBB(geom.Point{X: math.Mod(math.Abs(qx), 120), Y: math.Mod(math.Abs(qy), 120)},
 			math.Mod(math.Abs(qr), 60))
-		want := tr.SearchCandidates(q, nil)
+		want := runCandidates(sorted, r, q)
 		got, _ := fl.SearchCandidates(q, nil)
-		if len(got) != len(want) {
-			t.Fatalf("candidates: flat %d vs pointer %d (r=%d fanout=%d n=%d)",
+		if !equalIDs(got, want) {
+			t.Fatalf("candidates: %d vs leaf-run oracle %d (r=%d fanout=%d n=%d)",
 				len(got), len(want), r, fanout, len(sorted))
 		}
 		seen := make(map[int32]bool, len(got))
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("candidate %d: flat %d vs pointer %d", i, got[i], want[i])
-			}
-			seen[got[i]] = true
+		for _, id := range got {
+			seen[id] = true
 		}
 		for i, p := range sorted {
 			if q.ContainsPoint(p) && !seen[int32(i)] {
@@ -73,7 +69,7 @@ func FuzzSearch(f *testing.F) {
 			p := geom.Point{X: math.Mod(math.Abs(qx), 120), Y: math.Mod(math.Abs(qy), 120)}
 			neighbors, candidates, _ := fl.EpsSearch(p, eps, nil)
 			if candidates != len(want) {
-				t.Fatalf("EpsSearch examined %d candidates, Search found %d", candidates, len(want))
+				t.Fatalf("EpsSearch examined %d candidates, SearchCandidates found %d", candidates, len(want))
 			}
 			epsSq := eps * eps
 			j := 0

@@ -16,18 +16,19 @@ type Neighbor struct {
 }
 
 // NearestK returns the k nearest indexed points to q in ascending distance
-// order, using best-first branch-and-bound over node MBBs (Hjaltason &
+// order, using best-first branch-and-bound over entry MBBs (Hjaltason &
 // Samet). Fewer than k results are returned when the tree holds fewer
 // points. Ties are broken by point index for determinism.
 //
 // The search is exact for any leaf occupancy: a packed leaf entry is
 // expanded into its individual points when reached.
-func (t *Tree) NearestK(q geom.Point, k int) []Neighbor {
-	if k <= 0 || t.root == nil || t.size == 0 {
+func (f *Flat) NearestK(q geom.Point, k int) []Neighbor {
+	if k <= 0 || f.size == 0 {
 		return nil
 	}
-	pq := &nnQueue{}
-	heap.Push(pq, nnItem{node: t.root, distSq: t.root.mbb().MinDistSq(q)})
+	// The root is always expanded: nothing is pruned while fewer than k
+	// results are held.
+	pq := &nnQueue{{node: 0}}
 
 	result := make([]Neighbor, 0, k)
 	// worst returns the current k-th best distance (or +inf).
@@ -60,26 +61,26 @@ func (t *Tree) NearestK(q geom.Point, k int) []Neighbor {
 		if item.distSq > worst() {
 			break // every remaining node is farther than the k-th best
 		}
-		n := item.node
-		if n.leaf {
-			for _, e := range n.entries {
-				if e.mbb.MinDistSq(q) > worst() {
+		lo, hi := f.nodeEnt[item.node], f.nodeEnt[item.node+1]
+		if item.node >= f.firstLeaf {
+			for e := lo; e < hi; e++ {
+				if f.entMBB(e).MinDistSq(q) > worst() {
 					continue
 				}
-				end := int(e.start) + int(e.count)
-				for i := int(e.start); i < end; i++ {
-					d := q.DistSq(t.pts[i])
+				end := f.entRef[e] + f.entCnt[e]
+				for i := f.entRef[e]; i < end; i++ {
+					d := q.DistSq(f.pts[i])
 					if d <= worst() {
-						insert(Neighbor{Index: int32(i), DistSq: d})
+						insert(Neighbor{Index: i, DistSq: d})
 					}
 				}
 			}
 			continue
 		}
-		for _, e := range n.entries {
-			d := e.mbb.MinDistSq(q)
+		for e := lo; e < hi; e++ {
+			d := f.entMBB(e).MinDistSq(q)
 			if d <= worst() {
-				heap.Push(pq, nnItem{node: e.child, distSq: d})
+				heap.Push(pq, nnItem{node: f.entRef[e], distSq: d})
 			}
 		}
 	}
@@ -87,7 +88,7 @@ func (t *Tree) NearestK(q geom.Point, k int) []Neighbor {
 }
 
 type nnItem struct {
-	node   *node
+	node   int32
 	distSq float64
 }
 

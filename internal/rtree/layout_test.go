@@ -21,7 +21,7 @@ var updateLayout = flag.Bool("update-layout", false, "rewrite testdata/flat_layo
 // buildFlat is the one place this test calls the builder, so a change of
 // builder API touches nothing else here.
 func buildFlat(pts []geom.Point, r, fanout int) *Flat {
-	return BulkLoad(pts, Options{R: r, Fanout: fanout}).Compact()
+	return BulkLoad(pts, nil, nil, Options{R: r, Fanout: fanout})
 }
 
 // digest is the hex sha256 of v's little-endian encoding.

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"fmt"
-	"sync"
 
 	"vdbscan/internal/geom"
 )
@@ -39,7 +38,7 @@ func (f *Flat) Parts() FlatParts {
 
 // FlatFromParts reconstructs a servable Flat from previously exported
 // parts plus the point storage (pts and its SoA coordinate slices, exactly
-// as CompactWithCoords would have received them). The input arrays are
+// as BulkLoad would have received them). The input arrays are
 // aliased, not copied.
 //
 // Because the parts may come from an untrusted file, the structure is
@@ -138,18 +137,7 @@ func FlatFromParts(parts FlatParts, x, y []float64, pts []geom.Point) (*Flat, er
 		firstLeaf: parts.FirstLeaf,
 		height:    parts.Height, r: parts.R, fanout: parts.Fanout,
 		size: parts.Size,
-		// gen 0 matches a freshly built tree's Generation, so a holder that
-		// later materializes a pointer tree over the same points sees this
-		// snapshot as current.
-		gen: 0,
 	}
-	f.maxStack = maxDepth*(maxEntries-1) + 1
-	if f.maxStack > flatLocalStack {
-		need := f.maxStack
-		f.stackPool = &sync.Pool{New: func() any {
-			s := make([]int32, 0, need)
-			return &s
-		}}
-	}
+	f.setStack(maxDepth, maxEntries)
 	return f, nil
 }

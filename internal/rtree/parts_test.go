@@ -18,15 +18,14 @@ func partsPoints(n int, seed int64) []geom.Point {
 	return pts
 }
 
-// TestFlatPartsRoundTrip freezes trees of several shapes, tears each into
+// TestFlatPartsRoundTrip builds trees of several shapes, tears each into
 // parts, rebuilds through FlatFromParts, and requires the rebuilt Flat to
 // answer ε-searches identically to the original.
 func TestFlatPartsRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 500, 5000} {
 		for _, r := range []int{1, 4, 70} {
 			pts := partsPoints(n, int64(n*100+r))
-			tr := rtree.BulkLoad(pts, rtree.Options{R: r})
-			f := tr.Compact()
+			f := rtree.BulkLoad(pts, nil, nil, rtree.Options{R: r})
 			x, y := f.Coords()
 			g, err := rtree.FlatFromParts(f.Parts(), x, y, f.Points())
 			if err != nil {
@@ -60,7 +59,7 @@ func TestFlatPartsRoundTrip(t *testing.T) {
 // search.
 func TestFlatFromPartsRejects(t *testing.T) {
 	pts := partsPoints(300, 42)
-	f := rtree.BulkLoad(pts, rtree.Options{R: 4}).Compact()
+	f := rtree.BulkLoad(pts, nil, nil, rtree.Options{R: 4})
 	x, y := f.Coords()
 
 	cases := []struct {

@@ -38,11 +38,11 @@ func TestQuickCandidatesSuperset(t *testing.T) {
 		}
 		r := int(rSel)%64 + 1
 		sorted, _ := grid.Sort(pts, 1)
-		tr := BulkLoad(sorted, Options{R: r})
+		tr := BulkLoad(sorted, nil, nil, Options{R: r})
 		q := geom.QueryMBB(geom.Point{X: math.Mod(math.Abs(qx), 100), Y: math.Mod(math.Abs(qy), 100)},
 			math.Mod(math.Abs(qr), 20))
 		got := map[int32]bool{}
-		for _, idx := range tr.SearchCandidates(q, nil) {
+		for _, idx := range candidates(tr, q) {
 			got[idx] = true
 		}
 		for i, p := range sorted {
@@ -57,45 +57,20 @@ func TestQuickCandidatesSuperset(t *testing.T) {
 	}
 }
 
-// Property: invariants hold after any sequence of dynamic inserts.
-func TestQuickInsertInvariants(t *testing.T) {
-	f := func(raw []float64, fanoutSel uint8) bool {
-		pts := normPts(raw)
-		tr := New(Options{Fanout: int(fanoutSel)%14 + 2})
-		for _, p := range pts {
-			tr.Insert(p)
-		}
-		return tr.CheckInvariants() == nil && tr.Len() == len(pts)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: bulk loading never loses or duplicates points — the union of
 // all leaf ranges covers exactly 0..n-1.
 func TestQuickBulkLeafCoverage(t *testing.T) {
 	f := func(raw []float64, rSel uint8) bool {
 		pts := normPts(raw)
 		sorted, _ := grid.Sort(pts, 1)
-		tr := BulkLoad(sorted, Options{R: int(rSel)%200 + 1})
-		seen := make([]bool, len(sorted))
+		tr := BulkLoad(sorted, nil, nil, Options{R: int(rSel)%200 + 1})
 		huge := geom.MBB{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}
-		ok := true
-		tr.Search(huge, func(lr LeafRange) {
-			for i := lr.Start; i < lr.Start+lr.Count; i++ {
-				if i >= len(seen) || seen[i] {
-					ok = false
-					return
-				}
-				seen[i] = true
-			}
-		})
-		if !ok {
+		got := candidates(tr, huge)
+		if len(got) != len(sorted) {
 			return false
 		}
-		for _, s := range seen {
-			if !s {
+		for i, idx := range got {
+			if idx != int32(i) {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -37,15 +38,61 @@ func sortedCopy(xs []int32) []int32 {
 	return c
 }
 
+// candidates is SearchCandidates without the node count.
+func candidates(f *Flat, q geom.MBB) []int32 {
+	out, _ := f.SearchCandidates(q, nil)
+	return out
+}
+
+// checkFlat validates a bulk-loaded tree's structure: FlatFromParts
+// accepts its parts (forward child references, every node reached once,
+// uniform leaf depth, leaf ranges in bounds), the leaf entries are the
+// consecutive runs 0..n-1 in entry order, every point lies in its leaf
+// box, and every interior box covers its child's entries.
+func checkFlat(f *Flat) error {
+	x, y := f.Coords()
+	if _, err := FlatFromParts(f.Parts(), x, y, f.Points()); err != nil {
+		return err
+	}
+	next := int32(0)
+	for ni := int32(0); ni < int32(len(f.nodeEnt)-1); ni++ {
+		for e := f.nodeEnt[ni]; e < f.nodeEnt[ni+1]; e++ {
+			box := f.entMBB(e)
+			if ni >= f.firstLeaf {
+				if f.entRef[e] != next || f.entCnt[e] <= 0 {
+					return fmt.Errorf("leaf entry %d covers [%d, +%d), want start %d", e, f.entRef[e], f.entCnt[e], next)
+				}
+				next += f.entCnt[e]
+				for i := f.entRef[e]; i < next; i++ {
+					if !box.ContainsPoint(f.pts[i]) {
+						return fmt.Errorf("point %d outside its leaf box", i)
+					}
+				}
+				continue
+			}
+			c := f.entRef[e]
+			for ce := f.nodeEnt[c]; ce < f.nodeEnt[c+1]; ce++ {
+				if !box.ContainsMBB(f.entMBB(ce)) {
+					return fmt.Errorf("entry %d does not cover child entry %d", e, ce)
+				}
+			}
+		}
+	}
+	if int(next) != f.Len() {
+		return fmt.Errorf("leaves cover %d points, size is %d", next, f.Len())
+	}
+	return nil
+}
+
 func TestBulkLoadEmpty(t *testing.T) {
-	tr := BulkLoad(nil, Options{})
+	tr := BulkLoad(nil, nil, nil, Options{})
 	if tr.Len() != 0 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := checkFlat(tr); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.SearchCandidates(geom.MBB{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1}, nil)
+	got := candidates(tr, geom.MBB{MinX: -1, MinY: -1, MaxX: 1, MaxY: 1})
 	if len(got) != 0 {
 		t.Fatalf("search on empty tree returned %v", got)
 	}
@@ -53,15 +100,15 @@ func TestBulkLoadEmpty(t *testing.T) {
 
 func TestBulkLoadSinglePoint(t *testing.T) {
 	pts := []geom.Point{{X: 5, Y: 5}}
-	tr := BulkLoad(pts, Options{R: 4})
-	if err := tr.CheckInvariants(); err != nil {
+	tr := BulkLoad(pts, nil, nil, Options{R: 4})
+	if err := checkFlat(tr); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.SearchCandidates(geom.QueryMBB(geom.Point{X: 5, Y: 5}, 0.1), nil)
+	got := candidates(tr, geom.QueryMBB(geom.Point{X: 5, Y: 5}, 0.1))
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("got %v", got)
 	}
-	if got := tr.SearchCandidates(geom.QueryMBB(geom.Point{X: 50, Y: 50}, 0.1), nil); len(got) != 0 {
+	if got := candidates(tr, geom.QueryMBB(geom.Point{X: 50, Y: 50}, 0.1)); len(got) != 0 {
 		t.Fatalf("distant query returned %v", got)
 	}
 }
@@ -69,8 +116,8 @@ func TestBulkLoadSinglePoint(t *testing.T) {
 func TestBulkLoadInvariantsAcrossR(t *testing.T) {
 	for _, r := range []int{1, 2, 7, 16, 64, 100, 1000} {
 		pts, _ := grid.Sort(randomPoints(1234, 50, 1), 1)
-		tr := BulkLoad(pts, Options{R: r})
-		if err := tr.CheckInvariants(); err != nil {
+		tr := BulkLoad(pts, nil, nil, Options{R: r})
+		if err := checkFlat(tr); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
 		if tr.Len() != 1234 {
@@ -82,12 +129,12 @@ func TestBulkLoadInvariantsAcrossR(t *testing.T) {
 func TestSearchMatchesLinearScanR1(t *testing.T) {
 	// With r=1 every leaf MBB is a point, so candidates == exact containment.
 	pts, _ := grid.Sort(randomPoints(800, 40, 2), 1)
-	tr := BulkLoad(pts, Options{R: 1})
+	tr := BulkLoad(pts, nil, nil, Options{R: 1})
 	rnd := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		c := geom.Point{X: rnd.Float64() * 40, Y: rnd.Float64() * 40}
 		q := geom.QueryMBB(c, rnd.Float64()*5)
-		got := sortedCopy(tr.SearchCandidates(q, nil))
+		got := sortedCopy(candidates(tr, q))
 		want := sortedCopy(linearCandidates(pts, q))
 		if len(got) != len(want) {
 			t.Fatalf("query %v: got %d candidates, want %d", q, len(got), len(want))
@@ -104,12 +151,12 @@ func TestSearchSupersetForLargerR(t *testing.T) {
 	// For r>1 the candidate set must contain every point actually inside q.
 	pts, _ := grid.Sort(randomPoints(2000, 60, 4), 1)
 	for _, r := range []int{4, 32, 128} {
-		tr := BulkLoad(pts, Options{R: r})
+		tr := BulkLoad(pts, nil, nil, Options{R: r})
 		rnd := rand.New(rand.NewSource(int64(r)))
 		for i := 0; i < 50; i++ {
 			c := geom.Point{X: rnd.Float64() * 60, Y: rnd.Float64() * 60}
 			q := geom.QueryMBB(c, 1+rnd.Float64()*3)
-			got := tr.SearchCandidates(q, nil)
+			got := candidates(tr, q)
 			inGot := make(map[int32]bool, len(got))
 			for _, idx := range got {
 				inGot[idx] = true
@@ -125,8 +172,8 @@ func TestSearchSupersetForLargerR(t *testing.T) {
 
 func TestHigherRShrinksTree(t *testing.T) {
 	pts, _ := grid.Sort(randomPoints(10000, 100, 5), 1)
-	s1 := BulkLoad(pts, Options{R: 1}).Stats()
-	s100 := BulkLoad(pts, Options{R: 100}).Stats()
+	s1 := BulkLoad(pts, nil, nil, Options{R: 1}).Stats()
+	s100 := BulkLoad(pts, nil, nil, Options{R: 100}).Stats()
 	if s100.Nodes >= s1.Nodes {
 		t.Errorf("r=100 nodes %d should be < r=1 nodes %d", s100.Nodes, s1.Nodes)
 	}
@@ -143,120 +190,22 @@ func TestHigherRShrinksTree(t *testing.T) {
 
 func TestHigherRVisitsFewerNodes(t *testing.T) {
 	pts, _ := grid.Sort(randomPoints(20000, 100, 6), 1)
-	t1 := BulkLoad(pts, Options{R: 1})
-	t100 := BulkLoad(pts, Options{R: 100})
+	t1 := BulkLoad(pts, nil, nil, Options{R: 1})
+	t100 := BulkLoad(pts, nil, nil, Options{R: 100})
 	q := geom.QueryMBB(geom.Point{X: 50, Y: 50}, 2)
-	v1 := t1.Search(q, func(LeafRange) {})
-	v100 := t100.Search(q, func(LeafRange) {})
+	_, v1 := t1.SearchCandidates(q, nil)
+	_, v100 := t100.SearchCandidates(q, nil)
 	if v100 >= v1 {
 		t.Errorf("r=100 visited %d nodes, r=1 visited %d; expected fewer", v100, v1)
 	}
 }
 
-func TestDynamicInsert(t *testing.T) {
-	tr := New(Options{Fanout: 4})
-	pts := randomPoints(500, 30, 7)
-	for _, p := range pts {
-		tr.Insert(p)
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Dynamic tree with r=1: candidates == exact containment.
-	rnd := rand.New(rand.NewSource(8))
-	for i := 0; i < 50; i++ {
-		q := geom.QueryMBB(geom.Point{X: rnd.Float64() * 30, Y: rnd.Float64() * 30}, rnd.Float64()*4)
-		got := sortedCopy(tr.SearchCandidates(q, nil))
-		want := sortedCopy(linearCandidates(tr.Points(), q))
-		if len(got) != len(want) {
-			t.Fatalf("query %v: got %d, want %d", q, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("query %v: mismatch at %d", q, j)
-			}
-		}
-	}
-}
-
-func TestDynamicInsertDuplicates(t *testing.T) {
-	tr := New(Options{Fanout: 3})
-	for i := 0; i < 20; i++ {
-		tr.Insert(geom.Point{X: 1, Y: 1})
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	got := tr.SearchCandidates(geom.QueryMBB(geom.Point{X: 1, Y: 1}, 0.5), nil)
-	if len(got) != 20 {
-		t.Fatalf("expected all 20 duplicates, got %d", len(got))
-	}
-}
-
-func TestInsertGrowsHeight(t *testing.T) {
-	tr := New(Options{Fanout: 2})
-	for i := 0; i < 64; i++ {
-		tr.Insert(geom.Point{X: float64(i), Y: float64(i % 8)})
-	}
-	if tr.Height() < 3 {
-		t.Errorf("fanout-2 tree with 64 points should be at least height 3, got %d", tr.Height())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBulkVsDynamicSameAnswers(t *testing.T) {
-	raw := randomPoints(600, 25, 9)
-	sorted, _ := grid.Sort(raw, 1)
-	bulk := BulkLoad(sorted, Options{R: 8})
-	dyn := New(Options{})
-	for _, p := range raw {
-		dyn.Insert(p)
-	}
-	rnd := rand.New(rand.NewSource(10))
-	for i := 0; i < 40; i++ {
-		c := geom.Point{X: rnd.Float64() * 25, Y: rnd.Float64() * 25}
-		q := geom.QueryMBB(c, 0.5+rnd.Float64()*2)
-		// Compare as point-value multisets since index spaces differ.
-		collect := func(tr *Tree) []geom.Point {
-			idxs := tr.SearchCandidates(q, nil)
-			var out []geom.Point
-			for _, idx := range idxs {
-				p := tr.Points()[idx]
-				if q.ContainsPoint(p) { // filter candidates to exact
-					out = append(out, p)
-				}
-			}
-			sort.Slice(out, func(a, b int) bool {
-				if out[a].X != out[b].X {
-					return out[a].X < out[b].X
-				}
-				return out[a].Y < out[b].Y
-			})
-			return out
-		}
-		a, b := collect(bulk), collect(dyn)
-		if len(a) != len(b) {
-			t.Fatalf("query %v: bulk %d vs dynamic %d exact matches", q, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("query %v: point mismatch at %d: %v vs %v", q, j, a[j], b[j])
-			}
-		}
-	}
-}
-
 func TestSearchCandidatesAppendsToDst(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 1}}
-	tr := BulkLoad(pts, Options{})
+	tr := BulkLoad(pts, nil, nil, Options{})
 	dst := make([]int32, 0, 8)
 	dst = append(dst, 99)
-	got := tr.SearchCandidates(geom.MBB{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}, dst)
+	got, _ := tr.SearchCandidates(geom.MBB{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}, dst)
 	if len(got) != 3 || got[0] != 99 {
 		t.Fatalf("expected append semantics, got %v", got)
 	}
@@ -264,7 +213,7 @@ func TestSearchCandidatesAppendsToDst(t *testing.T) {
 
 func TestStatsAndString(t *testing.T) {
 	pts, _ := grid.Sort(randomPoints(1000, 50, 11), 1)
-	tr := BulkLoad(pts, Options{R: 10, Fanout: 8})
+	tr := BulkLoad(pts, nil, nil, Options{R: 10, Fanout: 8})
 	s := tr.Stats()
 	if s.Points != 1000 || s.R != 10 || s.Fanout != 8 {
 		t.Errorf("stats = %+v", s)

@@ -38,13 +38,13 @@
 // # Options
 //
 // Configuration is split in two tiers. IndexOption values (WithR,
-// WithBinWidth, WithIndexKind, WithRefreezeThreshold) fix the physical
+// WithBinWidth, WithIndexKind) fix the physical
 // index layout and are accepted by NewIndex and NewIncremental. RunOption
 // values (WithThreads, WithIntraThreads, WithTiles, WithoutReuse,
 // WithContext, WithProgress) shape one clustering run and are accepted by Index.Cluster and
 // Index.ClusterVariants. Observability attachments (WithWork, WithTracer)
 // implement both. Passing an option at the wrong tier — say,
-// WithRefreezeThreshold on ClusterVariants — is a compile-time error. The
+// WithR on Index.ClusterVariants — is a compile-time error. The
 // one-shot conveniences (Cluster, ClusterVariants, NewIncremental) build an
 // index and run it, so they accept the whole Option set.
 //
@@ -111,8 +111,8 @@ type ProgressEvent = obs.ProgressEvent
 
 // IndexOption configures index construction: NewIndex, NewIncremental, and
 // the one-shot conveniences accept it. Index options select the physical
-// layout of the shared index (kind, leaf occupancy, bin width, streaming
-// re-freeze cadence) and are fixed for the life of the Index.
+// layout of the shared index (kind, leaf occupancy, bin width) and are
+// fixed for the life of the Index.
 type IndexOption interface {
 	Option
 	indexOption()
@@ -193,7 +193,6 @@ type config struct {
 	tiles        int
 	disableReuse bool
 	kind         IndexKind
-	refreezeN    int
 	work         *Work
 	tracer       *Tracer
 	progress     func(ProgressEvent)
@@ -280,24 +279,13 @@ func WithIntraThreads(n int) RunOption { return runOpt(func(c *config) { c.intra
 // byte-identical to the untiled run at any tile count. 0 (the default) is
 // auto mode: tile when the effective worker width and the point count
 // justify it. 1 disables tiling. The option is silently a no-op where no
-// grid serves the run — the R-tree index kind, or streaming inserts
-// staged since the last re-freeze — which keeps it safe to set
-// unconditionally.
+// grid serves the run — the R-tree index kind — which keeps it safe to
+// set unconditionally.
 func WithTiles(n int) RunOption { return runOpt(func(c *config) { c.tiles = n }) }
 
 // WithoutReuse forces every variant to cluster from scratch, keeping only
 // the shared-index parallelism (the paper's scenario-S1 baseline).
 func WithoutReuse() RunOption { return runOpt(func(c *config) { c.disableReuse = true }) }
-
-// WithRefreezeThreshold sets the streaming re-freeze trigger for
-// NewIncremental: once n mutations have been staged in the flat
-// snapshot's delta overlay, the index is re-frozen in the background
-// (n live points also trigger the first freeze). Smaller values keep
-// ε-searches closer to the pure flat-scan cost at the price of more
-// frequent compactions; 0 (the default) selects
-// incremental.DefaultRefreezeThreshold. Ignored by NewIndex and batch
-// clustering: an Index is frozen once, at construction, and never again.
-func WithRefreezeThreshold(n int) IndexOption { return indexOpt(func(c *config) { c.refreezeN = n }) }
 
 // WithWork records the run's accumulated work counters into w.
 func WithWork(w *Work) SharedOption { return sharedOpt(func(c *config) { c.work = w }) }
