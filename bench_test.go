@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"vdbscan/internal/approx"
 	"vdbscan/internal/data"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/incremental"
@@ -502,30 +501,6 @@ func BenchmarkIndexShootout(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationApproxDBSCAN measures the ρ-approximation knob: exact
-// DBSCAN against rho-approximate runs at loosening slack.
-func BenchmarkAblationApproxDBSCAN(b *testing.B) {
-	fixtures(b)
-	pts := fixTEC.Points[:10000]
-	b.Run("exact-rtree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix := dbscan.BuildIndex(pts, dbscan.IndexOptions{R: 70, Kind: dbscan.IndexRTree})
-			if _, err := dbscan.Run(ix, dbscan.Params{Eps: 2, MinPts: 4}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, rho := range []float64{0.05, 0.2, 0.5} {
-		b.Run(map[float64]string{0.05: "rho0.05", 0.2: "rho0.2", 0.5: "rho0.5"}[rho], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := approx.Run(pts, approx.Params{Eps: 2, MinPts: 4, Rho: rho}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Intra-variant parallelism (union-find DBSCAN + two-level scheduling) ---

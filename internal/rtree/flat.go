@@ -132,13 +132,6 @@ func (f *Flat) Stats() Stats {
 	}
 }
 
-// String implements fmt.Stringer with a shape summary.
-func (f *Flat) String() string {
-	s := f.Stats()
-	return fmt.Sprintf("rtree.Flat{points=%d r=%d fanout=%d height=%d nodes=%d leafEntries=%d}",
-		s.Points, s.R, s.Fanout, s.Height, s.Nodes, s.LeafEntries)
-}
-
 // SearchCandidates appends to dst the indices of all points in leaf
 // entries overlapping q (candidates only — the caller distance-filters)
 // and returns dst plus the number of nodes touched. Leaf entries are

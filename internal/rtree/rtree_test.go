@@ -221,7 +221,4 @@ func TestStatsAndString(t *testing.T) {
 	if s.LeafEntries != 100 {
 		t.Errorf("leaf entries = %d, want 100", s.LeafEntries)
 	}
-	if tr.String() == "" {
-		t.Error("String() empty")
-	}
 }

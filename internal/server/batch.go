@@ -34,7 +34,6 @@ type batch struct {
 
 	timer  *time.Timer // coalescing-window seal; nil when batching is off
 	sealed bool        // guarded by Server.mu, like membership below
-	approx bool        // load-shed batch: runs the ρ-approximate path (see shed.go)
 
 	mu    sync.Mutex
 	jobs  []*job
@@ -136,10 +135,6 @@ func (b *batch) trace() (chrome, text []byte, ok bool) {
 // dataset's frozen index, run the union variant list once, and distribute
 // per-slot results to every member job still alive.
 func (s *Server) runBatch(b *batch) {
-	if b.approx {
-		s.runApproxBatch(b)
-		return
-	}
 	defer b.cancel()
 	jobs, union := b.members()
 
@@ -309,7 +304,6 @@ func (s *Server) runBatch(b *batch) {
 			}
 			jw = jw.Add(slotWork[slot])
 		}
-		j.setOutcomeMeta("", jw)
 		if s.finishJob(j, stateDone, "", outcomes, jw) {
 			b.leave(j)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -31,6 +32,10 @@ type variantSpec struct {
 	MinPts int     `json:"minpts"`
 }
 
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // jobRequest is the POST /v{1,2}/datasets/{id}/jobs body.
 type jobRequest struct {
 	Variants []variantSpec `json:"variants"`
@@ -41,10 +46,6 @@ type jobRequest struct {
 	// Labels are identical at any tile count; when coalescing merges jobs
 	// the batch runs with the largest requested value.
 	Tiles int `json:"tiles,omitempty"`
-	// AllowApprox opts this single job into load shedding (the per-request
-	// form of TenantConfig.AllowApprox): under queue pressure the job may
-	// be answered by ρ-approximate DBSCAN, tagged "quality":"approx".
-	AllowApprox bool `json:"allow_approx,omitempty"`
 }
 
 // variantDoc is one per-variant result inside a job document.
@@ -73,9 +74,6 @@ type jobDoc struct {
 	Started       string       `json:"started,omitempty"`
 	Finished      string       `json:"finished,omitempty"`
 	Results       []variantDoc `json:"results,omitempty"`
-	// Quality tags degraded answers: "approx" on load-shed jobs, absent on
-	// exact ones — so it never appears in pre-shedding response shapes.
-	Quality string `json:"quality,omitempty"`
 	// Tenant and Work are v2-only (left unset when rendering for /v1, so
 	// the v1 documents stay byte-identical to the original surface). Work
 	// appears once the job is done and is exactly what the quota ledger
@@ -132,7 +130,6 @@ func (s *Server) datasetDoc(d *dataset) datasetDoc {
 // documents stay byte-identical to the original surface.
 func (s *Server) jobDoc(j *job, v2 bool) jobDoc {
 	state, errMsg, started, finished, results := j.view()
-	quality, work := j.outcomeMeta()
 	members, union := j.batch.members()
 	doc := jobDoc{
 		ID:            j.id,
@@ -145,13 +142,13 @@ func (s *Server) jobDoc(j *job, v2 bool) jobDoc {
 		Created:       stamp(j.created),
 		Started:       stamp(started),
 		Finished:      stamp(finished),
-		Quality:       quality,
 	}
 	if v2 {
 		if j.tenant != nil {
 			doc.Tenant = j.tenant.id()
 		}
 		if state == stateDone {
+			work := j.meteredWork()
 			doc.Work = &jobWorkDoc{
 				EpsSearches:        work.NeighborSearches,
 				CandidatesExamined: work.CandidatesExamined,
@@ -365,6 +362,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		params[i] = vdbscan.Params{Eps: v.Eps, MinPts: v.MinPts}
 	}
+	if req.TimeoutMS > maxTimeoutMS {
+		s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest,
+			"timeout_ms must be <= %d (got %d)", maxTimeoutMS, req.TimeoutMS)
+		return
+	}
 	timeout := s.cfg.JobTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -394,7 +396,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	j := s.jobs.new(tn, d.id, params, timeout)
 	j.tiles = req.Tiles
-	j.approx = s.shouldShed(tn, req.AllowApprox)
 	j.events.mx = s.mx // safe: no frame published before admit
 	accepted, err := s.admit(j, isV2(r))
 	if err != nil {
@@ -413,16 +414,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if j.approx {
-		tn.jobsShed.Add(1)
-		s.mx.jobsShed.With(tn.id()).Inc()
-	}
 	s.jobs.put(j)
 	s.armWatchdog(j)
 	s.log.Info("job accepted",
 		"req", requestID(r.Context()), "job", j.id, "dataset", d.id, "tenant", tn.id(),
-		"batch", j.batch.id, "variants", len(params), "timeout", timeout,
-		"approx", j.approx)
+		"batch", j.batch.id, "variants", len(params), "timeout", timeout)
 	prefix := "/v1"
 	if isV2(r) {
 		prefix = "/v2"

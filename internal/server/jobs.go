@@ -43,7 +43,6 @@ type job struct {
 	deadline  time.Time
 
 	tenant *tenant // owner; set before admission, never changes
-	approx bool    // load-shed: served by the ρ-approximate path
 
 	batch *batch // assigned at admission, never changes
 	slots []int  // params[i] -> index into the batch's union variant list
@@ -59,8 +58,7 @@ type job struct {
 	started  time.Time
 	finished time.Time
 	results  []variantOutcome
-	quality  string       // "" = exact, qualityApprox = load-shed answer
-	work     vdbscan.Work // this job's metered work (its quota charge basis)
+	work     vdbscan.Work // a done job's metered work (its quota charge basis)
 	watchdog *time.Timer
 
 	done chan struct{}
@@ -135,21 +133,11 @@ func (j *job) view() (state, errMsg string, started, finished time.Time, results
 	return j.state, j.err, j.started, j.finished, j.results
 }
 
-// setOutcomeMeta records the run's quality tag and the job's metered work.
-// Called by the runner just before finish, so every reader that observes
-// the terminal state also observes the metadata.
-func (j *job) setOutcomeMeta(quality string, work vdbscan.Work) {
-	j.mu.Lock()
-	j.quality = quality
-	j.work = work
-	j.mu.Unlock()
-}
-
-// outcomeMeta returns the quality tag and metered work.
-func (j *job) outcomeMeta() (string, vdbscan.Work) {
+// meteredWork returns a done job's metered work (zero before it is done).
+func (j *job) meteredWork() vdbscan.Work {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.quality, j.work
+	return j.work
 }
 
 // outcome returns the i-th variant outcome once the job is done.
@@ -225,13 +213,15 @@ func (st *jobStore) list() []*job {
 }
 
 // finishJob moves j to a terminal state through j.finish and settles it
-// there: the state's counter and, for a done job, the tenant charge for
-// its work w. The charge's log line is written after j.mu is released.
+// there: the state's counter and, for a done job, its metered work w and
+// the tenant charge for it. The charge's log line is written after j.mu
+// is released.
 func (s *Server) finishJob(j *job, state, errMsg string, results []variantOutcome, w vdbscan.Work) bool {
 	var logCharge func()
 	won := j.finish(state, errMsg, results, func() {
 		switch state {
 		case stateDone:
+			j.work = w
 			s.ctrs.jobsCompleted.Add(1)
 			logCharge = s.chargeJob(j, w.NeighborSearches, w.CandidatesExamined)
 		case stateCanceled:

@@ -60,13 +60,12 @@ type serverMetrics struct {
 	sseDropped *prom.Vec // vdbscand_sse_dropped_frames_total
 	sseSubs    atomic.Int64
 
-	// Multi-tenancy counters, all labeled by tenant so per-tenant usage,
-	// throttling, and degradation are scrapeable series.
+	// Multi-tenancy counters, all labeled by tenant so per-tenant usage
+	// and throttling are scrapeable series.
 	tenantWork     *prom.Vec // vdbscand_tenant_work_charged_total{tenant}
 	tenantSearches *prom.Vec // vdbscand_tenant_eps_searches_total{tenant}
 	tenantJobs     *prom.Vec // vdbscand_tenant_jobs_charged_total{tenant}
 	tenantRejected *prom.Vec // vdbscand_tenant_rejected_total{tenant,reason}
-	jobsShed       *prom.Vec // vdbscand_jobs_shed_total{tenant}
 	jobsEvicted    *prom.Vec // vdbscand_jobs_evicted_total{tenant}
 
 	scrapes atomic.Int64
@@ -171,8 +170,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Finished jobs charged to each tenant's quota ledger.", "tenant")
 	m.tenantRejected = r.Counter("vdbscand_tenant_rejected_total",
 		"Requests rejected per tenant, by reason (rate, quota, concurrency, queue).", "tenant", "reason")
-	m.jobsShed = r.Counter("vdbscand_jobs_shed_total",
-		"Jobs answered by the load-shed approximate path instead of the exact queue.", "tenant")
 	m.jobsEvicted = r.Counter("vdbscand_jobs_evicted_total",
 		"Finished jobs reclaimed by the TTL eviction sweeper.", "tenant")
 

@@ -49,16 +49,6 @@ func (d *dataset) snapshot() (*vdbscan.Index, int, int) {
 	return d.index, len(d.points), d.version
 }
 
-// pointsSnapshot returns the installed point set (the slice is replaced
-// wholesale at re-freeze, never mutated in place, so sharing it is safe),
-// its length, and the install version. The load-shed path binds to this
-// instead of the frozen index: ρ-approximate DBSCAN builds its own grid.
-func (d *dataset) pointsSnapshot() ([]vdbscan.Point, int, int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.points, len(d.points), d.version
-}
-
 // registry is the dataset store.
 type registry struct {
 	cfg Config

@@ -32,10 +32,9 @@
 //     tenant carrying token-bucket rate limits, a concurrent-jobs cap, and
 //     a work-metered quota ledger charged by each finished job's ε-search
 //     work (GET /v2/tenants/self); finished results are TTL-evicted (410
-//     Gone afterwards); and under queue pressure, opted-in tenants are
-//     served ρ-approximate answers tagged "quality":"approx". The routes
-//     exist under /v1 (legacy error bodies, byte-compatible) and /v2 (the
-//     versioned error envelope and tenant-aware documents).
+//     Gone afterwards). The routes exist under /v1 (legacy error bodies,
+//     byte-compatible) and /v2 (the versioned error envelope and
+//     tenant-aware documents).
 package server
 
 import (
@@ -65,10 +64,6 @@ const (
 	// before the eviction sweeper reclaims them (Config.JobTTL < 0 keeps
 	// them forever, the pre-eviction behavior).
 	DefaultJobTTL = 15 * time.Minute
-	// DefaultShedRho is the ρ-approximation slack used by load-shed runs
-	// when Config.ShedRho is zero: answers may merge clusters up to
-	// ε·(1+ρ) apart.
-	DefaultShedRho = 0.5
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -139,14 +134,6 @@ type Config struct {
 	// the job and GETs return 410 Gone. Zero uses DefaultJobTTL; negative
 	// disables eviction (results live forever, the pre-TTL behavior).
 	JobTTL time.Duration
-	// ShedThreshold is the queue depth at which load shedding engages:
-	// submissions from approx-opted-in tenants are answered by
-	// ρ-approximate DBSCAN (tagged "quality":"approx") instead of joining
-	// the exact backlog. Zero disables shedding.
-	ShedThreshold int
-	// ShedRho is the ρ slack of shed runs, in (0, 1]. Zero uses
-	// DefaultShedRho.
-	ShedRho float64
 }
 
 func (c Config) withDefaults() Config {
@@ -170,9 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobTTL == 0 {
 		c.JobTTL = DefaultJobTTL
-	}
-	if c.ShedRho <= 0 || c.ShedRho > 1 {
-		c.ShedRho = DefaultShedRho
 	}
 	return c
 }
@@ -322,17 +306,10 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 		Job: j.id, Dataset: j.datasetID, Variants: len(j.params), Queued: s.queued,
 	}, true, false)
 
-	var b *batch
-	if !j.approx {
-		b = s.open[j.datasetID]
-	}
+	b := s.open[j.datasetID]
 	if b == nil {
 		b = newBatch(s.nextBatchID(), j.datasetID)
-		b.approx = j.approx
-		// A shed job never coalesces: its batch seals immediately below, so
-		// an exact job arriving inside the window cannot be downgraded by
-		// sharing a run with it (and vice versa).
-		if !j.approx && s.cfg.BatchWindow > 0 {
+		if s.cfg.BatchWindow > 0 {
 			s.open[j.datasetID] = b
 			b.timer = time.AfterFunc(s.cfg.BatchWindow, func() { s.seal(b) })
 		}
@@ -349,9 +326,8 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 		Job: j.id, Batch: b.id, BatchJobs: n, BatchVariants: union,
 	}, true, false)
 	doc := s.jobDoc(j, v2)
-	if j.approx || s.cfg.BatchWindow <= 0 {
-		// Coalescing disabled (or a shed job): the batch seals with its
-		// single job.
+	if s.cfg.BatchWindow <= 0 {
+		// Coalescing disabled: the batch seals with its single job.
 		s.sealLocked(b)
 	}
 	return doc, nil

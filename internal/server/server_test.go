@@ -284,6 +284,47 @@ func TestDatasetValidation(t *testing.T) {
 	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":4}]}`, http.StatusNotFound)
 }
 
+// TestJobRequestBounds covers job fields at the edge of their integer
+// range: a timeout_ms whose Duration would overflow is a 400 naming the
+// field on both surfaces, the largest one that fits is accepted, and a
+// minpts no cell count can reach finishes done, all noise, with the
+// daemon still answering.
+func TestJobRequestBounds(t *testing.T) {
+	_, c := newTestServer(t, Config{Threads: 2})
+	const n = 500
+	ds := c.doJSON("POST", "/v2/datasets", pointsCSV(t, testPoints(t, n)), http.StatusCreated)
+	dsID := ds["id"].(string)
+
+	over := fmt.Sprintf(`{"variants":[{"eps":2,"minpts":4}],"timeout_ms":%d}`, maxTimeoutMS+1)
+	code, _, body := c.do("POST", "/v1/datasets/"+dsID+"/jobs", []byte(over))
+	var flat errorDoc
+	if code != http.StatusBadRequest || json.Unmarshal(body, &flat) != nil || !strings.Contains(flat.Error, "timeout_ms") {
+		t.Errorf("/v1 overflowing timeout_ms = %d %s, want a flat 400 naming timeout_ms", code, body)
+	}
+	code, _, body = c.do("POST", "/v2/datasets/"+dsID+"/jobs", []byte(over))
+	if code != http.StatusBadRequest {
+		t.Errorf("/v2 overflowing timeout_ms = %d %s, want 400", code, body)
+	} else if ec, msg, _ := envelope(t, body); ec != errCodeBadRequest || !strings.Contains(msg, "timeout_ms") {
+		t.Errorf("/v2 overflowing timeout_ms envelope = %s %q", ec, msg)
+	}
+	fits := c.submitJobV2(dsID, fmt.Sprintf(`{"variants":[{"eps":2,"minpts":4}],"timeout_ms":%d}`, maxTimeoutMS), http.StatusAccepted)
+	if done := c.waitDoneV2(fits["id"].(string)); done["state"] != stateDone {
+		t.Errorf("largest timeout_ms: job %v (%v)", done["state"], done["error"])
+	}
+
+	huge := c.submitJobV2(dsID, `{"variants":[{"eps":2,"minpts":2147483648}]}`, http.StatusAccepted)
+	done := c.waitDoneV2(huge["id"].(string))
+	if done["state"] != stateDone {
+		t.Fatalf("minpts 2^31: job %v (%v)", done["state"], done["error"])
+	}
+	if r := done["results"].([]any)[0].(map[string]any); r["clusters"].(float64) != 0 || r["noise"].(float64) != n {
+		t.Errorf("minpts 2^31: %v clusters, %v noise, want 0 and %d", r["clusters"], r["noise"], n)
+	}
+	if code, _, _ := c.do("GET", "/healthz", nil); code != http.StatusOK {
+		t.Errorf("healthz after a minpts 2^31 job = %d", code)
+	}
+}
+
 // TestUploadIndexKind covers the ?index= upload parameter: the default is
 // the grid, ?index=rtree builds an R-tree index (its snapshot says so), the
 // dataset doc reports its substrate, bad values 400, and the same job

@@ -32,7 +32,7 @@ const anonymousTenant = "anonymous"
 //
 //	{"tenants": [
 //	  {"id": "acme", "key": "s3cret", "rate_rps": 50, "burst": 100,
-//	   "max_concurrent_jobs": 8, "work_quota": 100000000, "allow_approx": true}
+//	   "max_concurrent_jobs": 8, "work_quota": 100000000}
 //	]}
 //
 // Zero limits mean unlimited; WorkQuota is measured in work units — the
@@ -55,10 +55,6 @@ type TenantConfig struct {
 	// examined, charged per finished job). Once the ledger reaches it,
 	// submissions get 429 quota_exhausted. 0 = unlimited.
 	WorkQuota int64 `json:"work_quota"`
-	// AllowApprox opts the tenant into load shedding: when the queue is
-	// past the pressure threshold its jobs may be served ρ-approximate
-	// answers (tagged "quality":"approx") instead of queueing.
-	AllowApprox bool `json:"allow_approx"`
 }
 
 // keysFile is the JSON shape of -keys-file / VDBSCAND_KEYS.
@@ -134,7 +130,6 @@ type tenant struct {
 	searches   atomic.Int64
 	candidates atomic.Int64
 	jobsRun    atomic.Int64 // finished jobs charged to the ledger
-	jobsShed   atomic.Int64 // jobs served approximate answers
 	jobsLive   atomic.Int64 // queued or running right now
 }
 
@@ -292,8 +287,7 @@ func (s *Server) withAuth(next http.Handler) http.Handler {
 
 // workCharge is the quota price of a finished job: its ε-neighborhood
 // searches plus the candidate points those searches examined — the two
-// Work counters that track the actual compute a job consumed, exact and
-// approximate alike.
+// Work counters that track the actual compute a job consumed.
 func workCharge(searches, candidates int64) int64 { return searches + candidates }
 
 // chargeJob settles a finished job against its tenant's ledger and the
@@ -336,7 +330,6 @@ type tenantLimitsDoc struct {
 	Burst             int     `json:"burst"`
 	MaxConcurrentJobs int     `json:"max_concurrent_jobs"`
 	WorkQuota         int64   `json:"work_quota"`
-	AllowApprox       bool    `json:"allow_approx"`
 }
 
 type tenantUsageDoc struct {
@@ -345,7 +338,6 @@ type tenantUsageDoc struct {
 	EpsSearches    int64 `json:"eps_searches"`
 	Candidates     int64 `json:"candidates_examined"`
 	JobsCharged    int64 `json:"jobs_charged"`
-	JobsShed       int64 `json:"jobs_shed"`
 	JobsLive       int64 `json:"jobs_live"`
 	QuotaExhausted bool  `json:"quota_exhausted"`
 }
@@ -365,7 +357,6 @@ func (s *Server) handleTenantSelf(w http.ResponseWriter, r *http.Request) {
 			Burst:             tn.cfg.Burst,
 			MaxConcurrentJobs: tn.cfg.MaxConcurrentJobs,
 			WorkQuota:         tn.cfg.WorkQuota,
-			AllowApprox:       tn.cfg.AllowApprox,
 		},
 		Usage: tenantUsageDoc{
 			WorkCharged:    tn.charged.Load(),
@@ -373,7 +364,6 @@ func (s *Server) handleTenantSelf(w http.ResponseWriter, r *http.Request) {
 			EpsSearches:    tn.searches.Load(),
 			Candidates:     tn.candidates.Load(),
 			JobsCharged:    tn.jobsRun.Load(),
-			JobsShed:       tn.jobsShed.Load(),
 			JobsLive:       tn.jobsLive.Load(),
 			QuotaExhausted: tn.overQuota(),
 		},

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vdbscan"
+	"vdbscan/internal/dataio"
 )
 
 // submitJobV2 is submitJob on the /v2 surface.
@@ -18,7 +21,7 @@ func (c *testClient) submitJobV2(datasetID string, body string, wantCode int) ma
 }
 
 // waitDoneV2 long-polls the job on /v2 until it turns terminal, so the
-// returned document carries the v2-only tenant/work/quality fields.
+// returned document carries the v2-only tenant/work fields.
 func (c *testClient) waitDoneV2(jobID string) map[string]any {
 	c.t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
@@ -55,13 +58,13 @@ func envelope(t *testing.T, body []byte) (string, string, float64) {
 
 func TestParseKeysJSON(t *testing.T) {
 	good := `{"tenants":[
-		{"id":"acme","key":"k1","rate_rps":10,"burst":20,"max_concurrent_jobs":4,"work_quota":1000,"allow_approx":true},
+		{"id":"acme","key":"k1","rate_rps":10,"burst":20,"max_concurrent_jobs":4,"work_quota":1000},
 		{"id":"beta","key":"k2"}]}`
 	cfgs, err := ParseKeysJSON(strings.NewReader(good))
 	if err != nil {
 		t.Fatalf("valid keys file rejected: %v", err)
 	}
-	if len(cfgs) != 2 || cfgs[0].ID != "acme" || cfgs[0].WorkQuota != 1000 || !cfgs[0].AllowApprox {
+	if len(cfgs) != 2 || cfgs[0].ID != "acme" || cfgs[0].WorkQuota != 1000 {
 		t.Fatalf("parsed = %+v", cfgs)
 	}
 
@@ -79,6 +82,14 @@ func TestParseKeysJSON(t *testing.T) {
 		if _, err := ParseKeysJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %s", name, in)
 		}
+	}
+
+	// The load-shedding opt-in is gone; a keys file that still sets it is
+	// refused by name rather than ignored, since an operator reading it
+	// would expect shedding to happen.
+	old := `{"tenants":[{"id":"a","key":"k","allow_approx":true}]}`
+	if _, err := ParseKeysJSON(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "allow_approx") {
+		t.Errorf("keys file with allow_approx: err = %v, want a refusal naming the field", err)
 	}
 }
 
@@ -414,54 +425,55 @@ func TestJobTTLEviction(t *testing.T) {
 	}
 }
 
-// TestLoadSheddingApprox holds an exact job in a long batching window so
-// the queue is non-empty, then submits an opted-in job: it must come back
-// done with quality "approx", retrievable labels, and a shed-counter tick,
-// while the exact job keeps its slot.
+// TestLoadSheddingApprox is the compatibility check for clients of the
+// removed load-shedding opt-in: with an exact job parked in a long batching
+// window (the queue pressure that used to trigger shedding), a submission
+// that still sends "allow_approx":true is an ordinary exact job. It joins
+// the parked batch, finishes done with no quality tag and a work charge,
+// and its labels are Index.Cluster's bytes.
 func TestLoadSheddingApprox(t *testing.T) {
-	_, c := newTestServer(t, Config{
-		Threads:       1,
-		BatchWindow:   time.Hour, // park the exact job so depth >= threshold
-		ShedThreshold: 1,
+	s, c := newTestServer(t, Config{
+		Threads:     1,
+		BatchWindow: time.Hour, // park the exact job so the queue is non-empty
 	})
-	csv := pointsCSV(t, testPoints(t, 300))
-	ds := c.doJSON("POST", "/v2/datasets", csv, http.StatusCreated)
+	pts := testPoints(t, 300)
+	ds := c.doJSON("POST", "/v2/datasets", pointsCSV(t, pts), http.StatusCreated)
 	dsID := ds["id"].(string)
 
 	exact := c.submitJobV2(dsID, `{"variants":[{"eps":0.25,"minpts":4}]}`, http.StatusAccepted)
-	shed := c.submitJobV2(dsID, `{"variants":[{"eps":0.25,"minpts":4}],"allow_approx":true}`, http.StatusAccepted)
+	optIn := c.submitJobV2(dsID, `{"variants":[{"eps":0.25,"minpts":4}],"allow_approx":true}`, http.StatusAccepted)
+	if optIn["batch"] != exact["batch"] || optIn["batch_jobs"].(float64) != 2 {
+		t.Fatalf("opted-in job did not coalesce with the parked one: %v", optIn)
+	}
+	j, ok := s.jobs.get(optIn["id"].(string))
+	if !ok {
+		t.Fatal("opted-in job not in the store")
+	}
+	s.seal(j.batch)
 
-	done := c.waitDoneV2(shed["id"].(string))
-	if done["state"] != stateDone {
-		t.Fatalf("shed job = %v", done)
+	want, err := vdbscan.NewIndex(pts).Cluster(vdbscan.Params{Eps: 0.25, MinPts: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if done["quality"] != qualityApprox {
-		t.Fatalf("quality = %v, want %q", done["quality"], qualityApprox)
+	var wantCSV bytes.Buffer
+	if err := dataio.WriteLabelsCSV(&wantCSV, want); err != nil {
+		t.Fatal(err)
 	}
-	results := done["results"].([]any)
-	if len(results) != 1 {
-		t.Fatalf("results = %v", results)
-	}
-	if clusters := results[0].(map[string]any)["clusters"].(float64); clusters <= 0 {
-		t.Errorf("approx run found %v clusters, want > 0", clusters)
-	}
-	if work, ok := done["work"].(map[string]any); !ok || work["charge"].(float64) <= 0 {
-		t.Errorf("shed job carries no work charge: %v", done["work"])
-	}
-	if code, _, body := c.do("GET", "/v2/jobs/"+shed["id"].(string)+"/labels?variant=0", nil); code != http.StatusOK {
-		t.Errorf("labels after shed run = %d: %s", code, body)
-	}
-
-	// The parked exact job is untouched: still queued, no quality tag.
-	if doc := c.doJSON("GET", "/v2/jobs/"+exact["id"].(string), nil, http.StatusOK); doc["state"] != stateQueued {
-		t.Errorf("exact job state = %v, want still queued", doc["state"])
-	} else if _, has := doc["quality"]; has {
-		t.Errorf("exact job carries a quality tag: %v", doc)
-	}
-
-	_, _, metrics := c.do("GET", "/metrics", nil)
-	if !strings.Contains(string(metrics), `vdbscand_jobs_shed_total{tenant="anonymous"} 1`) {
-		t.Errorf("shed counter missing from /metrics")
+	for _, id := range []string{exact["id"].(string), optIn["id"].(string)} {
+		done := c.waitDoneV2(id)
+		if done["state"] != stateDone {
+			t.Fatalf("job %s = %v", id, done)
+		}
+		if _, has := done["quality"]; has {
+			t.Errorf("job %s carries a quality tag: %v", id, done)
+		}
+		if work, ok := done["work"].(map[string]any); !ok || work["charge"].(float64) <= 0 {
+			t.Errorf("job %s carries no work charge: %v", id, done["work"])
+		}
+		code, _, got := c.do("GET", "/v2/jobs/"+id+"/labels?variant=0", nil)
+		if code != http.StatusOK || !bytes.Equal(got, wantCSV.Bytes()) {
+			t.Errorf("job %s labels (%d) differ from Index.Cluster's", id, code)
+		}
 	}
 }
 
