@@ -21,8 +21,6 @@ var (
 	_ IndexOption = WithIndexKind(IndexGrid)
 
 	_ RunOption = WithThreads(2)
-	_ RunOption = WithIntraThreads(2)
-	_ RunOption = WithTiles(4)
 	_ RunOption = WithoutReuse()
 	_ RunOption = WithContext(context.Background())
 	_ RunOption = WithProgress(nil)

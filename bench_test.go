@@ -595,45 +595,29 @@ func BenchmarkRunTiled(b *testing.B) {
 func BenchmarkTwoLevelSingleVariant(b *testing.B) {
 	fixtures(b)
 	vs := variant.New([]dbscan.Params{tecParams})
-	for _, cfg := range []struct {
-		name string
-		opt  sched.Options
-	}{
-		{"variant-only", sched.Options{Threads: 8}},
-		{"two-level", sched.Options{Threads: 8, DonateIdle: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.Execute(fixTECIx, vs, cfg.opt); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("two-level", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 8}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkTwoLevelTailSkew is the end-of-run tail: three cheap variants and
-// one expensive one on a 4-worker pool, all from scratch. Without donation
-// the makespan is the slow variant alone; with it, finished workers join in.
+// one expensive one on a 4-worker pool, all from scratch: finished
+// workers join the slow variant instead of leaving it to run alone.
 func BenchmarkTwoLevelTailSkew(b *testing.B) {
 	fixtures(b)
 	vs := variant.New([]dbscan.Params{
 		{Eps: 0.5, MinPts: 8}, {Eps: 0.5, MinPts: 16}, {Eps: 0.5, MinPts: 32},
 		{Eps: 4, MinPts: 4}, // the tail: far larger ε-neighborhoods
 	})
-	for _, cfg := range []struct {
-		name string
-		opt  sched.Options
-	}{
-		{"variant-only", sched.Options{Threads: 4, DisableReuse: true}},
-		{"two-level", sched.Options{Threads: 4, DisableReuse: true, DonateIdle: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sched.Execute(fixTECIx, vs, cfg.opt); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("two-level", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sched.Execute(fixTECIx, vs, sched.Options{Threads: 4, DisableReuse: true}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

@@ -70,8 +70,6 @@ type SubmitRequest struct {
 	Variants []Variant `json:"variants"`
 	// TimeoutMS overrides the server's default job deadline (milliseconds).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Tiles overrides the server's tile-level parallelism for the run.
-	Tiles int `json:"tiles,omitempty"`
 }
 
 // Dataset mirrors the server's dataset document.
@@ -156,7 +154,7 @@ type AppendResult struct {
 }
 
 // Event is one frame of a job's SSE stream: the event name (queued,
-// batched, running, progress, phase, done, failed, canceled) and its raw
+// batched, running, progress, done, failed, canceled) and its raw
 // JSON payload.
 type Event struct {
 	Name string
@@ -260,7 +258,7 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 
 // UploadCSV creates a dataset from CSV point data ("x,y" rows, optional
 // "# key: value" header). name may be empty (the CSV header or server
-// default applies); extra query parameters like r= or index= go in query.
+// default applies); extra query parameters go in query.
 func (c *Client) UploadCSV(ctx context.Context, csv io.Reader, name string, query url.Values) (*Dataset, error) {
 	q := url.Values{}
 	for k, vs := range query {

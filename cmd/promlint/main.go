@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	curl -s localhost:8714/metrics | promlint -min-histograms 5 -require-labels dataset,index,tiled
+//	curl -s localhost:8714/metrics | promlint -min-histograms 5 -require-labels dataset
 //	curl -s localhost:8714/metrics | promlint -require-family-labels vdbscand_tenant_:tenant
 //	promlint metrics.txt
 //

@@ -35,8 +35,6 @@ func main() {
 	aList := flag.String("A", "", "comma-separated eps values (variant set A)")
 	bList := flag.String("B", "", "minpts values: comma list (4,8,16) or range lo:hi:step (10:100:5)")
 	threads := flag.Int("threads", 1, "worker goroutines")
-	r := flag.Int("r", 70, "points per leaf MBB in the eps-search tree")
-	indexKind := flag.String("index", "grid", "eps-search index structure: grid or rtree")
 	labelsOut := flag.String("labels", "", "write per-point labels CSV here (variant runs write one .vN file per variant)")
 	top := flag.Int("top", 5, "show the k largest clusters")
 	render := flag.Bool("render", false, "draw an ASCII map of the clustering (single run only)")
@@ -52,12 +50,7 @@ func main() {
 	}
 	fmt.Printf("loaded %s: %d points\n", ds.Name, ds.Len())
 
-	kindVal, err := cliutil.ParseIndexKind(*indexKind)
-	if err != nil {
-		fail(err)
-	}
-
-	idx := vdbscan.NewIndex(ds.Points, vdbscan.WithR(*r), vdbscan.WithIndexKind(kindVal))
+	idx := vdbscan.NewIndex(ds.Points)
 
 	if *aList != "" || *bList != "" {
 		A, err := cliutil.ParseFloats(*aList)

@@ -18,7 +18,7 @@
 // also exists under /v2 with the versioned error envelope, tenant-aware job
 // documents, and GET /v2/tenants/self):
 //
-//	POST   /v1/datasets            upload a CSV dataset (?name=, ?r=, ?index=)
+//	POST   /v1/datasets            upload a CSV dataset (?name=); indexed on the cell grid
 //	POST   /v1/datasets/{id}/jobs  submit a variant list, get a job ID
 //	GET    /v1/jobs/{id}           poll (?wait=10s long-polls)
 //	GET    /v1/jobs/{id}/labels    per-variant labels CSV (?variant=N)
@@ -89,9 +89,6 @@ type envDefaults struct {
 	queue        int
 	runners      int
 	refreeze     int
-	tiles        int
-	r            int
-	index        string
 	dataDir      string
 	keysFile     string
 	keysInline   string
@@ -121,13 +118,6 @@ func loadEnv() (envDefaults, error) {
 	if d.refreeze, err = cliutil.EnvIntOr("VDBSCAND_REFREEZE_POINTS", server.DefaultRefreezePoints); err != nil {
 		return d, err
 	}
-	if d.tiles, err = cliutil.EnvIntOr("VDBSCAND_TILES", 0); err != nil {
-		return d, err
-	}
-	if d.r, err = cliutil.EnvIntOr("VDBSCAND_R", 0); err != nil {
-		return d, err
-	}
-	d.index = cliutil.EnvOr("VDBSCAND_INDEX", "grid")
 	d.dataDir = cliutil.EnvOr("VDBSCAND_DATA_DIR", "")
 	d.keysFile = cliutil.EnvOr("VDBSCAND_KEYS_FILE", "")
 	d.keysInline = cliutil.EnvOr("VDBSCAND_KEYS", "")
@@ -186,10 +176,6 @@ func run() error {
 	queue := flag.Int("queue", env.queue, "max queued jobs before 429 backpressure")
 	runners := flag.Int("runners", env.runners, "concurrent batch runs")
 	refreeze := flag.Int("refreeze", env.refreeze, "staged points that trigger a dataset re-freeze")
-	tiles := flag.Int("tiles", env.tiles,
-		"tile-level parallelism per run on grid indexes (0 = auto, 1 = untiled; per-job tiles overrides)")
-	leafR := flag.Int("r", env.r, "eps-search tree leaf occupancy for uploads (0 = library default)")
-	indexKind := flag.String("index", env.index, "eps-search index structure for uploads: grid or rtree")
 	dataDir := flag.String("data-dir", env.dataDir,
 		"directory for durable dataset snapshots and WALs; restored on startup (empty = memory-only)")
 	keysFile := flag.String("keys-file", env.keysFile,
@@ -202,10 +188,6 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", env.drainTimeout, "max time to drain on SIGTERM")
 	flag.Parse()
 
-	kindVal, err := cliutil.ParseIndexKind(*indexKind)
-	if err != nil {
-		return err
-	}
 	tenants, err := loadTenants(*keysFile, env.keysInline)
 	if err != nil {
 		return err
@@ -221,9 +203,6 @@ func run() error {
 		JobTimeout:     *jobTimeout,
 		Runners:        *runners,
 		RefreezePoints: *refreeze,
-		IndexR:         *leafR,
-		Tiles:          *tiles,
-		IndexKind:      kindVal,
 		Logger:         logger,
 		DataDir:        *dataDir,
 		Tenants:        tenants,

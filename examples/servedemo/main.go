@@ -162,8 +162,6 @@ func watchSSE(ctx context.Context, c *client.Client, jobID string) string {
 			}
 			fmt.Printf("  [%v/%v] variant %v done in %.1fms (%s)\n",
 				f["done"], f["total"], f["variant"], asFloat(f["duration_ms"]), src)
-		case "phase":
-			fmt.Printf("  variant %v: %v %v\n", f["variant"], f["phase"], f["state"])
 		case "done", "failed", "canceled":
 			fmt.Printf("  job %s: %s (%.1fms end to end)\n",
 				jobID, ev.Name, asFloat(f["duration_ms"]))

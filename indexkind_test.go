@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"vdbscan/internal/dbscan"
 )
 
 // TestIndexKindLabelEquivalence is the end-to-end cross-kind property. A
@@ -74,7 +76,8 @@ func TestIndexKindLabelEquivalence(t *testing.T) {
 
 // TestIndexKindSingleCluster pins the single-variant path (Index.Cluster)
 // and the intra-variant parallel path across kinds: byte-identical labels
-// at any width (intra-variant parallelism is deterministic by design).
+// at any WithThreads width (intra-variant parallelism is deterministic by
+// design).
 func TestIndexKindSingleCluster(t *testing.T) {
 	pts := testPoints(t, 6000)
 	p := Params{Eps: 2.5, MinPts: 5}
@@ -86,7 +89,7 @@ func TestIndexKindSingleCluster(t *testing.T) {
 	for _, intra := range []int{0, 1, 4} {
 		var opts []RunOption
 		if intra > 0 {
-			opts = append(opts, WithIntraThreads(intra))
+			opts = append(opts, WithThreads(intra))
 		}
 		got, err := gridIdx.Cluster(p, opts...)
 		if err != nil {
@@ -165,7 +168,7 @@ func TestIndexKindHugeMinPts(t *testing.T) {
 		ix := NewIndex(pts, WithIndexKind(kind))
 		for _, threads := range []int{1, 2} {
 			for vi, p := range params {
-				got, err := ix.Cluster(p, WithThreads(threads), WithIntraThreads(threads))
+				got, err := ix.Cluster(p, WithThreads(threads))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,5 +187,58 @@ func TestIndexKindHugeMinPts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGridCoversOverflowingSpan: finite points whose extent is wider than
+// the float range (max − min overflows to +Inf) are clustered by the
+// default grid, with the bytes of brute-force DBSCAN in the index's order,
+// through Cluster and ClusterVariants at one and two threads. The grid
+// once refused such a set with ErrGridTooLarge while the R-tree answered
+// it, and vdbscand failed every job on an accepted upload of it.
+func TestGridCoversOverflowingSpan(t *testing.T) {
+	params := []Params{{Eps: 2, MinPts: 2}, {Eps: 2, MinPts: 3}, {Eps: 1.2, MinPts: 2}}
+	for _, hi := range []float64{1e308, 1e307, 1.7e308, math.MaxFloat64} {
+		sets := map[string][]Point{
+			"far pair": {{X: -hi, Y: 0}, {X: hi, Y: 0}, {X: 0, Y: 0}, {X: 0, Y: 1}},
+			"ends": {{X: hi, Y: 0}, {X: -hi, Y: 0}, {X: 0, Y: 0.5}, {X: -hi, Y: 1}, {X: hi, Y: 1.5},
+				{X: 0, Y: 0}, {X: hi, Y: -4}, {X: 0, Y: 1}, {X: -hi, Y: 2}},
+		}
+		for name, pts := range sets {
+			ix := NewIndex(pts)
+			want := make([]*Clustering, len(params))
+			for i, p := range params {
+				ref, err := dbscan.RunBruteForce(ix.ix.Pts, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = ref.Remap(ix.ix.Fwd)
+			}
+			for _, threads := range []int{1, 2} {
+				tag := fmt.Sprintf("%s hi=%g threads=%d", name, hi, threads)
+				for i, p := range params {
+					got, err := Cluster(pts, p, WithThreads(threads))
+					if err != nil {
+						t.Fatalf("%s %v: Cluster: %v", tag, p, err)
+					}
+					if got.NumClusters != want[i].NumClusters || !slices.Equal(got.Labels, want[i].Labels) {
+						t.Fatalf("%s %v: Cluster labels %v, want %v", tag, p, got.Labels, want[i].Labels)
+					}
+				}
+				run, err := ClusterVariants(pts, params, WithThreads(threads))
+				if err != nil {
+					t.Fatalf("%s: ClusterVariants: %v", tag, err)
+				}
+				for i, vr := range run.Results {
+					if !slices.Equal(vr.Clustering.Labels, want[i].Labels) {
+						t.Fatalf("%s %v: ClusterVariants labels %v, want %v", tag, params[i], vr.Clustering.Labels, want[i].Labels)
+					}
+				}
+			}
+		}
+	}
+	got, err := Cluster([]Point{{X: -1e308, Y: 0}, {X: 1e308, Y: 0}, {X: 0, Y: 0}, {X: 0, Y: 1}}, Params{Eps: 2, MinPts: 2})
+	if err != nil || !slices.Equal(got.Labels, []int32{-1, -1, 1, 1}) {
+		t.Fatalf("±1e308 set: %v, %v; want [-1 -1 1 1]", got, err)
 	}
 }

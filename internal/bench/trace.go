@@ -32,9 +32,8 @@ func (s *Suite) Trace() error {
 	}
 	tr := obs.NewTracer()
 	if _, err := sched.Execute(s.index(ds, s.R), s.traceVariants(), sched.Options{
-		Threads:    s.Threads,
-		DonateIdle: s.Threads > 1,
-		Tracer:     tr,
+		Threads: s.Threads,
+		Tracer:  tr,
 	}); err != nil {
 		return err
 	}

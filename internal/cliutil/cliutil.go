@@ -134,10 +134,14 @@ func ParseRange(s string) ([]int, error) {
 		return nil, fmt.Errorf("cliutil: range hi %d below lo %d", hi, lo)
 	}
 	var out []int
-	for v := lo; v <= hi; v += step {
+	for v := lo; ; v += step {
 		out = append(out, v)
+		// hi ≥ v, so their difference read unsigned is exact even where
+		// the signed one wraps; a step past it would pass hi or overflow.
+		if uint(hi)-uint(v) < uint(step) {
+			return out, nil
+		}
 	}
-	return out, nil
 }
 
 // ParseIndexKind maps CLI spellings ("grid", "rtree"; empty = grid, the

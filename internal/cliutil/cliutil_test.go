@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -56,6 +57,16 @@ func TestParseRange(t *testing.T) {
 	got, _ = ParseRange("7:7:1")
 	if len(got) != 1 || got[0] != 7 {
 		t.Errorf("degenerate range: %v", got)
+	}
+	// A hi within one step of math.MaxInt ends the sequence instead of
+	// wrapping negative and appending forever.
+	got, err = ParseRange("9223372036854775800:9223372036854775807:5")
+	if err != nil || len(got) != 2 || got[0] != math.MaxInt-7 || got[1] != math.MaxInt-2 {
+		t.Errorf("range at MaxInt: %v, %v", got, err)
+	}
+	got, err = ParseRange("-9223372036854775808:9223372036854775807:9223372036854775807")
+	if err != nil || len(got) != 3 || got[2] != math.MaxInt-1 {
+		t.Errorf("full int range: %v, %v", got, err)
 	}
 }
 

@@ -49,31 +49,34 @@ import (
 const MaxCells = 1 << 21
 
 // ErrGridTooLarge mirrors rtree.ErrFlatTooLarge: the point set exceeds
-// int32 addressing, or the span of its finite points overflows, so no grid
-// geometry can cover it.
+// int32 addressing, or its bounds are NaN or inverted, so no grid geometry
+// can cover it.
 var ErrGridTooLarge = errors.New("gridindex: point set too large or bounds non-finite for grid layout")
 
 // gridShape picks the cell geometry for a bounding box: the number of
 // columns and rows at the requested side, coarsening the side until the
-// total cell count fits MaxCells. Degenerate geometry (NaN spans, or spans
-// whose difference overflows to ±Inf) returns ErrGridTooLarge.
+// total cell count fits MaxCells. Degenerate geometry (NaN or negative
+// spans, or infinite bounds) returns ErrGridTooLarge. Finite bounds whose
+// span overflows to +Inf are shaped through cellOffset's half-scale
+// arithmetic, like the cell assignment itself.
 //
 // The coarsening loop provably terminates: each step multiplies side by a
 // factor > 1.001, so the iteration cap is never the binding constraint for
 // well-formed inputs, and any stall (a denormal side whose product rounds
 // to itself) or float overflow drops to the one-shot fallback of
-// side = max(spanX, spanY), which yields at most 2×2 cells.
+// side = max(spanX, spanY) (MaxFloat64 at most), which yields at most 3×3
+// cells.
 func gridShape(b geom.MBB, side float64) (cols, rows int, outSide float64, err error) {
 	if !(side > 0) || math.IsInf(side, 0) {
 		return 0, 0, 0, fmt.Errorf("gridindex: cell side must be positive and finite, got %g", side)
 	}
 	spanX, spanY := b.MaxX-b.MinX, b.MaxY-b.MinY
-	if !(spanX >= 0) || !(spanY >= 0) || math.IsInf(spanX, 0) || math.IsInf(spanY, 0) {
+	if !(spanX >= 0) || !(spanY >= 0) {
 		return 0, 0, 0, ErrGridTooLarge
 	}
 	for iter := 0; iter < 64; iter++ {
-		fcols := math.Floor(spanX/side) + 1
-		frows := math.Floor(spanY/side) + 1
+		fcols := math.Floor(cellOffset(b.MaxX, b.MinX, side)) + 1
+		frows := math.Floor(cellOffset(b.MaxY, b.MinY, side)) + 1
 		if fcols*frows <= MaxCells { // also false for ±Inf products
 			return int(fcols), int(frows), side, nil
 		}
@@ -88,13 +91,24 @@ func gridShape(b geom.MBB, side float64) (cols, rows int, outSide float64, err e
 	// Fallback for spans the multiplicative walk cannot reach (a denormal
 	// side under a huge extent drives fcols·frows to +Inf): one cell per
 	// axis span always fits.
-	side = math.Max(side, math.Max(spanX, spanY))
-	fcols := math.Floor(spanX/side) + 1
-	frows := math.Floor(spanY/side) + 1
+	side = math.Max(side, math.Min(math.Max(spanX, spanY), math.MaxFloat64))
+	fcols := math.Floor(cellOffset(b.MaxX, b.MinX, side)) + 1
+	frows := math.Floor(cellOffset(b.MaxY, b.MinY, side)) + 1
 	if !(fcols >= 1) || !(frows >= 1) || fcols*frows > MaxCells {
 		return 0, 0, 0, ErrGridTooLarge
 	}
 	return int(fcols), int(frows), side, nil
+}
+
+// cellOffset returns (v-origin)/side, v's distance from the origin in
+// cells. Where v-origin overflows — finite points more than MaxFloat64
+// apart — it is taken at half scale, which is exact up to rounding and
+// finite for any side gridShape lands on.
+func cellOffset(v, origin, side float64) float64 {
+	if d := v - origin; !math.IsInf(d, 0) {
+		return d / side
+	}
+	return (v*0.5 - origin*0.5) / side * 2
 }
 
 // Stats describes the grid shape.
@@ -164,8 +178,8 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 	for i := 0; i < n; i++ {
 		c := int32(cells)
 		if geom.Finite(x[i], y[i]) {
-			col := min(int((x[i]-f.originX)/f.side), int(f.cols)-1)
-			row := min(int((y[i]-f.originY)/f.side), int(f.rows)-1)
+			col := min(int(cellOffset(x[i], f.originX, f.side)), int(f.cols)-1)
+			row := min(int(cellOffset(y[i], f.originY, f.side)), int(f.rows)-1)
 			c = int32(row*int(f.cols) + col)
 			f.cellStart[c+1]++
 		}
@@ -249,8 +263,8 @@ func (f *Flat) EpsSearch(p geom.Point, eps float64, dst []int32) (out []int32, c
 		return dst, 0, 0
 	}
 	reach := math.Ceil(eps / f.side)
-	fc := math.Floor((p.X - f.originX) / f.side)
-	fr := math.Floor((p.Y - f.originY) / f.side)
+	fc := math.Floor(cellOffset(p.X, f.originX, f.side))
+	fr := math.Floor(cellOffset(p.Y, f.originY, f.side))
 	c0, c1, ok := clampSpan(fc-reach, fc+reach, f.cols)
 	if !ok {
 		return dst, 0, 0

@@ -27,7 +27,9 @@ func TestGridShapeBoundaries(t *testing.T) {
 		{"max finite span", box(math.MaxFloat64, math.MaxFloat64), 1, false},
 		{"asymmetric huge", box(1e307, 1e-307), 1e-310, false},
 		{"denormal span denormal side", box(5e-324, 5e-324), 5e-324, false},
-		{"span overflows to inf", geom.MBB{MinX: -math.MaxFloat64, MinY: 0, MaxX: math.MaxFloat64, MaxY: 1}, 1, true},
+		{"span overflows to inf", geom.MBB{MinX: -math.MaxFloat64, MinY: 0, MaxX: math.MaxFloat64, MaxY: 1}, 1, false},
+		{"span overflows on both axes", geom.MBB{MinX: -1e308, MinY: -1.7e308, MaxX: 1e308, MaxY: 1.7e308}, 5e-324, false},
+		{"infinite bound", geom.MBB{MinX: math.Inf(-1), MinY: 0, MaxX: 1, MaxY: 1}, 1, true},
 		{"nan span", geom.MBB{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}, 1, true},
 		{"negative span", geom.MBB{MinX: 1, MinY: 0, MaxX: 0, MaxY: 1}, 1, true},
 	}
@@ -53,8 +55,9 @@ func TestGridShapeBoundaries(t *testing.T) {
 				t.Fatalf("side shrank: %g < %g", side, tc.side)
 			}
 			// The landed geometry must actually cover the extent: the last
-			// cell's far edge reaches past the span on both axes.
-			if float64(cols)*side < tc.b.MaxX-tc.b.MinX || float64(rows)*side < tc.b.MaxY-tc.b.MinY {
+			// cell's far edge reaches past the span on both axes (compared
+			// at half scale, where a span wider than the float range fits).
+			if float64(cols)*side*0.5 < tc.b.MaxX*0.5-tc.b.MinX*0.5 || float64(rows)*side*0.5 < tc.b.MaxY*0.5-tc.b.MinY*0.5 {
 				t.Fatalf("%dx%d cells of side %g do not cover %gx%g",
 					cols, rows, side, tc.b.MaxX-tc.b.MinX, tc.b.MaxY-tc.b.MinY)
 			}

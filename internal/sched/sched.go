@@ -4,18 +4,17 @@
 // one replays the non-core records its predecessor wrote, at zero
 // ε-searches. Every variant then has dbscan.Run's bytes and the same work
 // counters at every pool width, on either index kind; DisableReuse makes
-// every variant its own chain. Without intra-variant workers a chain's
-// first link runs on one goroutine and is traced as one scratch phase, like
-// every other sequential run: the cell-major dbscan.RunLink on the grid
-// kind, and on the R-tree kind dbscan.RunLink at one worker, or
-// dbscan.RunCtx when nothing follows it.
+// every variant its own chain. On a one-worker pool a chain's first link
+// runs on that goroutine and is traced as one scratch phase, like every
+// other sequential run: the cell-major dbscan.RunLink on the grid kind,
+// and on the R-tree kind dbscan.RunLink at one worker, or dbscan.RunCtx
+// when nothing follows it.
 //
-// Beyond one variant per worker, the pool supports *two-level* scheduling
-// (Options.IntraWorkers / Options.DonateIdle): chain links can run on the
-// intra-variant parallel path, and workers left idle once the queue drains
-// — the |V| < T and end-of-run-tail regimes — donate themselves to the
-// running variants' worker pools. Results are unchanged: the parallel path
-// is label-identical to sequential DBSCAN.
+// On a wider pool the scheduling is *two-level*: chain heads take the
+// intra-variant parallel path of dbscan.RunLink, and workers left idle
+// once the queue drains — the |V| < T and end-of-run-tail regimes — donate
+// themselves to the running variants' parallel phases. Results are
+// unchanged: the parallel path is label-identical to sequential DBSCAN.
 //
 // The paper's own executor — Alg. 3/4 cluster reuse under its online
 // heuristics — is internal/paper, which only the figure harness imports.
@@ -37,30 +36,14 @@ import (
 
 // Options configures Execute.
 type Options struct {
-	// Threads is the worker pool size T; 1 when zero or negative.
+	// Threads is the worker pool size T; 1 when zero or negative. Above 1
+	// the pool schedules on two levels: chain heads take the parallel
+	// path, and pool workers that find the queue empty donate themselves
+	// to the parallel phases of still-running variants instead of parking.
 	Threads int
 	// DisableReuse forces every variant to cluster from scratch (the
 	// multithreaded no-reuse baseline of scenario S1).
 	DisableReuse bool
-	// IntraWorkers is the per-variant worker count: when set above 1 (or
-	// when DonateIdle is on), a chain's first link runs on the parallel
-	// path of dbscan.RunLink instead of one goroutine, so a single variant
-	// can use several cores. 0 or 1 keeps it on one worker unless
-	// DonateIdle lends it more.
-	IntraWorkers int
-	// DonateIdle enables two-level scheduling: pool workers that find the
-	// variant queue empty donate themselves to the parallel pass of
-	// still-running variants instead of parking. This removes the idle
-	// cores of the |V| < Threads and end-of-run-tail regimes without
-	// changing any clustering result (the parallel path is label-identical
-	// to sequential DBSCAN).
-	DonateIdle bool
-	// Tiles selects tile-level parallelism for chain heads on grid-kind
-	// indexes (dbscan.ParallelOptions.Tiles): 0 is automatic,
-	// 1 untiled, >= 2 an explicit tile target. Label-identical to the
-	// untiled run; a value above 1 also enables the parallel path, like
-	// IntraWorkers.
-	Tiles int
 	// Metrics optionally accumulates work counters across all variants.
 	Metrics *metrics.Counters
 	// Tracer optionally records the run's execution timeline: variant
@@ -74,9 +57,6 @@ type Options struct {
 	// fraction). It is called from worker goroutines — keep it fast.
 	Progress func(obs.ProgressEvent)
 }
-
-// intraEnabled reports whether chain heads should take the parallel path.
-func (o Options) intraEnabled() bool { return o.IntraWorkers > 1 || o.DonateIdle || o.Tiles > 1 }
 
 // VariantResult is the outcome of one variant execution.
 type VariantResult struct {
@@ -170,7 +150,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 
 	var pool *donorPool
 	var helper dbscan.Helper // nil, not a nil *donorPool, when nothing donates
-	if opt.DonateIdle {
+	if threads > 1 {
 		pool = newDonorPool()
 		helper = pool
 	}
@@ -252,9 +232,6 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			defer pool.variantFinished()
 		}
 		var link *dbscan.Link // the chain's previous link
-		// Without intra-variant workers a chain's first link runs on this
-		// goroutine alone, traced as scratch like every sequential run.
-		seq := !opt.intraEnabled()
 		for i, v := range unit {
 			if i > 0 && ctx.Err() != nil {
 				return nil
@@ -274,8 +251,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 				own = new(metrics.Counters)
 				vmet = own
 			}
-			popt := dbscan.ParallelOptions{Workers: max(opt.IntraWorkers, 1), Helper: helper,
-				Rec: rec, Variant: int32(v.ID), Tiles: opt.Tiles}
+			popt := dbscan.ParallelOptions{Workers: 1, Helper: helper, Rec: rec, Variant: int32(v.ID)}
 			var res *cluster.Result
 			var err error
 			switch {
@@ -286,10 +262,12 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 				vr.SourceID, vr.FractionReused = src.ID, 1
 				rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
 				res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
-			case seq:
-				// A lone R-tree variant keeps Run's expansion, which needs
-				// no label or border tail; every other head records its
-				// Link, cell-major on the grid kind.
+			case threads == 1:
+				// On a one-worker pool a chain's first link runs on this
+				// goroutine alone, traced as scratch like every sequential
+				// run. A lone R-tree variant keeps Run's expansion, which
+				// needs no label or border tail; every other head records
+				// its Link, cell-major on the grid kind.
 				vr.FromScratch = true
 				rec.PhaseBegin(int32(v.ID), obs.PhaseScratch)
 				if ix.Kind == dbscan.IndexRTree && i+1 == len(unit) {

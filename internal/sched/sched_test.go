@@ -426,9 +426,7 @@ func TestExecuteTwoLevelSingleVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Execute(ix, variant.New([]dbscan.Params{p}), Options{
-		Threads: 4, DonateIdle: true,
-	})
+	rr, err := Execute(ix, variant.New([]dbscan.Params{p}), Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,19 +444,18 @@ func TestExecuteTwoLevelSingleVariant(t *testing.T) {
 func TestExecuteTwoLevelTailSkew(t *testing.T) {
 	// A skewed set: several cheap variants plus one expensive tail variant
 	// (huge ε). With reuse disabled every execution is from scratch; idle
-	// workers must flow into the tail without changing any result.
+	// workers of a four-wide pool must flow into the tail without changing
+	// any result of the one-worker run.
 	ix := testIndex(t)
 	ps := []dbscan.Params{
 		{Eps: 0.2, MinPts: 8}, {Eps: 0.25, MinPts: 8}, {Eps: 0.3, MinPts: 8},
 		{Eps: 6, MinPts: 4}, // tail: large ε dominates
 	}
-	baseline, err := Execute(ix, variant.New(ps), Options{Threads: 4, DisableReuse: true})
+	baseline, err := Execute(ix, variant.New(ps), Options{Threads: 1, DisableReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	donated, err := Execute(ix, variant.New(ps), Options{
-		Threads: 4, DisableReuse: true, DonateIdle: true, IntraWorkers: 2,
-	})
+	donated, err := Execute(ix, variant.New(ps), Options{Threads: 4, DisableReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,13 +480,11 @@ func TestExecuteTwoLevelWithReuse(t *testing.T) {
 	// same path: every variant's bytes match the one-worker run.
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.5, 0.7, 0.9}, []int{4, 8})
-	base, err := Execute(ix, vs, Options{Threads: 2})
+	base, err := Execute(ix, vs, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := Execute(ix, vs, Options{
-		Threads: 2, DonateIdle: true, IntraWorkers: 2,
-	})
+	two, err := Execute(ix, vs, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,28 +501,31 @@ func TestExecuteTwoLevelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ExecuteContext(ctx, ix, variant.New([]dbscan.Params{{Eps: 0.8, MinPts: 4}}),
-		Options{Threads: 4, DonateIdle: true})
+		Options{Threads: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want canceled", err)
 	}
 }
 
 func TestExecuteIntraWorkersWithoutDonation(t *testing.T) {
-	// IntraWorkers > 1 alone (no donation) must also reproduce sequential
-	// labels on from-scratch executions.
+	// A one-worker pool has no donors, so its from-scratch execution runs
+	// on that worker alone; it must reproduce sequential labels, as must
+	// the same execution on wider pools, where the spare workers donate.
 	ix := testIndex(t)
 	p := dbscan.Params{Eps: 0.8, MinPts: 4}
 	want, _ := dbscan.Run(ix, p, nil)
-	rr, err := Execute(ix, variant.New([]dbscan.Params{p}), Options{
-		Threads: 1, IntraWorkers: 4, DisableReuse: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rr.Results[0].Result
-	for i := range got.Labels {
-		if got.Labels[i] != want.Labels[i] {
-			t.Fatalf("label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
+	for _, threads := range []int{1, 2, 4} {
+		rr, err := Execute(ix, variant.New([]dbscan.Params{p}), Options{
+			Threads: threads, DisableReuse: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rr.Results[0].Result
+		for i := range got.Labels {
+			if got.Labels[i] != want.Labels[i] {
+				t.Fatalf("T=%d: label[%d] = %d, want %d", threads, i, got.Labels[i], want.Labels[i])
+			}
 		}
 	}
 }
@@ -537,7 +535,7 @@ func TestExecuteTwoLevelManyVariantsFewThreads(t *testing.T) {
 	// must complete and every variant must be populated.
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.4, 0.6, 0.8, 1.0, 1.2}, []int{4, 8})
-	rr, err := Execute(ix, vs, Options{Threads: 3, DisableReuse: true, DonateIdle: true})
+	rr, err := Execute(ix, vs, Options{Threads: 3, DisableReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,8 +662,7 @@ func TestTracedEventsNestWithinRun(t *testing.T) {
 	vs := variant.Product([]float64{0.4, 0.9}, []int{4, 10, 16})
 	tr := obs.NewTracer()
 	rr, err := Execute(ix, vs, Options{
-		Threads: 4, Tracer: tr,
-		DonateIdle: true, // exercise donor join/leave events too
+		Threads: 4, Tracer: tr, // a wide pool exercises donor join/leave events too
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -742,47 +739,31 @@ func TestProgressCallback(t *testing.T) {
 }
 
 // TestExecuteTiledMatchesUntiled covers the reuse on/off axis of the
-// tiled-exactness matrix: a variant schedule run with tile-level
-// parallelism must produce byte-identical per-variant labels to the
-// untiled schedule, whether executions cluster from scratch (reuse
-// disabled — every run takes the tiled parallel path) or run as ε-chains
-// (reuse on — each chain's first link tiles, the rest replay it). Both
-// are schedule-independent, so the comparison is exact at every width.
+// tiled-exactness matrix: every variant of a schedule — from scratch
+// (reuse disabled) or as ε-chains (reuse on: each chain's first link runs
+// from scratch, the rest replay it) — has the bytes of a parallel run of
+// that variant alone, untiled and tiled into 4, 9 and 16 tiles. Both are
+// schedule-independent, so the comparison is exact at every pool width.
 func TestExecuteTiledMatchesUntiled(t *testing.T) {
 	ix := dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1),
 		dbscan.IndexOptions{R: 16, Kind: dbscan.IndexGrid})
 	vs := variant.Product([]float64{0.3, 0.5, 0.8}, []int{4, 8, 16})
 	for _, disableReuse := range []bool{true, false} {
-		base, err := Execute(ix, vs, Options{
-			Threads:      1,
-			DisableReuse: disableReuse, IntraWorkers: 2, Tiles: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tiles := range []int{4, 9, 16} {
-			for _, threads := range []int{1, 4} {
-				opt := Options{
-					Threads:      threads,
-					DisableReuse: disableReuse, IntraWorkers: 2, Tiles: tiles,
-				}
-				rr, err := Execute(ix, vs, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, threads := range []int{1, 4} {
+			rr, err := Execute(ix, vs, Options{Threads: threads, DisableReuse: disableReuse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tiles := range []int{1, 4, 9, 16} {
 				for vi, r := range rr.Results {
-					want := base.Results[vi].Result
-					if r.Result.NumClusters != want.NumClusters {
-						t.Fatalf("reuse=%v tiles=%d T=%d variant %v: clusters %d vs %d",
-							!disableReuse, tiles, threads, r.Variant,
-							r.Result.NumClusters, want.NumClusters)
+					want, err := dbscan.RunParallelOpts(context.Background(), ix, vs[vi].Params,
+						dbscan.ParallelOptions{Workers: 2, Tiles: tiles}, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for i := range r.Result.Labels {
-						if r.Result.Labels[i] != want.Labels[i] {
-							t.Fatalf("reuse=%v tiles=%d T=%d variant %v: label[%d] = %d, want %d",
-								!disableReuse, tiles, threads, r.Variant,
-								i, r.Result.Labels[i], want.Labels[i])
-						}
+					if r.Result.NumClusters != want.NumClusters || !slices.Equal(r.Result.Labels, want.Labels) {
+						t.Fatalf("reuse=%v T=%d variant %v: labels differ from RunParallelOpts at tiles=%d",
+							!disableReuse, threads, r.Variant, tiles)
 					}
 				}
 			}

@@ -40,7 +40,6 @@ type batch struct {
 	union []vdbscan.Params // deduplicated union of member variant lists
 	keys  map[string]int   // param key -> union index
 	live  int              // member jobs not yet terminal
-	tiles int              // max tiles requested across members (0 = server default)
 
 	// Set once by runBatch after the run; read by the trace/labels handlers.
 	points      int // dataset size the run saw
@@ -84,9 +83,6 @@ func (b *batch) add(j *job) (members, union int) {
 			b.keys[k] = slot
 		}
 		j.slots[i] = slot
-	}
-	if j.tiles > b.tiles {
-		b.tiles = j.tiles
 	}
 	b.jobs = append(b.jobs, j)
 	b.live++
@@ -168,15 +164,9 @@ func (s *Server) runBatch(b *batch) {
 	idx, points, version := d.snapshot()
 
 	var work vdbscan.Work
-	b.mu.Lock()
-	tiles := b.tiles
-	b.mu.Unlock()
-	if tiles == 0 {
-		tiles = s.cfg.Tiles
-	}
 
 	// One label resolution per run; every observation below is lock-free.
-	ob := s.mx.batchObserver(b.datasetID, d.kind.String(), tilesLabel(tiles))
+	ob := s.mx.batchObserver(b.datasetID)
 	runStart := time.Now()
 	for _, j := range live {
 		ob.queueWait.Observe(runStart.Sub(j.created).Seconds())
@@ -208,51 +198,32 @@ func (s *Server) runBatch(b *batch) {
 	// from worker goroutines). Variant completions feed the ε-search work
 	// histograms and the per-slot work table that quota charging reads —
 	// e.Work on KindDone is that variant's own delta, so summing a job's
-	// slots prices exactly the work its variants consumed. Tile-phase spans
-	// become SSE phase frames. Everything else is ignored in one switch.
+	// slots prices exactly the work its variants consumed. Every other
+	// event stays in the trace.
 	var slotMu sync.Mutex
 	slotWork := make([]vdbscan.Work, len(union))
 	sink := func(e obs.Event) {
-		switch e.Kind {
-		case obs.KindDone:
-			if e.Variant >= 0 && int(e.Variant) < len(union) {
-				slotMu.Lock()
-				slotWork[e.Variant] = slotWork[e.Variant].Add(e.Work)
-				slotMu.Unlock()
-			}
-			if e.Variant >= 0 && e.Work.NeighborSearches > 0 {
-				ob.epsSearches.Observe(float64(e.Work.NeighborSearches))
-				ob.candPerSearch.Observe(
-					float64(e.Work.CandidatesExamined) / float64(e.Work.NeighborSearches))
-			}
-		case obs.KindPhaseBegin, obs.KindPhaseEnd:
-			ph := phaseName(obs.Phase(e.Arg))
-			if ph == "" {
-				return // only the tile phase streams; the other phases stay in the trace
-			}
-			state := "begin"
-			if e.Kind == obs.KindPhaseEnd {
-				state = "end"
-			}
-			hf := phaseFrame{
-				Batch: b.id, Variant: int(e.Variant), Phase: ph, State: state,
-				AtMS: float64(e.At) / float64(time.Millisecond),
-			}
-			for _, j := range live {
-				hf.Job = j.id
-				j.events.publish(evPhase, hf, false, false)
-			}
+		if e.Kind != obs.KindDone || e.Variant < 0 {
+			return
+		}
+		if int(e.Variant) < len(union) {
+			slotMu.Lock()
+			slotWork[e.Variant] = slotWork[e.Variant].Add(e.Work)
+			slotMu.Unlock()
+		}
+		if e.Work.NeighborSearches > 0 {
+			ob.epsSearches.Observe(float64(e.Work.NeighborSearches))
+			ob.candPerSearch.Observe(
+				float64(e.Work.CandidatesExamined) / float64(e.Work.NeighborSearches))
 		}
 	}
 	tr := obs.NewTracer(obs.WithSink(sink))
 
 	s.log.Info("batch run starting",
 		"batch", b.id, "dataset", b.datasetID, "jobs", len(live),
-		"variants", len(union), "points", points, "tiles", tiles,
-		"index", d.kind.String())
+		"variants", len(union), "points", points)
 	run, err := idx.ClusterVariants(union,
 		vdbscan.WithThreads(s.cfg.Threads),
-		vdbscan.WithTiles(tiles),
 		vdbscan.WithContext(b.ctx),
 		vdbscan.WithTracer(tr),
 		vdbscan.WithWork(&work),

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"vdbscan/internal/obs"
 )
 
 // SSE frame event names for the job lifecycle. Terminal frames reuse the
@@ -19,13 +17,12 @@ const (
 	evBatched  = "batched"
 	evRunning  = "running"
 	evProgress = "progress"
-	evPhase    = "phase"
 )
 
 // streamBufFrames is each subscriber's ring depth. A batch over a union of
-// V variants emits ~V progress frames plus 4·V tile-phase frames; 64 rides
-// out a multi-second network stall at that rate without ever blocking the
-// publisher (overflow drops the subscriber's oldest frame instead).
+// V variants emits ~V progress frames; 64 rides out a multi-second network
+// stall at that rate without ever blocking the publisher (overflow drops
+// the subscriber's oldest frame instead).
 const streamBufFrames = 64
 
 // eventFrame is one rendered SSE frame: a monotone per-job sequence number
@@ -240,27 +237,11 @@ type progressFrame struct {
 	ElapsedMS      float64 `json:"elapsed_ms"`
 }
 
-type phaseFrame struct {
-	Job     string  `json:"job"`
-	Batch   string  `json:"batch"`
-	Variant int     `json:"variant"`
-	Phase   string  `json:"phase"` // tile_run
-	State   string  `json:"state"` // begin | end
-	AtMS    float64 `json:"at_ms"` // offset from the run start
-}
-
 type terminalFrame struct {
 	Job        string  `json:"job"`
 	State      string  `json:"state"`
 	Error      string  `json:"error,omitempty"`
 	DurationMS float64 `json:"duration_ms"` // admission -> terminal
-}
-
-func phaseName(ph obs.Phase) string {
-	if ph == obs.PhaseTileRun {
-		return "tile_run"
-	}
-	return ""
 }
 
 // ---- SSE handler ---------------------------------------------------------
@@ -270,11 +251,11 @@ func phaseName(ph obs.Phase) string {
 const sseHeartbeat = 15 * time.Second
 
 // handleJobEvents streams the job's lifecycle as Server-Sent Events:
-// queued -> batched -> running -> per-variant progress (and tile_run
-// phase frames on tiled runs) -> done|failed|canceled, then EOF. A
-// subscriber joining mid-job first receives a snapshot (current state +
-// latest progress); one joining after the job finished receives that
-// snapshot plus the terminal frame and an immediate end-of-stream.
+// queued -> batched -> running -> per-variant progress ->
+// done|failed|canceled, then EOF. A subscriber joining mid-job first
+// receives a snapshot (current state + latest progress); one joining after
+// the job finished receives that snapshot plus the terminal frame and an
+// immediate end-of-stream.
 // Frames carry an id: with the per-job sequence number, so gaps reveal
 // drop-oldest backpressure.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {

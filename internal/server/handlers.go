@@ -21,7 +21,7 @@ type datasetDoc struct {
 	Points     int    `json:"points"`  // covered by the installed index
 	Staged     int    `json:"staged"`  // appended, awaiting re-freeze
 	Version    int    `json:"version"` // index install version
-	Index      string `json:"index"`   // eps-search substrate: rtree or grid
+	Index      string `json:"index"`   // the installed index's kind (dataset.kind)
 	Refreezing bool   `json:"refreezing"`
 	Created    string `json:"created"`
 }
@@ -41,11 +41,6 @@ type jobRequest struct {
 	Variants []variantSpec `json:"variants"`
 	// TimeoutMS overrides the server's default job deadline (milliseconds).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Tiles overrides the server's tile-level parallelism for this job's
-	// run (0 = server default/auto, 1 = untiled, >= 2 = tile target).
-	// Labels are identical at any tile count; when coalescing merges jobs
-	// the batch runs with the largest requested value.
-	Tiles int `json:"tiles,omitempty"`
 }
 
 // variantDoc is one per-variant result inside a job document.
@@ -238,24 +233,16 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	if name == "" && csvName != "unnamed" {
 		name = csvName
 	}
-	leafR := 0
-	if v := r.URL.Query().Get("r"); v != "" {
-		leafR, err = strconv.Atoi(v)
-		if err != nil || leafR < 0 {
-			s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest, "bad r parameter %q", v)
-			return
-		}
-	}
-	kind := s.cfg.IndexKind
+	// Every upload is indexed on the cell grid: ?index=grid is accepted
+	// for compatibility, and any other kind is refused.
 	if v := r.URL.Query().Get("index"); v != "" {
-		kind, err = cliutil.ParseIndexKind(v)
-		if err != nil {
+		if kind, err := cliutil.ParseIndexKind(v); err != nil || kind != vdbscan.IndexGrid {
 			s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest,
-				"bad index parameter %q (want rtree or grid)", v)
+				"bad index parameter %q (only grid is served)", v)
 			return
 		}
 	}
-	d, err := s.registry.create(name, points, leafR, kind)
+	d, err := s.registry.create(name, points)
 	if err != nil {
 		s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest, "%v", err)
 		return
@@ -263,7 +250,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	s.ctrs.datasets.Add(1)
 	s.log.Info("dataset created",
 		"req", requestID(r.Context()), "dataset", d.id, "name", d.name,
-		"points", len(points), "index", d.kind.String())
+		"points", len(points))
 	writeJSON(w, http.StatusCreated, s.datasetDoc(d))
 }
 
@@ -371,10 +358,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	if req.Tiles < 0 {
-		s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest, "tiles must be >= 0 (got %d)", req.Tiles)
-		return
-	}
 
 	// Tenant admission gates, checked before the queue-depth gate so a
 	// capped tenant cannot starve others out of queue slots it would not
@@ -395,7 +378,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := s.jobs.new(tn, d.id, params, timeout)
-	j.tiles = req.Tiles
 	j.events.mx = s.mx // safe: no frame published before admit
 	accepted, err := s.admit(j, isV2(r))
 	if err != nil {

@@ -46,7 +46,6 @@ type job struct {
 
 	batch *batch // assigned at admission, never changes
 	slots []int  // params[i] -> index into the batch's union variant list
-	tiles int    // requested tile-level parallelism (0 = server default)
 
 	// events is the job's SSE broker (see events.go). Created with the job;
 	// the server wires its metrics handle before admission.

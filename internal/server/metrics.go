@@ -9,32 +9,12 @@ import (
 	"vdbscan/internal/obs/prom"
 )
 
-// tilesLabel maps an effective tile request to the bounded label vocabulary
-// of the tiled metrics dimension: the run either tiled, didn't, or let the
-// library decide ("auto", which may resolve either way per run).
-func tilesLabel(tiles int) string {
-	switch {
-	case tiles <= 0:
-		return "auto"
-	case tiles == 1:
-		return "untiled"
-	default:
-		return "tiled"
-	}
-}
-
-// labelNA marks a label dimension that does not apply to a family kept on
-// the shared {dataset,index,tiled} schema (e.g. refreezes are not tiled).
-const labelNA = "na"
-
 // serverMetrics is the service's Prometheus exposition: the flat monotonic
 // counters the server always had (now func-collected from the same
 // atomics), labeled counters for the SSE plane, and the latency/work
 // *distributions* the paper's throughput story actually rests on — queue
 // wait, coalescing window, batch and per-variant run time, refreeze time,
-// and per-variant ε-search work, each labeled by dataset, index kind
-// (rtree/grid), and tiled so the tiled-vs-untiled and grid-vs-rtree
-// speedups are scrapeable as separate series.
+// and per-variant ε-search work, each labeled by dataset.
 //
 // Histogram observation is lock-free (see internal/obs/prom); the handles
 // resolved per batch run are cached for the run, so instrumentation costs
@@ -43,7 +23,7 @@ const labelNA = "na"
 type serverMetrics struct {
 	reg *prom.Registry
 
-	// Distributions over {dataset, index, tiled}.
+	// Distributions over {dataset}.
 	queueWait     *prom.Vec // vdbscand_job_queue_wait_seconds
 	coalesceWin   *prom.Vec // vdbscand_batch_coalesce_window_seconds
 	batchRun      *prom.Vec // vdbscand_batch_run_seconds
@@ -78,14 +58,14 @@ type batchObserver struct {
 	epsSearches, candPerSearch                   *prom.Metric
 }
 
-func (m *serverMetrics) batchObserver(dataset, index, tiled string) batchObserver {
+func (m *serverMetrics) batchObserver(dataset string) batchObserver {
 	return batchObserver{
-		queueWait:     m.queueWait.With(dataset, index, tiled),
-		coalesceWin:   m.coalesceWin.With(dataset, index, tiled),
-		batchRun:      m.batchRun.With(dataset, index, tiled),
-		variantRun:    m.variantRun.With(dataset, index, tiled),
-		epsSearches:   m.epsSearches.With(dataset, index, tiled),
-		candPerSearch: m.candPerSearch.With(dataset, index, tiled),
+		queueWait:     m.queueWait.With(dataset),
+		coalesceWin:   m.coalesceWin.With(dataset),
+		batchRun:      m.batchRun.With(dataset),
+		variantRun:    m.variantRun.With(dataset),
+		epsSearches:   m.epsSearches.With(dataset),
+		candPerSearch: m.candPerSearch.With(dataset),
 	}
 }
 
@@ -130,7 +110,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("vdbscand_start_time_seconds", "Unix time the server started, in seconds.",
 		func() float64 { return float64(s.start.UnixNano()) / 1e9 })
 
-	labels := []string{"dataset", "index", "tiled"}
+	labels := []string{"dataset"}
 	m.queueWait = r.Histogram("vdbscand_job_queue_wait_seconds",
 		"Time a job spent between admission and its batch starting to run.",
 		prom.DurationBuckets, labels...)

@@ -12,12 +12,12 @@ import (
 
 // TestMetricsExposition validates the full scrape with the in-tree strict
 // parser and checks the tentpole requirements: at least five histogram
-// families, each labeled {dataset, index, tiled}; float uptime; a start
+// families, each labeled {dataset} and nothing else; float uptime; a start
 // time gauge; and per-run observations landing in the right series.
 func TestMetricsExposition(t *testing.T) {
 	s, c := newTestServer(t, Config{Threads: 2, RefreezePoints: 200})
-	c.doJSON("POST", "/v1/datasets?index=grid", pointsCSV(t, testPoints(t, 1500)), http.StatusCreated)
-	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":8},{"eps":3,"minpts":4},{"eps":4,"minpts":4}],"tiles":2}`,
+	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 1500)), http.StatusCreated)
+	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":8},{"eps":3,"minpts":4},{"eps":4,"minpts":4}]}`,
 		http.StatusAccepted)
 	c.waitDone("j1")
 	// Trip a background refreeze so the refreeze histogram has a sample.
@@ -42,14 +42,19 @@ func TestMetricsExposition(t *testing.T) {
 		if fam.Type != "histogram" || len(fam.Samples) == 0 {
 			continue
 		}
-		for _, l := range []string{"dataset", "index", "tiled"} {
-			if _, ok := fam.Samples[0].Labels[l]; !ok {
-				t.Errorf("histogram %s lacks label %q", fam.Name, l)
+		for _, smp := range fam.Samples {
+			if _, ok := smp.Labels["dataset"]; !ok {
+				t.Errorf("histogram %s sample %v lacks label \"dataset\"", fam.Name, smp.Labels)
+			}
+			for l := range smp.Labels {
+				if l != "dataset" && l != "le" {
+					t.Errorf("histogram %s carries label %q beyond {dataset}", fam.Name, l)
+				}
 			}
 		}
 	}
 
-	labels := map[string]string{"dataset": "d1", "index": "grid", "tiled": "tiled"}
+	labels := map[string]string{"dataset": "d1"}
 	for _, h := range []struct {
 		name string
 		want float64 // minimum expected _count
@@ -76,7 +81,7 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 	if got, ok := exp.Value("vdbscand_dataset_refreeze_seconds_count",
-		map[string]string{"dataset": "d1", "index": "grid", "tiled": labelNA}); !ok || got < 1 {
+		map[string]string{"dataset": "d1"}); !ok || got < 1 {
 		t.Errorf("refreeze histogram count = %g (found=%v), want >= 1", got, ok)
 	}
 

@@ -17,7 +17,7 @@ import (
 
 // Disk layout under Config.DataDir — one directory per dataset:
 //
-//	<DataDir>/<id>/manifest.json   identity: id, name, created, r, kind
+//	<DataDir>/<id>/manifest.json   identity: id, name, created
 //	<DataDir>/<id>/snapshot        page-aligned frozen-index image
 //	<DataDir>/<id>/wal.<seq>       appends staged after snapshot <seq> was cut
 //
@@ -39,16 +39,13 @@ const (
 	persistOpWALReplay = "wal_replay"
 )
 
-// manifest is the identity block of one persisted dataset. The index
-// geometry (r, kind) rides along so a re-freeze after restart rebuilds
-// with the same layout the uploader chose. Kind is the snapshot's on-disk
-// code (persist.KindCode: 0 = R-tree, 1 = grid).
+// manifest is the identity block of one persisted dataset. The index kind
+// is the snapshot's own (SnapshotInfo.Kind); manifests written by older
+// releases also carry "r" and "kind", which decoding ignores.
 type manifest struct {
 	ID      string    `json:"id"`
 	Name    string    `json:"name"`
 	Created time.Time `json:"created"`
-	R       int       `json:"r"`
-	Kind    uint32    `json:"kind"`
 }
 
 func (g *registry) datasetDir(id string) string {
@@ -68,9 +65,7 @@ func (g *registry) persistCreate(d *dataset) {
 		g.log.Warn("dataset persistence disabled", "dataset", d.id, "err", err)
 		return
 	}
-	mf, err := json.Marshal(manifest{
-		ID: d.id, Name: d.name, Created: d.created, R: d.r, Kind: persist.KindCode(d.kind),
-	})
+	mf, err := json.Marshal(manifest{ID: d.id, Name: d.name, Created: d.created})
 	if err == nil {
 		err = os.WriteFile(filepath.Join(dir, "manifest.json"), mf, 0o644)
 	}
@@ -240,10 +235,6 @@ func (g *registry) loadDataset(dir string) (*dataset, error) {
 	if man.ID == "" || man.ID != filepath.Base(dir) {
 		return nil, fmt.Errorf("manifest id %q does not match directory", man.ID)
 	}
-	kind, ok := persist.KindFromCode(man.Kind)
-	if !ok {
-		return nil, fmt.Errorf("manifest kind %d unknown", man.Kind)
-	}
 
 	began := time.Now()
 	idx, info, err := vdbscan.LoadSnapshot(filepath.Join(dir, "snapshot"))
@@ -254,8 +245,7 @@ func (g *registry) loadDataset(dir string) (*dataset, error) {
 		id:      man.ID,
 		name:    man.Name,
 		created: man.Created,
-		r:       man.R,
-		kind:    kind,
+		kind:    info.Kind,
 		points:  idx.Points(),
 		index:   idx,
 		version: 1,

@@ -307,6 +307,9 @@ func copyFiles(t *testing.T, from, to string) {
 // for the R-tree and 1 for the grid, and snapshots carrying both R-trees
 // whatever the kind, the grid one its cell grid too. Each dataset must come
 // back as the kind it was written as and serve a fresh upload's labels.
+// The R-tree dataset then moves to the grid at its first re-freeze: after
+// an append past RefreezePoints it reads "index":"grid" and serves the
+// labels of a fresh upload of the grown point set.
 func TestRestorePreChangeKindCodes(t *testing.T) {
 	dir := t.TempDir()
 	pts := testPoints(t, 1500)
@@ -336,7 +339,7 @@ func TestRestorePreChangeKindCodes(t *testing.T) {
 		}
 	}
 
-	s, ts, c := startGeneration(t, Config{Threads: 1, DataDir: dir})
+	s, ts, c := startGeneration(t, Config{Threads: 1, DataDir: dir, RefreezePoints: 200})
 	defer drainAndStop(t, s, ts)
 	fresh := c.doJSON("POST", "/v1/datasets?name=fresh", pointsCSV(t, pts), http.StatusCreated)
 	labels := func(ds string) []byte {
@@ -357,5 +360,17 @@ func TestRestorePreChangeKindCodes(t *testing.T) {
 		if !bytes.Equal(labels(id), want) {
 			t.Errorf("%s (%v) serves labels unlike a fresh upload's", id, kind)
 		}
+	}
+
+	extra := testPoints(t, 250)
+	c.doJSON("POST", "/v1/datasets/d1/points", pointsCSV(t, extra), http.StatusAccepted)
+	s.registry.flushRefreezes()
+	grown := c.doJSON("POST", "/v1/datasets?name=grown", pointsCSV(t, append(pts[:len(pts):len(pts)], extra...)), http.StatusCreated)
+	doc := c.doJSON("GET", "/v1/datasets/d1", nil, http.StatusOK)
+	if doc["index"] != "grid" || doc["version"].(float64) != 2 {
+		t.Errorf("re-frozen R-tree dataset reads index %v at version %v, want grid at 2", doc["index"], doc["version"])
+	}
+	if !bytes.Equal(labels("d1"), labels(grown["id"].(string))) {
+		t.Error("re-frozen R-tree dataset serves labels unlike a fresh upload of its points")
 	}
 }

@@ -16,19 +16,20 @@ import (
 // dataset is one uploaded point database and its frozen index. The index is
 // immutable; appended points are staged and folded in by a re-freeze (a
 // full rebuild installed atomically), so jobs always run against a
-// consistent frozen snapshot and never against a half-built index.
+// consistent frozen snapshot and never against a half-built index. Uploads
+// and re-freezes build the default cell grid; a dataset restored from an
+// older R-tree snapshot serves that index until its first re-freeze.
 type dataset struct {
 	id      string
 	name    string
 	created time.Time
-	r       int               // ε-search leaf occupancy used at (re)freeze
-	kind    vdbscan.IndexKind // ε-search substrate used at (re)freeze
 
 	mu         sync.Mutex
 	points     []vdbscan.Point // points covered by the installed index
 	index      *vdbscan.Index
-	staged     []vdbscan.Point // appended, awaiting the next re-freeze
-	version    int             // bumped at every install
+	kind       vdbscan.IndexKind // the installed index's ε-search substrate
+	staged     []vdbscan.Point   // appended, awaiting the next re-freeze
+	version    int               // bumped at every install
 	refreezing bool
 	flushCh    chan struct{} // closed when the in-flight re-freeze installs
 	deleted    bool
@@ -85,29 +86,18 @@ func newRegistry(cfg Config) *registry {
 	return &registry{cfg: cfg, m: map[string]*dataset{}, log: log}
 }
 
-// create indexes points and registers the dataset. r == 0 falls back to
-// Config.IndexR, then to the library default; kind is the upload's,
-// resolved against Config.IndexKind by the handler.
-func (g *registry) create(name string, points []vdbscan.Point, r int, kind vdbscan.IndexKind) (*dataset, error) {
+// create indexes points and registers the dataset.
+func (g *registry) create(name string, points []vdbscan.Point) (*dataset, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("dataset has no points")
 	}
-	if r == 0 {
-		r = g.cfg.IndexR
-	}
-	var opts []vdbscan.IndexOption
-	if r > 0 {
-		opts = append(opts, vdbscan.WithR(r))
-	}
-	opts = append(opts, vdbscan.WithIndexKind(kind))
 	d := &dataset{
 		id:      fmt.Sprintf("d%d", g.seq.Add(1)),
 		name:    name,
 		created: time.Now(),
-		r:       r,
-		kind:    kind,
+		kind:    vdbscan.IndexGrid,
 		points:  points,
-		index:   vdbscan.NewIndex(points, opts...),
+		index:   vdbscan.NewIndex(points),
 		version: 1,
 	}
 	if d.name == "" {
@@ -228,12 +218,7 @@ func (g *registry) refreeze(d *dataset, ctrs *counters) {
 	combined := make([]vdbscan.Point, 0, len(base)+len(add))
 	combined = append(combined, base...)
 	combined = append(combined, add...)
-	var opts []vdbscan.IndexOption
-	if d.r > 0 {
-		opts = append(opts, vdbscan.WithR(d.r))
-	}
-	opts = append(opts, vdbscan.WithIndexKind(d.kind))
-	idx := vdbscan.NewIndex(combined, opts...) // the expensive part, off-lock
+	idx := vdbscan.NewIndex(combined) // the expensive part, off-lock
 
 	// Durable before visible: once an observer can read the new generation
 	// (or refreezing == false), a kill must restart on it, not on the
@@ -242,6 +227,7 @@ func (g *registry) refreeze(d *dataset, ctrs *counters) {
 	d.mu.Lock()
 	d.points = combined
 	d.index = idx
+	d.kind = vdbscan.IndexGrid
 	d.staged = d.staged[len(add):]
 	d.version++
 	d.refreezing = false

@@ -2,8 +2,8 @@
 //
 // The paper's premise — many (ε, minpts) variants amortizing one shared
 // immutable index — is exactly the shape of a multi-tenant service: the
-// expensive artifact (the frozen R-tree pair) is built once per dataset at
-// upload time and shared by every job that targets the dataset, the way
+// expensive artifact (the dataset's cell-grid index) is built once per
+// dataset at upload time and shared by every job that targets the dataset, the way
 // VariantDBSCAN shares it across variants inside one run. The server adds
 // the missing network-facing layers:
 //
@@ -90,21 +90,6 @@ type Config struct {
 	// RefreezePoints is the staged-append threshold that triggers a
 	// background dataset re-freeze (index rebuild folding staged points in).
 	RefreezePoints int
-	// IndexR overrides the ε-search tree leaf occupancy for uploaded
-	// datasets (0 keeps the library default; a per-upload ?r= query
-	// parameter overrides both).
-	IndexR int
-	// IndexKind selects the ε-search substrate for uploaded datasets
-	// (zero = the cell grid, the library default; a per-upload ?index=
-	// query parameter overrides it).
-	IndexKind vdbscan.IndexKind
-	// Tiles is the default tile-level parallelism for batch runs
-	// (vdbscan.WithTiles): 0 auto, 1 untiled, >= 2 an explicit tile
-	// target. A per-job "tiles" parameter overrides it; when coalescing
-	// folds jobs with different requests into one batch, the largest
-	// wins (labels are identical at any tile count, so the choice only
-	// affects latency).
-	Tiles int
 	// Logger receives the server's structured logs (admission, batch
 	// seal/run, refreeze, drain at info; per-request access lines at
 	// debug), each carrying request/job/batch/dataset correlation IDs.
@@ -240,7 +225,7 @@ func New(cfg Config) *Server {
 		s.log = discardLogger()
 	}
 	s.registry.onRefreeze = func(d *dataset, points int, dur time.Duration) {
-		s.mx.refreezeDur.With(d.id, d.kind.String(), labelNA).Observe(dur.Seconds())
+		s.mx.refreezeDur.With(d.id).Observe(dur.Seconds())
 		s.log.Info("dataset refrozen",
 			"dataset", d.id, "points", points, "duration", dur)
 	}
@@ -256,7 +241,7 @@ func New(cfg Config) *Server {
 		default:
 			return
 		}
-		vec.With(d.id, d.kind.String(), labelNA).Observe(dur.Seconds())
+		vec.With(d.id).Observe(dur.Seconds())
 	}
 	// Restore persisted datasets before the runners start, so the first
 	// admitted job already sees the warm registry.

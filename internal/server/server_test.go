@@ -325,82 +325,106 @@ func TestJobRequestBounds(t *testing.T) {
 	}
 }
 
-// TestUploadIndexKind covers the ?index= upload parameter: the default is
-// the grid, ?index=rtree builds an R-tree index (its snapshot says so), the
-// dataset doc reports its substrate, bad values 400, and the same job
-// produces the same clustering (labels byte-for-byte) on either kind.
+// TestUploadIndexKind covers the ?index= upload parameter now that every
+// upload is indexed on the cell grid: ?index=rtree (or any kind but grid)
+// is a 400 naming index on both surfaces — a flat document on /v1, the
+// envelope on /v2 — while ?index=grid, in any spelling the CLIs accept,
+// and no parameter at all are 201 with "index":"grid", and the snapshot
+// holds a grid index.
 func TestUploadIndexKind(t *testing.T) {
 	dir := t.TempDir()
 	_, c := newTestServer(t, Config{Threads: 1, DataDir: dir})
 	csv := pointsCSV(t, testPoints(t, 1500))
 
-	code, _, body := c.do("POST", "/v1/datasets?index=kdtree", csv)
-	if code != http.StatusBadRequest {
-		t.Fatalf("bad index kind = %d: %s", code, body)
+	for _, kind := range []string{"rtree", "RTree", "kdtree"} {
+		code, _, body := c.do("POST", "/v1/datasets?index="+kind, csv)
+		var flat errorDoc
+		if code != http.StatusBadRequest || json.Unmarshal(body, &flat) != nil || !strings.Contains(flat.Error, "index") {
+			t.Errorf("/v1 ?index=%s = %d %s, want a flat 400 naming index", kind, code, body)
+		}
+		code, _, body = c.do("POST", "/v2/datasets?index="+kind, csv)
+		if code != http.StatusBadRequest {
+			t.Errorf("/v2 ?index=%s = %d %s, want 400", kind, code, body)
+		} else if ec, msg, _ := envelope(t, body); ec != errCodeBadRequest || !strings.Contains(msg, "index") {
+			t.Errorf("/v2 ?index=%s envelope = %s %q", kind, ec, msg)
+		}
 	}
 
-	rt := c.doJSON("POST", "/v1/datasets?name=rt&index=rtree", csv, http.StatusCreated)
-	gr := c.doJSON("POST", "/v1/datasets?name=gr", csv, http.StatusCreated)
-	if rt["index"] != "rtree" || gr["index"] != "grid" {
-		t.Fatalf("dataset docs report index %v / %v, want rtree / grid", rt["index"], gr["index"])
-	}
-	for _, d := range []map[string]any{rt, gr} {
+	for _, path := range []string{"/v1/datasets?index=grid", "/v2/datasets?index=%20GRID", "/v1/datasets?r=16"} {
+		d := c.doJSON("POST", path, csv, http.StatusCreated)
+		if d["index"] != "grid" {
+			t.Errorf("%s: dataset doc reports index %v, want grid", path, d["index"])
+		}
 		_, info, err := vdbscan.LoadSnapshot(filepath.Join(dir, d["id"].(string), "snapshot"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Kind.String() != d["index"] {
-			t.Errorf("dataset %v: doc says %v, snapshot holds a %v index", d["id"], d["index"], info.Kind)
+		if info.Kind != vdbscan.IndexGrid {
+			t.Errorf("%s: snapshot holds a %v index", path, info.Kind)
 		}
 	}
-
-	const job = `{"variants":[{"eps":2,"minpts":8},{"eps":3,"minpts":4}]}`
-	labels := map[string][]byte{}
-	for _, d := range []map[string]any{rt, gr} {
-		sub := c.submitJob(d["id"].(string), job, http.StatusAccepted)
-		done := c.waitDone(sub["id"].(string))
-		if done["state"] != stateDone {
-			t.Fatalf("job on %v finished %v (%v)", d["index"], done["state"], done["error"])
-		}
-		code, _, out := c.do("GET", "/v1/jobs/"+sub["id"].(string)+"/labels?variant=0", nil)
-		if code != http.StatusOK {
-			t.Fatalf("labels on %v = %d: %s", d["index"], code, out)
-		}
-		labels[d["index"].(string)] = out
-	}
-	if !bytes.Equal(labels["rtree"], labels["grid"]) {
-		t.Error("grid-backed dataset produced different labels than the R-tree one")
+	if n := len(c.doJSON("GET", "/v1/datasets", nil, http.StatusOK)["datasets"].([]any)); n != 3 {
+		t.Errorf("%d datasets listed, want 3: a refused upload must create none", n)
 	}
 }
 
-// TestJobTilesParam covers the per-job "tiles" parameter: a negative value
-// 400s, and the same job on a grid-backed dataset yields byte-identical
-// labels tiled (tiles=4) and untiled (tiles=1) — the service-level face of
-// the tiled runner's exactness contract.
+// TestJobTilesParam covers the retired per-job "tiles" field: a body that
+// still sends it — negative or not — is accepted, the field is ignored,
+// and the labels are Index.Cluster's bytes.
 func TestJobTilesParam(t *testing.T) {
 	_, c := newTestServer(t, Config{Threads: 2})
-	doc := c.doJSON("POST", "/v1/datasets?name=tl&index=grid",
-		pointsCSV(t, testPoints(t, 1500)), http.StatusCreated)
+	pts := testPoints(t, 1500)
+	doc := c.doJSON("POST", "/v1/datasets?name=tl", pointsCSV(t, pts), http.StatusCreated)
 	ds := doc["id"].(string)
 
-	c.submitJob(ds, `{"variants":[{"eps":2,"minpts":4}],"tiles":-1}`, http.StatusBadRequest)
-
-	labels := map[int][]byte{}
-	for _, tiles := range []int{4, 1} {
+	ix := vdbscan.NewIndex(pts)
+	want := map[int][]byte{}
+	for v, p := range []vdbscan.Params{{Eps: 2, MinPts: 8}, {Eps: 3, MinPts: 4}} {
+		res, err := ix.Cluster(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := dataio.WriteLabelsCSV(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		want[v] = buf.Bytes()
+	}
+	for _, tiles := range []int{-1, 4} {
 		job := fmt.Sprintf(`{"variants":[{"eps":2,"minpts":8},{"eps":3,"minpts":4}],"tiles":%d}`, tiles)
 		sub := c.submitJob(ds, job, http.StatusAccepted)
 		done := c.waitDone(sub["id"].(string))
 		if done["state"] != stateDone {
 			t.Fatalf("tiles=%d job finished %v (%v)", tiles, done["state"], done["error"])
 		}
-		code, _, out := c.do("GET", "/v1/jobs/"+sub["id"].(string)+"/labels?variant=1", nil)
-		if code != http.StatusOK {
-			t.Fatalf("tiles=%d labels = %d: %s", tiles, code, out)
+		for v := range want {
+			code, _, out := c.do("GET", fmt.Sprintf("/v1/jobs/%s/labels?variant=%d", sub["id"], v), nil)
+			if code != http.StatusOK {
+				t.Fatalf("tiles=%d labels = %d: %s", tiles, code, out)
+			}
+			if !bytes.Equal(out, want[v]) {
+				t.Errorf("tiles=%d variant %d: labels differ from Index.Cluster's", tiles, v)
+			}
 		}
-		labels[tiles] = out
 	}
-	if !bytes.Equal(labels[4], labels[1]) {
-		t.Error("tiles=4 job produced different labels than tiles=1")
+}
+
+// TestOverflowingSpanUpload: a dataset whose finite points span more than
+// the float range (x = ±1e308) is accepted and its jobs finish done, with
+// the far points noise and the two near the origin one cluster. The grid
+// once refused to index it, failing every job on the accepted upload.
+func TestOverflowingSpanUpload(t *testing.T) {
+	_, c := newTestServer(t, Config{Threads: 2})
+	csv := []byte("-1e308,0\n1e308,0\n0,0\n0,1\n")
+	ds := c.doJSON("POST", "/v1/datasets?name=wide", csv, http.StatusCreated)
+	sub := c.submitJob(ds["id"].(string), `{"variants":[{"eps":2,"minpts":2}]}`, http.StatusAccepted)
+	done := c.waitDone(sub["id"].(string))
+	if done["state"] != stateDone {
+		t.Fatalf("job on a ±1e308 dataset finished %v (%v)", done["state"], done["error"])
+	}
+	r := done["results"].([]any)[0].(map[string]any)
+	if r["noise"].(float64) != 2 || r["clusters"].(float64) != 1 {
+		t.Errorf("±1e308 dataset: %v clusters, %v noise, want 1 and 2", r["clusters"], r["noise"])
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // TestSnapshotLabelIdentity is the exactness property of the durable
 // store: an index loaded back from a snapshot must produce byte-identical
 // labels to the index it was saved from, across every execution shape —
-// both index kinds, untiled and tiled, sequential and parallel, with and
-// without reuse. Sweeps run ε-chains, whose bytes are a function of
+// both index kinds, one to eight threads, with and without reuse. Sweeps run ε-chains, whose bytes are a function of
 // (points, ε, minpts) alone, so the schedule cannot move a label.
 func TestSnapshotLabelIdentity(t *testing.T) {
 	pts := testPoints(t, 6000)
@@ -51,29 +50,40 @@ func TestSnapshotLabelIdentity(t *testing.T) {
 			}
 		}
 
-		for _, tiles := range []int{1, 4, 9} {
-			for _, workers := range []int{1, 8} {
-				for _, noReuse := range []bool{false, true} {
-					opts := []RunOption{WithTiles(tiles), WithThreads(workers)}
-					if noReuse {
-						opts = append(opts, WithoutReuse())
-					}
-					name := fmt.Sprintf("kind=%v/tiles=%d/workers=%d/noreuse=%v", kind, tiles, workers, noReuse)
-					want, err := fresh.ClusterVariants(params, opts...)
-					if err != nil {
-						t.Fatalf("%s: fresh: %v", name, err)
-					}
-					got, err := loaded.ClusterVariants(params, opts...)
-					if err != nil {
-						t.Fatalf("%s: loaded: %v", name, err)
-					}
-					for v := range params {
-						w, g := want.Results[v].Clustering, got.Results[v].Clustering
-						if w.NumClusters != g.NumClusters || !slices.Equal(w.Labels, g.Labels) {
-							t.Fatalf("%s: variant %d: labels differ after reload", name, v)
-						}
+		for _, workers := range []int{1, 2, 8} {
+			for _, noReuse := range []bool{false, true} {
+				opts := []RunOption{WithThreads(workers)}
+				if noReuse {
+					opts = append(opts, WithoutReuse())
+				}
+				name := fmt.Sprintf("kind=%v/workers=%d/noreuse=%v", kind, workers, noReuse)
+				want, err := fresh.ClusterVariants(params, opts...)
+				if err != nil {
+					t.Fatalf("%s: fresh: %v", name, err)
+				}
+				got, err := loaded.ClusterVariants(params, opts...)
+				if err != nil {
+					t.Fatalf("%s: loaded: %v", name, err)
+				}
+				for v := range params {
+					w, g := want.Results[v].Clustering, got.Results[v].Clustering
+					if w.NumClusters != g.NumClusters || !slices.Equal(w.Labels, g.Labels) {
+						t.Fatalf("%s: variant %d: labels differ after reload", name, v)
 					}
 				}
+			}
+			// A single-variant Cluster runs at the whole width, tiled
+			// where the width and the point count call for it.
+			want, err := fresh.Cluster(params[1], WithThreads(workers))
+			if err != nil {
+				t.Fatalf("kind=%v workers=%d: fresh Cluster: %v", kind, workers, err)
+			}
+			got, err := loaded.Cluster(params[1], WithThreads(workers))
+			if err != nil {
+				t.Fatalf("kind=%v workers=%d: loaded Cluster: %v", kind, workers, err)
+			}
+			if !slices.Equal(want.Labels, got.Labels) {
+				t.Fatalf("kind=%v workers=%d: Cluster labels differ after reload", kind, workers)
 			}
 		}
 	}

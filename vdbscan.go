@@ -40,8 +40,8 @@
 // Configuration is split in two tiers. IndexOption values (WithR,
 // WithBinWidth, WithIndexKind) fix the physical
 // index layout and are accepted by NewIndex and NewIncremental. RunOption
-// values (WithThreads, WithIntraThreads, WithTiles, WithoutReuse,
-// WithContext, WithProgress) shape one clustering run and are accepted by Index.Cluster and
+// values (WithThreads, WithoutReuse, WithContext, WithProgress) shape one
+// clustering run and are accepted by Index.Cluster and
 // Index.ClusterVariants. Observability attachments (WithWork, WithTracer)
 // implement both. Passing an option at the wrong tier — say,
 // WithR on Index.ClusterVariants — is a compile-time error. The
@@ -189,8 +189,6 @@ type config struct {
 	r            int
 	binWidth     float64
 	threads      int
-	intraThreads int
-	tiles        int
 	disableReuse bool
 	kind         IndexKind
 	work         *Work
@@ -249,39 +247,15 @@ const (
 // envelope, changes.
 func WithIndexKind(k IndexKind) IndexOption { return indexOpt(func(c *config) { c.kind = k }) }
 
-// WithThreads sets the number of worker goroutines T executing variants
-// concurrently (default 1). Above 1 it also enables two-level scheduling in
-// ClusterVariants — workers left idle once the variant queue drains are
-// donated to the running variants' intra-variant pools — and sets the auto
-// intra-variant width for single-variant Cluster calls, so WithThreads(8)
-// uses 8 cores whether you cluster one variant or eighty.
+// WithThreads sets the parallel width T of a run (default 1), the only
+// one a caller chooses. ClusterVariants runs its ε-chains on T pool
+// workers, and above 1 the workers left idle once the chain queue drains
+// are lent to the chains still running. Cluster runs its one variant on T
+// workers, cutting a grid index's cells into point-balanced tiles when T
+// and the point count justify it. Either way WithThreads(8) uses 8 cores
+// whether you cluster one variant or eighty, and the labels are the same
+// at every T.
 func WithThreads(t int) RunOption { return runOpt(func(c *config) { c.threads = t }) }
-
-// WithIntraThreads sets the number of goroutines working *inside* one
-// DBSCAN execution (intra-variant parallelism: chunked core-point marking
-// plus disjoint-set cluster merging, label-identical to the sequential
-// algorithm). It applies to Cluster and to ClusterVariants' ε-chain
-// links. 0 (the default) selects auto mode: Cluster falls back to
-// WithThreads' value, ClusterVariants gives each chain one worker plus
-// whatever idle pool workers are donated. Set 1 to give every execution
-// a single worker of its own (donated idle workers may still join a
-// ClusterVariants chain). Note that
-// WithThreads(T) × WithIntraThreads(n) can oversubscribe T·n goroutines;
-// that is the caller's trade to make.
-func WithIntraThreads(n int) RunOption { return runOpt(func(c *config) { c.intraThreads = n }) }
-
-// WithTiles sets tile-level parallelism — the third level of the
-// variant → tile → chunk hierarchy. On grid indexes (the default
-// IndexGrid), the cell grid is cut into roughly n
-// point-balanced rectangular tiles and workers claim whole tiles; core
-// flags and the union-find are shared by all tiles, so clusters that
-// cross tile boundaries are linked like any others and labels are
-// byte-identical to the untiled run at any tile count. 0 (the default) is
-// auto mode: tile when the effective worker width and the point count
-// justify it. 1 disables tiling. The option is silently a no-op where no
-// grid serves the run — the R-tree index kind — which keeps it safe to
-// set unconditionally.
-func WithTiles(n int) RunOption { return runOpt(func(c *config) { c.tiles = n }) }
 
 // WithoutReuse forces every variant to cluster from scratch, keeping only
 // the shared-index parallelism (the paper's scenario-S1 baseline).
@@ -348,14 +322,10 @@ func (x *Index) Points() []Point { return x.pts }
 
 // Cluster runs a single DBSCAN variant and returns labels in the caller's
 // point order. It honors WithContext (cancellation is checked coarsely,
-// every ~1k points) and parallelizes across WithIntraThreads — or, in auto
-// mode, WithThreads — goroutines; the result is identical at any width.
+// every ~1k points) and parallelizes across WithThreads goroutines; the
+// result is identical at any width.
 func (x *Index) Cluster(p Params, opts ...RunOption) (*Clustering, error) {
 	c := buildConfig(opts)
-	width := c.intraThreads
-	if width == 0 {
-		width = c.threads // auto: a single variant may use the whole pool
-	}
 	var m metrics.Counters
 	var res *cluster.Result
 	var err error
@@ -368,9 +338,9 @@ func (x *Index) Cluster(p Params, opts ...RunOption) (*Clustering, error) {
 	// A grid-kind index takes the parallel runner at every width, one
 	// thread included: its cell-major pass does a fraction of RunCtx's
 	// work, and the work counters then read the same at any -threads.
-	if width > 1 || c.tiles > 1 || x.ix.Kind == dbscan.IndexGrid {
+	if c.threads > 1 || x.ix.Kind == dbscan.IndexGrid {
 		res, err = dbscan.RunParallelOpts(c.ctx, x.ix, p,
-			dbscan.ParallelOptions{Workers: max(width, 1), Rec: rec, Tiles: c.tiles}, &m)
+			dbscan.ParallelOptions{Workers: max(c.threads, 1), Rec: rec}, &m)
 	} else {
 		rec.PhaseBegin(0, obs.PhaseScratch)
 		res, err = dbscan.RunCtx(c.ctx, x.ix, p, &m)
@@ -467,9 +437,6 @@ func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun
 	rr, err := sched.ExecuteContext(c.ctx, x.ix, variant.New(params), sched.Options{
 		Threads:      c.threads,
 		DisableReuse: c.disableReuse,
-		IntraWorkers: c.intraThreads,
-		Tiles:        c.tiles,
-		DonateIdle:   c.threads > 1 || c.intraThreads > 1,
 		Metrics:      &m,
 		Tracer:       c.tracer,
 		Progress:     c.progress,

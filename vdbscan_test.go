@@ -282,8 +282,8 @@ func TestOptionCoverage(t *testing.T) {
 	params := CartesianVariants([]float64{2.5, 3.5}, []int{4, 8})
 	for oi, opts := range [][]Option{
 		{WithThreads(3)},
-		{WithoutReuse(), WithIntraThreads(2)},
-		{WithThreads(2), WithTiles(4)},
+		{WithoutReuse()},
+		{WithThreads(2), WithoutReuse()},
 	} {
 		run, err := ClusterVariants(pts, params, opts...)
 		if err != nil {
@@ -418,7 +418,7 @@ func TestClusterIntraThreadsMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		par, err := idx.Cluster(p, WithIntraThreads(n))
+		par, err := idx.Cluster(p, WithThreads(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,14 +438,6 @@ func TestClusterIntraThreadsMatchesSequential(t *testing.T) {
 			t.Fatalf("intra=%d: quality = %g, want 1.0", n, q)
 		}
 	}
-	// Auto mode: WithThreads widens single-variant Cluster too.
-	auto, err := idx.Cluster(p, WithThreads(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q, _ := Quality(seq, auto); q != 1.0 {
-		t.Fatalf("auto width: quality = %g, want 1.0", q)
-	}
 }
 
 func TestClusterHonorsContextCancellation(t *testing.T) {
@@ -459,7 +451,7 @@ func TestClusterHonorsContextCancellation(t *testing.T) {
 	if _, err := idx.Cluster(p, WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential: err = %v, want context.Canceled", err)
 	}
-	if _, err := idx.Cluster(p, WithContext(ctx), WithIntraThreads(4)); !errors.Is(err, context.Canceled) {
+	if _, err := idx.Cluster(p, WithContext(ctx), WithThreads(4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel: err = %v, want context.Canceled", err)
 	}
 }
@@ -473,9 +465,9 @@ func TestClusterVariantsTwoLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]RunOption{
-		{WithThreads(4)},                                      // donation-only two-level
-		{WithThreads(2), WithIntraThreads(2)},                 // explicit width
-		{WithThreads(4), WithIntraThreads(2), WithoutReuse()}, // all from scratch
+		{WithThreads(4)},                 // more workers than chains: donors join
+		{WithThreads(2)},                 // fewer workers than chains
+		{WithThreads(4), WithoutReuse()}, // all from scratch
 	} {
 		run, err := idx.ClusterVariants(params, opts...)
 		if err != nil {
@@ -615,7 +607,7 @@ func TestClusterSingleVariantTraced(t *testing.T) {
 	pts := testPoints(t, 3000)
 	for name, opts := range map[string][]Option{
 		"sequential": nil,
-		"parallel":   {WithIntraThreads(3)},
+		"parallel":   {WithThreads(3)},
 	} {
 		tr := NewTracer()
 		var got ProgressEvent
