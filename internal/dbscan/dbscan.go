@@ -145,17 +145,13 @@ func (o IndexOptions) withDefaults() IndexOptions {
 }
 
 // BuildIndex grid-sorts pts into the index's own copy and its SoA
-// coordinate slices. An R-tree-kind index also builds T_low; a grid-kind
-// one builds nothing more until EnsureGrid. The input slice is not
-// modified.
+// coordinate slices, which grid.Sort writes in the same pass, on
+// GOMAXPROCS workers; the permutation is the same at any width. An
+// R-tree-kind index also builds T_low; a grid-kind one builds nothing
+// more until EnsureGrid. The input slice is not modified.
 func BuildIndex(pts []geom.Point, opt IndexOptions) *Index {
 	opt = opt.withDefaults()
-	sorted, fwd := grid.Sort(pts, opt.BinWidth)
-	x := make([]float64, len(sorted))
-	y := make([]float64, len(sorted))
-	for i, p := range sorted {
-		x[i], y[i] = p.X, p.Y
-	}
+	sorted, fwd, x, y := grid.Sort(pts, opt.BinWidth)
 	ix := &Index{Pts: sorted, X: x, Y: y, Fwd: fwd, Kind: opt.Kind, r: opt.R, fanout: opt.Fanout}
 	if ix.Kind == IndexRTree {
 		ix.Low()
@@ -369,8 +365,8 @@ type Params struct {
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
-	if p.Eps <= 0 {
-		return fmt.Errorf("dbscan: eps must be > 0, got %g", p.Eps)
+	if !(p.Eps > 0) || math.IsInf(p.Eps, 1) {
+		return fmt.Errorf("dbscan: eps must be finite and > 0, got %g", p.Eps)
 	}
 	if p.MinPts < 1 {
 		return fmt.Errorf("dbscan: minpts must be >= 1, got %d", p.MinPts)

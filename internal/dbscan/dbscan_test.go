@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,6 +48,11 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if err := (Params{Eps: 1, MinPts: 0}).Validate(); err == nil {
 		t.Error("minpts=0 accepted")
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Params{Eps: eps, MinPts: 4}).Validate(); err == nil || !strings.Contains(err.Error(), "eps") {
+			t.Errorf("eps=%g: err = %v, want an error naming eps", eps, err)
+		}
 	}
 	if s := (Params{Eps: 0.2, MinPts: 32}).String(); s != "(0.2, 32)" {
 		t.Errorf("String = %q", s)

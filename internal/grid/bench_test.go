@@ -33,7 +33,7 @@ func BenchmarkSort(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, sinkFwd = Sort(pts, 1)
+				_, sinkFwd, _, _ = Sort(pts, 1)
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestKeyer(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 3.5, Y: 2.2}, {X: 0.99, Y: 0.99}}
-	k := newKeyer(pts, 1)
+	k, _ := newKeyer(pts, 1, 1)
 	if got := k.key(geom.Point{X: 0, Y: 0}); got != (binKey{0, 0}) {
 		t.Errorf("Key(0,0) = %v", got)
 	}
@@ -28,7 +28,7 @@ func TestKeyer(t *testing.T) {
 
 func TestKeyerBinWidth(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 10}}
-	k := newKeyer(pts, 5)
+	k, _ := newKeyer(pts, 5, 1)
 	if got := k.key(geom.Point{X: 4.9, Y: 4.9}); got != (binKey{0, 0}) {
 		t.Errorf("width-5 Key(4.9,4.9) = %v", got)
 	}
@@ -43,7 +43,7 @@ func TestKeyerPanicsOnBadWidth(t *testing.T) {
 			t.Fatal("expected panic for binWidth <= 0")
 		}
 	}()
-	newKeyer(nil, 0)
+	newKeyer(nil, 0, 1)
 }
 
 func TestSortOrderIsPermutation(t *testing.T) {
@@ -52,7 +52,7 @@ func TestSortOrderIsPermutation(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: rnd.Float64() * 50, Y: rnd.Float64() * 50}
 	}
-	_, order := Sort(pts, 1)
+	_, order, _, _ := Sort(pts, 1)
 	seen := make([]bool, len(pts))
 	for _, idx := range order {
 		if idx < 0 || idx >= len(pts) || seen[idx] {
@@ -69,7 +69,7 @@ func TestSortOrderRowMajor(t *testing.T) {
 		{X: 5.5, Y: 0.5}, // bin (5,0)
 		{X: 0.5, Y: 5.5}, // bin (0,5)
 	}
-	_, order := Sort(pts, 1)
+	_, order, _, _ := Sort(pts, 1)
 	want := []int{1, 2, 3, 0} // rows ascend, then cols
 	for i := range want {
 		if order[i] != want[i] {
@@ -84,7 +84,7 @@ func TestSortPreservesMultiset(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: rnd.Float64() * 10, Y: rnd.Float64() * 10}
 	}
-	sorted, fwd := Sort(pts, 1)
+	sorted, fwd, _, _ := Sort(pts, 1)
 	if len(sorted) != len(pts) || len(fwd) != len(pts) {
 		t.Fatal("length mismatch")
 	}
@@ -111,18 +111,18 @@ func TestSortSpatialCoherence(t *testing.T) {
 		}
 		return total
 	}
-	sorted, _ := Sort(pts, 1)
+	sorted, _, _, _ := Sort(pts, 1)
 	if a, b := sumArea(sorted), sumArea(pts); a >= b {
 		t.Errorf("sorted leaf-run area %g should be < unsorted %g", a, b)
 	}
 }
 
 func TestSortEmptyAndSingle(t *testing.T) {
-	if got, _ := Sort(nil, 1); len(got) != 0 {
+	if got, _, _, _ := Sort(nil, 1); len(got) != 0 {
 		t.Error("empty input should produce empty output")
 	}
 	one := []geom.Point{{X: 3, Y: 4}}
-	sorted, fwd := Sort(one, 1)
+	sorted, fwd, _, _ := Sort(one, 1)
 	if len(sorted) != 1 || sorted[0] != one[0] || fwd[0] != 0 {
 		t.Error("single point should pass through")
 	}
@@ -130,7 +130,7 @@ func TestSortEmptyAndSingle(t *testing.T) {
 
 func TestSortDuplicatePoints(t *testing.T) {
 	pts := []geom.Point{{X: 1, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 1}}
-	sorted, fwd := Sort(pts, 1)
+	sorted, fwd, _, _ := Sort(pts, 1)
 	if len(sorted) != 3 {
 		t.Fatal("dup points must all survive")
 	}

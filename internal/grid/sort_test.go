@@ -15,7 +15,7 @@ import (
 // over (row, col, y, x) with a closure comparator, on the keyer's bin keys.
 // It defines the order only for finite points.
 func stableOracle(pts []geom.Point, binWidth float64) []int {
-	k := newKeyer(pts, binWidth)
+	k, _ := newKeyer(pts, binWidth, 1)
 	order := make([]int, len(pts))
 	for i := range order {
 		order[i] = i
@@ -46,7 +46,15 @@ func stableOracle(pts []geom.Point, binWidth float64) []int {
 // others in input order, and that sorted[j] is pts[fwd[j]] bit for bit.
 func checkAgainstOracle(t *testing.T, pts []geom.Point, binWidth float64) {
 	t.Helper()
-	sorted, fwd := Sort(pts, binWidth)
+	sorted, fwd, x, y := Sort(pts, binWidth)
+	checkSorted(t, pts, binWidth, sorted, fwd, x, y)
+}
+
+// checkSorted is checkAgainstOracle's assertion on one result of Sort, or
+// of sortWidth at some width; x[j] and y[j] must be sorted[j]'s
+// coordinates bit for bit too.
+func checkSorted(t *testing.T, pts []geom.Point, binWidth float64, sorted []geom.Point, fwd []int, x, y []float64) {
+	t.Helper()
 	var finitePts []geom.Point
 	var finiteIdx, want []int
 	for i, p := range pts {
@@ -74,6 +82,9 @@ func checkAgainstOracle(t *testing.T, pts []geom.Point, binWidth float64) {
 	for j, i := range fwd {
 		if math.Float64bits(sorted[j].X) != math.Float64bits(pts[i].X) || math.Float64bits(sorted[j].Y) != math.Float64bits(pts[i].Y) {
 			t.Fatalf("sorted[%d] = %v is not pts[%d] = %v", j, sorted[j], i, pts[i])
+		}
+		if math.Float64bits(x[j]) != math.Float64bits(pts[i].X) || math.Float64bits(y[j]) != math.Float64bits(pts[i].Y) {
+			t.Fatalf("(x, y)[%d] = (%v, %v) is not pts[%d] = %v", j, x[j], y[j], i, pts[i])
 		}
 	}
 }
@@ -137,6 +148,54 @@ func TestSortMatchesStableOracle(t *testing.T) {
 	}
 }
 
+// TestSortWidthsMatchOracle: the sort's passes cut their input into one
+// range per worker; the bytes must be the stable oracle's at every width,
+// whether a cut falls inside a run of equal keys, ranges hold no finite
+// point or the keys saturate.
+func TestSortWidthsMatchOracle(t *testing.T) {
+	rnd := rand.New(rand.NewSource(9))
+	inf := math.Inf(1)
+	odd := []geom.Point{{X: -inf, Y: 3}, {X: 10, Y: math.NaN()}, {X: inf, Y: -inf}, {X: math.NaN(), Y: math.NaN()}}
+	cases := map[string]func(n int) []geom.Point{
+		"uniform": func(n int) []geom.Point { return uniformPoints(rnd, n, -3, 5, 300) },
+		"duplicates": func(n int) []geom.Point {
+			distinct := uniformPoints(rnd, 7, 0, 0, 3)
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = distinct[rnd.Intn(len(distinct))]
+			}
+			return pts
+		},
+		"non-finite": func(n int) []geom.Point {
+			pts := uniformPoints(rnd, n, 0, 0, 40)
+			for i := range pts {
+				if rnd.Intn(5) == 0 {
+					pts[i] = odd[rnd.Intn(len(odd))]
+				}
+			}
+			return pts
+		},
+		"saturating": func(n int) []geom.Point {
+			pts := uniformPoints(rnd, n, -math.MaxFloat64/2, -0x1p63, math.MaxFloat64)
+			if n > 0 {
+				pts[n/2] = geom.Point{X: -math.MaxFloat64, Y: math.MaxFloat64}
+			}
+			return pts
+		},
+	}
+	for _, name := range []string{"uniform", "duplicates", "non-finite", "saturating"} {
+		for _, n := range []int{0, 1, 255, 257, 70_000} {
+			pts := cases[name](n)
+			for _, w := range []int{1, 2, 3, 8} {
+				t.Run(fmt.Sprintf("%s/n=%d/w=%d", name, n, w), func(t *testing.T) {
+					sorted, fwd, x, y := sortWidth(pts, 1, w)
+					checkSorted(t, pts, 1, sorted, fwd, x, y)
+				})
+			}
+		}
+	}
+}
+
 // TestSortNonFiniteLast: points with a NaN or infinite coordinate neither
 // move the bins nor disturb the finite points' order; they come last, in
 // input order. One point at x = -Inf must not turn every finite column
@@ -144,14 +203,16 @@ func TestSortMatchesStableOracle(t *testing.T) {
 func TestSortNonFiniteLast(t *testing.T) {
 	inf := math.Inf(1)
 	finitePts := uniformPoints(rand.New(rand.NewSource(8)), 1000, 0, 0, 50)
-	_, want := Sort(finitePts, 1)
+	_, want, _, _ := Sort(finitePts, 1)
 	odd := []geom.Point{{X: -inf, Y: 3}, {X: 10, Y: math.NaN()}, {X: inf, Y: -inf}, {X: math.NaN(), Y: math.NaN()}, {X: 4, Y: inf}}
 	pts := append(slices.Clip(finitePts), odd...)
-	_, fwd := Sort(pts, 1)
+	_, fwd, _, _ := Sort(pts, 1)
 	if !slices.Equal(fwd[:len(finitePts)], want) {
 		t.Fatal("appending non-finite points reordered the finite ones")
 	}
-	if k, k0 := newKeyer(pts, 1).key(geom.Point{X: 10, Y: 10}), newKeyer(finitePts, 1).key(geom.Point{X: 10, Y: 10}); k != k0 {
+	kr, _ := newKeyer(pts, 1, 1)
+	kr0, _ := newKeyer(finitePts, 1, 1)
+	if k, k0 := kr.key(geom.Point{X: 10, Y: 10}), kr0.key(geom.Point{X: 10, Y: 10}); k != k0 {
 		t.Fatalf("key(10, 10) = %v with non-finite points, %v without", k, k0)
 	}
 	checkAgainstOracle(t, pts, 1)
@@ -213,5 +274,7 @@ func FuzzSort(f *testing.F) {
 			pts[i] = geom.Point{X: coord(data[2*i]), Y: coord(data[2*i+1])}
 		}
 		checkAgainstOracle(t, pts, binWidth)
+		sorted, fwd, x, y := sortWidth(pts, binWidth, 3)
+		checkSorted(t, pts, binWidth, sorted, fwd, x, y)
 	})
 }

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 
+	"vdbscan/internal/forkjoin"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/kernel"
 )
@@ -144,7 +145,18 @@ type Flat struct {
 // infinite coordinate gets no cell: the bounds cover the finite points
 // only, and the others sit past every cell's slots (Unplaced), where no
 // search reaches them. More than MaxInt32 points return ErrGridTooLarge.
+//
+// The build is a stable counting sort run on GOMAXPROCS workers
+// (forkjoin.Width), each over a contiguous range of the points: per-range
+// bounds, per-range cell counts prefixed in (cell, range) order, and a
+// scatter of each range to its own offsets. Every width gives the arrays
+// the sequential sort gives, points of a cell in index order.
 func Freeze(x, y []float64, side float64) (*Flat, error) {
+	return freezeWidth(x, y, side, forkjoin.Width(len(x)))
+}
+
+// freezeWidth is Freeze on at most w workers.
+func freezeWidth(x, y []float64, side float64, w int) (*Flat, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("gridindex: coordinate slices differ in length: %d vs %d", len(x), len(y))
 	}
@@ -155,11 +167,19 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 		return nil, fmt.Errorf("gridindex: cell side must be positive and finite, got %g", side)
 	}
 	n := len(x)
-	b := geom.EmptyMBB()
-	for i := 0; i < n; i++ {
-		if geom.Finite(x[i], y[i]) {
-			b = b.ExtendPoint(geom.Point{X: x[i], Y: y[i]})
+	bounds := make([]geom.MBB, w)
+	forkjoin.Ranges(n, w, func(r, lo, hi int) {
+		b := geom.EmptyMBB()
+		for i := lo; i < hi; i++ {
+			if geom.Finite(x[i], y[i]) {
+				b = b.ExtendPoint(geom.Point{X: x[i], Y: y[i]})
+			}
 		}
+		bounds[r] = b
+	})
+	b := geom.EmptyMBB()
+	for _, br := range bounds {
+		b = b.Union(br)
 	}
 	f := &Flat{side: side}
 	if !b.IsEmpty() {
@@ -171,35 +191,50 @@ func Freeze(x, y []float64, side float64) (*Flat, error) {
 		f.cols, f.rows = int32(cols), int32(rows)
 	}
 	cells := int(f.cols) * int(f.rows)
-	// Counting sort into CSR: count per cell, prefix-sum, scatter. The
-	// unplaced points count as one extra cell after the last.
+	// Counting sort into CSR: count per cell and range, prefix-sum in
+	// (cell, range) order, scatter. The unplaced points count as one extra
+	// cell after the last. One count array per range costs (cells+1)·4 B;
+	// at most one range per (cells+1)/4 points keeps them all within 16 B
+	// per point, under the 20 B per point of the Flat's own arrays.
+	w = max(1, min(w, n/((cells+1)/4+1)))
 	cellOf := make([]int32, n)
-	f.cellStart = make([]int32, cells+1)
-	for i := 0; i < n; i++ {
-		c := int32(cells)
-		if geom.Finite(x[i], y[i]) {
-			col := min(int(cellOffset(x[i], f.originX, f.side)), int(f.cols)-1)
-			row := min(int(cellOffset(y[i], f.originY, f.side)), int(f.rows)-1)
-			c = int32(row*int(f.cols) + col)
-			f.cellStart[c+1]++
+	next := make([][]int32, w)
+	forkjoin.Ranges(n, w, func(r, lo, hi int) {
+		count := make([]int32, cells+1)
+		for i := lo; i < hi; i++ {
+			c := int32(cells)
+			if geom.Finite(x[i], y[i]) {
+				col := min(int(cellOffset(x[i], f.originX, f.side)), int(f.cols)-1)
+				row := min(int(cellOffset(y[i], f.originY, f.side)), int(f.rows)-1)
+				c = int32(row*int(f.cols) + col)
+			}
+			count[c]++
+			cellOf[i] = c
 		}
-		cellOf[i] = c
-	}
-	for c := 0; c < cells; c++ {
-		f.cellStart[c+1] += f.cellStart[c]
+		next[r] = count
+	})
+	f.cellStart = make([]int32, cells+1)
+	sum := int32(0)
+	for c := 0; c <= cells; c++ {
+		f.cellStart[c] = sum
+		for _, count := range next {
+			count[c], sum = sum, sum+count[c]
+		}
 	}
 	f.xs = make([]float64, n)
 	f.ys = make([]float64, n)
 	f.ids = make([]int32, n)
-	next := append([]int32(nil), f.cellStart...)
-	for i := 0; i < n; i++ {
-		c := cellOf[i]
-		s := next[c]
-		next[c] = s + 1
-		f.xs[s] = x[i]
-		f.ys[s] = y[i]
-		f.ids[s] = int32(i)
-	}
+	forkjoin.Ranges(n, w, func(r, lo, hi int) {
+		next := next[r]
+		for i := lo; i < hi; i++ {
+			c := cellOf[i]
+			s := next[c]
+			next[c] = s + 1
+			f.xs[s] = x[i]
+			f.ys[s] = y[i]
+			f.ids[s] = int32(i)
+		}
+	})
 	return f, nil
 }
 

@@ -15,7 +15,7 @@ func benchPoints(n int) []geom.Point {
 	for i := range pts {
 		pts[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 	}
-	sorted, _ := grid.Sort(pts, 1)
+	sorted, _, _, _ := grid.Sort(pts, 1)
 	return sorted
 }
 

@@ -56,7 +56,7 @@ func TestFlatMatchesTreeSearch(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100, 3000} {
 		for _, r := range []int{1, 7, 70} {
 			for _, fanout := range []int{2, 4, 16} {
-				sorted, _ := grid.Sort(randPts(rng, n), 1)
+				sorted, _, _, _ := grid.Sort(randPts(rng, n), 1)
 				fl := BulkLoad(sorted, nil, nil, Options{R: r, Fanout: fanout})
 				if err := checkFlat(fl); err != nil {
 					t.Fatalf("n=%d r=%d fanout=%d: %v", n, r, fanout, err)
@@ -90,7 +90,7 @@ func TestFlatMatchesTreeSearch(t *testing.T) {
 // property the byte-identical clustering guarantee rests on.
 func TestFlatSearchCandidatesIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sorted, _ := grid.Sort(randPts(rng, 5000), 1)
+	sorted, _, _, _ := grid.Sort(randPts(rng, 5000), 1)
 	for _, r := range []int{1, 70, 110} {
 		fl := BulkLoad(sorted, nil, nil, Options{R: r})
 		for trial := 0; trial < 50; trial++ {
@@ -109,7 +109,7 @@ func TestFlatSearchCandidatesIdentical(t *testing.T) {
 // leaf-run order, and examine exactly the leaf-run candidates.
 func TestFlatEpsSearchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	sorted, _ := grid.Sort(randPts(rng, 4000), 1)
+	sorted, _, _, _ := grid.Sort(randPts(rng, 4000), 1)
 	for _, r := range []int{1, 35, 70} {
 		fl := BulkLoad(sorted, nil, nil, Options{R: r})
 		var dst []int32
@@ -140,7 +140,7 @@ func TestFlatEpsSearchOracle(t *testing.T) {
 // TestFlatSharedCoords checks that BulkLoad shares the caller's SoA
 // slices rather than copying.
 func TestFlatSharedCoords(t *testing.T) {
-	sorted, _ := grid.Sort(randPts(rand.New(rand.NewSource(1)), 100), 1)
+	sorted, _, _, _ := grid.Sort(randPts(rand.New(rand.NewSource(1)), 100), 1)
 	x := make([]float64, len(sorted))
 	y := make([]float64, len(sorted))
 	for i, p := range sorted {
@@ -184,7 +184,7 @@ func TestQuickFlatEquivalence(t *testing.T) {
 		if math.IsNaN(qx) || math.IsNaN(qy) || math.IsNaN(qr) {
 			return true
 		}
-		sorted, _ := grid.Sort(pts, 1)
+		sorted, _, _, _ := grid.Sort(pts, 1)
 		r := int(rSel)%120 + 1
 		fl := BulkLoad(sorted, nil, nil, Options{R: r, Fanout: int(fanoutSel)%14 + 2})
 		q := geom.QueryMBB(geom.Point{X: math.Mod(math.Abs(qx), 100), Y: math.Mod(math.Abs(qy), 100)},

@@ -40,7 +40,7 @@ func FuzzSearch(f *testing.F) {
 		}
 		r := int(rSel)%128 + 1
 		fanout := int(fanoutSel)%30 + 2
-		sorted, _ := grid.Sort(pts, 1)
+		sorted, _, _, _ := grid.Sort(pts, 1)
 		fl := BulkLoad(sorted, nil, nil, Options{R: r, Fanout: fanout})
 		if err := checkFlat(fl); err != nil {
 			t.Fatal(err)

@@ -29,7 +29,7 @@ func bruteKNN(pts []geom.Point, q geom.Point, k int) []Neighbor {
 
 func TestNearestKMatchesBruteForce(t *testing.T) {
 	for _, r := range []int{1, 8, 70} {
-		pts, _ := grid.Sort(randomPoints(1500, 50, 60), 1)
+		pts, _, _, _ := grid.Sort(randomPoints(1500, 50, 60), 1)
 		tr := BulkLoad(pts, nil, nil, Options{R: r})
 		rnd := rand.New(rand.NewSource(int64(61 + r)))
 		for trial := 0; trial < 40; trial++ {
@@ -73,7 +73,7 @@ func TestNearestKEdgeCases(t *testing.T) {
 
 func TestNearestKSelf(t *testing.T) {
 	// Querying at an indexed point: that point is rank 0 with distance 0.
-	pts, _ := grid.Sort(randomPoints(300, 30, 62), 1)
+	pts, _, _, _ := grid.Sort(randomPoints(300, 30, 62), 1)
 	tr := BulkLoad(pts, nil, nil, Options{R: 16})
 	for i := 0; i < 20; i++ {
 		got := tr.NearestK(pts[i], 1)
@@ -84,7 +84,7 @@ func TestNearestKSelf(t *testing.T) {
 }
 
 func TestNearestKAscendingOrder(t *testing.T) {
-	pts, _ := grid.Sort(randomPoints(800, 40, 63), 1)
+	pts, _, _, _ := grid.Sort(randomPoints(800, 40, 63), 1)
 	tr := BulkLoad(pts, nil, nil, Options{R: 32})
 	got := tr.NearestK(geom.Point{X: 20, Y: 20}, 50)
 	for i := 1; i < len(got); i++ {

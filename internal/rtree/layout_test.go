@@ -56,7 +56,7 @@ func TestFlatLayoutPinned(t *testing.T) {
 		for i := range raw {
 			raw[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		}
-		pts, _ := grid.Sort(raw, 1)
+		pts, _, _, _ := grid.Sort(raw, 1)
 		for _, r := range []int{1, 7, 70} {
 			for _, fanout := range []int{2, 3, 16} {
 				lines = append(lines, layoutLine(n, r, fanout, buildFlat(pts, r, fanout).Parts()))

@@ -37,7 +37,7 @@ func TestQuickCandidatesSuperset(t *testing.T) {
 			return true
 		}
 		r := int(rSel)%64 + 1
-		sorted, _ := grid.Sort(pts, 1)
+		sorted, _, _, _ := grid.Sort(pts, 1)
 		tr := BulkLoad(sorted, nil, nil, Options{R: r})
 		q := geom.QueryMBB(geom.Point{X: math.Mod(math.Abs(qx), 100), Y: math.Mod(math.Abs(qy), 100)},
 			math.Mod(math.Abs(qr), 20))
@@ -62,7 +62,7 @@ func TestQuickCandidatesSuperset(t *testing.T) {
 func TestQuickBulkLeafCoverage(t *testing.T) {
 	f := func(raw []float64, rSel uint8) bool {
 		pts := normPts(raw)
-		sorted, _ := grid.Sort(pts, 1)
+		sorted, _, _, _ := grid.Sort(pts, 1)
 		tr := BulkLoad(sorted, nil, nil, Options{R: int(rSel)%200 + 1})
 		huge := geom.MBB{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}
 		got := candidates(tr, huge)

@@ -115,7 +115,7 @@ func TestBulkLoadSinglePoint(t *testing.T) {
 
 func TestBulkLoadInvariantsAcrossR(t *testing.T) {
 	for _, r := range []int{1, 2, 7, 16, 64, 100, 1000} {
-		pts, _ := grid.Sort(randomPoints(1234, 50, 1), 1)
+		pts, _, _, _ := grid.Sort(randomPoints(1234, 50, 1), 1)
 		tr := BulkLoad(pts, nil, nil, Options{R: r})
 		if err := checkFlat(tr); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
@@ -128,7 +128,7 @@ func TestBulkLoadInvariantsAcrossR(t *testing.T) {
 
 func TestSearchMatchesLinearScanR1(t *testing.T) {
 	// With r=1 every leaf MBB is a point, so candidates == exact containment.
-	pts, _ := grid.Sort(randomPoints(800, 40, 2), 1)
+	pts, _, _, _ := grid.Sort(randomPoints(800, 40, 2), 1)
 	tr := BulkLoad(pts, nil, nil, Options{R: 1})
 	rnd := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
@@ -149,7 +149,7 @@ func TestSearchMatchesLinearScanR1(t *testing.T) {
 
 func TestSearchSupersetForLargerR(t *testing.T) {
 	// For r>1 the candidate set must contain every point actually inside q.
-	pts, _ := grid.Sort(randomPoints(2000, 60, 4), 1)
+	pts, _, _, _ := grid.Sort(randomPoints(2000, 60, 4), 1)
 	for _, r := range []int{4, 32, 128} {
 		tr := BulkLoad(pts, nil, nil, Options{R: r})
 		rnd := rand.New(rand.NewSource(int64(r)))
@@ -171,7 +171,7 @@ func TestSearchSupersetForLargerR(t *testing.T) {
 }
 
 func TestHigherRShrinksTree(t *testing.T) {
-	pts, _ := grid.Sort(randomPoints(10000, 100, 5), 1)
+	pts, _, _, _ := grid.Sort(randomPoints(10000, 100, 5), 1)
 	s1 := BulkLoad(pts, nil, nil, Options{R: 1}).Stats()
 	s100 := BulkLoad(pts, nil, nil, Options{R: 100}).Stats()
 	if s100.Nodes >= s1.Nodes {
@@ -189,7 +189,7 @@ func TestHigherRShrinksTree(t *testing.T) {
 }
 
 func TestHigherRVisitsFewerNodes(t *testing.T) {
-	pts, _ := grid.Sort(randomPoints(20000, 100, 6), 1)
+	pts, _, _, _ := grid.Sort(randomPoints(20000, 100, 6), 1)
 	t1 := BulkLoad(pts, nil, nil, Options{R: 1})
 	t100 := BulkLoad(pts, nil, nil, Options{R: 100})
 	q := geom.QueryMBB(geom.Point{X: 50, Y: 50}, 2)
@@ -212,7 +212,7 @@ func TestSearchCandidatesAppendsToDst(t *testing.T) {
 }
 
 func TestStatsAndString(t *testing.T) {
-	pts, _ := grid.Sort(randomPoints(1000, 50, 11), 1)
+	pts, _, _, _ := grid.Sort(randomPoints(1000, 50, 11), 1)
 	tr := BulkLoad(pts, nil, nil, Options{R: 10, Fanout: 8})
 	s := tr.Stats()
 	if s.Points != 1000 || s.R != 10 || s.Fanout != 8 {

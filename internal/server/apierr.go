@@ -13,10 +13,11 @@ import (
 //     response is the flat `{"error": "<message>"}` document the first
 //     service release shipped, pinned by golden tests so existing clients
 //     and scripts never observe a change;
+//
 //   - /v2/ carries the same routes plus the multi-tenant surface, and
 //     every non-2xx response uses one versioned envelope:
 //
-//	{"error": {"code": "<stable-code>", "message": "...", "retry_after_s": N}}
+//     {"error": {"code": "<stable-code>", "message": "...", "retry_after_s": N}}
 //
 // The code vocabulary is closed and machine-readable — clients switch on
 // it instead of parsing message strings — and retry_after_s mirrors the

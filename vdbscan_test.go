@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -48,6 +49,24 @@ func TestClusterOneShot(t *testing.T) {
 func TestClusterInvalidParams(t *testing.T) {
 	if _, err := Cluster(testPoints(t, 100), Params{Eps: 0, MinPts: 4}); err == nil {
 		t.Error("eps=0 accepted")
+	}
+}
+
+// TestNonFiniteEpsRejected: a NaN or infinite ε is an error naming eps
+// from Cluster and from ClusterVariants, whichever variant carries it —
+// not an all-noise clustering or a grid-layout error.
+func TestNonFiniteEpsRejected(t *testing.T) {
+	ix := NewIndex(testPoints(t, 500))
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := Params{Eps: eps, MinPts: 2}
+		if _, err := ix.Cluster(bad); err == nil || !strings.Contains(err.Error(), "eps") {
+			t.Errorf("Cluster(eps=%g): err = %v, want an error naming eps", eps, err)
+		}
+		for _, params := range [][]Params{{bad, {Eps: 3, MinPts: 4}}, {{Eps: 3, MinPts: 4}, bad}} {
+			if _, err := ix.ClusterVariants(params); err == nil || !strings.Contains(err.Error(), "eps") {
+				t.Errorf("ClusterVariants(%v): err = %v, want an error naming eps", params, err)
+			}
+		}
 	}
 }
 
