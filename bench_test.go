@@ -591,7 +591,7 @@ func BenchmarkRunTiled(b *testing.B) {
 
 // BenchmarkTwoLevelSingleVariant is the |V| < T regime: one variant on an
 // 8-worker pool. The paper's one-variant-per-worker scheduler leaves 7
-// workers idle; donation routes them into the variant's parallel pass.
+// workers idle; the variant's passes run 8 wide and take those cores.
 func BenchmarkTwoLevelSingleVariant(b *testing.B) {
 	fixtures(b)
 	vs := variant.New([]dbscan.Params{tecParams})

@@ -12,8 +12,7 @@ import (
 // TestChainEveryLinkMatchesRun is the property test of the ε-chain: on both
 // index kinds, for a small, a middling and a large ε, a chain of
 // non-increasing MinPts — duplicates and MinPts 1 included — driven by 1 to
-// 8 workers with and without donated Helper goroutines must give, at every
-// link, the bytes of sequential Run on an R-tree index; a link after the
+// 8 workers must give, at every link, the bytes of sequential Run on an R-tree index; a link after the
 // first must not search; every link's work counters must be the same under
 // every division of the work; and a Link must be unchanged by its
 // successors, so replaying the chain from the kept Links — or skipping
@@ -33,50 +32,45 @@ func TestChainEveryLinkMatchesRun(t *testing.T) {
 			}
 			var base []metrics.Snapshot // per link, from the first configuration
 			for workers := 1; workers <= 8; workers++ {
-				for _, donors := range []int{0, 3} {
-					opt := ParallelOptions{Workers: workers}
-					if donors > 0 {
-						opt.Helper = &waitHelper{donors: donors}
+				opt := ParallelOptions{Workers: workers}
+				tag := fmt.Sprintf("%v eps=%g workers=%d", kind, eps, workers)
+				run := func(mp int, prev *Link) (*Link, metrics.Snapshot) {
+					t.Helper()
+					var m metrics.Counters
+					res, link, err := RunLink(ctx, ix, Params{Eps: eps, MinPts: mp}, prev, opt, &m)
+					if err != nil {
+						t.Fatalf("%s minpts=%d: %v", tag, mp, err)
 					}
-					tag := fmt.Sprintf("%v eps=%g workers=%d donors=%d", kind, eps, workers, donors)
-					run := func(mp int, prev *Link) (*Link, metrics.Snapshot) {
-						t.Helper()
-						var m metrics.Counters
-						res, link, err := RunLink(ctx, ix, Params{Eps: eps, MinPts: mp}, prev, opt, &m)
-						if err != nil {
-							t.Fatalf("%s minpts=%d: %v", tag, mp, err)
-						}
-						requireIdentical(t, res, want[mp], fmt.Sprintf("%s minpts=%d", tag, mp))
-						return link, m.Snapshot()
-					}
-					links := make([]*Link, len(chain))
-					work := make([]metrics.Snapshot, len(chain))
-					var prev *Link
-					for i, mp := range chain {
-						links[i], work[i] = run(mp, prev)
-						if i > 0 && work[i].NeighborSearches != 0 {
-							t.Fatalf("%s minpts=%d: an inherited link ran %d ε-searches", tag, mp, work[i].NeighborSearches)
-						}
-						prev = links[i]
-					}
-					if work[0].NeighborSearches == 0 && kind == IndexRTree {
-						t.Fatalf("%s: the first link searched nothing", tag)
-					}
-					if base == nil {
-						base = work
-					}
-					for i := range chain {
-						if work[i] != base[i] {
-							t.Fatalf("%s minpts=%d: work %+v, at one worker %+v", tag, chain[i], work[i], base[i])
-						}
-					}
-					for i := 1; i < len(chain); i++ {
-						if _, again := run(chain[i], links[i-1]); again != work[i] {
-							t.Fatalf("%s minpts=%d: second replay counted %+v, first %+v", tag, chain[i], again, work[i])
-						}
-					}
-					run(chain[len(chain)-1], links[0])
+					requireIdentical(t, res, want[mp], fmt.Sprintf("%s minpts=%d", tag, mp))
+					return link, m.Snapshot()
 				}
+				links := make([]*Link, len(chain))
+				work := make([]metrics.Snapshot, len(chain))
+				var prev *Link
+				for i, mp := range chain {
+					links[i], work[i] = run(mp, prev)
+					if i > 0 && work[i].NeighborSearches != 0 {
+						t.Fatalf("%s minpts=%d: an inherited link ran %d ε-searches", tag, mp, work[i].NeighborSearches)
+					}
+					prev = links[i]
+				}
+				if work[0].NeighborSearches == 0 && kind == IndexRTree {
+					t.Fatalf("%s: the first link searched nothing", tag)
+				}
+				if base == nil {
+					base = work
+				}
+				for i := range chain {
+					if work[i] != base[i] {
+						t.Fatalf("%s minpts=%d: work %+v, at one worker %+v", tag, chain[i], work[i], base[i])
+					}
+				}
+				for i := 1; i < len(chain); i++ {
+					if _, again := run(chain[i], links[i-1]); again != work[i] {
+						t.Fatalf("%s minpts=%d: second replay counted %+v, first %+v", tag, chain[i], again, work[i])
+					}
+				}
+				run(chain[len(chain)-1], links[0])
 			}
 		}
 	}

@@ -29,9 +29,8 @@ var onePassModes = []struct {
 // publish and link themselves while their neighbours do the same — and
 // nearly every core–core edge has its endpoints claimed by different
 // workers at the same time. Labels must be byte-identical to Run at every
-// width and seed, with and without donated Helper workers joining both
-// passes. Run it under -race: the detector sees the core flags and DSU
-// parents shared across workers.
+// width and seed. Run it under -race: the detector sees the core flags and
+// DSU parents shared across workers.
 func TestOnePassContentionStress(t *testing.T) {
 	p := Params{Eps: 0.5, MinPts: 5}
 	for seed := int64(1); seed <= 50; seed++ {
@@ -45,14 +44,11 @@ func TestOnePassContentionStress(t *testing.T) {
 		for workers := 1; workers <= 8; workers++ {
 			mode := onePassModes[(int(seed)+workers)%2]
 			opt := ParallelOptions{Workers: workers, Tiles: mode.tiles}
-			if (int(seed)+workers)%3 == 0 {
-				opt.Helper = &waitHelper{donors: 3}
-			}
 			got, err := RunParallelOpts(context.Background(), ix, p, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, got, want, fmt.Sprintf("seed=%d workers=%d %s helper=%v", seed, workers, mode.name, opt.Helper != nil))
+			requireIdentical(t, got, want, fmt.Sprintf("seed=%d workers=%d %s", seed, workers, mode.name))
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"vdbscan/internal/cluster"
+	"vdbscan/internal/forkjoin"
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/obs"
 	"vdbscan/internal/unionfind"
@@ -55,41 +56,25 @@ import (
 // parallelism: it reduces one variant's response time when there are fewer
 // runnable variants than cores (the |V| < T and end-of-run-tail regimes),
 // while the paper's scheduler maximizes throughput over many variants.
-// internal/sched composes the two levels by donating idle pool workers to
-// running variants through the Helper interface.
+// internal/sched runs every link at the full width, so the Go scheduler,
+// not this package, decides which core serves which variant.
 //
 // A run is also one link of an ε-chain (RunLink): what the pass leaves
 // behind — flags, union-find, records — is exactly what a variant with the
 // same ε and a smaller MinPts needs in place of the index.
-
-// Helper donates extra worker goroutines to a parallel pass of
-// RunParallelOpts (the cell-major runner offers twice, once per pass). Offer
-// publishes a help function that idle donor goroutines may invoke
-// concurrently; help returns when the pass's work is exhausted. The
-// returned stop retracts the offer and blocks until every in-flight donated
-// invocation has returned, so the caller may rely on happens-before between
-// donated writes and what it does next. variant is the offering variant
-// execution's ID (ParallelOptions.Variant), which lets the helper attribute
-// donated time in traces; helpers that don't trace may ignore it.
-type Helper interface {
-	Offer(variant int32, help func()) (stop func())
-}
 
 // ParallelOptions configures RunParallelOpts.
 type ParallelOptions struct {
 	// Workers is the number of goroutines the run drives itself, including
 	// the calling one; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Helper, when non-nil, contributes donated goroutines to the parallel
-	// passes on top of Workers (two-level scheduling).
-	Helper Helper
 	// Rec, when non-nil, records the run's phase spans — mark (tile-run on
 	// the tiled path) around the parallel passes, then label and border —
 	// for variant Variant into the calling worker's trace ring. The nil
 	// default costs nothing: every Recorder method is a nil-receiver no-op
 	// and no per-point work is ever traced.
 	Rec *obs.Recorder
-	// Variant is the variant ID used in trace events and Helper offers.
+	// Variant is the variant ID used in trace events.
 	Variant int32
 	// Tiles selects tile-level parallelism (variant → tile → chunk) on
 	// grid-kind indexes: the grid is cut into point-balanced tiles and
@@ -119,7 +104,7 @@ func RunParallel(ix *Index, p Params, workers int, m *metrics.Counters) (*cluste
 	return RunParallelOpts(context.Background(), ix, p, ParallelOptions{Workers: workers}, m)
 }
 
-// RunParallelOpts is RunParallel with cancellation and donated workers. ctx
+// RunParallelOpts is RunParallel with cancellation and tracing. ctx
 // is checked once per chunk (per tile on the tiled path) and at the barrier
 // between passes; on cancellation the pass drains and the context error is
 // returned with no partial result. It is the one-link case of RunLink: the
@@ -204,7 +189,9 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 		if i > 0 && ctx.Err() != nil {
 			break // canceled before the barrier
 		}
-		runPhase(min(workers, ps.units), opt, s.workerBody(ctx, m, ps))
+		// max(1, …): replaying a predecessor with no non-core records is a
+		// pass of zero units, and Do needs one worker.
+		forkjoin.Do(max(1, min(workers, ps.units)), s.workerBody(ctx, m, ps))
 	}
 	opt.Rec.PhaseEnd(opt.Variant, phase)
 	if err := ctx.Err(); err != nil {
@@ -273,14 +260,14 @@ type pass struct {
 	unit  func(u int, w *passWorker)
 }
 
-// workerBody returns the body runPhase drives: claim the pass's next work
-// unit from a shared cursor, let unit handle it, flush the counters. ctx is
-// checked and counters are flushed once per unit, so a canceled run has
-// counted exactly the work it performed. A finished worker hands its arena
+// workerBody returns the body each worker of a pass runs: claim the pass's
+// next work unit from a shared cursor, let unit handle it, flush the
+// counters. ctx is checked and counters are flushed once per unit, so a
+// canceled run has counted exactly the work it performed. A finished worker hands its arena
 // to the sequential tail.
-func (s *onePass) workerBody(ctx context.Context, m *metrics.Counters, ps pass) func() {
+func (s *onePass) workerBody(ctx context.Context, m *metrics.Counters, ps pass) func(int) {
 	var cursor atomic.Int64
-	return func() {
+	return func(int) {
 		w := passWorker{scratch: make([]int32, 0, 256)}
 		for ctx.Err() == nil {
 			u := int(cursor.Add(1) - 1)
@@ -366,29 +353,5 @@ func (s *onePass) attachBorders(labels []int32) {
 			labels[b] = label
 			arena = arena[2+k:]
 		}
-	}
-}
-
-// runPhase drives body on workers goroutines (the caller's included) plus
-// any donated helpers, returning once every invocation has finished. body
-// must be safe for concurrent invocation and return when the pass's work
-// is exhausted.
-func runPhase(workers int, opt ParallelOptions, body func()) {
-	var stop func()
-	if opt.Helper != nil {
-		stop = opt.Helper.Offer(opt.Variant, body)
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body()
-		}()
-	}
-	body()
-	wg.Wait()
-	if stop != nil {
-		stop()
 	}
 }

@@ -2,7 +2,6 @@ package dbscan
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -191,37 +190,6 @@ func TestRunCtxCancellation(t *testing.T) {
 	// A background context run is unaffected.
 	if _, err := RunCtx(context.Background(), ix, Params{Eps: 1, MinPts: 4}, nil); err != nil {
 		t.Errorf("background run failed: %v", err)
-	}
-}
-
-// waitHelper is a test Helper that runs every offered help function on n
-// donor goroutines — the shape internal/sched's donor pool provides.
-type waitHelper struct{ donors int }
-
-func (h *waitHelper) Offer(_ int32, help func()) (stop func()) {
-	var wg sync.WaitGroup
-	for i := 0; i < h.donors; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			help()
-		}()
-	}
-	return wg.Wait
-}
-
-func TestRunParallelWithHelperMatches(t *testing.T) {
-	pts := blobs(4, 300, 150, 25, 0.6, 107)
-	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
-	p := Params{Eps: 0.8, MinPts: 4}
-	want, _ := Run(ix, p, nil)
-	for _, donors := range []int{1, 3, 7} {
-		got, err := RunParallelOpts(context.Background(), ix, p,
-			ParallelOptions{Workers: 1, Helper: &waitHelper{donors: donors}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, got, want, "helper")
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 // closest-pair test nor an ε-search stops at a tile boundary — so labels
 // and work counters are those of the untiled run, and there is no seam to
 // merge.
-//
-// The passes run through runPhase, so donated pool workers (two-level
-// scheduling) pick up tiles exactly as they pick up chunks.
 
 // tileSpans is the tiled division of g's cells: one unit per tile of the
 // index's tile partition. It returns nil spans when tiling does not apply

@@ -358,22 +358,3 @@ func TestRunTiledCancelMidPass(t *testing.T) {
 		t.Fatalf("mark-pass cancel counted work: %v", got)
 	}
 }
-
-// TestRunTiledWithHelperMatches: donated workers joining the tile pass
-// through the Helper interface must not perturb the result.
-func TestRunTiledWithHelperMatches(t *testing.T) {
-	pts := blobs(4, 700, 200, 30, 0.8, 206)
-	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexGrid})
-	p := Params{Eps: 0.9, MinPts: 5}
-	want, err := Run(ix, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &waitHelper{donors: 3}
-	res, err := RunParallelOpts(context.Background(), ix, p,
-		ParallelOptions{Workers: 2, Tiles: 9, Helper: h}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, res, want, "tiled-helper")
-}

@@ -1,8 +1,11 @@
-// Package forkjoin runs one pass of an index build on several goroutines
-// and waits for them: the parallel bin sort (internal/grid) and the grid
-// freeze (internal/gridindex) both split their input into contiguous
-// ranges, one per worker, so that merging per-worker results in worker
-// order reproduces the sequential pass exactly.
+// Package forkjoin is the one fork-join helper: it runs a body on several
+// goroutines and waits for them all. The parallel bin sort (internal/grid)
+// and the grid freeze (internal/gridindex) split their input into
+// contiguous ranges, one per worker, so that merging per-worker results in
+// worker order reproduces the sequential pass exactly; the passes of a
+// parallel DBSCAN run (internal/dbscan) and the variant pools
+// (internal/sched, internal/paper) start their workers with Do and let
+// them claim work from a shared cursor.
 package forkjoin
 
 import (

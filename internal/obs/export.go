@@ -12,10 +12,10 @@ import (
 //
 //   - Chrome trace-event JSON (the "JSON Array Format" both chrome://tracing
 //     and https://ui.perfetto.dev load directly): pid 1 carries one track
-//     per pool worker showing what each core executed when (variant spans,
-//     donated phases), pid 2 carries one track per variant showing its
-//     lifecycle with nested scratch/mark/label/border phase spans,
-//     seed-selection instants, and per-variant work-counter args.
+//     per pool worker showing which variant each worker ran when, pid 2
+//     carries one track per variant showing its lifecycle with nested
+//     scratch/mark/label/border phase spans, seed-selection instants, and
+//     per-variant work-counter args.
 //   - A plain-text timeline summary for terminals and logs.
 //
 // Both exporters reconstruct spans by pairing begin/end events per variant;
@@ -206,16 +206,14 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		out = append(out, ev)
 	}
 
-	// Phase spans (nested inside the variant spans on the variant tracks)
-	// and donor spans (on the donating worker's track). Begin/end events
-	// pair up per (variant, phase) / (worker, variant); orphans clip to the
+	// Phase spans, nested inside the variant spans on the variant tracks.
+	// Begin/end events pair up per (variant, phase); orphans clip to the
 	// frame.
 	type key struct {
 		variant int32
 		arg     int64
 	}
 	phaseOpen := map[key]time.Duration{}
-	donorOpen := map[key]time.Duration{}
 	for _, e := range evs {
 		switch e.Kind {
 		case KindQueued:
@@ -238,28 +236,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			out = append(out, chromeEvent{Name: Phase(e.Arg).String(), Cat: "phase", Ph: "X",
 				Ts: us(begin), Dur: durPtr(e.At - begin), Pid: pidVariants, Tid: int(e.Variant),
 				Args: map[string]any{"variant": int(e.Variant)}})
-		case KindDonorJoin:
-			donorOpen[key{e.Worker, int64(e.Variant)}] = e.At
-		case KindDonorLeave:
-			k := key{e.Worker, int64(e.Variant)}
-			begin, ok := donorOpen[k]
-			if !ok {
-				begin = 0
-			}
-			delete(donorOpen, k)
-			out = append(out, chromeEvent{Name: fmt.Sprintf("donate→%s", name(e.Variant)),
-				Cat: "donor", Ph: "X", Ts: us(begin), Dur: durPtr(e.At - begin),
-				Pid: pidWorkers, Tid: int(e.Worker) + 1,
-				Args: map[string]any{"variant": int(e.Variant)}})
 		}
 	}
 	for k, begin := range phaseOpen { // still open at frame end: clip
 		out = append(out, chromeEvent{Name: Phase(k.arg).String(), Cat: "phase", Ph: "X",
 			Ts: us(begin), Dur: durPtr(maxAt - begin), Pid: pidVariants, Tid: int(k.variant)})
-	}
-	for k, begin := range donorOpen {
-		out = append(out, chromeEvent{Name: "donate", Cat: "donor", Ph: "X",
-			Ts: us(begin), Dur: durPtr(maxAt - begin), Pid: pidWorkers, Tid: int(k.variant) + 1})
 	}
 
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Ts < out[j].Ts })
@@ -272,8 +253,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 
 // WriteTimeline writes a human-readable run summary: one line per variant
 // in start order with its worker, window, seed source, reuse fraction, and
-// ε-search count, followed by per-worker donation notes. Safe on a nil
-// tracer.
+// ε-search count. Safe on a nil tracer.
 func (t *Tracer) WriteTimeline(w io.Writer) error {
 	if t == nil {
 		_, err := fmt.Fprintln(w, "trace: disabled (nil tracer)")
@@ -341,25 +321,6 @@ func (t *Tracer) WriteTimeline(w io.Writer) error {
 			s.worker, s.id, name(s.id),
 			s.start.Round(time.Microsecond), s.end.Round(time.Microsecond),
 			(s.end - s.start).Round(time.Microsecond), src, 100*s.frac, s.work.searches)
-	}
-
-	// Donation activity, if any: which idle workers helped which variants.
-	type dkey struct {
-		worker, variant int32
-	}
-	joins := map[dkey]time.Duration{}
-	for _, e := range evs {
-		switch e.Kind {
-		case KindDonorJoin:
-			joins[dkey{e.Worker, e.Variant}] = e.At
-		case KindDonorLeave:
-			k := dkey{e.Worker, e.Variant}
-			if begin, ok := joins[k]; ok {
-				fmt.Fprintf(w, "  [w%-2d] donated %s to v%d (%s)\n",
-					e.Worker, (e.At - begin).Round(time.Microsecond), e.Variant, name(e.Variant))
-				delete(joins, k)
-			}
-		}
 	}
 	return nil
 }

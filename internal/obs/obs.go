@@ -1,15 +1,16 @@
 // Package obs is the execution-tracing and runtime-introspection layer of
 // the variant scheduler. It records structured span events — variant
-// lifecycle (queued → started → seed-selected → phases → done), scheduler decisions (strategy pick, worker assignment, donor
-// join/leave), and per-variant metrics.Snapshot deltas — into lock-light
-// per-worker ring buffers, then exports them as a Chrome trace-event /
-// Perfetto JSON file or a plain-text timeline.
+// lifecycle (queued → started → seed-selected → phases → done), scheduler
+// decisions (worker assignment, seed source), and per-variant
+// metrics.Snapshot deltas — into lock-light per-worker ring buffers, then
+// exports them as a Chrome trace-event / Perfetto JSON file or a
+// plain-text timeline.
 //
 // The paper's claims are about *when* each variant ran, *which* completed
 // variant it seeded from, and *how much* ε-search work reuse skipped;
 // aggregate counters and wall-clock totals cannot answer those questions.
-// Tracing makes the ε-chain schedule, the donor-pool behavior of two-level
-// scheduling, and the per-phase work attribution directly inspectable (the per-phase methodology of Wang, Gu & Shun,
+// Tracing makes the ε-chain schedule and the per-phase work attribution
+// directly inspectable (the per-phase methodology of Wang, Gu & Shun,
 // arXiv:1912.06255).
 //
 // # Cost model
@@ -61,11 +62,6 @@ const (
 	// from-scratch execution); F = fraction of points reused; Work = the
 	// variant's own metrics delta (snapshot of a per-variant counter set).
 	KindDone
-	// KindDonorJoin/KindDonorLeave bracket an idle pool worker donating
-	// itself to a running variant's parallel phase (two-level scheduling).
-	// Variant = the variant helped.
-	KindDonorJoin
-	KindDonorLeave
 )
 
 // String implements fmt.Stringer.
@@ -83,10 +79,6 @@ func (k Kind) String() string {
 		return "phase-end"
 	case KindDone:
 		return "done"
-	case KindDonorJoin:
-		return "donor-join"
-	case KindDonorLeave:
-		return "donor-leave"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -315,13 +307,13 @@ func sortEvents(evs []Event) {
 			return 0
 		case KindStarted:
 			return 1
-		case KindSeedSelected, KindDonorJoin:
+		case KindSeedSelected:
 			return 2
 		case KindPhaseBegin:
 			return 3
 		case KindPhaseEnd:
 			return 4
-		case KindDonorLeave, KindDone:
+		case KindDone:
 			return 5
 		}
 		return 6

@@ -131,8 +131,8 @@ func TestEventsMergeSorted(t *testing.T) {
 	}
 }
 
-// buildRun synthesizes a two-worker, three-variant run with seed reuse,
-// phases, and a donation — the full event vocabulary.
+// buildRun synthesizes a two-worker, three-variant run with seed reuse and
+// phases — the full event vocabulary.
 func buildRun(t *testing.T) *Tracer {
 	t.Helper()
 	tr := NewTracer()
@@ -148,8 +148,6 @@ func buildRun(t *testing.T) *Tracer {
 	r1.PhaseBegin(1, PhaseScratch)
 	r1.PhaseEnd(1, PhaseScratch)
 	r1.Done(1, -1, 0, metrics.Snapshot{NeighborSearches: 100})
-	r1.Event(KindDonorJoin, 0, 0, 0)
-	r1.Event(KindDonorLeave, 0, 0, 0)
 	r0.PhaseEnd(0, PhaseScratch)
 	r0.Done(0, -1, 0, metrics.Snapshot{NeighborSearches: 90})
 	r0.Event(KindStarted, 2, 0, 0)
@@ -165,7 +163,7 @@ func buildRun(t *testing.T) *Tracer {
 
 // TestWriteChromeTrace validates the exporter output as JSON and checks
 // the structural requirements: one lifecycle span per variant with
-// seed-source and reuse-fraction args, phase spans, and donor spans.
+// seed-source and reuse-fraction args, and phase spans.
 func TestWriteChromeTrace(t *testing.T) {
 	tr := buildRun(t)
 	var buf bytes.Buffer
@@ -192,7 +190,6 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	variantSpans := map[int]map[string]any{}
 	phases := 0
-	donors := 0
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "X" && e.Pid == pidVariants {
 			switch {
@@ -201,9 +198,6 @@ func TestWriteChromeTrace(t *testing.T) {
 			case e.Name == "scratch" || e.Name == "mark" || e.Name == "label":
 				phases++
 			}
-		}
-		if e.Ph == "X" && e.Pid == pidWorkers && strings.HasPrefix(e.Name, "donate") {
-			donors++
 		}
 	}
 	if len(variantSpans) != 3 {
@@ -225,13 +219,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	if phases != 4 {
 		t.Errorf("got %d phase spans, want 4", phases)
 	}
-	if donors != 1 {
-		t.Errorf("got %d donor spans, want 1", donors)
-	}
 }
 
 // TestWriteTimeline sanity-checks the text export: header, one line per
-// variant, seed annotation, donation note.
+// variant, seed annotation.
 func TestWriteTimeline(t *testing.T) {
 	tr := buildRun(t)
 	var buf bytes.Buffer
@@ -241,7 +232,7 @@ func TestWriteTimeline(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"SCHEDGREEDY", "3 variants done", "seed=v0", "dist=0.125",
-		"from-scratch", "donated", "(0.6, 4)",
+		"from-scratch", "(0.6, 4)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)

@@ -30,6 +30,7 @@ import (
 
 	"vdbscan/internal/cluster"
 	"vdbscan/internal/dbscan"
+	"vdbscan/internal/forkjoin"
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/variant"
 )
@@ -63,7 +64,8 @@ func (s Strategy) String() string {
 
 // Options configures Execute.
 type Options struct {
-	// Threads is the worker pool size T; 1 when zero or negative.
+	// Threads is the worker pool size T; 1 when zero or negative. The pool
+	// starts no more workers than there are variants.
 	Threads int
 	// Strategy is the scheduling heuristic; SchedGreedy by default.
 	Strategy Strategy
@@ -107,7 +109,7 @@ type RunResult struct {
 	// TotalWork is the sum of per-variant durations; TotalWork/T is the
 	// Figure 9 lower bound ("no cores idle").
 	TotalWork time.Duration
-	// Threads echoes the pool size used.
+	// Threads echoes T.
 	Threads int
 }
 
@@ -311,22 +313,16 @@ func Execute(ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, e
 		return nil
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, threads)
-	for w := range threads {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for errs[w] == nil {
-				v, ok := take()
-				if !ok {
-					return
-				}
-				errs[w] = run(w, v)
+	errs := make([]error, min(threads, len(vs)))
+	forkjoin.Do(len(errs), func(w int) {
+		for errs[w] == nil {
+			v, ok := take()
+			if !ok {
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			errs[w] = run(w, v)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

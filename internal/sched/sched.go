@@ -10,11 +10,11 @@
 // and on the R-tree kind dbscan.RunLink at one worker, or dbscan.RunCtx
 // when nothing follows it.
 //
-// On a wider pool the scheduling is *two-level*: chain heads take the
-// intra-variant parallel path of dbscan.RunLink, and workers left idle
-// once the queue drains — the |V| < T and end-of-run-tail regimes — donate
-// themselves to the running variants' parallel phases. Results are
-// unchanged: the parallel path is label-identical to sequential DBSCAN.
+// There is one pool of ε-chains, min(T, chains) wide, and every link runs
+// at the full width T, exactly as Index.Cluster does at WithThreads(T):
+// while fewer chains than cores are running, the Go scheduler gives their
+// passes' goroutines the idle cores. Results are unchanged: the parallel
+// path is label-identical to sequential DBSCAN.
 //
 // The paper's own executor — Alg. 3/4 cluster reuse under its online
 // heuristics — is internal/paper, which only the figure harness imports.
@@ -29,6 +29,7 @@ import (
 
 	"vdbscan/internal/cluster"
 	"vdbscan/internal/dbscan"
+	"vdbscan/internal/forkjoin"
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/obs"
 	"vdbscan/internal/variant"
@@ -36,10 +37,9 @@ import (
 
 // Options configures Execute.
 type Options struct {
-	// Threads is the worker pool size T; 1 when zero or negative. Above 1
-	// the pool schedules on two levels: chain heads take the parallel
-	// path, and pool workers that find the queue empty donate themselves
-	// to the parallel phases of still-running variants instead of parking.
+	// Threads is the parallel width T; 1 when zero or negative. The pool
+	// runs min(T, chains) chains at once, and every link's parallel passes
+	// run T wide.
 	Threads int
 	// DisableReuse forces every variant to cluster from scratch (the
 	// multithreaded no-reuse baseline of scenario S1).
@@ -47,10 +47,10 @@ type Options struct {
 	// Metrics optionally accumulates work counters across all variants.
 	Metrics *metrics.Counters
 	// Tracer optionally records the run's execution timeline: variant
-	// lifecycle spans, seed-selection decisions, phase boundaries, donor
-	// join/leave, and per-variant work deltas. Nil (the default) disables
-	// tracing at zero cost — every recording call is a nil-receiver no-op
-	// that allocates nothing.
+	// lifecycle spans, seed-selection decisions, phase boundaries and
+	// per-variant work deltas. Nil (the default) disables tracing at zero
+	// cost — every recording call is a nil-receiver no-op that allocates
+	// nothing.
 	Tracer *obs.Tracer
 	// Progress, when non-nil, is invoked serially after each variant
 	// completes with the live run state (variants done, running mean reuse
@@ -71,7 +71,7 @@ type VariantResult struct {
 	// SourceID is the original ID of the ε-chain predecessor whose
 	// searches the variant inherited, or -1 for a chain's first link.
 	SourceID int
-	// Worker is the pool worker (0..T-1) that ran the variant.
+	// Worker is the pool worker (0..min(T, chains)-1) that ran the variant.
 	Worker int
 	// Start and End are offsets from the run's start instant: a single
 	// time.Time captured once when Execute begins, measured with
@@ -94,7 +94,7 @@ type RunResult struct {
 	// TotalWork is the sum of per-variant durations; TotalWork/T is the
 	// no-idle lower bound on the makespan.
 	TotalWork time.Duration
-	// Threads echoes the pool size used.
+	// Threads echoes the parallel width T every link ran at.
 	Threads int
 }
 
@@ -147,13 +147,6 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	}
 	queue := units(variant.Sorted(vs), !opt.DisableReuse)
 	norm := variant.NewNormalizer(vs) // the seed-selected trace score
-
-	var pool *donorPool
-	var helper dbscan.Helper // nil, not a nil *donorPool, when nothing donates
-	if threads > 1 {
-		pool = newDonorPool()
-		helper = pool
-	}
 
 	results := make([]VariantResult, len(vs))
 	var next int
@@ -227,10 +220,6 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	// between the links of a chain; a canceled unit returns nil and the
 	// post-wait ctx check reports it.
 	runUnit := func(worker int, rec *obs.Recorder, unit []variant.Variant) error {
-		if pool != nil {
-			pool.variantStarted()
-			defer pool.variantFinished()
-		}
 		var link *dbscan.Link // the chain's previous link
 		for i, v := range unit {
 			if i > 0 && ctx.Err() != nil {
@@ -251,7 +240,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 				own = new(metrics.Counters)
 				vmet = own
 			}
-			popt := dbscan.ParallelOptions{Workers: 1, Helper: helper, Rec: rec, Variant: int32(v.ID)}
+			popt := dbscan.ParallelOptions{Workers: threads, Rec: rec, Variant: int32(v.ID)}
 			var res *cluster.Result
 			var err error
 			switch {
@@ -299,29 +288,18 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 		return nil
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, threads)
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rec := tr.Worker(worker) // nil recorder when tracing is off
-			for errs[worker] == nil {
-				unit, ok := take()
-				if !ok {
-					// No unit will ever be taken again (queue drained or
-					// ctx canceled): donate this worker to the running
-					// variants' intra-variant pools instead of parking.
-					if pool != nil {
-						pool.donate(rec)
-					}
-					return
-				}
-				errs[worker] = runUnit(worker, rec, unit)
+	width := min(threads, len(queue))
+	errs := make([]error, width)
+	forkjoin.Do(width, func(worker int) {
+		rec := tr.Worker(worker) // nil recorder when tracing is off
+		for errs[worker] == nil {
+			unit, ok := take()
+			if !ok {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+			errs[worker] = runUnit(worker, rec, unit)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

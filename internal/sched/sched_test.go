@@ -415,10 +415,10 @@ func TestExecuteContextCancellation(t *testing.T) {
 	}
 }
 
-// --- Two-level scheduling (intra-variant donation) ---
+// --- Two levels: a pool of chains, each link at the full width ---
 
 func TestExecuteTwoLevelSingleVariant(t *testing.T) {
-	// |V|=1 < T: the spare workers must donate to the lone variant, and the
+	// |V|=1 < T: the lone variant runs its passes four wide, and the
 	// result must be label-identical to the sequential execution.
 	ix := testIndex(t)
 	p := dbscan.Params{Eps: 0.8, MinPts: 4}
@@ -443,9 +443,10 @@ func TestExecuteTwoLevelSingleVariant(t *testing.T) {
 
 func TestExecuteTwoLevelTailSkew(t *testing.T) {
 	// A skewed set: several cheap variants plus one expensive tail variant
-	// (huge ε). With reuse disabled every execution is from scratch; idle
-	// workers of a four-wide pool must flow into the tail without changing
-	// any result of the one-worker run.
+	// (huge ε). With reuse disabled every execution is from scratch; at
+	// width four every one runs its passes four wide while the pool runs
+	// four of them at once, without changing any result of the one-worker
+	// run.
 	ix := testIndex(t)
 	ps := []dbscan.Params{
 		{Eps: 0.2, MinPts: 8}, {Eps: 0.25, MinPts: 8}, {Eps: 0.3, MinPts: 8},
@@ -455,12 +456,12 @@ func TestExecuteTwoLevelTailSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	donated, err := Execute(ix, variant.New(ps), Options{Threads: 4, DisableReuse: true})
+	wide, err := Execute(ix, variant.New(ps), Options{Threads: 4, DisableReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for vi := range ps {
-		a, b := baseline.Results[vi].Result, donated.Results[vi].Result
+		a, b := baseline.Results[vi].Result, wide.Results[vi].Result
 		if a.NumClusters != b.NumClusters {
 			t.Fatalf("variant %d: clusters %d vs %d", vi, a.NumClusters, b.NumClusters)
 		}
@@ -469,15 +470,15 @@ func TestExecuteTwoLevelTailSkew(t *testing.T) {
 				t.Fatalf("variant %d: label[%d] = %d vs %d", vi, i, b.Labels[i], a.Labels[i])
 			}
 		}
-		if !donated.Results[vi].FromScratch {
+		if !wide.Results[vi].FromScratch {
 			t.Errorf("variant %d: expected from-scratch", vi)
 		}
 	}
 }
 
 func TestExecuteTwoLevelWithReuse(t *testing.T) {
-	// Chain heads go parallel and take donors, their replays follow on the
-	// same path: every variant's bytes match the one-worker run.
+	// Chain heads go parallel at the full width, their replays follow on
+	// the same path: every variant's bytes match the one-worker run.
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.5, 0.7, 0.9}, []int{4, 8})
 	base, err := Execute(ix, vs, Options{Threads: 1})
@@ -491,7 +492,7 @@ func TestExecuteTwoLevelWithReuse(t *testing.T) {
 	for vi := range vs {
 		a, b := base.Results[vi].Result, two.Results[vi].Result
 		if a.NumClusters != b.NumClusters || !slices.Equal(a.Labels, b.Labels) {
-			t.Errorf("variant %d: labels differ with donation", vi)
+			t.Errorf("variant %d: labels differ at two workers", vi)
 		}
 	}
 }
@@ -508,9 +509,10 @@ func TestExecuteTwoLevelCancellation(t *testing.T) {
 }
 
 func TestExecuteIntraWorkersWithoutDonation(t *testing.T) {
-	// A one-worker pool has no donors, so its from-scratch execution runs
-	// on that worker alone; it must reproduce sequential labels, as must
-	// the same execution on wider pools, where the spare workers donate.
+	// A one-worker pool runs its from-scratch execution on that worker
+	// alone; it must reproduce sequential labels, as must the same
+	// execution on wider pools, where one pool worker drives a pass as
+	// wide as the pool.
 	ix := testIndex(t)
 	p := dbscan.Params{Eps: 0.8, MinPts: 4}
 	want, _ := dbscan.Run(ix, p, nil)
@@ -531,8 +533,9 @@ func TestExecuteIntraWorkersWithoutDonation(t *testing.T) {
 }
 
 func TestExecuteTwoLevelManyVariantsFewThreads(t *testing.T) {
-	// |V| > T with donation on: donors only appear at the tail; the run
-	// must complete and every variant must be populated.
+	// |V| > T: the pool stays three wide and every link runs its passes
+	// three wide; the run must complete and every variant must be
+	// populated.
 	ix := testIndex(t)
 	vs := variant.Product([]float64{0.4, 0.6, 0.8, 1.0, 1.2}, []int{4, 8})
 	rr, err := Execute(ix, vs, Options{Threads: 3, DisableReuse: true})
@@ -662,7 +665,7 @@ func TestTracedEventsNestWithinRun(t *testing.T) {
 	vs := variant.Product([]float64{0.4, 0.9}, []int{4, 10, 16})
 	tr := obs.NewTracer()
 	rr, err := Execute(ix, vs, Options{
-		Threads: 4, Tracer: tr, // a wide pool exercises donor join/leave events too
+		Threads: 4, Tracer: tr, // a wide pool traces the parallel phases too
 	})
 	if err != nil {
 		t.Fatal(err)

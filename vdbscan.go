@@ -93,9 +93,9 @@ const Noise = cluster.Noise
 type Work = metrics.Snapshot
 
 // Tracer records a clustering run's execution timeline: variant lifecycle
-// spans (queued → started → seed-selected → phases → done),
-// scheduler decisions, donor activity, and per-variant work deltas. Create
-// one with NewTracer, attach it with WithTracer, then export with
+// spans (queued → started → seed-selected → phases → done), the worker
+// that ran each variant and its seed source, and per-variant work deltas.
+// Create one with NewTracer, attach it with WithTracer, then export with
 // WriteChromeTrace (Chrome trace-event JSON, loadable in chrome://tracing
 // or https://ui.perfetto.dev) or WriteTimeline (plain text). A Tracer holds
 // one run; reusing it across runs keeps only the last. A nil *Tracer is
@@ -248,13 +248,12 @@ const (
 func WithIndexKind(k IndexKind) IndexOption { return indexOpt(func(c *config) { c.kind = k }) }
 
 // WithThreads sets the parallel width T of a run (default 1), the only
-// one a caller chooses. ClusterVariants runs its ε-chains on T pool
-// workers, and above 1 the workers left idle once the chain queue drains
-// are lent to the chains still running. Cluster runs its one variant on T
-// workers, cutting a grid index's cells into point-balanced tiles when T
-// and the point count justify it. Either way WithThreads(8) uses 8 cores
-// whether you cluster one variant or eighty, and the labels are the same
-// at every T.
+// one a caller chooses. Cluster runs its one variant on T workers, cutting
+// a grid index's cells into point-balanced tiles when T and the point
+// count justify it. ClusterVariants runs its ε-chains on a pool of at most
+// T workers, one per chain, and every variant of a chain on T workers as
+// Cluster does. Either way WithThreads(8) uses 8 cores whether you cluster
+// one variant or eighty, and the labels are the same at every T.
 func WithThreads(t int) RunOption { return runOpt(func(c *config) { c.threads = t }) }
 
 // WithoutReuse forces every variant to cluster from scratch, keeping only
@@ -266,9 +265,10 @@ func WithWork(w *Work) SharedOption { return sharedOpt(func(c *config) { c.work 
 
 // WithTracer attaches an execution tracer to Cluster or ClusterVariants.
 // The tracer records structured span events at variant/phase granularity
-// (never per ε-search), so the clustering output and the hot-path
-// allocation behavior are identical with tracing on or off; a nil t is the
-// same as not passing the option.
+// (never per ε-search): a variant's phases are traced on the pool worker
+// that ran it, whatever the width of its passes. The clustering output and
+// the hot-path allocation behavior are identical with tracing on or off; a
+// nil t is the same as not passing the option.
 func WithTracer(t *Tracer) SharedOption { return sharedOpt(func(c *config) { c.tracer = t }) }
 
 // WithProgress registers a live progress callback for ClusterVariants,
@@ -378,7 +378,8 @@ type VariantResult struct {
 	// SourceIndex is the position (in the input params slice) of the
 	// ε-chain predecessor whose searches were reused, or -1.
 	SourceIndex int
-	// Worker identifies the pool worker that ran the variant.
+	// Worker identifies the pool worker that ran the variant; the pool is
+	// no wider than WithThreads or the number of ε-chains.
 	Worker int
 	// Start and End are offsets from the run's start instant — one
 	// time.Time captured when ClusterVariants begins, measured with
@@ -401,7 +402,7 @@ type VariantRun struct {
 	// TotalWork is the sum of per-variant durations (TotalWork/Threads is
 	// the no-idle lower bound on the makespan).
 	TotalWork time.Duration
-	// Threads is the worker pool size used.
+	// Threads echoes WithThreads: the width every variant ran at.
 	Threads int
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -476,33 +477,68 @@ func TestClusterHonorsContextCancellation(t *testing.T) {
 }
 
 func TestClusterVariantsTwoLevel(t *testing.T) {
+	// Every link runs its passes at the full width whatever the pool is
+	// doing: more workers than chains, fewer, and all from scratch must
+	// give the one-thread run's labels and its counted work.
 	pts := testPoints(t, 5000)
 	idx := NewIndex(pts)
 	params := CartesianVariants([]float64{2, 3, 4}, []int{4, 8})
-	base, err := idx.ClusterVariants(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range [][]RunOption{
-		{WithThreads(4)},                 // more workers than chains: donors join
-		{WithThreads(2)},                 // fewer workers than chains
-		{WithThreads(4), WithoutReuse()}, // all from scratch
-	} {
-		run, err := idx.ClusterVariants(params, opts...)
+	for _, reuse := range [][]RunOption{nil, {WithoutReuse()}} {
+		var baseWork Work
+		base, err := idx.ClusterVariants(params, append(reuse, WithThreads(1), WithWork(&baseWork))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(run.Results) != len(params) {
-			t.Fatalf("results = %d, want %d", len(run.Results), len(params))
-		}
-		for i, vr := range run.Results {
-			q, err := Quality(base.Results[i].Clustering, vr.Clustering)
+		for _, threads := range []int{2, 4} {
+			var work Work
+			run, err := idx.ClusterVariants(params, append(reuse, WithThreads(threads), WithWork(&work))...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if q < 0.998 {
-				t.Fatalf("variant %d (%+v): quality = %g", i, vr.Params, q)
+			if len(run.Results) != len(params) {
+				t.Fatalf("results = %d, want %d", len(run.Results), len(params))
 			}
+			for i, vr := range run.Results {
+				if !slices.Equal(vr.Clustering.Labels, base.Results[i].Clustering.Labels) {
+					t.Fatalf("T=%d reuse=%v variant %d (%+v): labels differ from T=1", threads, reuse == nil, i, vr.Params)
+				}
+			}
+			if work != baseWork {
+				t.Fatalf("T=%d reuse=%v: work %+v, at T=1 %+v", threads, reuse == nil, work, baseWork)
+			}
+		}
+	}
+}
+
+// TestClusterVariantsHugeWidth: the pool starts no more workers than there
+// are chains, so a width far above the chain count costs neither pool
+// goroutines nor per-worker state, while every link still runs its passes
+// at that width — whose goroutines are bounded by the pass's work units.
+func TestClusterVariantsHugeWidth(t *testing.T) {
+	pts := testPoints(t, 5000)
+	idx := NewIndex(pts)
+	params := CartesianVariants([]float64{2, 3, 4}, []int{4, 8}) // three ε-chains
+	base, err := idx.ClusterVariants(params, WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	var peak int
+	run, err := idx.ClusterVariants(params, WithThreads(1<<16), WithProgress(func(ProgressEvent) {
+		peak = max(peak, runtime.NumGoroutine())
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak > before+200 {
+		t.Errorf("peak goroutines %d, %d before the run", peak, before)
+	}
+	for i, vr := range run.Results {
+		if vr.Worker >= 3 {
+			t.Errorf("variant %d ran on pool worker %d of a three-chain sweep", i, vr.Worker)
+		}
+		if !slices.Equal(vr.Clustering.Labels, base.Results[i].Clustering.Labels) {
+			t.Fatalf("variant %d (%+v): labels differ from T=1", i, vr.Params)
 		}
 	}
 }
