@@ -1,9 +1,10 @@
 // Command vdbscand serves VariantDBSCAN clustering over HTTP/JSON.
 //
 // Datasets are uploaded once and indexed once; every job that targets a
-// dataset shares its frozen index, and jobs arriving within the batching
-// window are coalesced into a single ClusterVariants run over the union of
-// their variant lists.
+// dataset shares its frozen index and the index's library of ε-chain heads
+// (vdbscan.Links), and jobs arriving within the batching window are
+// coalesced into a single ClusterVariants run over the union of their
+// variant lists. A job the library already serves in full skips the window.
 //
 // Usage:
 //

@@ -6,6 +6,7 @@ import (
 
 	"vdbscan/internal/persist"
 	"vdbscan/internal/rtree"
+	"vdbscan/internal/sched"
 )
 
 // The facade's error contract (see also the package comment):
@@ -36,6 +37,11 @@ var ErrSnapshotCorrupt = persist.ErrSnapshotCorrupt
 // read: a future format version, or a file written on a platform with the
 // opposite byte order. Match it with errors.Is.
 var ErrSnapshotVersion = persist.ErrSnapshotVersion
+
+// ErrForeignLinks reports a WithLinks library made by another Index than
+// the one run: a library's kept heads describe its own Index's points.
+// Match it with errors.Is.
+var ErrForeignLinks = sched.ErrForeignLinks
 
 // wrapErr brings an internal error onto the facade's contract: nil stays
 // nil, and everything else gains the "vdbscan: " prefix exactly once while

@@ -156,7 +156,11 @@ func watchSSE(ctx context.Context, c *client.Client, jobID string) string {
 			fmt.Printf("  job %s: %s\n", jobID, ev.Name)
 		case "progress":
 			src := "from scratch"
-			if f["from_scratch"] != true {
+			switch {
+			case f["from_scratch"] == true:
+			case asFloat(f["source"]) < 0:
+				src = "replayed the dataset's library"
+			default:
 				src = fmt.Sprintf("reused %.1f%% of variant %v",
 					asFloat(f["fraction_reused"])*100, f["source"])
 			}

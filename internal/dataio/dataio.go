@@ -186,16 +186,28 @@ func LoadDataset(path string) (*data.Dataset, error) {
 }
 
 // WriteLabelsCSV writes a clustering as "index,label" rows. Labels use the
-// cluster package's convention (-1 noise, 1..K clusters).
+// cluster package's convention (-1 noise, 1..K clusters). Rows are encoded
+// into one reused buffer, written whenever it fills.
 func WriteLabelsCSV(w io.Writer, res *cluster.Result) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# clusters: %d\n", res.NumClusters)
+	const size, row = 32 << 10, 2*20 + 2 // a row is two int64s, ',' and '\n'
+	buf := make([]byte, 0, size)
+	buf = strconv.AppendInt(append(buf, "# clusters: "...), int64(res.NumClusters), 10)
+	buf = append(buf, '\n')
 	for i, l := range res.Labels {
-		if _, err := fmt.Fprintf(bw, "%d,%d\n", i, l); err != nil {
-			return fmt.Errorf("dataio: write labels: %w", err)
+		if len(buf) > size-row {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("dataio: write labels: %w", err)
+			}
+			buf = buf[:0]
 		}
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = strconv.AppendInt(append(buf, ','), int64(l), 10)
+		buf = append(buf, '\n')
 	}
-	return bw.Flush()
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("dataio: write labels: %w", err)
+	}
+	return nil
 }
 
 // ReadLabelsCSV parses a clustering written by WriteLabelsCSV.

@@ -2,7 +2,10 @@ package dataio
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,6 +165,56 @@ func TestLabelsCSVRoundTrip(t *testing.T) {
 	for i := range res.Labels {
 		if got.Labels[i] != res.Labels[i] {
 			t.Errorf("label %d = %d, want %d", i, got.Labels[i], res.Labels[i])
+		}
+	}
+}
+
+// TestWriteLabelsCSVBytes pins the encoder to the bytes of the
+// fmt.Fprintf form it replaced, "# clusters: %d\n" then "%d,%d\n" per
+// point, across empty, one-point, all-noise and buffer-crossing label sets.
+func TestWriteLabelsCSVBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 1000, 20000} {
+		for _, clusters := range []int{0, 3, math.MaxInt32} {
+			res := &cluster.Result{Labels: make([]int32, n), NumClusters: clusters}
+			for i := range res.Labels {
+				res.Labels[i] = cluster.Noise
+				if clusters > 0 && rng.Intn(4) > 0 {
+					res.Labels[i] = int32(1 + rng.Intn(clusters))
+				}
+			}
+			var want bytes.Buffer
+			fmt.Fprintf(&want, "# clusters: %d\n", res.NumClusters)
+			for i, l := range res.Labels {
+				fmt.Fprintf(&want, "%d,%d\n", i, l)
+			}
+			var got bytes.Buffer
+			if err := WriteLabelsCSV(&got, res); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("n=%d clusters=%d: encoder bytes differ from %%d,%%d", n, clusters)
+			}
+		}
+	}
+}
+
+type failWriter struct{ after int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.after -= len(p); w.after < 0 {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+// TestWriteLabelsCSVWriteError: a failed write surfaces, whether it is the
+// only write, a full buffer's or a later one.
+func TestWriteLabelsCSVWriteError(t *testing.T) {
+	for _, c := range []struct{ n, after int }{{1, 0}, {20000, 0}, {20000, 40 << 10}} {
+		res := &cluster.Result{Labels: make([]int32, c.n), NumClusters: 1}
+		if err := WriteLabelsCSV(&failWriter{after: c.after}, res); err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("n=%d after %d B: err = %v, want the write error", c.n, c.after, err)
 		}
 	}
 }

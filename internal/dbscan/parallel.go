@@ -134,6 +134,19 @@ func (l *Link) Serves(p Params) bool {
 	return l != nil && l.p.Eps == p.Eps && l.p.MinPts >= p.MinPts
 }
 
+// Params returns the parameters of the run that left l.
+func (l *Link) Params() Params { return l.p }
+
+// Bytes is the memory l holds: 5 B per point — a core flag and a
+// union-find parent — plus 4 B per word of its non-core records.
+func (l *Link) Bytes() int64 {
+	b := 5 * int64(len(l.s.core))
+	for _, arena := range l.s.borders {
+		b += 4 * int64(len(arena))
+	}
+	return b
+}
+
 // RunLink is RunParallelOpts for one variant of an ε-chain. When prev, a
 // Link of an earlier RunLink on the same ix, serves p, the parallel pass
 // replays prev's records through consume under the new threshold instead of

@@ -185,7 +185,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		args := map[string]any{
 			"variant":            int(id),
 			"seed_source":        s.source,
-			"from_scratch":       s.source < 0,
+			"from_scratch":       s.source < 0 && s.frac == 0,
 			"fraction_reused":    s.frac,
 			"worker":             int(s.worker),
 			"searches":           s.work.searches,
@@ -311,6 +311,9 @@ func (t *Tracer) WriteTimeline(w io.Writer) error {
 			continue
 		}
 		src := "from-scratch"
+		if s.frac > 0 {
+			src = "library" // reused, but from no variant of this run
+		}
 		if s.source >= 0 {
 			src = fmt.Sprintf("seed=v%d", s.source)
 			if s.seedSet {

@@ -16,6 +16,9 @@
 // passes' goroutines the idle cores. Results are unchanged: the parallel
 // path is label-identical to sequential DBSCAN.
 //
+// A Links library (Options.Links) carries chain heads across runs on one
+// index: a chain whose head an earlier run's Link serves replays it too.
+//
 // The paper's own executor — Alg. 3/4 cluster reuse under its online
 // heuristics — is internal/paper, which only the figure harness imports.
 package sched
@@ -56,6 +59,12 @@ type Options struct {
 	// completes with the live run state (variants done, running mean reuse
 	// fraction). It is called from worker goroutines — keep it fast.
 	Progress func(obs.ProgressEvent)
+	// Links, when non-nil, is the index's library of chain heads kept
+	// across runs: a chain whose head it serves replays that Link instead
+	// of running from scratch, and a head that does run from scratch
+	// offers it its Link. It must be ix's (ErrForeignLinks otherwise) and
+	// is ignored under DisableReuse.
+	Links *Links
 }
 
 // VariantResult is the outcome of one variant execution.
@@ -63,13 +72,15 @@ type VariantResult struct {
 	Variant variant.Variant
 	// Result holds labels in the index's sorted point space.
 	Result *cluster.Result
-	// FromScratch is true for a chain's first link.
+	// FromScratch is true for a chain's first link, unless Options.Links
+	// served it.
 	FromScratch bool
 	// FractionReused is the fraction of points whose ε-search the variant
-	// inherited: 1 after a chain's first link, 0 on it.
+	// inherited: 0 on a from-scratch link, 1 on every other.
 	FractionReused float64
 	// SourceID is the original ID of the ε-chain predecessor whose
-	// searches the variant inherited, or -1 for a chain's first link.
+	// searches the variant inherited, or -1 for a chain's first link —
+	// from scratch, or a replay of Options.Links.
 	SourceID int
 	// Worker is the pool worker (0..min(T, chains)-1) that ran the variant.
 	Worker int
@@ -128,6 +139,13 @@ func Execute(ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, e
 func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, error) {
 	if err := variant.Validate(vs); err != nil {
 		return nil, err
+	}
+	lib := opt.Links
+	if lib != nil && lib.ix != ix {
+		return nil, ErrForeignLinks
+	}
+	if opt.DisableReuse {
+		lib = nil
 	}
 	// One build sized for the variant set's max ε serves every variant:
 	// the grid kind's cell grid, shared by every chain's searches (a no-op
@@ -220,7 +238,8 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	// between the links of a chain; a canceled unit returns nil and the
 	// post-wait ctx check reports it.
 	runUnit := func(worker int, rec *obs.Recorder, unit []variant.Variant) error {
-		var link *dbscan.Link // the chain's previous link
+		// The chain's previous link; before the head, the library's.
+		link := lib.Serving(unit[0].Params)
 		for i, v := range unit {
 			if i > 0 && ctx.Err() != nil {
 				return nil
@@ -245,21 +264,25 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			var err error
 			switch {
 			case link.Serves(v.Params):
-				// A link its predecessor serves inherits every point's
-				// ε-search.
-				src := unit[i-1]
-				vr.SourceID, vr.FractionReused = src.ID, 1
-				rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
+				// A link its predecessor — or, for the head, the library
+				// — serves inherits every point's ε-search.
+				vr.FractionReused = 1
+				if i > 0 {
+					src := unit[i-1]
+					vr.SourceID = src.ID
+					rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
+				}
 				res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
 			case threads == 1:
 				// On a one-worker pool a chain's first link runs on this
 				// goroutine alone, traced as scratch like every sequential
 				// run. A lone R-tree variant keeps Run's expansion, which
-				// needs no label or border tail; every other head records
-				// its Link, cell-major on the grid kind.
+				// needs no label or border tail, unless a library keeps its
+				// Link; every other head records its Link, cell-major on
+				// the grid kind.
 				vr.FromScratch = true
 				rec.PhaseBegin(int32(v.ID), obs.PhaseScratch)
-				if ix.Kind == dbscan.IndexRTree && i+1 == len(unit) {
+				if ix.Kind == dbscan.IndexRTree && i+1 == len(unit) && lib == nil {
 					res, err = dbscan.RunCtx(ctx, ix, v.Params, vmet)
 				} else {
 					popt.Rec = nil
@@ -278,6 +301,9 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 					return nil // canceled mid-variant (interruptible parallel path)
 				}
 				return fmt.Errorf("variant %v: %w", v, err)
+			}
+			if vr.FromScratch {
+				lib.Offer(link)
 			}
 			vr.Result = res
 			vr.End = time.Since(start)

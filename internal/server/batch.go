@@ -161,7 +161,7 @@ func (s *Server) runBatch(b *batch) {
 		s.failBatch(live, "dataset deleted before the job ran")
 		return
 	}
-	idx, points, version := d.snapshot()
+	idx, links, points, version := d.snapshot()
 
 	var work vdbscan.Work
 
@@ -217,7 +217,11 @@ func (s *Server) runBatch(b *batch) {
 				float64(e.Work.CandidatesExamined) / float64(e.Work.NeighborSearches))
 		}
 	}
-	tr := obs.NewTracer(obs.WithSink(sink))
+	// A variant records about ten events, so a ring of 16 per union
+	// variant holds the whole run: the default 4096-event ring per worker
+	// would cost ~0.4 MB a recorder, and a library-served job is a batch
+	// of its own.
+	tr := obs.NewTracer(obs.WithSink(sink), obs.WithRingCap(16*len(union)))
 
 	s.log.Info("batch run starting",
 		"batch", b.id, "dataset", b.datasetID, "jobs", len(live),
@@ -228,6 +232,7 @@ func (s *Server) runBatch(b *batch) {
 		vdbscan.WithTracer(tr),
 		vdbscan.WithWork(&work),
 		vdbscan.WithProgress(progress),
+		vdbscan.WithLinks(links),
 	)
 	runDur := time.Since(runStart)
 	ob.batchRun.Observe(runDur.Seconds())
@@ -258,6 +263,19 @@ func (s *Server) runBatch(b *batch) {
 		return
 	}
 	s.ctrs.variantsRun.Add(int64(len(union)))
+	// A chain head with no source that did not run from scratch replayed
+	// the dataset's library, and so, through it, did the rest of its ε.
+	served := map[float64]bool{}
+	for _, vr := range run.Results {
+		if !vr.FromScratch && vr.SourceIndex < 0 {
+			served[vr.Params.Eps] = true
+		}
+	}
+	for _, vr := range run.Results {
+		if served[vr.Params.Eps] {
+			s.ctrs.variantsReplayed.Add(1)
+		}
+	}
 
 	for _, j := range live {
 		var jw vdbscan.Work

@@ -96,6 +96,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	counterFunc("vdbscand_jobs_coalesced_total", "Jobs that shared their batch with another job.", &s.ctrs.jobsCoalesced)
 	counterFunc("vdbscand_batches_run_total", "ClusterVariants batch runs executed.", &s.ctrs.batchesRun)
 	counterFunc("vdbscand_variants_run_total", "Union variants executed across all batches.", &s.ctrs.variantsRun)
+	counterFunc("vdbscand_variants_replayed_total", "Union variants whose eps-chain replayed their dataset's Links library instead of searching.", &s.ctrs.variantsReplayed)
 	counterFunc("vdbscand_dataset_refreezes_total", "Background dataset re-freezes installed.", &s.ctrs.refreezes)
 	counterFunc("vdbscand_datasets_created_total", "Datasets ever created.", &s.ctrs.datasets)
 

@@ -248,6 +248,7 @@ func (g *registry) loadDataset(dir string) (*dataset, error) {
 		kind:    info.Kind,
 		points:  idx.Points(),
 		index:   idx,
+		links:   idx.NewLinks(),
 		version: 1,
 		dir:     dir,
 		walSeq:  int(info.Sequence) + 1,

@@ -27,6 +27,7 @@ type dataset struct {
 	mu         sync.Mutex
 	points     []vdbscan.Point // points covered by the installed index
 	index      *vdbscan.Index
+	links      *vdbscan.Links    // the installed index's ε-chain heads; never persisted
 	kind       vdbscan.IndexKind // the installed index's ε-search substrate
 	staged     []vdbscan.Point   // appended, awaiting the next re-freeze
 	version    int               // bumped at every install
@@ -42,12 +43,26 @@ type dataset struct {
 	walSeq int          // current WAL segment sequence
 }
 
-// snapshot returns the dataset's current frozen index, its point count, and
-// the install version — the triple a batch run binds to.
-func (d *dataset) snapshot() (*vdbscan.Index, int, int) {
+// snapshot returns the dataset's current frozen index, its Links library,
+// its point count, and the install version — what a batch run binds to.
+func (d *dataset) snapshot() (*vdbscan.Index, *vdbscan.Links, int, int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.index, len(d.points), d.version
+	return d.index, d.links, len(d.points), d.version
+}
+
+// serves reports whether the installed index's library serves every one of
+// params, so a job of them has no ε-search to share with another.
+func (d *dataset) serves(params []vdbscan.Params) bool {
+	d.mu.Lock()
+	links := d.links
+	d.mu.Unlock()
+	for _, p := range params {
+		if !links.Serves(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // registry is the dataset store.
@@ -91,13 +106,15 @@ func (g *registry) create(name string, points []vdbscan.Point) (*dataset, error)
 	if len(points) == 0 {
 		return nil, fmt.Errorf("dataset has no points")
 	}
+	idx := vdbscan.NewIndex(points)
 	d := &dataset{
 		id:      fmt.Sprintf("d%d", g.seq.Add(1)),
 		name:    name,
 		created: time.Now(),
 		kind:    vdbscan.IndexGrid,
 		points:  points,
-		index:   vdbscan.NewIndex(points),
+		index:   idx,
+		links:   idx.NewLinks(),
 		version: 1,
 	}
 	if d.name == "" {
@@ -227,6 +244,7 @@ func (g *registry) refreeze(d *dataset, ctrs *counters) {
 	d.mu.Lock()
 	d.points = combined
 	d.index = idx
+	d.links = idx.NewLinks() // the old version's heads go with its index
 	d.kind = vdbscan.IndexGrid
 	d.staged = d.staged[len(add):]
 	d.version++

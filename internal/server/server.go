@@ -15,11 +15,16 @@
 //   - bounded-queue admission control: when the backlog reaches QueueDepth
 //     jobs, submissions are rejected with 429 and a Retry-After hint
 //     instead of queuing without bound;
+//   - a Link library per installed index (vdbscan.Links): every batch run
+//     keeps each ε's largest-minpts chain head and replays it for later
+//     jobs, the paper's reuse carried across requests;
 //   - cross-request batching: jobs targeting the same dataset that arrive
 //     within BatchWindow are coalesced into a single ClusterVariants run,
 //     so the scheduler's reuse heuristics see the union of their variants
 //     (more completed sources to reuse from, one queue drain instead of
-//     many) — the service-level analogue of the paper's variant set;
+//     many) — the service-level analogue of the paper's variant set. A
+//     job the library serves in full has nothing to share and skips the
+//     window;
 //   - per-job deadlines and cancellation: each job carries a timeout and
 //     can be canceled; a batch run is canceled only when every job in it
 //     has gone away;
@@ -76,8 +81,9 @@ type Config struct {
 	// submissions beyond it get 429 with a Retry-After header.
 	QueueDepth int
 	// BatchWindow is the coalescing window: jobs for the same dataset
-	// admitted within it join one ClusterVariants run. Zero or negative
-	// disables coalescing.
+	// admitted within it join one ClusterVariants run. A job whose every
+	// variant the dataset's Links library serves skips it. Zero or
+	// negative disables coalescing.
 	BatchWindow time.Duration
 	// JobTimeout is the default per-job deadline, counted from admission;
 	// a job may override it (shorter or longer) at submission.
@@ -150,16 +156,17 @@ func (c Config) withDefaults() Config {
 // All fields are atomics: they are bumped from handler and runner
 // goroutines without locks.
 type counters struct {
-	jobsAccepted  atomic.Int64
-	jobsRejected  atomic.Int64 // 429: queue full
-	jobsCompleted atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsCanceled  atomic.Int64
-	jobsCoalesced atomic.Int64 // jobs that shared their batch with another job
-	batchesRun    atomic.Int64
-	variantsRun   atomic.Int64 // union variants executed across all batches
-	refreezes     atomic.Int64
-	datasets      atomic.Int64 // created, monotonic (live count is registry.len)
+	jobsAccepted     atomic.Int64
+	jobsRejected     atomic.Int64 // 429: queue full
+	jobsCompleted    atomic.Int64
+	jobsFailed       atomic.Int64
+	jobsCanceled     atomic.Int64
+	jobsCoalesced    atomic.Int64 // jobs that shared their batch with another job
+	batchesRun       atomic.Int64
+	variantsRun      atomic.Int64 // union variants executed across all batches
+	variantsReplayed atomic.Int64 // of those, in an ε-chain the dataset's library served
+	refreezes        atomic.Int64
+	datasets         atomic.Int64 // created, monotonic (live count is registry.len)
 }
 
 // Server is the vdbscand service state: registry, job store, batch queue,
@@ -272,6 +279,13 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 	if s.draining.Load() {
 		return jobDoc{}, errDraining
 	}
+	// A job its dataset's library already serves in full has no ε-search
+	// to share, so it skips the coalescing window: it runs as a batch of
+	// its own, sealed at once. A job with any miss waits out the window.
+	window := s.cfg.BatchWindow > 0
+	if d, ok := s.registry.get(j.datasetID); ok && window {
+		window = !d.serves(j.params)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.queued >= s.cfg.QueueDepth {
@@ -292,9 +306,9 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 	}, true, false)
 
 	b := s.open[j.datasetID]
-	if b == nil {
+	if b == nil || !window {
 		b = newBatch(s.nextBatchID(), j.datasetID)
-		if s.cfg.BatchWindow > 0 {
+		if window {
 			s.open[j.datasetID] = b
 			b.timer = time.AfterFunc(s.cfg.BatchWindow, func() { s.seal(b) })
 		}
@@ -311,8 +325,9 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 		Job: j.id, Batch: b.id, BatchJobs: n, BatchVariants: union,
 	}, true, false)
 	doc := s.jobDoc(j, v2)
-	if s.cfg.BatchWindow <= 0 {
-		// Coalescing disabled: the batch seals with its single job.
+	if !window {
+		// Coalescing disabled or nothing to share: the batch seals with
+		// its single job.
 		s.sealLocked(b)
 	}
 	return doc, nil

@@ -40,8 +40,8 @@
 // Configuration is split in two tiers. IndexOption values (WithR,
 // WithBinWidth, WithIndexKind) fix the physical
 // index layout and are accepted by NewIndex and NewIncremental. RunOption
-// values (WithThreads, WithoutReuse, WithContext, WithProgress) shape one
-// clustering run and are accepted by Index.Cluster and
+// values (WithThreads, WithoutReuse, WithContext, WithProgress, WithLinks)
+// shape one clustering run and are accepted by Index.Cluster and
 // Index.ClusterVariants. Observability attachments (WithWork, WithTracer)
 // implement both. Passing an option at the wrong tier — say,
 // WithR on Index.ClusterVariants — is a compile-time error. The
@@ -194,6 +194,7 @@ type config struct {
 	work         *Work
 	tracer       *Tracer
 	progress     func(ProgressEvent)
+	links        *Links
 }
 
 func buildConfig[O Option](opts []O) config {
@@ -279,6 +280,55 @@ func WithProgress(f func(ProgressEvent)) RunOption {
 	return runOpt(func(c *config) { c.progress = f })
 }
 
+// Links is a library of ε-chain heads kept across runs on one Index: for
+// each ε, the state the largest-MinPts from-scratch run left behind — core
+// flags, core connectivity, and the neighbourhoods of the non-core points.
+// A later run passed WithLinks replays it for any variant of that ε with a
+// MinPts no larger instead of searching the index, and every other chain
+// head it runs from scratch offers its own. The library holds at most
+// LinkBytesPerPoint bytes per indexed point, dropping the least recently
+// used ε past that. Labels never depend on what it holds. Create one with
+// Index.NewLinks; it is safe for concurrent use by any number of runs.
+type Links struct {
+	x   *Index
+	lib *sched.Links
+}
+
+// LinkBytesPerPoint bounds a Links library's memory: it never holds more
+// than this many bytes per point of its Index. A kept head costs 5 B per
+// point plus 4 B per neighbour entry of its non-core points.
+const LinkBytesPerPoint = sched.LinkBytesPerPoint
+
+// NewLinks returns an empty Links library for runs on x.
+func (x *Index) NewLinks() *Links { return &Links{x: x, lib: sched.NewLinks(x.ix)} }
+
+// Serves reports whether l holds a kept head that serves p: a run of p
+// passed WithLinks(l) would replay it at zero ε-searches.
+func (l *Links) Serves(p Params) bool { return l.lib.Serving(p) != nil }
+
+// Bytes is the memory l's kept heads hold, at most LinkBytesPerPoint times
+// its Index's point count.
+func (l *Links) Bytes() int64 { return l.lib.Bytes() }
+
+// WithLinks lets Cluster and ClusterVariants replay and keep ε-chain heads
+// in l, a library made by the same Index's NewLinks (ErrForeignLinks
+// otherwise). A variant it serves reports FromScratch false, FractionReused
+// 1 and SourceIndex -1. Without it nothing outlives a run. WithoutReuse
+// turns it off.
+func WithLinks(l *Links) RunOption { return runOpt(func(c *config) { c.links = l }) }
+
+// library is the run's Links library on x: nil without WithLinks or under
+// WithoutReuse, ErrForeignLinks when it belongs to another Index.
+func (c *config) library(x *Index) (*sched.Links, error) {
+	switch {
+	case c.links == nil || c.disableReuse:
+		return nil, nil
+	case c.links.x != x:
+		return nil, wrapErr(ErrForeignLinks)
+	}
+	return c.links.lib, nil
+}
+
 // WithContext attaches a cancellation context to ClusterVariants: when ctx
 // is canceled, no further variants start and the run returns ctx's error.
 func WithContext(ctx context.Context) RunOption {
@@ -326,22 +376,31 @@ func (x *Index) Points() []Point { return x.pts }
 // result is identical at any width.
 func (x *Index) Cluster(p Params, opts ...RunOption) (*Clustering, error) {
 	c := buildConfig(opts)
+	lib, err := c.library(x)
+	if err != nil {
+		return nil, err
+	}
+	prev := lib.Serving(p)
 	var m metrics.Counters
 	var res *cluster.Result
-	var err error
+	var link *dbscan.Link
 	// A traced single-variant run is a one-variant schedule: the same span
-	// structure ClusterVariants emits, on worker 0, always from scratch.
+	// structure ClusterVariants emits, on worker 0.
 	start := time.Now()
 	c.tracer.StartRun(start, "single-variant", []string{p.String()})
 	rec := c.tracer.Worker(0)
 	rec.Event(obs.KindStarted, 0, 0, 0)
 	// A grid-kind index takes the parallel runner at every width, one
 	// thread included: its cell-major pass does a fraction of RunCtx's
-	// work, and the work counters then read the same at any -threads.
-	if c.threads > 1 || x.ix.Kind == dbscan.IndexGrid {
-		res, err = dbscan.RunParallelOpts(c.ctx, x.ix, p,
-			dbscan.ParallelOptions{Workers: max(c.threads, 1), Rec: rec}, &m)
-	} else {
+	// work, and the work counters then read the same at any -threads. A
+	// run with a library keeps its Link, or replays the library's.
+	popt := dbscan.ParallelOptions{Workers: max(c.threads, 1), Rec: rec}
+	switch {
+	case lib != nil:
+		res, link, err = dbscan.RunLink(c.ctx, x.ix, p, prev, popt, &m)
+	case c.threads > 1 || x.ix.Kind == dbscan.IndexGrid:
+		res, err = dbscan.RunParallelOpts(c.ctx, x.ix, p, popt, &m)
+	default:
 		rec.PhaseBegin(0, obs.PhaseScratch)
 		res, err = dbscan.RunCtx(c.ctx, x.ix, p, &m)
 		rec.PhaseEnd(0, obs.PhaseScratch)
@@ -349,12 +408,19 @@ func (x *Index) Cluster(p Params, opts ...RunOption) (*Clustering, error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	rec.Done(0, -1, 0, m.Snapshot())
+	frac := 0.0
+	if prev != nil {
+		frac = 1
+	} else {
+		lib.Offer(link)
+	}
+	rec.Done(0, -1, frac, m.Snapshot())
 	c.tracer.EndRun(time.Since(start))
 	if c.progress != nil {
 		el := time.Since(start)
 		c.progress(ProgressEvent{Done: 1, Total: 1, Variant: 0, Source: -1,
-			FromScratch: true, Duration: el, Elapsed: el})
+			FractionReused: frac, MeanFractionReused: frac,
+			FromScratch: prev == nil, Duration: el, Elapsed: el})
 	}
 	if c.work != nil {
 		*c.work = c.work.Add(m.Snapshot())
@@ -369,14 +435,16 @@ type VariantResult struct {
 	// Clustering holds labels in the caller's point order.
 	Clustering *Clustering
 	// FromScratch is true when the variant ran plain DBSCAN: the first
-	// link of its ε-chain, or every variant under WithoutReuse.
+	// link of its ε-chain unless a WithLinks library served it, or every
+	// variant under WithoutReuse.
 	FromScratch bool
 	// FractionReused is the fraction of points copied from a completed
 	// variant without an ε-neighborhood search; 1 for a variant that
-	// inherited every search from its ε-chain predecessor.
+	// inherited every search from its ε-chain predecessor or the library.
 	FractionReused float64
 	// SourceIndex is the position (in the input params slice) of the
-	// ε-chain predecessor whose searches were reused, or -1.
+	// ε-chain predecessor whose searches were reused, or -1: from scratch,
+	// or, with FromScratch false, served by the WithLinks library.
 	SourceIndex int
 	// Worker identifies the pool worker that ran the variant; the pool is
 	// no wider than WithThreads or the number of ε-chains.
@@ -434,6 +502,10 @@ func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun
 		return nil, fmt.Errorf("vdbscan: no variants given")
 	}
 	c := buildConfig(opts)
+	lib, err := c.library(x)
+	if err != nil {
+		return nil, err
+	}
 	var m metrics.Counters
 	rr, err := sched.ExecuteContext(c.ctx, x.ix, variant.New(params), sched.Options{
 		Threads:      c.threads,
@@ -441,6 +513,7 @@ func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun
 		Metrics:      &m,
 		Tracer:       c.tracer,
 		Progress:     c.progress,
+		Links:        lib,
 	})
 	if err != nil {
 		return nil, wrapErr(err)
