@@ -13,28 +13,32 @@ import (
 // cluster by counting alone. Two parallel passes with a barrier between
 // them, both over the same division of the cells into work units:
 //
-//   - mark: every dense cell publishes its points' core flags and unions
-//     them into one set. No distance is computed.
+//   - mark: every dense cell publishes its points' core flags and attaches
+//     them under its minimum id as one set, without a Find or a CAS. No
+//     distance is computed.
 //   - link: a dense cell tests each dense cell among the 12 forward ones of
 //     its 5×5 block (two points within ε are at most two cells apart per
 //     axis; each unordered cell pair is met once, from its earlier cell)
-//     with one early-exit closest-pair scan and unions the two sets when a
-//     pair lies within ε. A point of a sparse cell runs the point-major
-//     pass's ε-search and onePass.consume unchanged: the barrier has
-//     published every dense flag, so a sparse–dense core edge is linked
-//     from its sparse end, and consume's store-then-load order still covers
-//     sparse–sparse edges. The search goes through whichever of the two
-//     grids scans the smaller block for this ε: the search grid's 3×3 when
-//     it was sized for this very ε, the decomposition's 5×5 when the search
-//     grid was sized for a sweep's larger maximum.
+//     with one early-exit closest-pair scan (gridindex.Flat.PairWithin,
+//     which scans the earlier cell from its side nearer the later one) and
+//     unions the two sets when a pair lies within ε. A point of a sparse
+//     cell runs the point-major pass's ε-search and onePass.consume
+//     unchanged: the barrier has published every dense flag, so a
+//     sparse–dense core edge is linked from its sparse end, and consume's
+//     store-then-load order still covers sparse–sparse edges. The search
+//     goes through whichever of the two grids scans the smaller block for
+//     this ε: the search grid's 3×3 when it was sized for this very ε, the
+//     decomposition's 5×5 when the search grid was sized for a sweep's
+//     larger maximum.
 //
 // The core set and the core-connectivity components are the ones Run finds,
 // so labelCores and attachBorders produce Run's bytes. The work counters
 // are a function of the input alone: searches are counted for sparse-cell
-// points only, every closest-pair and rectangle test is a candidate, every
-// cell pair tested is a node — whichever worker does it, in any order. That
-// is why link does not skip a cell pair the union-find already shows as
-// joined: what Find returns mid-pass depends on the schedule.
+// points only, every rectangle and pair test a closest-pair scan makes up
+// to its first pair within ε is a candidate, every cell pair tested is a
+// node — whichever worker does it, in any order. That is why link does not
+// skip a cell pair the union-find already shows as joined: what Find
+// returns mid-pass depends on the schedule.
 
 // spans calls yield once per row span — cells [c0, c1) of row r — of work
 // unit u.
@@ -83,7 +87,14 @@ func (s *onePass) cellPasses(ix *Index, g *gridindex.Flat, eps float64, units in
 	}
 }
 
-// markDense publishes the dense cells among row r's cells [c0, c1).
+// markDense publishes the dense cells among row r's cells [c0, c1) and
+// makes each one set by attaching its points to its first. The mark pass
+// runs first, on fresh flags and a fresh union-find, and a cell belongs to
+// exactly one work unit, so no other worker reads or writes a point's flag
+// or parent before the barrier: plain stores do, and every point attached
+// is still a singleton. Freeze's scatter is stable, so a cell's slots hold
+// its ids in ascending order and first is its minimum — Attach's
+// precondition.
 func (s *onePass) markDense(g *gridindex.Flat, r, c0, c1 int32) {
 	if lo, hi := g.CellRange(r, c0, c1); int(hi-lo) < s.minPts {
 		return // not even the whole span holds MinPts points
@@ -96,8 +107,8 @@ func (s *onePass) markDense(g *gridindex.Flat, r, c0, c1 int32) {
 		first := g.SlotID(lo)
 		for slot := lo; slot < hi; slot++ {
 			id := g.SlotID(slot)
-			s.core[id].Store(true)
-			s.dsu.Union(first, id)
+			s.core[id] = 1
+			s.dsu.Attach(id, first)
 		}
 	}
 }

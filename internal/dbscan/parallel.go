@@ -3,6 +3,7 @@ package dbscan
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,14 +38,16 @@ import (
 //     so once the last barrier has published every union the components —
 //     and labelCores' numbering of them by ascending minimum core index,
 //     which is Run's formation order — do not depend on which worker linked
-//     which edge, when, or how often.
+//     which edge, when, or how often. Every non-root's parent is smaller
+//     than it, so labelCores reads that numbering off one ascending pass
+//     over the parents, without a Find.
 //   - Border rule: a non-core point has fewer than MinPts neighbours by
 //     definition, so its whole neighbour list is appended to the worker's
 //     flat record arena (at most MinPts+1 words). After the barrier and
-//     labelCores, one sequential sweep over the arenas gives it the minimum
-//     label among its core neighbours, or Noise when it has none: Run
-//     assigns a border point to the first-formed (lowest-cid) cluster with a
-//     core point within ε of it, which is that minimum.
+//     labelCores, one sweep over the arenas gives it the minimum label
+//     among its core neighbours, or Noise when it has none: Run assigns a
+//     border point to the first-formed (lowest-cid) cluster with a core
+//     point within ε of it, which is that minimum.
 //
 // The output is therefore *identical* to sequential Run — not merely
 // equivalent up to renumbering. The work counters equal Run's only on the
@@ -176,15 +179,12 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 	phase := obs.PhaseMark
 	var passes []pass
 	if prev.Serves(p) {
-		// Element-wise: atomics, and another successor may be reading prev.
-		s.core = make([]atomic.Bool, n)
-		for i := range s.core {
-			s.core[i].Store(prev.s.core[i].Load())
-		}
+		// prev is immutable: any number of successors may read it at once.
+		s.core = slices.Clone(prev.s.core)
 		s.dsu = prev.s.dsu.Clone()
 		passes = []pass{s.replay(prev.s.borders)}
 	} else {
-		s.core, s.dsu = make([]atomic.Bool, n), unionfind.NewConcurrent(n)
+		s.core, s.dsu = make([]uint32, n), unionfind.NewConcurrent(n)
 		if g := ix.cellDecomposition(p.Eps); g != nil {
 			units, spans := tileSpans(ix, g, opt.Tiles, workers)
 			if spans == nil {
@@ -211,8 +211,9 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 		return nil, nil, err
 	}
 
-	// Sequential tail, O(n) with near-flat finds: number the core sets,
-	// then resolve the recorded non-core points against the core labels.
+	// The tail, two O(n) passes on the calling goroutine: number the core
+	// sets, then resolve the recorded non-core points against the core
+	// labels.
 	res := cluster.NewResult(n)
 	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseLabel)
 	res.NumClusters = int(s.labelCores(res.Labels))
@@ -229,12 +230,18 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 // worker hands over when it finishes.
 type onePass struct {
 	minPts int
-	core   []atomic.Bool
-	dsu    *unionfind.ConcurrentDSU
+	// core[i] is 1 once point i is known core. It is read and written
+	// through sync/atomic, but for markDense's plain stores: the mark pass
+	// runs before anything reads a flag, and each point is one worker's.
+	core []uint32
+	dsu  *unionfind.ConcurrentDSU
 
 	mu      sync.Mutex
 	borders [][]int32 // per worker: [b, k, n1..nk] records back to back
 }
+
+// isCore loads point i's core flag.
+func (s *onePass) isCore(i int32) bool { return atomic.LoadUint32(&s.core[i]) != 0 }
 
 // consume acts on point i's ε-neighbourhood while it is still in the
 // search buffer, and returns the worker's record arena. The store of
@@ -248,10 +255,10 @@ func (s *onePass) consume(i int32, nbrs, arena []int32) []int32 {
 		arena = append(arena, i, int32(len(nbrs)))
 		return append(arena, nbrs...)
 	}
-	s.core[i].Store(true)
+	atomic.StoreUint32(&s.core[i], 1)
 	ri := s.dsu.Find(i)
 	for _, j := range nbrs {
-		if s.core[j].Load() && s.dsu.Find(j) != ri {
+		if s.isCore(j) && s.dsu.Find(j) != ri {
 			s.dsu.Union(i, j)
 			ri = s.dsu.Find(i)
 		}
@@ -276,8 +283,8 @@ type pass struct {
 // workerBody returns the body each worker of a pass runs: claim the pass's
 // next work unit from a shared cursor, let unit handle it, flush the
 // counters. ctx is checked and counters are flushed once per unit, so a
-// canceled run has counted exactly the work it performed. A finished worker hands its arena
-// to the sequential tail.
+// canceled run has counted exactly the work it performed. A finished worker
+// hands its arena to attachBorders.
 func (s *onePass) workerBody(ctx context.Context, m *metrics.Counters, ps pass) func(int) {
 	var cursor atomic.Int64
 	return func(int) {
@@ -330,22 +337,23 @@ func (s *onePass) replay(arenas [][]int32) pass {
 
 // labelCores numbers the core DSU components by ascending minimum core
 // index — precisely Run's formation order — writes the core labels, and
-// returns the cluster count. Because ConcurrentDSU roots are the minimum
-// member index, the first time a component is seen is at its minimum core
-// point, exactly when Run would have formed it.
+// returns the cluster count. ConcurrentDSU links by index, so a root is its
+// set's minimum member and every other member's parent is smaller than it.
+// One ascending pass therefore numbers each root when it reaches it and
+// gives every other core point its parent's label, final by then: no Find,
+// no per-root table.
 func (s *onePass) labelCores(labels []int32) int32 {
-	rootID := make([]int32, len(labels))
 	var cid int32
 	for i := range labels {
-		if !s.core[i].Load() {
+		if !s.isCore(int32(i)) {
 			continue
 		}
-		r := s.dsu.Find(int32(i))
-		if rootID[r] == 0 {
+		if p := s.dsu.Parent(int32(i)); p == int32(i) {
 			cid++
-			rootID[r] = cid
+			labels[i] = cid
+		} else {
+			labels[i] = labels[p]
 		}
-		labels[i] = rootID[r]
 	}
 	return cid
 }
@@ -359,7 +367,7 @@ func (s *onePass) attachBorders(labels []int32) {
 			b, k := arena[0], int(arena[1])
 			label := cluster.Noise
 			for _, j := range arena[2 : 2+k] {
-				if s.core[j].Load() && (label == cluster.Noise || labels[j] < label) {
+				if s.isCore(j) && (label == cluster.Noise || labels[j] < label) {
 					label = labels[j]
 				}
 			}

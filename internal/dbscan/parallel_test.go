@@ -2,6 +2,8 @@ package dbscan
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -305,5 +307,43 @@ func TestNeighborSearchLocalZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("NeighborSearchLocal allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRunLinkWidthsMatchRun: a from-scratch cell-major run attaches each
+// dense cell's points under its first without a Find, and labelCores reads
+// the numbering off the parents in one ascending pass, so both lean on
+// index-ordered parents whichever worker linked what. Dense cells, sparse
+// cells, many clusters spread over the index range and a few NaN points; at
+// every width the labels must be Run's bytes and the work counters the
+// same.
+func TestRunLinkWidthsMatchRun(t *testing.T) {
+	pts := blobs(60, 1000, 12_000, 150, 0.6, 41)
+	for i := 0; i < 5; i++ {
+		pts = append(pts, geom.Point{X: math.NaN(), Y: float64(i)})
+	}
+	ix := BuildIndex(pts, IndexOptions{Kind: IndexGrid})
+	p := Params{Eps: 0.3, MinPts: 6}
+	want, err := Run(ix, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDenseAndSparseCores(t, ix, p)
+	if want.NumClusters < 40 || want.NumNoise() < 5 {
+		t.Fatalf("degenerate fixture: %d clusters, %d noise", want.NumClusters, want.NumNoise())
+	}
+	var first metrics.Snapshot
+	for k, workers := range []int{1, 2, 3, 8} {
+		var m metrics.Counters
+		got, err := RunParallelOpts(context.Background(), ix, p, ParallelOptions{Workers: workers}, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, got, want, fmt.Sprintf("workers=%d", workers))
+		if k == 0 {
+			first = m.Snapshot()
+		} else if m.Snapshot() != first {
+			t.Errorf("workers=%d: work counters %v, at one worker %v", workers, m.Snapshot(), first)
+		}
 	}
 }

@@ -56,11 +56,15 @@ const pruneSlack = 1 + 1e-7
 
 // PairWithin reports whether some point of cell (ra, ca) lies within eps
 // of some point of cell (rb, cb): the bichromatic closest-pair decision
-// that connects two all-core cells in cell-major DBSCAN. A point of the
-// first cell farther than eps from the second cell's rectangle is skipped
-// after that one test; the others are compared with the second cell's
-// points in slot order, and the scan stops at the first pair within eps.
-// tests counts the rectangle and pair tests made — a function of the two
+// that connects two all-core cells in cell-major DBSCAN. The first cell's
+// points are scanned from its side nearer the second cell: from the last
+// slot to the first when the second cell lies in a later row, in slot order
+// otherwise — a cell's slots run in index order, which the bin order makes
+// nearly y-ascending, so a later row's closest points come last. A point
+// farther than eps from the second cell's rectangle is skipped after that
+// one test; the others are compared with the second cell's points in slot
+// order, and the scan stops at the first pair within eps. tests counts the
+// rectangle and pair tests made up to that pair — a function of the two
 // cells alone. The pair test is the ε-search kernel's expression, so the
 // decision agrees bit for bit with what a search from either point finds.
 func (f *Flat) PairWithin(ra, ca, rb, cb int32, eps float64) (within bool, tests int) {
@@ -76,7 +80,11 @@ func (f *Flat) PairWithin(ra, ca, rb, cb int32, eps float64) (within bool, tests
 	epsSq := eps * eps
 	pruneSq := epsSq * pruneSlack
 	bxs, bys := f.xs[b0:b1], f.ys[b0:b1:b1]
-	for s := a0; s < a1; s++ {
+	s, step := a0, int32(1)
+	if rb > ra {
+		s, step = a1-1, -1
+	}
+	for ; s >= a0 && s < a1; s += step {
 		ax, ay := f.xs[s], f.ys[s]
 		rx, ry := ax-f.originX, ay-f.originY
 		gx := max(bx0-rx, rx-bx1, 0)

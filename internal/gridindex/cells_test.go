@@ -165,3 +165,26 @@ func TestPairWithinCornerAtExactlyEps(t *testing.T) {
 		}
 	}
 }
+
+// TestPairWithinScansFromTheNearSide pins the scan order: when the second
+// cell lies in a later row, the first cell is scanned from its last slot.
+// Here cell (0,0)'s last slot is its top-right point, within ε of cell
+// (1,0)'s first slot, so the answer takes one rectangle test and one pair
+// test; a scan in slot order would start at the origin and test more.
+func TestPairWithinScansFromTheNearSide(t *testing.T) {
+	eps := 1.0
+	side := eps / math.Sqrt2 * (1 - 1e-9)
+	xs := []float64{0, 0.05, 0.1, 0.65, 0.7, 0.69}
+	ys := []float64{0, 0.02, 0.05, 0.7, 0.75, 1.4}
+	f, err := gridindex.Freeze(xs, ys, side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols, rows := f.Shape(); cols != 1 || rows != 2 || f.CellCount(0, 0) != 4 || f.CellCount(1, 0) != 2 {
+		t.Fatalf("fixture: %d×%d cells holding %d and %d points, want 1×2 holding 4 and 2",
+			cols, rows, f.CellCount(0, 0), f.CellCount(1, 0))
+	}
+	if within, tests := f.PairWithin(0, 0, 1, 0, eps); !within || tests != 2 {
+		t.Fatalf("within=%v after %d tests, want true after 2", within, tests)
+	}
+}

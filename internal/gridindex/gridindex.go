@@ -112,14 +112,6 @@ func cellOffset(v, origin, side float64) float64 {
 	return (v*0.5 - origin*0.5) / side * 2
 }
 
-// Stats describes the grid shape.
-type Stats struct {
-	Cols, Rows int
-	Cells      int
-	NonEmpty   int
-	MaxPerCell int
-}
-
 // Flat is the frozen, production grid layout, the cell-grid analogue of
 // rtree.Flat. Freeze grid-sorts the coordinates into struct-of-arrays
 // slices and records one CSR offset per cell, so cell (r, c) owns the
@@ -248,21 +240,6 @@ func (f *Flat) Len() int { return len(f.ids) }
 // Side returns the cell side; searches with eps ≤ Side scan the 3×3
 // block, larger eps widens the block accordingly.
 func (f *Flat) Side() float64 { return f.side }
-
-// Stats reports grid occupancy.
-func (f *Flat) Stats() Stats {
-	s := Stats{Cols: int(f.cols), Rows: int(f.rows), Cells: int(f.cols) * int(f.rows)}
-	for c := 0; c < s.Cells; c++ {
-		n := int(f.cellStart[c+1] - f.cellStart[c])
-		if n > 0 {
-			s.NonEmpty++
-		}
-		if n > s.MaxPerCell {
-			s.MaxPerCell = n
-		}
-	}
-	return s
-}
 
 // BlockSide returns the side length of the square cell block EpsSearch
 // scans for eps: 2·⌈eps/Side⌉+1 cells. Of two grids over one point set the

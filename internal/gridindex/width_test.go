@@ -129,3 +129,34 @@ func TestFreezeWidthsMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeCellIDsAscending pins what cell-major DBSCAN's mark pass
+// relies on to attach a dense cell's points under its first slot: the
+// scatter is stable, so at every freeze width a cell's SlotIDs are strictly
+// ascending and its first slot holds its minimum id.
+func TestFreezeCellIDsAscending(t *testing.T) {
+	rnd := rand.New(rand.NewSource(12))
+	const n = 70_000
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = rnd.NormFloat64()*10, rnd.NormFloat64()*6
+		if rnd.Intn(500) == 0 {
+			x[i] = math.NaN()
+		}
+	}
+	for _, side := range []float64{0.3, 2} {
+		for _, w := range []int{1, 2, 3, 8} {
+			f, err := freezeWidth(x, y, side, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c+1 < len(f.cellStart); c++ {
+				for s := f.cellStart[c] + 1; s < f.cellStart[c+1]; s++ {
+					if f.SlotID(s-1) >= f.SlotID(s) {
+						t.Fatalf("side=%g w=%d cell %d: slot %d holds id %d after %d", side, w, c, s, f.SlotID(s), f.SlotID(s-1))
+					}
+				}
+			}
+		}
+	}
+}

@@ -18,27 +18,33 @@ import "sync/atomic"
 // every set's representative is its minimum member index, which lets the
 // labeling pass number clusters deterministically (by smallest core point)
 // without a separate reduction.
+//
+// The parents are plain int32s read and written through sync/atomic's
+// functions. Where no other goroutine can reach an element — while the
+// constructor or Clone fills a slice not yet shared, or under Attach's
+// precondition — a plain store does the same job without the locked
+// exchange an atomic store is on amd64.
 type ConcurrentDSU struct {
-	parent []atomic.Int32
+	parent []int32
 }
 
 // NewConcurrent returns a concurrent DSU over n singleton sets.
 func NewConcurrent(n int) *ConcurrentDSU {
-	d := &ConcurrentDSU{parent: make([]atomic.Int32, n)}
+	d := &ConcurrentDSU{parent: make([]int32, n)}
 	for i := range d.parent {
-		d.parent[i].Store(int32(i))
+		d.parent[i] = int32(i)
 	}
 	return d
 }
 
 // Clone returns an independent copy of d's current partition. The caller
 // must ensure no Union is in flight; concurrent Find calls are fine (path
-// halving never changes a set), which is why the parents are copied
-// element-wise through Load and Store rather than with copy().
+// halving never changes a set), which is why the parents are read
+// element-wise through atomic loads rather than with copy().
 func (d *ConcurrentDSU) Clone() *ConcurrentDSU {
-	c := &ConcurrentDSU{parent: make([]atomic.Int32, len(d.parent))}
+	c := &ConcurrentDSU{parent: make([]int32, len(d.parent))}
 	for i := range d.parent {
-		c.parent[i].Store(d.parent[i].Load())
+		c.parent[i] = atomic.LoadInt32(&d.parent[i])
 	}
 	return c
 }
@@ -52,19 +58,33 @@ func (d *ConcurrentDSU) Len() int { return len(d.parent) }
 // the set's minimum element.
 func (d *ConcurrentDSU) Find(x int32) int32 {
 	for {
-		p := d.parent[x].Load()
+		p := atomic.LoadInt32(&d.parent[x])
 		if p == x {
 			return x
 		}
-		gp := d.parent[p].Load()
+		gp := atomic.LoadInt32(&d.parent[p])
 		if gp != p {
 			// Path halving: x -> grandparent. A lost CAS only means
 			// someone else already shortened this link.
-			d.parent[x].CompareAndSwap(p, gp)
+			atomic.CompareAndSwapInt32(&d.parent[x], p, gp)
 		}
 		x = p
 	}
 }
+
+// Parent returns x's current parent: x itself when x is a root, otherwise
+// a smaller member of x's set — links go by index, and path halving only
+// replaces a parent with one of its ancestors.
+func (d *ConcurrentDSU) Parent(x int32) int32 { return atomic.LoadInt32(&d.parent[x]) }
+
+// Attach makes root the parent of x with one plain store: no Find, no CAS.
+// It is a Union for callers that know more than Union may assume, and it
+// holds only under their precondition: x is still a singleton, root ≤ x is
+// a root, and no other goroutine reads or writes x's parent until a barrier
+// orders this store before its next use. Then the link keeps parent chains
+// decreasing, and root stays its set's minimum member, as Union would
+// leave it.
+func (d *ConcurrentDSU) Attach(x, root int32) { d.parent[x] = root }
 
 // Union merges the sets containing a and b, returning true when they were
 // distinct at linearization. Safe to call concurrently with other Union
@@ -80,7 +100,7 @@ func (d *ConcurrentDSU) Union(a, b int32) bool {
 		}
 		// Attach the larger-index root under the smaller. The CAS fails if
 		// ra stopped being a root in the meantime; re-resolve and retry.
-		if d.parent[ra].CompareAndSwap(ra, rb) {
+		if atomic.CompareAndSwapInt32(&d.parent[ra], ra, rb) {
 			return true
 		}
 	}

@@ -39,6 +39,11 @@ func TestConcurrentDSURepresentativeIsMin(t *testing.T) {
 	if d.Find(3) != 3 {
 		t.Error("singleton moved")
 	}
+	// Attach under the set's minimum keeps it the representative.
+	d.Attach(8, 2)
+	if r, p := d.Find(8), d.Parent(8); r != 2 || p != 2 || d.Parent(2) != 2 {
+		t.Errorf("after Attach(8, 2): Find(8) = %d, Parent(8) = %d, Parent(2) = %d", r, p, d.Parent(2))
+	}
 }
 
 // TestConcurrentDSUHammer unions a fixed edge set from many goroutines and
