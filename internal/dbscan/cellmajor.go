@@ -8,37 +8,61 @@ import (
 // Cell-major DBSCAN over the ε/√2 cell decomposition
 // (Index.cellDecomposition), after de Berg, Gunawan & Roeloffzen ("Faster
 // DBSCAN and HDBSCAN in Low-Dimensional Euclidean Spaces") and Wang, Gu &
-// Shun. Any two points of one cell are within ε of each other, so a cell
-// holding at least MinPts points — a dense cell — is all-core and one
-// cluster by counting alone. Two parallel passes with a barrier between
-// them, both over the same division of the cells into work units:
+// Shun. Any two points of one cell are within ε of each other, so the
+// cores of one cell are one cluster, and a cell holding at least MinPts
+// points is all-core by counting alone. A cell of k points is in one of
+// three classes, fixed by k and MinPts (onePass.class):
 //
-//   - mark: every dense cell publishes its points' core flags and attaches
-//     them under its minimum id as one set, without a Find or a CAS. No
-//     distance is computed.
-//   - link: a dense cell tests each dense cell among the 12 forward ones of
-//     its 5×5 block (two points within ε are at most two cells apart per
-//     axis; each unordered cell pair is met once, from its earlier cell)
-//     with one early-exit closest-pair scan (gridindex.Flat.PairWithin,
-//     which scans the earlier cell from its side nearer the later one) and
-//     unions the two sets when a pair lies within ε. A point of a sparse
-//     cell runs the point-major pass's ε-search and onePass.consume
-//     unchanged: the barrier has published every dense flag, so a
-//     sparse–dense core edge is linked from its sparse end, and consume's
-//     store-then-load order still covers sparse–sparse edges. The search
-//     goes through whichever of the two grids scans the smaller block for
-//     this ε: the search grid's 3×3 when it was sized for this very ε, the
-//     decomposition's 5×5 when the search grid was sized for a sweep's
-//     larger maximum.
+//   - dense, k ≥ MinPts: all-core, no distance computed;
+//   - counted, k < MinPts and k·MinPts ≥ countedWork: each point counts its
+//     neighbours only until it has MinPts of them;
+//   - searched, every other cell: each point is ε-searched and consumed as
+//     on the point-major pass.
 //
-// The core set and the core-connectivity components are the ones Run finds,
-// so labelCores and attachBorders produce Run's bytes. The work counters
-// are a function of the input alone: searches are counted for sparse-cell
-// points only, every rectangle and pair test a closest-pair scan makes up
-// to its first pair within ε is a candidate, every cell pair tested is a
-// node — whichever worker does it, in any order. That is why link does not
-// skip a cell pair the union-find already shows as joined: what Find
-// returns mid-pass depends on the schedule.
+// Two parallel passes with a barrier between them, both over the same
+// division of the cells into work units:
+//
+//   - mark: a dense cell publishes its points' core flags and attaches them
+//     under its minimum id as one set, without a Find or a CAS. A counted
+//     cell's point scans the 5×5 block one row at a time, nearest rows
+//     first, each row clipped to the ε-disk, and stops at MinPts neighbours
+//     (gridindex.Flat.CountNear). A core one is flagged and attached under
+//     the cell's first core; a non-core one has seen its whole
+//     neighbourhood and records it as consume does.
+//   - link: a dense or counted cell that holds a core tests each dense or
+//     counted cell holding a core among the 12 forward ones of its 5×5
+//     block (two points within ε are at most two cells apart per axis;
+//     each unordered cell pair is met once, from its earlier cell) with one
+//     early-exit closest-pair scan — gridindex.Flat.PairWithin between two
+//     dense cells, PairWithinCore restricted to a counted side's cores
+//     otherwise — and unions the two cells' sets when a pair lies within ε. A point of a
+//     searched cell runs the point-major pass's ε-search and
+//     onePass.consume unchanged, through whichever of the two grids scans
+//     the smaller block for this ε: the search grid's 3×3 when it was sized
+//     for this very ε, the decomposition's 5×5 when the search grid was
+//     sized for a sweep's larger maximum.
+//
+// Every core–core edge is linked. The barrier has published every dense
+// and counted flag, so a searched core point's consume sees its dense and
+// counted core neighbours; consume's store-then-load order covers
+// searched–searched edges; an edge inside one cell is that cell's set; and
+// any other edge joins two dense-or-counted cells within each other's 5×5
+// block, a pair the link pass tests. So the core set and the
+// core-connectivity components are the ones Run finds, labelCores and
+// attachBorders produce Run's bytes, and a chain successor replays the
+// head's records as from any other head: a counted core stays core at
+// every smaller MinPts, and a counted non-core point recorded its whole
+// neighbourhood.
+//
+// The work counters are a function of the input alone. A searched or
+// counted point is one ε-search, whose candidates and cells are the ones
+// it scanned — a counted point's up to the row where it reached MinPts;
+// every rectangle and pair test a closest-pair scan makes up to its first
+// pair within ε is a candidate; every cell pair tested is a node —
+// whichever worker does it, in any order. The flags a pair test reads are
+// final at the barrier, and link does not skip a cell pair the union-find
+// already shows as joined: what Find returns mid-pass depends on the
+// schedule.
 
 // spans calls yield once per row span — cells [c0, c1) of row r — of work
 // unit u.
@@ -62,6 +86,36 @@ func chunkSpans(g *gridindex.Flat) (int, spans) {
 	}
 }
 
+// countedWork is the class rule's threshold. A sparse cell of k points is
+// counted when k·MinPts ≥ countedWork: its k points would otherwise each
+// union with up to MinPts core neighbours, and below that the cell-pair
+// tests that replace those unions cost more than they save. At MinPts ≤ 8
+// no sparse cell qualifies (k < MinPts gives k·MinPts < 64).
+// EXPERIMENTS.md, "Chain heads on the cell graph", has the measurements
+// that chose 64.
+const countedWork = 64
+
+// cellClass is how a pass treats a cell; it depends on the cell's count
+// and MinPts alone.
+type cellClass uint8
+
+const (
+	searched cellClass = iota // each point ε-searched and consumed
+	counted                   // each point counted to MinPts, cores linked by cell pairs
+	dense                     // all-core by count, linked by cell pairs
+)
+
+// class returns the class of a cell holding k points.
+func (s *onePass) class(k int32) cellClass {
+	switch {
+	case int(k) >= s.minPts:
+		return dense
+	case int(k)*s.minPts >= countedWork:
+		return counted
+	}
+	return searched
+}
+
 // cellPasses returns the mark and link passes over a division of g's cells.
 // A point with no cell (a non-finite coordinate) has no neighbour; it is
 // recorded as such up front, and attachBorders makes it Noise.
@@ -73,13 +127,13 @@ func (s *onePass) cellPasses(ix *Index, g *gridindex.Flat, eps float64, units in
 		}
 		s.borders = append(s.borders, arena)
 	}
-	search := g // the grid the sparse cells' points are ε-searched in
+	search := g // the grid the searched cells' points are ε-searched in
 	if sg := ix.Grid(); sg.BlockSide(eps) < g.BlockSide(eps) {
 		search = sg
 	}
 	return []pass{
-		{units, func(u int, _ *passWorker) {
-			sp(u, func(r, c0, c1 int32) { s.markDense(g, r, c0, c1) })
+		{units, func(u int, w *passWorker) {
+			sp(u, func(r, c0, c1 int32) { s.markCells(g, eps, r, c0, c1, w) })
 		}},
 		{units, func(u int, w *passWorker) {
 			sp(u, func(r, c0, c1 int32) { s.linkCells(g, search, eps, r, c0, c1, w) })
@@ -87,34 +141,59 @@ func (s *onePass) cellPasses(ix *Index, g *gridindex.Flat, eps float64, units in
 	}
 }
 
-// markDense publishes the dense cells among row r's cells [c0, c1) and
-// makes each one set by attaching its points to its first. The mark pass
-// runs first, on fresh flags and a fresh union-find, and a cell belongs to
-// exactly one work unit, so no other worker reads or writes a point's flag
-// or parent before the barrier: plain stores do, and every point attached
-// is still a singleton. Freeze's scatter is stable, so a cell's slots hold
-// its ids in ascending order and first is its minimum — Attach's
-// precondition.
-func (s *onePass) markDense(g *gridindex.Flat, r, c0, c1 int32) {
-	if lo, hi := g.CellRange(r, c0, c1); int(hi-lo) < s.minPts {
-		return // not even the whole span holds MinPts points
+// markCells settles the core status of the dense and counted cells among
+// row r's cells [c0, c1) and makes each such cell's cores one set. A dense
+// cell's points are all core and attach to its first. A counted cell's
+// point counts its neighbours (gridindex.Flat.CountNear) only until it has
+// MinPts of them; a core one attaches to the cell's first core, a non-core
+// one has counted its whole neighbourhood and records it as consume would.
+// The mark pass runs first, on fresh flags and a fresh union-find, and a
+// cell belongs to exactly one work unit, so no other worker reads or
+// writes a point's flag or parent before the barrier: plain stores do, and
+// every point attached is still a singleton. Freeze's scatter is stable,
+// so a cell's slots hold its ids in ascending order and its first point,
+// or first core, is the minimum of its set — Attach's precondition.
+func (s *onePass) markCells(g *gridindex.Flat, eps float64, r, c0, c1 int32, w *passWorker) {
+	if lo, hi := g.CellRange(r, c0, c1); s.class(hi-lo) == searched {
+		return // not even the whole span would be counted
 	}
 	for c := c0; c < c1; c++ {
 		lo, hi := g.CellRange(r, c, c+1)
-		if int(hi-lo) < s.minPts {
-			continue
-		}
-		first := g.SlotID(lo)
-		for slot := lo; slot < hi; slot++ {
-			id := g.SlotID(slot)
-			s.core[id] = 1
-			s.dsu.Attach(id, first)
+		switch s.class(hi - lo) {
+		case dense:
+			first := g.SlotID(lo)
+			for slot := lo; slot < hi; slot++ {
+				id := g.SlotID(slot)
+				s.core[id] = 1
+				s.dsu.Attach(id, first)
+			}
+		case counted:
+			first := int32(-1)
+			for slot := lo; slot < hi; slot++ {
+				var cand, nodes int
+				w.scratch, cand, nodes = g.CountNear(slot, eps, s.minPts, w.scratch[:0])
+				w.local.NeighborSearches++
+				w.local.CandidatesExamined += int64(cand)
+				w.local.NodesVisited += int64(nodes)
+				w.local.NeighborsFound += int64(len(w.scratch))
+				id := g.SlotID(slot)
+				switch {
+				case len(w.scratch) < s.minPts:
+					w.arena = s.consume(id, w.scratch, w.arena) // records it
+				case first < 0:
+					s.core[id], first = 1, id
+				default:
+					s.core[id] = 1
+					s.dsu.Attach(id, first)
+				}
+			}
 		}
 	}
 }
 
-// linkCells links the dense cells among row r's cells [c0, c1) to their
-// dense forward neighbours and searches the points of the sparse ones.
+// linkCells links the dense and counted cells among row r's cells [c0, c1)
+// that hold a core to the forward cells of those two classes, and searches
+// the points of the searched ones.
 func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 int32, w *passWorker) {
 	if lo, hi := g.CellRange(r, c0, c1); lo == hi {
 		return
@@ -122,7 +201,8 @@ func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 in
 	cols, rows := g.Shape()
 	for c := c0; c < c1; c++ {
 		lo, hi := g.CellRange(r, c, c+1)
-		if int(hi-lo) < s.minPts {
+		ca := s.class(hi - lo)
+		if ca == searched {
 			for slot := lo; slot < hi; slot++ {
 				x, y := g.SlotCoords(slot)
 				var cand, nodes int
@@ -135,7 +215,10 @@ func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 in
 			}
 			continue
 		}
-		first := g.SlotID(lo)
+		rep := s.rep(g, ca, lo, hi)
+		if rep < 0 {
+			continue
+		}
 		for rb := r; rb <= min(r+2, rows-1); rb++ {
 			cb := max(c-2, 0)
 			if rb == r {
@@ -143,16 +226,39 @@ func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 in
 			}
 			for ; cb <= min(c+2, cols-1); cb++ {
 				blo, bhi := g.CellRange(rb, cb, cb+1)
-				if int(bhi-blo) < s.minPts {
+				cc := s.class(bhi - blo)
+				if cc == searched || cc == counted && s.rep(g, cc, blo, bhi) < 0 {
 					continue
 				}
-				within, tests := g.PairWithin(r, c, rb, cb, eps)
+				var within bool
+				var tests int
+				if ca == dense && cc == dense {
+					within, tests = g.PairWithin(r, c, rb, cb, eps)
+				} else {
+					within, tests = g.PairWithinCore(r, c, rb, cb, eps, s.core, ca == counted, cc == counted)
+				}
 				w.local.NodesVisited++
 				w.local.CandidatesExamined += int64(tests)
 				if within {
-					s.dsu.Union(first, g.SlotID(blo))
+					s.dsu.Union(rep, s.rep(g, cc, blo, bhi))
 				}
 			}
 		}
 	}
+}
+
+// rep returns a point of the core set markCells made of the cell of class
+// k at slots [lo, hi): a dense cell's first point, a counted cell's first
+// core, or -1 for a counted cell without one. The flags it reads were set
+// before the barrier and no link-pass store touches them.
+func (s *onePass) rep(g *gridindex.Flat, k cellClass, lo, hi int32) int32 {
+	if k == dense {
+		return g.SlotID(lo)
+	}
+	for slot := lo; slot < hi; slot++ {
+		if id := g.SlotID(slot); s.core[id] != 0 {
+			return id
+		}
+	}
+	return -1
 }

@@ -1,12 +1,14 @@
 package dbscan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"vdbscan/internal/geom"
 	"vdbscan/internal/gridindex"
+	"vdbscan/internal/metrics"
 )
 
 // TestCellMajorBoundaries pins the places where "a cell of side ε/√2 with
@@ -129,6 +131,126 @@ func TestCellDecompositionGuarantee(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// countedFixture is blobs of two spreads over sparse noise: at ε = 0.5 the
+// tight blobs fill cells past MinPts 64, the wide ones fill cells with a
+// handful to a dozen points, and the noise leaves singletons between them,
+// so dense, counted and searched cells lie next to each other.
+func countedFixture() []geom.Point {
+	pts := blobs(12, 500, 0, 60, 0.8, 301)
+	pts = append(pts, blobs(8, 500, 0, 60, 0.2, 302)...)
+	return append(pts, blobs(0, 0, 3000, 60, 0, 303)...)
+}
+
+// cellClasses counts the points of g's cells in each class at minPts, and
+// the core points among them.
+func cellClasses(ix *Index, g *gridindex.Flat, p Params) (points, cores [3]int) {
+	core := CorePoints(ix, p, nil)
+	s := onePass{minPts: p.MinPts}
+	cols, rows := g.Shape()
+	for r := int32(0); r < rows; r++ {
+		for c := int32(0); c < cols; c++ {
+			lo, hi := g.CellRange(r, c, c+1)
+			k := s.class(hi - lo)
+			points[k] += int(hi - lo)
+			for slot := lo; slot < hi; slot++ {
+				if core[g.SlotID(slot)] {
+					cores[k]++
+				}
+			}
+		}
+	}
+	return points, cores
+}
+
+// TestCountedCellsMatchRun pins the counted class against Run's and the
+// brute-force reference's bytes: at MinPts 12 and 32 the fixture holds
+// dense cells, counted cells with core and non-core points, and searched
+// cells with core points; at 4 nothing is counted and at 64 nothing is
+// searched. Every width must give the same labels and the same counters.
+func TestCountedCellsMatchRun(t *testing.T) {
+	pts := countedFixture()
+	ix := BuildIndex(pts, IndexOptions{Kind: IndexGrid})
+	for _, mp := range []int{4, 12, 32, 64} {
+		p := Params{Eps: 0.5, MinPts: mp}
+		want, err := Run(ix, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		brute, err := RunBruteForce(ix.Pts, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, want, brute, fmt.Sprintf("minpts=%d: Run against brute force", mp))
+		points, cores := cellClasses(ix, ix.cellDecomposition(p.Eps), p)
+		if points[dense] == 0 || want.NumClusters < 2 {
+			t.Fatalf("minpts=%d: degenerate fixture: %d points in dense cells, %d clusters", mp, points[dense], want.NumClusters)
+		}
+		switch mp {
+		case 4:
+			if points[counted] != 0 {
+				t.Fatalf("minpts=4: %d points in counted cells", points[counted])
+			}
+		case 64:
+			if points[searched] != 0 {
+				t.Fatalf("minpts=64: %d points in searched cells", points[searched])
+			}
+		default:
+			if cores[counted] == 0 || cores[counted] == points[counted] || cores[searched] == 0 {
+				t.Fatalf("minpts=%d: degenerate fixture: counted %d points, %d core; searched %d core",
+					mp, points[counted], cores[counted], cores[searched])
+			}
+		}
+		var first metrics.Snapshot
+		for k, workers := range []int{1, 2, 3, 8} {
+			var m metrics.Counters
+			got, err := RunParallel(ix, p, workers, &m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("minpts=%d workers=%d", mp, workers)
+			requireIdentical(t, got, want, tag)
+			if m.Snapshot().NeighborSearches > int64(len(pts)) {
+				t.Fatalf("%s: %d searches over %d points", tag, m.Snapshot().NeighborSearches, len(pts))
+			}
+			if k == 0 {
+				first = m.Snapshot()
+			} else if m.Snapshot() != first {
+				t.Fatalf("%s: work counters %v, at one worker %v", tag, m.Snapshot(), first)
+			}
+		}
+	}
+}
+
+// TestChainFromCountedHead replays every smaller MinPts from a head whose
+// sparse cells were counted: a counted core stays core, and a counted
+// non-core point kept its whole neighbourhood, so every replay is Run's
+// bytes at zero searches.
+func TestChainFromCountedHead(t *testing.T) {
+	ix := BuildIndex(countedFixture(), IndexOptions{Kind: IndexGrid})
+	ctx := context.Background()
+	const eps, head = 0.5, 32
+	_, link, err := RunLink(ctx, ix, Params{Eps: eps, MinPts: head}, nil, ParallelOptions{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mp := head - 1; mp >= 1; mp-- {
+		p := Params{Eps: eps, MinPts: mp}
+		want, err := Run(ix, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m metrics.Counters
+		got, _, err := RunLink(ctx, ix, p, link, ParallelOptions{Workers: 2}, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, got, want, fmt.Sprintf("minpts=%d from %d", mp, head))
+		if s := m.Snapshot().NeighborSearches; s != 0 {
+			t.Fatalf("minpts=%d: a replay ran %d ε-searches", mp, s)
 		}
 	}
 }

@@ -114,3 +114,28 @@ func TestChainUnservedLinkRunsFromScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkBytesCountsItsSlices: a Link's Bytes is what its slices hold —
+// a 4-byte core flag and a 4-byte parent per point and 4 bytes per word of
+// its non-core records — on a head and on a replay.
+func TestLinkBytesCountsItsSlices(t *testing.T) {
+	ix := BuildIndex(blobs(4, 300, 150, 25, 0.6, 108), IndexOptions{Kind: IndexGrid})
+	var prev *Link
+	for _, mp := range []int{16, 4} {
+		_, link, err := RunLink(context.Background(), ix, Params{Eps: 0.8, MinPts: mp}, prev, ParallelOptions{Workers: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := 0
+		for _, arena := range link.s.borders {
+			words += len(arena)
+		}
+		if words == 0 {
+			t.Fatalf("minpts=%d: degenerate fixture, no non-core record", mp)
+		}
+		if want := int64(4*len(link.s.core) + 4*link.s.dsu.Len() + 4*words); link.Bytes() != want {
+			t.Fatalf("minpts=%d: Bytes = %d, the slices hold %d", mp, link.Bytes(), want)
+		}
+		prev = link
+	}
+}

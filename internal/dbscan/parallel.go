@@ -19,11 +19,13 @@ import (
 // union-find of Wang, Gu & Shun (SIGMOD 2020), with the neighbourhood
 // consumed during the traversal and never stored (Prokopenko et al., "Fast
 // tree-based algorithms for DBSCAN on GPUs"). On a grid-kind index the
-// traversal is cell-major (cellmajor.go): points in cells dense enough to
-// be core by counting are never searched at all. Everywhere else — the
-// R-tree kind, an ε too small for the cell budget, the sparse cells of the
-// cell-major pass — workers issue exactly one ε-search per point over the
-// shared read-only index and act on the result on the spot
+// traversal is cell-major (cellmajor.go): a point of a cell dense enough
+// to be core by counting is never searched, a point of a counted cell
+// counts its neighbours only to MinPts, and the cores of both classes are
+// linked by cell-pair tests, not by one union per neighbour. Everywhere
+// else — the R-tree kind, an ε too small for the cell budget, the searched
+// cells of the cell-major pass — workers issue exactly one ε-search per
+// point over the shared read-only index and act on the result on the spot
 // (onePass.consume):
 //
 //   - A core point i publishes core[i] with a sequentially consistent
@@ -52,8 +54,10 @@ import (
 // The output is therefore *identical* to sequential Run — not merely
 // equivalent up to renumbering. The work counters equal Run's only on the
 // point-major pass, which searches every point over Run's candidates; the
-// cell-major pass counts the far smaller work it does (see cellmajor.go),
-// the same at every worker count and under every division of the work.
+// cell-major pass counts the far smaller work it does (see cellmajor.go):
+// one search per counted or searched point, the candidates each scanned,
+// and one node per cell pair tested with its tests as candidates — the
+// same at every worker count and under every division of the work.
 //
 // This is the single-variant complement to VariantDBSCAN's inter-variant
 // parallelism: it reduces one variant's response time when there are fewer
@@ -140,10 +144,10 @@ func (l *Link) Serves(p Params) bool {
 // Params returns the parameters of the run that left l.
 func (l *Link) Params() Params { return l.p }
 
-// Bytes is the memory l holds: 5 B per point — a core flag and a
-// union-find parent — plus 4 B per word of its non-core records.
+// Bytes is the memory l holds: 8 B per point — a 4-byte core flag and a
+// 4-byte union-find parent — plus 4 B per word of its non-core records.
 func (l *Link) Bytes() int64 {
-	b := 5 * int64(len(l.s.core))
+	b := 4*int64(len(l.s.core)) + 4*int64(l.s.dsu.Len())
 	for _, arena := range l.s.borders {
 		b += 4 * int64(len(arena))
 	}
@@ -231,8 +235,10 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 type onePass struct {
 	minPts int
 	// core[i] is 1 once point i is known core. It is read and written
-	// through sync/atomic, but for markDense's plain stores: the mark pass
-	// runs before anything reads a flag, and each point is one worker's.
+	// through sync/atomic, but for markCells' plain stores and the link
+	// pass's plain loads of them: the mark pass runs before anything reads
+	// a flag, each point is one worker's, and no link-pass store touches a
+	// dense or counted cell's point.
 	core []uint32
 	dsu  *unionfind.ConcurrentDSU
 

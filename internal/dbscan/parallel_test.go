@@ -118,40 +118,76 @@ func TestRunParallelEmptyAndDegenerate(t *testing.T) {
 }
 
 func TestRunParallelSearchCountMatches(t *testing.T) {
-	// Where no cell is dense the pass searches each point exactly once, over
-	// the candidates Run examines, and the per-worker batched flushes lose
-	// no counts: every work counter equals Run's. That holds on the R-tree
-	// kind, which has no cells at all, and on a grid with MinPts above any
-	// cell's population — so the cell-major pass costs at worst what
-	// per-point searching costs, plus one scan of the cell counts.
+	// Where every point is searched the pass searches each one exactly
+	// once, over the candidates Run examines, and the per-worker batched
+	// flushes lose no counts: every work counter equals Run's. That holds on
+	// the R-tree kind, which has no cells at all, and on a grid where no
+	// cell is dense or counted (MinPts ≤ 8 and no cell holds MinPts points).
+	// Where cells are counted, each point is still one search, but a
+	// counted one stops at MinPts neighbours within a clipped block: the
+	// pass searches n times, examines no more candidates than Run, and
+	// counts the same at every width.
 	pts := blobs(3, 200, 100, 25, 0.6, 103)
 	for name, c := range map[string]struct {
-		kind IndexKind
-		p    Params
+		kind  IndexKind
+		p     Params
+		exact bool
 	}{
-		"rtree":               {IndexRTree, Params{Eps: 0.7, MinPts: 4}},
-		"grid, no dense cell": {IndexGrid, Params{Eps: 0.7, MinPts: 60}},
+		"rtree":                 {IndexRTree, Params{Eps: 0.7, MinPts: 4}, true},
+		"grid, nothing counted": {IndexGrid, Params{Eps: 0.2, MinPts: 8}, true},
+		"grid, no dense cell":   {IndexGrid, Params{Eps: 0.7, MinPts: 60}, false},
 	} {
 		ix := BuildIndex(pts, IndexOptions{R: 16, Kind: c.kind})
-		var mSeq, mPar metrics.Counters
+		var mSeq metrics.Counters
 		want, err := Run(ix, c.p, &mSeq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunParallel(ix, c.p, 4, &mPar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, got, want, name)
 		if want.NumClusters == 0 {
 			t.Fatalf("%s: degenerate fixture, no cluster", name)
 		}
-		if got := mPar.Snapshot().NeighborSearches; got != int64(len(pts)) {
-			t.Errorf("%s: searches = %d, want %d", name, got, len(pts))
+		nCounted := 0
+		if g := ix.cellDecomposition(c.p.Eps); g != nil {
+			s := onePass{minPts: c.p.MinPts}
+			cols, rows := g.Shape()
+			for r := int32(0); r < rows; r++ {
+				for col := int32(0); col < cols; col++ {
+					switch s.class(g.CellCount(r, col)) {
+					case dense:
+						t.Fatalf("%s: fixture has a dense cell", name)
+					case counted:
+						nCounted++
+					}
+				}
+			}
 		}
-		if mPar.Snapshot() != mSeq.Snapshot() {
-			t.Errorf("%s: work counters diverge: parallel %v vs sequential %v",
-				name, mPar.Snapshot(), mSeq.Snapshot())
+		if c.exact != (nCounted == 0) {
+			t.Fatalf("%s: fixture has %d counted cells", name, nCounted)
+		}
+		var first metrics.Snapshot
+		for k, workers := range []int{1, 4} {
+			var mPar metrics.Counters
+			got, err := RunParallel(ix, c.p, workers, &mPar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("%s workers=%d", name, workers)
+			requireIdentical(t, got, want, tag)
+			snap, seq := mPar.Snapshot(), mSeq.Snapshot()
+			if snap.NeighborSearches != int64(len(pts)) {
+				t.Errorf("%s: searches = %d, want %d", tag, snap.NeighborSearches, len(pts))
+			}
+			if c.exact && snap != seq {
+				t.Errorf("%s: work counters diverge: parallel %v vs sequential %v", tag, snap, seq)
+			}
+			if snap.CandidatesExamined > seq.CandidatesExamined {
+				t.Errorf("%s: %d candidates, Run examines %d", tag, snap.CandidatesExamined, seq.CandidatesExamined)
+			}
+			if k == 0 {
+				first = snap
+			} else if snap != first {
+				t.Errorf("%s: work counters %v, at one worker %v", tag, snap, first)
+			}
 		}
 	}
 }

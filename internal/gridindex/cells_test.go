@@ -2,8 +2,11 @@ package gridindex_test
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"vdbscan/internal/geom"
 	"vdbscan/internal/gridindex"
 )
 
@@ -133,6 +136,115 @@ func TestPairWithinMatchesBruteForce(t *testing.T) {
 		}
 		if linked == 0 || linked == pairs {
 			t.Fatalf("seed=%d: degenerate fixture, %d of %d cell pairs linked", seed, linked, pairs)
+		}
+	}
+}
+
+// TestPairWithinCoreMatchesBruteForce: with random flags, PairWithinCore
+// must agree with the all-pairs answer over the points each restricted side
+// lets take part, and unrestricted it must be PairWithin, tests included.
+func TestPairWithinCoreMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		pts := blobs(5, 150, 200, 30, 0.9, 60+seed)
+		eps := 0.5 + 0.25*float64(seed)
+		xs, ys := coords(pts)
+		f, err := gridindex.Freeze(xs, ys, eps/math.Sqrt2*(1-1e-9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rnd := rand.New(rand.NewSource(seed))
+		core := make([]uint32, len(pts))
+		for i := range core {
+			core[i] = uint32(rnd.Intn(2))
+		}
+		takes := func(s int32, only bool) bool { return !only || core[f.SlotID(s)] != 0 }
+		cols, rows := f.Shape()
+		differ := 0
+		for ra := int32(0); ra < rows; ra++ {
+			for ca := int32(0); ca < cols; ca++ {
+				a0, a1 := f.CellRange(ra, ca, ca+1)
+				for rb := max(ra-2, 0); rb <= min(ra+2, rows-1); rb++ {
+					for cb := max(ca-2, 0); cb <= min(ca+2, cols-1); cb++ {
+						b0, b1 := f.CellRange(rb, cb, cb+1)
+						if a0 == a1 || b0 == b1 || (ra == rb && ca == cb) {
+							continue
+						}
+						for mask := 0; mask < 4; mask++ {
+							onlyA, onlyB := mask&1 != 0, mask&2 != 0
+							want := false
+							for s := a0; s < a1 && !want; s++ {
+								ax, ay := f.SlotCoords(s)
+								for u := b0; u < b1 && takes(s, onlyA); u++ {
+									bx, by := f.SlotCoords(u)
+									if takes(u, onlyB) && (ax-bx)*(ax-bx)+(ay-by)*(ay-by) <= eps*eps {
+										want = true
+										break
+									}
+								}
+							}
+							got, tests := f.PairWithinCore(ra, ca, rb, cb, eps, core, onlyA, onlyB)
+							if got != want {
+								t.Fatalf("seed=%d cells (%d,%d)-(%d,%d) onlyA=%v onlyB=%v: within=%v, brute force %v",
+									seed, ra, ca, rb, cb, onlyA, onlyB, got, want)
+							}
+							plain, ptests := f.PairWithin(ra, ca, rb, cb, eps)
+							if mask == 0 && (plain != got || ptests != tests) {
+								t.Fatalf("seed=%d cells (%d,%d)-(%d,%d): unrestricted %v in %d tests, PairWithin %v in %d",
+									seed, ra, ca, rb, cb, got, tests, plain, ptests)
+							}
+							if plain != got {
+								differ++
+							}
+						}
+					}
+				}
+			}
+		}
+		if differ == 0 {
+			t.Fatalf("seed=%d: degenerate fixture, the flags never changed an answer", seed)
+		}
+	}
+}
+
+// TestCountNearMatchesEpsSearch: on the ε/√2 decomposition, a count that
+// does not stop early finds the ε-neighbourhood EpsSearch finds, and one
+// that stops has found at least stop neighbours, all within ε.
+func TestCountNearMatchesEpsSearch(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		pts := blobs(5, 150, 200, 30, 0.9, 80+seed)
+		eps := 0.5 + 0.25*float64(seed)
+		xs, ys := coords(pts)
+		f, err := gridindex.Freeze(xs, ys, eps/math.Sqrt2*(1-1e-9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopped := 0
+		for s := int32(0); s < int32(len(pts)); s++ {
+			x, y := f.SlotCoords(s)
+			full, fullCand, _ := f.EpsSearch(geom.Point{X: x, Y: y}, eps, nil)
+			slices.Sort(full)
+			for _, stop := range []int{1, 8, 24, len(pts) + 1} {
+				got, cand, nodes := f.CountNear(s, eps, stop, nil)
+				if cand > fullCand || nodes < 1 || nodes > 25 {
+					t.Fatalf("seed=%d slot %d stop=%d: %d candidates in %d cells, EpsSearch %d", seed, s, stop, cand, nodes, fullCand)
+				}
+				slices.Sort(got)
+				if len(got) < stop {
+					if !slices.Equal(got, full) {
+						t.Fatalf("seed=%d slot %d stop=%d: counted %v, EpsSearch %v", seed, s, stop, got, full)
+					}
+					continue
+				}
+				stopped++
+				for _, id := range got {
+					if _, ok := slices.BinarySearch(full, id); !ok {
+						t.Fatalf("seed=%d slot %d stop=%d: %d is no neighbour", seed, s, stop, id)
+					}
+				}
+			}
+		}
+		if stopped == 0 {
+			t.Fatalf("seed=%d: degenerate fixture, no count stopped early", seed)
 		}
 	}
 }

@@ -23,8 +23,10 @@
 // A Flat is also read as a cell decomposition (cells.go): frozen at a side
 // just under ε/√2 every two points of a cell are within ε, so cell-major
 // DBSCAN (internal/dbscan) calls a cell holding MinPts points all-core from
-// its CSR count alone and connects two such cells with one early-exit
-// closest-pair test, PairWithin.
+// its CSR count alone, counts a sparser cell's points only up to MinPts
+// neighbours (CountNear), and connects two cells' cores with one
+// early-exit closest-pair test (PairWithin, or PairWithinCore over flagged
+// points only).
 //
 // Freeze caps the total cell count (MaxCells): a tiny ε over a wide
 // extent coarsens the side instead of allocating cols·rows without bound.

@@ -32,12 +32,13 @@ import (
 // BenchmarkCountersContention in this package).
 //
 // The cell-major parallel runner (internal/dbscan) decides most points by
-// counting a cell, with no search, and links dense cells pairwise. Its
-// closest-pair work is booked under the same names so a run's cost stays one
-// comparable number: every point-to-rectangle and point-to-point test of a
-// cell-pair scan is a candidate examined, every cell pair tested is a node
-// visited; searches and neighbors count the sparse-cell points' ε-searches
-// only.
+// counting a cell, with no search, or by counting a point's neighbours only
+// up to MinPts, and links cells pairwise. Its closest-pair work is booked
+// under the same names so a run's cost stays one comparable number: every
+// point-to-rectangle and point-to-point test of a cell-pair scan is a
+// candidate examined, every cell pair tested is a node visited; searches
+// and neighbors count the ε-searches of the points outside dense cells, a
+// counted point's up to where it stopped.
 type Counters struct {
 	neighborSearches   atomic.Int64 // ε-neighborhood searches performed (Algorithm 2 calls)
 	candidatesExamined atomic.Int64 // points distance-filtered after index lookup, plus closest-pair tests

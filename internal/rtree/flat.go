@@ -107,31 +107,6 @@ func (f *Flat) Len() int { return f.size }
 // R returns the leaf occupancy the tree was built with.
 func (f *Flat) R() int { return f.r }
 
-// Stats summarizes tree shape for diagnostics and the indexing ablation.
-type Stats struct {
-	Height      int
-	Nodes       int
-	LeafNodes   int
-	LeafEntries int
-	Points      int
-	R           int
-	Fanout      int
-}
-
-// Stats reports the tree's shape.
-func (f *Flat) Stats() Stats {
-	numNodes := len(f.nodeEnt) - 1
-	return Stats{
-		Height:      f.height,
-		Nodes:       numNodes,
-		LeafNodes:   numNodes - int(f.firstLeaf),
-		LeafEntries: int(f.nodeEnt[numNodes] - f.nodeEnt[f.firstLeaf]),
-		Points:      f.size,
-		R:           f.r,
-		Fanout:      f.fanout,
-	}
-}
-
 // SearchCandidates appends to dst the indices of all points in leaf
 // entries overlapping q (candidates only — the caller distance-filters)
 // and returns dst plus the number of nodes touched. Leaf entries are

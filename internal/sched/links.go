@@ -8,7 +8,7 @@ import (
 )
 
 // LinkBytesPerPoint is a Links library's memory budget per indexed point.
-// A Link costs 5 B per point plus 4 B per word of its non-core records
+// A Link costs 8 B per point plus 4 B per word of its non-core records
 // (dbscan.Link.Bytes), so the budget holds a few ε-chains' heads of a
 // typical sweep; past it the least recently used ε is dropped.
 const LinkBytesPerPoint = 64

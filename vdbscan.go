@@ -295,7 +295,7 @@ type Links struct {
 }
 
 // LinkBytesPerPoint bounds a Links library's memory: it never holds more
-// than this many bytes per point of its Index. A kept head costs 5 B per
+// than this many bytes per point of its Index. A kept head costs 8 B per
 // point plus 4 B per neighbour entry of its non-core points.
 const LinkBytesPerPoint = sched.LinkBytesPerPoint
 
