@@ -11,15 +11,19 @@ package dataio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
 	"vdbscan/internal/cluster"
 	"vdbscan/internal/data"
+	"vdbscan/internal/forkjoin"
 	"vdbscan/internal/geom"
 )
 
@@ -43,39 +47,201 @@ func WriteCSV(w io.Writer, ds *data.Dataset) error {
 
 // ReadCSV parses a dataset written by WriteCSV. Header comments are
 // optional; bare "x,y" files load with default provenance.
+//
+// The body is decoded a block at a time, with no allocation per row. A
+// block is one read buffer, cut at its last '\n'; the partial line after
+// the cut is carried over to the next block. The buffer starts at
+// firstBlock bytes and grows fourfold, up to maxLine, each time a read
+// fills it, so a small body never allocates the largest buffer. A block is
+// cut at newline boundaries into one range per core, of at least
+// rangeBytes each, that parse in parallel into slots of one point slice;
+// their points are appended and their headers applied in range order, so
+// the result does not depend on the width.
+//
+// Results and errors are those of a line-at-a-time bufio.Scanner loop:
+// blank lines are skipped, '#' lines are headers, a data line has exactly
+// one comma, and the first malformed line is reported with its number. A
+// line (with its '\n') longer than maxLine is refused with
+// bufio.ErrTooLong. On a read error the data read before it, a final
+// partial line included, is parsed first, so a malformed line ahead of the
+// error is what gets reported. Points is nil when no point was read.
 func ReadCSV(r io.Reader) (*data.Dataset, error) {
-	ds := &data.Dataset{Name: "unnamed", NoiseFrac: -1}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
+	d := csvDecoder{ds: &data.Dataset{Name: "unnamed", NoiseFrac: -1}}
+	buf := make([]byte, firstBlock)
+	end, empties := 0, 0 // buf[:end] is unparsed: a carried partial line, then fresh reads
+	var rerr error
+	for {
+		n, err := r.Read(buf[end:])
+		end += n
+		if err != nil {
+			rerr = err
+			break
+		}
+		if n == 0 {
+			if empties++; empties > maxEmptyReads {
+				rerr = io.ErrNoProgress
+				break
+			}
+			continue
+		}
+		empties = 0
+		if end < len(buf) {
+			continue
+		}
+		cut := bytes.LastIndexByte(buf, '\n') + 1
+		if cut == 0 && len(buf) == maxLine {
+			return nil, fmt.Errorf("dataio: read csv: %w", bufio.ErrTooLong)
+		}
+		if err := d.block(buf[:cut]); err != nil {
+			return nil, err
+		}
+		if len(buf) < maxLine {
+			grown := make([]byte, min(4*len(buf), maxLine))
+			copy(grown, buf[cut:end])
+			buf = grown
+		} else {
+			copy(buf, buf[cut:end])
+		}
+		end -= cut
+	}
+	if err := d.block(buf[:end]); err != nil {
+		return nil, err
+	}
+	if rerr != io.EOF {
+		return nil, fmt.Errorf("dataio: read csv: %w", rerr)
+	}
+	if len(d.ds.Points) == 0 {
+		d.ds.Points = nil
+	}
+	return d.ds, nil
+}
+
+const (
+	// firstBlock is the first read buffer's size; a body that fits in it
+	// allocates no larger one.
+	firstBlock = 64 << 10
+	// maxLine is the largest read buffer, and so the longest line, with
+	// its '\n', that ReadCSV accepts: bufio.Scanner's limit as it was set.
+	maxLine = 1 << 20
+	// rangeBytes is the fewest bytes a parallel range is given, about
+	// 900 points or 0.3 ms of strconv.ParseFloat: a smaller block parses
+	// on the calling goroutine.
+	rangeBytes = 32 << 10
+	// maxEmptyReads is how many reads in a row may return neither data nor
+	// an error before ReadCSV gives up, as bufio.Scanner does.
+	maxEmptyReads = 100
+)
+
+// csvDecoder carries ReadCSV's state across blocks.
+type csvDecoder struct {
+	ds    *data.Dataset
+	lines int        // lines decoded so far: the next line is number lines+1
+	parts []csvRange // one per parallel range, reused across blocks
+}
+
+// csvRange is one contiguous run of whole lines of a block and what
+// parsing it produced.
+type csvRange struct {
+	text    []byte
+	line    int      // number of the line before the range's first
+	at      int      // the range's first slot among the block's, one per line
+	n       int      // points parsed, into slots at..at+n
+	headers [][]byte // '#' lines, in order, as slices of the block
+	err     error    // the range's first malformed line
+}
+
+// block parses b, whole lines only but for the body's final partial line.
+func (d *csvDecoder) block(b []byte) error {
+	w := max(1, min(runtime.GOMAXPROCS(0), len(b)/rangeBytes))
+	if cap(d.parts) < w {
+		d.parts = make([]csvRange, w)
+	}
+	parts := d.parts[:w]
+	lines, lo := 0, 0
+	for k := range parts {
+		hi := len(b)
+		if k < w-1 {
+			hi = max(lo, forkjoin.Cut(len(b), w, k+1))
+			if i := bytes.IndexByte(b[hi:], '\n'); i >= 0 {
+				hi += i + 1
+			} else {
+				hi = len(b)
+			}
+		}
+		parts[k] = csvRange{text: b[lo:hi], line: d.lines + lines, at: lines, headers: parts[k].headers[:0]}
+		lines, lo = lines+countLines(b[lo:hi]), hi
+	}
+	base := len(d.ds.Points)
+	pts := slices.Grow(d.ds.Points, lines)
+	slots := pts[base : base+lines]
+	forkjoin.Do(w, func(k int) { parts[k].parse(slots[parts[k].at:]) })
+	for k := range parts {
+		p := &parts[k]
+		for _, h := range p.headers {
+			parseHeader(d.ds, string(h))
+		}
+		if p.err != nil {
+			return p.err
+		}
+		if base+p.at == len(pts) {
+			pts = pts[:len(pts)+p.n] // already in place
+		} else {
+			pts = append(pts, slots[p.at:p.at+p.n]...)
+		}
+	}
+	d.ds.Points, d.lines = pts, d.lines+lines
+	return nil
+}
+
+// countLines returns the number of lines in b: its '\n's, and one more
+// for a final line without one.
+func countLines(b []byte) int {
+	n := bytes.Count(b, []byte{'\n'})
+	if len(b) > 0 && b[len(b)-1] != '\n' {
+		n++
+	}
+	return n
+}
+
+// parse decodes the range's lines into pts, one slot per line, stopping
+// at the first malformed one.
+func (p *csvRange) parse(pts []geom.Point) {
+	rest, line := p.text, p.line
+	for len(rest) > 0 {
+		text := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			text, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		// TrimSpace also drops the '\r' of a CRLF line ending.
+		text = bytes.TrimSpace(text)
+		if len(text) == 0 {
 			continue
 		}
-		if strings.HasPrefix(text, "#") {
-			parseHeader(ds, text)
+		if text[0] == '#' {
+			p.headers = append(p.headers, text)
 			continue
 		}
-		parts := strings.Split(text, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("dataio: line %d: expected x,y got %q", line, text)
+		comma := bytes.IndexByte(text, ',')
+		if comma < 0 || bytes.IndexByte(text[comma+1:], ',') >= 0 {
+			p.err = fmt.Errorf("dataio: line %d: expected x,y got %q", line, text)
+			return
 		}
-		x, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+		x, err := strconv.ParseFloat(string(bytes.TrimSpace(text[:comma])), 64)
 		if err != nil {
-			return nil, fmt.Errorf("dataio: line %d: bad x: %w", line, err)
+			p.err = fmt.Errorf("dataio: line %d: bad x: %w", line, err)
+			return
 		}
-		y, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+		y, err := strconv.ParseFloat(string(bytes.TrimSpace(text[comma+1:])), 64)
 		if err != nil {
-			return nil, fmt.Errorf("dataio: line %d: bad y: %w", line, err)
+			p.err = fmt.Errorf("dataio: line %d: bad y: %w", line, err)
+			return
 		}
-		ds.Points = append(ds.Points, geom.Point{X: x, Y: y})
+		pts[p.n] = geom.Point{X: x, Y: y}
+		p.n++
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataio: read csv: %w", err)
-	}
-	return ds, nil
 }
 
 func parseHeader(ds *data.Dataset, text string) {
@@ -208,48 +374,4 @@ func WriteLabelsCSV(w io.Writer, res *cluster.Result) error {
 		return fmt.Errorf("dataio: write labels: %w", err)
 	}
 	return nil
-}
-
-// ReadLabelsCSV parses a clustering written by WriteLabelsCSV.
-func ReadLabelsCSV(r io.Reader) (*cluster.Result, error) {
-	res := &cluster.Result{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			body := strings.TrimSpace(strings.TrimPrefix(text, "#"))
-			if key, value, ok := strings.Cut(body, ":"); ok && strings.TrimSpace(key) == "clusters" {
-				if n, err := strconv.Atoi(strings.TrimSpace(value)); err == nil {
-					res.NumClusters = n
-				}
-			}
-			continue
-		}
-		idxStr, labelStr, ok := strings.Cut(text, ",")
-		if !ok {
-			return nil, fmt.Errorf("dataio: line %d: expected index,label got %q", line, text)
-		}
-		idx, err := strconv.Atoi(strings.TrimSpace(idxStr))
-		if err != nil {
-			return nil, fmt.Errorf("dataio: line %d: bad index: %w", line, err)
-		}
-		label, err := strconv.ParseInt(strings.TrimSpace(labelStr), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("dataio: line %d: bad label: %w", line, err)
-		}
-		if idx != len(res.Labels) {
-			return nil, fmt.Errorf("dataio: line %d: non-sequential index %d", line, idx)
-		}
-		res.Labels = append(res.Labels, int32(label))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataio: read labels: %w", err)
-	}
-	return res, nil
 }

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 )
@@ -151,7 +153,14 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			meta(pidWorkers, int(e.Worker)+1, "thread_name", fmt.Sprintf("worker %d", e.Worker))
 		}
 	}
+	// Map order must not reach the output: a trace renders to the same
+	// bytes every time.
+	ids := make([]int32, 0, len(vspans))
 	for id := range vspans {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		meta(pidVariants, int(id), "thread_name", fmt.Sprintf("v%d %s", id, name(id)))
 	}
 
@@ -166,11 +175,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	// Variant lifecycle spans: one per variant on its own track and a twin
 	// on its worker's track, both carrying the seed-source and
 	// reuse-fraction annotations the schedule plots need.
-	ids := make([]int32, 0, len(vspans))
-	for id := range vspans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		s := vspans[id]
 		if !s.started && !s.done {
@@ -238,7 +242,15 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				Args: map[string]any{"variant": int(e.Variant)}})
 		}
 	}
-	for k, begin := range phaseOpen { // still open at frame end: clip
+	open := make([]key, 0, len(phaseOpen))
+	for k := range phaseOpen {
+		open = append(open, k)
+	}
+	slices.SortFunc(open, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.variant, b.variant), cmp.Compare(a.arg, b.arg))
+	})
+	for _, k := range open { // still open at frame end: clip
+		begin := phaseOpen[k]
 		out = append(out, chromeEvent{Name: Phase(k.arg).String(), Cat: "phase", Ph: "X",
 			Ts: us(begin), Dur: durPtr(maxAt - begin), Pid: pidVariants, Tid: int(k.variant)})
 	}
@@ -281,6 +293,14 @@ func (t *Tracer) WriteTimeline(w io.Writer) error {
 	list := make([]*variantSpan, 0, len(vspans))
 	for _, s := range vspans {
 		list = append(list, s)
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].start != list[j].start {
+			return list[i].start < list[j].start
+		}
+		return list[i].id < list[j].id
+	})
+	for _, s := range list { // in list order: the sum must not follow map order
 		if s.done {
 			done++
 			fracSum += s.frac
@@ -289,12 +309,6 @@ func (t *Tracer) WriteTimeline(w io.Writer) error {
 			workers[s.worker] = true
 		}
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].start != list[j].start {
-			return list[i].start < list[j].start
-		}
-		return list[i].id < list[j].id
-	})
 	meanFrac := 0.0
 	if done > 0 {
 		meanFrac = fracSum / float64(done)

@@ -299,7 +299,8 @@ func (t *Tracer) name(id int32) string {
 }
 
 // sortEvents orders events by time, breaking ties so that nesting survives:
-// begins before their same-instant children, ends after them.
+// begins before their same-instant children, ends after them. The sort is
+// stable, so the same events always sort, and export, the same way.
 func sortEvents(evs []Event) {
 	rank := func(k Kind) int {
 		switch k {
@@ -318,7 +319,7 @@ func sortEvents(evs []Event) {
 		}
 		return 6
 	}
-	sort.Slice(evs, func(i, j int) bool {
+	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
 		if a.At != b.At {
 			return a.At < b.At

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -218,6 +219,44 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if phases != 4 {
 		t.Errorf("got %d phase spans, want 4", phases)
+	}
+}
+
+// TestExportsRenderTheSameBytes: a tracer's exports do not depend on map
+// order or on an unstable sort, so rendering one twice gives the same
+// bytes. The run has many variants starting at the same instant and
+// phases left open, the ties that order used to leak through.
+func TestExportsRenderTheSameBytes(t *testing.T) {
+	tr := NewTracer()
+	names := make([]string, 40)
+	for i := range names {
+		names[i] = fmt.Sprintf("(%d, 4)", i)
+	}
+	tr.StartRun(time.Now(), "SCHEDGREEDY", names)
+	r := tr.Worker(0)
+	for i := range names {
+		r.Event(KindStarted, int32(i), 0, 0)
+		r.PhaseBegin(int32(i), PhaseScratch)
+		if i%2 == 0 {
+			r.PhaseEnd(int32(i), PhaseScratch)
+			r.Done(int32(i), -1, float64(i)/7, metrics.Snapshot{})
+		}
+	}
+	render := func() string {
+		var c, x bytes.Buffer
+		if err := tr.WriteChromeTrace(&c); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteTimeline(&x); err != nil {
+			t.Fatal(err)
+		}
+		return c.String() + x.String()
+	}
+	want := render()
+	for i := 0; i < 20; i++ {
+		if got := render(); got != want {
+			t.Fatalf("render %d differs from the first", i+2)
+		}
 	}
 }
 

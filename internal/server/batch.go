@@ -42,11 +42,16 @@ type batch struct {
 	live  int              // member jobs not yet terminal
 
 	// Set once by runBatch after the run; read by the trace/labels handlers.
-	points      int // dataset size the run saw
-	version     int // dataset install version the run saw
+	points  int         // dataset size the run saw
+	version int         // dataset install version the run saw
+	tracer  *obs.Tracer // the run's events; rendered on the first trace fetch
+	ranAt   time.Time
+
+	// The rendered exports, written once by render on the first fetch:
+	// almost no batch's trace is ever asked for.
+	render      sync.Once
 	traceChrome []byte
 	traceText   []byte
-	ranAt       time.Time
 }
 
 func newBatch(id, datasetID string) *batch {
@@ -109,22 +114,42 @@ func (b *batch) members() ([]*job, []vdbscan.Params) {
 	return append([]*job(nil), b.jobs...), b.union
 }
 
-func (b *batch) setRun(points, version int, chrome, text []byte) {
+func (b *batch) setRun(points, version int, tr *obs.Tracer) {
 	b.mu.Lock()
 	b.points = points
 	b.version = version
-	b.traceChrome = chrome
-	b.traceText = text
+	b.tracer = tr
 	b.ranAt = time.Now()
 	b.mu.Unlock()
 }
 
 // trace returns the rendered exports of the batch's run, or ok=false if the
-// batch has not run yet.
+// batch has not run yet. The first call renders them; later calls return
+// the same bytes.
 func (b *batch) trace() (chrome, text []byte, ok bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.traceChrome, b.traceText, b.traceChrome != nil
+	tr := b.tracer
+	b.mu.Unlock()
+	if tr == nil {
+		return nil, nil, false
+	}
+	b.render.Do(func() { b.traceChrome, b.traceText = renderTrace(tr) })
+	return b.traceChrome, b.traceText, true
+}
+
+// renderTrace renders tr as Chrome trace-event JSON and as the text
+// timeline; a failed export renders as its error.
+func renderTrace(tr *obs.Tracer) (chrome, text []byte) {
+	var c, x bytes.Buffer
+	if err := tr.WriteChromeTrace(&c); err != nil {
+		c.Reset()
+		fmt.Fprintf(&c, `{"error":%q}`, err.Error())
+	}
+	if err := tr.WriteTimeline(&x); err != nil {
+		x.Reset()
+		fmt.Fprintf(&x, "trace unavailable: %v\n", err)
+	}
+	return c.Bytes(), x.Bytes()
 }
 
 // runBatch executes one sealed batch on a runner goroutine: snapshot the
@@ -247,16 +272,7 @@ func (s *Server) runBatch(b *batch) {
 			"variants", len(union), "searches", work.NeighborSearches)
 	}
 
-	var chrome, text bytes.Buffer
-	if terr := tr.WriteChromeTrace(&chrome); terr != nil {
-		chrome.Reset()
-		fmt.Fprintf(&chrome, `{"error":%q}`, terr.Error())
-	}
-	if terr := tr.WriteTimeline(&text); terr != nil {
-		text.Reset()
-		fmt.Fprintf(&text, "trace unavailable: %v\n", terr)
-	}
-	b.setRun(points, version, chrome.Bytes(), text.Bytes())
+	b.setRun(points, version, tr)
 
 	if err != nil {
 		s.failBatch(live, err.Error())

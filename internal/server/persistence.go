@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"vdbscan"
+	"vdbscan/internal/forkjoin"
 	"vdbscan/internal/persist"
 )
 
@@ -181,7 +184,13 @@ func (g *registry) persistDelete(d *dataset) {
 // logged and skipped — the server always comes up; the fallback for a
 // damaged dataset is re-upload (or the staged replay of an older
 // snapshot generation, which the retire order guarantees is present).
-func (g *registry) loadAll() {
+//
+// Directories restore in parallel, on up to workers goroutines that claim
+// entries from a shared cursor: loadDataset touches only its own
+// directory, and onPersist observes into concurrency-safe histograms.
+// Registration, the log lines and the id sequence then follow directory
+// order, as a serial scan's would.
+func (g *registry) loadAll(workers int) {
 	if g.cfg.DataDir == "" {
 		return
 	}
@@ -192,12 +201,21 @@ func (g *registry) loadAll() {
 		}
 		return
 	}
-	maxID := int64(0)
-	for _, ent := range ents {
-		if !ent.IsDir() {
-			continue
+	ents = slices.DeleteFunc(ents, func(ent os.DirEntry) bool { return !ent.IsDir() })
+	type restored struct {
+		d   *dataset
+		err error
+	}
+	out := make([]restored, len(ents))
+	var next atomic.Int64
+	forkjoin.Do(max(1, min(workers, len(ents))), func(int) {
+		for i := int(next.Add(1) - 1); i < len(ents); i = int(next.Add(1) - 1) {
+			out[i].d, out[i].err = g.loadDataset(g.datasetDir(ents[i].Name()))
 		}
-		d, err := g.loadDataset(g.datasetDir(ent.Name()))
+	})
+	maxID := int64(0)
+	for i, ent := range ents {
+		d, err := out[i].d, out[i].err
 		if err != nil {
 			g.log.Warn("dataset restore skipped", "entry", ent.Name(), "err", err)
 			continue

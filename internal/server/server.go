@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,7 +253,7 @@ func New(cfg Config) *Server {
 	}
 	// Restore persisted datasets before the runners start, so the first
 	// admitted job already sees the warm registry.
-	s.registry.loadAll()
+	s.registry.loadAll(runtime.GOMAXPROCS(0))
 	if cfg.JobTTL > 0 {
 		s.sweepStop = make(chan struct{})
 		go s.sweepEvictions(cfg.JobTTL)
