@@ -2,18 +2,18 @@
 //
 // Datasets are uploaded once and indexed once; every job that targets a
 // dataset shares its frozen index and the index's library of ε-chain heads
-// (vdbscan.Links), and jobs arriving within the batching window are
-// coalesced into a single ClusterVariants run over the union of their
-// variant lists. A job the library already serves in full skips the window.
+// (vdbscan.Links). An idle daemon runs each job at once; jobs for one
+// dataset that queue while every runner is busy are coalesced into a
+// single ClusterVariants run over the union of their variant lists.
 //
 // Usage:
 //
-//	vdbscand -addr :8714 -threads 4 -batch-window 100ms
+//	vdbscand -addr :8714 -threads 4
 //
 // Every flag also reads a VDBSCAND_* environment variable as its default
 // (flag beats environment beats built-in), e.g.:
 //
-//	VDBSCAND_ADDR=:9000 VDBSCAND_BATCH_WINDOW=250ms vdbscand
+//	VDBSCAND_ADDR=:9000 VDBSCAND_RUNNERS=4 vdbscand
 //
 // Endpoints (see internal/server for the full contract; every /v1 route
 // also exists under /v2 with the versioned error envelope, tenant-aware job
@@ -42,7 +42,7 @@
 // Structured logs (log/slog) go to stderr; -log-format picks text or JSON
 // and -log-level picks debug|info|warn|error. Every line carries the
 // request/job/batch/dataset IDs involved, so one job's admission, batch
-// seal, run, and completion grep together.
+// run, and completion grep together.
 //
 // With -data-dir set, datasets are durable: each upload and re-freeze
 // writes a page-aligned snapshot of the frozen index, appended points go
@@ -93,7 +93,6 @@ type envDefaults struct {
 	dataDir      string
 	keysFile     string
 	keysInline   string
-	batchWindow  time.Duration
 	jobTimeout   time.Duration
 	jobTTL       time.Duration
 	drainTimeout time.Duration
@@ -122,9 +121,6 @@ func loadEnv() (envDefaults, error) {
 	d.dataDir = cliutil.EnvOr("VDBSCAND_DATA_DIR", "")
 	d.keysFile = cliutil.EnvOr("VDBSCAND_KEYS_FILE", "")
 	d.keysInline = cliutil.EnvOr("VDBSCAND_KEYS", "")
-	if d.batchWindow, err = cliutil.EnvDurationOr("VDBSCAND_BATCH_WINDOW", 0); err != nil {
-		return d, err
-	}
 	if d.jobTimeout, err = cliutil.EnvDurationOr("VDBSCAND_JOB_TIMEOUT", server.DefaultJobTimeout); err != nil {
 		return d, err
 	}
@@ -181,8 +177,6 @@ func run() error {
 		"directory for durable dataset snapshots and WALs; restored on startup (empty = memory-only)")
 	keysFile := flag.String("keys-file", env.keysFile,
 		"JSON file of tenant API keys and limits (empty = open server, anonymous tenant)")
-	batchWindow := flag.Duration("batch-window", env.batchWindow,
-		"coalesce same-dataset jobs arriving within this window (0 disables)")
 	jobTimeout := flag.Duration("job-timeout", env.jobTimeout, "default per-job deadline")
 	jobTTL := flag.Duration("job-ttl", env.jobTTL,
 		"how long finished job results stay retrievable before eviction (negative = forever)")
@@ -200,7 +194,6 @@ func run() error {
 	srv := server.New(server.Config{
 		Threads:        *threads,
 		QueueDepth:     *queue,
-		BatchWindow:    *batchWindow,
 		JobTimeout:     *jobTimeout,
 		Runners:        *runners,
 		RefreezePoints: *refreeze,
@@ -218,7 +211,7 @@ func run() error {
 	go func() {
 		logger.Info("vdbscand listening",
 			"addr", *addr, "threads", *threads, "queue", *queue,
-			"batch_window", *batchWindow, "runners", *runners)
+			"runners", *runners)
 		serveErr <- httpSrv.ListenAndServe()
 	}()
 

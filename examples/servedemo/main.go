@@ -38,7 +38,7 @@ func main() {
 	if base == "" {
 		// No daemon given: host the service in-process, same handler the
 		// vdbscand binary serves.
-		srv := server.New(server.Config{Threads: 2, BatchWindow: 100 * time.Millisecond})
+		srv := server.New(server.Config{Threads: 2})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		base = ts.URL

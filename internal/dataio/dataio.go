@@ -119,7 +119,7 @@ func ReadCSV(r io.Reader) (*data.Dataset, error) {
 const (
 	// firstBlock is the first read buffer's size; a body that fits in it
 	// allocates no larger one.
-	firstBlock = 64 << 10
+	firstBlock = 4 << 10
 	// maxLine is the largest read buffer, and so the longest line, with
 	// its '\n', that ReadCSV accepts: bufio.Scanner's limit as it was set.
 	maxLine = 1 << 20

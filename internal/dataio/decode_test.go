@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -173,12 +174,17 @@ func TestReadCSVBlockBoundaries(t *testing.T) {
 	matchReferenceAllReaders(t, "clean", body)
 
 	// Offsets of the block edges a plain reader produces (each block is
-	// one full buffer, cut at its last '\n'), the middle of the third
-	// block, where two parallel ranges meet, a point later in it, and the
-	// edge after it.
+	// one full buffer, cut at its last '\n'; the buffer grows fourfold
+	// from firstBlock to maxLine), the middle of the first maxLine block,
+	// where two parallel ranges meet, a point later in it, and the edge
+	// after it.
 	edge1 := firstBlock
 	edge2 := edge1 + 4*firstBlock
-	offs := []int{edge1, edge2, edge2 + maxLine/2, edge2 + maxLine*3/4, edge2 + maxLine, len(body) - 1}
+	big := 0 // where the first maxLine block starts
+	for size := firstBlock; size < maxLine; size *= 4 {
+		big += size
+	}
+	offs := []int{edge1, edge2, big + maxLine/2, big + maxLine*3/4, big + maxLine, len(body) - 1}
 	bad := []string{"1,2,3", "x,1", "1,y", "1", "1;2", ",", "1,2,"}
 	for i, off := range offs {
 		for _, d := range []int{-40, -1, 0, 1, 40} {
@@ -191,7 +197,7 @@ func TestReadCSVBlockBoundaries(t *testing.T) {
 	}
 	// Two malformed rows: the first by line is reported, wherever the
 	// ranges cut.
-	two := withLine(withLine(body, edge2+maxLine*3/4, "late,1,1"), edge2+maxLine/4, "early")
+	two := withLine(withLine(body, big+maxLine*3/4, "late,1,1"), big+maxLine/4, "early")
 	matchReferenceAllReaders(t, "two bad rows", two)
 	if _, err := ReadCSV(bytes.NewReader(two)); err == nil || !strings.Contains(err.Error(), `"early"`) {
 		t.Fatalf("two bad rows: err = %v, want the earlier row", err)
@@ -217,7 +223,7 @@ func TestReadCSVBlockBoundaries(t *testing.T) {
 	// A read error after k bytes, mid-line or at a line's start: the rows
 	// before it are parsed first, a partial last one included, so a
 	// malformed row ahead of it is what gets reported.
-	for _, k0 := range []int{0, 5, edge1 - 1, edge1, edge2 + 17, edge2 + maxLine/2, len(body) - 3} {
+	for _, k0 := range []int{0, 5, edge1 - 1, edge1, edge2 + 17, big + maxLine/2, len(body) - 3} {
 		start, _ := lineAt(body, k0)
 		for _, k := range []int{k0, start} {
 			matchReference(t, fmt.Sprintf("read error after %d", k), func() io.Reader {
@@ -241,26 +247,52 @@ func TestReadCSVBlockBoundaries(t *testing.T) {
 
 var benchSink *data.Dataset
 
+// harnessBody returns n points in the benchmark harness's 'g', -1 format.
+func harnessBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	ds, err := data.Generate(data.SynthConfig{Class: data.ClassCF, N: n, NoiseFrac: 0.1, Seed: 5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var body bytes.Buffer
+	for _, p := range ds.Points {
+		body.WriteString(strconv.FormatFloat(p.X, 'g', -1, 64))
+		body.WriteByte(',')
+		body.WriteString(strconv.FormatFloat(p.Y, 'g', -1, 64))
+		body.WriteByte('\n')
+	}
+	return body.Bytes()
+}
+
+// TestReadCSVSmallBodyAllocs: an append's body, 256 points or ~9.5 KB, is
+// read through a buffer about its own size, not a large first one.
+func TestReadCSVSmallBodyAllocs(t *testing.T) {
+	body := harnessBody(t, 256)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadCSV(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 32<<10 {
+		t.Errorf("a 256-point body allocates %d B per decode, want < 32 KiB", per)
+	}
+}
+
 // BenchmarkReadCSV decodes a 50 000-point body, an upload's size, and a
 // 256-point one, an append's, in the benchmark harness's 'g', -1 format.
 func BenchmarkReadCSV(b *testing.B) {
 	for _, n := range []int{50000, 256} {
-		ds, err := data.Generate(data.SynthConfig{Class: data.ClassCF, N: n, NoiseFrac: 0.1, Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var body bytes.Buffer
-		for _, p := range ds.Points {
-			body.WriteString(strconv.FormatFloat(p.X, 'g', -1, 64))
-			body.WriteByte(',')
-			body.WriteString(strconv.FormatFloat(p.Y, 'g', -1, 64))
-			body.WriteByte('\n')
-		}
+		body := harnessBody(b, n)
 		b.Run(fmt.Sprintf("points=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(body.Len()))
+			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ds, err := ReadCSV(bytes.NewReader(body.Bytes()))
+				ds, err := ReadCSV(bytes.NewReader(body))
 				if err != nil {
 					b.Fatal(err)
 				}

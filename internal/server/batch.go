@@ -20,20 +20,17 @@ var (
 )
 
 // batch is one ClusterVariants run: every job coalesced into it targets the
-// same dataset, and the run executes the union of their variant lists. The
-// batch context is canceled only when every member job has gone away
-// (canceled or deadline-expired), so one client's cancel never aborts
-// another client's work.
+// same dataset, and the run executes the union of their variant lists. A
+// batch takes new jobs until a runner takes it off the queue. The batch
+// context is canceled only when every member job has gone away (canceled
+// or deadline-expired), so one client's cancel never aborts another
+// client's work.
 type batch struct {
 	id        string
 	datasetID string
-	created   time.Time // when the batch opened; run start minus created is the coalescing window
 
 	ctx    context.Context
-	cancel context.CancelFunc
-
-	timer  *time.Timer // coalescing-window seal; nil when batching is off
-	sealed bool        // guarded by Server.mu, like membership below
+	cancel context.CancelFunc // called under mu by the last member to leave
 
 	mu    sync.Mutex
 	jobs  []*job
@@ -59,7 +56,6 @@ func newBatch(id, datasetID string) *batch {
 	return &batch{
 		id:        id,
 		datasetID: datasetID,
-		created:   time.Now(),
 		ctx:       ctx,
 		cancel:    cancel,
 		keys:      map[string]int{},
@@ -72,11 +68,15 @@ func paramKey(p vdbscan.Params) string {
 
 // add joins j to the batch: its params are folded into the deduplicated
 // union and j.slots records where each lands. Returns the member and union
-// variant counts after joining. Caller holds Server.mu, which orders add
-// against seal.
-func (b *batch) add(j *job) (members, union int) {
+// variant counts after joining, or ok=false, leaving j alone, when every
+// earlier member has left and canceled the batch. Caller holds Server.mu,
+// which orders add against the runner taking the batch.
+func (b *batch) add(j *job) (members, union int, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.ctx.Err() != nil {
+		return 0, 0, false
+	}
 	j.batch = b
 	j.slots = make([]int, len(j.params))
 	for i, p := range j.params {
@@ -91,7 +91,7 @@ func (b *batch) add(j *job) (members, union int) {
 	}
 	b.jobs = append(b.jobs, j)
 	b.live++
-	return len(b.jobs), len(b.union)
+	return len(b.jobs), len(b.union), true
 }
 
 // leave records that a member job turned terminal before the batch
@@ -99,10 +99,9 @@ func (b *batch) add(j *job) (members, union int) {
 // flight) is canceled: nobody is waiting for it anymore.
 func (b *batch) leave(j *job) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.live--
-	last := b.live == 0
-	b.mu.Unlock()
-	if last {
+	if b.live == 0 {
 		b.cancel()
 	}
 }
@@ -152,24 +151,25 @@ func renderTrace(tr *obs.Tracer) (chrome, text []byte) {
 	return c.Bytes(), x.Bytes()
 }
 
-// runBatch executes one sealed batch on a runner goroutine: snapshot the
+// runBatch executes one batch on a runner goroutine: snapshot the
 // dataset's frozen index, run the union variant list once, and distribute
 // per-slot results to every member job still alive.
 func (s *Server) runBatch(b *batch) {
 	defer b.cancel()
+	// Taking the batch out of s.open closes it to new jobs, so its members
+	// are final. They all leave the admission queue with it; jobs abandoned
+	// while queued already released their slot.
+	s.mu.Lock()
+	if s.open[b.datasetID] == b {
+		delete(s.open, b.datasetID)
+	}
 	jobs, union := b.members()
-
-	// Every member leaves the admission queue now; jobs abandoned while
-	// queued already released their slot.
-	released := 0
 	for _, j := range jobs {
 		if j.leftQueue.CompareAndSwap(false, true) {
-			released++
+			s.queued--
 		}
 	}
-	if released > 0 {
-		s.jobLeftQueue(released)
-	}
+	s.mu.Unlock()
 
 	var live []*job
 	for _, j := range jobs {
@@ -200,7 +200,6 @@ func (s *Server) runBatch(b *batch) {
 			Variants: len(union),
 		}, true, false)
 	}
-	ob.coalesceWin.Observe(runStart.Sub(b.created).Seconds())
 
 	// Live per-variant progress: the WithProgress callback runs serially on
 	// worker goroutines, so it must stay cheap — one histogram observation

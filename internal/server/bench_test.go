@@ -18,11 +18,10 @@ import (
 
 // The throughput workload: 8 concurrent clients submit 24 jobs of 3
 // variants each, drawn from a pool of 8 distinct (ε, minpts) pairs — the
-// "several users sweeping the same storm dataset" shape the batching
-// window is designed for. With batching off every job is its own
-// ClusterVariants run (72 variant executions, reuse only within a job);
-// with a window on, same-dataset jobs coalesce and the union dedup
-// collapses repeated variants across clients.
+// "several users sweeping the same storm dataset" shape batching is for.
+// Run one at a time, the jobs would be 24 ClusterVariants runs of 72
+// variant executions; the jobs that queue behind the busy runner coalesce,
+// and the union dedup collapses repeated variants across clients.
 const (
 	benchClients     = 8
 	benchJobs        = 24
@@ -62,59 +61,45 @@ func benchVariants(job int) []vdbscan.Params {
 }
 
 // BenchmarkServeThroughput measures end-to-end jobs/sec through the HTTP
-// surface, batching off vs on. Run with -benchtime 1x: one iteration is
-// the whole 24-job workload.
+// surface. Run with -benchtime 1x: one iteration is the whole 24-job
+// workload.
 func BenchmarkServeThroughput(b *testing.B) {
 	csv := benchDataset(b)
-	for _, bw := range []struct {
-		name   string
-		window time.Duration
-	}{
-		{"batching=off", 0},
-		{"batching=100ms", 100 * time.Millisecond},
-	} {
-		b.Run(bw.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := New(Config{
-					Threads:     1,
-					QueueDepth:  256,
-					BatchWindow: bw.window,
-					Runners:     1,
-				})
-				ts := httptest.NewServer(s.Handler())
-				c := &benchClient{b: b, base: ts.URL}
-				c.post("/v1/datasets?name=sw1-100k", csv)
-				b.StartTimer()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := New(Config{Threads: 1, QueueDepth: 256, Runners: 1})
+		ts := httptest.NewServer(s.Handler())
+		c := &benchClient{b: b, base: ts.URL}
+		c.post("/v1/datasets?name=sw1-100k", csv)
+		b.StartTimer()
 
-				start := time.Now()
-				var wg sync.WaitGroup
-				for cl := 0; cl < benchClients; cl++ {
-					wg.Add(1)
-					go func(cl int) {
-						defer wg.Done()
-						perClient := benchJobs / benchClients
-						ids := make([]string, 0, perClient)
-						for jb := 0; jb < perClient; jb++ {
-							ids = append(ids, c.submit(benchVariants(cl*perClient+jb)))
-						}
-						for _, id := range ids {
-							c.wait(id)
-						}
-					}(cl)
+		start := time.Now()
+		var wg sync.WaitGroup
+		for cl := 0; cl < benchClients; cl++ {
+			wg.Add(1)
+			go func(cl int) {
+				defer wg.Done()
+				perClient := benchJobs / benchClients
+				ids := make([]string, 0, perClient)
+				for jb := 0; jb < perClient; jb++ {
+					ids = append(ids, c.submit(benchVariants(cl*perClient+jb)))
 				}
-				wg.Wait()
-				elapsed := time.Since(start)
+				for _, id := range ids {
+					c.wait(id)
+				}
+			}(cl)
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
 
-				b.StopTimer()
-				b.ReportMetric(float64(benchJobs)/elapsed.Seconds(), "jobs/s")
-				b.ReportMetric(float64(s.ctrs.batchesRun.Load()), "batches")
-				b.ReportMetric(float64(s.ctrs.variantsRun.Load()), "variants")
-				s.Close()
-				ts.Close()
-				b.StartTimer()
-			}
-		})
+		b.StopTimer()
+		b.ReportMetric(float64(benchJobs)/elapsed.Seconds(), "jobs/s")
+		b.ReportMetric(float64(s.ctrs.batchesRun.Load()), "batches")
+		b.ReportMetric(float64(s.ctrs.variantsRun.Load()), "variants")
+		s.Close()
+		ts.Close()
+		b.StartTimer()
 	}
 }
 

@@ -300,9 +300,10 @@ func TestJobEventsSSE(t *testing.T) {
 }
 
 // TestJobEventsCancel: a canceled job's stream terminates with a canceled
-// frame — the client is never left hanging on a job that will not run.
+// frame — the client is never left hanging on a job that will not run. The
+// runners are parked, so the job is still queued when it is canceled.
 func TestJobEventsCancel(t *testing.T) {
-	_, c := newTestServer(t, Config{Threads: 1, BatchWindow: time.Minute})
+	_, c, _ := newParkedServer(t, Config{Threads: 1})
 	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 500)), http.StatusCreated)
 	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":4}]}`, http.StatusAccepted)
 

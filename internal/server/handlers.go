@@ -165,18 +165,10 @@ func (s *Server) jobDoc(j *job, v2 bool) jobDoc {
 	return doc
 }
 
-// retryAfterSeconds is the backpressure hint on 429 and 503 responses:
-// roughly one batching window (the soonest the backlog can shrink),
-// rounded up — truncating 1.5s to 1 invites clients back before the
-// window has closed — and never less than a second, since Retry-After: 0
-// tells well-behaved clients to hammer the server in a tight loop.
-func (s *Server) retryAfterSeconds() int {
-	secs := int((s.cfg.BatchWindow + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
+// retryAfterSeconds is the backpressure hint on 429 and 503 responses: one
+// second, never zero, since Retry-After: 0 tells well-behaved clients to
+// hammer the server in a tight loop.
+func (s *Server) retryAfterSeconds() int { return 1 }
 
 // writeDraining rejects a request during graceful drain: 503 with a
 // Retry-After hint, so load balancers and retrying clients back off to

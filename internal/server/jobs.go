@@ -244,7 +244,9 @@ func (s *Server) abandon(j *job, state, errMsg string) bool {
 	// failed or canceled also sees the queue without it. A job whose batch
 	// started, or that another abandon finished, has released it already.
 	if j.leftQueue.CompareAndSwap(false, true) {
-		s.jobLeftQueue(1)
+		s.mu.Lock()
+		s.queued--
+		s.mu.Unlock()
 	}
 	if !s.finishJob(j, state, errMsg, nil, vdbscan.Work{}) {
 		return false

@@ -27,9 +27,9 @@ func checkLabels(t *testing.T, c *testClient, jobID string, variant int, want *v
 	}
 }
 
-// TestServedJobSkipsWindow: with an hour-long coalescing window, a job the
-// dataset's library serves in full runs at once, in a batch of its own, and
-// finishes done while a job with a miss still sits in its open window.
+// TestServedJobSkipsWindow: BatchWindow is ignored. With it set to an hour,
+// a job with a miss and a job the dataset's library serves in full both
+// finish done without a Drain, and the served job replays the library.
 func TestServedJobSkipsWindow(t *testing.T) {
 	pts := testPoints(t, 2000)
 	s, c := newTestServer(t, Config{Threads: 1, BatchWindow: time.Hour, Runners: 1})
@@ -41,13 +41,12 @@ func TestServedJobSkipsWindow(t *testing.T) {
 
 	miss := c.submitJob("d1", `{"variants":[{"eps":3,"minpts":4},{"eps":2,"minpts":4}]}`, http.StatusAccepted)
 	hit := c.submitJob("d1", `{"variants":[{"eps":3,"minpts":8},{"eps":3,"minpts":4}]}`, http.StatusAccepted)
-	if miss["batch"] == hit["batch"] {
-		t.Fatalf("the served job joined the open window's batch %v", hit["batch"])
+	for _, id := range []string{miss["id"].(string), hit["id"].(string)} {
+		if doc := c.doJSON("GET", "/v1/jobs/"+id+"?wait=30s", nil, http.StatusOK); doc["state"] != stateDone {
+			t.Fatalf("job %s after 30s: %v (%v)", id, doc["state"], doc["error"])
+		}
 	}
 	doc := c.waitDone(hit["id"].(string))
-	if doc["state"] != stateDone {
-		t.Fatalf("served job: %v (%v)", doc["state"], doc["error"])
-	}
 	for i, r := range doc["results"].([]any) {
 		if r.(map[string]any)["from_scratch"] != false {
 			t.Errorf("served job variant %d ran from scratch", i)
@@ -61,11 +60,9 @@ func TestServedJobSkipsWindow(t *testing.T) {
 		}
 		checkLabels(t, c, hit["id"].(string), i, want)
 	}
-	if got := s.ctrs.variantsReplayed.Load(); got != 2 {
-		t.Errorf("variantsReplayed = %d, want 2", got)
-	}
-	if st := c.doJSON("GET", "/v1/jobs/"+miss["id"].(string), nil, http.StatusOK)["state"]; st != stateQueued {
-		t.Fatalf("the job with a miss left its window: %v", st)
+	// Whether or not the two jobs shared a batch, ε = 3 replays the library.
+	if got := s.ctrs.variantsReplayed.Load(); got < 2 {
+		t.Errorf("variantsReplayed = %d, want >= 2", got)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // counters the server always had (now func-collected from the same
 // atomics), labeled counters for the SSE plane, and the latency/work
 // *distributions* the paper's throughput story actually rests on — queue
-// wait, coalescing window, batch and per-variant run time, refreeze time,
+// wait, batch and per-variant run time, refreeze time,
 // and per-variant ε-search work, each labeled by dataset.
 //
 // Histogram observation is lock-free (see internal/obs/prom); the handles
@@ -25,7 +25,6 @@ type serverMetrics struct {
 
 	// Distributions over {dataset}.
 	queueWait     *prom.Vec // vdbscand_job_queue_wait_seconds
-	coalesceWin   *prom.Vec // vdbscand_batch_coalesce_window_seconds
 	batchRun      *prom.Vec // vdbscand_batch_run_seconds
 	variantRun    *prom.Vec // vdbscand_variant_run_seconds
 	refreezeDur   *prom.Vec // vdbscand_dataset_refreeze_seconds
@@ -54,14 +53,13 @@ type serverMetrics struct {
 // batchObserver is the per-run bundle of resolved histogram children: one
 // label lookup per family per batch, then lock-free Observe calls.
 type batchObserver struct {
-	queueWait, coalesceWin, batchRun, variantRun *prom.Metric
-	epsSearches, candPerSearch                   *prom.Metric
+	queueWait, batchRun, variantRun *prom.Metric
+	epsSearches, candPerSearch      *prom.Metric
 }
 
 func (m *serverMetrics) batchObserver(dataset string) batchObserver {
 	return batchObserver{
 		queueWait:     m.queueWait.With(dataset),
-		coalesceWin:   m.coalesceWin.With(dataset),
 		batchRun:      m.batchRun.With(dataset),
 		variantRun:    m.variantRun.With(dataset),
 		epsSearches:   m.epsSearches.With(dataset),
@@ -114,9 +112,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	labels := []string{"dataset"}
 	m.queueWait = r.Histogram("vdbscand_job_queue_wait_seconds",
 		"Time a job spent between admission and its batch starting to run.",
-		prom.DurationBuckets, labels...)
-	m.coalesceWin = r.Histogram("vdbscand_batch_coalesce_window_seconds",
-		"Time a batch spent open, collecting jobs, before its run started.",
 		prom.DurationBuckets, labels...)
 	m.batchRun = r.Histogram("vdbscand_batch_run_seconds",
 		"Wall-clock duration of one ClusterVariants batch run.",

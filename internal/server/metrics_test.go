@@ -60,7 +60,6 @@ func TestMetricsExposition(t *testing.T) {
 		want float64 // minimum expected _count
 	}{
 		{"vdbscand_job_queue_wait_seconds", 1},
-		{"vdbscand_batch_coalesce_window_seconds", 1},
 		{"vdbscand_batch_run_seconds", 1},
 		{"vdbscand_variant_run_seconds", 3},
 		// Every variant emits a Done event, but a near-total-reuse variant

@@ -51,20 +51,6 @@ func (d *dataset) snapshot() (*vdbscan.Index, *vdbscan.Links, int, int) {
 	return d.index, d.links, len(d.points), d.version
 }
 
-// serves reports whether the installed index's library serves every one of
-// params, so a job of them has no ε-search to share with another.
-func (d *dataset) serves(params []vdbscan.Params) bool {
-	d.mu.Lock()
-	links := d.links
-	d.mu.Unlock()
-	for _, p := range params {
-		if !links.Serves(p) {
-			return false
-		}
-	}
-	return true
-}
-
 // registry is the dataset store.
 type registry struct {
 	cfg Config

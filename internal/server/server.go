@@ -18,13 +18,12 @@
 //   - a Link library per installed index (vdbscan.Links): every batch run
 //     keeps each ε's largest-minpts chain head and replays it for later
 //     jobs, the paper's reuse carried across requests;
-//   - cross-request batching: jobs targeting the same dataset that arrive
-//     within BatchWindow are coalesced into a single ClusterVariants run,
-//     so the scheduler's reuse heuristics see the union of their variants
-//     (more completed sources to reuse from, one queue drain instead of
-//     many) — the service-level analogue of the paper's variant set. A
-//     job the library serves in full has nothing to share and skips the
-//     window;
+//   - cross-request batching: a batch stays open to new jobs for its
+//     dataset until a runner takes it off the queue, so an idle server runs
+//     each job at once and a busy one folds the jobs queued behind its
+//     runners into a single ClusterVariants run over the deduplicated union
+//     of their variants — the service-level analogue of the paper's
+//     variant set. There is no timer: a batch waits only for a runner;
 //   - per-job deadlines and cancellation: each job carries a timeout and
 //     can be canceled; a batch run is canceled only when every job in it
 //     has gone away;
@@ -56,9 +55,7 @@ import (
 	"vdbscan/internal/obs/prom"
 )
 
-// Defaults for Config zero values (DefaultBatchWindow is the one exception:
-// a zero BatchWindow disables coalescing rather than defaulting on, so that
-// Config{} is the simplest correct server).
+// Defaults for Config zero values.
 const (
 	DefaultQueueDepth      = 64
 	DefaultJobTimeout      = 5 * time.Minute
@@ -73,18 +70,18 @@ const (
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
-// falls back to the package default above, except BatchWindow, whose zero
-// disables cross-request batching (each job runs as its own batch).
+// falls back to the package default above.
 type Config struct {
 	// Threads is the vdbscan worker-pool width of each ClusterVariants run.
 	Threads int
 	// QueueDepth bounds the number of admitted-but-not-yet-running jobs;
 	// submissions beyond it get 429 with a Retry-After header.
 	QueueDepth int
-	// BatchWindow is the coalescing window: jobs for the same dataset
-	// admitted within it join one ClusterVariants run. A job whose every
-	// variant the dataset's Links library serves skips it. Zero or
-	// negative disables coalescing.
+	// BatchWindow is ignored: jobs coalesce while they wait for a runner,
+	// with no timer.
+	//
+	// Deprecated: it stays only because the benchmark module still sets it;
+	// it goes once that caller drops it.
 	BatchWindow time.Duration
 	// JobTimeout is the default per-job deadline, counted from admission;
 	// a job may override it (shorter or longer) at submission.
@@ -98,7 +95,7 @@ type Config struct {
 	// background dataset re-freeze (index rebuild folding staged points in).
 	RefreezePoints int
 	// Logger receives the server's structured logs (admission, batch
-	// seal/run, refreeze, drain at info; per-request access lines at
+	// run, refreeze, drain at info; per-request access lines at
 	// debug), each carrying request/job/batch/dataset correlation IDs.
 	// Nil discards everything.
 	Logger *slog.Logger
@@ -179,12 +176,12 @@ type Server struct {
 	registry *registry
 	jobs     *jobStore
 
-	mu     sync.Mutex // guards open batches (per dataset) and seal/admit atomicity
+	mu     sync.Mutex // guards open batches (per dataset), queued and draining-vs-admit
 	open   map[string]*batch
 	queued int // admitted jobs whose batch has not started running
 
 	runCh    chan *batch
-	batchWG  sync.WaitGroup // one unit per sealed batch until its runner finishes
+	batchWG  sync.WaitGroup // one unit per queued batch until its runner finishes
 	batchSeq atomic.Int64
 
 	draining atomic.Bool
@@ -208,6 +205,14 @@ type Server struct {
 // New returns a started server: its batch runners are live and Handler is
 // ready to serve. Callers own shutdown via Drain and/or Close.
 func New(cfg Config) *Server {
+	s := newServer(cfg)
+	s.startRunners()
+	return s
+}
+
+// newServer returns a server whose batch runners are not started yet: its
+// admitted jobs stay queued until startRunners.
+func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	tenants, err := newTenantSet(cfg.Tenants)
 	if err != nil {
@@ -221,8 +226,9 @@ func New(cfg Config) *Server {
 		registry: newRegistry(cfg),
 		jobs:     newJobStore(),
 		open:     map[string]*batch{},
-		// A batch holds ≥1 job and jobs are bounded by QueueDepth, so the
-		// channel can always absorb every sealed batch without blocking.
+		// A live batch holds ≥1 queued job and jobs are bounded by
+		// QueueDepth, so the channel absorbs every live batch; only batches
+		// whose jobs all left can make a send wait for a runner.
 		runCh:   make(chan *batch, cfg.QueueDepth+1),
 		tenants: tenants,
 		start:   time.Now(),
@@ -258,13 +264,16 @@ func New(cfg Config) *Server {
 		s.sweepStop = make(chan struct{})
 		go s.sweepEvictions(cfg.JobTTL)
 	}
-	for i := 0; i < cfg.Runners; i++ {
-		go s.runner()
-	}
 	return s
 }
 
-// runner executes sealed batches until the channel closes.
+func (s *Server) startRunners() {
+	for i := 0; i < s.cfg.Runners; i++ {
+		go s.runner()
+	}
+}
+
+// runner executes queued batches until the channel closes.
 func (s *Server) runner() {
 	for b := range s.runCh {
 		s.runBatch(b)
@@ -273,23 +282,18 @@ func (s *Server) runner() {
 }
 
 // admit performs bounded-queue admission control and batch assignment for
-// one submitted job. It returns the job's acceptance document, rendered
-// before its batch can reach a runner, so the document always shows the job
-// queued with the batch it joined; or an admissionError.
+// one submitted job: it joins its dataset's open batch, or opens a new one
+// and queues it for the runners. It returns the job's acceptance document,
+// rendered before its batch can reach a runner, so the document always
+// shows the job queued with the batch it joined; or an admissionError.
 func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
+	s.mu.Lock()
 	if s.draining.Load() {
+		s.mu.Unlock()
 		return jobDoc{}, errDraining
 	}
-	// A job its dataset's library already serves in full has no ε-search
-	// to share, so it skips the coalescing window: it runs as a batch of
-	// its own, sealed at once. A job with any miss waits out the window.
-	window := s.cfg.BatchWindow > 0
-	if d, ok := s.registry.get(j.datasetID); ok && window {
-		window = !d.serves(j.params)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.queued >= s.cfg.QueueDepth {
+		s.mu.Unlock()
 		s.ctrs.jobsRejected.Add(1)
 		return jobDoc{}, errQueueFull
 	}
@@ -301,20 +305,26 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 		j.tenant.jobsLive.Add(1)
 	}
 	// The queued frame goes out before batch assignment so subscribers see
-	// queued -> batched in order even when the batch seals synchronously.
+	// queued -> batched in order.
 	j.events.publish(evQueued, queuedFrame{
 		Job: j.id, Dataset: j.datasetID, Variants: len(j.params), Queued: s.queued,
 	}, true, false)
 
+	// A batch whose members have all left is canceled: the job opens a
+	// fresh one, and the dead batch's runner finds nobody to run for.
 	b := s.open[j.datasetID]
-	if b == nil || !window {
-		b = newBatch(s.nextBatchID(), j.datasetID)
-		if window {
-			s.open[j.datasetID] = b
-			b.timer = time.AfterFunc(s.cfg.BatchWindow, func() { s.seal(b) })
-		}
+	n, union, joined := 0, 0, false
+	if b != nil {
+		n, union, joined = b.add(j)
 	}
-	n, union := b.add(j)
+	if !joined {
+		b = newBatch(s.nextBatchID(), j.datasetID)
+		s.open[j.datasetID] = b
+		n, union, _ = b.add(j)
+		// Counted under s.mu, which Drain takes to start draining, so
+		// Drain's Wait always sees this batch.
+		s.batchWG.Add(1)
+	}
 	switch {
 	case n == 2:
 		// The batch just became shared: both members now count as coalesced.
@@ -326,61 +336,12 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 		Job: j.id, Batch: b.id, BatchJobs: n, BatchVariants: union,
 	}, true, false)
 	doc := s.jobDoc(j, v2)
-	if !window {
-		// Coalescing disabled or nothing to share: the batch seals with
-		// its single job.
-		s.sealLocked(b)
+	s.mu.Unlock()
+	if !joined {
+		// Sent outside s.mu: runBatch takes s.mu to close the batch.
+		s.runCh <- b
 	}
 	return doc, nil
-}
-
-// seal closes a batch to new jobs and hands it to the runners.
-func (s *Server) seal(b *batch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sealLocked(b)
-}
-
-func (s *Server) sealLocked(b *batch) {
-	if b.sealed {
-		return
-	}
-	b.sealed = true
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	if s.open[b.datasetID] == b {
-		delete(s.open, b.datasetID)
-	}
-	b.mu.Lock()
-	jobs, variants := len(b.jobs), len(b.union)
-	b.mu.Unlock()
-	s.log.Info("batch sealed",
-		"batch", b.id, "dataset", b.datasetID, "jobs", jobs, "variants", variants,
-		"window", time.Since(b.created))
-	s.batchWG.Add(1)
-	s.runCh <- b
-}
-
-// sealAll flushes every open batching window (used by Drain so queued work
-// starts immediately instead of waiting out its window).
-func (s *Server) sealAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range s.open {
-		s.sealLocked(b)
-	}
-}
-
-// jobLeftQueue is called once per job when its batch starts running (or
-// when a still-queued job is canceled), releasing its admission slot.
-func (s *Server) jobLeftQueue(n int) {
-	s.mu.Lock()
-	s.queued -= n
-	if s.queued < 0 { // defensive; indicates an accounting bug
-		s.queued = 0
-	}
-	s.mu.Unlock()
 }
 
 // queueDepth reports the current admission backlog.
@@ -407,14 +368,14 @@ func (s *Server) nextBatchID() string {
 }
 
 // Drain gracefully quiesces the server: admission stops (submissions and
-// uploads get 503), open batching windows are flushed so queued jobs start
-// immediately, every running and queued batch finishes, and pending dataset
-// re-freezes are flushed. It returns nil when fully drained, or ctx's error
+// uploads get 503), every running and queued batch finishes, and pending
+// dataset re-freezes are flushed. It returns nil when fully drained, or ctx's error
 // if the deadline expires first (work keeps finishing in the background).
 func (s *Server) Drain(ctx context.Context) error {
+	s.mu.Lock() // an admit that got past the check has counted its batch
 	s.draining.Store(true)
+	s.mu.Unlock()
 	s.log.Info("drain started", "queued", s.queueDepth())
-	s.sealAll()
 	done := make(chan struct{})
 	go func() {
 		s.batchWG.Wait()

@@ -117,9 +117,22 @@ func (c *testClient) waitDone(jobID string) map[string]any {
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *testClient) {
 	t.Helper()
-	s := New(cfg)
+	s, c, start := newParkedServer(t, cfg)
+	start()
+	return s, c
+}
+
+// newParkedServer is newTestServer with the batch runners not started: every
+// admitted job stays queued, and jobs for one dataset share its open batch,
+// until the test calls start. Cleanup starts them before it drains.
+func newParkedServer(t *testing.T, cfg Config) (*Server, *testClient, func()) {
+	t.Helper()
+	s := newServer(cfg)
+	var once sync.Once
+	start := func() { once.Do(s.startRunners) }
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
+		start()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		if err := s.Drain(ctx); err != nil {
@@ -128,7 +141,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *testClient) {
 		s.Close()
 		ts.Close()
 	})
-	return s, &testClient{t: t, base: ts.URL}
+	return s, &testClient{t: t, base: ts.URL}, start
 }
 
 // scrub replaces run-dependent fields (timestamps, durations, reuse
@@ -430,14 +443,9 @@ func TestOverflowingSpanUpload(t *testing.T) {
 
 // TestBackpressure429 pins the bounded-queue contract: the QueueDepth+1-th
 // submission is rejected with 429 and a Retry-After hint, and canceling a
-// queued job frees its slot.
+// queued job frees its slot. The runners are parked, so the jobs stay queued.
 func TestBackpressure429(t *testing.T) {
-	s, c := newTestServer(t, Config{
-		Threads:     1,
-		QueueDepth:  2,
-		BatchWindow: time.Hour, // jobs stay queued until drain seals the window
-		Runners:     1,
-	})
+	s, c, _ := newParkedServer(t, Config{Threads: 1, QueueDepth: 2, Runners: 1})
 	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 200)), http.StatusCreated)
 
 	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":4}]}`, http.StatusAccepted)
@@ -462,32 +470,24 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
-// TestRetryAfterSeconds pins the hint's rounding contract: a sub-second
-// batch window must not truncate to Retry-After: 0 (which many clients
-// read as "retry immediately", defeating the backoff), and fractional
-// windows round up so the hinted wait always covers the window.
+// TestRetryAfterSeconds pins the hint: one second, never Retry-After: 0
+// (which many clients read as "retry immediately", defeating the backoff),
+// whatever the ignored BatchWindow says.
 func TestRetryAfterSeconds(t *testing.T) {
-	for _, tc := range []struct {
-		window time.Duration
-		want   int
-	}{
-		{0, 1},
-		{50 * time.Millisecond, 1},
-		{time.Second, 1},
-		{1500 * time.Millisecond, 2},
-		{2 * time.Second, 2},
-		{2*time.Second + time.Millisecond, 3},
+	for _, window := range []time.Duration{
+		0, 50 * time.Millisecond, time.Second, 1500 * time.Millisecond, time.Hour,
 	} {
-		s := &Server{cfg: Config{BatchWindow: tc.window}}
-		if got := s.retryAfterSeconds(); got != tc.want {
-			t.Errorf("retryAfterSeconds(window=%v) = %d, want %d", tc.window, got, tc.want)
+		s := &Server{cfg: Config{BatchWindow: window}}
+		if got := s.retryAfterSeconds(); got != 1 {
+			t.Errorf("retryAfterSeconds(window=%v) = %d, want 1", window, got)
 		}
 	}
 }
 
 // TestDrainingResponsesCarryRetryAfter: every 503 rejected during drain —
-// upload, append, job submit — must carry a Retry-After hint of at least
-// one second, so retrying clients and load balancers actually back off.
+// upload, append, job submit — must carry a Retry-After hint of one second,
+// so retrying clients and load balancers actually back off. BatchWindow is
+// ignored.
 func TestDrainingResponsesCarryRetryAfter(t *testing.T) {
 	s, c := newTestServer(t, Config{Threads: 1, BatchWindow: 1500 * time.Millisecond})
 	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 200)), http.StatusCreated)
@@ -511,21 +511,16 @@ func TestDrainingResponsesCarryRetryAfter(t *testing.T) {
 			t.Errorf("%s while draining = %d, want 503; body: %s", tc.name, code, body)
 			continue
 		}
-		// BatchWindow 1.5s rounds up: the ceil is observable on the wire.
-		if ra := hdr.Get("Retry-After"); ra != "2" {
-			t.Errorf("%s 503 Retry-After = %q, want \"2\"", tc.name, ra)
+		if ra := hdr.Get("Retry-After"); ra != "1" {
+			t.Errorf("%s 503 Retry-After = %q, want \"1\"", tc.name, ra)
 		}
 	}
 }
 
-// TestJobDeadline: a job whose deadline expires while queued fails with a
-// deadline error and releases its queue slot.
+// TestJobDeadline: a job whose deadline expires while queued (the runners
+// are parked) fails with a deadline error and releases its queue slot.
 func TestJobDeadline(t *testing.T) {
-	s, c := newTestServer(t, Config{
-		Threads:     1,
-		BatchWindow: time.Hour,
-		Runners:     1,
-	})
+	s, c, _ := newParkedServer(t, Config{Threads: 1, Runners: 1})
 	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 200)), http.StatusCreated)
 
 	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":4}],"timeout_ms":30}`, http.StatusAccepted)
@@ -598,17 +593,13 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestCoalescingWindow: two jobs for the same dataset submitted within the
-// batching window share one ClusterVariants run over the union of their
-// variants, observable in the job documents, the shared trace, and the
-// batch counters — and their labels match a direct union run exactly.
+// TestCoalescingWindow: two jobs for the same dataset queued behind busy
+// (here: parked) runners share one ClusterVariants run over the union of
+// their variants, observable in the job documents, the shared trace, and
+// the batch counters — and their labels match a direct union run exactly.
 func TestCoalescingWindow(t *testing.T) {
 	pts := testPoints(t, 2000)
-	s, c := newTestServer(t, Config{
-		Threads:     1,
-		BatchWindow: time.Second,
-		Runners:     1,
-	})
+	s, c, start := newParkedServer(t, Config{Threads: 1, Runners: 1})
 	c.doJSON("POST", "/v1/datasets", pointsCSV(t, pts), http.StatusCreated)
 
 	a := c.submitJob("d1", `{"variants":[{"eps":2,"minpts":8},{"eps":3,"minpts":4}]}`, http.StatusAccepted)
@@ -616,6 +607,7 @@ func TestCoalescingWindow(t *testing.T) {
 	if a["batch"] != b["batch"] {
 		t.Fatalf("jobs not coalesced: batches %v vs %v", a["batch"], b["batch"])
 	}
+	start()
 
 	da := c.waitDone(a["id"].(string))
 	db := c.waitDone(b["id"].(string))
@@ -676,10 +668,50 @@ func TestCoalescingWindow(t *testing.T) {
 	check(b["id"].(string), 1, 2)
 }
 
+// TestJobJoiningEmptiedBatch: a job submitted after every member of its
+// dataset's open batch has left opens a fresh batch. It neither runs on the
+// emptied batch's canceled context nor carries the departed job's variant,
+// and the emptied batch never runs.
+func TestJobJoiningEmptiedBatch(t *testing.T) {
+	s, c, start := newParkedServer(t, Config{Threads: 1, Runners: 1})
+	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 500)), http.StatusCreated)
+
+	a := c.submitJob("d1", `{"variants":[{"eps":2,"minpts":4}]}`, http.StatusAccepted)
+	c.doJSON("DELETE", "/v1/jobs/"+a["id"].(string), nil, http.StatusOK)
+	b := c.submitJob("d1", `{"variants":[{"eps":3,"minpts":4}]}`, http.StatusAccepted)
+	if b["batch"] == a["batch"] {
+		t.Fatalf("job joined the emptied batch %v", a["batch"])
+	}
+	start()
+	doc := c.waitDone(b["id"].(string))
+	if doc["state"] != stateDone {
+		t.Fatalf("job: %v (%v)", doc["state"], doc["error"])
+	}
+	if got := doc["batch_variants"].(float64); got != 1 {
+		t.Errorf("batch_variants = %v, want 1", got)
+	}
+	if got := s.ctrs.batchesRun.Load(); got != 1 {
+		t.Errorf("batchesRun = %d, want 1", got)
+	}
+}
+
+// TestColdJobRunsOnIdleServer: a job the library cannot serve, submitted to
+// an idle server, runs at once; the ignored BatchWindow holds nothing back.
+func TestColdJobRunsOnIdleServer(t *testing.T) {
+	_, c := newTestServer(t, Config{Threads: 1, BatchWindow: time.Hour})
+	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 500)), http.StatusCreated)
+	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":4}]}`, http.StatusAccepted)
+	doc := c.doJSON("GET", "/v1/jobs/j1?wait=30s", nil, http.StatusOK)
+	if doc["state"] != stateDone {
+		t.Fatalf("cold job after 30s: %v (%v)", doc["state"], doc["error"])
+	}
+}
+
 // TestConcurrentClients hammers the service with 8 parallel clients (the
 // acceptance bar) and cross-checks every returned label set against a
-// direct single-threaded ClusterVariants run of the same parameters. With
-// batching off each job is its own run, so the results must be identical.
+// direct single-threaded ClusterVariants run of the same parameters. Jobs
+// that queue behind the busy runners coalesce, and a variant's labels do
+// not depend on the batch it ran in, so the results must be identical.
 func TestConcurrentClients(t *testing.T) {
 	const clients = 8
 	pts := testPoints(t, 3000)

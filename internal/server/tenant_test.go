@@ -426,16 +426,13 @@ func TestJobTTLEviction(t *testing.T) {
 }
 
 // TestLoadSheddingApprox is the compatibility check for clients of the
-// removed load-shedding opt-in: with an exact job parked in a long batching
-// window (the queue pressure that used to trigger shedding), a submission
+// removed load-shedding opt-in: with an exact job parked behind stopped
+// runners (the queue pressure that used to trigger shedding), a submission
 // that still sends "allow_approx":true is an ordinary exact job. It joins
 // the parked batch, finishes done with no quality tag and a work charge,
 // and its labels are Index.Cluster's bytes.
 func TestLoadSheddingApprox(t *testing.T) {
-	s, c := newTestServer(t, Config{
-		Threads:     1,
-		BatchWindow: time.Hour, // park the exact job so the queue is non-empty
-	})
+	_, c, start := newParkedServer(t, Config{Threads: 1})
 	pts := testPoints(t, 300)
 	ds := c.doJSON("POST", "/v2/datasets", pointsCSV(t, pts), http.StatusCreated)
 	dsID := ds["id"].(string)
@@ -445,11 +442,7 @@ func TestLoadSheddingApprox(t *testing.T) {
 	if optIn["batch"] != exact["batch"] || optIn["batch_jobs"].(float64) != 2 {
 		t.Fatalf("opted-in job did not coalesce with the parked one: %v", optIn)
 	}
-	j, ok := s.jobs.get(optIn["id"].(string))
-	if !ok {
-		t.Fatal("opted-in job not in the store")
-	}
-	s.seal(j.batch)
+	start()
 
 	want, err := vdbscan.NewIndex(pts).Cluster(vdbscan.Params{Eps: 0.25, MinPts: 4})
 	if err != nil {
@@ -575,12 +568,11 @@ func TestRateLimit(t *testing.T) {
 }
 
 // TestConcurrentJobsCap pins the per-tenant concurrency gate with a job
-// parked in a long batching window.
+// parked behind stopped runners.
 func TestConcurrentJobsCap(t *testing.T) {
-	_, tc := newTestServer(t, Config{
-		Threads:     1,
-		BatchWindow: time.Hour,
-		Tenants:     []TenantConfig{{ID: "capped", Key: "k-c", MaxConcurrentJobs: 1}},
+	_, tc, _ := newParkedServer(t, Config{
+		Threads: 1,
+		Tenants: []TenantConfig{{ID: "capped", Key: "k-c", MaxConcurrentJobs: 1}},
 	})
 	c := tc.withKey("k-c")
 	csv := pointsCSV(t, testPoints(t, 50))
