@@ -3,6 +3,7 @@ package dbscan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vdbscan/internal/cluster"
@@ -71,6 +72,82 @@ func TestChainEveryLinkMatchesRun(t *testing.T) {
 					}
 				}
 				run(chain[len(chain)-1], links[0])
+			}
+		}
+	}
+}
+
+// TestChainAdvanceWithGaps drives one chain whose MinPts fall by uneven
+// gaps — 40, 32, 17, 9, 3, 1 — on both index kinds at 1 and 3 workers: a
+// head from scratch, then every later link advanced in place. Each link
+// must give Run's bytes, the same work at both widths, and replay exactly
+// the points that turn core at it: zero ε-searches, and as candidates the
+// sum of k over the points with MinPts <= k < the previous link's MinPts,
+// k each point's ε-neighbour count, counted here by brute force.
+func TestChainAdvanceWithGaps(t *testing.T) {
+	pts := blobs(5, 300, 200, 25, 0.6, 213)
+	const eps = 0.8
+	chain := []int{40, 32, 17, 9, 3, 1}
+	k := make([]int, len(pts))
+	for i, a := range pts {
+		for _, b := range pts {
+			if a.Within(b, eps) {
+				k[i]++
+			}
+		}
+	}
+	oracle := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexRTree})
+	ctx := context.Background()
+	for _, kind := range []IndexKind{IndexRTree, IndexGrid} {
+		ix := BuildIndex(pts, IndexOptions{R: 16, Kind: kind})
+		var base []metrics.Snapshot
+		for _, workers := range []int{1, 3} {
+			opt := ParallelOptions{Workers: workers}
+			var link *Link
+			var work []metrics.Snapshot
+			for i, mp := range chain {
+				tag := fmt.Sprintf("%v workers=%d minpts=%d", kind, workers, mp)
+				p := Params{Eps: eps, MinPts: mp}
+				var m metrics.Counters
+				var res *cluster.Result
+				var err error
+				if i == 0 {
+					res, link, err = RunLink(ctx, ix, p, nil, opt, &m)
+				} else {
+					res, err = link.Advance(ctx, p, opt, &m)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				want, _ := Run(oracle, p, nil)
+				requireIdentical(t, res, want, tag)
+				if link.Params() != p {
+					t.Fatalf("%s: the link reads %v after the run", tag, link.Params())
+				}
+				work = append(work, m.Snapshot())
+				if i == 0 {
+					continue
+				}
+				var turned int64
+				for _, kk := range k {
+					if mp <= kk && kk < chain[i-1] {
+						turned += int64(kk)
+					}
+				}
+				if turned == 0 {
+					t.Fatalf("%s: degenerate fixture, no point turns core", tag)
+				}
+				if got := work[i]; got.NeighborSearches != 0 || got.CandidatesExamined != turned {
+					t.Fatalf("%s: %d ε-searches and %d candidates, want 0 and %d", tag, got.NeighborSearches, got.CandidatesExamined, turned)
+				}
+			}
+			if base == nil {
+				base = work
+			} else if !slices.Equal(work, base) {
+				t.Fatalf("%v: work at 3 workers %+v, at 1 %+v", kind, work, base)
+			}
+			if _, err := link.Advance(ctx, Params{Eps: eps, MinPts: 2}, opt, nil); err == nil {
+				t.Fatalf("%v: a link at MinPts 1 advanced to MinPts 2", kind)
 			}
 		}
 	}

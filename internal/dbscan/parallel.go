@@ -1,7 +1,9 @@
 package dbscan
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -68,7 +70,8 @@ import (
 //
 // A run is also one link of an ε-chain (RunLink): what the pass leaves
 // behind — flags, union-find, records — is exactly what a variant with the
-// same ε and a smaller MinPts needs in place of the index.
+// same ε and a smaller MinPts needs in place of the index, and a chain
+// moves that one state down its MinPts (Link.Advance).
 
 // ParallelOptions configures RunParallelOpts.
 type ParallelOptions struct {
@@ -93,6 +96,9 @@ type ParallelOptions struct {
 	// ε too small for the cell budget.
 	Tiles int
 }
+
+// width is the number of workers a run drives: Workers, or GOMAXPROCS.
+func (o ParallelOptions) width() int { return cmp.Or(max(o.Workers, 0), runtime.GOMAXPROCS(0)) }
 
 // parallelChunk is the number of contiguous grid-sorted points — or, on the
 // cell-major pass, the average number of points in the run of cells — a
@@ -123,22 +129,23 @@ func RunParallelOpts(ctx context.Context, ix *Index, p Params, opt ParallelOptio
 
 // Link is what a finished run leaves for the next variant of its ε-chain —
 // the same ε, a MinPts no larger: the core flags, the core-connectivity
-// union-find and the non-core records. "p has at least MinPts neighbours
-// within ε" is monotone in MinPts (the paper's inclusion criterion, read per
-// point), so the successor needs no ε-search: a core point stays core, every
-// core–core edge is already in the union-find, and a point that was not core
-// has its whole neighbourhood in its record, because it holds fewer than the
-// predecessor's MinPts entries. A Link is immutable — a successor works on a
-// clone — so any number of runs may start from one.
+// union-find and the chain head's non-core records, which every later link
+// shares read-only. "p has at least MinPts neighbours within ε" is monotone
+// in MinPts (the paper's inclusion criterion, read per point), so the
+// successor needs no ε-search: a core point stays core, every core–core
+// edge is in the union-find, and a point the head left non-core has all of
+// its fewer than MinPts neighbours in its record. RunLink leaves prev as it
+// was, so any number of runs may start from one Link; Advance moves on a
+// Link that nothing else reads.
 type Link struct {
 	p Params
-	s *onePass
+	s *onePass // nil once a canceled Advance left it half-advanced
 }
 
 // Serves reports whether a run of p on l's index can replay l instead of
 // searching. A nil Link serves nothing.
 func (l *Link) Serves(p Params) bool {
-	return l != nil && l.p.Eps == p.Eps && l.p.MinPts >= p.MinPts
+	return l != nil && l.s != nil && l.p.Eps == p.Eps && l.p.MinPts >= p.MinPts
 }
 
 // Params returns the parameters of the run that left l.
@@ -155,17 +162,22 @@ func (l *Link) Bytes() int64 {
 }
 
 // RunLink is RunParallelOpts for one variant of an ε-chain. When prev, a
-// Link of an earlier RunLink on the same ix, serves p, the parallel pass
-// replays prev's records through consume under the new threshold instead of
-// searching the index — a record long enough is now core and unions with its
-// core neighbours, the rest are recorded again — at zero ε-searches, every
-// replayed neighbour entry counted as a candidate. Otherwise the run is from
-// scratch. Either way labelCores and attachBorders then produce Run's bytes,
-// and the returned Link (nil for an empty index) carries the run's state to
-// the next variant.
+// Link of an earlier RunLink on the same ix, serves p, the run is Advance
+// on a clone of prev's flags and union-find, sharing its records.
+// Otherwise the run is from scratch. Either way labelCores and
+// attachBorders then produce Run's bytes, and the returned Link (nil for an
+// empty index) carries the run's state to the next variant.
 func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelOptions, m *metrics.Counters) (*cluster.Result, *Link, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
+	}
+	if prev.Serves(p) {
+		next := &Link{prev.p, &onePass{core: slices.Clone(prev.s.core), dsu: prev.s.dsu.Clone(), borders: slices.Clip(prev.s.borders)}}
+		res, err := next.Advance(ctx, p, opt, m)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, next, nil
 	}
 	if err := ix.EnsureGrid(p.Eps); err != nil {
 		return nil, nil, err
@@ -174,51 +186,64 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 	if n == 0 {
 		return cluster.NewResult(0), nil, nil
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	s := &onePass{minPts: p.MinPts}
+	s := &onePass{minPts: p.MinPts, core: make([]uint32, n), dsu: unionfind.NewConcurrent(n)}
 	phase := obs.PhaseMark
 	var passes []pass
-	if prev.Serves(p) {
-		// prev is immutable: any number of successors may read it at once.
-		s.core = slices.Clone(prev.s.core)
-		s.dsu = prev.s.dsu.Clone()
-		passes = []pass{s.replay(prev.s.borders)}
-	} else {
-		s.core, s.dsu = make([]uint32, n), unionfind.NewConcurrent(n)
-		if g := ix.cellDecomposition(p.Eps); g != nil {
-			units, spans := tileSpans(ix, g, opt.Tiles, workers)
-			if spans == nil {
-				units, spans = chunkSpans(g)
-			} else {
-				phase = obs.PhaseTileRun
-			}
-			passes = s.cellPasses(ix, g, p.Eps, units, spans)
+	if g := ix.cellDecomposition(p.Eps); g != nil {
+		units, spans := tileSpans(ix, g, opt.Tiles, opt.width())
+		if spans == nil {
+			units, spans = chunkSpans(g)
 		} else {
-			passes = []pass{s.chunkUnits(ix, p.Eps)}
+			phase = obs.PhaseTileRun
 		}
+		passes = s.cellPasses(ix, g, p.Eps, units, spans)
+	} else {
+		passes = []pass{s.chunkUnits(ix, p.Eps)}
 	}
+	res, err := s.run(ctx, passes, phase, opt, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, &Link{p, s}, nil
+}
+
+// Advance runs p, which l must serve, as a replay of l in place, and l
+// becomes the run's Link: at zero ε-searches, nothing cloned or recorded,
+// only the points that turn core at p.MinPts (replay) go through consume.
+// A Link that another run may read goes through RunLink instead. A
+// canceled Advance leaves l serving nothing.
+func (l *Link) Advance(ctx context.Context, p Params, opt ParallelOptions, m *metrics.Counters) (*cluster.Result, error) {
+	if err := p.Validate(); err != nil || !l.Serves(p) {
+		return nil, fmt.Errorf("dbscan: the link cannot serve %v", p)
+	}
+	prev := l.p.MinPts
+	l.p, l.s.minPts = p, p.MinPts
+	res, err := l.s.run(ctx, []pass{l.s.replay(prev)}, obs.PhaseMark, opt, m)
+	if err != nil {
+		l.s = nil
+	}
+	return res, err
+}
+
+// run is the body of every run: the passes at opt's width, then two O(n)
+// passes on the calling goroutine that number the core sets and resolve
+// the non-core records.
+func (s *onePass) run(ctx context.Context, passes []pass, phase obs.Phase, opt ParallelOptions, m *metrics.Counters) (*cluster.Result, error) {
 	opt.Rec.PhaseBegin(opt.Variant, phase)
 	for i, ps := range passes {
 		if i > 0 && ctx.Err() != nil {
 			break // canceled before the barrier
 		}
-		// max(1, …): replaying a predecessor with no non-core records is a
-		// pass of zero units, and Do needs one worker.
-		forkjoin.Do(max(1, min(workers, ps.units)), s.workerBody(ctx, m, ps))
+		// max(1, …): replaying a head with no non-core records is a pass
+		// of zero units, and Do needs one worker.
+		forkjoin.Do(max(1, min(opt.width(), ps.units)), s.workerBody(ctx, m, ps))
 	}
 	opt.Rec.PhaseEnd(opt.Variant, phase)
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// The tail, two O(n) passes on the calling goroutine: number the core
-	// sets, then resolve the recorded non-core points against the core
-	// labels.
-	res := cluster.NewResult(n)
+	res := cluster.NewResult(len(s.core))
 	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseLabel)
 	res.NumClusters = int(s.labelCores(res.Labels))
 	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseLabel)
@@ -226,12 +251,12 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 	opt.Rec.PhaseBegin(opt.Variant, obs.PhaseBorder)
 	s.attachBorders(res.Labels)
 	opt.Rec.PhaseEnd(opt.Variant, obs.PhaseBorder)
-	return res, &Link{p, s}, nil
+	return res, nil
 }
 
 // onePass is the state the workers of one run share: the published core
 // flags, the core-connectivity union-find, and the non-core records each
-// worker hands over when it finishes.
+// worker of the chain's head hands over when it finishes.
 type onePass struct {
 	minPts int
 	// core[i] is 1 once point i is known core. It is read and written
@@ -326,16 +351,19 @@ func (s *onePass) chunkUnits(ix *Index, eps float64) pass {
 	}}
 }
 
-// replay is the one pass of a chain link after the first: each unit is one
-// arena of the predecessor's records, fed back through consume. The arenas'
-// number and sizes follow the predecessor's schedule; their union, and so
-// everything this pass computes and counts, does not.
-func (s *onePass) replay(arenas [][]int32) pass {
-	return pass{len(arenas), func(u int, w *passWorker) {
-		for arena := arenas[u]; len(arena) > 0; {
+// replay is Advance's pass from a Link at MinPts prev: each unit is one
+// arena of the head's records, and only a record of k entries with
+// s.minPts <= k < prev, a point that turns core now, goes through consume;
+// it counts its k entries as candidates. The arenas follow the head's
+// schedule; their union, and so all this pass computes and counts, does not.
+func (s *onePass) replay(prev int) pass {
+	return pass{len(s.borders), func(u int, w *passWorker) {
+		for arena := s.borders[u]; len(arena) > 0; {
 			b, k := arena[0], int(arena[1])
-			w.local.CandidatesExamined += int64(k)
-			w.arena = s.consume(b, arena[2:2+k], w.arena)
+			if s.minPts <= k && k < prev {
+				w.local.CandidatesExamined += int64(k)
+				w.arena = s.consume(b, arena[2:2+k], w.arena)
+			}
 			arena = arena[2+k:]
 		}
 	}}
@@ -364,20 +392,23 @@ func (s *onePass) labelCores(labels []int32) int32 {
 	return cid
 }
 
-// attachBorders resolves every non-core point from its recorded
+// attachBorders resolves every point still non-core from its recorded
 // neighbourhood: the lowest cluster id among its core neighbours — Run's
-// first absorber — or Noise when none of them is core.
+// first absorber — or Noise when none of them is core. A record of at least
+// MinPts entries is a point a replay turned core, labelled by labelCores.
 func (s *onePass) attachBorders(labels []int32) {
 	for _, arena := range s.borders {
 		for len(arena) > 0 {
 			b, k := arena[0], int(arena[1])
-			label := cluster.Noise
-			for _, j := range arena[2 : 2+k] {
-				if s.isCore(j) && (label == cluster.Noise || labels[j] < label) {
-					label = labels[j]
+			if k < s.minPts {
+				label := cluster.Noise
+				for _, j := range arena[2 : 2+k] {
+					if s.isCore(j) && (label == cluster.Noise || labels[j] < label) {
+						label = labels[j]
+					}
 				}
+				labels[b] = label
 			}
-			labels[b] = label
 			arena = arena[2+k:]
 		}
 	}

@@ -20,10 +20,10 @@ var ErrForeignLinks = errors.New("links library belongs to another index")
 // Links is a per-index library of ε-chain heads: for each ε, the
 // dbscan.Link of the largest MinPts any run on the index has left. It
 // serves every variant of that ε with a MinPts no larger — a replay at zero
-// ε-searches, the chain successor's rule applied across runs. A Link is
-// immutable, so a Links is safe for concurrent use, and dropping an entry
-// only turns a later replay back into a run from scratch: labels never
-// depend on what the library holds.
+// ε-searches, the chain successor's rule applied across runs. A chain clones
+// a Link it replays from here, so a Links is safe for concurrent use, and
+// dropping an entry only turns a later replay back into a run from scratch:
+// labels never depend on what the library holds.
 type Links struct {
 	ix     *dbscan.Index
 	budget int64
@@ -64,9 +64,9 @@ func (l *Links) Serving(p dbscan.Params) *dbscan.Link {
 
 // Offer keeps k as its ε's entry when it serves more than the entry held —
 // a larger MinPts — and fits the budget, then evicts least recently used
-// ε's until the library fits again. A nil k is ignored.
+// ε's until the library fits again. A k that serves nothing is ignored.
 func (l *Links) Offer(k *dbscan.Link) {
-	if l == nil || k == nil {
+	if l == nil || k == nil || !k.Serves(k.Params()) {
 		return
 	}
 	p, kb := k.Params(), k.Bytes()

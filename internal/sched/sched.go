@@ -1,14 +1,15 @@
 // Package sched executes a set of DBSCAN variants on a pool of worker
 // goroutines. The queue unit is an ε-chain (dbscan.RunLink): the variants
 // of one ε, minpts descending; the first runs from scratch and every later
-// one replays the non-core records its predecessor wrote, at zero
-// ε-searches. Every variant then has dbscan.Run's bytes and the same work
-// counters at every pool width, on either index kind; DisableReuse makes
-// every variant its own chain. On a one-worker pool a chain's first link
-// runs on that goroutine and is traced as one scratch phase, like every
-// other sequential run: the cell-major dbscan.RunLink on the grid kind,
-// and on the R-tree kind dbscan.RunLink at one worker, or dbscan.RunCtx
-// when nothing follows it.
+// one advances the chain's state in place (dbscan.Link.Advance) through the
+// head's records that turn core at its minpts, at zero ε-searches. Every
+// variant then has dbscan.Run's bytes and the same work counters at every
+// pool width, on either index kind; DisableReuse makes every variant its
+// own chain. On a one-worker pool a chain's first link runs on that
+// goroutine and is traced as one scratch phase, like every other
+// sequential run: the cell-major dbscan.RunLink on the grid kind, and on
+// the R-tree kind dbscan.RunLink at one worker, or dbscan.RunCtx when
+// nothing follows it.
 //
 // There is one pool of ε-chains, min(T, chains) wide, and every link runs
 // at the full width T, exactly as Index.Cluster does at WithThreads(T):
@@ -238,8 +239,10 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	// between the links of a chain; a canceled unit returns nil and the
 	// post-wait ctx check reports it.
 	runUnit := func(worker int, rec *obs.Recorder, unit []variant.Variant) error {
-		// The chain's previous link; before the head, the library's.
-		link := lib.Serving(unit[0].Params)
+		// The chain's previous link; before the head, the library's. It
+		// advances in place once the chain owns it: RunLink's clone of a
+		// Link the library holds or was offered, or a head no library saw.
+		link, owned := lib.Serving(unit[0].Params), false
 		for i, v := range unit {
 			if i > 0 && ctx.Err() != nil {
 				return nil
@@ -272,7 +275,12 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 					vr.SourceID = src.ID
 					rec.Event(obs.KindSeedSelected, int32(v.ID), int64(src.ID), norm.Dist(v.Params, src.Params))
 				}
-				res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
+				if owned {
+					res, err = link.Advance(ctx, v.Params, popt, vmet)
+				} else {
+					res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
+				}
+				owned = true
 			case threads == 1:
 				// On a one-worker pool a chain's first link runs on this
 				// goroutine alone, traced as scratch like every sequential
@@ -304,6 +312,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			}
 			if vr.FromScratch {
 				lib.Offer(link)
+				owned = lib == nil
 			}
 			vr.Result = res
 			vr.End = time.Since(start)
