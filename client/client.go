@@ -435,7 +435,28 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeErr(resp)
 	}
-	return io.ReadAll(resp.Body)
+	body, err := readBody(resp)
+	if err != nil {
+		return nil, fmt.Errorf("vdbscand: read %s: %w", path, err)
+	}
+	return body, nil
+}
+
+// maxPresize caps the buffer readBody allocates up front on the server's
+// word; a larger body grows the buffer as it arrives.
+const maxPresize = 64 << 20
+
+// readBody reads a response body into one buffer sized from its
+// Content-Length, with bytes.MinRead to spare so the read that meets EOF
+// does not grow it. A body without a length, or longer than its length or
+// maxPresize, grows the buffer; one cut short of its length is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	size := min(max(resp.ContentLength, 0), maxPresize) // -1 when unknown
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Events subscribes to the job's SSE stream and calls fn for every frame

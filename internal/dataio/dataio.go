@@ -12,9 +12,11 @@ package dataio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"runtime"
 	"slices"
@@ -352,26 +354,115 @@ func LoadDataset(path string) (*data.Dataset, error) {
 }
 
 // WriteLabelsCSV writes a clustering as "index,label" rows. Labels use the
-// cluster package's convention (-1 noise, 1..K clusters). Rows are encoded
-// into one reused buffer, written whenever it fills.
+// cluster package's convention (-1 noise, 1..K clusters). The bytes are
+// those of "# clusters: %d\n" then "%d,%d\n" per label, exactly
+// LabelsCSVLen(res) of them, streamed in chunks of about 32 KiB from one
+// reused buffer, so the body is never held whole. The index is a decimal
+// counter incremented in place, and each label's ",<l>\n" comes from
+// labelTable.
 func WriteLabelsCSV(w io.Writer, res *cluster.Result) error {
-	const size, row = 32 << 10, 2*20 + 2 // a row is two int64s, ',' and '\n'
-	buf := make([]byte, 0, size)
-	buf = strconv.AppendInt(append(buf, "# clusters: "...), int64(res.NumClusters), 10)
-	buf = append(buf, '\n')
+	// row bounds one row: a 19-digit index and ",-2147483648\n". The 8-byte
+	// stores of the fast paths reach no further.
+	const size, row = 32 << 10, 19 + 13
+	tab := labelTable(res.NumClusters)
+	buf := make([]byte, size)
+	n := len(strconv.AppendInt(append(buf[:0], "# clusters: "...), int64(res.NumClusters), 10))
+	buf[n] = '\n'
+	n++
+	idx, width := uint64('0'), 1 // the row index while it has at most 8 digits
 	for i, l := range res.Labels {
-		if len(buf) > size-row {
-			if _, err := w.Write(buf); err != nil {
+		if n > size-row {
+			if _, err := w.Write(buf[:n]); err != nil {
 				return fmt.Errorf("dataio: write labels: %w", err)
 			}
-			buf = buf[:0]
+			n = 0
 		}
-		buf = strconv.AppendInt(buf, int64(i), 10)
-		buf = strconv.AppendInt(append(buf, ','), int64(l), 10)
-		buf = append(buf, '\n')
+		if width <= 8 {
+			binary.LittleEndian.PutUint64(buf[n:], bits.ReverseBytes64(idx)>>(64-8*width))
+			n += width
+			if idx&0xff < '9' {
+				idx++ // the last digit, lowest
+			} else {
+				idx, width = nextIndex(idx, width)
+			}
+		} else {
+			n = len(strconv.AppendInt(buf[:n], int64(i), 10))
+		}
+		if j := uint(int(l) + 1); j < uint(len(tab)) {
+			// The store's top byte, the length, lands past the text, where
+			// the next row overwrites it or the write leaves it out.
+			e := tab[j]
+			binary.LittleEndian.PutUint64(buf[n:], e)
+			n += int(e >> 56)
+		} else {
+			n = len(strconv.AppendInt(append(buf[:n], ','), int64(l), 10))
+			buf[n] = '\n'
+			n++
+		}
 	}
-	if _, err := w.Write(buf); err != nil {
+	if _, err := w.Write(buf[:n]); err != nil {
 		return fmt.Errorf("dataio: write labels: %w", err)
 	}
 	return nil
+}
+
+// LabelsCSVLen returns the number of bytes WriteLabelsCSV writes for res,
+// for a Content-Length set before the body streams. The index digits are
+// summed per decade; the labels' lengths come from WriteLabelsCSV's table.
+func LabelsCSVLen(res *cluster.Result) int64 {
+	var b [20]byte // an int64's digits, for the header and any label off the table
+	n := int64(len(res.Labels))
+	total := int64(len("# clusters: \n")+len(strconv.AppendInt(b[:0], int64(res.NumClusters), 10))) + n
+	// Every index has one digit, and one more for each power of ten,
+	// from 10 on, that it reaches.
+	for p := int64(10); p < n; p *= 10 {
+		total += n - p
+	}
+	tab := labelTable(res.NumClusters)
+	for _, l := range res.Labels {
+		if j := uint(int(l) + 1); j < uint(len(tab)) {
+			total += int64(tab[j] >> 56)
+		} else {
+			total += int64(2 + len(strconv.AppendInt(b[:0], int64(l), 10)))
+		}
+	}
+	return total
+}
+
+// labelTableMax is the largest label the table holds, so a full table is
+// 4096 entries, 32 KiB. The bound does not depend on NumClusters, which a
+// caller may set as high as it likes; a label outside -1..labelTableMax is
+// formatted by strconv.
+const labelTableMax = 4094
+
+// labelTable returns the ",<l>\n" text of each label l in -1..min(k,
+// labelTableMax), at l+1, packed for one 8-byte little-endian store: the
+// text in the low bytes and its length in the top one. The longest,
+// ",4094\n", takes 6 of the 7 text bytes.
+func labelTable(k int) []uint64 {
+	hi := max(0, min(k, labelTableMax))
+	tab := make([]uint64, hi+2)
+	for l := -1; l <= hi; l++ {
+		var b [8]byte
+		t := strconv.AppendInt(append(b[:0], ','), int64(l), 10)
+		b[len(t)] = '\n'
+		b[7] = byte(len(t) + 1)
+		tab[l+1] = binary.LittleEndian.Uint64(b[:])
+	}
+	return tab
+}
+
+// nextIndex returns the successor of a row index of width decimal digits,
+// kept as ASCII in the low width bytes of idx, last digit lowest. Trailing
+// 9s turn to 0s and the digit above them steps up, or a '1' is put in
+// front; past 99999999 the width is 9 and idx is no longer used.
+func nextIndex(idx uint64, width int) (uint64, int) {
+	const nines, zeros = 0x3939393939393939, 0x3030303030303030
+	k := uint(bits.TrailingZeros64(idx^nines)) / 8 // trailing 9s
+	low := uint64(1)<<(8*k) - 1
+	idx = idx&^low | zeros&low
+	if int(k) == width {
+		return idx | '1'<<(8*k), width + 1
+	}
+	return idx + 1<<(8*k), width
 }

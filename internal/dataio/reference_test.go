@@ -50,6 +50,31 @@ func readCSVReference(r io.Reader) (*data.Dataset, error) {
 	return ds, nil
 }
 
+// writeLabelsCSVReference is WriteLabelsCSV as it was before the table
+// encoder: two strconv.AppendInt calls per row into one reused buffer. It
+// is the oracle the encoder's bytes must equal.
+func writeLabelsCSVReference(w io.Writer, res *cluster.Result) error {
+	const size, row = 32 << 10, 2*20 + 2 // a row is two int64s, ',' and '\n'
+	buf := make([]byte, 0, size)
+	buf = strconv.AppendInt(append(buf, "# clusters: "...), int64(res.NumClusters), 10)
+	buf = append(buf, '\n')
+	for i, l := range res.Labels {
+		if len(buf) > size-row {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("dataio: write labels: %w", err)
+			}
+			buf = buf[:0]
+		}
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = strconv.AppendInt(append(buf, ','), int64(l), 10)
+		buf = append(buf, '\n')
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("dataio: write labels: %w", err)
+	}
+	return nil
+}
+
 // ReadLabelsCSV parses a clustering written by WriteLabelsCSV. Only the
 // tests read labels back; the service and the CLIs only write them.
 func ReadLabelsCSV(r io.Reader) (*cluster.Result, error) {

@@ -483,7 +483,9 @@ func (s *Server) handleJobLabels(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// An exact Content-Length keeps net/http from chunking the body.
 	w.Header().Set("Content-Type", "text/csv")
+	w.Header().Set("Content-Length", strconv.FormatInt(dataio.LabelsCSVLen(o.clustering), 10))
 	dataio.WriteLabelsCSV(w, o.clustering) //nolint:errcheck // client gone
 }
 
@@ -500,16 +502,20 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		s.apiErr(w, r, http.StatusConflict, errCodeConflict, "job %s has not run yet; no trace", j.id)
 		return
 	}
+	var body []byte
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(chrome) //nolint:errcheck // client gone
+		body = chrome
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(text) //nolint:errcheck // client gone
+		body = text
 	default:
 		s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest, "unknown trace format %q", f)
+		return
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body) //nolint:errcheck // client gone
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -422,6 +422,61 @@ func TestJobTilesParam(t *testing.T) {
 	}
 }
 
+// TestSizedResponses: labels and trace bodies are sent with an exact
+// Content-Length, not chunked, on /v1 and /v2. Every body is well over
+// net/http's 2 KB pre-chunking buffer (a 32-variant job makes the text
+// trace that long), and the labels are WriteLabelsCSV's bytes.
+func TestSizedResponses(t *testing.T) {
+	_, c := newTestServer(t, Config{Threads: 2})
+	pts := testPoints(t, 1500)
+	ds := c.doJSON("POST", "/v1/datasets?name=sized", pointsCSV(t, pts), http.StatusCreated)["id"].(string)
+	res, err := vdbscan.NewIndex(pts).Cluster(vdbscan.Params{Eps: 2, MinPts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := dataio.WriteLabelsCSV(&want, res); err != nil {
+		t.Fatal(err)
+	}
+	var variants []string
+	for eps := 2; eps <= 9; eps++ {
+		for _, minPts := range []int{4, 8, 16, 32} {
+			variants = append(variants, fmt.Sprintf(`{"eps":%d,"minpts":%d}`, eps, minPts))
+		}
+	}
+	job := c.submitJob(ds, `{"variants":[`+strings.Join(variants, ",")+`]}`, http.StatusAccepted)["id"].(string)
+	if done := c.waitDone(job); done["state"] != stateDone {
+		t.Fatalf("job finished %v (%v)", done["state"], done["error"])
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(c.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d, %v", path, resp.StatusCode, err)
+		}
+		if len(body) < 3<<10 {
+			t.Fatalf("%s is %d B; the test needs a body far over 2 KB", path, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %q; body is %d B",
+				path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		return body
+	}
+	for _, version := range []string{"/v1", "/v2"} {
+		if got := get(version + "/jobs/" + job + "/labels?variant=0"); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s labels differ from WriteLabelsCSV's bytes", version)
+		}
+		get(version + "/jobs/" + job + "/trace")
+		get(version + "/jobs/" + job + "/trace?format=text")
+	}
+}
+
 // TestOverflowingSpanUpload: a dataset whose finite points span more than
 // the float range (x = ±1e308) is accepted and its jobs finish done, with
 // the far points noise and the two near the origin one cluster. The grid
