@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -108,5 +111,46 @@ func TestMetricsExposition(t *testing.T) {
 	// SSE counters join the exposition once a stream has been served.
 	if v, ok := exp.Value("vdbscand_sse_frames_total", map[string]string{"event": "queued"}); !ok || v < 1 {
 		t.Errorf("sse queued frames = %g (found=%v), want >= 1", v, ok)
+	}
+}
+
+// TestMetricsExpositionGolden pins a fresh server's /metrics body: every
+// family's HELP and TYPE line, their order, and every sample a fresh scrape
+// carries. Gauge values are live readings (uptime, start time), so they are
+// masked; counter values are kept, which pins that each unlabeled counter
+// reads 0 (and the scrape counter 1) before any work. Regenerate with
+// -update after a deliberate exposition change.
+func TestMetricsExpositionGolden(t *testing.T) {
+	_, c := newTestServer(t, Config{Threads: 1})
+	code, _, body := c.do("GET", "/metrics", nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d", code)
+	}
+	var got bytes.Buffer
+	typ := ""
+	for _, line := range strings.SplitAfter(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			typ = f[3]
+		}
+		if typ == "gauge" && !strings.HasPrefix(line, "#") {
+			if i := strings.LastIndexByte(line, ' '); i >= 0 {
+				line = line[:i] + " <gauge>\n"
+			}
+		}
+		got.WriteString(line)
+	}
+	path := filepath.Join("testdata", "metrics_fresh.golden")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update): %v", path, err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s mismatch:\n--- got ---\n%s\n--- want ---\n%s", path, got.Bytes(), want)
 	}
 }
