@@ -1,13 +1,20 @@
 package prom
 
+// This file is the package's test tooling: a strict parser of the text
+// format (Parse) and the lint rules TestLintScrape applies to a saved
+// /metrics scrape. The package_test files use the parser too.
+
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"testing"
 )
 
 // Sample is one parsed time series sample.
@@ -431,4 +438,142 @@ func checkHistogram(fam *ParsedFamily) error {
 		}
 	}
 	return nil
+}
+
+// lintRules are the requirements a scrape must meet beyond parsing, set in
+// flag syntax:
+//
+//	-min-histograms N               at least N histogram families
+//	-require-labels L,...           every histogram sample carries each label
+//	-require-family-labels P:L,...  (repeatable) at least one family named P*
+//	                                has samples, and every sample of every
+//	                                such family carries each label
+//
+// -require-family-labels covers counters and gauges too: vdbscand's
+// per-tenant accounting families are counters.
+type lintRules struct {
+	minHistograms int
+	histLabels    []string
+	families      []familyLabels
+}
+
+type familyLabels struct {
+	prefix string
+	labels []string
+}
+
+func parseLintRules(args []string) (lintRules, error) {
+	var r lintRules
+	fs := flag.NewFlagSet("PROM_LINT", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.IntVar(&r.minHistograms, "min-histograms", 0, "")
+	fs.Func("require-labels", "", func(v string) error {
+		r.histLabels = splitLabels(v)
+		return nil
+	})
+	fs.Func("require-family-labels", "", func(v string) error {
+		prefix, list, _ := strings.Cut(v, ":")
+		req := familyLabels{strings.TrimSpace(prefix), splitLabels(list)}
+		if req.prefix == "" || len(req.labels) == 0 {
+			return fmt.Errorf("want PREFIX:LABEL[,LABEL...], got %q", v)
+		}
+		r.families = append(r.families, req)
+		return nil
+	})
+	if err := fs.Parse(args); err != nil {
+		return r, err
+	}
+	if fs.NArg() > 0 {
+		return r, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return r, nil
+}
+
+func splitLabels(list string) []string {
+	var out []string
+	for _, l := range strings.Split(list, ",") {
+		if l = strings.TrimSpace(l); l != "" {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+func (r lintRules) check(exp *Exposition) error {
+	if n := exp.Histograms(); n < r.minHistograms {
+		return fmt.Errorf("%d histogram families, want >= %d", n, r.minHistograms)
+	}
+	for _, name := range exp.Order {
+		if fam := exp.Families[name]; fam.Type == "histogram" {
+			if err := requireLabels(fam, r.histLabels); err != nil {
+				return err
+			}
+		}
+	}
+	for _, req := range r.families {
+		matched := 0
+		for _, name := range exp.Order {
+			fam := exp.Families[name]
+			if !strings.HasPrefix(name, req.prefix) || len(fam.Samples) == 0 {
+				continue
+			}
+			matched++
+			if err := requireLabels(fam, req.labels); err != nil {
+				return err
+			}
+		}
+		if matched == 0 {
+			return fmt.Errorf("no family named %s* has samples (required labels %s)",
+				req.prefix, strings.Join(req.labels, ","))
+		}
+	}
+	return nil
+}
+
+func requireLabels(fam *ParsedFamily, labels []string) error {
+	for _, s := range fam.Samples {
+		for _, l := range labels {
+			if _, ok := s.Labels[l]; !ok {
+				return fmt.Errorf("%s %s: sample %s with labels %v lacks required label %q",
+					fam.Type, fam.Name, s.Name, s.Labels, l)
+			}
+		}
+	}
+	return nil
+}
+
+// TestLintScrape lints the scrape saved in the file PROM_SCRAPE names: it
+// must parse under Parse and meet the lintRules PROM_LINT gives. It skips
+// when PROM_SCRAPE is unset. CI runs it against the live daemon:
+//
+//	curl -sf localhost:8714/metrics > m.txt
+//	PROM_SCRAPE=$PWD/m.txt PROM_LINT='-min-histograms 5 -require-labels dataset' \
+//	    go test -count=1 -run TestLintScrape ./internal/obs/prom
+func TestLintScrape(t *testing.T) {
+	path := os.Getenv("PROM_SCRAPE")
+	if path == "" {
+		t.Skip("PROM_SCRAPE is unset; nothing to lint")
+	}
+	rules, err := parseLintRules(strings.Fields(os.Getenv("PROM_LINT")))
+	if err != nil {
+		t.Fatalf("PROM_LINT: %v", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	exp, err := Parse(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if err := rules.check(exp); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	samples := 0
+	for _, fam := range exp.Families {
+		samples += len(fam.Samples)
+	}
+	t.Logf("%s ok: %d families (%d histograms), %d samples",
+		path, len(exp.Families), exp.Histograms(), samples)
 }

@@ -138,3 +138,53 @@ h_count 2
 		t.Errorf("h_sum = %g ok=%v", v, ok)
 	}
 }
+
+// TestLintRules: each of TestLintScrape's rules rejects a scrape that
+// breaks it, in the flag syntax CI passes through PROM_LINT.
+func TestLintRules(t *testing.T) {
+	const scrape = `# TYPE h_seconds histogram
+h_seconds_bucket{dataset="d1",le="1"} 1
+h_seconds_bucket{dataset="d1",le="+Inf"} 1
+h_seconds_sum{dataset="d1"} 0.5
+h_seconds_count{dataset="d1"} 1
+# TYPE t_jobs_total counter
+t_jobs_total{tenant="a"} 2
+# TYPE t_idle_total counter
+# TYPE u_total counter
+u_total 1
+`
+	cases := []struct {
+		lint, wantE string // wantE "" means the scrape passes
+	}{
+		{"", ""},
+		{"-min-histograms 1 -require-labels dataset", ""},
+		{"-require-family-labels t_:tenant -require-family-labels h_:dataset", ""},
+		{"-min-histograms 2", "1 histogram families, want >= 2"},
+		{"-require-labels dataset,index", `lacks required label "index"`},
+		{"-require-family-labels u_:tenant", `lacks required label "tenant"`},
+		{"-require-family-labels v_:tenant", "no family named v_* has samples"},
+		{"-require-family-labels t_idle:tenant", "no family named t_idle* has samples"},
+		{"-require-family-labels t_", "want PREFIX:LABEL"},
+		{"-no-such-rule 1", "not defined"},
+		{"extra", "unexpected argument"},
+	}
+	for _, c := range cases {
+		err := func() error {
+			rules, err := parseLintRules(strings.Fields(c.lint))
+			if err != nil {
+				return err
+			}
+			exp, err := Parse(strings.NewReader(scrape))
+			if err != nil {
+				t.Fatalf("fixture fails the parser: %v", err)
+			}
+			return rules.check(exp)
+		}()
+		switch {
+		case c.wantE == "" && err != nil:
+			t.Errorf("%q: %v", c.lint, err)
+		case c.wantE != "" && (err == nil || !strings.Contains(err.Error(), c.wantE)):
+			t.Errorf("%q: error %v, want one mentioning %q", c.lint, err, c.wantE)
+		}
+	}
+}

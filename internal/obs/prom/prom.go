@@ -1,7 +1,6 @@
 // Package prom is a dependency-free Prometheus exposition layer: labeled
 // counter, gauge, and histogram families rendered in the Prometheus text
-// format (version 0.0.4) with # HELP and # TYPE comments, plus a strict
-// parser of the same format usable as an in-tree promtool-style lint.
+// format (version 0.0.4) with # HELP and # TYPE comments.
 //
 // The package exists because the serving plane's throughput claims are
 // latency-distribution claims: whether variant-level parallelism keeps every
@@ -20,8 +19,8 @@
 //     monotonicity invariant of the _bucket series holds by construction.
 //
 // The format contract (HELP/TYPE present, escaping, le ordering, _count ==
-// +Inf bucket) is enforced by Parse, which the tests and CI run against the
-// live /metrics output.
+// +Inf bucket) is enforced by a strict parser in this package's tests,
+// which CI also runs against the live /metrics output (TestLintScrape).
 package prom
 
 import (
@@ -98,7 +97,7 @@ type family struct {
 	labels []string
 	bounds []float64 // histogram upper bounds, sorted, +Inf implicit
 
-	fn func() float64 // callback metric (no children, no labels)
+	fn func() float64 // GaugeFunc callback (no children, no labels)
 
 	mu       sync.RWMutex
 	children map[string]*Metric
@@ -157,12 +156,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	f := r.register(&family{name: name, help: help, typ: TypeHistogram,
 		labels: labels, bounds: b, children: map[string]*Metric{}})
 	return &Vec{f: f}
-}
-
-// CounterFunc registers an unlabeled counter whose value is read from fn at
-// render time — for totals already maintained elsewhere (e.g. atomics).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(&family{name: name, help: help, typ: TypeCounter, fn: fn})
 }
 
 // GaugeFunc registers an unlabeled gauge read from fn at render time.

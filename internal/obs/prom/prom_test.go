@@ -19,7 +19,7 @@ func buildReference() *Registry {
 	depth := r.Gauge("test_queue_depth", "Current queue depth.")
 	depth.With().Set(7)
 	r.GaugeFunc("test_uptime_seconds", "Uptime with sub-second resolution.", func() float64 { return 1.5 })
-	r.CounterFunc("test_scrapes_total", "Scrapes served.", func() float64 { return 2 })
+	r.Counter("test_scrapes_total", "Scrapes served.").With().Add(2)
 	h := r.Histogram("test_run_seconds", "Run duration by dataset.",
 		[]float64{0.1, 0.5, 2.5}, "dataset", "index")
 	m := h.With("d1", "grid")

@@ -260,8 +260,8 @@ func (s *Server) runBatch(b *batch) {
 	)
 	runDur := time.Since(runStart)
 	ob.batchRun.Observe(runDur.Seconds())
-	s.ctrs.batchesRun.Add(1)
-	s.addWork(work)
+	s.mx.batchesRun.Inc()
+	s.mx.addBatchWork(work)
 	if err != nil {
 		s.log.Warn("batch run failed",
 			"batch", b.id, "dataset", b.datasetID, "duration", runDur, "err", err)
@@ -277,7 +277,7 @@ func (s *Server) runBatch(b *batch) {
 		s.failBatch(live, err.Error())
 		return
 	}
-	s.ctrs.variantsRun.Add(int64(len(union)))
+	s.mx.variantsRun.Add(float64(len(union)))
 	// A chain head with no source that did not run from scratch replayed
 	// the dataset's library, and so, through it, did the rest of its ε.
 	served := map[float64]bool{}
@@ -288,7 +288,7 @@ func (s *Server) runBatch(b *batch) {
 	}
 	for _, vr := range run.Results {
 		if served[vr.Params.Eps] {
-			s.ctrs.variantsReplayed.Add(1)
+			s.mx.variantsReplayed.Inc()
 		}
 	}
 

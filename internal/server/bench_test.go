@@ -95,8 +95,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 
 		b.StopTimer()
 		b.ReportMetric(float64(benchJobs)/elapsed.Seconds(), "jobs/s")
-		b.ReportMetric(float64(s.ctrs.batchesRun.Load()), "batches")
-		b.ReportMetric(float64(s.ctrs.variantsRun.Load()), "variants")
+		b.ReportMetric(s.mx.batchesRun.Value(), "batches")
+		b.ReportMetric(s.mx.variantsRun.Value(), "variants")
 		s.Close()
 		ts.Close()
 		b.StartTimer()

@@ -82,7 +82,7 @@ func (st *stream) subscribe() *subscriber {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.mx != nil {
-		st.mx.sseSubs.Add(1)
+		st.mx.sseSubs.Inc()
 	}
 	replay := make([]eventFrame, 0, 3)
 	if st.lastState != nil {
@@ -195,7 +195,7 @@ func (st *stream) deliver(sub *subscriber, f eventFrame) {
 
 func (st *stream) noteDrop() {
 	if st.mx != nil {
-		st.mx.sseDropped.With().Inc()
+		st.mx.sseDropped.Inc()
 	}
 }
 

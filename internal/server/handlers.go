@@ -239,7 +239,7 @@ func (s *Server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest, "%v", err)
 		return
 	}
-	s.ctrs.datasets.Add(1)
+	s.mx.datasets.Inc()
 	s.log.Info("dataset created",
 		"req", requestID(r.Context()), "dataset", d.id, "name", d.name,
 		"points", len(points))
@@ -298,7 +298,7 @@ func (s *Server) handleDatasetAppend(w http.ResponseWriter, r *http.Request) {
 		s.apiErr(w, r, http.StatusBadRequest, errCodeBadRequest, "no points in body")
 		return
 	}
-	staged, refreezing, err := s.registry.append(d, points, &s.ctrs)
+	staged, refreezing, err := s.registry.append(d, points)
 	if err != nil {
 		// Lost the race with a concurrent delete after the registry lookup.
 		s.apiErr(w, r, http.StatusConflict, errCodeConflict,

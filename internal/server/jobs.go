@@ -221,12 +221,12 @@ func (s *Server) finishJob(j *job, state, errMsg string, results []variantOutcom
 		switch state {
 		case stateDone:
 			j.work = w
-			s.ctrs.jobsCompleted.Add(1)
+			s.mx.jobsCompleted.Inc()
 			logCharge = s.chargeJob(j, w.NeighborSearches, w.CandidatesExamined)
 		case stateCanceled:
-			s.ctrs.jobsCanceled.Add(1)
+			s.mx.jobsCanceled.Inc()
 		case stateFailed:
-			s.ctrs.jobsFailed.Add(1)
+			s.mx.jobsFailed.Inc()
 		}
 	})
 	if logCharge != nil {

@@ -61,8 +61,8 @@ func TestServedJobSkipsWindow(t *testing.T) {
 		checkLabels(t, c, hit["id"].(string), i, want)
 	}
 	// Whether or not the two jobs shared a batch, ε = 3 replays the library.
-	if got := s.ctrs.variantsReplayed.Load(); got < 2 {
-		t.Errorf("variantsReplayed = %d, want >= 2", got)
+	if got := s.mx.variantsReplayed.Value(); got < 2 {
+		t.Errorf("variantsReplayed = %g, want >= 2", got)
 	}
 }
 

@@ -2,26 +2,32 @@ package server
 
 import (
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"vdbscan"
 	"vdbscan/internal/obs/prom"
 )
 
-// serverMetrics is the service's Prometheus exposition: the flat monotonic
-// counters the server always had (now func-collected from the same
-// atomics), labeled counters for the SSE plane, and the latency/work
-// *distributions* the paper's throughput story actually rests on — queue
-// wait, batch and per-variant run time, refreeze time,
-// and per-variant ε-search work, each labeled by dataset.
+// serverMetrics is the service's Prometheus exposition and its only
+// counter store: the flat monotonic counters the server always had, the
+// accumulated vdbscan work totals, labeled counters for the SSE and tenant
+// planes, and the latency/work *distributions* the paper's throughput story
+// actually rests on — queue wait, batch and per-variant run time, refreeze
+// time, and per-variant ε-search work, each labeled by dataset.
 //
 // Histogram observation is lock-free (see internal/obs/prom); the handles
 // resolved per batch run are cached for the run, so instrumentation costs
 // one map lookup per batch plus one Observe per event at job/variant
-// granularity — never per ε-search.
+// granularity — never per ε-search. Unlabeled families resolve their one
+// child at registration, so a fresh scrape reads each of them as 0.
 type serverMetrics struct {
 	reg *prom.Registry
+
+	// Flat server counters (vdbscand_<name>_total).
+	jobsAccepted, jobsRejected, jobsCompleted *prom.Metric
+	jobsFailed, jobsCanceled, jobsCoalesced   *prom.Metric
+	batchesRun, variantsRun, variantsReplayed *prom.Metric
+	refreezes, datasets                       *prom.Metric
 
 	// Distributions over {dataset}.
 	queueWait     *prom.Vec // vdbscand_job_queue_wait_seconds
@@ -34,10 +40,10 @@ type serverMetrics struct {
 	snapshotLoad  *prom.Vec // vdbscand_snapshot_load_seconds
 	walReplay     *prom.Vec // vdbscand_wal_replay_seconds
 
-	// SSE broker counters.
-	sseFrames  *prom.Vec // vdbscand_sse_frames_total{event}
-	sseDropped *prom.Vec // vdbscand_sse_dropped_frames_total
-	sseSubs    atomic.Int64
+	// SSE broker.
+	sseFrames  *prom.Vec    // vdbscand_sse_frames_total{event}
+	sseDropped *prom.Metric // vdbscand_sse_dropped_frames_total
+	sseSubs    *prom.Metric // vdbscand_sse_subscribers (gauge)
 
 	// Multi-tenancy counters, all labeled by tenant so per-tenant usage
 	// and throttling are scrapeable series.
@@ -47,7 +53,23 @@ type serverMetrics struct {
 	tenantRejected *prom.Vec // vdbscand_tenant_rejected_total{tenant,reason}
 	jobsEvicted    *prom.Vec // vdbscand_jobs_evicted_total{tenant}
 
-	scrapes atomic.Int64
+	scrapes *prom.Metric // vdbscand_metrics_scrapes_total
+
+	// vdbscan work totals across all batch runs (vdbscan_<name>_total).
+	neighborSearches, candidatesExamined, neighborsFound *prom.Metric
+	nodesVisited, pointsReused                           *prom.Metric
+	clustersReused, clustersDestroyed                    *prom.Metric
+}
+
+// addBatchWork adds one batch run's work to the vdbscan_*_total counters.
+func (m *serverMetrics) addBatchWork(w vdbscan.Work) {
+	m.neighborSearches.Add(float64(w.NeighborSearches))
+	m.candidatesExamined.Add(float64(w.CandidatesExamined))
+	m.neighborsFound.Add(float64(w.NeighborsFound))
+	m.nodesVisited.Add(float64(w.NodesVisited))
+	m.pointsReused.Add(float64(w.PointsReused))
+	m.clustersReused.Add(float64(w.ClustersReused))
+	m.clustersDestroyed.Add(float64(w.ClustersDestroyed))
 }
 
 // batchObserver is the per-run bundle of resolved histogram children: one
@@ -83,20 +105,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m := &serverMetrics{reg: prom.NewRegistry()}
 	r := m.reg
 
-	counterFunc := func(name, help string, v *atomic.Int64) {
-		r.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counterFunc("vdbscand_jobs_accepted_total", "Jobs admitted to the queue.", &s.ctrs.jobsAccepted)
-	counterFunc("vdbscand_jobs_rejected_total", "Jobs rejected with 429 (queue full).", &s.ctrs.jobsRejected)
-	counterFunc("vdbscand_jobs_completed_total", "Jobs finished successfully.", &s.ctrs.jobsCompleted)
-	counterFunc("vdbscand_jobs_failed_total", "Jobs that failed (run error or deadline).", &s.ctrs.jobsFailed)
-	counterFunc("vdbscand_jobs_canceled_total", "Jobs canceled by the client.", &s.ctrs.jobsCanceled)
-	counterFunc("vdbscand_jobs_coalesced_total", "Jobs that shared their batch with another job.", &s.ctrs.jobsCoalesced)
-	counterFunc("vdbscand_batches_run_total", "ClusterVariants batch runs executed.", &s.ctrs.batchesRun)
-	counterFunc("vdbscand_variants_run_total", "Union variants executed across all batches.", &s.ctrs.variantsRun)
-	counterFunc("vdbscand_variants_replayed_total", "Union variants whose eps-chain replayed their dataset's Links library instead of searching.", &s.ctrs.variantsReplayed)
-	counterFunc("vdbscand_dataset_refreezes_total", "Background dataset re-freezes installed.", &s.ctrs.refreezes)
-	counterFunc("vdbscand_datasets_created_total", "Datasets ever created.", &s.ctrs.datasets)
+	counter := func(name, help string) *prom.Metric { return r.Counter(name, help).With() }
+	m.jobsAccepted = counter("vdbscand_jobs_accepted_total", "Jobs admitted to the queue.")
+	m.jobsRejected = counter("vdbscand_jobs_rejected_total", "Jobs rejected with 429 (queue full).")
+	m.jobsCompleted = counter("vdbscand_jobs_completed_total", "Jobs finished successfully.")
+	m.jobsFailed = counter("vdbscand_jobs_failed_total", "Jobs that failed (run error or deadline).")
+	m.jobsCanceled = counter("vdbscand_jobs_canceled_total", "Jobs canceled by the client.")
+	m.jobsCoalesced = counter("vdbscand_jobs_coalesced_total", "Jobs that shared their batch with another job.")
+	m.batchesRun = counter("vdbscand_batches_run_total", "ClusterVariants batch runs executed.")
+	m.variantsRun = counter("vdbscand_variants_run_total", "Union variants executed across all batches.")
+	m.variantsReplayed = counter("vdbscand_variants_replayed_total", "Union variants whose eps-chain replayed their dataset's Links library instead of searching.")
+	m.refreezes = counter("vdbscand_dataset_refreezes_total", "Background dataset re-freezes installed.")
+	m.datasets = counter("vdbscand_datasets_created_total", "Datasets ever created.")
 
 	r.GaugeFunc("vdbscand_datasets_live", "Datasets currently registered.",
 		func() float64 { return float64(s.registry.len()) })
@@ -151,44 +171,25 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	m.sseFrames = r.Counter("vdbscand_sse_frames_total",
 		"SSE frames published to job event streams, by frame event type.", "event")
-	m.sseDropped = r.Counter("vdbscand_sse_dropped_frames_total",
+	m.sseDropped = counter("vdbscand_sse_dropped_frames_total",
 		"SSE frames dropped because a subscriber's buffer was full (drop-oldest).")
-	r.GaugeFunc("vdbscand_sse_subscribers", "Live SSE subscribers across all job streams.",
-		func() float64 { return float64(m.sseSubs.Load()) })
-	r.CounterFunc("vdbscand_metrics_scrapes_total", "Scrapes of this endpoint.",
-		func() float64 { return float64(m.scrapes.Load()) })
+	m.sseSubs = r.Gauge("vdbscand_sse_subscribers", "Live SSE subscribers across all job streams.").With()
+	m.scrapes = counter("vdbscand_metrics_scrapes_total", "Scrapes of this endpoint.")
 
 	// The accumulated vdbscan work counters, same names as before.
-	workFunc := func(name, help string, pick func(w workSnap) int64) {
-		r.CounterFunc(name, help, func() float64 { return float64(pick(workSnap{s})) })
-	}
-	workFunc("vdbscan_neighbor_searches_total", "Eps-neighborhood searches across all runs.",
-		func(w workSnap) int64 { return w.get().NeighborSearches })
-	workFunc("vdbscan_candidates_examined_total", "Candidate points filtered across all runs.",
-		func(w workSnap) int64 { return w.get().CandidatesExamined })
-	workFunc("vdbscan_neighbors_found_total", "Neighbors found across all runs.",
-		func(w workSnap) int64 { return w.get().NeighborsFound })
-	workFunc("vdbscan_nodes_visited_total", "Index nodes visited across all runs.",
-		func(w workSnap) int64 { return w.get().NodesVisited })
-	workFunc("vdbscan_points_reused_total", "Points reused from completed variants.",
-		func(w workSnap) int64 { return w.get().PointsReused })
-	workFunc("vdbscan_clusters_reused_total", "Clusters reused from completed variants.",
-		func(w workSnap) int64 { return w.get().ClustersReused })
-	workFunc("vdbscan_clusters_destroyed_total", "Reused clusters destroyed by re-expansion.",
-		func(w workSnap) int64 { return w.get().ClustersDestroyed })
+	m.neighborSearches = counter("vdbscan_neighbor_searches_total", "Eps-neighborhood searches across all runs.")
+	m.candidatesExamined = counter("vdbscan_candidates_examined_total", "Candidate points filtered across all runs.")
+	m.neighborsFound = counter("vdbscan_neighbors_found_total", "Neighbors found across all runs.")
+	m.nodesVisited = counter("vdbscan_nodes_visited_total", "Index nodes visited across all runs.")
+	m.pointsReused = counter("vdbscan_points_reused_total", "Points reused from completed variants.")
+	m.clustersReused = counter("vdbscan_clusters_reused_total", "Clusters reused from completed variants.")
+	m.clustersDestroyed = counter("vdbscan_clusters_destroyed_total", "Reused clusters destroyed by re-expansion.")
 	return m
 }
 
-// workSnap defers the work mutex to render time, once per scrape (not once
-// per counter: the snapshot is cheap, but seven locks per scrape is silly).
-// Each scrape is one Write call on one goroutine, so a plain cache is safe.
-type workSnap struct{ s *Server }
-
-func (w workSnap) get() vdbscan.Work { return w.s.workSnapshot() }
-
 // handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mx.scrapes.Add(1)
+	s.mx.scrapes.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.mx.reg.Write(w) //nolint:errcheck // client gone; nothing to do
 }

@@ -2,117 +2,13 @@ package server
 
 import (
 	"bytes"
-	"math"
+	"context"
 	"net/http"
-	"os"
-	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"vdbscan/internal/obs/prom"
 )
-
-// TestMetricsExposition validates the full scrape with the in-tree strict
-// parser and checks the tentpole requirements: at least five histogram
-// families, each labeled {dataset} and nothing else; float uptime; a start
-// time gauge; and per-run observations landing in the right series.
-func TestMetricsExposition(t *testing.T) {
-	s, c := newTestServer(t, Config{Threads: 2, RefreezePoints: 200})
-	c.doJSON("POST", "/v1/datasets", pointsCSV(t, testPoints(t, 1500)), http.StatusCreated)
-	c.submitJob("d1", `{"variants":[{"eps":2,"minpts":8},{"eps":3,"minpts":4},{"eps":4,"minpts":4}]}`,
-		http.StatusAccepted)
-	c.waitDone("j1")
-	// Trip a background refreeze so the refreeze histogram has a sample.
-	c.doJSON("POST", "/v1/datasets/d1/points", pointsCSV(t, testPoints(t, 250)), http.StatusAccepted)
-	s.registry.flushRefreezes()
-
-	code, hdr, body := c.do("GET", "/metrics", nil)
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("content-type = %q, want the 0.0.4 text format", ct)
-	}
-	exp, err := prom.Parse(strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatalf("exposition fails the in-tree lint: %v\n%s", err, body)
-	}
-	if n := exp.Histograms(); n < 5 {
-		t.Errorf("histogram families = %d, want >= 5", n)
-	}
-	for _, fam := range exp.Families {
-		if fam.Type != "histogram" || len(fam.Samples) == 0 {
-			continue
-		}
-		for _, smp := range fam.Samples {
-			if _, ok := smp.Labels["dataset"]; !ok {
-				t.Errorf("histogram %s sample %v lacks label \"dataset\"", fam.Name, smp.Labels)
-			}
-			for l := range smp.Labels {
-				if l != "dataset" && l != "le" {
-					t.Errorf("histogram %s carries label %q beyond {dataset}", fam.Name, l)
-				}
-			}
-		}
-	}
-
-	labels := map[string]string{"dataset": "d1"}
-	for _, h := range []struct {
-		name string
-		want float64 // minimum expected _count
-	}{
-		{"vdbscand_job_queue_wait_seconds", 1},
-		{"vdbscand_batch_run_seconds", 1},
-		{"vdbscand_variant_run_seconds", 3},
-		// Every variant emits a Done event, but a near-total-reuse variant
-		// may do arbitrarily few searches, so only require one observation.
-		{"vdbscand_variant_eps_searches", 1},
-	} {
-		lb := map[string]string{}
-		for k, v := range labels {
-			lb[k] = v
-		}
-		got, ok := exp.Value(h.name+"_count", lb)
-		if !ok {
-			t.Errorf("no %s_count sample for %v", h.name, labels)
-			continue
-		}
-		if got < h.want {
-			t.Errorf("%s_count = %g, want >= %g", h.name, got, h.want)
-		}
-	}
-	if got, ok := exp.Value("vdbscand_dataset_refreeze_seconds_count",
-		map[string]string{"dataset": "d1"}); !ok || got < 1 {
-		t.Errorf("refreeze histogram count = %g (found=%v), want >= 1", got, ok)
-	}
-
-	// The uptime truncation fix: float seconds, nonzero well under 1s of
-	// runtime, plus an absolute start-time gauge for counter-reset math.
-	up, ok := exp.Value("vdbscand_uptime_seconds", nil)
-	if !ok || up <= 0 {
-		t.Errorf("uptime = %g (found=%v), want > 0", up, ok)
-	}
-	if up != math.Trunc(up) {
-		// Sub-second resolution observed directly; if the scrape landed on
-		// an exact second boundary the > 0 check above already covers the
-		// old always-0-at-startup failure.
-		t.Log("uptime has sub-second resolution:", up)
-	}
-	startTS, ok := exp.Value("vdbscand_start_time_seconds", nil)
-	if !ok {
-		t.Fatal("no vdbscand_start_time_seconds gauge")
-	}
-	now := float64(time.Now().UnixNano()) / 1e9
-	if d := now - startTS; d < 0 || d > 300 {
-		t.Errorf("start_time_seconds is %.1fs from now", d)
-	}
-
-	// SSE counters join the exposition once a stream has been served.
-	if v, ok := exp.Value("vdbscand_sse_frames_total", map[string]string{"event": "queued"}); !ok || v < 1 {
-		t.Errorf("sse queued frames = %g (found=%v), want >= 1", v, ok)
-	}
-}
 
 // TestMetricsExpositionGolden pins a fresh server's /metrics body: every
 // family's HELP and TYPE line, their order, and every sample a fresh scrape
@@ -139,18 +35,54 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		}
 		got.WriteString(line)
 	}
-	path := filepath.Join("testdata", "metrics_fresh.golden")
-	if *update {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+	compareGolden(t, "metrics_fresh.golden", got.Bytes())
+}
+
+// TestRefreezeCounterMatchesHistogram: each installed re-freeze counts once
+// in vdbscand_dataset_refreezes_total, whichever path ran it (a background
+// one kicked by an append, or the one Drain runs to fold a backlog below
+// the threshold), so after a drain the counter equals the re-freeze
+// histogram's _count summed over datasets.
+func TestRefreezeCounterMatchesHistogram(t *testing.T) {
+	s, c := newTestServer(t, Config{Threads: 1, RefreezePoints: 200})
+	all := testPoints(t, 750)
+	c.doJSON("POST", "/v1/datasets", pointsCSV(t, all[:500]), http.StatusCreated)
+	c.doJSON("POST", "/v1/datasets", pointsCSV(t, all[:500]), http.StatusCreated)
+	// d1 stays below the threshold, so only the drain folds it; d2 kicks a
+	// background re-freeze.
+	c.doJSON("POST", "/v1/datasets/d1/points", pointsCSV(t, all[500:550]), http.StatusAccepted)
+	c.doJSON("POST", "/v1/datasets/d2/points", pointsCSV(t, all[500:]), http.StatusAccepted)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	code, _, body := c.do("GET", "/metrics", nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics = %d", code)
+	}
+	var counter, histCount float64
+	for _, line := range strings.Split(string(body), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
 		}
-		return
+		v, err := strconv.ParseFloat(val, 64)
+		switch {
+		case name == "vdbscand_dataset_refreezes_total":
+			counter = v
+		case strings.HasPrefix(name, "vdbscand_dataset_refreeze_seconds_count{"):
+			histCount += v
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with -update): %v", path, err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("%s mismatch:\n--- got ---\n%s\n--- want ---\n%s", path, got.Bytes(), want)
+	if counter != histCount || counter != 2 {
+		t.Errorf("vdbscand_dataset_refreezes_total = %g, refreeze histogram _count sum = %g; want both 2",
+			counter, histCount)
 	}
 }

@@ -78,8 +78,8 @@ func TestWarmRestartServesIdenticalLabels(t *testing.T) {
 
 	// Warm start means warm: the first job ran against the mapped snapshot,
 	// no re-freeze happened.
-	if got := s2.ctrs.refreezes.Load(); got != 0 {
-		t.Fatalf("warm restart performed %d re-freezes, want 0", got)
+	if got := s2.mx.refreezes.Value(); got != 0 {
+		t.Fatalf("warm restart performed %g re-freezes, want 0", got)
 	}
 
 	// Id allocation resumed above the restored dataset: a fresh upload must

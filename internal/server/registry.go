@@ -179,7 +179,7 @@ func (g *registry) len() int {
 // with a concurrent delete gets errDatasetDeleted (409 conflict at the
 // API): staging points — and writing WAL records — onto a dataset whose
 // directory was just removed would silently drop them.
-func (g *registry) append(d *dataset, pts []vdbscan.Point, ctrs *counters) (staged int, refreezing bool, err error) {
+func (g *registry) append(d *dataset, pts []vdbscan.Point) (staged int, refreezing bool, err error) {
 	d.mu.Lock()
 	if d.deleted {
 		d.mu.Unlock()
@@ -196,7 +196,7 @@ func (g *registry) append(d *dataset, pts []vdbscan.Point, ctrs *counters) (stag
 	refreezing = d.refreezing
 	d.mu.Unlock()
 	if kick {
-		go g.refreeze(d, ctrs)
+		go g.refreeze(d)
 	}
 	return staged, refreezing, nil
 }
@@ -204,7 +204,7 @@ func (g *registry) append(d *dataset, pts []vdbscan.Point, ctrs *counters) (stag
 // refreeze rebuilds d's index including every point staged at the moment
 // the rebuild starts. Points appended during the rebuild stay staged for
 // the next one.
-func (g *registry) refreeze(d *dataset, ctrs *counters) {
+func (g *registry) refreeze(d *dataset) {
 	began := time.Now()
 	d.mu.Lock()
 	base, add := d.points, d.staged
@@ -238,9 +238,6 @@ func (g *registry) refreeze(d *dataset, ctrs *counters) {
 	ch := d.flushCh
 	d.flushCh = nil
 	d.mu.Unlock()
-	if ctrs != nil {
-		ctrs.refreezes.Add(1)
-	}
 	if g.onRefreeze != nil {
 		g.onRefreeze(d, len(combined), time.Since(began))
 	}
@@ -270,7 +267,7 @@ func (g *registry) flushDataset(d *dataset) {
 			d.refreezing = true
 			d.flushCh = make(chan struct{})
 			d.mu.Unlock()
-			g.refreeze(d, nil)
+			g.refreeze(d)
 		default:
 			d.mu.Unlock()
 			return

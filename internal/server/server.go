@@ -51,7 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vdbscan"
 	"vdbscan/internal/obs/prom"
 )
 
@@ -150,26 +149,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// counters are the server-level monotonic counters exposed at /metrics.
-// All fields are atomics: they are bumped from handler and runner
-// goroutines without locks.
-type counters struct {
-	jobsAccepted     atomic.Int64
-	jobsRejected     atomic.Int64 // 429: queue full
-	jobsCompleted    atomic.Int64
-	jobsFailed       atomic.Int64
-	jobsCanceled     atomic.Int64
-	jobsCoalesced    atomic.Int64 // jobs that shared their batch with another job
-	batchesRun       atomic.Int64
-	variantsRun      atomic.Int64 // union variants executed across all batches
-	variantsReplayed atomic.Int64 // of those, in an ε-chain the dataset's library served
-	refreezes        atomic.Int64
-	datasets         atomic.Int64 // created, monotonic (live count is registry.len)
-}
-
-// Server is the vdbscand service state: registry, job store, batch queue,
-// and counters. Create one with New, expose Handler over any net/http
-// server, and call Drain before exit.
+// Server is the vdbscand service state: registry, job store, batch queue
+// and metrics. Create one with New, expose Handler over any net/http server,
+// and call Drain before exit.
 type Server struct {
 	cfg Config
 
@@ -190,12 +172,7 @@ type Server struct {
 	tenants   *tenantSet    // API-key auth + per-tenant limits and ledgers
 	sweepStop chan struct{} // stops the TTL eviction sweeper; nil when disabled
 
-	ctrs counters
-
-	workMu sync.Mutex
-	work   vdbscan.Work // accumulated across all batch runs
-
-	mx     *serverMetrics // Prometheus exposition (see metrics.go)
+	mx     *serverMetrics // Prometheus exposition and every counter (see metrics.go)
 	log    *slog.Logger
 	reqSeq atomic.Int64 // request-ID correlation sequence
 
@@ -238,7 +215,10 @@ func newServer(cfg Config) *Server {
 	if s.log == nil {
 		s.log = discardLogger()
 	}
+	// Every installed re-freeze passes here, background or drain-flushed,
+	// so the counter and the histogram's _count count the same events.
 	s.registry.onRefreeze = func(d *dataset, points int, dur time.Duration) {
+		s.mx.refreezes.Inc()
 		s.mx.refreezeDur.With(d.id).Observe(dur.Seconds())
 		s.log.Info("dataset refrozen",
 			"dataset", d.id, "points", points, "duration", dur)
@@ -294,11 +274,11 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 	}
 	if s.queued >= s.cfg.QueueDepth {
 		s.mu.Unlock()
-		s.ctrs.jobsRejected.Add(1)
+		s.mx.jobsRejected.Inc()
 		return jobDoc{}, errQueueFull
 	}
 	s.queued++
-	s.ctrs.jobsAccepted.Add(1)
+	s.mx.jobsAccepted.Inc()
 	if j.tenant != nil {
 		// Counted down by finish; the pair makes jobsLive the tenant's
 		// queued-or-running gauge that the concurrency cap reads.
@@ -328,9 +308,9 @@ func (s *Server) admit(j *job, v2 bool) (jobDoc, error) {
 	switch {
 	case n == 2:
 		// The batch just became shared: both members now count as coalesced.
-		s.ctrs.jobsCoalesced.Add(2)
+		s.mx.jobsCoalesced.Add(2)
 	case n > 2:
-		s.ctrs.jobsCoalesced.Add(1)
+		s.mx.jobsCoalesced.Add(1)
 	}
 	j.events.publish(evBatched, batchedFrame{
 		Job: j.id, Batch: b.id, BatchJobs: n, BatchVariants: union,
@@ -349,18 +329,6 @@ func (s *Server) queueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.queued
-}
-
-func (s *Server) addWork(w vdbscan.Work) {
-	s.workMu.Lock()
-	s.work = s.work.Add(w)
-	s.workMu.Unlock()
-}
-
-func (s *Server) workSnapshot() vdbscan.Work {
-	s.workMu.Lock()
-	defer s.workMu.Unlock()
-	return s.work
 }
 
 func (s *Server) nextBatchID() string {

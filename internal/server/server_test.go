@@ -189,7 +189,13 @@ func checkGolden(t *testing.T, name string, doc map[string]any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	compareGolden(t, name, append(got, '\n'))
+}
+
+// compareGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -513,8 +519,8 @@ func TestBackpressure429(t *testing.T) {
 	if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || ra < 1 {
 		t.Errorf("429 Retry-After = %q, want an integer >= 1", hdr.Get("Retry-After"))
 	}
-	if got := s.ctrs.jobsRejected.Load(); got != 1 {
-		t.Errorf("jobsRejected = %d", got)
+	if got := s.mx.jobsRejected.Value(); got != 1 {
+		t.Errorf("jobsRejected = %g", got)
 	}
 
 	// Canceling a queued job releases its admission slot.
@@ -589,8 +595,8 @@ func TestJobDeadline(t *testing.T) {
 	if got := s.queueDepth(); got != 0 {
 		t.Errorf("queue depth after expiry = %d", got)
 	}
-	if got := s.ctrs.jobsFailed.Load(); got != 1 {
-		t.Errorf("jobsFailed = %d", got)
+	if got := s.mx.jobsFailed.Value(); got != 1 {
+		t.Errorf("jobsFailed = %g", got)
 	}
 }
 
@@ -634,11 +640,11 @@ func TestCancelMidRun(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain after cancel: %v", err)
 	}
-	if got := s.ctrs.jobsCompleted.Load(); got != 0 {
-		t.Errorf("jobsCompleted = %d after cancel", got)
+	if got := s.mx.jobsCompleted.Value(); got != 0 {
+		t.Errorf("jobsCompleted = %g after cancel", got)
 	}
-	if got := s.ctrs.jobsCanceled.Load(); got != 1 {
-		t.Errorf("jobsCanceled = %d", got)
+	if got := s.mx.jobsCanceled.Value(); got != 1 {
+		t.Errorf("jobsCanceled = %g", got)
 	}
 
 	// No labels for a canceled job.
@@ -679,14 +685,14 @@ func TestCoalescingWindow(t *testing.T) {
 		}
 	}
 
-	if got := s.ctrs.batchesRun.Load(); got != 1 {
-		t.Errorf("batchesRun = %d, want 1", got)
+	if got := s.mx.batchesRun.Value(); got != 1 {
+		t.Errorf("batchesRun = %g, want 1", got)
 	}
-	if got := s.ctrs.jobsCoalesced.Load(); got != 2 {
-		t.Errorf("jobsCoalesced = %d, want 2", got)
+	if got := s.mx.jobsCoalesced.Value(); got != 2 {
+		t.Errorf("jobsCoalesced = %g, want 2", got)
 	}
-	if got := s.ctrs.variantsRun.Load(); got != 3 {
-		t.Errorf("variantsRun = %d, want 3 (union)", got)
+	if got := s.mx.variantsRun.Value(); got != 3 {
+		t.Errorf("variantsRun = %g, want 3 (union)", got)
 	}
 
 	// Coalesced jobs share one trace: the exports must be identical bytes.
@@ -745,8 +751,8 @@ func TestJobJoiningEmptiedBatch(t *testing.T) {
 	if got := doc["batch_variants"].(float64); got != 1 {
 		t.Errorf("batch_variants = %v, want 1", got)
 	}
-	if got := s.ctrs.batchesRun.Load(); got != 1 {
-		t.Errorf("batchesRun = %d, want 1", got)
+	if got := s.mx.batchesRun.Value(); got != 1 {
+		t.Errorf("batchesRun = %g, want 1", got)
 	}
 }
 

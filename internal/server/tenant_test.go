@@ -540,7 +540,7 @@ func TestAppendAfterDeleteConflict(t *testing.T) {
 	if err := s.registry.delete(d.id); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.registry.append(d, testPoints(t, 4), &s.ctrs); err != errDatasetDeleted {
+	if _, _, err := s.registry.append(d, testPoints(t, 4)); err != errDatasetDeleted {
 		t.Fatalf("append after delete = %v, want errDatasetDeleted", err)
 	}
 }
