@@ -1,13 +1,13 @@
-// Package stats provides the summary statistics the evaluation harness
-// reports when averaging repeated trials (the paper averages response
-// times over 3 trials, §V-B).
-package stats
+package bench
 
 import (
 	"fmt"
 	"math"
 	"sort"
 )
+
+// The summary statistics the harness reports when averaging repeated trials
+// (the paper averages response times over 3 trials, §V-B).
 
 // Summary describes a sample.
 type Summary struct {

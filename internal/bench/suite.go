@@ -10,7 +10,6 @@ import (
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/metrics"
 	"vdbscan/internal/paper"
-	"vdbscan/internal/stats"
 	"vdbscan/internal/tec"
 	"vdbscan/internal/variant"
 )
@@ -201,7 +200,7 @@ func (s *Suite) timeTrials(f func() error) (time.Duration, error) {
 		}
 		times = append(times, time.Since(start).Seconds())
 	}
-	return time.Duration(stats.Mean(times) * float64(time.Second)), nil
+	return time.Duration(Mean(times) * float64(time.Second)), nil
 }
 
 // refRun executes the reference implementation: sequential DBSCAN (T=1,

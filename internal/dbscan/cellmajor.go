@@ -19,7 +19,7 @@ import (
 //   - searched, every other cell: each point is ε-searched and consumed as
 //     on the point-major pass.
 //
-// Two parallel passes with a barrier between them, both over the same
+// Four parallel passes with a barrier after each, all over the same
 // division of the cells into work units:
 //
 //   - mark: a dense cell publishes its points' core flags and attaches them
@@ -29,30 +29,41 @@ import (
 //     (gridindex.Flat.CountNear). A core one is flagged and attached under
 //     the cell's first core; a non-core one has seen its whole
 //     neighbourhood and records it as consume does.
-//   - link: a dense or counted cell that holds a core tests each dense or
-//     counted cell holding a core among the 12 forward ones of its 5×5
-//     block (two points within ε are at most two cells apart per axis;
-//     each unordered cell pair is met once, from its earlier cell) with one
-//     early-exit closest-pair scan — gridindex.Flat.PairWithin between two
-//     dense cells, PairWithinCore restricted to a counted side's cores
-//     otherwise — and unions the two cells' sets when a pair lies within ε. A point of a
-//     searched cell runs the point-major pass's ε-search and
-//     onePass.consume unchanged, through whichever of the two grids scans
-//     the smaller block for this ε: the search grid's 3×3 when it was sized
-//     for this very ε, the decomposition's 5×5 when the search grid was
-//     sized for a sweep's larger maximum.
+//   - near: a dense or counted cell that holds a core tests each dense or
+//     counted cell holding a core among its four forward neighbours at
+//     Chebyshev offset 1 with one early-exit closest-pair scan —
+//     gridindex.Flat.PairWithin between two dense cells, PairWithinCore
+//     restricted to a counted side's cores otherwise — and unions the two
+//     cells' sets when a pair lies within ε. It also writes the cell's core
+//     set into a table of one int32 per cell, 4 B per cell: no more than
+//     the grid's own CSR offsets, and dropped with the run's passes, so a
+//     Link does not hold it. A point of a searched cell runs the
+//     point-major pass's ε-search and onePass.consume unchanged, through
+//     whichever of the two grids scans the smaller block for this ε: the
+//     search grid's 3×3 when it was sized for this very ε, the
+//     decomposition's 5×5 when the search grid was sized for a sweep's
+//     larger maximum.
+//   - snapshot: each entry of the table becomes its set's root.
+//   - far: a cell with a root tests each of its eight forward neighbours at
+//     Chebyshev offset 2 that has a root too, as near does, unless the two
+//     roots are the same. The table is all the pass reads of the
+//     union-find, and a cell's count and points are read only for a pair
+//     it tests.
 //
-// Every core–core edge is linked. The barrier has published every dense
-// and counted flag, so a searched core point's consume sees its dense and
-// counted core neighbours; consume's store-then-load order covers
-// searched–searched edges; an edge inside one cell is that cell's set; and
-// any other edge joins two dense-or-counted cells within each other's 5×5
-// block, a pair the link pass tests. So the core set and the
-// core-connectivity components are the ones Run finds, labelCores and
-// attachBorders produce Run's bytes, and a chain successor replays the
-// head's records as from any other head: a counted core stays core at
-// every smaller MinPts, and a counted non-core point recorded its whole
-// neighbourhood.
+// Two points within ε are at most two cells apart per axis, so the twelve
+// forward cells of the 5×5 block meet every unordered cell pair once, from
+// its earlier cell, and every core–core edge is linked. The barrier after
+// mark has published every dense and counted flag, so a searched core
+// point's consume sees its dense and counted core neighbours; consume's
+// store-then-load order covers searched–searched edges; an edge inside one
+// cell is that cell's set; and any other edge joins two dense-or-counted
+// cells within each other's 5×5 block, a pair near tests or a far pair
+// that far either tests or skips because its two sets were already one. So
+// the core set and the core-connectivity components are the ones Run
+// finds, labelCores and attachBorders produce Run's bytes, and a chain
+// successor replays the head's records as from any other head: a counted
+// core stays core at every smaller MinPts, and a counted non-core point
+// recorded its whole neighbourhood.
 //
 // The work counters are a function of the input alone. A searched or
 // counted point is one ε-search, whose candidates and cells are the ones
@@ -60,9 +71,14 @@ import (
 // every rectangle and pair test a closest-pair scan makes up to its first
 // pair within ε is a candidate; every cell pair tested is a node —
 // whichever worker does it, in any order. The flags a pair test reads are
-// final at the barrier, and link does not skip a cell pair the union-find
-// already shows as joined: what Find returns mid-pass depends on the
-// schedule.
+// final at the first barrier. Near tests every pair: what Find returns
+// mid-pass depends on the schedule. Far skips a pair by the snapshot
+// alone, and the snapshot is schedule-free: by the barrier before it the
+// near pass has made every union it will make, which are the within-ε
+// near pairs and the core–core edges with a searched endpoint, so the
+// components are the input's; and ConcurrentDSU links by index, so each
+// root is its component's minimum member. Which far pairs are tested, and
+// what they bill, is therefore the same at every width, tiled or not.
 
 // spans calls yield once per row span — cells [c0, c1) of row r — of work
 // unit u.
@@ -116,9 +132,10 @@ func (s *onePass) class(k int32) cellClass {
 	return searched
 }
 
-// cellPasses returns the mark and link passes over a division of g's cells.
-// A point with no cell (a non-finite coordinate) has no neighbour; it is
-// recorded as such up front, and attachBorders makes it Noise.
+// cellPasses returns the mark, near, snapshot and far passes over a
+// division of g's cells. A point with no cell (a non-finite coordinate) has
+// no neighbour; it is recorded as such up front, and attachBorders makes it
+// Noise.
 func (s *onePass) cellPasses(ix *Index, g *gridindex.Flat, eps float64, units int, sp spans) []pass {
 	if out := g.Unplaced(); len(out) > 0 {
 		arena := make([]int32, 0, 2*len(out))
@@ -131,13 +148,18 @@ func (s *onePass) cellPasses(ix *Index, g *gridindex.Flat, eps float64, units in
 	if sg := ix.Grid(); sg.BlockSide(eps) < g.BlockSide(eps) {
 		search = sg
 	}
+	cols, rows := g.Shape()
+	roots := make([]int32, int(cols)*int(rows)) // the snapshot, by cell
+	each := func(f func(r, c0, c1 int32, w *passWorker)) pass {
+		return pass{units, func(u int, w *passWorker) {
+			sp(u, func(r, c0, c1 int32) { f(r, c0, c1, w) })
+		}}
+	}
 	return []pass{
-		{units, func(u int, w *passWorker) {
-			sp(u, func(r, c0, c1 int32) { s.markCells(g, eps, r, c0, c1, w) })
-		}},
-		{units, func(u int, w *passWorker) {
-			sp(u, func(r, c0, c1 int32) { s.linkCells(g, search, eps, r, c0, c1, w) })
-		}},
+		each(func(r, c0, c1 int32, w *passWorker) { s.markCells(g, eps, r, c0, c1, w) }),
+		each(func(r, c0, c1 int32, w *passWorker) { s.linkNear(g, search, roots, eps, r, c0, c1, w) }),
+		each(func(r, c0, c1 int32, _ *passWorker) { s.snapshotRoots(g, roots, r, c0, c1) }),
+		each(func(r, c0, c1 int32, w *passWorker) { s.linkFar(g, roots, eps, r, c0, c1, w) }),
 	}
 }
 
@@ -191,10 +213,11 @@ func (s *onePass) markCells(g *gridindex.Flat, eps float64, r, c0, c1 int32, w *
 	}
 }
 
-// linkCells links the dense and counted cells among row r's cells [c0, c1)
-// that hold a core to the forward cells of those two classes, and searches
-// the points of the searched ones.
-func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 int32, w *passWorker) {
+// linkNear links the dense and counted cells among row r's cells [c0, c1)
+// that hold a core to their offset-1 forward cells of those two classes,
+// and searches the points of the searched ones. It writes rep + 1 into the
+// roots entry of each cell it links; every other cell's entry stays 0.
+func (s *onePass) linkNear(g, search *gridindex.Flat, roots []int32, eps float64, r, c0, c1 int32, w *passWorker) {
 	if lo, hi := g.CellRange(r, c0, c1); lo == hi {
 		return
 	}
@@ -219,38 +242,88 @@ func (s *onePass) linkCells(g, search *gridindex.Flat, eps float64, r, c0, c1 in
 		if rep < 0 {
 			continue
 		}
-		for rb := r; rb <= min(r+2, rows-1); rb++ {
-			cb := max(c-2, 0)
-			if rb == r {
-				cb = c + 1
+		roots[r*cols+c] = rep + 1
+		for _, o := range nearOffsets {
+			rb, cb := r+o[0], c+o[1]
+			if rb >= rows || cb < 0 || cb >= cols {
+				continue
 			}
-			for ; cb <= min(c+2, cols-1); cb++ {
-				blo, bhi := g.CellRange(rb, cb, cb+1)
-				cc := s.class(bhi - blo)
-				if cc == searched || cc == counted && s.rep(g, cc, blo, bhi) < 0 {
-					continue
-				}
-				var within bool
-				var tests int
-				if ca == dense && cc == dense {
-					within, tests = g.PairWithin(r, c, rb, cb, eps)
-				} else {
-					within, tests = g.PairWithinCore(r, c, rb, cb, eps, s.core, ca == counted, cc == counted)
-				}
-				w.local.NodesVisited++
-				w.local.CandidatesExamined += int64(tests)
-				if within {
-					s.dsu.Union(rep, s.rep(g, cc, blo, bhi))
-				}
+			blo, bhi := g.CellRange(rb, cb, cb+1)
+			cc := s.class(bhi - blo)
+			if cc == searched || cc == counted && s.rep(g, cc, blo, bhi) < 0 {
+				continue
+			}
+			if s.pairWithin(g, eps, r, c, ca, rb, cb, cc, w) {
+				s.dsu.Union(rep, s.rep(g, cc, blo, bhi))
 			}
 		}
 	}
 }
 
+// nearOffsets and farOffsets are the forward cells of a cell's 5×5 block,
+// as (row, column) offsets: the four at Chebyshev distance 1 and the eight
+// at distance 2 that come after it in row-major order.
+var (
+	nearOffsets = [...][2]int32{{0, 1}, {1, -1}, {1, 0}, {1, 1}}
+	farOffsets  = [...][2]int32{{0, 2}, {1, -2}, {1, 2}, {2, -2}, {2, -1}, {2, 0}, {2, 1}, {2, 2}}
+)
+
+// snapshotRoots replaces each rep + 1 that linkNear left among row r's
+// cells [c0, c1) with its set's root + 1. It runs after the near pass's
+// barrier and before any far-pass union, so every Find returns its
+// component's minimum member.
+func (s *onePass) snapshotRoots(g *gridindex.Flat, roots []int32, r, c0, c1 int32) {
+	cols, _ := g.Shape()
+	for i := r*cols + c0; i < r*cols+c1; i++ {
+		if v := roots[i]; v != 0 {
+			roots[i] = s.dsu.Find(v-1) + 1
+		}
+	}
+}
+
+// linkFar links each cell among row r's cells [c0, c1) that has a snapshot
+// root to its offset-2 forward cells that have one, skipping a pair whose
+// roots are the same: its sets were joined before the pass began.
+func (s *onePass) linkFar(g *gridindex.Flat, roots []int32, eps float64, r, c0, c1 int32, w *passWorker) {
+	cols, rows := g.Shape()
+	for c := c0; c < c1; c++ {
+		ra := roots[r*cols+c]
+		if ra == 0 {
+			continue
+		}
+		for _, o := range farOffsets {
+			rb, cb := r+o[0], c+o[1]
+			if rb >= rows || cb < 0 || cb >= cols {
+				continue
+			}
+			if rootb := roots[rb*cols+cb]; rootb != 0 && rootb != ra &&
+				s.pairWithin(g, eps, r, c, s.class(g.CellCount(r, c)), rb, cb, s.class(g.CellCount(rb, cb)), w) {
+				s.dsu.Union(ra-1, rootb-1)
+			}
+		}
+	}
+}
+
+// pairWithin bills one cell-pair test — a node, and its rectangle and pair
+// tests as candidates — and reports whether a core of cell (r, c), of class
+// ca, lies within ε of a core of cell (rb, cb), of class cc.
+func (s *onePass) pairWithin(g *gridindex.Flat, eps float64, r, c int32, ca cellClass, rb, cb int32, cc cellClass, w *passWorker) bool {
+	var within bool
+	var tests int
+	if ca == dense && cc == dense {
+		within, tests = g.PairWithin(r, c, rb, cb, eps)
+	} else {
+		within, tests = g.PairWithinCore(r, c, rb, cb, eps, s.core, ca == counted, cc == counted)
+	}
+	w.local.NodesVisited++
+	w.local.CandidatesExamined += int64(tests)
+	return within
+}
+
 // rep returns a point of the core set markCells made of the cell of class
 // k at slots [lo, hi): a dense cell's first point, a counted cell's first
 // core, or -1 for a counted cell without one. The flags it reads were set
-// before the barrier and no link-pass store touches them.
+// before the first barrier and no later store touches them.
 func (s *onePass) rep(g *gridindex.Flat, k cellClass, lo, hi int32) int32 {
 	if k == dense {
 		return g.SlotID(lo)

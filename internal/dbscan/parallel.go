@@ -24,11 +24,13 @@ import (
 // traversal is cell-major (cellmajor.go): a point of a cell dense enough
 // to be core by counting is never searched, a point of a counted cell
 // counts its neighbours only to MinPts, and the cores of both classes are
-// linked by cell-pair tests, not by one union per neighbour. Everywhere
-// else — the R-tree kind, an ε too small for the cell budget, the searched
-// cells of the cell-major pass — workers issue exactly one ε-search per
-// point over the shared read-only index and act on the result on the spot
-// (onePass.consume):
+// linked by cell-pair tests, not by one union per neighbour: first the
+// pairs of neighbouring cells, then, after a barrier, only those pairs two
+// cells apart whose sets the first tests and the searches left apart.
+// Everywhere else — the R-tree kind, an ε too small for the cell budget,
+// the searched cells of the cell-major pass — workers issue exactly one
+// ε-search per point over the shared read-only index and act on the result
+// on the spot (onePass.consume):
 //
 //   - A core point i publishes core[i] with a sequentially consistent
 //     store and only then scans its neighbours, unioning with every j whose
@@ -59,7 +61,9 @@ import (
 // cell-major pass counts the far smaller work it does (see cellmajor.go):
 // one search per counted or searched point, the candidates each scanned,
 // and one node per cell pair tested with its tests as candidates — the
-// same at every worker count and under every division of the work.
+// same at every worker count and under every division of the work, since
+// which pairs two cells apart are tested is read off a snapshot of the
+// union-find taken at a barrier, where it holds the input's components.
 //
 // This is the single-variant complement to VariantDBSCAN's inter-variant
 // parallelism: it reduces one variant's response time when there are fewer
@@ -260,10 +264,10 @@ func (s *onePass) run(ctx context.Context, passes []pass, phase obs.Phase, opt P
 type onePass struct {
 	minPts int
 	// core[i] is 1 once point i is known core. It is read and written
-	// through sync/atomic, but for markCells' plain stores and the link
-	// pass's plain loads of them: the mark pass runs before anything reads
-	// a flag, each point is one worker's, and no link-pass store touches a
-	// dense or counted cell's point.
+	// through sync/atomic, but for markCells' plain stores and the near and
+	// far passes' plain loads of them: the mark pass runs before anything
+	// reads a flag, each point is one worker's, and no later store touches
+	// a dense or counted cell's point.
 	core []uint32
 	dsu  *unionfind.ConcurrentDSU
 

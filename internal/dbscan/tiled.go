@@ -8,9 +8,9 @@ import (
 // Tiled intra-variant DBSCAN — the third parallelism level, variant →
 // tile → chunk. The index's grid is cut into point-balanced cell-rectangle
 // tiles (internal/tiling, cached per grid snapshot), and a worker claims
-// the cells of a whole tile at a time, in both passes of the cell-major
+// the cells of a whole tile at a time, in every pass of the cell-major
 // runner (cellmajor.go). Nothing else differs from the untiled division: a
-// tile is only a set of row spans handed to the same two functions, the
+// tile is only a set of row spans handed to the same functions, the
 // core flags and the union-find are shared by all tiles, and neither a
 // closest-pair test nor an ε-search stops at a tile boundary — so labels
 // and work counters are those of the untiled run, and there is no seam to

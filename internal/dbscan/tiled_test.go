@@ -318,8 +318,8 @@ func TestRunTiledCancellation(t *testing.T) {
 // TestRunTiledCancelMidPass: a tiled run canceled between tiles returns
 // the context error and no result, having counted exactly the work of the
 // tiles it finished. With one worker the mark pass asks ctx once per tile
-// and once to stop, the runner once at the barrier, and the link pass once
-// per tile: cancellation at the call after that lands past the link pass's
+// and once to stop, the runner once at the barrier, and the near pass once
+// per tile: cancellation at the call after that lands past the near pass's
 // first two tiles, whose sparse-cell points are the searches counted.
 func TestRunTiledCancelMidPass(t *testing.T) {
 	pts := blobs(4, 500, 200, 30, 0.7, 207)
@@ -347,7 +347,7 @@ func TestRunTiledCancelMidPass(t *testing.T) {
 		t.Fatalf("NeighborSearches = %d after canceling past two tiles, want %d", got, want)
 	}
 
-	// Canceled inside the mark pass: the link pass never starts.
+	// Canceled inside the mark pass: the near pass never starts.
 	var m2 metrics.Counters
 	ctx = &countdownCtx{Context: context.Background(), after: 2}
 	res, err = RunParallelOpts(ctx, ix, p, ParallelOptions{Workers: 1, Tiles: 4}, &m2)

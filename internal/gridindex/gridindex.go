@@ -26,7 +26,8 @@
 // its CSR count alone, counts a sparser cell's points only up to MinPts
 // neighbours (CountNear), and connects two cells' cores with one
 // early-exit closest-pair test (PairWithin, or PairWithinCore over flagged
-// points only).
+// points only): every pair of cells one apart, and a pair two apart only
+// when the runner's union-find has not joined the two by then.
 //
 // Freeze caps the total cell count (MaxCells): a tiny ε over a wide
 // extent coarsens the side instead of allocating cols·rows without bound.
