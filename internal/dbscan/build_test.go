@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vdbscan/internal/geom"
-	"vdbscan/internal/gridindex"
 	"vdbscan/internal/tec"
 )
 
@@ -35,7 +34,7 @@ func allocBytes(f func()) uint64 {
 
 var (
 	sinkIndex *Index
-	sinkGrid  *gridindex.Flat
+	sinkGrid  *cellGrid
 )
 
 // BenchmarkBuildIndex times the three builds a grid-kind index pays before

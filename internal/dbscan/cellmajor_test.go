@@ -138,7 +138,8 @@ func TestCellDecompositionGuarantee(t *testing.T) {
 // countedFixture is blobs of two spreads over sparse noise: at ε = 0.5 the
 // tight blobs fill cells past MinPts 64, the wide ones fill cells with a
 // handful to a dozen points, and the noise leaves singletons between them,
-// so dense, counted and searched cells lie next to each other.
+// so dense cells and counted cells of one to a dozen points lie next to
+// each other.
 func countedFixture() []geom.Point {
 	pts := blobs(12, 500, 0, 60, 0.8, 301)
 	pts = append(pts, blobs(8, 500, 0, 60, 0.2, 302)...)
@@ -147,7 +148,7 @@ func countedFixture() []geom.Point {
 
 // cellClasses counts the points of g's cells in each class at minPts, and
 // the core points among them.
-func cellClasses(ix *Index, g *gridindex.Flat, p Params) (points, cores [3]int) {
+func cellClasses(ix *Index, g *cellGrid, p Params) (points, cores [2]int) {
 	core := CorePoints(ix, p, nil)
 	s := onePass{minPts: p.MinPts}
 	cols, rows := g.Shape()
@@ -167,10 +168,9 @@ func cellClasses(ix *Index, g *gridindex.Flat, p Params) (points, cores [3]int) 
 }
 
 // TestCountedCellsMatchRun pins the counted class against Run's and the
-// brute-force reference's bytes: at MinPts 12 and 32 the fixture holds
-// dense cells, counted cells with core and non-core points, and searched
-// cells with core points; at 4 nothing is counted and at 64 nothing is
-// searched. Every width must give the same labels and the same counters.
+// brute-force reference's bytes: at every MinPts, 4 to 64, the fixture
+// holds dense cells and counted cells with core and non-core points. Every
+// width must give the same labels and the same counters.
 func TestCountedCellsMatchRun(t *testing.T) {
 	pts := countedFixture()
 	ix := BuildIndex(pts, IndexOptions{Kind: IndexGrid})
@@ -189,20 +189,8 @@ func TestCountedCellsMatchRun(t *testing.T) {
 		if points[dense] == 0 || want.NumClusters < 2 {
 			t.Fatalf("minpts=%d: degenerate fixture: %d points in dense cells, %d clusters", mp, points[dense], want.NumClusters)
 		}
-		switch mp {
-		case 4:
-			if points[counted] != 0 {
-				t.Fatalf("minpts=4: %d points in counted cells", points[counted])
-			}
-		case 64:
-			if points[searched] != 0 {
-				t.Fatalf("minpts=64: %d points in searched cells", points[searched])
-			}
-		default:
-			if cores[counted] == 0 || cores[counted] == points[counted] || cores[searched] == 0 {
-				t.Fatalf("minpts=%d: degenerate fixture: counted %d points, %d core; searched %d core",
-					mp, points[counted], cores[counted], cores[searched])
-			}
+		if cores[counted] == 0 || cores[counted] == points[counted] {
+			t.Fatalf("minpts=%d: degenerate fixture: counted %d points, %d core", mp, points[counted], cores[counted])
 		}
 		var first metrics.Snapshot
 		for k, workers := range []int{1, 2, 3, 8} {

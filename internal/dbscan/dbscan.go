@@ -109,7 +109,7 @@ type Index struct {
 	// cells caches the ε/√2 cell decomposition the cell-major parallel
 	// runner walks, keyed by the side it was requested at. One entry: a
 	// sweep's from-scratch variants at other ε rebuild it, an O(n)
-	// counting sort each.
+	// counting sort and an O(cells) scan for the occupied runs each.
 	cells   atomic.Pointer[cellGrid]
 	cellsMu sync.Mutex // serializes cellDecomposition builds
 
@@ -219,10 +219,13 @@ func (ix *Index) EnsureGrid(maxEps float64) error {
 	return nil
 }
 
-// cellGrid is one cached cell decomposition together with its key.
+// cellGrid is one cached cell decomposition together with its key and the
+// runs of its occupied cells (occupiedRuns), which every pass of the
+// cell-major runner walks instead of all cols·rows cells.
 type cellGrid struct {
-	side float64 // requested side, before any MaxCells coarsening
-	grid *gridindex.Flat
+	*gridindex.Flat
+	side             float64 // requested side, before any MaxCells coarsening
+	runStart, runEnd []int32
 }
 
 // cellMargin shrinks the requested cell side below ε/√2 so that float
@@ -234,12 +237,12 @@ const cellMargin = 1 - 1e-9
 
 // cellDecomposition returns the grid the cell-major runner walks for eps:
 // every point bucketed into cells of side just under eps/√2, so that any
-// two points of one cell are within eps of each other. It returns nil when
-// only the per-point search path can serve the run: the index has no cell
-// grid (R-tree kind), or the build had to coarsen the side to respect
-// gridindex.MaxCells — a tiny eps over a wide extent — and the cells are
-// too large for that guarantee.
-func (ix *Index) cellDecomposition(eps float64) *gridindex.Flat {
+// two points of one cell are within eps of each other, with the runs of its
+// occupied cells. It returns nil when only the per-point search path can
+// serve the run: the index has no cell grid (R-tree kind), or the build had
+// to coarsen the side to respect gridindex.MaxCells — a tiny eps over a
+// wide extent — and the cells are too large for that guarantee.
+func (ix *Index) cellDecomposition(eps float64) *cellGrid {
 	if ix.grid.Load() == nil {
 		return nil
 	}
@@ -254,15 +257,16 @@ func (ix *Index) cellDecomposition(eps float64) *gridindex.Flat {
 				ix.cellsMu.Unlock()
 				return nil
 			}
-			c = &cellGrid{side: side, grid: g}
+			c = &cellGrid{Flat: g, side: side}
+			c.runStart, c.runEnd = occupiedRuns(g)
 			ix.cells.Store(c)
 		}
 		ix.cellsMu.Unlock()
 	}
-	if c.grid.Side()*math.Sqrt2 > eps {
+	if c.Side()*math.Sqrt2 > eps {
 		return nil
 	}
-	return c.grid
+	return c
 }
 
 // tilePart is one cached tile partition together with the key it was

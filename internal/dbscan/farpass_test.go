@@ -17,11 +17,11 @@ import (
 // by the cell pair a = (10, 10), b = (10+dr, 10+dc). Each blob runs from its
 // bridge cell away from the other along the axis of the larger offset, so
 // every other cross pair is three cells apart, and the cells between a and
-// b hold nothing. A cell holds perCell points; the bridge cells put facing
-// of them by the side that faces the other cell, every other point sits
-// near its cell's centre. blob[i] is 0 or 1 for a blob point, -1 for the
-// anchor.
-func bridgeFixture(dr, dc int32, perCell, facing int) (pts []geom.Point, blob []int8) {
+// b hold nothing. A bridge cell holds perCell points, facing of them by the
+// side that faces the other cell and the rest near its centre; each other
+// cell holds body points by the side that faces its blob's bridge cell.
+// blob[i] is 0 or 1 for a blob point, -1 for the anchor.
+func bridgeFixture(dr, dc int32, perCell, facing, body int) (pts []geom.Point, blob []int8) {
 	side := 1 / math.Sqrt2 * cellMargin
 	// near returns the fraction of a cell nearest a neighbour at offset d.
 	near := func(d int32) float64 {
@@ -53,17 +53,13 @@ func bridgeFixture(dr, dc int32, perCell, facing int) (pts []geom.Point, blob []
 		}
 	}
 	const r0, c0 = 10, 10
-	for k := int32(0); k < 3; k++ {
-		ar, ac := r0-k*u[0], c0-k*u[1]
-		br, bc := r0+dr+k*u[0], c0+dc+k*u[1]
-		n := perCell
-		if k == 0 {
-			n -= facing
-			cell(0, ar, ac, facing, near(dr), near(dc))
-			cell(1, br, bc, facing, near(-dr), near(-dc))
-		}
-		cell(0, ar, ac, n, 0.5, 0.5)
-		cell(1, br, bc, n, 0.5, 0.5)
+	cell(0, r0, c0, facing, near(dr), near(dc))
+	cell(1, r0+dr, c0+dc, facing, near(-dr), near(-dc))
+	cell(0, r0, c0, perCell-facing, 0.5, 0.5)
+	cell(1, r0+dr, c0+dc, perCell-facing, 0.5, 0.5)
+	for k := int32(1); k < 3; k++ {
+		cell(0, r0-k*u[0], c0-k*u[1], body, near(u[0]), near(u[1]))
+		cell(1, r0+dr+k*u[0], c0+dc+k*u[1], body, near(-u[0]), near(-u[1]))
 	}
 	return pts, blob
 }
@@ -97,24 +93,29 @@ func checkWidths(t *testing.T, ix *Index, p Params, tag string) metrics.Snapshot
 // TestFarPairBridges pins the far pass's skip to the pairs it may skip. In
 // each fixture two blobs are one cluster only through one cell pair at a
 // Chebyshev offset of 2, which the near pass never tests, so a far pass
-// that skipped it would split them. The random case spreads small blobs
-// about one cell apart, where many far pairs join components and many do
-// not.
+// that skipped it would split them. The bridge cells are dense, or counted
+// with 15 points at MinPts 16, or counted with 1 to 3 points at MinPts 2,
+// 4 and 8, where a sparse cell's cores are linked by pair tests like any
+// other's. The random case spreads small blobs about one cell apart, where
+// many far pairs join components and many do not.
 func TestFarPairBridges(t *testing.T) {
 	offsets := [][2]int32{{0, 2}, {1, 2}, {1, -2}, {2, 0}, {2, 1}, {2, -1}}
 	kinds := []struct {
-		name            string
-		minPts          int
-		perCell, facing int
-		cls             cellClass
+		name                  string
+		minPts                int
+		perCell, facing, body int
+		cls                   cellClass
 	}{
-		{"dense", 4, 4, 2, dense},
-		{"counted", 16, 15, 5, counted},
+		{"dense", 4, 4, 2, 4, dense},
+		{"counted", 16, 15, 5, 15, counted},
+		{"counted minpts=2", 2, 1, 1, 1, counted},
+		{"counted minpts=4", 4, 3, 2, 3, counted},
+		{"counted minpts=8", 8, 3, 3, 8, counted},
 	}
 	for _, k := range kinds {
 		for _, o := range offsets {
 			tag := fmt.Sprintf("%s (%d,%d)", k.name, o[0], o[1])
-			pts, blob := bridgeFixture(o[0], o[1], k.perCell, k.facing)
+			pts, blob := bridgeFixture(o[0], o[1], k.perCell, k.facing, k.body)
 			ix := BuildIndex(pts, IndexOptions{Kind: IndexGrid})
 			p := Params{Eps: 1, MinPts: k.minPts}
 			requireBridge(t, ix, p, blob, o, k.cls, tag)
@@ -145,7 +146,7 @@ func TestFarPairBridges(t *testing.T) {
 // latticeBlobs is 900 small blobs of 3 to 16 points, their centres jittered
 // about a lattice 2.2 cells of the ε = 1 decomposition apart: two blobs
 // next to each other are one or two cells apart, and at MinPts 12 or 24
-// there are dense, counted and searched cells among them.
+// there are dense and counted cells among them.
 func latticeBlobs(seed int64) []geom.Point {
 	rnd := rand.New(rand.NewSource(seed))
 	const step = 2.2 / math.Sqrt2
@@ -211,7 +212,7 @@ func requireBridge(t *testing.T, ix *Index, p Params, blob []int8, o [2]int32, c
 // cellBill is what a cell-major run bills, split the way the reference
 // builds it.
 type cellBill struct {
-	searches, searchNodes, searchCands int64 // the counted and searched points' scans
+	searches, searchNodes, searchCands int64 // the counted points' scans
 	nearPairs, nearCands               int64 // offset-1 pairs tested and their tests
 	farPairs                           int64 // offset-2 pairs with a core set on both sides
 	farApart, farCands                 int64 // those the near reference leaves apart, and their tests
@@ -219,17 +220,12 @@ type cellBill struct {
 }
 
 // cellBillReference models a cell-major run of p on ix sequentially, from
-// Run's core flags: a union within each dense or counted cell, over each
-// offset-1 pair that holds, and over every core–core edge with a searched
-// endpoint; then the far pairs that leaves apart are the ones the run must
-// test and bill.
+// Run's core flags: a union within each cell and over each offset-1 pair
+// that holds; then the far pairs that leaves apart are the ones the run
+// must test and bill.
 func cellBillReference(ix *Index, p Params) cellBill {
 	isCore := CorePoints(ix, p, nil) // builds the search grid too
 	g := ix.cellDecomposition(p.Eps)
-	search := g
-	if sg := ix.Grid(); sg.BlockSide(p.Eps) < g.BlockSide(p.Eps) {
-		search = sg
-	}
 	core := make([]uint32, len(isCore))
 	for i, c := range isCore {
 		if c {
@@ -249,15 +245,9 @@ func cellBillReference(ix *Index, p Params) cellBill {
 			k := s.class(hi - lo)
 			for slot := lo; slot < hi; slot++ {
 				id := g.SlotID(slot)
-				var cand, nodes int
-				switch k {
-				case counted:
+				if k == counted {
+					var cand, nodes int
 					nbrs, cand, nodes = g.CountNear(slot, p.Eps, p.MinPts, nbrs[:0])
-				case searched:
-					x, y := g.SlotCoords(slot)
-					nbrs, cand, nodes = search.EpsSearch(geom.Point{X: x, Y: y}, p.Eps, nbrs[:0])
-				}
-				if k != dense {
 					bill.searches++
 					bill.searchCands += int64(cand)
 					bill.searchNodes += int64(nodes)
@@ -266,12 +256,6 @@ func cellBillReference(ix *Index, p Params) cellBill {
 				case !isCore[id]:
 					nbrs, _, _ = g.EpsSearch(ix.Pts[id], p.Eps, nbrs[:0])
 					bill.recordWords += 2 + int64(len(nbrs))
-				case k == searched:
-					for _, j := range nbrs {
-						if isCore[j] {
-							dsu.Union(id, j)
-						}
-					}
 				case rep[r*cols+c] < 0:
 					rep[r*cols+c] = id
 				default:
@@ -325,11 +309,11 @@ func cellBillReference(ix *Index, p Params) cellBill {
 }
 
 // TestFarPassBilling checks what a run bills against cellBillReference,
-// on dense, counted and searched cells side by side: its ε-searches are
-// the counted and searched points', its cell-pair nodes are every near
-// pair plus exactly the far pairs the near reference leaves apart, and its
-// candidates are their scans and tests. The Link keeps nothing of the far
-// pass: 8 B per point and 4 B per record word.
+// on dense and counted cells side by side: its ε-searches are the counted
+// points', its cell-pair nodes are every near pair plus exactly the far
+// pairs the near reference leaves apart, and its candidates are their
+// scans and tests. The Link keeps nothing of the far pass: 8 B per point
+// and 4 B per record word.
 func TestFarPassBilling(t *testing.T) {
 	fixtures := []struct {
 		name   string
@@ -337,10 +321,11 @@ func TestFarPassBilling(t *testing.T) {
 		eps    float64
 		minPts []int
 	}{
-		// Every far pair of these is joined by the near pass.
+		// All but a few dozen far pairs of these are joined by the near
+		// pass.
 		{"blobs", countedFixture(), 0.5, []int{4, 12, 32}},
-		// At 12, cores in cells of all three classes, and far pairs both
-		// left apart and joined.
+		// At 12, cores in cells of both classes, and far pairs both left
+		// apart and joined.
 		{"lattice", latticeBlobs(49), 1, []int{4, 12}},
 	}
 	for _, f := range fixtures {
@@ -350,7 +335,7 @@ func TestFarPassBilling(t *testing.T) {
 			tag := fmt.Sprintf("%s minpts=%d", f.name, mp)
 			ref := cellBillReference(ix, p)
 			if _, cores := cellClasses(ix, ix.cellDecomposition(p.Eps), p); f.name == "lattice" && mp == 12 &&
-				(cores[dense] == 0 || cores[counted] == 0 || cores[searched] == 0 || ref.farApart == 0 || ref.farApart == ref.farPairs) {
+				(cores[dense] == 0 || cores[counted] == 0 || ref.farApart == 0 || ref.farApart == ref.farPairs) {
 				t.Fatalf("%s: degenerate fixture: %v cores by class, %d of %d far pairs left apart", tag, cores, ref.farApart, ref.farPairs)
 			}
 			got := checkWidths(t, ix, p, tag)

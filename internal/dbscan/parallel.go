@@ -22,15 +22,14 @@ import (
 // consumed during the traversal and never stored (Prokopenko et al., "Fast
 // tree-based algorithms for DBSCAN on GPUs"). On a grid-kind index the
 // traversal is cell-major (cellmajor.go): a point of a cell dense enough
-// to be core by counting is never searched, a point of a counted cell
-// counts its neighbours only to MinPts, and the cores of both classes are
-// linked by cell-pair tests, not by one union per neighbour: first the
-// pairs of neighbouring cells, then, after a barrier, only those pairs two
-// cells apart whose sets the first tests and the searches left apart.
-// Everywhere else — the R-tree kind, an ε too small for the cell budget,
-// the searched cells of the cell-major pass — workers issue exactly one
-// ε-search per point over the shared read-only index and act on the result
-// on the spot (onePass.consume):
+// to be core by counting is never searched, every other point counts its
+// neighbours only to MinPts, and the cores are linked by cell-pair tests,
+// not by one union per neighbour: first the pairs of neighbouring cells,
+// then, after a barrier, only those pairs two cells apart whose sets the
+// first tests left apart. Everywhere else — the R-tree kind, an ε too
+// small for the cell budget — workers issue exactly one ε-search per point
+// over the shared read-only index and act on the result on the spot
+// (onePass.consume):
 //
 //   - A core point i publishes core[i] with a sequentially consistent
 //     store and only then scans its neighbours, unioning with every j whose
@@ -59,7 +58,7 @@ import (
 // equivalent up to renumbering. The work counters equal Run's only on the
 // point-major pass, which searches every point over Run's candidates; the
 // cell-major pass counts the far smaller work it does (see cellmajor.go):
-// one search per counted or searched point, the candidates each scanned,
+// one search per point outside a dense cell, the candidates each scanned,
 // and one node per cell pair tested with its tests as candidates — the
 // same at every worker count and under every division of the work, since
 // which pairs two cells apart are tested is read off a snapshot of the
@@ -200,7 +199,7 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 		} else {
 			phase = obs.PhaseTileRun
 		}
-		passes = s.cellPasses(ix, g, p.Eps, units, spans)
+		passes = s.cellPasses(g, p.Eps, units, spans)
 	} else {
 		passes = []pass{s.chunkUnits(ix, p.Eps)}
 	}
@@ -266,8 +265,8 @@ type onePass struct {
 	// core[i] is 1 once point i is known core. It is read and written
 	// through sync/atomic, but for markCells' plain stores and the near and
 	// far passes' plain loads of them: the mark pass runs before anything
-	// reads a flag, each point is one worker's, and no later store touches
-	// a dense or counted cell's point.
+	// reads a flag, each point is one worker's, and no later pass of the
+	// cell-major run stores one.
 	core []uint32
 	dsu  *unionfind.ConcurrentDSU
 

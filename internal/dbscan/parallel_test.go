@@ -121,21 +121,20 @@ func TestRunParallelSearchCountMatches(t *testing.T) {
 	// Where every point is searched the pass searches each one exactly
 	// once, over the candidates Run examines, and the per-worker batched
 	// flushes lose no counts: every work counter equals Run's. That holds on
-	// the R-tree kind, which has no cells at all, and on a grid where no
-	// cell is dense or counted (MinPts ≤ 8 and no cell holds MinPts points).
-	// Where cells are counted, each point is still one search, but a
-	// counted one stops at MinPts neighbours within a clipped block: the
-	// pass searches n times, examines no more candidates than Run, and
-	// counts the same at every width.
+	// the R-tree kind, which has no cells at all. On a grid with no dense
+	// cell every cell is counted: each point is still one search, but one
+	// that stops at MinPts neighbours within a clipped block, so the pass
+	// searches n times, examines no more candidates than Run, and counts
+	// the same at every width.
 	pts := blobs(3, 200, 100, 25, 0.6, 103)
 	for name, c := range map[string]struct {
 		kind  IndexKind
 		p     Params
 		exact bool
 	}{
-		"rtree":                 {IndexRTree, Params{Eps: 0.7, MinPts: 4}, true},
-		"grid, nothing counted": {IndexGrid, Params{Eps: 0.2, MinPts: 8}, true},
-		"grid, no dense cell":   {IndexGrid, Params{Eps: 0.7, MinPts: 60}, false},
+		"rtree":               {IndexRTree, Params{Eps: 0.7, MinPts: 4}, true},
+		"grid, minpts 8":      {IndexGrid, Params{Eps: 0.2, MinPts: 8}, false},
+		"grid, no dense cell": {IndexGrid, Params{Eps: 0.7, MinPts: 60}, false},
 	} {
 		ix := BuildIndex(pts, IndexOptions{R: 16, Kind: c.kind})
 		var mSeq metrics.Counters

@@ -21,7 +21,7 @@ import (
 // and the caller should divide by chunks — with no observable difference
 // beyond the phase name — when the resolved tile target is < 2 or the grid
 // is too small to cut.
-func tileSpans(ix *Index, g *gridindex.Flat, target, workers int) (int, spans) {
+func tileSpans(ix *Index, g *cellGrid, target, workers int) (int, spans) {
 	if target == 0 {
 		target = tiling.Auto(g.Len(), workers)
 	}
@@ -47,7 +47,7 @@ func tileSpans(ix *Index, g *gridindex.Flat, target, workers int) (int, spans) {
 // cell b·side/g.Side(); the grid's far edge maps to g's far edge. The map is
 // monotone in b and tiles share their cuts, so the scaled rectangles cover
 // every cell of g exactly once, as the tiles cover the search grid.
-func tileRects(part *tiling.Partition, g *gridindex.Flat) []gridindex.CellRect {
+func tileRects(part *tiling.Partition, g *cellGrid) []gridindex.CellRect {
 	ratio := part.Grid().Side() / g.Side()
 	fromCols, fromRows := part.Grid().Shape()
 	cols, rows := g.Shape()

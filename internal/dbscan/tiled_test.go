@@ -55,7 +55,7 @@ func TestRunTiledMatchesUntiledExactly(t *testing.T) {
 // sparsePoints counts the points of g's cells inside rect that lie in
 // cells holding fewer than minPts points — the ones the cell-major runner
 // has to ε-search.
-func sparsePoints(g *gridindex.Flat, rect gridindex.CellRect, minPts int) (n int64) {
+func sparsePoints(g *cellGrid, rect gridindex.CellRect, minPts int) (n int64) {
 	for r := rect.R0; r < rect.R1; r++ {
 		for c := rect.C0; c < rect.C1; c++ {
 			if k := g.CellCount(r, c); int(k) < minPts {
@@ -320,7 +320,8 @@ func TestRunTiledCancellation(t *testing.T) {
 // tiles it finished. With one worker the mark pass asks ctx once per tile
 // and once to stop, the runner once at the barrier, and the near pass once
 // per tile: cancellation at the call after that lands past the near pass's
-// first two tiles, whose sparse-cell points are the searches counted.
+// first two tiles, and the searches counted are every sparse-cell point's,
+// all made in the mark pass.
 func TestRunTiledCancelMidPass(t *testing.T) {
 	pts := blobs(4, 500, 200, 30, 0.7, 207)
 	ix := BuildIndex(pts, IndexOptions{R: 16, Kind: IndexGrid})
@@ -333,10 +334,12 @@ func TestRunTiledCancelMidPass(t *testing.T) {
 		t.Fatalf("fixture did not cut into >= 3 tiles: %v", part)
 	}
 	tiles := tileRects(part, g)
-	want := sparsePoints(g, tiles[0], p.MinPts) + sparsePoints(g, tiles[1], p.MinPts)
-	if want == 0 {
-		t.Fatal("degenerate fixture: the first two tiles hold no sparse-cell point")
+	first := sparsePoints(g, tiles[0], p.MinPts)
+	if first == 0 {
+		t.Fatal("degenerate fixture: the first tile holds no sparse-cell point")
 	}
+	cols, rows := g.Shape()
+	want := sparsePoints(g, gridindex.CellRect{C1: cols, R1: rows}, p.MinPts)
 	var m metrics.Counters
 	ctx := &countdownCtx{Context: context.Background(), after: int64(part.Len()+1) + 1 + 3}
 	res, err := RunParallelOpts(ctx, ix, p, ParallelOptions{Workers: 1, Tiles: 4}, &m)
@@ -347,14 +350,15 @@ func TestRunTiledCancelMidPass(t *testing.T) {
 		t.Fatalf("NeighborSearches = %d after canceling past two tiles, want %d", got, want)
 	}
 
-	// Canceled inside the mark pass: the near pass never starts.
+	// Canceled inside the mark pass, after its first tile: the searches
+	// counted are that tile's, and the near pass never starts.
 	var m2 metrics.Counters
 	ctx = &countdownCtx{Context: context.Background(), after: 2}
 	res, err = RunParallelOpts(ctx, ix, p, ParallelOptions{Workers: 1, Tiles: 4}, &m2)
 	if err != context.Canceled || res != nil {
 		t.Fatalf("mark-pass cancel: res=%v err=%v, want nil and context.Canceled", res, err)
 	}
-	if got := m2.Snapshot(); got != (metrics.Snapshot{}) {
-		t.Fatalf("mark-pass cancel counted work: %v", got)
+	if got := m2.Snapshot().NeighborSearches; got != first {
+		t.Fatalf("mark-pass cancel: NeighborSearches = %d, want the first tile's %d", got, first)
 	}
 }

@@ -244,13 +244,6 @@ func (f *Flat) Len() int { return len(f.ids) }
 // block, larger eps widens the block accordingly.
 func (f *Flat) Side() float64 { return f.side }
 
-// BlockSide returns the side length of the square cell block EpsSearch
-// scans for eps: 2·⌈eps/Side⌉+1 cells. Of two grids over one point set the
-// one with the smaller block examines fewer candidates per search.
-func (f *Flat) BlockSide(eps float64) float64 {
-	return (2*math.Ceil(eps/f.side) + 1) * f.side
-}
-
 // clampSpan clamps the float cell range [lo, hi] to [0, n); ok is false
 // when the range misses the grid entirely (including NaN coordinates).
 func clampSpan(lo, hi float64, n int32) (int32, int32, bool) {

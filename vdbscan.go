@@ -233,8 +233,10 @@ const (
 	// sized for the variant set's largest ε on first use, so one build
 	// serves every variant. A from-scratch run — Cluster, and the first
 	// link of every ε-chain (ClusterVariants) — is cell-major: a cell dense
-	// enough to be all-core is never searched (Wang, Gu & Shun; de Berg et
-	// al.). No R-tree is built.
+	// enough to be all-core is never searched, every other point counts
+	// its neighbours only up to MinPts, and the cores are linked by
+	// closest-pair tests between cells (Wang, Gu & Shun; de Berg et al.).
+	// No R-tree is built.
 	IndexGrid = dbscan.IndexGrid
 	// IndexRTree is the paper's packed R-tree: one shared tree with r
 	// points per leaf serves every variant's ε-searches. It holds its
