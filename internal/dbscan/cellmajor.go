@@ -30,7 +30,9 @@ import (
 //     first, each row clipped to the ε-disk, and stops at MinPts neighbours
 //     (gridindex.Flat.CountNear). A core one is flagged and attached under
 //     the cell's first core; a non-core one has seen its whole
-//     neighbourhood and records it as consume does.
+//     neighbourhood and records it as consume does. A point of the run's
+//     seed — core at a smaller ε and a MinPts no smaller, so core here —
+//     is flagged and attached without counting.
 //   - near: a cell that holds a core tests each cell holding a core among
 //     its four forward neighbours at Chebyshev offset 1 with one early-exit
 //     closest-pair scan — gridindex.Flat.PairWithin between two dense
@@ -58,19 +60,20 @@ import (
 // every smaller MinPts, and a counted non-core point recorded its whole
 // neighbourhood.
 //
-// The work counters are a function of the input alone. A counted point is
-// one ε-search, whose candidates and cells are the ones it scanned up to
-// the row where it reached MinPts; every rectangle and pair test a
-// closest-pair scan makes up to its first pair within ε is a candidate;
-// every cell pair tested is a node — whichever worker does it, in any
-// order. The flags a pair test reads are final at the first barrier. Near
-// tests every pair: what Find returns mid-pass depends on the schedule. Far
-// skips a pair by the snapshot alone, and the snapshot is schedule-free: by
-// the barrier before it the near pass has made every union it will make,
-// which are the within-ε near pairs, so the components are the input's;
-// and ConcurrentDSU links by index, so each root is its component's minimum
-// member. Which far pairs are tested, and what they bill, is therefore the
-// same at every width, tiled or not.
+// The work counters are a function of the input and the seed alone. A
+// seeded point of a counted cell is one reused point and nothing else; any
+// other counted point is one ε-search, whose candidates and cells are the
+// ones it scanned up to the row where it reached MinPts; every rectangle
+// and pair test a closest-pair scan makes up to its first pair within ε is
+// a candidate; every cell pair tested is a node — whichever worker does it,
+// in any order. The flags a pair test reads are final at the first
+// barrier. Near tests every pair: what Find returns mid-pass depends on the
+// schedule. Far skips a pair by the snapshot alone, and the snapshot is
+// schedule-free: by the barrier before it the near pass has made every
+// union it will make, which are the within-ε near pairs, so the components
+// are the input's; and ConcurrentDSU links by index, so each root is its
+// component's minimum member. Which far pairs are tested, and what they
+// bill, is therefore the same at every width, tiled or not.
 
 // spans calls yield once per row span — cells [c0, c1) of row r — of work
 // unit u.
@@ -148,7 +151,7 @@ func (g *cellGrid) occupied(r, c0, c1 int32, yield func(r, c0, c1 int32)) {
 // division of g's cells. A point with no cell (a non-finite coordinate) has
 // no neighbour; it is recorded as such up front, and attachBorders makes it
 // Noise.
-func (s *onePass) cellPasses(g *cellGrid, eps float64, units int, sp spans) []pass {
+func (s *onePass) cellPasses(g *cellGrid, eps float64, seed CoreSet, units int, sp spans) []pass {
 	if out := g.Unplaced(); len(out) > 0 {
 		arena := make([]int32, 0, 2*len(out))
 		for _, id := range out {
@@ -167,7 +170,7 @@ func (s *onePass) cellPasses(g *cellGrid, eps float64, units int, sp spans) []pa
 	}
 	f := g.Flat
 	return []pass{
-		each(func(r, c0, c1 int32, w *passWorker) { s.markCells(f, eps, r, c0, c1, w) }),
+		each(func(r, c0, c1 int32, w *passWorker) { s.markCells(f, eps, seed, r, c0, c1, w) }),
 		each(func(r, c0, c1 int32, w *passWorker) { s.linkNear(f, roots, eps, r, c0, c1, w) }),
 		each(func(r, c0, c1 int32, _ *passWorker) { s.snapshotRoots(f, roots, r, c0, c1) }),
 		each(func(r, c0, c1 int32, w *passWorker) { s.linkFar(f, roots, eps, r, c0, c1, w) }),
@@ -185,8 +188,9 @@ func (s *onePass) cellPasses(g *cellGrid, eps float64, units int, sp spans) []pa
 // before the barrier: plain stores do, and every point attached is still a
 // singleton. Freeze's scatter is stable, so a cell's slots hold its ids in
 // ascending order and its first point, or first core, is the minimum of its
-// set — Attach's precondition.
-func (s *onePass) markCells(g *gridindex.Flat, eps float64, r, c0, c1 int32, w *passWorker) {
+// set — Attach's precondition. A seeded run's counted cell goes through
+// markSeeded; testing the seed once per cell leaves an unseeded run this loop.
+func (s *onePass) markCells(g *gridindex.Flat, eps float64, seed CoreSet, r, c0, c1 int32, w *passWorker) {
 	for c := c0; c < c1; c++ {
 		lo, hi := g.CellRange(r, c, c+1)
 		if s.class(hi-lo) == dense {
@@ -196,6 +200,10 @@ func (s *onePass) markCells(g *gridindex.Flat, eps float64, r, c0, c1 int32, w *
 				s.core[id] = 1
 				s.dsu.Attach(id, first)
 			}
+			continue
+		}
+		if seed != nil {
+			s.markSeeded(g, eps, seed, lo, hi, w)
 			continue
 		}
 		first := int32(-1)
@@ -216,6 +224,36 @@ func (s *onePass) markCells(g *gridindex.Flat, eps float64, r, c0, c1 int32, w *
 				s.core[id] = 1
 				s.dsu.Attach(id, first)
 			}
+		}
+	}
+}
+
+// markSeeded is markCells for the counted cell at slots [lo, hi) of a
+// seeded run: a seeded point is core without counting and bills one reused
+// point; every other point counts as in markCells.
+func (s *onePass) markSeeded(g *gridindex.Flat, eps float64, seed CoreSet, lo, hi int32, w *passWorker) {
+	first := int32(-1)
+	for slot := lo; slot < hi; slot++ {
+		id := g.SlotID(slot)
+		if seed.Has(id) {
+			w.local.PointsReused++
+		} else {
+			var cand, nodes int
+			w.scratch, cand, nodes = g.CountNear(slot, eps, s.minPts, w.scratch[:0])
+			w.local.NeighborSearches++
+			w.local.CandidatesExamined += int64(cand)
+			w.local.NodesVisited += int64(nodes)
+			w.local.NeighborsFound += int64(len(w.scratch))
+			if len(w.scratch) < s.minPts {
+				w.arena = s.consume(id, w.scratch, w.arena) // records it
+				continue
+			}
+		}
+		if first < 0 {
+			s.core[id], first = 1, id
+		} else {
+			s.core[id] = 1
+			s.dsu.Attach(id, first)
 		}
 	}
 }

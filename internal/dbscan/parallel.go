@@ -74,7 +74,10 @@ import (
 // A run is also one link of an ε-chain (RunLink): what the pass leaves
 // behind — flags, union-find, records — is exactly what a variant with the
 // same ε and a smaller MinPts needs in place of the index, and a chain
-// moves that one state down its MinPts (Link.Advance).
+// moves that one state down its MinPts (Link.Advance). Across ε a run
+// shares only its core set (Publish), which seeds a cell-major run at a
+// larger ε and a MinPts no larger (Seed); the point-major pass ignores a
+// seed, since its cores search anyway to union with their neighbours.
 
 // ParallelOptions configures RunParallelOpts.
 type ParallelOptions struct {
@@ -98,7 +101,23 @@ type ParallelOptions struct {
 	// Ignored when the run has no cell decomposition: R-tree kind, or an
 	// ε too small for the cell budget.
 	Tiles int
+	// Seed, when non-nil, is called by a cell-major run from scratch just
+	// before its mark pass. It returns points core at the run's parameters
+	// (those of a run it may reuse, at a smaller ε), or nil; a seeded point
+	// of a counted cell is core without an ε-search. Other runs ignore it.
+	Seed func() CoreSet
+	// Publish, when non-nil, receives the run's core set at the barrier
+	// after its first pass, where the flags are final, unless the run was
+	// canceled by then.
+	Publish func(CoreSet)
 }
+
+// CoreSet is a set of points, one bit each: point i is in it when bit
+// i%64 of word i/64 is set.
+type CoreSet []uint64
+
+// Has reports whether point i is in c.
+func (c CoreSet) Has(i int32) bool { return c[i>>6]>>(i&63)&1 != 0 }
 
 // width is the number of workers a run drives: Workers, or GOMAXPROCS.
 func (o ParallelOptions) width() int { return cmp.Or(max(o.Workers, 0), runtime.GOMAXPROCS(0)) }
@@ -199,7 +218,11 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 		} else {
 			phase = obs.PhaseTileRun
 		}
-		passes = s.cellPasses(g, p.Eps, units, spans)
+		var seed CoreSet
+		if opt.Seed != nil {
+			seed = opt.Seed()
+		}
+		passes = s.cellPasses(g, p.Eps, seed, units, spans)
 	} else {
 		passes = []pass{s.chunkUnits(ix, p.Eps)}
 	}
@@ -240,6 +263,9 @@ func (s *onePass) run(ctx context.Context, passes []pass, phase obs.Phase, opt P
 		// max(1, …): replaying a head with no non-core records is a pass
 		// of zero units, and Do needs one worker.
 		forkjoin.Do(max(1, min(opt.width(), ps.units)), s.workerBody(ctx, m, ps))
+		if i == 0 && opt.Publish != nil && ctx.Err() == nil {
+			opt.Publish(s.coreSet())
+		}
 	}
 	opt.Rec.PhaseEnd(opt.Variant, phase)
 	if err := ctx.Err(); err != nil {
@@ -272,6 +298,17 @@ type onePass struct {
 
 	mu      sync.Mutex
 	borders [][]int32 // per worker: [b, k, n1..nk] records back to back
+}
+
+// coreSet returns the points whose core flag is set.
+func (s *onePass) coreSet() CoreSet {
+	c := make(CoreSet, (len(s.core)+63)/64)
+	for i, f := range s.core {
+		if f != 0 {
+			c[i>>6] |= 1 << (i & 63)
+		}
+	}
+	return c
 }
 
 // isCore loads point i's core flag.

@@ -61,6 +61,7 @@ type variantSpan struct {
 	source     int64
 	seedScore  float64
 	seedSet    bool
+	coreSource int64 // the head whose core set seeded this one, or -1
 	frac       float64
 	work       workArgs
 }
@@ -78,7 +79,7 @@ func spans(evs []Event) (map[int32]*variantSpan, time.Duration) {
 	get := func(id int32) *variantSpan {
 		s, ok := out[id]
 		if !ok {
-			s = &variantSpan{id: id, source: -1}
+			s = &variantSpan{id: id, source: -1, coreSource: -1}
 			out[id] = s
 		}
 		return s
@@ -97,6 +98,8 @@ func spans(evs []Event) (map[int32]*variantSpan, time.Duration) {
 		case KindSeedSelected:
 			s := get(e.Variant)
 			s.source, s.seedScore, s.seedSet = e.Arg, e.F, true
+		case KindSeeded:
+			get(e.Variant).coreSource = e.Arg
 		case KindDone:
 			s := get(e.Variant)
 			s.end, s.done = e.At, true
@@ -228,6 +231,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			out = append(out, chromeEvent{Name: "seed-selected", Cat: "sched", Ph: "i",
 				Ts: us(e.At), Pid: pidVariants, Tid: int(e.Variant), S: "t",
 				Args: map[string]any{"seed_source": e.Arg, "seed_score": e.F}})
+		case KindSeeded:
+			out = append(out, chromeEvent{Name: "seeded", Cat: "sched", Ph: "i",
+				Ts: us(e.At), Pid: pidVariants, Tid: int(e.Variant), S: "t",
+				Args: map[string]any{"core_source": e.Arg, "seeded_points": int64(e.F)}})
 		case KindPhaseBegin:
 			phaseOpen[key{e.Variant, e.Arg}] = e.At
 		case KindPhaseEnd:
@@ -325,6 +332,9 @@ func (t *Tracer) WriteTimeline(w io.Writer) error {
 			continue
 		}
 		src := "from-scratch"
+		if s.coreSource >= 0 {
+			src += fmt.Sprintf(" core=v%d", s.coreSource)
+		}
 		if s.frac > 0 {
 			src = "library" // reused, but from no variant of this run
 		}

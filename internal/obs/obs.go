@@ -62,6 +62,10 @@ const (
 	// from-scratch execution); F = fraction of points reused; Work = the
 	// variant's own metrics delta (snapshot of a per-variant counter set).
 	KindDone
+	// KindSeeded records that an ε-chain head run from scratch took the
+	// core set of an earlier head at a smaller ε. Arg = that head's variant
+	// ID; F = the points the seed made core without an ε-search.
+	KindSeeded
 )
 
 // String implements fmt.Stringer.
@@ -79,6 +83,8 @@ func (k Kind) String() string {
 		return "phase-end"
 	case KindDone:
 		return "done"
+	case KindSeeded:
+		return "seeded"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}

@@ -148,7 +148,8 @@ func buildRun(t *testing.T) *Tracer {
 	r1.Event(KindStarted, 1, 0, 0)
 	r1.PhaseBegin(1, PhaseScratch)
 	r1.PhaseEnd(1, PhaseScratch)
-	r1.Done(1, -1, 0, metrics.Snapshot{NeighborSearches: 100})
+	r1.Event(KindSeeded, 1, 0, 40)
+	r1.Done(1, -1, 0, metrics.Snapshot{NeighborSearches: 100, PointsReused: 40})
 	r0.PhaseEnd(0, PhaseScratch)
 	r0.Done(0, -1, 0, metrics.Snapshot{NeighborSearches: 90})
 	r0.Event(KindStarted, 2, 0, 0)
@@ -192,6 +193,9 @@ func TestWriteChromeTrace(t *testing.T) {
 	variantSpans := map[int]map[string]any{}
 	phases := 0
 	for _, e := range doc.TraceEvents {
+		if e.Name == "seeded" && (e.Tid != 1 || e.Args["core_source"] != 0.0 || e.Args["seeded_points"] != 40.0) {
+			t.Errorf("seeded event on v%d, args %v; want v1 from v0, 40 points", e.Tid, e.Args)
+		}
 		if e.Ph == "X" && e.Pid == pidVariants {
 			switch {
 			case e.Args["fraction_reused"] != nil:
@@ -271,7 +275,7 @@ func TestWriteTimeline(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"SCHEDGREEDY", "3 variants done", "seed=v0", "dist=0.125",
-		"from-scratch", "(0.6, 4)",
+		"from-scratch", "from-scratch core=v0", "(0.6, 4)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
@@ -286,7 +290,7 @@ func TestKindPhaseStrings(t *testing.T) {
 		PhaseBorder.String() != "border" || PhaseTileRun.String() != "tile-run" {
 		t.Fatal("phase names changed; exports and docs depend on them")
 	}
-	if KindDone.String() != "done" || KindSeedSelected.String() != "seed-selected" {
+	if KindDone.String() != "done" || KindSeedSelected.String() != "seed-selected" || KindSeeded.String() != "seeded" {
 		t.Fatal("kind names changed; timeline output depends on them")
 	}
 }

@@ -17,6 +17,11 @@
 // passes' goroutines the idle cores. Results are unchanged: the parallel
 // path is label-identical to sequential DBSCAN.
 //
+// Across ε, a grid-kind head run from scratch takes the core set an earlier
+// head publishes at its mark-pass barrier (coreSources); those points are
+// core without an ε-search and bill as PointsReused. The head stays
+// FromScratch with SourceID -1.
+//
 // A Links library (Options.Links) carries chain heads across runs on one
 // index: a chain whose head an earlier run's Link serves replays it too.
 //
@@ -126,6 +131,55 @@ func units(ordered []variant.Variant, chain bool) [][]variant.Variant {
 	return out
 }
 
+// runLink is dbscan.RunLink; a test replaces it to make a head fail.
+var runLink = dbscan.RunLink
+
+// coreSources links each queue unit's head to the latest earlier head it
+// may reuse by the inclusion criterion at a smaller ε: wait[k] is the seed
+// unit k's head takes, pub[k] the one it publishes, nil where there is none.
+// The links depend on the variant set alone, so the counters do not depend
+// on the schedule; take hands out units in order, so a source is taken
+// before its waiters.
+func coreSources(queue [][]variant.Variant, wait, pub []*coreSeed) {
+	for k, u := range queue {
+		for j := k - 1; j >= 0; j-- {
+			if vj := queue[j][0]; vj.Params.Eps < u[0].Params.Eps && variant.CanReuse(u[0].Params, vj.Params) {
+				if pub[j] == nil {
+					pub[j] = &coreSeed{from: vj.ID, ready: make(chan struct{})}
+				}
+				wait[k] = pub[j]
+				break
+			}
+		}
+	}
+}
+
+// coreSeed is a chain head's core set, published once to the heads it seeds.
+type coreSeed struct {
+	from  int // the head's variant ID
+	once  sync.Once
+	ready chan struct{}
+	core  dbscan.CoreSet // nil when the head failed or was canceled first
+}
+
+// publish sets the seed to c, unless it was published before. A nil seed
+// ignores it.
+func (s *coreSeed) publish(c dbscan.CoreSet) {
+	if s != nil {
+		s.once.Do(func() { s.core = c; close(s.ready) })
+	}
+}
+
+// wait returns the published core set, or nil once ctx is done first.
+func (s *coreSeed) wait(ctx context.Context) dbscan.CoreSet {
+	select {
+	case <-s.ready:
+		return s.core
+	case <-ctx.Done():
+		return nil
+	}
+}
+
 // Execute runs every variant in vs over the shared index and returns the
 // per-variant results (indexed by original variant ID).
 func Execute(ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, error) {
@@ -166,22 +220,25 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	}
 	queue := units(variant.Sorted(vs), !opt.DisableReuse)
 	norm := variant.NewNormalizer(vs) // the seed-selected trace score
+	wait, pub := make([]*coreSeed, len(queue)), make([]*coreSeed, len(queue))
+	if !opt.DisableReuse && ix.Kind == dbscan.IndexGrid {
+		coreSources(queue, wait, pub)
+	}
 
 	results := make([]VariantResult, len(vs))
 	var next int
 	var nextMu sync.Mutex
-	take := func() ([]variant.Variant, bool) {
+	take := func() (int, bool) {
 		if ctx.Err() != nil {
-			return nil, false
+			return 0, false
 		}
 		nextMu.Lock()
 		defer nextMu.Unlock()
 		if next >= len(queue) {
-			return nil, false
+			return 0, false
 		}
-		u := queue[next]
 		next++
-		return u, true
+		return next - 1, true
 	}
 	var started atomic.Int64 // variants begun, for the cancellation error
 
@@ -235,10 +292,11 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 		})
 	}
 
-	// runUnit executes one queue unit on a pool worker. ctx is checked
+	// runUnit executes queue unit k on a pool worker. ctx is checked
 	// between the links of a chain; a canceled unit returns nil and the
 	// post-wait ctx check reports it.
-	runUnit := func(worker int, rec *obs.Recorder, unit []variant.Variant) error {
+	runUnit := func(worker int, rec *obs.Recorder, k int) error {
+		unit := queue[k]
 		// The chain's previous link; before the head, the library's. It
 		// advances in place once the chain owns it: RunLink's clone of a
 		// Link the library holds or was offered, or a head no library saw.
@@ -263,6 +321,12 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 				vmet = own
 			}
 			popt := dbscan.ParallelOptions{Workers: threads, Rec: rec, Variant: int32(v.ID)}
+			if p := pub[k]; i == 0 && p != nil {
+				popt.Publish = p.publish
+			}
+			if w := wait[k]; i == 0 && w != nil {
+				popt.Seed = func() dbscan.CoreSet { return w.wait(ctx) }
+			}
 			var res *cluster.Result
 			var err error
 			switch {
@@ -278,7 +342,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 				if owned {
 					res, err = link.Advance(ctx, v.Params, popt, vmet)
 				} else {
-					res, link, err = dbscan.RunLink(ctx, ix, v.Params, link, popt, vmet)
+					res, link, err = runLink(ctx, ix, v.Params, link, popt, vmet)
 				}
 				owned = true
 			case threads == 1:
@@ -294,15 +358,18 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 					res, err = dbscan.RunCtx(ctx, ix, v.Params, vmet)
 				} else {
 					popt.Rec = nil
-					res, link, err = dbscan.RunLink(ctx, ix, v.Params, nil, popt, vmet)
+					res, link, err = runLink(ctx, ix, v.Params, nil, popt, vmet)
 				}
 				rec.PhaseEnd(int32(v.ID), obs.PhaseScratch)
 			default:
 				vr.FromScratch = true
-				res, link, err = dbscan.RunLink(ctx, ix, v.Params, nil, popt, vmet)
+				res, link, err = runLink(ctx, ix, v.Params, nil, popt, vmet)
 			}
 			if own != nil {
 				opt.Metrics.AddSnapshot(own.Snapshot())
+			}
+			if i == 0 {
+				pub[k].publish(nil) // none, unless the run published its own
 			}
 			if err != nil {
 				if ctx.Err() != nil {
@@ -313,6 +380,9 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			if vr.FromScratch {
 				lib.Offer(link)
 				owned = lib == nil
+			}
+			if n := own.Snapshot().PointsReused; n > 0 && i == 0 && wait[k] != nil {
+				rec.Event(obs.KindSeeded, int32(v.ID), int64(wait[k].from), float64(n))
 			}
 			vr.Result = res
 			vr.End = time.Since(start)
@@ -328,11 +398,11 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	forkjoin.Do(width, func(worker int) {
 		rec := tr.Worker(worker) // nil recorder when tracing is off
 		for errs[worker] == nil {
-			unit, ok := take()
+			k, ok := take()
 			if !ok {
 				return
 			}
-			errs[worker] = runUnit(worker, rec, unit)
+			errs[worker] = runUnit(worker, rec, k)
 		}
 	})
 	for _, err := range errs {

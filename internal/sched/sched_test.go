@@ -617,13 +617,18 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 
 		started := map[int32]int{}
 		done := map[int32]int{}
+		seeded := map[int32][]obs.Event{}
+		reused := map[int32]int64{}
 		var workSum metrics.Snapshot
 		for _, e := range tr.Events() {
 			switch e.Kind {
 			case obs.KindStarted:
 				started[e.Variant]++
+			case obs.KindSeeded:
+				seeded[e.Variant] = append(seeded[e.Variant], e)
 			case obs.KindDone:
 				done[e.Variant]++
+				reused[e.Variant] = e.Work.PointsReused
 				workSum = workSum.Add(e.Work)
 				if want := int64(traced.Results[e.Variant].SourceID); e.Arg != want {
 					t.Fatalf("T=%d v%d: done source %d, result SourceID %d", threads, e.Variant, e.Arg, want)
@@ -645,6 +650,20 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 			// A chain's first link has the largest minpts of its ε.
 			if inherited := v.Params.MinPts < 16; (traced.Results[id].SourceID >= 0) != inherited {
 				t.Fatalf("T=%d %v: SourceID %d, inherited should be %v", threads, v.Params, traced.Results[id].SourceID, inherited)
+			}
+			// On the grid kind every head but the first takes the core set
+			// of the head of the ε before it, and bills the points it made
+			// core as reused; the R-tree kind's heads take none.
+			evs := seeded[id]
+			if v.Params.MinPts < 16 || v.Params.Eps == 0.4 || ix.Kind != dbscan.IndexGrid {
+				if len(evs) != 0 || reused[id] != 0 {
+					t.Fatalf("%v T=%d %v: seed events %+v, %d points reused; want none", ix.Kind, threads, v.Params, evs, reused[id])
+				}
+				continue
+			}
+			src := traced.Results[id-4].Variant.Params
+			if len(evs) != 1 || evs[0].Arg != int64(id-4) || src.MinPts != 16 || evs[0].F != float64(reused[id]) || reused[id] == 0 {
+				t.Fatalf("T=%d %v: seed events %+v, %d points reused; want one from %v naming them", threads, v.Params, evs, reused[id], src)
 			}
 		}
 		// Per-variant deltas must partition the run totals exactly.
