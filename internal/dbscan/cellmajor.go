@@ -188,8 +188,8 @@ func (s *onePass) cellPasses(g *cellGrid, eps float64, seed CoreSet, units int, 
 // before the barrier: plain stores do, and every point attached is still a
 // singleton. Freeze's scatter is stable, so a cell's slots hold its ids in
 // ascending order and its first point, or first core, is the minimum of its
-// set — Attach's precondition. A seeded run's counted cell goes through
-// markSeeded; testing the seed once per cell leaves an unseeded run this loop.
+// set — Attach's precondition. A point of a seeded run's seed is core
+// without counting and bills one reused point instead of a search.
 func (s *onePass) markCells(g *gridindex.Flat, eps float64, seed CoreSet, r, c0, c1 int32, w *passWorker) {
 	for c := c0; c < c1; c++ {
 		lo, hi := g.CellRange(r, c, c+1)
@@ -202,58 +202,29 @@ func (s *onePass) markCells(g *gridindex.Flat, eps float64, seed CoreSet, r, c0,
 			}
 			continue
 		}
-		if seed != nil {
-			s.markSeeded(g, eps, seed, lo, hi, w)
-			continue
-		}
 		first := int32(-1)
 		for slot := lo; slot < hi; slot++ {
-			var cand, nodes int
-			w.scratch, cand, nodes = g.CountNear(slot, eps, s.minPts, w.scratch[:0])
-			w.local.NeighborSearches++
-			w.local.CandidatesExamined += int64(cand)
-			w.local.NodesVisited += int64(nodes)
-			w.local.NeighborsFound += int64(len(w.scratch))
 			id := g.SlotID(slot)
-			switch {
-			case len(w.scratch) < s.minPts:
-				w.arena = s.consume(id, w.scratch, w.arena) // records it
-			case first < 0:
+			if seed != nil && seed.Has(id) {
+				w.local.PointsReused++
+			} else {
+				var cand, nodes int
+				w.scratch, cand, nodes = g.CountNear(slot, eps, s.minPts, w.scratch[:0])
+				w.local.NeighborSearches++
+				w.local.CandidatesExamined += int64(cand)
+				w.local.NodesVisited += int64(nodes)
+				w.local.NeighborsFound += int64(len(w.scratch))
+				if len(w.scratch) < s.minPts {
+					w.arena = s.consume(id, w.scratch, w.arena) // records it
+					continue
+				}
+			}
+			if first < 0 {
 				s.core[id], first = 1, id
-			default:
+			} else {
 				s.core[id] = 1
 				s.dsu.Attach(id, first)
 			}
-		}
-	}
-}
-
-// markSeeded is markCells for the counted cell at slots [lo, hi) of a
-// seeded run: a seeded point is core without counting and bills one reused
-// point; every other point counts as in markCells.
-func (s *onePass) markSeeded(g *gridindex.Flat, eps float64, seed CoreSet, lo, hi int32, w *passWorker) {
-	first := int32(-1)
-	for slot := lo; slot < hi; slot++ {
-		id := g.SlotID(slot)
-		if seed.Has(id) {
-			w.local.PointsReused++
-		} else {
-			var cand, nodes int
-			w.scratch, cand, nodes = g.CountNear(slot, eps, s.minPts, w.scratch[:0])
-			w.local.NeighborSearches++
-			w.local.CandidatesExamined += int64(cand)
-			w.local.NodesVisited += int64(nodes)
-			w.local.NeighborsFound += int64(len(w.scratch))
-			if len(w.scratch) < s.minPts {
-				w.arena = s.consume(id, w.scratch, w.arena) // records it
-				continue
-			}
-		}
-		if first < 0 {
-			s.core[id], first = 1, id
-		} else {
-			s.core[id] = 1
-			s.dsu.Attach(id, first)
 		}
 	}
 }

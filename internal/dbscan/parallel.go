@@ -104,7 +104,8 @@ type ParallelOptions struct {
 	// Seed, when non-nil, is called by a cell-major run from scratch just
 	// before its mark pass. It returns points core at the run's parameters
 	// (those of a run it may reuse, at a smaller ε), or nil; a seeded point
-	// of a counted cell is core without an ε-search. Other runs ignore it.
+	// of a counted cell is core without an ε-search. Rec records the call
+	// as a seed-wait phase. Other runs ignore it.
 	Seed func() CoreSet
 	// Publish, when non-nil, receives the run's core set at the barrier
 	// after its first pass, where the flags are final, unless the run was
@@ -220,7 +221,9 @@ func RunLink(ctx context.Context, ix *Index, p Params, prev *Link, opt ParallelO
 		}
 		var seed CoreSet
 		if opt.Seed != nil {
+			opt.Rec.PhaseBegin(opt.Variant, obs.PhaseSeedWait)
 			seed = opt.Seed()
+			opt.Rec.PhaseEnd(opt.Variant, obs.PhaseSeedWait)
 		}
 		passes = s.cellPasses(g, p.Eps, seed, units, spans)
 	} else {

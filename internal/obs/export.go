@@ -16,8 +16,8 @@ import (
 //     and https://ui.perfetto.dev load directly): pid 1 carries one track
 //     per pool worker showing which variant each worker ran when, pid 2
 //     carries one track per variant showing its lifecycle with nested
-//     scratch/mark/label/border phase spans, seed-selection instants, and
-//     per-variant work-counter args.
+//     seed-wait/scratch/mark/label/border phase spans, seed-selection
+//     instants, and per-variant work-counter args.
 //   - A plain-text timeline summary for terminals and logs.
 //
 // Both exporters reconstruct spans by pairing begin/end events per variant;
@@ -61,7 +61,10 @@ type variantSpan struct {
 	source     int64
 	seedScore  float64
 	seedSet    bool
-	coreSource int64 // the head whose core set seeded this one, or -1
+	coreSource int64         // the head whose core set seeded this one, or -1
+	waitFrom   time.Duration // the open seed-wait phase's begin
+	wait       time.Duration // the seed-wait phase's length
+	waited     bool
 	frac       float64
 	work       workArgs
 }
@@ -100,6 +103,15 @@ func spans(evs []Event) (map[int32]*variantSpan, time.Duration) {
 			s.source, s.seedScore, s.seedSet = e.Arg, e.F, true
 		case KindSeeded:
 			get(e.Variant).coreSource = e.Arg
+		case KindPhaseBegin:
+			if Phase(e.Arg) == PhaseSeedWait {
+				get(e.Variant).waitFrom = e.At
+			}
+		case KindPhaseEnd:
+			if Phase(e.Arg) == PhaseSeedWait {
+				s := get(e.Variant)
+				s.wait, s.waited = e.At-s.waitFrom, true
+			}
 		case KindDone:
 			s := get(e.Variant)
 			s.end, s.done = e.At, true
@@ -334,6 +346,9 @@ func (t *Tracer) WriteTimeline(w io.Writer) error {
 		src := "from-scratch"
 		if s.coreSource >= 0 {
 			src += fmt.Sprintf(" core=v%d", s.coreSource)
+		}
+		if s.waited {
+			src += fmt.Sprintf(" wait=%s", s.wait.Round(time.Microsecond))
 		}
 		if s.frac > 0 {
 			src = "library" // reused, but from no variant of this run

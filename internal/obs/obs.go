@@ -113,6 +113,9 @@ const (
 	// PhaseTileRun is PhaseMark on the tiled path: workers claim whole
 	// tiles of cells instead of fixed-size runs of them.
 	PhaseTileRun
+	// PhaseSeedWait is an ε-chain head's wait, just before its mark pass,
+	// for the core set of the smaller-ε head that seeds it.
+	PhaseSeedWait
 )
 
 // String implements fmt.Stringer.
@@ -128,6 +131,8 @@ func (p Phase) String() string {
 		return "border"
 	case PhaseTileRun:
 		return "tile-run"
+	case PhaseSeedWait:
+		return "seed-wait"
 	default:
 		return fmt.Sprintf("Phase(%d)", uint8(p))
 	}

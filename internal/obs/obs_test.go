@@ -146,6 +146,8 @@ func buildRun(t *testing.T) *Tracer {
 	r0.Event(KindStarted, 0, 0, 0)
 	r0.PhaseBegin(0, PhaseScratch)
 	r1.Event(KindStarted, 1, 0, 0)
+	r1.PhaseBegin(1, PhaseSeedWait)
+	r1.PhaseEnd(1, PhaseSeedWait)
 	r1.PhaseBegin(1, PhaseScratch)
 	r1.PhaseEnd(1, PhaseScratch)
 	r1.Event(KindSeeded, 1, 0, 40)
@@ -191,7 +193,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayTimeUnit)
 	}
 	variantSpans := map[int]map[string]any{}
-	phases := 0
+	phases, waits := 0, 0
 	for _, e := range doc.TraceEvents {
 		if e.Name == "seeded" && (e.Tid != 1 || e.Args["core_source"] != 0.0 || e.Args["seeded_points"] != 40.0) {
 			t.Errorf("seeded event on v%d, args %v; want v1 from v0, 40 points", e.Tid, e.Args)
@@ -202,6 +204,8 @@ func TestWriteChromeTrace(t *testing.T) {
 				variantSpans[e.Tid] = e.Args
 			case e.Name == "scratch" || e.Name == "mark" || e.Name == "label":
 				phases++
+			case e.Name == "seed-wait" && e.Tid == 1:
+				waits++
 			}
 		}
 	}
@@ -223,6 +227,9 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if phases != 4 {
 		t.Errorf("got %d phase spans, want 4", phases)
+	}
+	if waits != 1 {
+		t.Errorf("got %d seed-wait spans on v1, want 1", waits)
 	}
 }
 
@@ -275,7 +282,7 @@ func TestWriteTimeline(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"SCHEDGREEDY", "3 variants done", "seed=v0", "dist=0.125",
-		"from-scratch", "from-scratch core=v0", "(0.6, 4)",
+		"from-scratch", "from-scratch core=v0 wait=", "(0.6, 4)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
@@ -287,7 +294,8 @@ func TestWriteTimeline(t *testing.T) {
 func TestKindPhaseStrings(t *testing.T) {
 	if PhaseScratch.String() != "scratch" ||
 		PhaseMark.String() != "mark" || PhaseLabel.String() != "label" ||
-		PhaseBorder.String() != "border" || PhaseTileRun.String() != "tile-run" {
+		PhaseBorder.String() != "border" || PhaseTileRun.String() != "tile-run" ||
+		PhaseSeedWait.String() != "seed-wait" {
 		t.Fatal("phase names changed; exports and docs depend on them")
 	}
 	if KindDone.String() != "done" || KindSeedSelected.String() != "seed-selected" || KindSeeded.String() != "seeded" {

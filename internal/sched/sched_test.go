@@ -618,6 +618,7 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 		started := map[int32]int{}
 		done := map[int32]int{}
 		seeded := map[int32][]obs.Event{}
+		waits := map[int32]int{}
 		reused := map[int32]int64{}
 		var workSum metrics.Snapshot
 		for _, e := range tr.Events() {
@@ -626,6 +627,10 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 				started[e.Variant]++
 			case obs.KindSeeded:
 				seeded[e.Variant] = append(seeded[e.Variant], e)
+			case obs.KindPhaseBegin:
+				if obs.Phase(e.Arg) == obs.PhaseSeedWait {
+					waits[e.Variant]++
+				}
 			case obs.KindDone:
 				done[e.Variant]++
 				reused[e.Variant] = e.Work.PointsReused
@@ -653,17 +658,23 @@ func tracedRunMatchesUntraced(t *testing.T, ix *dbscan.Index) {
 			}
 			// On the grid kind every head but the first takes the core set
 			// of the head of the ε before it, and bills the points it made
-			// core as reused; the R-tree kind's heads take none.
+			// core as reused; the R-tree kind's heads take none. Above one
+			// thread the head's wait for it is one seed-wait phase; on one
+			// thread the head is one scratch phase.
 			evs := seeded[id]
 			if v.Params.MinPts < 16 || v.Params.Eps == 0.4 || ix.Kind != dbscan.IndexGrid {
-				if len(evs) != 0 || reused[id] != 0 {
-					t.Fatalf("%v T=%d %v: seed events %+v, %d points reused; want none", ix.Kind, threads, v.Params, evs, reused[id])
+				if len(evs) != 0 || reused[id] != 0 || waits[id] != 0 {
+					t.Fatalf("%v T=%d %v: seed events %+v, %d points reused, %d seed waits; want none",
+						ix.Kind, threads, v.Params, evs, reused[id], waits[id])
 				}
 				continue
 			}
 			src := traced.Results[id-4].Variant.Params
 			if len(evs) != 1 || evs[0].Arg != int64(id-4) || src.MinPts != 16 || evs[0].F != float64(reused[id]) || reused[id] == 0 {
 				t.Fatalf("T=%d %v: seed events %+v, %d points reused; want one from %v naming them", threads, v.Params, evs, reused[id], src)
+			}
+			if want := min(1, threads-1); waits[id] != want {
+				t.Fatalf("T=%d %v: %d seed-wait phases, want %d", threads, v.Params, waits[id], want)
 			}
 		}
 		// Per-variant deltas must partition the run totals exactly.
