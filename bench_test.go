@@ -433,7 +433,7 @@ func BenchmarkSTDBSCAN(b *testing.B) {
 	for i, p := range fixTEC.Points[:10000] {
 		pts = append(pts, stdbscan.Point{X: p.X, Y: p.Y, T: float64(i % 5)})
 	}
-	ix := stdbscan.BuildIndex(pts, 70)
+	ix := stdbscan.BuildIndex(pts)
 	p := stdbscan.Params{Eps1: 2, Eps2: 1.5, MinPts: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,9 +5,10 @@
 //
 //	datagen -table1 -scale 0.01 -out ./datasets            # all 16 datasets
 //	datagen -class cF -n 100000 -noise 0.05 -out ds.csv    # one synthetic
-//	datagen -sw 1 -scale 0.01 -out sw1.gob                 # one TEC dataset
+//	datagen -sw 1 -scale 0.01 -out sw1.csv                 # one TEC dataset
 //
-// Files ending in .csv are written as CSV; anything else as gob binary.
+// Every file is written as CSV (dataio.WriteCSV), whatever its name; -table1
+// names its files <dataset>.csv.
 package main
 
 import (
@@ -30,12 +31,11 @@ func main() {
 	scale := flag.Float64("scale", 0.01, "size scale factor in (0,1] for -table1 and -sw")
 	seed := flag.Uint64("seed", 0xDB5CA7, "generation seed")
 	out := flag.String("out", "datasets", "output file (single dataset) or directory (-table1)")
-	format := flag.String("format", "gob", "output format for -table1: csv or gob")
 	flag.Parse()
 
 	switch {
 	case *table1:
-		if err := writeTable1(*out, *scale, *seed, *format); err != nil {
+		if err := writeTable1(*out, *scale, *seed); err != nil {
 			fail(err)
 		}
 	case *sw > 0:
@@ -71,20 +71,16 @@ func main() {
 	}
 }
 
-func writeTable1(dir string, scale float64, seed uint64, format string) error {
+func writeTable1(dir string, scale float64, seed uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
-	}
-	ext := ".gob"
-	if format == "csv" {
-		ext = ".csv"
 	}
 	synth, err := data.Table1Synthetic(scale, seed)
 	if err != nil {
 		return err
 	}
 	for _, ds := range synth {
-		path := filepath.Join(dir, ds.Name+ext)
+		path := filepath.Join(dir, ds.Name+".csv")
 		if err := dataio.SaveDataset(path, ds); err != nil {
 			return err
 		}
@@ -95,7 +91,7 @@ func writeTable1(dir string, scale float64, seed uint64, format string) error {
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(dir, ds.Name+ext)
+		path := filepath.Join(dir, ds.Name+".csv")
 		if err := dataio.SaveDataset(path, ds); err != nil {
 			return err
 		}

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	vdbscan -in data.csv -eps 0.5 -minpts 4                     # one variant
-//	vdbscan -in data.gob -A 0.2,0.4,0.6 -B 4,8,16 -threads 8    # V = A x B
+//	vdbscan -in data.csv -A 0.2,0.4,0.6 -B 4,8,16 -threads 8    # V = A x B
 //	vdbscan -in data.csv -eps 0.5 -minpts 4 -labels out.csv     # save labels
 //
 // With -A/-B the full variant set is executed with VariantDBSCAN (shared
@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "input dataset (.csv or gob)")
+	in := flag.String("in", "", "input dataset (CSV)")
 	eps := flag.Float64("eps", 0, "epsilon for a single run")
 	minpts := flag.Int("minpts", 4, "minpts for a single run")
 	aList := flag.String("A", "", "comma-separated eps values (variant set A)")

@@ -67,7 +67,7 @@ func main() {
 
 	// Cross-check: one spatiotemporal clustering over all frames. Tracks
 	// spanning many frames should correspond to large ST clusters.
-	stIx := stdbscan.BuildIndex(stacked, 70)
+	stIx := stdbscan.BuildIndex(stacked)
 	stRes, err := stdbscan.Run(stIx, stdbscan.Params{Eps1: 2.0, Eps2: cadenceHr * 1.5, MinPts: 8}, nil)
 	if err != nil {
 		log.Fatal(err)

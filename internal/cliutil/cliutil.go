@@ -37,19 +37,6 @@ func EnvIntOr(key string, def int) (int, error) {
 	return n, nil
 }
 
-// EnvFloatOr is EnvOr for floats.
-func EnvFloatOr(key string, def float64) (float64, error) {
-	v := os.Getenv(key)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("cliutil: %s=%q: %w", key, v, err)
-	}
-	return f, nil
-}
-
 // EnvDurationOr is EnvOr for time.ParseDuration values ("250ms", "1m30s").
 func EnvDurationOr(key string, def time.Duration) (time.Duration, error) {
 	v := os.Getenv(key)

@@ -96,21 +96,6 @@ func TestEnvIntOr(t *testing.T) {
 	}
 }
 
-func TestEnvFloatOr(t *testing.T) {
-	t.Setenv("CLIUTIL_TEST_FLOAT", "")
-	if got, err := EnvFloatOr("CLIUTIL_TEST_FLOAT", 0.5); err != nil || got != 0.5 {
-		t.Errorf("unset: got %g, %v", got, err)
-	}
-	t.Setenv("CLIUTIL_TEST_FLOAT", "0.25")
-	if got, err := EnvFloatOr("CLIUTIL_TEST_FLOAT", 0.5); err != nil || got != 0.25 {
-		t.Errorf("set: got %g, %v", got, err)
-	}
-	t.Setenv("CLIUTIL_TEST_FLOAT", "half")
-	if _, err := EnvFloatOr("CLIUTIL_TEST_FLOAT", 0.5); err == nil {
-		t.Error("unparsable float must error, not silently fall back")
-	}
-}
-
 func TestEnvDurationOr(t *testing.T) {
 	t.Setenv("CLIUTIL_TEST_DUR", "")
 	if got, err := EnvDurationOr("CLIUTIL_TEST_DUR", time.Minute); err != nil || got != time.Minute {

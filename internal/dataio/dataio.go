@@ -1,19 +1,17 @@
-// Package dataio persists datasets and clustering results.
+// Package dataio persists datasets and clustering results as CSV.
 //
-// Two formats are supported:
-//
-//   - CSV — one "x,y" row per point, with "# key: value" header comments
-//     carrying dataset provenance; interoperable with external tools and
-//     with the layout of the paper's published dbscandat archive.
-//   - gob — a compact binary container for fast reload of large datasets by
-//     the benchmark harness.
+// A dataset file is one "x,y" row per point, with "# key: value" header
+// comments carrying its provenance; coordinates are written in the
+// shortest form that parses back to the same float64, so a file loses no
+// field. The layout is interoperable with external tools and with the
+// paper's published dbscandat archive. A clustering is one "index,label"
+// row per point.
 package dataio
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/bits"
@@ -271,86 +269,27 @@ func parseHeader(ds *data.Dataset, text string) {
 	}
 }
 
-// gobDataset is the stable on-disk schema, decoupled from data.Dataset so
-// internal refactors do not silently break saved files.
-type gobDataset struct {
-	Name          string
-	X, Y          []float64
-	NoiseFrac     float64
-	SynthClusters int
-	Seed          uint64
-}
-
-// WriteGob writes ds in the binary format.
-func WriteGob(w io.Writer, ds *data.Dataset) error {
-	g := gobDataset{
-		Name:          ds.Name,
-		X:             make([]float64, ds.Len()),
-		Y:             make([]float64, ds.Len()),
-		NoiseFrac:     ds.NoiseFrac,
-		SynthClusters: ds.SynthClusters,
-		Seed:          ds.Seed,
-	}
-	for i, p := range ds.Points {
-		g.X[i], g.Y[i] = p.X, p.Y
-	}
-	if err := gob.NewEncoder(w).Encode(&g); err != nil {
-		return fmt.Errorf("dataio: write gob: %w", err)
-	}
-	return nil
-}
-
-// ReadGob reads a dataset written by WriteGob.
-func ReadGob(r io.Reader) (*data.Dataset, error) {
-	var g gobDataset
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("dataio: read gob: %w", err)
-	}
-	if len(g.X) != len(g.Y) {
-		return nil, fmt.Errorf("dataio: corrupt gob: %d xs, %d ys", len(g.X), len(g.Y))
-	}
-	ds := &data.Dataset{
-		Name:          g.Name,
-		Points:        make([]geom.Point, len(g.X)),
-		NoiseFrac:     g.NoiseFrac,
-		SynthClusters: g.SynthClusters,
-		Seed:          g.Seed,
-	}
-	for i := range g.X {
-		ds.Points[i] = geom.Point{X: g.X[i], Y: g.Y[i]}
-	}
-	return ds, nil
-}
-
-// SaveDataset writes ds to path, choosing the format by extension:
-// ".csv" for CSV, anything else for gob.
+// SaveDataset writes ds to path as CSV (WriteCSV).
 func SaveDataset(path string, ds *data.Dataset) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("dataio: %w", err)
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		if err := WriteCSV(f, ds); err != nil {
-			return err
-		}
-	} else if err := WriteGob(f, ds); err != nil {
+	if err := WriteCSV(f, ds); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// LoadDataset reads a dataset from path, choosing the format by extension.
+// LoadDataset reads a CSV dataset from path (ReadCSV).
 func LoadDataset(path string) (*data.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataio: %w", err)
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return ReadCSV(f)
-	}
-	return ReadGob(f)
+	return ReadCSV(f)
 }
 
 // WriteLabelsCSV writes a clustering as "index,label" rows. Labels use the

@@ -96,35 +96,11 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteGob(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sample()
-	if got.Name != want.Name || got.Seed != want.Seed || len(got.Points) != len(want.Points) {
-		t.Fatalf("gob round trip lost data: %+v", got)
-	}
-	for i := range want.Points {
-		if got.Points[i] != want.Points[i] {
-			t.Errorf("point %d differs", i)
-		}
-	}
-}
-
-func TestReadGobGarbage(t *testing.T) {
-	if _, err := ReadGob(strings.NewReader("not gob data")); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
+// TestSaveLoadDatasetByExtension round-trips a dataset through files of
+// any name: every one is CSV.
 func TestSaveLoadDatasetByExtension(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"d.csv", "d.gob"} {
+	for _, name := range []string{"d.csv", "d.dat", "d"} {
 		path := filepath.Join(dir, name)
 		if err := SaveDataset(path, sample()); err != nil {
 			t.Fatal(err)
@@ -236,28 +212,5 @@ func TestEmptyDatasetRoundTrips(t *testing.T) {
 	got, err := ReadCSV(&buf)
 	if err != nil || got.Len() != 0 {
 		t.Errorf("empty csv: %v %v", got, err)
-	}
-	buf.Reset()
-	if err := WriteGob(&buf, empty); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadGob(&buf)
-	if err != nil || got.Len() != 0 {
-		t.Errorf("empty gob: %v %v", got, err)
-	}
-}
-
-func TestLargeDatasetGob(t *testing.T) {
-	ds, err := data.Generate(data.SynthConfig{Class: data.ClassCF, N: 50000, NoiseFrac: 0.1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteGob(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil || got.Len() != 50000 {
-		t.Fatalf("large gob: len=%d err=%v", got.Len(), err)
 	}
 }

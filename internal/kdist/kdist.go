@@ -13,11 +13,12 @@ package kdist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
-	"vdbscan/internal/rtree"
+	"vdbscan/internal/gridindex"
 )
 
 // DefaultMinPts is the paper-endorsed minpts for 2-D data.
@@ -28,31 +29,72 @@ const DefaultMinPts = 4
 // (excluding the point itself). k must be ≥ 1. Points with a non-finite
 // coordinate, and points whose k-distance is not finite (a squared
 // distance past the float64 range), have no place on the curve and are
-// skipped. Curve bulk-loads its own one-point-per-leaf R-tree over ix.Pts
-// for the nearest-neighbour queries.
+// skipped; the neighbours are the finite points, and a point with fewer
+// than k of them takes the farthest.
+//
+// Curve freezes its own cell grid over ix.X and ix.Y, sized to hold about
+// k+1 points per cell, and answers each point's query with ε-searches
+// whose radius starts at the cell side and doubles until the search holds
+// k+1 points: every point within the radius is returned, so the (k+1)-th
+// smallest distance among them, the point itself at rank 0, is exact.
 func Curve(ix *dbscan.Index, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kdist: k must be >= 1, got %d", k)
 	}
-	n := ix.Len()
-	if n == 0 {
+	b, placed := geom.EmptyMBB(), 0
+	for i := range ix.X {
+		if geom.Finite(ix.X[i], ix.Y[i]) {
+			b = b.ExtendPoint(geom.Point{X: ix.X[i], Y: ix.Y[i]})
+			placed++
+		}
+	}
+	if placed == 0 {
 		return nil, nil
 	}
-	tree := rtree.BulkLoad(ix.Pts, ix.X, ix.Y, rtree.Options{R: 1})
-	dists := make([]float64, 0, n)
-	for _, p := range ix.Pts {
+	g, err := gridindex.Freeze(ix.X, ix.Y, cellSide(b, float64(k+1)/float64(placed)))
+	if err != nil {
+		return nil, fmt.Errorf("kdist: %w", err)
+	}
+	want := min(k+1, placed)
+	dists := make([]float64, 0, placed)
+	var found []int32
+	var dsq []float64
+	for i := range ix.X {
+		p := geom.Point{X: ix.X[i], Y: ix.Y[i]}
 		if !geom.Finite(p.X, p.Y) {
 			continue
 		}
-		// k+1 nearest including self (distance 0 at rank 0); with fewer
-		// than k other points, the farthest available.
-		nn := tree.NearestK(p, k+1)
-		if d := math.Sqrt(nn[len(nn)-1].DistSq); !math.IsInf(d, 1) {
+		for r := g.Side(); ; r *= 2 {
+			if found, _, _ = g.EpsSearch(p, r, found[:0]); len(found) >= want {
+				break
+			}
+		}
+		dsq = dsq[:0]
+		for _, j := range found {
+			dsq = append(dsq, p.DistSq(geom.Point{X: ix.X[j], Y: ix.Y[j]}))
+		}
+		slices.Sort(dsq)
+		if d := math.Sqrt(dsq[want-1]); !math.IsInf(d, 1) {
 			dists = append(dists, d)
 		}
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(dists)))
 	return dists, nil
+}
+
+// cellSide returns the side of a square cell holding share of the points
+// spread evenly over b: sqrt(area·share), or span·share along b's longer
+// side when b has no area or its area overflows, or 1 when b is a point.
+func cellSide(b geom.MBB, share float64) float64 {
+	w, h := b.MaxX-b.MinX, b.MaxY-b.MinY
+	side := math.Sqrt(w * h * share)
+	if !(side > 0) || math.IsInf(side, 0) {
+		side = math.Min(math.Max(w, h)*share, math.MaxFloat64)
+	}
+	if !(side > 0) {
+		side = 1
+	}
+	return side
 }
 
 // Elbow returns the index of the elbow of a descending curve: the point

@@ -3,6 +3,8 @@ package kdist
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"vdbscan/internal/dbscan"
@@ -25,6 +27,92 @@ func blobsAndNoise(seed int64) []geom.Point {
 		pts = append(pts, geom.Point{X: rnd.Float64() * 80, Y: rnd.Float64() * 80})
 	}
 	return pts
+}
+
+// bruteCurve is the O(n²) oracle for Curve: for each finite point, the
+// (k+1)-th smallest distance to the finite points, itself included at rank
+// 0, or the largest with fewer of them; non-finite distances dropped,
+// sorted descending.
+func bruteCurve(pts []geom.Point, k int) []float64 {
+	var finite []geom.Point
+	for _, p := range pts {
+		if geom.Finite(p.X, p.Y) {
+			finite = append(finite, p)
+		}
+	}
+	out := []float64{}
+	dsq := make([]float64, len(finite))
+	for _, p := range finite {
+		for j, q := range finite {
+			dsq[j] = p.DistSq(q)
+		}
+		slices.Sort(dsq)
+		if d := math.Sqrt(dsq[min(k, len(dsq)-1)]); !math.IsInf(d, 1) {
+			out = append(out, d)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
+	return out
+}
+
+// checkCurve requires Curve over pts to equal bruteCurve's bytes.
+func checkCurve(t *testing.T, name string, pts []geom.Point, k int) {
+	t.Helper()
+	got, err := Curve(dbscan.BuildIndex(pts, dbscan.IndexOptions{}), k)
+	if err != nil {
+		t.Fatalf("%s k=%d: %v", name, k, err)
+	}
+	want := bruteCurve(pts, k)
+	if len(got) != len(want) {
+		t.Fatalf("%s k=%d: %d distances, want %d", name, k, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s k=%d rank %d: %v, want %v", name, k, i, got[i], want[i])
+		}
+	}
+}
+
+// TestNearestKMatchesBruteForce requires every point's k-distance, the
+// ε-searches of a doubling radius, to equal a linear scan's on clustered
+// data with noise and duplicated points, for small and large k.
+func TestNearestKMatchesBruteForce(t *testing.T) {
+	pts := blobsAndNoise(6)
+	rnd := rand.New(rand.NewSource(61))
+	for i := 0; i < 150; i++ {
+		pts = append(pts, pts[rnd.Intn(len(pts))])
+	}
+	for _, k := range []int{1, 3, 7, 20, 60} {
+		checkCurve(t, "blobs", pts, k)
+	}
+}
+
+// TestNearestKEdgeCases covers k at and past the point count, with and
+// without a non-finite point, points on a line, a single point and
+// all-equal points: a point with fewer than k neighbours takes the farthest.
+func TestNearestKEdgeCases(t *testing.T) {
+	three := []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}, {X: 6, Y: 0}}
+	for _, k := range []int{2, 3, 10} {
+		checkCurve(t, "three", three, k)
+	}
+	// An infinite point is no one's neighbour, not even the farthest.
+	checkCurve(t, "three+Inf", append(slices.Clone(three), geom.Point{X: math.Inf(1), Y: 0}), 5)
+	line := make([]geom.Point, 50) // no area: cells sized by the span
+	for i := range line {
+		line[i] = geom.Point{X: float64(i * i), Y: 1}
+	}
+	checkCurve(t, "line", line, 3)
+	one := []geom.Point{{X: 2, Y: 7}}
+	for _, k := range []int{1, 4} {
+		checkCurve(t, "one", one, k)
+	}
+	equal := make([]geom.Point, 12)
+	for i := range equal {
+		equal[i] = geom.Point{X: -1.5, Y: 4}
+	}
+	for _, k := range []int{1, 11, 12, 30} {
+		checkCurve(t, "equal", equal, k)
+	}
 }
 
 func TestCurveProperties(t *testing.T) {

@@ -190,8 +190,10 @@ func Execute(ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, e
 // variant executions start — not the next link of a running chain either —
 // and the context error is returned once in-flight variants finish. A
 // sequential variant execution is not interruptible (its work is bounded by
-// one from-scratch DBSCAN run); a parallel one stops at its next chunk.
-func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, error) {
+// one from-scratch DBSCAN run); a parallel one stops at its next chunk. A
+// variant that fails cancels the run the same way, and its error is the
+// one returned.
+func ExecuteContext(parent context.Context, ix *dbscan.Index, vs []variant.Variant, opt Options) (*RunResult, error) {
 	if err := variant.Validate(vs); err != nil {
 		return nil, err
 	}
@@ -224,6 +226,12 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 	if !opt.DisableReuse && ix.Kind == dbscan.IndexGrid {
 		coreSources(queue, wait, pub)
 	}
+
+	// ctx is the run's own: the first unit to fail cancels it with its
+	// error as the cause, which stops take, the later links of the chains
+	// in flight and every head waiting for a seed.
+	ctx, cancel := context.WithCancelCause(parent)
+	defer cancel(nil)
 
 	results := make([]VariantResult, len(vs))
 	var next int
@@ -402,7 +410,9 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			if !ok {
 				return
 			}
-			errs[worker] = runUnit(worker, rec, k)
+			if errs[worker] = runUnit(worker, rec, k); errs[worker] != nil {
+				cancel(errs[worker])
+			}
 		}
 	})
 	for _, err := range errs {
@@ -410,7 +420,7 @@ func ExecuteContext(ctx context.Context, ix *dbscan.Index, vs []variant.Variant,
 			return nil, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := parent.Err(); err != nil {
 		return nil, fmt.Errorf("sched: canceled after %d of %d variants: %w", started.Load(), len(vs), err)
 	}
 

@@ -251,6 +251,19 @@ func checkSeededTrace(t *testing.T, at string, tr *obs.Tracer, vs []variant.Vari
 	}
 }
 
+// wrapRunLink makes runLink call body before each chain head, with the
+// run's context and the head's parameters, and returns what restores it.
+func wrapRunLink(body func(ctx context.Context, p dbscan.Params) error) func() {
+	orig := runLink
+	runLink = func(ctx context.Context, ix *dbscan.Index, p dbscan.Params, prev *dbscan.Link, opt dbscan.ParallelOptions, m *metrics.Counters) (*cluster.Result, *dbscan.Link, error) {
+		if err := body(ctx, p); err != nil {
+			return nil, nil, err
+		}
+		return orig(ctx, ix, p, prev, opt, m)
+	}
+	return func() { runLink = orig }
+}
+
 // TestSeededHeadWaitUnblocks cancels a 3×3 sweep at Threads 2 after every
 // link and inside every head, and makes each head that seeds another fail:
 // a head waiting for a seed must unblock, and no goroutine may be left.
@@ -273,19 +286,6 @@ func TestSeededHeadWaitUnblocks(t *testing.T) {
 			return nil
 		}
 	}
-	// wrap makes runLink call body before each chain head, with the head's
-	// parameters, and returns what restores it.
-	wrap := func(body func(p dbscan.Params) error) func() {
-		orig := runLink
-		runLink = func(ctx context.Context, ix *dbscan.Index, p dbscan.Params, prev *dbscan.Link, opt dbscan.ParallelOptions, m *metrics.Counters) (*cluster.Result, *dbscan.Link, error) {
-			if err := body(p); err != nil {
-				return nil, nil, err
-			}
-			return orig(ctx, ix, p, prev, opt, m)
-		}
-		return func() { runLink = orig }
-	}
-
 	for c := 1; c < len(vs); c++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var done atomic.Int64
@@ -303,7 +303,7 @@ func TestSeededHeadWaitUnblocks(t *testing.T) {
 		// The head of ε sleeps, so the next head is waiting for its seed,
 		// then cancels.
 		ctx, cancel := context.WithCancel(context.Background())
-		restore := wrap(func(p dbscan.Params) error {
+		restore := wrapRunLink(func(_ context.Context, p dbscan.Params) error {
 			if p.Eps == eps {
 				time.Sleep(20 * time.Millisecond)
 				cancel()
@@ -319,7 +319,7 @@ func TestSeededHeadWaitUnblocks(t *testing.T) {
 	}
 	for _, eps := range []float64{0.3, 0.5} {
 		injected := errors.New("injected")
-		restore := wrap(func(p dbscan.Params) error {
+		restore := wrapRunLink(func(_ context.Context, p dbscan.Params) error {
 			if p.Eps == eps {
 				time.Sleep(20 * time.Millisecond)
 				return injected
@@ -339,5 +339,57 @@ func TestSeededHeadWaitUnblocks(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines left over, %d before", n, before)
+	}
+}
+
+// TestFailedHeadStopsSweep makes the first of six chain heads fail once
+// every other worker's head is in flight, at Threads 2 and 3: the
+// failure must be the error returned, and no head may start after the
+// failing head returns.
+func TestFailedHeadStopsSweep(t *testing.T) {
+	ix := testGridIndex()
+	vs := variant.Product([]float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, []int{4, 8})
+	for _, threads := range []int{2, 3} {
+		injected := errors.New("injected")
+		failed, inFlight := make(chan struct{}), make(chan struct{}, threads)
+		var started, late atomic.Int64
+		restore := wrapRunLink(func(ctx context.Context, p dbscan.Params) error {
+			select {
+			case <-failed:
+				late.Add(1)
+			default:
+			}
+			started.Add(1)
+			if p.Eps == 0.3 {
+				for i := 1; i < threads; i++ {
+					<-inFlight
+				}
+				close(failed)
+				return injected
+			}
+			// Stay in flight until the failure, then give the run a
+			// while to stop before this worker asks for the next head.
+			select {
+			case inFlight <- struct{}{}:
+			default: // a head started after the failure; late counts it
+			}
+			<-failed
+			select {
+			case <-ctx.Done():
+			case <-time.After(2 * time.Second):
+			}
+			return nil
+		})
+		_, err := ExecuteContext(context.Background(), ix, vs, Options{Threads: threads})
+		restore()
+		if !errors.Is(err, injected) || !strings.Contains(err.Error(), "0.3") {
+			t.Fatalf("threads %d: err = %v, want the failing head's", threads, err)
+		}
+		if n := late.Load(); n > 0 {
+			t.Errorf("threads %d: %d heads started after the failing head returned", threads, n)
+		}
+		if n := started.Load(); n > int64(threads) {
+			t.Errorf("threads %d: %d heads started, want at most %d", threads, n, threads)
+		}
 	}
 }

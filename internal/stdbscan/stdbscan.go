@@ -10,9 +10,9 @@
 //	Eps2 — temporal radius over t;
 //
 // a neighbor must be within both. Core/border/noise semantics follow
-// DBSCAN. The spatial search runs over the same packed R-tree substrate as
-// the rest of the library (internal/rtree), with the temporal filter
-// applied during candidate filtering.
+// DBSCAN. The spatial search runs over the same cell grid as the rest of
+// the library (internal/gridindex, through dbscan.Index), with the temporal
+// filter applied to its hits.
 package stdbscan
 
 import (
@@ -60,21 +60,20 @@ func (p Params) String() string {
 	return fmt.Sprintf("(eps1=%g, eps2=%g, minpts=%d)", p.Eps1, p.Eps2, p.MinPts)
 }
 
-// Index is the spatiotemporal index: the shared 2-D R-tree over (x, y)
-// plus the aligned epoch array.
+// Index is the spatiotemporal index: the shared 2-D index over (x, y),
+// whose cell grid Run sizes for Eps1, plus the aligned epoch array.
 type Index struct {
 	spatial *dbscan.Index
 	times   []float64 // aligned with spatial's sorted point order
 }
 
-// BuildIndex indexes pts. r is the ε-search leaf occupancy (DefaultR when
-// zero, as in dbscan.BuildIndex).
-func BuildIndex(pts []Point, r int) *Index {
+// BuildIndex indexes pts.
+func BuildIndex(pts []Point) *Index {
 	xy := make([]geom.Point, len(pts))
 	for i, p := range pts {
 		xy[i] = geom.Point{X: p.X, Y: p.Y}
 	}
-	spatial := dbscan.BuildIndex(xy, dbscan.IndexOptions{R: r, Kind: dbscan.IndexRTree})
+	spatial := dbscan.BuildIndex(xy, dbscan.IndexOptions{})
 	times := make([]float64, len(pts))
 	for sortedIdx, origIdx := range spatial.Fwd {
 		times[sortedIdx] = pts[origIdx].T
@@ -91,7 +90,7 @@ func (ix *Index) Fwd() []int { return ix.spatial.Fwd }
 // NeighborSearch returns the sorted-space indices of points within Eps1
 // spatially AND Eps2 temporally of sorted-space point i (including itself).
 func (ix *Index) NeighborSearch(i int32, p Params, m *metrics.Counters, dst []int32) []int32 {
-	q := ix.spatial.Pts[i]
+	q := geom.Point{X: ix.spatial.X[i], Y: ix.spatial.Y[i]}
 	t := ix.times[i]
 	spatialHits := ix.spatial.NeighborSearch(q, p.Eps1, m, nil)
 	for _, j := range spatialHits {
@@ -107,9 +106,13 @@ func (ix *Index) NeighborSearch(i int32, p Params, m *metrics.Counters, dst []in
 }
 
 // Run clusters the index under p; labels are in sorted space (use Fwd with
-// cluster.Result.Remap for the caller's order). m may be nil.
+// cluster.Result.Remap for the caller's order). It first sizes the cell
+// grid for Eps1, rebuilding it only when its side is smaller. m may be nil.
 func Run(ix *Index, p Params, m *metrics.Counters) (*cluster.Result, error) {
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ix.spatial.EnsureGrid(p.Eps1); err != nil {
 		return nil, err
 	}
 	n := ix.Len()

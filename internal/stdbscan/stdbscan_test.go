@@ -2,6 +2,7 @@ package stdbscan
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vdbscan/internal/cluster"
@@ -54,7 +55,7 @@ func TestTemporalSeparation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pts = append(pts, Point{X: rnd.NormFloat64() * 0.3, Y: rnd.NormFloat64() * 0.3, T: 10})
 	}
-	ix := BuildIndex(pts, 8)
+	ix := BuildIndex(pts)
 	res, err := Run(ix, Params{Eps1: 1, Eps2: 2, MinPts: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestMovingObjectStaysOneCluster(t *testing.T) {
 	// cluster even though frame 0 and frame 7 are spatially disjoint.
 	rnd := rand.New(rand.NewSource(2))
 	pts := movingBlob(8, 80, 0, 0, 1.5, 0, 0.4, rnd)
-	ix := BuildIndex(pts, 8)
+	ix := BuildIndex(pts)
 	res, err := Run(ix, Params{Eps1: 1, Eps2: 1.5, MinPts: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +91,10 @@ func TestMovingObjectStaysOneCluster(t *testing.T) {
 	}
 }
 
+// TestRunMatchesBruteForce runs one Index at a small Eps1, then a larger one
+// (the cell grid re-sides), then the small one again on the larger grid:
+// every run must give the brute-force partition, and the two small runs the
+// same labels.
 func TestRunMatchesBruteForce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	var pts []Point
@@ -98,32 +103,43 @@ func TestRunMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pts = append(pts, Point{X: rnd.Float64() * 50, Y: rnd.Float64() * 50, T: rnd.Float64() * 5})
 	}
-	p := Params{Eps1: 1.2, Eps2: 1.2, MinPts: 5}
-	ix := BuildIndex(pts, 16)
-	got, err := Run(ix, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunBruteForce(pts, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOrig := got.Remap(ix.Fwd())
-	if gotOrig.NumClusters != want.NumClusters {
-		t.Errorf("clusters: %d vs %d", gotOrig.NumClusters, want.NumClusters)
-	}
-	if d := cluster.DisagreementCount(gotOrig, want); d > len(pts)/100 {
-		t.Errorf("disagreements = %d", d)
+	ix := BuildIndex(pts)
+	var first []int32
+	for i, tc := range []struct{ eps1, side float64 }{{1.2, 1.2}, {3, 3}, {1.2, 3}} {
+		p := Params{Eps1: tc.eps1, Eps2: 1.2, MinPts: 5}
+		got, err := Run(ix, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if side := ix.spatial.Grid().Side(); side != tc.side {
+			t.Errorf("run %d at %v: grid side %v, want %v", i, p, side, tc.side)
+		}
+		want, err := RunBruteForce(pts, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotOrig := got.Remap(ix.Fwd())
+		if gotOrig.NumClusters != want.NumClusters {
+			t.Errorf("run %d at %v: clusters %d vs %d", i, p, gotOrig.NumClusters, want.NumClusters)
+		}
+		if d := cluster.DisagreementCount(gotOrig, want); d != 0 {
+			t.Errorf("run %d at %v: %d disagreements", i, p, d)
+		}
+		if i == 0 {
+			first = got.Labels
+		} else if i == 2 && !slices.Equal(got.Labels, first) {
+			t.Errorf("run %d at %v: labels differ from run 0 at the same parameters", i, p)
+		}
 	}
 }
 
 func TestRunEmptyAndDegenerate(t *testing.T) {
-	ix := BuildIndex(nil, 0)
+	ix := BuildIndex(nil)
 	res, err := Run(ix, Params{Eps1: 1, Eps2: 1, MinPts: 4}, nil)
 	if err != nil || res.Len() != 0 {
 		t.Fatalf("empty: %v %v", res, err)
 	}
-	ix = BuildIndex([]Point{{X: 1, Y: 1, T: 0}}, 0)
+	ix = BuildIndex([]Point{{X: 1, Y: 1, T: 0}})
 	res, _ = Run(ix, Params{Eps1: 1, Eps2: 1, MinPts: 2}, nil)
 	if res.NumNoise() != 1 {
 		t.Error("lone point should be noise")
@@ -136,7 +152,7 @@ func TestRunEmptyAndDegenerate(t *testing.T) {
 func TestMetricsCounted(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	pts := movingBlob(3, 50, 0, 0, 1, 0, 0.3, rnd)
-	ix := BuildIndex(pts, 8)
+	ix := BuildIndex(pts)
 	var m metrics.Counters
 	if _, err := Run(ix, Params{Eps1: 1, Eps2: 1, MinPts: 4}, &m); err != nil {
 		t.Fatal(err)
