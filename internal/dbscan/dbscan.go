@@ -24,6 +24,7 @@
 package dbscan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -106,12 +107,13 @@ type Index struct {
 	grid   atomic.Pointer[gridindex.Flat]
 	gridMu sync.Mutex // serializes EnsureGrid builds
 
-	// cells caches the ε/√2 cell decomposition the cell-major parallel
-	// runner walks, keyed by the side it was requested at. One entry: a
-	// sweep's from-scratch variants at other ε rebuild it, an O(n)
-	// counting sort and an O(cells) scan for the occupied runs each.
-	cells   atomic.Pointer[cellGrid]
-	cellsMu sync.Mutex // serializes cellDecomposition builds
+	// cells keeps the ε/√2 cell decompositions the cell-major runner
+	// walks, keyed by the side requested: one entry per ε of the latest
+	// KeepCells call, each built by the first run that asks for it. A
+	// kept decomposition is 20 B per point, 4 B per cell and 8 B per run of
+	// occupied cells.
+	cells   map[float64]*cellEntry
+	cellsMu sync.Mutex // guards the map, not the builds
 
 	// tiles caches the tile partition for the tiled parallel runner. It
 	// is keyed by (grid snapshot pointer, tile target), so an EnsureGrid
@@ -219,12 +221,11 @@ func (ix *Index) EnsureGrid(maxEps float64) error {
 	return nil
 }
 
-// cellGrid is one cached cell decomposition together with its key and the
-// runs of its occupied cells (occupiedRuns), which every pass of the
-// cell-major runner walks instead of all cols·rows cells.
+// cellGrid is one cell decomposition together with the runs of its
+// occupied cells (occupiedRuns), which every pass of the cell-major runner
+// walks instead of all cols·rows cells.
 type cellGrid struct {
 	*gridindex.Flat
-	side             float64 // requested side, before any MaxCells coarsening
 	runStart, runEnd []int32
 }
 
@@ -235,38 +236,62 @@ type cellGrid struct {
 // margin.
 const cellMargin = 1 - 1e-9
 
+// cellSide is the side of eps's cell decomposition.
+func cellSide(eps float64) float64 { return eps / math.Sqrt2 * cellMargin }
+
+// cellEntry is one kept decomposition, built once by the first run that
+// asks for it; c stays nil when the build failed.
+type cellEntry struct {
+	once sync.Once
+	c    *cellGrid
+}
+
+// KeepCells declares the ε values whose cell decompositions the index
+// keeps: it drops every other, and keeps those already built for these.
+// A sweep declares its variant set's ε values and a single run its own, so
+// repeating a call rebuilds nothing and the memory kept is bounded by the
+// latest call's ε set. A run in flight keeps the decomposition it holds.
+func (ix *Index) KeepCells(eps ...float64) {
+	ix.cellsMu.Lock()
+	defer ix.cellsMu.Unlock()
+	kept := make(map[float64]*cellEntry, len(eps))
+	for _, e := range eps {
+		side := cellSide(e)
+		kept[side] = cmp.Or(ix.cells[side], new(cellEntry))
+	}
+	ix.cells = kept
+}
+
 // cellDecomposition returns the grid the cell-major runner walks for eps:
 // every point bucketed into cells of side just under eps/√2, so that any
 // two points of one cell are within eps of each other, with the runs of its
-// occupied cells. It returns nil when only the per-point search path can
-// serve the run: the index has no cell grid (R-tree kind), or the build had
-// to coarsen the side to respect gridindex.MaxCells — a tiny eps over a
-// wide extent — and the cells are too large for that guarantee.
+// occupied cells. A kept ε's grid is built on its first request; any other
+// is built for the caller alone. It returns nil when only the per-point
+// search path can serve the run: the index has no cell grid (R-tree kind),
+// or the build had to coarsen the side to respect gridindex.MaxCells — a
+// tiny eps over a wide extent — and the cells are too large for that
+// guarantee.
 func (ix *Index) cellDecomposition(eps float64) *cellGrid {
 	if ix.grid.Load() == nil {
 		return nil
 	}
-	side := eps / math.Sqrt2 * cellMargin
-	c := ix.cells.Load()
-	if c == nil || c.side != side {
-		ix.cellsMu.Lock()
-		c = ix.cells.Load()
-		if c == nil || c.side != side {
-			g, err := gridindex.Freeze(ix.X, ix.Y, side)
-			if err != nil {
-				ix.cellsMu.Unlock()
-				return nil
-			}
-			c = &cellGrid{Flat: g, side: side}
-			c.runStart, c.runEnd = occupiedRuns(g)
-			ix.cells.Store(c)
-		}
-		ix.cellsMu.Unlock()
+	side := cellSide(eps)
+	ix.cellsMu.Lock()
+	e := ix.cells[side]
+	ix.cellsMu.Unlock()
+	if e == nil {
+		e = new(cellEntry)
 	}
-	if c.Side()*math.Sqrt2 > eps {
+	e.once.Do(func() {
+		if g, err := gridindex.Freeze(ix.X, ix.Y, side); err == nil {
+			e.c = &cellGrid{Flat: g}
+			e.c.runStart, e.c.runEnd = occupiedRuns(g)
+		}
+	})
+	if e.c == nil || e.c.Side()*math.Sqrt2 > eps {
 		return nil
 	}
-	return c
+	return e.c
 }
 
 // tilePart is one cached tile partition together with the key it was

@@ -3,6 +3,8 @@ package dbscan
 import (
 	"context"
 	"slices"
+
+	"vdbscan/internal/gridindex"
 )
 
 // What the external tests of package dbscan_test, which import
@@ -10,6 +12,31 @@ import (
 
 // Blobs is blobs.
 var Blobs = blobs
+
+// CellSide is cellSide.
+var CellSide = cellSide
+
+// Kept is one cell decomposition an index keeps.
+type Kept struct {
+	Grid *gridindex.Flat // nil until a run builds it
+	Runs int             // runs of occupied cells
+}
+
+// KeptCells returns the cell decompositions ix keeps, by side. Call it
+// with no run in flight: it reads the entries without their Once.
+func KeptCells(ix *Index) map[float64]Kept {
+	ix.cellsMu.Lock()
+	defer ix.cellsMu.Unlock()
+	out := make(map[float64]Kept, len(ix.cells))
+	for side, e := range ix.cells {
+		var k Kept
+		if e.c != nil {
+			k = Kept{e.c.Flat, len(e.c.runStart)}
+		}
+		out[side] = k
+	}
+	return out
+}
 
 // LinkState returns copies of l's core flags and union-find parents.
 func LinkState(l *Link) (core []uint32, parents []int32) {

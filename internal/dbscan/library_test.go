@@ -25,18 +25,20 @@ import (
 func TestLinksLibraryLinkNeverMutated(t *testing.T) {
 	ix := dbscan.BuildIndex(dbscan.Blobs(5, 300, 200, 25, 0.6, 217), dbscan.IndexOptions{Kind: dbscan.IndexGrid})
 	var ps []dbscan.Params
-	var want [][]int32
+	// want is in the index's sorted order, where RunLink labels; callerWant
+	// in the caller's, where sched does.
+	var want, callerWant [][]int32
 	for _, mp := range []int{40, 32, 17, 9, 3, 1} {
 		p := dbscan.Params{Eps: 0.8, MinPts: mp}
 		res, err := dbscan.Run(ix, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, want = append(ps, p), append(want, res.Labels)
+		ps, want, callerWant = append(ps, p), append(want, res.Labels), append(callerWant, res.Remap(ix.Fwd).Labels)
 	}
 	check := func(rr *sched.RunResult) error {
 		for _, r := range rr.Results {
-			if !slices.Equal(r.Result.Labels, want[r.Variant.ID]) {
+			if !slices.Equal(r.Result.Labels, callerWant[r.Variant.ID]) {
 				return fmt.Errorf("variant %v: labels differ from Run", r.Variant)
 			}
 		}

@@ -214,8 +214,9 @@ func TestRunParallelAllocationPin(t *testing.T) {
 	p := Params{Eps: 1, MinPts: 4}
 	for _, mode := range onePassModes {
 		opt := ParallelOptions{Workers: 2, Tiles: mode.tiles}
-		// Warm-up builds the grid and the tile partition, which the index
-		// caches and the pin is not about.
+		// Warm-up builds the grid, the kept cell decomposition and the
+		// tile partition, which the index caches and the pin is not about.
+		ix.KeepCells(p.Eps)
 		if _, err := RunParallelOpts(context.Background(), ix, p, opt, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestExecuteLinksServeHeads(t *testing.T) {
 		want := make([][]int32, len(vs))
 		for _, v := range vs {
 			res, _ := dbscan.Run(ix, v.Params, nil)
-			want[v.ID] = res.Labels
+			want[v.ID] = res.Remap(ix.Fwd).Labels
 		}
 		for _, threads := range []int{1, 2, 4} {
 			tag := fmt.Sprintf("%v T=%d", ix.Kind, threads)

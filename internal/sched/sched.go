@@ -32,6 +32,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,7 +77,8 @@ type Options struct {
 // VariantResult is the outcome of one variant execution.
 type VariantResult struct {
 	Variant variant.Variant
-	// Result holds labels in the index's sorted point space.
+	// Result holds labels in the caller's point order: the worker that
+	// ran the variant remaps them through the index's Fwd.
 	Result *cluster.Result
 	// FromScratch is true for a chain's first link, unless Options.Links
 	// served it.
@@ -206,16 +208,16 @@ func ExecuteContext(parent context.Context, ix *dbscan.Index, vs []variant.Varia
 	}
 	// One build sized for the variant set's max ε serves every variant:
 	// the grid kind's cell grid, shared by every chain's searches (a no-op
-	// for the R-tree pair, which needs no ε).
-	maxEps := 0.0
-	for _, v := range vs {
-		if v.Params.Eps > maxEps {
-			maxEps = v.Params.Eps
-		}
+	// for the R-tree pair, which needs no ε). The index keeps the cell
+	// decompositions of the set's ε values, so a repeated sweep builds none.
+	eps := make([]float64, len(vs))
+	for i, v := range vs {
+		eps[i] = v.Params.Eps
 	}
-	if err := ix.EnsureGrid(maxEps); err != nil {
+	if err := ix.EnsureGrid(slices.Max(eps)); err != nil {
 		return nil, err
 	}
+	ix.KeepCells(eps...)
 	threads := opt.Threads
 	if threads <= 0 {
 		threads = 1
@@ -392,7 +394,7 @@ func ExecuteContext(parent context.Context, ix *dbscan.Index, vs []variant.Varia
 			if n := own.Snapshot().PointsReused; n > 0 && i == 0 && wait[k] != nil {
 				rec.Event(obs.KindSeeded, int32(v.ID), int64(wait[k].from), float64(n))
 			}
-			vr.Result = res
+			vr.Result = res.Remap(ix.Fwd)
 			vr.End = time.Since(start)
 			results[v.ID] = vr
 			rec.Done(int32(v.ID), int64(vr.SourceID), vr.FractionReused, own.Snapshot())

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vdbscan/internal/cluster"
 	"vdbscan/internal/dbscan"
 	"vdbscan/internal/geom"
 	"vdbscan/internal/metrics"
@@ -39,6 +40,17 @@ func blobs(k, m, noise int, extent, sigma float64, seed int64) []geom.Point {
 func testIndex(t *testing.T) *dbscan.Index {
 	t.Helper()
 	return dbscan.BuildIndex(blobs(3, 200, 100, 25, 0.6, 1), dbscan.IndexOptions{R: 16, Kind: dbscan.IndexRTree})
+}
+
+// runInCallerOrder is dbscan.Run's result in the caller's point order,
+// where VariantResult.Result holds its labels.
+func runInCallerOrder(t *testing.T, ix *dbscan.Index, p dbscan.Params) *cluster.Result {
+	t.Helper()
+	res, err := dbscan.Run(ix, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Remap(ix.Fwd)
 }
 
 // testGridIndex is testIndex's point set on the default grid kind.
@@ -84,7 +96,7 @@ func TestExecuteMatchesScratchPerVariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range rr.Results {
-				want, _ := dbscan.Run(ix, r.Variant.Params, nil)
+				want := runInCallerOrder(t, ix, r.Variant.Params)
 				if !slices.Equal(r.Result.Labels, want.Labels) {
 					t.Errorf("%v T=%d variant %v: labels differ from dbscan.Run", ix.Kind, threads, r.Variant)
 				}
@@ -152,7 +164,7 @@ func TestExecuteIdenticalVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := dbscan.Run(ix, params[0], nil)
+	want := runInCallerOrder(t, ix, params[0])
 	for _, r := range rr.Results {
 		if !slices.Equal(r.Result.Labels, want.Labels) {
 			t.Errorf("identical variant %d: labels differ from dbscan.Run", r.Variant.ID)
@@ -175,7 +187,7 @@ func TestDefaultRunsEpsChainsOnRTree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range rr.Results {
-				want, _ := dbscan.Run(ix, r.Variant.Params, nil)
+				want := runInCallerOrder(t, ix, r.Variant.Params)
 				if r.Result.NumClusters != want.NumClusters || !slices.Equal(r.Result.Labels, want.Labels) {
 					t.Fatalf("noreuse=%v T=%d %v: labels differ from dbscan.Run", disableReuse, threads, r.Variant.Params)
 				}
@@ -221,10 +233,7 @@ func TestSequentialChainHeads(t *testing.T) {
 		replay := []obs.Phase{obs.PhaseMark, obs.PhaseLabel, obs.PhaseBorder}
 		for id, p := range ps {
 			tag := fmt.Sprintf("%v %v", ix.Kind, p)
-			want, err := dbscan.Run(ix, p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := runInCallerOrder(t, ix, p)
 			if got := rr.Results[id].Result; !slices.Equal(got.Labels, want.Labels) {
 				t.Fatalf("%s: labels differ from dbscan.Run", tag)
 			}
@@ -422,10 +431,7 @@ func TestExecuteTwoLevelSingleVariant(t *testing.T) {
 	// result must be label-identical to the sequential execution.
 	ix := testIndex(t)
 	p := dbscan.Params{Eps: 0.8, MinPts: 4}
-	want, err := dbscan.Run(ix, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runInCallerOrder(t, ix, p)
 	rr, err := Execute(ix, variant.New([]dbscan.Params{p}), Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +521,7 @@ func TestExecuteIntraWorkersWithoutDonation(t *testing.T) {
 	// wide as the pool.
 	ix := testIndex(t)
 	p := dbscan.Params{Eps: 0.8, MinPts: 4}
-	want, _ := dbscan.Run(ix, p, nil)
+	want := runInCallerOrder(t, ix, p)
 	for _, threads := range []int{1, 2, 4} {
 		rr, err := Execute(ix, variant.New([]dbscan.Params{p}), Options{
 			Threads: threads, DisableReuse: true,
@@ -794,7 +800,7 @@ func TestExecuteTiledMatchesUntiled(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if r.Result.NumClusters != want.NumClusters || !slices.Equal(r.Result.Labels, want.Labels) {
+					if want = want.Remap(ix.Fwd); r.Result.NumClusters != want.NumClusters || !slices.Equal(r.Result.Labels, want.Labels) {
 						t.Fatalf("reuse=%v T=%d variant %v: labels differ from RunParallelOpts at tiles=%d",
 							!disableReuse, threads, r.Variant, tiles)
 					}

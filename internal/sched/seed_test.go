@@ -146,7 +146,7 @@ func seededHeadsMatchRun(t *testing.T, ix *dbscan.Index, vs []variant.Variant) i
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[v.ID] = res
+		want[v.ID] = res.Remap(ix.Fwd)
 	}
 	sources := wantSources(vs)
 	// What each head bills run alone, and the seeded points it should skip.

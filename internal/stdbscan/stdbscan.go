@@ -87,22 +87,26 @@ func (ix *Index) Len() int { return ix.spatial.Len() }
 // Fwd maps sorted index -> original index (see dbscan.Index.Fwd).
 func (ix *Index) Fwd() []int { return ix.spatial.Fwd }
 
-// NeighborSearch returns the sorted-space indices of points within Eps1
-// spatially AND Eps2 temporally of sorted-space point i (including itself).
+// NeighborSearch appends to dst the sorted-space indices of points within
+// Eps1 spatially AND Eps2 temporally of sorted-space point i (including
+// itself). The spatial hits are appended to dst and compacted in place by
+// the temporal test, so a dst with room allocates nothing.
 func (ix *Index) NeighborSearch(i int32, p Params, m *metrics.Counters, dst []int32) []int32 {
 	q := geom.Point{X: ix.spatial.X[i], Y: ix.spatial.Y[i]}
 	t := ix.times[i]
-	spatialHits := ix.spatial.NeighborSearch(q, p.Eps1, m, nil)
-	for _, j := range spatialHits {
+	start := len(dst)
+	dst = ix.spatial.NeighborSearch(q, p.Eps1, m, dst)
+	out := dst[:start]
+	for _, j := range dst[start:] {
 		dt := ix.times[j] - t
 		if dt < 0 {
 			dt = -dt
 		}
 		if dt <= p.Eps2 {
-			dst = append(dst, j)
+			out = append(out, j)
 		}
 	}
-	return dst
+	return out
 }
 
 // Run clusters the index under p; labels are in sorted space (use Fwd with

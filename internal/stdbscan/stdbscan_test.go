@@ -1,6 +1,7 @@
 package stdbscan
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -159,5 +160,45 @@ func TestMetricsCounted(t *testing.T) {
 	}
 	if got := m.Snapshot().NeighborSearches; got != int64(len(pts)) {
 		t.Errorf("searches = %d, want %d", got, len(pts))
+	}
+}
+
+// TestNeighborSearchAllocationFree: a warmed NeighborSearch appends to dst
+// and allocates nothing, and what it appends is the points within both
+// radii, after whatever dst held.
+func TestNeighborSearchAllocationFree(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	pts := movingBlob(4, 200, 0, 0, 0.5, 0, 0.4, rnd)
+	ix := BuildIndex(pts)
+	p := Params{Eps1: 0.5, Eps2: 1, MinPts: 4}
+	if _, err := Run(ix, p, nil); err != nil { // sizes the cell grid for Eps1
+		t.Fatal(err)
+	}
+	var m metrics.Counters
+	dst := []int32{-7}
+	for i := range pts {
+		dst = ix.NeighborSearch(int32(i), p, &m, dst[:1])
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := range pts {
+			dst = ix.NeighborSearch(int32(i), p, &m, dst[:1])
+		}
+	}); allocs != 0 {
+		t.Errorf("a warmed NeighborSearch allocates %v times per pass", allocs)
+	}
+	for i := int32(0); i < int32(len(pts)); i += 37 {
+		dst = ix.NeighborSearch(i, p, nil, dst[:1])
+		var want []int32
+		for j := range pts {
+			dx, dy := ix.spatial.X[i]-ix.spatial.X[j], ix.spatial.Y[i]-ix.spatial.Y[j]
+			if dx*dx+dy*dy <= p.Eps1*p.Eps1 && math.Abs(ix.times[i]-ix.times[j]) <= p.Eps2 {
+				want = append(want, int32(j))
+			}
+		}
+		got := slices.Clone(dst[1:])
+		slices.Sort(got)
+		if dst[0] != -7 || !slices.Equal(got, want) {
+			t.Fatalf("point %d: got %v after %d, want %v", i, got, dst[0], want)
+		}
 	}
 }

@@ -397,6 +397,7 @@ func (x *Index) Cluster(p Params, opts ...RunOption) (*Clustering, error) {
 	// work, and the work counters then read the same at any -threads. A
 	// run with a library keeps its Link, or replays the library's.
 	popt := dbscan.ParallelOptions{Workers: max(c.threads, 1), Rec: rec}
+	x.ix.KeepCells(p.Eps) // a repeated call walks the cells this one builds
 	switch {
 	case lib != nil:
 		res, link, err = dbscan.RunLink(c.ctx, x.ix, p, prev, popt, &m)
@@ -532,7 +533,7 @@ func (x *Index) ClusterVariants(params []Params, opts ...RunOption) (*VariantRun
 	for i, r := range rr.Results {
 		out.Results[i] = VariantResult{
 			Params:         r.Variant.Params,
-			Clustering:     r.Result.Remap(x.ix.Fwd),
+			Clustering:     r.Result,
 			FromScratch:    r.FromScratch,
 			FractionReused: r.FractionReused,
 			SourceIndex:    r.SourceID,

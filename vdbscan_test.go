@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"vdbscan/internal/data"
+	"vdbscan/internal/dbscan"
 )
 
 func testPoints(t *testing.T, n int) []Point {
@@ -505,6 +506,57 @@ func TestClusterVariantsTwoLevel(t *testing.T) {
 			}
 			if work != baseWork {
 				t.Fatalf("T=%d reuse=%v: work %+v, at T=1 %+v", threads, reuse == nil, work, baseWork)
+			}
+		}
+	}
+}
+
+// TestClusterVariantsConcurrentEpsSets: two goroutines sweep one index with
+// different ε sets at once, so each call's declaration drops the other's
+// cell decompositions while its heads run. Every variant must still be
+// dbscan.Run's labels remapped to the caller's order, at 1, 2 and 8
+// threads. Run it under -race.
+func TestClusterVariantsConcurrentEpsSets(t *testing.T) {
+	idx := NewIndex(testPoints(t, 3000))
+	sets := [][]Params{
+		CartesianVariants([]float64{2, 3, 4}, []int{12, 4}),
+		CartesianVariants([]float64{2.5, 3, 5}, []int{8, 3}),
+	}
+	want := map[Params][]int32{}
+	for _, set := range sets {
+		for _, p := range set {
+			res, err := dbscan.Run(idx.ix, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[p] = res.Remap(idx.ix.Fwd).Labels
+		}
+	}
+	for _, threads := range []int{1, 2, 8} {
+		errs := make([]error, len(sets))
+		var wg sync.WaitGroup
+		for g, set := range sets {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 3 && errs[g] == nil; round++ {
+					run, err := idx.ClusterVariants(set, WithThreads(threads))
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					for _, vr := range run.Results {
+						if !slices.Equal(vr.Clustering.Labels, want[vr.Params]) {
+							errs[g] = fmt.Errorf("T=%d round %d %v: labels differ from dbscan.Run", threads, round, vr.Params)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
